@@ -1,53 +1,78 @@
-"""The on-disk cube store: per-cuboid sorted segments behind a footer index.
+"""The on-disk cube store: columnar per-cuboid segments behind a footer index.
 
 ``io.write_cube`` flattens a cube into one TSV stream — fine as an export,
 useless as a serving artifact: answering ``rollup("name")`` means scanning
 every c-group of every cuboid.  :class:`CubeStore` is the read-optimized
-counterpart.  A store file is laid out as
+counterpart.  A store file (format version 2) is laid out as
 
 * a **header line** — magic, format version, and a JSON blob carrying the
   schema, the aggregate's name/kind, and the iceberg threshold the cube
   was computed with;
-* one **segment** per materialized cuboid — the cuboid's groups as
-  ``repr(values)<TAB>repr(value)`` lines in ascending c-group order (the
-  same ``<_C`` order the engines shuffle in), segments in bottom-up BFS
-  order;
-* a **footer** — a JSON index mapping each cuboid mask to its segment's
-  byte offset, length, group count and CRC-32;
+* one **dictionary** per dimension — the sorted distinct values of that
+  dimension across the whole store, written once as a single column, so
+  a value's position is its dense, order-preserving *code*;
+* one **segment** per materialized cuboid, segments in bottom-up BFS
+  order — one code column per dimension in the cuboid's mask plus one
+  aggregate column, rows in ascending code order (the ``<_C`` order the
+  engines shuffle in, because the dictionaries preserve order);
+* a **footer** — a JSON line indexing every dictionary and segment by
+  byte offset, length, value/group count and CRC-32;
 * a fixed-format **footer pointer** as the last line, so a reader finds
   the index with one seek from the end.
 
-:meth:`CubeStore.open` reads only the header and footer; segment bytes
-are fetched (and CRC-checked) on first touch, so a point or slice query
-pays for exactly the cuboids it reads.  A small LRU keeps hot segments
-decoded.  Corruption anywhere — bad magic, truncated footer, a flipped
-byte in a segment — fails with a one-line, offset-numbered
-:class:`StoreError` instead of silently serving wrong aggregates.
+Every **column** — dictionary, codes or aggregates — is a 10-byte
+``kind, item size, payload length`` prefix plus a payload picked from
+the *exact* types of its values:
 
-Values round-trip through ``repr``/``ast.literal_eval``: exact for every
-finalized aggregate in the registry (ints, floats, strings, ``None``,
-tuples) and for every dimension type the generators produce, and —
-unlike JSON — it preserves the int/float and tuple/list distinctions the
-bit-identity contract needs.
+``i``  all ``int``: the narrowest of int8/16/32/64 that fits, little-endian;
+``f``  all ``float`` (finite): float64, little-endian;
+``s``  all ``str``: an ``i`` column of character lengths, then the
+       concatenated UTF-8 text (``surrogatepass``, so any ``str`` fits);
+``g``  anything else — ``None``, ``bool``, tuples such as ``top_k``,
+       ints beyond int64, mixed types: ``repr`` of the value list, read
+       back with one ``ast.literal_eval`` and verified equal at write.
+
+The typed kinds are type-exact by construction (``1`` never comes back
+as ``1.0`` or ``True``, ``-0.0`` keeps its sign); the generic kind exists
+so that everything the v1 ``repr`` codec could store still can be, with
+the same write-time :class:`StoreError` for values that do not survive
+``repr``/``literal_eval`` (``nan``, ``inf``, arbitrary objects).  A
+dimension whose values do not compare (``None`` next to ints) is stored
+in ``repr`` order instead of failing.
+
+:meth:`CubeStore.open` reads only the header and footer; dictionaries
+and segment bytes are fetched (and CRC-checked) on first touch, so a
+point or slice query pays for exactly the cuboids it reads.  A small LRU
+keeps hot segments decoded.  Corruption anywhere — bad magic, truncated
+footer, a flipped byte in a segment — fails with a one-line,
+offset-numbered :class:`StoreError` instead of silently serving wrong
+aggregates.  :meth:`CubeStore.write` publishes atomically: the bytes go
+to a sibling temp file, are fsynced, and replace ``path`` in one rename,
+so a failed or interrupted write leaves the previous store (or nothing).
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import math
 import os
+import struct
+import sys
 import threading
 import zlib
+from array import array
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cubing.result import CubeResult
-from ..relation.lattice import all_cuboids, group_sort_key
+from ..relation.lattice import all_cuboids, group_sort_key, mask_dimensions
 from ..relation.schema import Schema
 
-#: First token of a store file; bumped with the format version.
+#: First token of a store file; the format version follows it.
 MAGIC = "repro-cube-store"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Default number of decoded segments kept hot per store.
 DEFAULT_SEGMENT_CACHE = 16
@@ -72,7 +97,7 @@ class ServingCounters:
         "serving.cache_miss",       # query-result cache misses (view)
         "serving.segment_hit",      # decoded-segment LRU hits (store)
         "serving.segment_load",     # segments fetched from disk (store)
-        "serving.bytes_read",       # raw segment bytes read from disk
+        "serving.bytes_read",       # raw segment + dictionary bytes read
         "serving.reaggregations",   # cuboids rebuilt from an ancestor
         "serving.requests",         # queries admitted by the server
         "serving.shed",             # queries refused at admission (503)
@@ -101,29 +126,159 @@ class ServingCounters:
         return dict(self._counts)
 
 
-def _encode(obj) -> str:
-    """One-token text encoding of a value; inverse is :func:`_decode`.
+#: Column prefix: kind, item size (fixed-width kinds, else 0), payload bytes.
+_COLUMN = struct.Struct("<cBQ")
+#: ``(kind, item size)`` -> ``array`` typecode of the fixed-width kinds.
+_TYPECODES = {
+    (b"i", 1): "b", (b"i", 2): "h", (b"i", 4): "i", (b"i", 8): "q",
+    (b"f", 8): "d",
+}
+#: What decoding corrupt-but-CRC-clean column bytes can raise.
+_DECODE_ERRORS = (ValueError, SyntaxError, TypeError, RecursionError, MemoryError)
 
-    ``repr`` escapes control characters, so the output never contains a
-    literal tab or newline and one c-group always fits one line.
-    """
-    text = repr(obj)
-    try:
-        decoded = ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        raise StoreError(
-            f"value {text[:60]!r} of type {type(obj).__name__} does not "
+
+def _unstorable(values: Sequence) -> StoreError:
+    """The one-line error naming the first value of a rejected column."""
+    for value in values:
+        text = repr(value)
+        try:
+            if ast.literal_eval(text) == value:
+                continue
+        except _DECODE_ERRORS:
+            pass
+        return StoreError(
+            f"value {text[:60]!r} of type {type(value).__name__} does not "
             "round-trip through repr/literal_eval and cannot be stored"
-        ) from None
-    if decoded != obj:
-        raise StoreError(
-            f"value {text[:60]!r} decodes inexactly and cannot be stored"
         )
-    return text
+    return StoreError("column does not round-trip through repr/literal_eval")
 
 
-def _decode(text: str):
-    return ast.literal_eval(text)
+def _pack(values: Sequence) -> bytes:
+    """Encode one column; the kind comes from the values' exact types."""
+    types = set(map(type, values))
+    kind, itemsize = b"g", 0
+    if types <= {int}:
+        low, high = min(values, default=0), max(values, default=0)
+        for size in (1, 2, 4, 8):
+            if -(1 << 8 * size - 1) <= low and high < 1 << 8 * size - 1:
+                kind, itemsize = b"i", size
+                break
+    elif types == {float}:
+        if not all(map(math.isfinite, values)):
+            raise _unstorable(values)
+        kind, itemsize = b"f", 8
+    elif types == {str}:
+        kind = b"s"
+    if itemsize:
+        column = array(_TYPECODES[kind, itemsize], values)
+        if sys.byteorder == "big":
+            column.byteswap()
+        payload = column.tobytes()
+    elif kind == b"s":
+        payload = _pack(list(map(len, values))) + "".join(values).encode(
+            "utf-8", "surrogatepass"
+        )
+    else:
+        listed = list(values)
+        text = repr(listed)
+        try:
+            exact = ast.literal_eval(text) == listed
+        except _DECODE_ERRORS:
+            exact = False
+        if not exact:
+            raise _unstorable(values)
+        payload = text.encode("utf-8")
+    return _COLUMN.pack(kind, itemsize, len(payload)) + payload
+
+
+def _unpack(
+    raw: bytes, pos: int, count: int, where: str, kinds: bytes = b"ifsg"
+) -> Tuple[Sequence, int]:
+    """Decode the ``count``-value column at ``raw[pos:]``.
+
+    Returns ``(values, end position)``; anything malformed — unknown or
+    disallowed kind, lengths past the buffer, undecodable payload, wrong
+    value count — is a one-line :class:`StoreError` prefixed ``where``.
+    """
+    start = pos + _COLUMN.size
+    if start > len(raw):
+        raise StoreError(f"{where}: truncated column prefix at byte {pos}")
+    kind, itemsize, length = _COLUMN.unpack_from(raw, pos)
+    end = start + length
+    if kind not in kinds or end > len(raw):
+        raise StoreError(
+            f"{where}: bad column at byte {pos} (kind {kind!r}, {length} bytes)"
+        )
+    payload = raw[start:end]
+    try:
+        if kind in b"if":
+            values = array(_TYPECODES[kind, itemsize])
+            values.frombytes(payload)
+            if sys.byteorder == "big":
+                values.byteswap()
+        elif kind == b"s":
+            lengths, text_start = _unpack(payload, 0, count, where, b"i")
+            text = payload[text_start:].decode("utf-8", "surrogatepass")
+            ends = list(accumulate(lengths, initial=0))
+            if min(lengths, default=0) < 0 or ends[-1] != len(text):
+                raise ValueError("string lengths disagree with the text")
+            values = [text[a:b] for a, b in zip(ends, ends[1:])]
+        else:
+            values = ast.literal_eval(payload.decode("utf-8"))
+            if type(values) is not list:
+                raise ValueError("generic column is not a list")
+    except StoreError:
+        raise
+    except (KeyError, *_DECODE_ERRORS) as exc:
+        raise StoreError(
+            f"{where}: undecodable {kind.decode()!r} column at byte {pos}: "
+            f"{type(exc).__name__}"
+        ) from None
+    if len(values) != count:
+        raise StoreError(
+            f"{where}: column at byte {pos} holds {len(values)} values, "
+            f"expected {count}"
+        )
+    return values, end
+
+
+def _dimension_dictionary(
+    columns: List[Tuple],
+) -> Tuple[List, Callable[[object], int]]:
+    """Sorted distinct values of one dimension and its ``value -> code``.
+
+    ``columns`` are that dimension's value columns from every cuboid.
+    All-``int`` and all-``str`` dimensions dedupe by equality, which is
+    exact for them; anything else dedupes by ``repr`` so equal values of
+    different types (``1``/``1.0``/``True``, ``0.0``/``-0.0``) keep
+    separate codes, and sorts in ``repr`` order when the values do not
+    compare.
+    """
+    types = set()
+    for column in columns:
+        types.update(map(type, column))
+    if types <= {int} or types <= {str}:
+        values = sorted(set().union(*columns))
+        return values, {v: code for code, v in enumerate(values)}.__getitem__
+    by_repr = {repr(v): v for column in columns for v in column}
+    try:
+        items = sorted(by_repr.items(), key=lambda item: (item[1], item[0]))
+    except TypeError:
+        items = sorted(by_repr.items())
+    codes = {text: code for code, (text, _) in enumerate(items)}
+    return [v for _, v in items], lambda v: codes[repr(v)]
+
+
+def _index_entries(entries: List[Dict], keys: Sequence[str], limit: int):
+    """Footer index ``entries``, checked: a CRC-clean footer can still lie
+    (a forged file), so every entry must hold non-negative ints under
+    ``keys`` and name bytes that end before ``limit``."""
+    for entry in entries:
+        if any(type(entry[k]) is not int or entry[k] < 0 for k in keys) or (
+            entry["offset"] + entry["length"] > limit
+        ):
+            raise ValueError(f"bad index entry {entry!r}")
+    return entries
 
 
 def estimate_cube_bytes(cube: CubeResult) -> int:
@@ -135,8 +290,6 @@ def estimate_cube_bytes(cube: CubeResult) -> int:
     estimate of exclusive footprint — good enough for the doctor's
     store-vs-memory ratio, not an allocator audit.
     """
-    import sys
-
     total = sys.getsizeof(cube._groups)
     for (mask, values), agg in cube.items():
         total += sys.getsizeof((mask, values))
@@ -166,6 +319,7 @@ class CubeStore:
         handle,
         schema: Schema,
         index: "OrderedDict[int, Dict]",
+        dictionary_index: List[Dict],
         aggregate_name: Optional[str],
         aggregate_kind: Optional[str],
         min_group_size: int,
@@ -182,6 +336,8 @@ class CubeStore:
         self.counters = counters or ServingCounters()
         self._handle = handle
         self._index = index
+        self._dictionary_index = dictionary_index
+        self._dictionaries: Dict[int, Sequence] = {}
         self._cache: "OrderedDict[int, Dict[Tuple, object]]" = OrderedDict()
         self._cache_size = max(1, segment_cache_size)
         self._lock = threading.RLock()
@@ -228,13 +384,29 @@ class CubeStore:
             aggregate_name = aggregate.name
             aggregate_kind = aggregate.kind.value
 
-        # Segments come out of one pass over the (already deterministic)
-        # row order: to_rows sorts by (level, mask, values), so each
-        # cuboid's rows are contiguous and internally <_C-sorted.
-        by_mask: Dict[int, List[Tuple[Tuple, object]]] = {m: [] for m in masks}
-        for mask, values, value in cube.to_rows():
-            if mask in by_mask:
-                by_mask[mask].append((values, value))
+        # Bucket by cuboid, transpose each bucket into per-dimension
+        # value columns, and build one dictionary per dimension from
+        # every column of that dimension.
+        num_dimensions = schema.num_dimensions
+        buckets: Dict[int, Tuple[List, List]] = {m: ([], []) for m in masks}
+        for (mask, values), value in cube.items():
+            bucket = buckets.get(mask)
+            if bucket is not None:
+                bucket[0].append(values)
+                bucket[1].append(value)
+        by_dimension: List[List[Tuple]] = [[] for _ in range(num_dimensions)]
+        value_columns: Dict[int, List[Tuple]] = {}
+        for mask, (keys, _) in buckets.items():
+            value_columns[mask] = list(zip(*keys))
+            for dim, column in zip(
+                mask_dimensions(mask, num_dimensions), value_columns[mask]
+            ):
+                by_dimension[dim].append(column)
+        dictionaries, encoders = [], []
+        for columns in by_dimension:
+            values, encoder = _dimension_dictionary(columns)
+            dictionaries.append(values)
+            encoders.append(encoder)
 
         header = {
             "dimensions": list(schema.dimensions),
@@ -244,38 +416,55 @@ class CubeStore:
             "min_group_size": min_group_size,
             "total_groups": cube.num_groups,
         }
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(
-                f"{MAGIC} {FORMAT_VERSION} "
-                f"{json.dumps(header, sort_keys=True)}\n"
-            )
-            offset = handle.tell()
-            entries = []
-            for mask in sorted(masks, key=lambda m: group_sort_key(m, ())):
-                lines = [
-                    f"{_encode(values)}\t{_encode(value)}\n"
-                    for values, value in by_mask[mask]
-                ]
-                segment = "".join(lines)
-                raw = segment.encode("utf-8")
-                handle.write(segment)
-                entries.append(
-                    {
-                        "mask": mask,
-                        "offset": offset,
-                        "length": len(raw),
-                        "groups": len(lines),
-                        "crc32": zlib.crc32(raw),
-                    }
-                )
-                offset += len(raw)
-            footer = json.dumps(
-                {"cuboids": entries}, sort_keys=True
-            ) + "\n"
-            footer_raw = footer.encode("utf-8")
-            handle.write(footer)
-            handle.write(f"footer {offset} {zlib.crc32(footer_raw)}\n")
-            return handle.tell()
+        chunks = [
+            f"{MAGIC} {FORMAT_VERSION} "
+            f"{json.dumps(header, sort_keys=True)}\n".encode("utf-8")
+        ]
+        offset = len(chunks[0])
+
+        def append(raw: bytes, **entry) -> Dict:
+            nonlocal offset
+            chunks.append(raw)
+            entry.update(offset=offset, length=len(raw), crc32=zlib.crc32(raw))
+            offset += len(raw)
+            return entry
+
+        dictionary_entries = [
+            append(_pack(values), count=len(values)) for values in dictionaries
+        ]
+        entries = []
+        for mask in sorted(masks, key=lambda m: group_sort_key(m, ())):
+            dims = mask_dimensions(mask, num_dimensions)
+            # Codes are order-preserving, so sorting code rows sorts the
+            # groups in <_C order without comparing dimension values.
+            codes = [
+                map(encoders[dim], column)
+                for dim, column in zip(dims, value_columns[mask])
+            ]
+            rows = sorted(zip(*codes, buckets[mask][1]))
+            columns = list(zip(*rows)) or [()] * (len(dims) + 1)
+            segment = b"".join(map(_pack, columns))
+            entries.append(append(segment, mask=mask, groups=len(rows)))
+        footer = json.dumps(
+            {"cuboids": entries, "dictionaries": dictionary_entries},
+            sort_keys=True,
+        ).encode("utf-8") + b"\n"
+        chunks.append(footer)
+        chunks.append(f"footer {offset} {zlib.crc32(footer)}\n".encode())
+
+        # Atomic publish: the store appears at ``path`` complete and
+        # durable, or not at all.
+        temp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(temp, "wb") as handle:
+                handle.writelines(chunks)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, path)
+        finally:
+            if os.path.exists(temp):
+                os.unlink(temp)
+        return sum(map(len, chunks))
 
     # -- opening -------------------------------------------------------------
 
@@ -326,6 +515,8 @@ class CubeStore:
         parts = tail_lines[-1].split()
         try:
             footer_offset, footer_crc = int(parts[1]), int(parts[2])
+            if not 0 <= footer_offset < size:
+                raise ValueError(footer_offset)
         except (IndexError, ValueError):
             raise StoreError(
                 f"{path}: malformed footer pointer "
@@ -338,18 +529,33 @@ class CubeStore:
                 f"{path}: footer at offset {footer_offset}: crc mismatch "
                 f"(expected {footer_crc}, got {zlib.crc32(footer_raw)})"
             )
-        footer = json.loads(footer_raw.decode("utf-8"))
 
         try:
+            footer = json.loads(footer_raw.decode("utf-8"))
             schema = Schema(header["dimensions"], measure=header["measure"])
-            index: "OrderedDict[int, Dict]" = OrderedDict(
-                (entry["mask"], entry) for entry in footer["cuboids"]
+            cuboids = _index_entries(
+                footer["cuboids"],
+                ("mask", "offset", "length", "groups", "crc32"),
+                footer_offset,
             )
+            dictionaries = _index_entries(
+                footer["dictionaries"],
+                ("offset", "length", "count", "crc32"),
+                footer_offset,
+            )
+            index: "OrderedDict[int, Dict]" = OrderedDict(
+                (entry["mask"], entry) for entry in cuboids
+            )
+            if any(mask >> schema.num_dimensions for mask in index):
+                raise ValueError("cuboid mask outside the lattice")
+            if len(dictionaries) != schema.num_dimensions:
+                raise ValueError(f"{len(dictionaries)} dictionaries")
             store = cls(
                 path,
                 handle,
                 schema,
                 index,
+                dictionaries,
                 header.get("aggregate"),
                 header.get("aggregate_kind"),
                 int(header.get("min_group_size", 1)),
@@ -359,8 +565,8 @@ class CubeStore:
             )
             store.total_groups = int(header.get("total_groups", 0))
             return store
-        except (KeyError, TypeError) as exc:
-            raise StoreError(f"{path}: incomplete header/footer: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StoreError(f"{path}: invalid header/footer: {exc}") from None
 
     # -- reading -------------------------------------------------------------
 
@@ -404,38 +610,69 @@ class CubeStore:
                 self._cache.popitem(last=False)
             return groups
 
-    def _load_segment(self, mask: int, entry: Dict) -> Dict[Tuple, object]:
+    def _read(self, entry: Dict, where: str) -> bytes:
+        """The CRC-checked bytes of one footer-indexed dictionary/segment."""
         offset, length = entry["offset"], entry["length"]
-        self.counters.bump("serving.segment_load")
         self.counters.bump("serving.bytes_read", length)
         self._handle.seek(offset)
         raw = self._handle.read(length)
         if len(raw) != length:
             raise StoreError(
-                f"{self.path}: segment for cuboid 0x{mask:x} at offset "
-                f"{offset}: truncated ({len(raw)} of {length} bytes)"
+                f"{where}: truncated ({len(raw)} of {length} bytes)"
             )
         if zlib.crc32(raw) != entry["crc32"]:
             raise StoreError(
-                f"{self.path}: segment for cuboid 0x{mask:x} at offset "
-                f"{offset}: crc mismatch (expected {entry['crc32']}, "
+                f"{where}: crc mismatch (expected {entry['crc32']}, "
                 f"got {zlib.crc32(raw)})"
             )
-        groups: Dict[Tuple, object] = {}
-        for i, line in enumerate(raw.decode("utf-8").splitlines()):
-            try:
-                values_text, _, value_text = line.partition("\t")
-                groups[_decode(values_text)] = _decode(value_text)
-            except (ValueError, SyntaxError):
+        return raw
+
+    def _dictionary(self, dim: int) -> Sequence:
+        """One dimension's ``code -> value`` sequence, loaded on first use."""
+        values = self._dictionaries.get(dim)
+        if values is None:
+            entry = self._dictionary_index[dim]
+            where = (
+                f"{self.path}: dictionary for dimension "
+                f"{self.schema.dimensions[dim]!r} at offset {entry['offset']}"
+            )
+            raw = self._read(entry, where)
+            values, end = _unpack(raw, 0, entry["count"], where)
+            if end != len(raw):
+                raise StoreError(f"{where}: {len(raw) - end} trailing bytes")
+            self._dictionaries[dim] = values
+        return values
+
+    def _load_segment(self, mask: int, entry: Dict) -> Dict[Tuple, object]:
+        where = (
+            f"{self.path}: segment for cuboid 0x{mask:x} at offset "
+            f"{entry['offset']}"
+        )
+        self.counters.bump("serving.segment_load")
+        raw = self._read(entry, where)
+        count, pos = entry["groups"], 0
+        columns = []
+        for dim in mask_dimensions(mask, self.schema.num_dimensions):
+            values = self._dictionary(dim)
+            codes, pos = _unpack(raw, pos, count, where, b"i")
+            if count and not 0 <= min(codes) <= max(codes) < len(values):
                 raise StoreError(
-                    f"{self.path}: segment for cuboid 0x{mask:x} at offset "
-                    f"{offset}: unparsable line {i + 1}: {line[:60]!r}"
-                ) from None
-        if len(groups) != entry["groups"]:
+                    f"{where}: code outside the {len(values)}-value "
+                    f"dictionary of dimension {self.schema.dimensions[dim]!r}"
+                )
+            columns.append(map(values.__getitem__, codes))
+        aggregates, pos = _unpack(raw, pos, count, where)
+        if pos != len(raw):
+            raise StoreError(f"{where}: {len(raw) - pos} trailing bytes")
+        try:
+            groups = dict(
+                zip(zip(*columns) if columns else [()] * count, aggregates)
+            )
+        except TypeError:
+            raise StoreError(f"{where}: unhashable group value") from None
+        if len(groups) != count:
             raise StoreError(
-                f"{self.path}: segment for cuboid 0x{mask:x} at offset "
-                f"{offset}: {len(groups)} groups, footer promised "
-                f"{entry['groups']}"
+                f"{where}: {len(groups)} groups, footer promised {count}"
             )
         return groups
 

@@ -8,6 +8,7 @@ from repro import io as repro_io
 from repro.cubing import sequential_cube
 from repro.relation import all_cuboids
 from repro.serving import CubeStore, StoreError, estimate_cube_bytes
+from repro.serving.store import FORMAT_VERSION, MAGIC
 
 from ..conftest import make_random_relation
 
@@ -99,6 +100,54 @@ class TestWriteOpen:
             assert store.group_count(0) == 0
 
 
+class TestAtomicPublish:
+    def unstorable(self, schema):
+        from repro.cubing import CubeResult
+
+        return CubeResult(schema, {(0, ()): object()})
+
+    def test_failed_write_leaves_no_file(self, retail_schema, tmp_path):
+        with pytest.raises(StoreError):
+            CubeStore.write(
+                self.unstorable(retail_schema), str(tmp_path / "x.store")
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_store(
+        self, cube, store_path, retail_schema, tmp_path
+    ):
+        before = (tmp_path / "retail.store").read_bytes()
+        with pytest.raises(StoreError):
+            CubeStore.write(self.unstorable(retail_schema), store_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["retail.store"]
+        assert (tmp_path / "retail.store").read_bytes() == before
+        with CubeStore.open(store_path) as store:
+            assert store.to_cube() == cube
+
+    def test_write_interrupted_on_disk_keeps_previous_store(
+        self, cube, store_path, tmp_path, monkeypatch
+    ):
+        # The failure lands after bytes reached the temp file: the
+        # target is untouched and the temp file is gone.
+        before = (tmp_path / "retail.store").read_bytes()
+
+        def full_disk(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("os.fsync", full_disk)
+        with pytest.raises(OSError):
+            CubeStore.write(cube, store_path, aggregate="sum")
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["retail.store"]
+        assert (tmp_path / "retail.store").read_bytes() == before
+
+    def test_rewrite_replaces_store(self, cube, store_path):
+        CubeStore.write(cube, store_path, aggregate="sum", cuboids=[0])
+        with CubeStore.open(store_path) as store:
+            assert store.masks == (0,)
+            assert store.aggregate_name == "sum"
+
+
 class TestLaziness:
     def test_open_reads_no_segment(self, store_path):
         with CubeStore.open(store_path) as store:
@@ -144,12 +193,32 @@ class TestCorruption:
     def test_unsupported_version(self, cube, tmp_path):
         path = tmp_path / "future.store"
         CubeStore.write(cube, str(path), aggregate="count")
-        content = path.read_bytes().replace(
-            b"repro-cube-store 1 ", b"repro-cube-store 99 ", 1
-        )
-        path.write_bytes(content)
+        current = f"{MAGIC} {FORMAT_VERSION} ".encode()
+        content = path.read_bytes()
+        assert content.startswith(current)
+        path.write_bytes(f"{MAGIC} 99 ".encode() + content[len(current):])
         with pytest.raises(StoreError, match="version '99'"):
             CubeStore.open(str(path))
+
+    def test_v1_file_refused(self, tmp_path):
+        # The v1 text format has no reader any more: one line naming the
+        # version, and the store is re-creatable with ``cube --store``.
+        path = tmp_path / "v1.store"
+        segment = b"()\t3\n"
+        footer = (
+            b'{"cuboids": [{"crc32": %d, "groups": 1, "length": %d, '
+            b'"mask": 0, "offset": 0}]}\n' % (zlib.crc32(segment), len(segment))
+        )
+        header = b'repro-cube-store 1 {"dimensions": ["a"], "measure": "m"}\n'
+        path.write_bytes(
+            header + segment + footer
+            + b"footer %d %d\n" % (len(header) + len(segment), zlib.crc32(footer))
+        )
+        with pytest.raises(StoreError) as caught:
+            CubeStore.open(str(path))
+        message = str(caught.value)
+        assert "unsupported store format version '1'" in message
+        assert "\n" not in message
 
     def test_truncated_footer(self, cube, tmp_path):
         path = tmp_path / "trunc.store"

@@ -1,0 +1,283 @@
+"""The v2 column codec: type-exact round-trips and byte-level fuzzing."""
+
+import copy
+import json
+import tempfile
+import zlib
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.aggregates import get_aggregate
+from repro.cubing import CubeResult, sequential_cube
+from repro.relation import Relation, Schema, mask_dimensions, mask_size
+from repro.serving import CubeStore, StoreError
+
+SCHEMA = Schema(["a", "b"], "m")
+
+# Values that are equal (and hash equal) yet must come back as themselves.
+LOOKALIKES = st.sampled_from(
+    [0, 0.0, -0.0, False, 1, 1.0, True, None, "", "0", (1,), (1.0,), (True,)]
+)
+TEXTS = st.text(
+    alphabet=st.one_of(
+        st.characters(),
+        st.sampled_from("\n\t\x00\ud800\udfff\xe9\U0001f600"),
+    ),
+    max_size=6,
+)
+SMALL_INTS = st.integers(-200, 200)
+WIDE_INTS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1]),
+)
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0)
+)
+SCALARS = st.one_of(
+    LOOKALIKES, TEXTS, SMALL_INTS, WIDE_INTS, FLOATS, st.booleans()
+)
+NESTED = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=4
+)
+#: One family per column, so typed kinds (all-int, all-float, all-str)
+#: and the generic kind are each drawn whole, not only in mixtures.
+FAMILIES = [SMALL_INTS, WIDE_INTS, FLOATS, TEXTS, LOOKALIKES, NESTED]
+
+
+@st.composite
+def cubes(draw):
+    dimension_values = [draw(st.sampled_from(FAMILIES)) for _ in range(2)]
+    aggregates = draw(
+        st.sampled_from(FAMILIES + [st.lists(SCALARS, max_size=2)])
+    )
+    groups = {}
+    for mask in range(4):
+        keys = st.tuples(
+            *(dimension_values[dim] for dim in mask_dimensions(mask, 2))
+        )
+        for values in draw(st.lists(keys, max_size=4)):
+            groups[(mask, values)] = draw(aggregates)
+    return CubeResult(SCHEMA, groups)
+
+
+def roundtrip(cube, **write_options):
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(Path(directory) / "cube.store")
+        CubeStore.write(cube, path, **write_options)
+        with CubeStore.open(path) as store:
+            return store.to_cube()
+
+
+def assert_exact(back, cube):
+    assert back == cube
+    # Equality is blind to 1 / 1.0 / True and 0.0 / -0.0; repr is not.
+    assert sorted(map(repr, back.items())) == sorted(map(repr, cube.items()))
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(cubes())
+    def test_generated_cubes_roundtrip_type_exact(self, cube):
+        assert_exact(roundtrip(cube), cube)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["dimension", "aggregate", "nested"])
+    def test_non_finite_floats_rejected_at_write(self, bad, where, tmp_path):
+        groups = {
+            "dimension": {(1, (bad,)): 1},
+            "aggregate": {(1, ("x",)): bad},
+            "nested": {(1, ("x",)): (1, bad)},
+        }[where]
+        path = tmp_path / "bad.store"
+        with pytest.raises(StoreError, match="round-trip"):
+            CubeStore.write(CubeResult(SCHEMA, groups), str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lookalike_values_in_different_cuboids_stay_distinct(self):
+        # One dimension holds 1, 1.0 and True — in different cuboids, so
+        # the cube can tell them apart but a value-keyed dictionary
+        # could not.
+        cube = CubeResult(
+            SCHEMA,
+            {
+                (1, (1,)): 10,
+                (3, (1.0, "x")): 20,
+                (3, (True, "y")): 30,
+                (2, ("x",)): 0.0,
+                (2, ("y",)): -0.0,
+            },
+        )
+        assert_exact(roundtrip(cube), cube)
+
+    def test_top_k_cube_uses_generic_kind(self, retail_relation):
+        cube = sequential_cube(retail_relation, get_aggregate("top_k"))
+        assert {type(v) for _, v in cube.items()} == {tuple}
+        assert_exact(roundtrip(cube, aggregate="top_k"), cube)
+
+    def test_avg_cube_uses_float_kind(self, retail_relation):
+        cube = sequential_cube(retail_relation, get_aggregate("avg"))
+        assert {type(v) for _, v in cube.items()} == {float}
+        assert_exact(roundtrip(cube, aggregate="avg"), cube)
+
+    def test_unorderable_dimension_values_stored(self):
+        # Regression: the v1 writer's global to_rows() sort raised a raw
+        # TypeError ('<' between NoneType and int) for this relation.
+        relation = Relation(SCHEMA, [(1, "x", 1), (None, "y", 1)])
+        cube = sequential_cube(relation)
+        assert_exact(roundtrip(cube, aggregate="count"), cube)
+
+    def test_segments_sorted_in_group_order(self, retail_relation, tmp_path):
+        # Order-preserving dictionaries: each cuboid's groups come back
+        # in ascending <_C order, as the v1 to_rows() sort produced.
+        cube = sequential_cube(retail_relation)
+        path = str(tmp_path / "cube.store")
+        CubeStore.write(cube, path, aggregate="count")
+        with CubeStore.open(path) as store:
+            for mask in store.masks:
+                keys = list(store.cuboid(mask))
+                assert keys == sorted(keys)
+
+
+# -- byte-level fuzz ----------------------------------------------------------
+
+
+#: Between them the two fuzzed stores hold every column kind: ``s``,
+#: ``i`` and generic dictionaries, ``i`` code columns, and ``f`` and
+#: generic aggregate columns.
+FUZZ_CUBES = {
+    "typed": (
+        [("x", 1, 5), ("x", 300, 7), ("\xe9\n", 2, 5), ("y", 1, 2)],
+        "avg",
+    ),
+    "generic": (
+        [("x", 1, 5), ("x", None, 7), ("\xe9\n", 2, 5), ("y", 300, 1)],
+        "top_k",
+    ),
+}
+
+
+def split_store(data):
+    """``(body, footer dict)`` of a store file's bytes."""
+    pointer = data.rstrip(b"\n").rsplit(b"\n", 1)[1]
+    offset = int(pointer.split()[1])
+    return data[:offset], json.loads(data[offset:].split(b"\n", 1)[0])
+
+
+def forge(footer, index):
+    """A deep copy of ``footer`` and its ``index``-th dictionary/segment
+    entry, for the caller to falsify."""
+    forged = copy.deepcopy(footer)
+    return forged, (forged["dictionaries"] + forged["cuboids"])[index]
+
+
+def join_store(body, footer):
+    """Re-assemble a store with the footer CRC recomputed to match."""
+    raw = json.dumps(footer, sort_keys=True).encode() + b"\n"
+    return body + raw + b"footer %d %d\n" % (len(body), zlib.crc32(raw))
+
+
+def read_back(path, data):
+    path.write_bytes(data)
+    with CubeStore.open(str(path)) as store:
+        cube = store.to_cube()
+        # Whatever a CRC-clean file decodes to must be a well-formed
+        # cube: lattice masks, one value per mask dimension, and the
+        # footer's group counts (the reader checks those itself).
+        for (mask, values), _ in cube.items():
+            assert 0 <= mask < 4 and len(values) == mask_size(mask)
+        return cube
+
+
+@pytest.fixture(scope="module", params=sorted(FUZZ_CUBES))
+def fuzz_store(request, tmp_path_factory):
+    rows, aggregate = FUZZ_CUBES[request.param]
+    cube = sequential_cube(Relation(SCHEMA, rows), get_aggregate(aggregate))
+    path = tmp_path_factory.mktemp("fuzz") / "cube.store"
+    CubeStore.write(cube, str(path), aggregate=aggregate)
+    data = path.read_bytes()
+    body, footer = split_store(data)
+    assert join_store(body, footer) == data
+    return cube, path, data
+
+
+def damaged(data, positions):
+    """Copies of ``data`` with one byte flipped, four ways per position."""
+    for position in positions:
+        for flip in (0x01, 0x10, 0x80, 0xFF):
+            mutated = bytearray(data)
+            mutated[position] ^= flip
+            yield bytes(mutated)
+
+
+class TestByteFuzz:
+    def test_stale_crc_flip_is_error_or_identical(self, fuzz_store):
+        # Every byte after the header line is covered by a CRC, so a
+        # flipped one is either caught or (the pointer line's trailing
+        # newline) harmless — never a different cube, never a raw
+        # IndexError / struct.error / UnicodeDecodeError.
+        cube, path, data = fuzz_store
+        outcomes = set()
+        for mutated in damaged(data, range(data.index(b"\n") + 1, len(data))):
+            try:
+                assert read_back(path, mutated) == cube
+                outcomes.add("identical")
+            except StoreError as error:
+                assert "\n" not in str(error)
+                outcomes.add("error")
+        assert "error" in outcomes
+
+    def test_truncation_is_error(self, fuzz_store):
+        cube, path, data = fuzz_store
+        for cut in range(data.index(b"\n") + 1, len(data) - 1):
+            with pytest.raises(StoreError):
+                read_back(path, data[:cut])
+
+    def test_matching_crc_flip_is_error_or_well_formed(self, fuzz_store):
+        # With the CRCs recomputed over the damage the checksums pass,
+        # so decoding itself has to hold: a StoreError, or a well-formed
+        # cube (read_back asserts the shape) — never another exception.
+        cube, path, data = fuzz_store
+        body, footer = split_store(data)
+        entries = footer["dictionaries"] + footer["cuboids"]
+        outcomes = set()
+        for index, entry in enumerate(entries):
+            start, stop = entry["offset"], entry["offset"] + entry["length"]
+            for mutated in damaged(body, range(start, stop)):
+                forged, target = forge(footer, index)
+                target["crc32"] = zlib.crc32(mutated[start:stop])
+                try:
+                    read_back(path, join_store(mutated, forged))
+                    outcomes.add("cube")
+                except StoreError as error:
+                    assert "\n" not in str(error)
+                    outcomes.add("error")
+        assert outcomes == {"cube", "error"}
+
+    def test_matching_crc_short_length_is_error(self, fuzz_store):
+        # A column cut short inside a checksummed region: the footer
+        # claims fewer bytes and the CRC agrees with them.
+        cube, path, data = fuzz_store
+        body, footer = split_store(data)
+        count = len(footer["dictionaries"] + footer["cuboids"])
+        for index in range(count):
+            forged, target = forge(footer, index)
+            target["length"] -= 1
+            start = target["offset"]
+            target["crc32"] = zlib.crc32(body[start : start + target["length"]])
+            with pytest.raises(StoreError):
+                read_back(path, join_store(body, forged))
+
+    def test_matching_crc_footer_flip_is_error_or_well_formed(self, fuzz_store):
+        cube, path, data = fuzz_store
+        body, footer = split_store(data)
+        raw = json.dumps(footer, sort_keys=True).encode()
+        for mutated in damaged(raw, range(len(raw))):
+            forged = mutated + b"\n"
+            pointer = b"footer %d %d\n" % (len(body), zlib.crc32(forged))
+            try:
+                read_back(path, body + forged + pointer)
+            except StoreError as error:
+                assert "\n" not in str(error)
