@@ -1,14 +1,11 @@
-"""Kernel micro-benchmarks: the round-2 hot paths against their oracles.
+"""Kernel micro-benchmarks: the BUC hot path against its oracle.
 
-Three one-process comparisons, each a fast path measured against the
+Two one-process comparisons, each the fast path measured against the
 legacy implementation it replaced (both still in the tree):
 
 * **BUC kernel** — ``buc_cube(kernel="array")`` (iterative, sort +
   run-length) versus ``kernel="legacy"`` (recursive dict-of-lists) on a
   moderate binomial workload;
-* **lattice-walk memo, hit path** — the round-2 ``_CubeMapper`` on
-  duplicate-heavy input (every record after the first three is a memo
-  hit) versus the same mapper with its caches defeated per record;
 * **BUC singleton/grouping fast paths** — the array kernel again, on a
   high-skew workload whose tree mixes long low-cardinality runs (where
   sort + ``groupby`` shines) with singleton chains (where the
@@ -53,13 +50,8 @@ except ImportError:  # pragma: no cover - direct CLI use without PYTHONPATH
 from repro.aggregates.functions import get_aggregate
 from repro.analysis import paper_cluster
 from repro.core import SPCube
-from repro.core.sketch import build_exact_sketch
-from repro.core.spcube import _CubeMapper, _PlanFunction
 from repro.cubing.buc import buc_cube, iceberg_groups
 from repro.datagen import gen_binomial
-from repro.mapreduce import TaskContext
-from repro.relation.relation import Relation
-from repro.relation.schema import Schema
 
 #: Conservative floors for --assert-floors; measured values sit well
 #: above them (see EXPERIMENTS.md), so tripping one means the fast path
@@ -69,7 +61,6 @@ from repro.relation.schema import Schema
 #: becoming genuinely slower than the legacy recursion.
 FLOORS = {
     "buc_array_speedup": 0.9,
-    "lattice_memo_speedup": 1.5,
     "buc_skewed_speedup": 1.1,
 }
 
@@ -95,15 +86,6 @@ def _ab_best(
     return [min(times[0]), min(times[1])]
 
 
-def _duplicate_heavy_relation(num_rows: int) -> Relation:
-    schema = Schema(["a", "b", "c"], measure="m")
-    distinct = [("u", "v", "w"), ("u", "z", "w"), ("q", "v", "r")]
-    rows = [
-        distinct[i % len(distinct)] + (i % 7,) for i in range(num_rows)
-    ]
-    return Relation(schema, rows, validate=False, name="duplicate-heavy")
-
-
 def bench_buc_kernels(rows: int, repeats: int) -> Dict[str, float]:
     relation = gen_binomial(rows, 0.4, seed=600)
     aggregate = get_aggregate("count")
@@ -120,39 +102,6 @@ def bench_buc_kernels(rows: int, repeats: int) -> Dict[str, float]:
         "buc_array_seconds": round(array, 6),
         "buc_legacy_seconds": round(legacy, 6),
         "buc_array_speedup": round(legacy / array, 2),
-    }
-
-
-def bench_lattice_memo(rows: int, repeats: int) -> Dict[str, float]:
-    relation = _duplicate_heavy_relation(rows)
-    sketch = build_exact_sketch(relation, 4, 32)
-    d = relation.schema.num_dimensions
-    aggregate = get_aggregate("count")
-
-    def run(defeat_memo: bool) -> List:
-        plan = _PlanFunction(sketch, True, True)
-        mapper = _CubeMapper(d, aggregate, sketch, plan)
-        mapper.setup(TaskContext(0, 4, 32))
-        if defeat_memo:
-            emitted: List = []
-            for record in relation.rows:
-                mapper._row_plans.clear()
-                plan._memo.clear()
-                emitted.extend(mapper.map_chunk([record])[1])
-        else:
-            emitted = mapper.map_chunk(relation.rows)[1]
-        emitted.extend(mapper.close())
-        return emitted
-
-    assert run(False) == run(True)  # bit-identical stream either way
-    memoized, replayed = _ab_best(
-        lambda: run(False), lambda: run(True), repeats
-    )
-    return {
-        "lattice_rows": rows,
-        "lattice_memo_seconds": round(memoized, 6),
-        "lattice_miss_path_seconds": round(replayed, 6),
-        "lattice_memo_speedup": round(replayed / memoized, 2),
     }
 
 
@@ -194,8 +143,8 @@ def profile_smoke_workload(path: str, rows: int) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="micro-benchmark the round-2 kernels against their "
-        "legacy oracles (see module docstring)"
+        description="micro-benchmark the BUC kernel against its "
+        "legacy oracle (see module docstring)"
     )
     parser.add_argument("--rows", type=int, default=20_000,
                         help="workload size per micro-bench")
@@ -214,7 +163,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     results: Dict[str, object] = {}
     results.update(bench_buc_kernels(args.rows, args.repeats))
-    results.update(bench_lattice_memo(args.rows, args.repeats))
     results.update(bench_buc_skewed(args.rows, args.repeats))
     results["floors"] = FLOORS
 

@@ -142,11 +142,10 @@ def compare_perf(
 
     base_hot = baseline.get("hot_path", {})
     fresh_hot = fresh.get("hot_path", {})
-    for metric in ("stable_hash_speedup", "routing_speedup"):
-        base_value = base_hot.get(metric)
-        fresh_value = fresh_hot.get(metric)
-        if base_value is None or fresh_value is None:
-            continue
+    metric = "stable_hash_speedup"
+    base_value = base_hot.get(metric)
+    fresh_value = fresh_hot.get(metric)
+    if base_value is not None and fresh_value is not None:
         floor = base_value * (1.0 - tolerances.hot_path)
         if fresh_value < floor:
             violations.append(

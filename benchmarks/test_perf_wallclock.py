@@ -3,8 +3,8 @@
 Unlike the figure benches (which report *simulated* seconds), this module
 measures *host* time: how long the driver actually takes to run the
 Fig-6-style workload serially versus under ``--parallelism N``, plus
-micro-timings of the ``stable_hash`` / ``estimate_bytes`` fast paths
-against the legacy one-liners they replaced.  Results are written to
+a micro-timing of the ``stable_hash`` string memo against the legacy
+one-liner it replaced.  Results are written to
 ``BENCH_perf.json`` at the repo root (the CI perf-smoke job uploads it as
 an artifact).
 
@@ -33,8 +33,7 @@ import zlib
 from repro.analysis import paper_cluster
 from repro.core import SPCube
 from repro.datagen import gen_binomial
-from repro.mapreduce import MapReduceJob, pair_bytes, stable_hash
-from repro.mapreduce.engine import _route_pairs
+from repro.mapreduce import stable_hash
 from repro.observability import LineageRecorder, Telemetry, Watchdog
 
 from telemetry_overhead import null_guard_floor
@@ -83,15 +82,9 @@ def _best_of(fn, repeats=5):
 
 
 def _hot_path_micro():
-    """min-of-repeats timings of the engine's hot-path rewrites.
-
-    Two comparisons, each against the seed's exact behaviour:
-
-    * ``stable_hash`` on a shuffle-like key stream (skewed repetition,
-      string-heavy) versus the original ``crc32(repr(key))`` one-liner —
-      the string memo is the difference;
-    * the batched, key-cached routing loop (``_route_pairs``) versus the
-      seed's per-pair partition + size computation.
+    """min-of-repeats timing of ``stable_hash`` on a shuffle-like key
+    stream (skewed repetition, string-heavy) versus the seed's
+    ``crc32(repr(key))`` one-liner — the string memo is the difference.
     """
     # The memo targets string keys (dimension values, wordcount-style
     # jobs), which repeat heavily in a skewed shuffle.  The baseline is
@@ -113,45 +106,11 @@ def _hot_path_micro():
     hash_legacy = _best_of(legacy_hash)
     hash_fast = _best_of(fast_hash)
 
-    # Routing: a skewed cube-key pair stream through the seed's per-pair
-    # loop and through the batched cached loop the engine now runs.
-    job = MapReduceJob.from_functions(
-        "bench", lambda r: iter(()), lambda k, v: iter(())
-    )
-    partitioner = job.partitioner
-    cube_keys = [
-        (i & 0b111, ("v%d" % (i % 50), "w%d" % (i % 7)))
-        for i in range(2000)
-    ]
-    pairs = [(key, 1) for key in string_keys + cube_keys] * 4
-    num_reducers = 20
-
-    def legacy_route():
-        routed = []
-        bytes_out = 0
-        for key, value in pairs:
-            target = partitioner(key, num_reducers)
-            size = pair_bytes(key, value)
-            bytes_out += size
-            routed.append((target, (key, value), size))
-        return routed, bytes_out
-
-    def fast_route():
-        return _route_pairs(pairs, job, num_reducers, 0)
-
-    assert fast_route()[1] == legacy_route()[1]  # identical byte totals
-    route_legacy = _best_of(legacy_route)
-    route_fast = _best_of(fast_route)
-
     return {
         "hash_keys_per_round": len(string_keys),
         "stable_hash_legacy_seconds": round(hash_legacy, 6),
         "stable_hash_fast_seconds": round(hash_fast, 6),
         "stable_hash_speedup": round(hash_legacy / hash_fast, 2),
-        "routed_pairs_per_round": len(pairs),
-        "routing_legacy_seconds": round(route_legacy, 6),
-        "routing_fast_seconds": round(route_fast, 6),
-        "routing_speedup": round(route_legacy / route_fast, 2),
     }
 
 
@@ -279,9 +238,8 @@ def test_perf_wallclock():
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\n{json.dumps(report, indent=2)}\n[written to {RESULT_PATH}]")
 
-    # The fast paths must beat the legacy loops they replaced.
+    # The fast path must beat the legacy one-liner it replaced.
     assert hot_path["stable_hash_speedup"] > 1.0
-    assert hot_path["routing_speedup"] > 1.0
 
     # The collector must actually have collected, and the disabled-path
     # guard must stay in single-digit-nanoseconds territory; the wall

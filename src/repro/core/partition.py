@@ -65,6 +65,7 @@ def find_partition(
     ``bisect_left`` realizes the paper's bucket boundaries: groups equal to
     an element go to the partition *ending* at that element, so an entire
     (non-skewed) c-group — whose members compare equal — stays together.
+    ``elements`` is bisected in place (the sketch keeps it as a list).
 
     >>> find_partition([("b",), ("d",)], ("a",))
     0
@@ -75,7 +76,7 @@ def find_partition(
     >>> find_partition([("b",), ("d",)], ("z",))
     2
     """
-    return bisect.bisect_left(list(elements), group)
+    return bisect.bisect_left(elements, group)
 
 
 def partition_sizes(

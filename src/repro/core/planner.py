@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from ..relation.lattice import bfs_order, strict_supersets
+from ..relation.lattice import bfs_order, descendants, strict_supersets
 from .sketch import SPSketch
 
 
@@ -119,11 +119,19 @@ def plan_without_covering(skew_bits: int, num_dimensions: int) -> TuplePlan:
 
     Every non-skewed node is emitted on its own (``covered = (node,)``),
     isolating the network saving of Observation 2.6 in the ablation bench.
+    Like the covering walk, it refuses a bitmap that is not downward
+    monotone (the mapper's skew roll-up relies on it).
     """
     skewed_masks = []
     emissions = []
     for mask in bfs_order(num_dimensions):
         if skew_bits >> mask & 1:
+            for child in descendants(mask, num_dimensions):
+                if not skew_bits >> child & 1:
+                    raise PlannerError(
+                        f"skew bitmap {skew_bits:b} marks {mask:b} skewed "
+                        f"but not its descendant {child:b}"
+                    )
             skewed_masks.append(mask)
         else:
             emissions.append((mask, (mask,)))

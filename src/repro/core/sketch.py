@@ -31,7 +31,13 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..cubing.buc import iceberg_groups
 from ..mapreduce.sizes import estimate_bytes
-from ..relation.lattice import GroupValues, all_cuboids, project, projector
+from ..relation.lattice import (
+    GroupValues,
+    all_cuboids,
+    project,
+    project_rows,
+    projector,
+)
 from ..relation.relation import Relation
 from .partition import (
     find_partition,
@@ -100,6 +106,28 @@ class SPSketch:
             if get(row) in skewed:
                 bits |= bit
         return bits
+
+    def skew_bits_of(self, rows: Sequence[Sequence]) -> List[int]:
+        """:meth:`skew_bits` of every row, one cuboid column at a time.
+
+        Each cuboid with any skewed group projects the whole chunk and
+        tests membership with C-level ``map``s; ``zip`` turns the columns
+        into one hit tuple per row, and only the distinct hit tuples (a
+        handful) are assembled into bitmaps in Python.
+        """
+        d = self.num_dimensions
+        masks = [m for m, cuboid in self.cuboids.items() if cuboid.skewed]
+        if not masks:
+            return [0] * len(rows)
+        hits = list(zip(*(
+            map(self.cuboids[m].skewed.__contains__, project_rows(rows, m, d))
+            for m in masks
+        )))
+        bitmap = {
+            row_hits: sum(1 << m for m, hit in zip(masks, row_hits) if hit)
+            for row_hits in set(hits)
+        }
+        return list(map(bitmap.__getitem__, hits))
 
     # -- pickling ---------------------------------------------------------------
 

@@ -38,6 +38,10 @@ exact on both the skewed path (reducer 0) and the covered path, matching
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from functools import reduce
+from itertools import compress
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..aggregates.classify import check_spcube_support
@@ -59,7 +63,7 @@ from ..mapreduce.engine import (
 from ..mapreduce.metrics import RunMetrics
 from ..observability.telemetry import emit_run_telemetry
 from ..observability.tracer import NULL_TRACER, emit_run_span
-from ..relation.lattice import project, projector
+from ..relation.lattice import bfs_order, project_rows, projector
 from ..relation.relation import Relation
 from .planner import TuplePlan, plan_for_skew_bits, plan_without_covering
 from .sampling import sampling_probability, skew_sample_threshold
@@ -80,6 +84,8 @@ def _spcube_cuboid_of(key):
 
 #: DFS path under which round 1 publishes the sketch.
 SKETCH_PATH = "spcube/sketch"
+
+_MEASURE = itemgetter(-1)
 
 
 class SPCube:
@@ -278,9 +284,7 @@ class SPCube:
         min_size = self.min_group_size
         job = MapReduceJob(
             name="sp-cube",
-            mapper_factory=TaskFactory(
-                _CubeMapper, d, aggregate, sketch_ref, plan
-            ),
+            mapper_factory=TaskFactory(_CubeMapper, d, aggregate, plan),
             reducer_factory=TaskFactory(
                 _CubeReducer, d, aggregate, plan, min_size
             ),
@@ -336,30 +340,30 @@ class SPCube:
 
 
 class _PlanFunction:
-    """Picklable per-tuple plan lookup honouring the ablation switches.
+    """Picklable plan lookup honouring the ablation switches.
 
-    Replaces the old driver-side closure so round-2 tasks can execute in
-    worker processes; the lattice-plan caches rebuild lazily per process.
     Accepts the sketch directly or as a
     :class:`~repro.mapreduce.broadcast.Broadcast` handle — the handle is
     what pickles, so the sketch crosses the pool boundary once per
     worker process.
 
-    Plans are memoized per distinct *dimension tuple*: ``skew_bits`` is a
-    pure, equality-respecting function of the dimension values (its probes
-    are dict-membership tests of projections), so equal tuples always get
-    the same plan object — the memo can change neither plans nor anything
-    downstream.  The memo is process-local transient state (never pickled,
-    rebuilt empty after a pool hop) shared by every round-2 task in the
-    process: the map phase pays the sketch probes once per distinct tuple
-    and the reduce phase re-reads the answers for free.  It must never
-    feed *per-task* observables (counters, metrics) — its hit pattern
-    depends on which tasks shared a process, which the simulation does
-    not model.
+    Plans are memoized per distinct *dimension tuple* — the one memo of
+    round 2.  ``skew_bits`` is a pure, equality-respecting function of
+    the dimension values (its probes are dict-membership tests of
+    projections), so equal tuples always get the same plan object and the
+    memo can change neither plans nor anything downstream.  The map
+    kernel fills it a chunk at a time (:meth:`plan_chunk`), which is why
+    it exists: the reduce phase then reads every row's plan for one dict
+    probe instead of re-probing the sketch.  It is process-local
+    transient state (never pickled, rebuilt empty after a pool hop) and
+    must never feed *per-task* observables (counters, metrics) — its hit
+    pattern depends on which tasks shared a process, which the
+    simulation does not model.
     """
 
     __slots__ = (
-        "_sketch_ref", "_sketch", "_d", "_covering", "_partial", "_memo",
+        "_sketch_ref", "_sketch", "_d", "_dims", "_covering", "_partial",
+        "_memo",
     )
 
     _MEMO_LIMIT = 1 << 17
@@ -368,12 +372,14 @@ class _PlanFunction:
         self, sketch, ancestor_covering: bool,
         map_partial_aggregation: bool,
     ):
-        self._sketch_ref = sketch
-        self._sketch = unwrap(sketch)
-        self._d = self._sketch.num_dimensions
-        self._covering = ancestor_covering
-        self._partial = map_partial_aggregation
-        self._memo: Dict[Tuple, TuplePlan] = {}
+        self.__setstate__(
+            (sketch, ancestor_covering, map_partial_aggregation)
+        )
+
+    def _plan_for(self, bits: int) -> TuplePlan:
+        if self._covering:
+            return plan_for_skew_bits(bits, self._d)
+        return plan_without_covering(bits, self._d)
 
     def __call__(self, row) -> TuplePlan:
         dims = row[: self._d]
@@ -381,14 +387,23 @@ class _PlanFunction:
         plan = memo.get(dims)
         if plan is None:
             bits = self._sketch.skew_bits(row) if self._partial else 0
-            if self._covering:
-                plan = plan_for_skew_bits(bits, self._d)
-            else:
-                plan = plan_without_covering(bits, self._d)
             if len(memo) >= self._MEMO_LIMIT:
                 memo.clear()
-            memo[dims] = plan
+            plan = memo[dims] = self._plan_for(bits)
         return plan
+
+    def plan_chunk(self, chunk) -> Tuple[List[int], Dict[int, TuplePlan]]:
+        """Each row's skew bitmap and the plan of every distinct bitmap."""
+        if self._partial:
+            bits = self._sketch.skew_bits_of(chunk)
+        else:
+            bits = [0] * len(chunk)
+        plans = {bitmap: self._plan_for(bitmap) for bitmap in set(bits)}
+        memo = self._memo
+        if len(memo) + len(chunk) > self._MEMO_LIMIT:
+            memo.clear()
+        memo.update(zip(map(self._dims, chunk), map(plans.get, bits)))
+        return bits, plans
 
     def __getstate__(self):
         return (self._sketch_ref, self._covering, self._partial)
@@ -397,48 +412,26 @@ class _PlanFunction:
         self._sketch_ref, self._covering, self._partial = state
         self._sketch = unwrap(self._sketch_ref)
         self._d = self._sketch.num_dimensions
+        self._dims = itemgetter(slice(self._d))
         self._memo = {}
 
 
 class _CubePartitioner:
     """Algorithm 3's routing: skew stream to reducer 0, base groups to
     their sketch range partition (or a stable hash under the ablation).
+    The engine calls it once per run, so a lookup is one short bisect."""
 
-    Range lookups are memoized per emission key: ``partition_of`` is a
-    pure *comparison-based* function of the key, so equal keys — the
-    only thing a dict can conflate — always land on the same partition,
-    and the memo cannot change routing.  The ``stable_hash`` ablation
-    path is deliberately **not** memoized: it hashes ``repr(key)``, and
-    equal keys with different reprs (``(1,)`` vs ``(True,)``) would be
-    conflated by an equality-keyed cache, diverging from the uncached
-    routing.  The memo is transient per process (never pickled).
-    """
-
-    __slots__ = ("_sketch_ref", "_sketch", "_k", "_range_partitioning", "_memo")
-
-    _MEMO_LIMIT = 1 << 16
+    __slots__ = ("_sketch_ref", "_sketch", "_k", "_range_partitioning")
 
     def __init__(self, sketch, k: int, range_partitioning: bool):
-        self._sketch_ref = sketch
-        self._sketch = unwrap(sketch)
-        self._k = k
-        self._range_partitioning = range_partitioning
-        self._memo: Dict[Tuple, int] = {}
+        self.__setstate__((sketch, k, range_partitioning))
 
     def __call__(self, key, num_reducers: int) -> int:
-        if key[0] == _SKEW_TAG:
+        tag, mask, values = key
+        if tag == _SKEW_TAG:
             return 0
         if self._range_partitioning:
-            memo = self._memo
-            target = memo.get(key)
-            if target is None:
-                _tag, mask, values = key
-                if len(memo) >= self._MEMO_LIMIT:
-                    memo.clear()
-                target = 1 + self._sketch.partition_of(mask, values)
-                memo[key] = target
-            return target
-        _tag, mask, values = key
+            return 1 + self._sketch.partition_of(mask, values)
         return 1 + stable_hash((mask, values)) % self._k
 
     def __getstate__(self):
@@ -447,7 +440,6 @@ class _CubePartitioner:
     def __setstate__(self, state):
         self._sketch_ref, self._k, self._range_partitioning = state
         self._sketch = unwrap(self._sketch_ref)
-        self._memo = {}
 
 
 class _SampleMapper(Mapper):
@@ -492,148 +484,107 @@ class _SketchReducer(Reducer):
 
 
 class _CubeMapper(Mapper):
-    """Round 2 map (Algorithm 3 lines 2-20), with a memoized lattice walk.
+    """Round 2 map (Algorithm 3 lines 2-20), one cuboid at a time.
 
-    The whole map-side outcome for one record — which skewed c-group
-    partials to bump and which emission keys to send — is a pure
-    function of the record's *dimension tuple*: the plan depends only on
-    the tuple's skew bitmap (itself a function of the dimensions), and
-    every projection ignores the measure.  Records with equal dimension
-    tuples therefore share one cached **emission plan**, so repeated
-    values (the common case in skewed data) skip the BFS walk, the skew
-    probes and all projections entirely.
+    The paper walks each tuple's lattice; this is the loop interchange.
+    The plan function tests sketch membership column-wise and plans once
+    per *distinct skew bitmap* of the chunk; then each base cuboid
+    projects its emitting rows with one C-level ``map`` and groups them
+    by key in chunk order — the runs the engine shuffles — so every key
+    carries the value sequence the per-tuple walk would give it.
 
-    Equality-keyed caching cannot change the output: the historical
-    per-record path already conflated equal keys — the partials dict and
-    the emission-key intern memo are equality-keyed — so a memo hit
-    replays exactly the pair stream the miss path produced for the first
-    equal record (same interned key objects, same order).  Cache
-    effectiveness is reported through the deterministic task counters
-    ``lattice_plan_hits``/``lattice_plan_misses`` (visible in attempt
-    spans and ``analyze-trace``).
+    A row is folded into the partial aggregate of skewed cuboid ``M``
+    only where the roll-up chain ends: ``M``'s *refinement* ``M | lowest
+    absent dimension`` is not skewed for it.  :meth:`close` rebuilds every
+    coarser skewed group by merging its refinement's groups into it,
+    finest cuboid first.  That is exact because skew is downward
+    monotone: the rows of a skewed group split, by their value on the
+    refining dimension, into skewed refinements (whose totals are merged
+    in) and rows folded directly — each row counted once — and it is the
+    ``merge`` reducer 0 already applies to per-mapper partials.  A bitmap
+    that is not monotone never gets here (the planner raises).  Each
+    partial remembers its first contributing row, so a group is flushed
+    under the key the per-tuple walk would have seen first.
     """
 
-    #: Emission keys repeat for every row of a c-group; interning them in
-    #: a bounded per-task memo reuses one tuple per group (identity-equal
-    #: keys make the engine's routing-cache probes pointer comparisons).
-    _EMIT_MEMO_LIMIT = 1 << 16
-    #: Bound on the per-task dimension-tuple -> emission-plan memo.
-    _PLAN_MEMO_LIMIT = 1 << 16
-
-    def __init__(self, d: int, aggregate: AggregateFunction, sketch, plan):
+    def __init__(self, d: int, aggregate: AggregateFunction, plan):
         self._d = d
         self._aggregate = aggregate
-        self._sketch = sketch
         self._plan = plan
-        # For Count (the paper's default) the partial state always equals
-        # the exact count, so the partials dict stores a bare int; other
-        # aggregates carry a mutable [count, state] accumulator.
-        self._count_only = type(aggregate) is Count
-        self._partials: Dict[Tuple[int, Tuple], object] = {}
-        self._emit_keys: Dict[Tuple[int, Tuple], Tuple] = {}
-        self._row_plans: Dict[Tuple, Tuple] = {}
-        self._projectors: Dict[int, object] = {}
-
-    def _project(self, record, mask: int) -> Tuple:
-        """Project via a per-mask compiled getter (cached per task)."""
-        getter = self._projectors.get(mask)
-        if getter is None:
-            getter = self._projectors[mask] = projector(mask, self._d)
-        return getter(record)
-
-    def _plan_entry(self, record) -> Tuple[List, Tuple]:
-        """Build (and memoize) the emission plan for a dimension tuple."""
-        plan = self._plan(record)
-        project_mask = self._project
-        skew_keys = [
-            (mask, project_mask(record, mask)) for mask in plan.skewed_masks
-        ]
-        emit_keys = self._emit_keys
-        emitted = []
-        for base_mask, _covered in plan.emissions:
-            group = (base_mask, project_mask(record, base_mask))
-            emit_key = emit_keys.get(group)
-            if emit_key is None:
-                if len(emit_keys) >= self._EMIT_MEMO_LIMIT:
-                    emit_keys.clear()
-                emit_key = (_GROUP_TAG,) + group
-                emit_keys[group] = emit_key
-            emitted.append(emit_key)
-        entry = (skew_keys, tuple(emitted))
-        plans = self._row_plans
-        if len(plans) >= self._PLAN_MEMO_LIMIT:
-            plans.clear()
-        plans[record[: self._d]] = entry
-        return entry
-
-    def _absorb_skewed(self, skew_keys, measure) -> None:
-        """Fold one record into the partial aggregates of its skewed groups."""
-        partials = self._partials
-        if self._count_only:
-            partials_get = partials.get
-            for key in skew_keys:
-                partials[key] = partials_get(key, 0) + 1
-            return
-        aggregate = self._aggregate
-        agg_add = aggregate.add
-        partials_get = partials.get
-        for key in skew_keys:
-            acc = partials_get(key)
-            if acc is None:
-                partials[key] = [1, agg_add(aggregate.create(), measure)]
-            else:
-                acc[0] += 1
-                acc[1] = agg_add(acc[1], measure)
-
-    def map(self, record):
-        # One lattice-node visit per cuboid, as in the BFS traversal.
-        self.context.add_cpu(1 << self._d)
-        entry = self._row_plans.get(record[: self._d])
-        if entry is None:
-            entry = self._plan_entry(record)
-        skew_keys, emitted = entry
-        self._absorb_skewed(skew_keys, record[-1])
-        for emit_key in emitted:
-            yield emit_key, record
+        #: cuboid -> {group values: [count, state, first contributing row]}
+        self._partials: Dict[int, Dict[Tuple, List]] = {}
+        self._rows: List[Tuple] = []  # every row mapped, in order
 
     def map_chunk(self, chunk):
-        """Whole-chunk walk: one memo probe per record on the hit path."""
         d = self._d
+        # One lattice-node visit per cuboid per row, as in the BFS walk.
         self.context.add_cpu(len(chunk) << d)
-        plans_get = self._row_plans.get
-        plan_entry = self._plan_entry
-        absorb = self._absorb_skewed
-        buffered: List = []
-        append = buffered.append
-        misses = 0
-        for record in chunk:
-            entry = plans_get(record[:d])
-            if entry is None:
-                misses += 1
-                entry = plan_entry(record)
-            skew_keys, emitted = entry
-            if skew_keys:
-                absorb(skew_keys, record[-1])
-            for emit_key in emitted:
-                append((emit_key, record))
-        context = self.context
-        context.incr("lattice_plan_hits", len(chunk) - misses)
-        context.incr("lattice_plan_misses", misses)
-        return len(chunk), buffered
+        bits, plans = self._plan.plan_chunk(chunk)
+        emitting: Dict[int, set] = {}  # base cuboid -> bitmaps emitting it
+        folding: Dict[int, set] = {}  # skewed cuboid -> bitmaps folded there
+        for bitmap, plan in plans.items():
+            for base, _covered in plan.emissions:
+                emitting.setdefault(base, set()).add(bitmap)
+            for mask in plan.skewed_masks:
+                if not bitmap >> (mask | mask + 1) & 1:
+                    folding.setdefault(mask, set()).add(bitmap)
+
+        def grouped(mask, bitmaps) -> Dict[Tuple, List]:
+            """The rows planned by ``bitmaps``, by ``mask`` c-group."""
+            rows = chunk
+            if len(bitmaps) < len(plans):
+                rows = list(compress(chunk, map(bitmaps.__contains__, bits)))
+            groups = defaultdict(list)
+            for values, row in zip(project_rows(rows, mask, d), rows):
+                groups[values].append(row)
+            return groups
+
+        runs: Dict[Tuple, List] = {}
+        for base, bitmaps in emitting.items():
+            for values, rows in grouped(base, bitmaps).items():
+                runs[(_GROUP_TAG, base, values)] = rows
+        if folding:
+            self._rows += chunk
+        create, add = self._aggregate.create, self._aggregate.add
+        for mask, bitmaps in folding.items():
+            partials = self._partials.setdefault(mask, {})
+            for values, rows in grouped(mask, bitmaps).items():
+                acc = partials.get(values)
+                if acc is None:
+                    acc = partials[values] = [0, create(), rows[0]]
+                acc[0] += len(rows)
+                acc[1] = reduce(add, map(_MEASURE, rows), acc[1])
+        return len(chunk), runs
 
     def close(self):
-        """Flush partial aggregates of skewed groups (lines 16-20)."""
-        if self._count_only:
-            for (mask, values), count in sorted(
-                self._partials.items(),
-                key=lambda item: (item[0][0], item[0][1]),
-            ):
-                yield (_SKEW_TAG, mask, values), (count, count)
-            return
-        for (mask, values), acc in sorted(
-            self._partials.items(), key=lambda item: (item[0][0], item[0][1])
-        ):
-            yield (_SKEW_TAG, mask, values), (acc[0], acc[1])
+        """Roll the partials up, then flush them (lines 16-20)."""
+        d = self._d
+        partials = self._partials
+        merge = self._aggregate.merge
+        rows = self._rows
+        # Where each row object first appeared (walked backwards, so the
+        # earliest position is written last and wins).
+        first_at = dict(zip(map(id, reversed(rows)), range(len(rows))[::-1]))
+        for mask in reversed(bfs_order(d)):  # finest cuboid first
+            refined = partials.get(mask | mask + 1)
+            if not refined:
+                continue
+            dim = (mask + 1 & ~mask).bit_length() - 1  # the refining one
+            coarse = partials.setdefault(mask, {})
+            for values, acc in refined.items():
+                group = values[:dim] + values[dim + 1 :]
+                into = coarse.get(group)
+                if into is None:
+                    coarse[group] = list(acc)
+                    continue
+                into[0] += acc[0]
+                into[1] = merge(into[1], acc[1])
+                if first_at[id(acc[2])] < first_at[id(into[2])]:
+                    into[2] = acc[2]
+        for mask, groups in partials.items():
+            get = projector(mask, d)
+            for count, state, row in groups.values():
+                yield (_SKEW_TAG, mask, get(row)), (count, state)
 
 
 class _CubeReducer(Reducer):

@@ -10,8 +10,11 @@ Execution is deterministic and faithful to the distributed data flow:
 * the input arrives pre-split into ``k`` chunks (one per map task);
 * each map task runs its own mapper instance (so map-side state such as
   SP-Cube's partial aggregates is per-machine, exactly as on a cluster);
-* an optional combiner runs over each map task's buffered output;
-* pairs are routed by the partitioner and charged per-reducer;
+* map output is held as key-grouped *runs* (``key -> [values]`` in
+  emission order — what Hadoop's sorted map output is), the engine's one
+  shuffle representation: an optional combiner folds each run, the
+  partitioner routes and sizes each run's key once, and reducers extend
+  their groups run by run;
 * each reduce task processes its keys in deterministic sorted order and may
   spill (with a time penalty) or be flagged OOM when its input exceeds the
   machine's physical memory.
@@ -72,6 +75,7 @@ import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import (
     Callable,
     Dict,
@@ -95,9 +99,11 @@ from .costmodel import CostModel
 from .executor import SerialExecutor, TaskOutcome, run_task_chain
 from .faults import NO_FAULTS, FaultPlan, RetryPolicy
 from .metrics import JobMetrics, TaskMetrics
-from .sizes import estimate_bytes, pair_bytes
+from .sizes import estimate_bytes
 
 Pair = Tuple[object, object]
+#: One map task's output: every key's values, in emission order.
+Runs = Dict[object, List]
 
 _crc32 = zlib.crc32
 
@@ -137,8 +143,7 @@ DEFAULT_OOM_QUORUM_FRACTION = 0.25
 #: collisions), and a dict hit costs ~6x less than repr+CRC32.  Tuples are
 #: deliberately not memoized — building a type-strict memo key costs more
 #: than the C-speed ``repr`` it would save (measured; see DESIGN.md §9) —
-#: and repeated tuple keys are already deduplicated by the routing cache
-#: in :func:`_route_pairs`.
+#: and a repeated tuple key is one run, partitioned once per map task.
 _HASH_MEMO: Dict[str, int] = {}
 _HASH_MEMO_LIMIT = 1 << 16
 
@@ -171,10 +176,15 @@ def hash_partitioner(key, num_reducers: int) -> int:
 class TaskContext:
     """Per-task handle giving user code access to cluster facts and counters."""
 
-    def __init__(self, machine: int, num_machines: int, memory_records: int):
+    def __init__(
+        self, machine: int, num_machines: int, memory_records: int,
+        where: str = "task",
+    ):
         self.machine = machine
         self.num_machines = num_machines
         self.memory_records = memory_records
+        #: "job 'name': map task 3" — how errors name this task.
+        self.where = where
         self._extra_cpu = 0
         self.counters: Dict[str, int] = {}
 
@@ -197,11 +207,12 @@ class Mapper:
     flushes its skew partial aggregates there).
 
     :meth:`map_chunk` is the whole-chunk entry point the engine actually
-    calls; the default simply drives :meth:`map` record by record, so
-    existing mappers are unaffected, while hot mappers may override it
-    to amortize per-record work (SP-Cube's round-2 mapper memoizes its
-    lattice walk there).  An override must produce the byte-identical
-    pair stream the per-record loop would.
+    calls; the default drives :meth:`map` record by record and folds the
+    emitted pairs into runs, so existing mappers are unaffected, while
+    hot mappers may override it to build their runs directly (SP-Cube's
+    round-2 mapper walks the lattice cuboid-at-a-time there).  An
+    override must give every key the value sequence the per-record loop
+    would.
     """
 
     def setup(self, context: TaskContext) -> None:
@@ -210,16 +221,14 @@ class Mapper:
     def map(self, record) -> Iterable[Pair]:
         raise NotImplementedError
 
-    def map_chunk(self, chunk) -> Tuple[int, List[Pair]]:
-        """Map every record of ``chunk``: ``(records_in, buffered pairs)``."""
-        buffered: List[Pair] = []
-        extend = buffered.extend
-        mapper_map = self.map
-        records_in = 0
-        for record in chunk:
-            records_in += 1
-            extend(mapper_map(record))
-        return records_in, buffered
+    def map_chunk(self, chunk) -> Tuple[int, Runs]:
+        """Map every record of ``chunk``: ``(records_in, runs)``."""
+        runs: Runs = {}
+        _fold_pairs(
+            runs, chain.from_iterable(map(self.map, chunk)),
+            self.context.where,
+        )
+        return len(chunk), runs
 
     def close(self) -> Iterable[Pair]:
         return ()
@@ -396,29 +405,27 @@ class JobResult:
     )
 
 
-def _unpack_pair(item, job_name: str, phase: str, machine: int) -> Pair:
+def _unpack_pair(item, where: str) -> Pair:
     """Unpack an emitted item, raising a named error when it is no pair."""
     try:
         key, value = item
     except (TypeError, ValueError):
         raise PairFormatError(
-            f"job {job_name!r}: {phase} task {machine} emitted {item!r}; "
+            f"{where} emitted {item!r}; "
             "mappers, combiners and reducers must yield (key, value) pairs"
         ) from None
     return key, value
 
 
-def _validated_pairs(
-    items: List, job_name: str, phase: str, machine: int
-) -> List[Pair]:
-    """Repack emitted items as ``(key, value)`` tuples, naming offenders.
+def _validated_pairs(items: List, where: str) -> List[Pair]:
+    """Repack a reducer's emitted items as ``(key, value)`` tuples.
 
-    Items that are already 2-tuples — every mapper and reducer in this
-    repository — pass through unchanged: the scan is two C-level checks
-    per item versus an unpack-and-repack allocation.  Anything else (a
-    generator of lists, say) falls back to the repacking comprehension,
-    and only when *that* trips does the slow rescan run to attribute the
-    error to the first malformed item.
+    Items that are already 2-tuples — every reducer in this repository —
+    pass through unchanged: the scan is two C-level checks per item
+    versus an unpack-and-repack allocation.  Anything else (a generator
+    of lists, say) falls back to the repacking comprehension, and only
+    when *that* trips does the slow rescan run to attribute the error to
+    the first malformed item.
     """
     if type(items) is list:  # the scan must not consume a generator
         for item in items:
@@ -430,108 +437,92 @@ def _validated_pairs(
         return [(key, value) for key, value in items]
     except (TypeError, ValueError):
         for item in items:
-            _unpack_pair(item, job_name, phase, machine)
+            _unpack_pair(item, where)
         raise
 
 
-def _route_pairs(
-    buffered: List,
-    job: MapReduceJob,
-    num_reducers: int,
-    machine: int,
-) -> Tuple[List[Tuple[int, List[Pair], int]], int]:
-    """Partition a map task's buffer into per-target shards.
+def _fold_pairs(runs: Runs, items: Iterable, where: str) -> None:
+    """Append each emitted ``(key, value)`` to its key's run, in order.
 
-    Returns ``([(target, pairs, shard_bytes)], total_bytes)`` with one
-    shard per distinct target, in first-seen target order, each shard's
-    pairs in emission order — the exact pair stream a per-pair routing
-    loop would deliver to that reducer, without a ``(target, pair,
-    size)`` wrapper tuple per record.  The shards are what crosses the
-    process-pool boundary, so the compact representation cuts both the
-    driver's merge loop (one ``extend`` per shard) and the IPC volume
-    (~40% fewer tuples than the historical per-pair triples).
-
-    This is the engine's hottest loop — once per shuffled pair — so it
-    runs batched with local bindings and a per-key routing cache
-    (partitioners must be pure functions of the key, as in Hadoop, and
-    skewed workloads re-emit the same keys millions of times).  Error
-    attribution is deferred: when anything trips, :func:`_replay_routing`
-    reproduces the first failure with full diagnostics.
+    The one place map-side pairs become runs (a mapper's ``map``/``close``
+    output, a combiner's output).  When the loop trips, the item in hand
+    is re-examined so the error names it: a non-pair or an unhashable key
+    is a :class:`PairFormatError`; anything else (a ``TypeError`` raised
+    inside the user's generator) propagates untouched.
     """
-    # Mutable [target, pairs, bytes] shards, frozen to tuples on return.
-    shards: List[List] = []
-    by_target: Dict[int, List] = {}
-    target_get = by_target.get
-    partitioner = job.partitioner
-    key_cache: Dict[object, Tuple[int, List]] = {}
-    cache_get = key_cache.get
-    # Values are sized through an identity cache: a mapper that emits one
-    # record object under several keys (SP-Cube's ancestor covering does
-    # this 3-5x per record) pays the estimator once.  id() keys are safe
-    # here because every value is kept alive by ``buffered`` for the
-    # whole loop, and identical objects trivially have identical sizes.
-    value_sizes: Dict[int, int] = {}
-    value_size_get = value_sizes.get
-    bytes_out = 0
+    get = runs.get
+    item = (None, None)
     try:
-        for key, value in buffered:
-            info = cache_get(key)
-            if info is None:
-                target = partitioner(key, num_reducers)
-                if not 0 <= target < num_reducers:
-                    raise ValueError(
-                        f"partitioner routed key {key!r} to reducer "
-                        f"{target} of {num_reducers}"
-                    )
-                shard = target_get(target)
-                if shard is None:
-                    shard = [target, [], 0]
-                    by_target[target] = shard
-                    shards.append(shard)
-                info = (estimate_bytes(key), shard)
-                key_cache[key] = info
-            value_id = id(value)
-            value_size = value_size_get(value_id)
-            if value_size is None:
-                value_size = estimate_bytes(value)
-                value_sizes[value_id] = value_size
-            size = info[0] + value_size
-            bytes_out += size
-            shard = info[1]
-            shard[1].append((key, value))
-            shard[2] += size
-    except (TypeError, ValueError) as error:
-        _replay_routing(buffered, job, num_reducers, machine, error)
-    return [(t, pairs, size) for t, pairs, size in shards], bytes_out
+        for item in items:
+            key, value = item
+            values = get(key)
+            if values is None:
+                runs[key] = [value]
+            else:
+                values.append(value)
+    except (TypeError, ValueError):
+        key, _value = _unpack_pair(item, where)
+        try:
+            hash(key)
+        except TypeError:
+            raise PairFormatError(
+                f"{where} emitted unhashable key {key!r}"
+            ) from None
+        raise
 
 
-def _replay_routing(
-    buffered: List,
-    job: MapReduceJob,
-    num_reducers: int,
-    machine: int,
-    error: BaseException,
-) -> None:
-    """Re-run a failed routing pass step by step to name the offender.
+def _route_runs(
+    runs: Runs, partitioner: Callable[[object, int], int], num_reducers: int
+) -> Tuple[List[Tuple[int, Runs, int, int]], int]:
+    """Partition a map task's runs into per-target shards.
 
-    Mirrors the fast loop's evaluation order exactly, so the first item
-    to fail here is the one that tripped the batched loop; a failure the
-    replay cannot reproduce (e.g. an unhashable key that only the cache
-    probe touched) re-raises the original error.
+    Returns ``([(target, runs, shard_bytes, shard_records)], total_bytes)``
+    with one shard per distinct target, in first-seen target order, each
+    shard's runs in first-seen key order.  The partitioner is called and
+    the key sized once per *run* (partitioners must be pure functions of
+    the key, as in Hadoop): a key's bytes are charged once per value it
+    carries, exactly what a per-pair loop would charge.  The shards are
+    what crosses the process-pool boundary.
     """
-    for item in buffered:
-        key, _value = _unpack_pair(item, job.name, "map", machine)
-        target = job.partitioner(key, num_reducers)
+    shards: Dict[int, List] = {}  # target -> [target, runs, bytes, records]
+    shard_of = shards.get
+    # Values are sized once per *object*: a mapper that emits one record
+    # under several keys (SP-Cube's ancestor covering does this 3-5x per
+    # record) pays the estimator once.  id() keys are safe here because
+    # every value is kept alive by ``runs``, and identical objects
+    # trivially have identical sizes.  ``value_bytes`` is the running
+    # total over the values in run order, so a run's share is one
+    # subtraction.
+    emitted = list(chain.from_iterable(runs.values()))
+    distinct = dict(zip(map(id, emitted), emitted))
+    sizes = dict(zip(distinct, map(estimate_bytes, distinct.values())))
+    value_bytes = list(
+        accumulate(map(sizes.__getitem__, map(id, emitted)), initial=0)
+    )
+    end = 0
+    for key, values in runs.items():
+        target = partitioner(key, num_reducers)
         if not 0 <= target < num_reducers:
             raise ValueError(
                 f"partitioner routed key {key!r} to reducer "
                 f"{target} of {num_reducers}"
             )
-    raise error
+        shard = shard_of(target)
+        if shard is None:
+            shard = shards[target] = [target, {}, 0, 0]
+        start, end = end, end + len(values)
+        shard[1][key] = values
+        shard[2] += (
+            estimate_bytes(key) * (end - start)
+            + value_bytes[end] - value_bytes[start]
+        )
+        shard[3] += end - start
+    routed = [tuple(shard) for shard in shards.values()]
+    return routed, sum(shard[2] for shard in routed)
 
 
 class _MapTask:
-    """One self-contained map task: chunk in, routed pairs out.
+    """One self-contained map task: chunk in, routed runs out.
 
     Carries everything an attempt chain needs, so the task can execute in
     the driver or in a worker process with identical results.
@@ -583,25 +574,25 @@ class _MapTask:
         machine = self.machine
         task = TaskMetrics(machine=machine)
         context = TaskContext(
-            machine, self.num_machines, self.memory_records
+            machine, self.num_machines, self.memory_records,
+            where=f"job {job.name!r}: map task {machine}",
         )
         mapper = job.mapper_factory()
         mapper.setup(context)
 
-        records_in, buffered = mapper.map_chunk(self.chunk)
-        buffered.extend(mapper.close())
-        task.records_in = records_in
+        task.records_in, runs = mapper.map_chunk(self.chunk)
+        _fold_pairs(runs, mapper.close(), context.where)
 
         if job.combiner is not None:
-            buffered = _apply_combiner(
-                job.combiner, buffered, context, job.name, machine
+            runs = _apply_combiner(
+                job.combiner, runs, context,
+                f"job {job.name!r}: combiner task {machine}",
             )
 
-        routed, bytes_out = _route_pairs(
-            buffered, job, self.num_reducers, machine
+        routed, task.bytes_out = _route_runs(
+            runs, job.partitioner, self.num_reducers
         )
-        task.records_out = sum(len(pairs) for _t, pairs, _b in routed)
-        task.bytes_out = bytes_out
+        task.records_out = sum(shard[3] for shard in routed)
 
         task.cpu_ops = task.records_in + task.records_out + context.extra_cpu
         task.seconds = self.cost.map_task_seconds(
@@ -612,13 +603,19 @@ class _MapTask:
 
 
 class _ReduceTask:
-    """One self-contained reduce task: bucket in, reduce output out."""
+    """One self-contained reduce task: bucket in, reduce output out.
+
+    The bucket is the list of runs the map tasks routed here, in map-task
+    order; it is shared by every attempt of the chain, so an attempt
+    groups copies and never hands a reducer one of its lists.
+    """
 
     def __init__(
         self,
         job: MapReduceJob,
         machine: int,
-        bucket: List[Pair],
+        bucket: List[Runs],
+        records_in: int,
         bytes_in: int,
         physical_memory: int,
         num_machines: int,
@@ -632,6 +629,7 @@ class _ReduceTask:
         self.job = job
         self.machine = machine
         self.bucket = bucket
+        self.records_in = records_in
         self.bytes_in = bytes_in
         self.physical_memory = physical_memory
         self.num_machines = num_machines
@@ -659,30 +657,31 @@ class _ReduceTask:
         job = self.job
         machine = self.machine
         task = TaskMetrics(machine=machine)
+        where = f"job {job.name!r}: reduce task {machine}"
         context = TaskContext(
-            machine, self.num_machines, self.memory_records
+            machine, self.num_machines, self.memory_records, where=where
         )
         reducer = job.reducer_factory()
         reducer.setup(context)
 
-        # Bucket pairs were validated and repacked during routing, so the
-        # grouping loop can unpack without per-pair checks; avoiding the
-        # per-pair ``setdefault`` list allocation matters at volume.
-        grouped: Dict[object, List] = {}
+        # One dict probe per run.  A key's first run is copied and later
+        # runs extend the copy, so no list is shared with the bucket: a
+        # re-run attempt groups the same runs again, whatever the reducer
+        # did to its values.
+        grouped: Runs = {}
         grouped_get = grouped.get
-        for key, value in self.bucket:
-            values = grouped_get(key)
-            if values is None:
-                grouped[key] = [value]
-            else:
-                values.append(value)
-        task.records_in = len(self.bucket)
+        for runs in self.bucket:
+            for key, values in runs.items():
+                seen = grouped_get(key)
+                if seen is None:
+                    grouped[key] = values.copy()
+                else:
+                    seen.extend(values)
+        task.records_in = self.records_in
         task.bytes_in = self.bytes_in
 
         physical = self.physical_memory
-        task.peak_group_records = max(
-            (len(values) for values in grouped.values()), default=0
-        )
+        task.peak_group_records = max(map(len, grouped.values()), default=0)
         task.spilled_records = max(0, task.records_in - physical)
         oom_flagged = False
         if job.value_buffer_fraction is not None:
@@ -703,9 +702,7 @@ class _ReduceTask:
         for key in _ordered_keys(grouped):
             extend(reducer_reduce(key, grouped[key]))
         extend(reducer.close())
-        reducer_output = _validated_pairs(
-            emitted, job.name, "reduce", machine
-        )
+        reducer_output = _validated_pairs(emitted, where)
 
         # Inlined pair sizing: the common cube pair is a shallow tuple key
         # and a scalar value, so the estimator's tuple walk runs inline
@@ -939,8 +936,9 @@ def _run_job(
     metrics.map_phase_wall_seconds = time.perf_counter() - phase_started
 
     map_start = job_base + cost.round_startup_seconds
-    reducer_buckets: List[List[Pair]] = [[] for _ in range(num_reducers)]
+    reducer_buckets: List[List[Runs]] = [[] for _ in range(num_reducers)]
     reducer_bytes = [0] * num_reducers
+    reducer_records = [0] * num_reducers
     dead_chain_seconds = 0.0
     for machine, outcome in enumerate(outcomes):
         _merge_outcome(metrics, outcome)
@@ -961,9 +959,10 @@ def _run_job(
                 )
             break
         task = outcome.task
-        for target, pairs, shard_bytes in outcome.payload:
-            reducer_buckets[target].extend(pairs)
+        for target, runs, shard_bytes, shard_records in outcome.payload:
+            reducer_buckets[target].append(runs)
             reducer_bytes[target] += shard_bytes
+            reducer_records[target] += shard_records
         if flow_job is not None:
             _record_flows(
                 flow_job, machine, outcome.payload, job.cuboid_of,
@@ -1036,9 +1035,10 @@ def _run_job(
     ]
     reduce_tasks = [
         _ReduceTask(
-            job, machine, reducer_buckets[machine], reducer_bytes[machine],
-            physical, cluster.num_machines, memory_records, cost, faults,
-            retry, trace_tasks,
+            job, machine, reducer_buckets[machine],
+            reducer_records[machine], reducer_bytes[machine], physical,
+            cluster.num_machines, memory_records, cost, faults, retry,
+            trace_tasks,
             node_kill_at=_kill_at(
                 machine, reduce_rel + cost.round_startup_seconds
             ),
@@ -1148,28 +1148,27 @@ def _record_flows(
     """Record one map task's shuffle edges into the job's flow record.
 
     One flow per ``(map task, reducer)`` pair, in the shard order
-    :func:`_route_pairs` produced (first-seen target order) — the same
+    :func:`_route_runs` produced (first-seen target order) — the same
     deterministic order the merge loop consumes, so lineage artifacts
     are bit-identical across execution backends.  The cuboid breakdown
-    is classified through a per-job equality-keyed cache: emission keys
-    repeat heavily (and the hot engines intern them), so the common case
-    is one dict probe per pair.
+    classifies each run's key once, through a per-job equality-keyed
+    cache (the same keys recur in every map task).
     """
     flows = flow_job["flows"]
     cache_get = cuboid_cache.get
-    for target, pairs, shard_bytes in payload:
+    for target, runs, shard_bytes, shard_records in payload:
         cuboids: Dict[int, int] = {}
         if cuboid_of is not None:
-            for key, _value in pairs:
+            for key, values in runs.items():
                 mask = cache_get(key)
                 if mask is None:
                     mask = cuboid_of(key)
                     cuboid_cache[key] = mask
-                cuboids[mask] = cuboids.get(mask, 0) + 1
+                cuboids[mask] = cuboids.get(mask, 0) + len(values)
         flows.append({
             "map_task": machine,
             "reducer": target,
-            "records": len(pairs),
+            "records": shard_records,
             "bytes": shard_bytes,
             "cuboids": cuboids,
         })
@@ -1300,18 +1299,16 @@ def _emit_chain_trace(tracer, outcome: TaskOutcome, phase_start: float) -> None:
 def _emit_route_event(
     tracer, job_name: str, machine: int, payload, at: float
 ) -> None:
-    """Debug-level shuffle routing summary for one map task.
-
-    Shards arrive in first-seen target order — the same insertion order
-    the historical per-pair counting loop produced, so traces are
-    byte-identical to the unsharded engine's.
-    """
-    targets: Dict[str, int] = {}
-    for target, pairs, _shard_bytes in payload:
-        targets[str(target)] = len(pairs)
+    """Debug-level shuffle routing summary for one map task (records
+    per target, in the shards' first-seen target order)."""
     tracer.event(
         "route", at=at, job=job_name, phase="map", task=machine,
-        fields={"targets": targets},
+        fields={
+            "targets": {
+                str(target): shard_records
+                for target, _runs, _bytes, shard_records in payload
+            },
+        },
     )
 
 
@@ -1460,28 +1457,13 @@ def _sample_job_telemetry(
 
 def _apply_combiner(
     combiner: Callable[[object, List], Iterable[Pair]],
-    pairs: List[Pair],
+    runs: Runs,
     context: TaskContext,
-    job_name: str,
-    machine: int,
-) -> List[Pair]:
-    """Group a map task's buffer by key and fold it through the combiner."""
-    grouped: Dict[object, List] = {}
-    grouped_get = grouped.get
-    try:
-        for key, value in pairs:
-            values = grouped_get(key)
-            if values is None:
-                grouped[key] = [value]
-            else:
-                values.append(value)
-    except (TypeError, ValueError):
-        for item in pairs:
-            _unpack_pair(item, job_name, "map", machine)
-        raise
-    context.add_cpu(len(pairs))
-    emitted: List = []
-    extend = emitted.extend
-    for key in _ordered_keys(grouped):
-        extend(combiner(key, grouped[key]))
-    return _validated_pairs(emitted, job_name, "combiner", machine)
+    where: str,
+) -> Runs:
+    """Fold each of a map task's runs through the combiner, in key order."""
+    context.add_cpu(sum(map(len, runs.values())))
+    combined: Runs = {}
+    for key in _ordered_keys(runs):
+        _fold_pairs(combined, combiner(key, runs[key]), where)
+    return combined

@@ -7,14 +7,14 @@ in-memory object sizes, because what the paper measures — "map output size",
 "intermediate data size" — is serialized traffic between mappers and
 reducers.
 
-This function runs once per shuffled pair, so the common shapes (scalars
-and shallow tuples of scalars) take an iteration-free fast path; only
-nested containers recurse.  There is deliberately no global memo here:
-key sizes for repeated keys are cached per task by the engine's routing
-loop (``_route_pairs``), where the cache key is free, and a type-strict
-standalone memo key costs more to build than the sizes it would save
-(``(1,)`` and ``(True,)`` are equal yet 12 vs 5 bytes, so equality alone
-cannot key a cache).
+This function runs once per shuffled run key and once per distinct value
+object (the engine's routing loop, ``_route_runs``, sizes a repeated key
+or value once), so the common shapes (scalars and shallow tuples of
+scalars) take an iteration-free fast path; only nested containers
+recurse.  There is deliberately no global memo here: a type-strict memo
+key costs more to build than the sizes it would save (``(1,)`` and
+``(True,)`` are equal yet 12 vs 5 bytes, so equality alone cannot key a
+cache).
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterator, List, Sequence, Tuple
 
 from .schema import Schema
@@ -136,6 +137,19 @@ def projector(mask: Mask, num_dimensions: int):
         return lambda row: (row[index],)
     getter = operator.itemgetter(*dims)
     return getter
+
+
+def project_rows(
+    rows: Sequence[Sequence], mask: Mask, num_dimensions: int
+) -> Iterator[GroupValues]:
+    """Every row's projection onto ``mask``, without a Python-level call
+    per row (a one-dimension projection is the 1-tuples ``zip`` makes)."""
+    getter = projector(mask, num_dimensions)
+    if type(getter) is operator.itemgetter:
+        return map(getter, rows)
+    if mask == 0:
+        return repeat((), len(rows))
+    return zip(map(operator.itemgetter(mask.bit_length() - 1), rows))
 
 
 def project(row: Sequence, mask: Mask, num_dimensions: int) -> GroupValues:

@@ -31,7 +31,7 @@ def perf_report(**overrides):
         "serial_wall_seconds": 10.0,
         "cubes_identical": True,
         "output_groups": 5000,
-        "hot_path": {"stable_hash_speedup": 2.0, "routing_speedup": 1.8},
+        "hot_path": {"stable_hash_speedup": 2.0},
     }
     report.update(overrides)
     return report
@@ -67,17 +67,13 @@ class TestPerfGate:
         assert any("no longer identical" in v for v in violations)
 
     def test_hot_path_collapse_fails(self):
-        fresh = perf_report(
-            hot_path={"stable_hash_speedup": 0.5, "routing_speedup": 1.8}
-        )
+        fresh = perf_report(hot_path={"stable_hash_speedup": 0.5})
         violations = gate_mod.compare_perf(perf_report(), fresh)
         assert any("stable_hash_speedup" in v for v in violations)
 
     def test_hot_path_within_band_passes(self):
         # 2.0 -> 1.2 is a 40% drop, inside the default 50% band.
-        fresh = perf_report(
-            hot_path={"stable_hash_speedup": 1.2, "routing_speedup": 1.8}
-        )
+        fresh = perf_report(hot_path={"stable_hash_speedup": 1.2})
         assert gate_mod.compare_perf(perf_report(), fresh) == []
 
     def test_wall_clock_checked_only_on_same_workload(self):

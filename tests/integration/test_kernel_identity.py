@@ -1,9 +1,10 @@
 """Bit-identity of the round-2 hot-path kernels against their legacy oracles.
 
 The performance layer rewrote three hot paths — the BUC reduce kernel
-(sort + run-length instead of recursive dict-of-lists), the memoized
-map-side lattice walk, and the broadcast/batched parallel executor — under
-one invariant: **nothing observable may change**.  Cubes, counters, pair
+(sort + run-length instead of recursive dict-of-lists), the map-side
+lattice walk (cuboid-at-a-time, with skew roll-up), and the
+broadcast/batched parallel executor — under one invariant: **nothing
+observable may change**.  Cubes, counters, pair
 streams, metrics and traces must be byte-identical to what the legacy
 implementations produced, serial and parallel alike.
 
@@ -13,24 +14,40 @@ This suite pins that invariant property-style:
   zipf, adversarial and hand-built pathological datasets (mixed orderable
   types, ``1`` vs ``True`` key conflation, duplicate-heavy rows), across
   aggregates and iceberg thresholds;
-* the memoized ``_CubeMapper`` walk versus a cache-disabled replay of the
-  same records — identical emission stream, identical flush, counters that
-  add up;
+* the cuboid-at-a-time ``_CubeMapper`` kernel versus a per-record
+  Algorithm 3 walk kept here as the oracle — every key the same value
+  sequence, the same flushed partials, the same charged CPU — over
+  generated relations, sketches, aggregates, ablations and chunkings;
 * every engine, serial versus parallel, on the adversarial dataset and
   under injected faults (the binomial/zipf sweeps live in
   ``test_executors.py``).
 """
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aggregates.functions import get_aggregate
 from repro.core import SPCube
-from repro.core.sketch import build_exact_sketch
+from repro.core.planner import (
+    PlannerError,
+    plan_for_skew_bits,
+    plan_without_covering,
+)
+from repro.core.sketch import (
+    CuboidSketch,
+    SketchError,
+    SPSketch,
+    build_exact_sketch,
+)
 from repro.core.spcube import _CubeMapper, _PlanFunction
 from repro.cubing.buc import buc_cube, iceberg_groups
 from repro.cubing.naive import sequential_cube
 from repro.datagen import adversarial_relation, gen_binomial, gen_zipf
-from repro.mapreduce import TaskContext
+from repro.mapreduce import TaskContext, estimate_bytes
+from repro.relation.lattice import project
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
 
@@ -133,77 +150,208 @@ class TestBUCKernelIdentity:
         assert buc_cube(relation) == sequential_cube(relation)
 
 
-def _run_mapper(relation, sketch, chunks, *, defeat_memo=False):
-    """Drive a fresh ``_CubeMapper`` over ``chunks`` and capture the full
-    observable surface: emitted pairs (in order), close() flush, counters
-    and charged CPU.  With ``defeat_memo`` every record is mapped through
-    a cleared cache — the pure miss path the memo claims to replay."""
-    d = relation.schema.num_dimensions
-    plan = _PlanFunction(sketch, True, True)
-    mapper = _CubeMapper(d, get_aggregate("count"), sketch, plan)
+def reference_walk(chunks, sketch, aggregate, covering=True, partial=True):
+    """Algorithm 3 one record at a time, no memo: the kernel's oracle.
+
+    Returns what a mapper hands the shuffle — ``{emission key: rows}`` and
+    ``{skew key: (count, state)}``, every key as first seen — and the CPU
+    it charges.
+    """
+    d = sketch.num_dimensions
+    planner = plan_for_skew_bits if covering else plan_without_covering
+    runs, partials, cpu = {}, {}, 0
+    for row in (row for chunk in chunks for row in chunk):
+        cpu += 1 << d
+        plan = planner(sketch.skew_bits(row) if partial else 0, d)
+        for mask in plan.skewed_masks:
+            key = ("S", mask, project(row, mask, d))
+            count, state = partials.get(key, (0, aggregate.create()))
+            partials[key] = (count + 1, aggregate.add(state, row[-1]))
+        for base, _covered in plan.emissions:
+            runs.setdefault(("G", base, project(row, base, d)), []).append(row)
+    return runs, partials, cpu
+
+
+def kernel_walk(chunks, sketch, aggregate, covering=True, partial=True):
+    """The same three observables from ``_CubeMapper.map_chunk`` + ``close``."""
+    d = sketch.num_dimensions
+    mapper = _CubeMapper(d, aggregate, _PlanFunction(sketch, covering, partial))
     context = TaskContext(0, 4, 32)
     mapper.setup(context)
-    emitted = []
-    records = 0
+    runs, records = {}, 0
     for chunk in chunks:
-        if defeat_memo:
-            for record in chunk:
-                mapper._row_plans.clear()
-                plan._memo.clear()
-                count, pairs = mapper.map_chunk([record])
-                records += count
-                emitted.extend(pairs)
-        else:
-            count, pairs = mapper.map_chunk(chunk)
-            records += count
-            emitted.extend(pairs)
-    flushed = list(mapper.close())
-    return {
-        "records": records,
-        "emitted": emitted,
-        "flushed": flushed,
-        "counters": context.counters,
-        "cpu": context.extra_cpu,
-    }
+        count, chunk_runs = mapper.map_chunk(chunk)
+        records += count
+        for key, rows in chunk_runs.items():
+            runs.setdefault(key, []).extend(rows)
+    assert records == sum(map(len, chunks))
+    return runs, dict(mapper.close()), context.extra_cpu
 
 
-class TestLatticeWalkMemoIdentity:
-    @pytest.mark.parametrize(
-        "dataset", ["binomial", "zipf", "duplicate-heavy"]
+def assert_kernel_matches_reference(chunks, sketch, aggregate, **switches):
+    want_runs, want_partials, want_cpu = reference_walk(
+        chunks, sketch, aggregate, **switches
     )
-    def test_memoized_stream_matches_miss_path(self, dataset):
+    runs, partials, cpu = kernel_walk(chunks, sketch, aggregate, **switches)
+    assert runs == want_runs
+    assert partials == want_partials
+    # == is blind to 1 / True / 1.0: the first-seen key (and with it the
+    # key's shuffled byte size) must be the very one the walk saw first.
+    for got, want in ((runs, want_runs), (partials, want_partials)):
+        assert sorted(map(repr, got)) == sorted(map(repr, want))
+        assert sum(map(estimate_bytes, got)) == sum(map(estimate_bytes, want))
+    assert cpu == want_cpu
+
+
+def counted_sketch(rows, d, threshold, sample_every=1):
+    """A sketch whose skewed groups are those with more than ``threshold``
+    rows among every ``sample_every``-th row: exact (1), sampled (>1),
+    all-skewed (threshold 0) or empty (threshold >= len(rows)).  Counting
+    is monotone by construction; no partition elements (mappers do not
+    route)."""
+    sample = rows[::sample_every]
+    return SPSketch(d, 4, {
+        mask: CuboidSketch({
+            values: count
+            for values, count in Counter(
+                project(row, mask, d) for row in sample
+            ).items()
+            if count > threshold
+        })
+        for mask in range(1 << d)
+    })
+
+
+AGGREGATES = ["count", "sum", "avg", "min", "max", "top_k"]
+#: Per-column value families; the look-alikes are equal and hash-equal.
+COLUMNS = [
+    st.integers(0, 2),
+    st.sampled_from(["a", "b", "c"]),
+    st.sampled_from([1, True, 1.0, 0, False]),
+    st.sampled_from([None, "x", 0]),
+]
+
+
+@st.composite
+def mapper_cases(draw):
+    d = draw(st.integers(1, 4))
+    columns = [draw(st.sampled_from(COLUMNS)) for _ in range(d)]
+    rows = draw(st.lists(
+        st.tuples(*columns, st.integers(-5, 9)), max_size=40
+    ))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    chunks = [rows[a:b] for a, b in zip([0] + cuts, cuts + [len(rows)])]
+    kind = draw(st.sampled_from(["exact", "sampled", "empty", "all"]))
+    threshold = {"empty": len(rows), "all": 0}.get(
+        kind, draw(st.integers(1, 4))
+    )
+    sketch = counted_sketch(
+        rows, d, threshold, sample_every=2 if kind == "sampled" else 1
+    )
+    return chunks, sketch
+
+
+class TestCuboidKernelMatchesReferenceWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=mapper_cases(),
+        agg_name=st.sampled_from(AGGREGATES),
+        covering=st.booleans(),
+        partial=st.booleans(),
+    )
+    def test_generated_relations(self, case, agg_name, covering, partial):
+        chunks, sketch = case
+        assert_kernel_matches_reference(
+            chunks, sketch, get_aggregate(agg_name),
+            covering=covering, partial=partial,
+        )
+
+    @pytest.mark.parametrize("dataset", ["binomial", "zipf", "duplicate-heavy"])
+    @pytest.mark.parametrize("agg_name", AGGREGATES)
+    def test_datasets_under_exact_sketch(self, dataset, agg_name):
         relation = DATASETS[dataset]()
         sketch = build_exact_sketch(relation, 4, 16)
         chunks = [
             relation.rows[start : start + 64]
             for start in range(0, len(relation.rows), 64)
         ]
-        memoized = _run_mapper(relation, sketch, chunks)
-        replayed = _run_mapper(relation, sketch, chunks, defeat_memo=True)
-        assert memoized["records"] == replayed["records"]
-        assert memoized["emitted"] == replayed["emitted"]
-        assert memoized["flushed"] == replayed["flushed"]
-        assert memoized["cpu"] == replayed["cpu"]
+        assert_kernel_matches_reference(
+            chunks, sketch, get_aggregate(agg_name)
+        )
 
-    def test_counters_account_for_every_record(self):
-        relation = _duplicate_heavy_relation()
-        sketch = build_exact_sketch(relation, 4, 16)
-        result = _run_mapper(relation, sketch, [relation.rows])
-        counters = result["counters"]
-        hits = counters.get("lattice_plan_hits", 0)
-        misses = counters.get("lattice_plan_misses", 0)
-        assert hits + misses == len(relation.rows)
-        # Three distinct dimension tuples: everything else must hit.
-        assert misses == 3
-        assert hits == len(relation.rows) - 3
+    def test_empty_chunk(self):
+        sketch = counted_sketch([("a", 1)] * 3, 1, 1)
+        assert kernel_walk([[]], sketch, get_aggregate("sum")) == ({}, {}, 0)
+        assert_kernel_matches_reference(
+            [[], [("a", 2)], []], sketch, get_aggregate("sum")
+        )
 
-    def test_high_cardinality_is_all_misses(self):
-        relation = gen_binomial(200, 0.0, seed=2)
-        sketch = build_exact_sketch(relation, 4, 16)
-        result = _run_mapper(relation, sketch, [relation.rows])
-        counters = result["counters"]
-        distinct = len({row[:-1] for row in relation.rows})
-        assert counters.get("lattice_plan_misses", 0) == distinct
+    def test_single_row(self):
+        for threshold in (0, 1):
+            sketch = counted_sketch([("a", "b", 7)], 2, threshold)
+            assert_kernel_matches_reference(
+                [[("a", "b", 7)]], sketch, get_aggregate("avg")
+            )
+
+    def test_one_dimension(self):
+        rows = [("a", 1)] * 5 + [("b", 2)] * 2 + [("c", 3)]
+        assert_kernel_matches_reference(
+            [rows], counted_sketch(rows, 1, 1), get_aggregate("max")
+        )
+
+    def test_six_dimensions(self):
+        rows = gen_zipf(
+            120, num_values=3, num_zipf_dimensions=3,
+            num_uniform_dimensions=3, seed=4, measure=None,
+        ).rows
+        for threshold in (4, 20):
+            assert_kernel_matches_reference(
+                [rows[:70], rows[70:]], counted_sketch(rows, 6, threshold),
+                get_aggregate("avg"),
+            )
+
+    def test_lookalike_values_keep_first_seen_key(self):
+        rows = [
+            (True, "x", 1), (1, "x", 2), (1.0, "y", 3), (1, "y", 4),
+            (0, "x", 5), (False, "x", 6), (1.0, "x", 7),
+        ]
+        for threshold in (0, 1, 2, len(rows)):
+            sketch = counted_sketch(rows, 2, threshold)
+            assert_kernel_matches_reference(
+                [rows[:3], rows[3:]], sketch, get_aggregate("sum")
+            )
+        # Skewed in every cuboid: (1, "x") is first folded at the finest
+        # cuboid by (True, "x", 1), so every coarser group it rolls into
+        # must flush under True as well — never under a later 1 / 1.0.
+        _runs, partials, _cpu = kernel_walk(
+            [rows], counted_sketch(rows, 2, 0), get_aggregate("count")
+        )
+        assert repr(sorted(k for k in partials if k[1] == 0b01)) == (
+            "[('S', 1, (0,)), ('S', 1, (True,))]"
+        )
+        assert partials[("S", 0b01, (1,))] == (5, 5)
+
+    def test_none_dimensions(self):
+        rows = [(None, "a", 1), (None, None, 2), ("b", None, 3)] * 3
+        for threshold in (0, 2, 4):
+            assert_kernel_matches_reference(
+                [rows], counted_sketch(rows, 2, threshold),
+                get_aggregate("min"),
+            )
+
+    @pytest.mark.parametrize("covering", [True, False])
+    def test_non_monotone_sketch_raises(self, covering):
+        """A skewed group whose sub-group is not skewed would be emitted
+        *and* rolled up — the planner must refuse the bitmap instead."""
+        rows = [("a", "b", 1)] * 6
+        sketch = counted_sketch(rows, 2, 1)
+        del sketch.cuboids[0b01].skewed[("a",)]
+        with pytest.raises(SketchError):
+            sketch.validate_monotonic()
+        with pytest.raises(PlannerError):
+            kernel_walk(
+                [rows], sketch, get_aggregate("count"), covering=covering
+            )
 
 
 class TestEngineBackendIdentity:
@@ -229,7 +377,7 @@ class TestEngineBackendIdentity:
         assert_runs_identical(serial, parallel)
 
     def test_spcube_counters_identical_across_backends(self, adversarial):
-        """The kernel counters (lattice plan, covered walk) are part of
+        """The kernel counters (the reducers' covered walk) are part of
         the observable surface: same totals serial and parallel."""
 
         def totals(run):
@@ -244,9 +392,7 @@ class TestEngineBackendIdentity:
         parallel = SPCube(make_cluster(parallelism=3)).compute(adversarial)
         serial_totals = totals(serial)
         assert totals(parallel) == serial_totals
-        assert serial_totals.get("lattice_plan_hits", 0) >= 0
-        assert (
-            serial_totals["lattice_plan_hits"]
-            + serial_totals["lattice_plan_misses"]
-            == 300
-        )
+        assert set(serial_totals) == {
+            "covered_walk_hits", "covered_walk_misses",
+        }
+        assert serial_totals["covered_walk_misses"] > 0

@@ -1,0 +1,282 @@
+"""The shuffle's one representation: key-grouped runs, map to reduce.
+
+Map output is ``key -> [values]`` from the mapper to the reducer (see
+``engine._route_runs``).  These tests sit where that representation can
+bite: error attribution without a per-pair replay, re-run attempts that
+must see the runs a crashed attempt saw, backends that must agree byte
+for byte, flow accounting that counts records through runs, and the
+combiner path (which folds runs into runs).
+"""
+
+from dataclasses import asdict
+
+import pytest
+
+from repro.aggregates import get_aggregate
+from repro.baselines import MRCube, NaiveCube
+from repro.core import SPCube
+from repro.cubing import sequential_cube
+from repro.datagen import gen_binomial
+from repro.mapreduce import (
+    ClusterConfig,
+    FaultPlan,
+    FaultSpec,
+    Mapper,
+    MapReduceJob,
+    PairFormatError,
+    Reducer,
+    TaskFactory,
+    run_job,
+)
+from repro.observability import LineageRecorder, MemorySink, Tracer
+from repro.observability.tracer import LEVEL_DEBUG
+
+BACKEND_FIELDS = (
+    "executor", "map_phase_wall_seconds", "reduce_phase_wall_seconds",
+)
+
+
+def word_count_job(**kwargs):
+    def map_fn(record):
+        for word in record.split():
+            yield word, 1
+
+    def reduce_fn(key, values):
+        yield key, sum(values)
+
+    return MapReduceJob.from_functions("wordcount", map_fn, reduce_fn, **kwargs)
+
+
+def null_reduce(key, values):
+    return ()
+
+
+class _FlushingMapper(Mapper):
+    def __init__(self, flushed):
+        self._flushed = flushed
+
+    def map(self, record):
+        yield record, 1
+
+    def close(self):
+        return self._flushed
+
+
+class _MutatingReducer(Reducer):
+    """Abuses its values list the way no reducer should; a re-run attempt
+    must still be handed what the first attempt was handed."""
+
+    def reduce(self, key, values):
+        values.sort(reverse=True)
+        yield key, tuple(values)
+        values.append("tainted")
+        del values[0]
+
+
+class _PairMapper(Mapper):
+    """Records are already ``(key, value)`` pairs."""
+
+    def map(self, record):
+        yield record
+
+
+class TestErrorAttribution:
+    def test_out_of_range_partitioner_names_the_key(self):
+        def bad(key, num_reducers):
+            return num_reducers
+
+        with pytest.raises(
+            ValueError, match=r"routed key 'a' to reducer 3 of 3"
+        ):
+            run_job(
+                word_count_job(partitioner=bad), [["a a"]],
+                ClusterConfig(num_machines=3), 10,
+            )
+
+    def test_unhashable_map_key_is_a_one_line_typed_error(self):
+        job = MapReduceJob.from_functions(
+            "badkey", lambda record: [("ok", 1), ([record], 2)], null_reduce
+        )
+        with pytest.raises(PairFormatError) as caught:
+            run_job(job, [[], ["x"]], ClusterConfig(num_machines=2), 10)
+        message = str(caught.value)
+        assert message == (
+            "job 'badkey': map task 1 emitted unhashable key ['x']"
+        )
+
+    def test_unhashable_combiner_key_names_the_combiner(self):
+        def combiner(key, values):
+            yield {key}, sum(values)
+
+        with pytest.raises(
+            PairFormatError, match=r"'wordcount': combiner task 0.*\{'a'\}"
+        ):
+            run_job(
+                word_count_job(combiner=combiner), [["a"]],
+                ClusterConfig(num_machines=1), 10,
+            )
+
+    def test_non_pair_from_close_is_named(self):
+        job = MapReduceJob(
+            name="badclose",
+            mapper_factory=TaskFactory(_FlushingMapper, [("k", 1), "xyz"]),
+            reducer_factory=TaskFactory(Reducer),
+        )
+        with pytest.raises(
+            PairFormatError, match=r"'badclose': map task 0 emitted 'xyz'"
+        ):
+            run_job(job, [["r"]], ClusterConfig(num_machines=1), 10)
+
+    def test_a_type_error_inside_user_code_is_not_relabelled(self):
+        def map_fn(record):
+            yield "fine", 1
+            yield "oops", len(record)  # TypeError: an int has no len()
+
+        job = MapReduceJob.from_functions("usererr", map_fn, null_reduce)
+        with pytest.raises(TypeError, match="has no len") as caught:
+            run_job(job, [[7]], ClusterConfig(num_machines=1), 10)
+        assert not isinstance(caught.value, PairFormatError)
+
+
+class TestRerunSeesTheSameRuns:
+    CHUNKS = [
+        [("a", 3), ("b", 1), ("a", 1)],
+        [("a", 2), ("c", 5)],
+        [("b", 4), ("a", 9)],
+    ]
+
+    def run(self, fault_plan=None):
+        job = MapReduceJob(
+            name="mutating",
+            mapper_factory=TaskFactory(_PairMapper),
+            reducer_factory=TaskFactory(_MutatingReducer),
+            num_reducers=1,
+        )
+        return run_job(
+            job, self.CHUNKS,
+            ClusterConfig(num_machines=3, fault_plan=fault_plan), 10,
+        )
+
+    def test_crashed_reduce_attempt_reruns_on_unmutated_runs(self):
+        clean = self.run()
+        assert dict(clean.output) == {
+            "a": (9, 3, 2, 1), "b": (4, 1), "c": (5,),
+        }
+        crashed = self.run(FaultPlan(
+            [FaultSpec("crash", phase="reduce", task=0, attempt=0)]
+        ))
+        assert crashed.metrics.killed_tasks == 1
+        assert crashed.metrics.recovered == 1
+        assert crashed.output == clean.output
+        assert (
+            crashed.metrics.reduce_tasks[0].records_in
+            == clean.metrics.reduce_tasks[0].records_in
+            == 7
+        )
+
+    def test_crashed_map_attempt_contributes_nothing(self):
+        clean = self.run()
+        crashed = self.run(FaultPlan(
+            [FaultSpec("crash", phase="map", task=1, attempt=0)]
+        ))
+        assert crashed.output == clean.output
+        assert (
+            crashed.metrics.map_output_records
+            == clean.metrics.map_output_records
+        )
+
+
+class TestBackendsAgree:
+    def traced_run(self, relation, parallelism):
+        sink = MemorySink()
+        lineage = LineageRecorder(run_id="runs")
+        cluster = ClusterConfig(
+            num_machines=4, memory_records=64, parallelism=parallelism,
+            tracer=Tracer([sink], level=LEVEL_DEBUG), lineage=lineage,
+        )
+        run = SPCube(cluster, get_aggregate("avg")).compute(relation)
+        return run, sink.records, lineage.to_records()
+
+    def test_serial_and_three_workers_are_byte_identical(self):
+        relation = gen_binomial(500, 0.3, seed=4)
+        serial, serial_trace, serial_lineage = self.traced_run(relation, None)
+        parallel, parallel_trace, parallel_lineage = self.traced_run(
+            relation, 3
+        )
+        assert list(parallel.cube.items()) == list(serial.cube.items())
+        assert repr(parallel_trace) == repr(serial_trace)
+        assert repr(parallel_lineage) == repr(serial_lineage)
+        assert any(r.get("kind") == "route" for r in serial_trace)
+        for serial_job, parallel_job in zip(
+            serial.metrics.jobs, parallel.metrics.jobs
+        ):
+            assert parallel_job.executor == "parallel"
+            serial_dict, parallel_dict = asdict(serial_job), asdict(parallel_job)
+            for name in BACKEND_FIELDS:
+                del serial_dict[name], parallel_dict[name]
+            assert repr(parallel_dict) == repr(serial_dict)
+
+
+class TestFlowAccounting:
+    @pytest.mark.parametrize("engine_cls", [SPCube, NaiveCube, MRCube])
+    def test_flows_and_cuboids_sum_to_map_output(self, engine_cls):
+        lineage = LineageRecorder(run_id="flows")
+        cluster = ClusterConfig(
+            num_machines=4, memory_records=64, lineage=lineage
+        )
+        run = engine_cls(cluster).compute(gen_binomial(400, 0.3, seed=9))
+        assert len(lineage.jobs) == len(run.metrics.jobs)
+        classified = 0
+        for flow_job, job in zip(lineage.jobs, run.metrics.jobs):
+            flows = flow_job["flows"]
+            assert sum(f["records"] for f in flows) == job.map_output_records
+            assert sum(f["bytes"] for f in flows) == job.map_output_bytes
+            for flow in flows:
+                if flow["cuboids"]:
+                    classified += 1
+                    assert sum(flow["cuboids"].values()) == flow["records"]
+            loads = [0] * len(job.reduce_tasks)
+            for flow in flows:
+                loads[flow["reducer"]] += flow["records"]
+            assert loads == [task.records_in for task in job.reduce_tasks]
+        assert classified
+
+
+class TestCombinerPath:
+    """Cubes and ``JobMetrics`` of the two combiner engines, pinned to
+    what the pair-list engine produced on this input (``gen_binomial(500,
+    0.3, seed=4)``, 4 machines, ``avg``): per job ``(name, map output
+    records, bytes, simulated seconds, map cpu ops, reduce cpu ops)``."""
+
+    PINNED = {
+        "naive+combiner": [
+            ("naive-cube", 6259, 425961, 30.6624409, 22759, 11750),
+        ],
+        "mrcube": [
+            ("mrcube-sample", 57, 2964, 11.1562212, 557, 969),
+            ("mrcube-materialize", 6287, 333340, 30.173318, 22787, 11785),
+            ("mrcube-postagg", 8, 288, 10.0177904, 16, 9),
+        ],
+    }
+
+    @pytest.mark.parametrize("engine", sorted(PINNED))
+    def test_cube_and_metrics_unchanged(self, engine):
+        relation = gen_binomial(500, 0.3, seed=4)
+        cluster = ClusterConfig(num_machines=4, memory_records=64)
+        aggregate = get_aggregate("avg")
+        if engine == "mrcube":
+            run = MRCube(cluster, aggregate).compute(relation)
+        else:
+            run = NaiveCube(cluster, aggregate, use_combiner=True).compute(
+                relation
+            )
+        assert run.cube == sequential_cube(relation, aggregate)
+        assert [
+            (
+                job.name, job.map_output_records, job.map_output_bytes,
+                round(job.total_seconds, 9),
+                sum(task.cpu_ops for task in job.map_tasks),
+                sum(task.cpu_ops for task in job.reduce_tasks),
+            )
+            for job in run.metrics.jobs
+        ] == self.PINNED[engine]
