@@ -27,6 +27,20 @@ Every function is expressed through the same four-operation protocol::
 identity — the property tests in ``tests/aggregates`` check exactly this,
 because the correctness of every distributed algorithm in this repository
 rests on it.
+
+A fifth method is the bulk form of ``add``, which every kernel that
+aggregates a batch goes through (SP-Cube's reducers and mappers, the
+array BUC)::
+
+    state = fn.fold(state, values)  # fold a sequence of values in, in order
+
+``fold`` is **exactly the left fold of** ``add`` — ``reduce(fn.add,
+values, state)`` — equal by ``==`` *and* ``repr``, floats to the last bit
+and ``Counter`` insertion order included, and like ``add`` it never
+mutates ``state``.  An override may only change *how* the fold runs (one
+C-level call instead of a Python call per value), never *what* it
+computes: no builtin ``sum`` (compensated for floats since Python 3.12),
+and ``min``/``max`` must see ``state`` first.
 """
 
 from __future__ import annotations
@@ -34,9 +48,12 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+import operator
 from abc import ABC, abstractmethod
 from collections import Counter
-from typing import Any, Dict, List, Tuple
+from functools import reduce
+from itertools import chain
+from typing import Any, Dict, List, Sequence, Tuple
 
 
 class AggregateKind(enum.Enum):
@@ -70,6 +87,11 @@ class AggregateFunction(ABC):
     def add(self, state: Any, value) -> Any:
         """Fold one measure value into ``state``; returns the new state."""
 
+    def fold(self, state: Any, values: Sequence) -> Any:
+        """Fold ``values`` into ``state`` in order: the left fold of
+        :meth:`add` (see the module docstring for the override contract)."""
+        return reduce(self.add, values, state)
+
     @abstractmethod
     def merge(self, left: Any, right: Any) -> Any:
         """Combine two partial states; associative and commutative."""
@@ -98,6 +120,9 @@ class Count(AggregateFunction):
     def add(self, state: int, value) -> int:
         return state + 1
 
+    def fold(self, state: int, values: Sequence) -> int:
+        return state + len(values)
+
     def merge(self, left: int, right: int) -> int:
         return left + right
 
@@ -116,6 +141,9 @@ class Sum(AggregateFunction):
 
     def add(self, state, value):
         return state + value
+
+    def fold(self, state, values: Sequence):
+        return reduce(operator.add, values, state)
 
     def merge(self, left, right):
         return left + right
@@ -136,6 +164,10 @@ class Min(AggregateFunction):
     def add(self, state, value):
         return value if value < state else state
 
+    def fold(self, state, values: Sequence):
+        # min keeps its first argument unless a later one is smaller.
+        return min(chain((state,), values))
+
     def merge(self, left, right):
         return left if left < right else right
 
@@ -154,6 +186,9 @@ class Max(AggregateFunction):
 
     def add(self, state, value):
         return value if value > state else state
+
+    def fold(self, state, values: Sequence):
+        return max(chain((state,), values))
 
     def merge(self, left, right):
         return left if left > right else right
@@ -179,6 +214,10 @@ class Average(AggregateFunction):
         total, count = state
         return (total + value, count + 1)
 
+    def fold(self, state, values: Sequence):
+        total, count = state
+        return (reduce(operator.add, values, total), count + len(values))
+
     def merge(self, left, right):
         return (left[0] + right[0], left[1] + right[1])
 
@@ -202,6 +241,14 @@ class Variance(AggregateFunction):
     def add(self, state, value):
         n, total, total_sq = state
         return (n + 1, total + value, total_sq + value * value)
+
+    def fold(self, state, values: Sequence):
+        n, total, total_sq = state
+        return (
+            n + len(values),
+            reduce(operator.add, values, total),
+            reduce(operator.add, map(operator.mul, values, values), total_sq),
+        )
 
     def merge(self, left, right):
         return (
@@ -245,6 +292,13 @@ class TopKFrequent(AggregateFunction):
     def add(self, state: Counter, value) -> Counter:
         updated = Counter(state)
         updated[value] += 1
+        return updated
+
+    def fold(self, state: Counter, values: Sequence) -> Counter:
+        # One copy per batch, not per value; ``update`` inserts unseen
+        # values at the end, as ``add`` does.
+        updated = Counter(state)
+        updated.update(values)
         return updated
 
     def merge(self, left: Counter, right: Counter) -> Counter:
@@ -354,6 +408,11 @@ class Multi(AggregateFunction):
     def add(self, state: Tuple, value) -> Tuple:
         return tuple(
             fn.add(s, value) for fn, s in zip(self.functions, state)
+        )
+
+    def fold(self, state: Tuple, values: Sequence) -> Tuple:
+        return tuple(
+            fn.fold(s, values) for fn, s in zip(self.functions, state)
         )
 
     def merge(self, left: Tuple, right: Tuple) -> Tuple:

@@ -101,10 +101,7 @@ class _PartialCombiner:
 
     def __call__(self, key, values):
         aggregate = self._aggregate
-        state = aggregate.create()
-        for value in values:
-            state = aggregate.add(state, value)
-        yield key, ("partial", state)
+        yield key, ("partial", aggregate.fold(aggregate.create(), values))
 
     def __getstate__(self):
         return self._aggregate

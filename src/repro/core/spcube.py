@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -353,12 +352,12 @@ class _PlanFunction:
     projections), so equal tuples always get the same plan object and the
     memo can change neither plans nor anything downstream.  The map
     kernel fills it a chunk at a time (:meth:`plan_chunk`), which is why
-    it exists: the reduce phase then reads every row's plan for one dict
-    probe instead of re-probing the sketch.  It is process-local
-    transient state (never pickled, rebuilt empty after a pool hop) and
-    must never feed *per-task* observables (counters, metrics) — its hit
-    pattern depends on which tasks shared a process, which the
-    simulation does not model.
+    it exists: the reduce kernel then reads its rows' plans with one
+    bulk probe (:meth:`plans_of`) instead of re-probing the sketch.  It
+    is process-local transient state (never pickled, rebuilt empty after
+    a pool hop) and must never feed *per-task* observables (counters,
+    metrics) — its hit pattern depends on which tasks shared a process,
+    which the simulation does not model.
     """
 
     __slots__ = (
@@ -381,17 +380,6 @@ class _PlanFunction:
             return plan_for_skew_bits(bits, self._d)
         return plan_without_covering(bits, self._d)
 
-    def __call__(self, row) -> TuplePlan:
-        dims = row[: self._d]
-        memo = self._memo
-        plan = memo.get(dims)
-        if plan is None:
-            bits = self._sketch.skew_bits(row) if self._partial else 0
-            if len(memo) >= self._MEMO_LIMIT:
-                memo.clear()
-            plan = memo[dims] = self._plan_for(bits)
-        return plan
-
     def plan_chunk(self, chunk) -> Tuple[List[int], Dict[int, TuplePlan]]:
         """Each row's skew bitmap and the plan of every distinct bitmap."""
         if self._partial:
@@ -404,6 +392,20 @@ class _PlanFunction:
             memo.clear()
         memo.update(zip(map(self._dims, chunk), map(plans.get, bits)))
         return bits, plans
+
+    def plans_of(self, rows) -> List[TuplePlan]:
+        """Each row's plan, from one bulk probe of the memo; the rows it
+        does not hold are planned (and remembered) as one chunk."""
+        plans = list(map(self._memo.get, map(self._dims, rows)))
+        if None in plans:
+            missed = [plan is None for plan in plans]
+            bits, by_bitmap = self.plan_chunk(list(compress(rows, missed)))
+            planned = map(by_bitmap.get, bits)
+            plans = [
+                next(planned) if miss else plan
+                for miss, plan in zip(missed, plans)
+            ]
+        return plans
 
     def __getstate__(self):
         return (self._sketch_ref, self._covering, self._partial)
@@ -545,7 +547,7 @@ class _CubeMapper(Mapper):
                 runs[(_GROUP_TAG, base, values)] = rows
         if folding:
             self._rows += chunk
-        create, add = self._aggregate.create, self._aggregate.add
+        create, fold = self._aggregate.create, self._aggregate.fold
         for mask, bitmaps in folding.items():
             partials = self._partials.setdefault(mask, {})
             for values, rows in grouped(mask, bitmaps).items():
@@ -553,7 +555,7 @@ class _CubeMapper(Mapper):
                 if acc is None:
                     acc = partials[values] = [0, create(), rows[0]]
                 acc[0] += len(rows)
-                acc[1] = reduce(add, map(_MEASURE, rows), acc[1])
+                acc[1] = fold(acc[1], list(map(_MEASURE, rows)))
         return len(chunk), runs
 
     def close(self):
@@ -588,23 +590,19 @@ class _CubeMapper(Mapper):
 
 
 class _CubeReducer(Reducer):
-    """Round 2 reduce (Algorithm 3 lines 23-31), with a memoized cover walk.
+    """Round 2 reduce (Algorithm 3 lines 23-31), one cuboid at a time.
 
-    The covered group keys of one row under one base mask are a pure
-    function of the row's dimension tuple (plan and projections ignore
-    the measure), so rows repeating a dimension tuple inside one base
-    group — duplicated input tuples, which is what makes a c-group heavy
-    — share one walk through a per-group memo instead of re-projecting.
-    The dominant case on high-cardinality data is the opposite extreme, a
-    *singleton* base group, which takes a straight-line path: no memo, no
-    accumulator dict, each covered node emitted directly with its trivial
-    aggregate.  Both paths preserve the exact ``create/add`` fold (with a
-    counting fast path for ``Count``), the accumulator insertion order and
-    the equality conflation of the historical per-row loop, so emitted
-    pairs are bit-identical.  Walk dedup rates surface as the
-    deterministic task counters ``covered_walk_hits`` /
-    ``covered_walk_misses`` (flushed once per task in :meth:`close`; the
-    counts depend only on the task's own input, never on process layout).
+    The mapper's loop interchange again (DESIGN.md §13.2).  The base
+    groups of one base cuboid are concatenated; every (base, covered
+    cuboid) pair selects the rows whose plan covers it, projects them
+    with one C-level ``map``, groups them by projection and folds each
+    group once.  That equals aggregating base group by base group: a
+    covered group's projection onto the base cuboid *is* its base group,
+    so covered groups of different base groups are disjoint, and rows
+    keep their arrival order inside every group — the same left fold,
+    floats included, under the same first-seen key.  Rows of one-row
+    base groups, the bulk of a sparse cube, skip the grouping: each is
+    its own group in every cuboid it covers.
     """
 
     def __init__(
@@ -618,35 +616,42 @@ class _CubeReducer(Reducer):
         self._aggregate = aggregate
         self._plan = plan
         self._min_group_size = min_group_size
-        self._count_only = type(aggregate) is Count
-        # Per-mask compiled projectors (operator.itemgetter): fetched once
-        # per mask per task instead of through the lru_cache wrapper per
-        # row; identical projection tuples, minus the wrapper call.
-        self._projectors: Dict[int, object] = {}
-        self._walk_hits = 0
-        self._walk_misses = 0
 
-    def reduce(self, key, values):
-        if key[0] == _SKEW_TAG:
-            return self._reduce_skewed(key, values)
-        return self._reduce_base_group(key, values)
-
-    def close(self):
-        self.context.incr("covered_walk_hits", self._walk_hits)
-        self.context.incr("covered_walk_misses", self._walk_misses)
-        return ()
-
-    def _covered_keys(self, row, base_mask: int):
-        """``(mask, projection)`` node keys this row covers for ``base_mask``."""
-        d = self._d
-        projectors = self._projectors
-        keys = []
-        for mask in self._plan(row).covered_by[base_mask]:
-            getter = projectors.get(mask)
-            if getter is None:
-                getter = projectors[mask] = projector(mask, d)
-            keys.append((mask, getter(row)))
-        return keys
+    def reduce_runs(self, keys, runs):
+        d, min_size, agg = self._d, self._min_group_size, self._aggregate
+        create, fold, finalize = agg.create, agg.fold, agg.finalize
+        out: List = []
+        # Per base cuboid: the rows of one-row base groups, of heavier ones.
+        single, heavy = defaultdict(list), defaultdict(list)
+        for key in keys:
+            rows = runs[key]
+            if key[0] == _SKEW_TAG:
+                out += self._reduce_skewed(key, rows)
+            else:
+                (heavy if len(rows) > 1 else single)[key[1]] += rows
+        for base, rows in single.items():
+            if min_size > 1:  # all under the iceberg threshold: charge only
+                plans = self._plan.plans_of(rows)
+                charged = sum(len(plan.covered_by[base]) for plan in plans)
+                self.context.add_cpu(charged)
+                continue
+            # Alone in every group it covers: each row's own aggregate.
+            own = [finalize(fold(create(), (m,))) for m in map(_MEASURE, rows)]
+            for mask, chosen, values in self._covered(base, rows, own):
+                nodes = zip(repeat(mask), project_rows(chosen, mask, d))
+                out += zip(nodes, values)
+        for base, rows in heavy.items():
+            measures = list(map(_MEASURE, rows))
+            for mask, chosen, values in self._covered(base, rows, measures):
+                groups = defaultdict(list)
+                for group, value in zip(project_rows(chosen, mask, d), values):
+                    groups[group].append(value)
+                out += [
+                    ((mask, group), finalize(fold(create(), members)))
+                    for group, members in groups.items()
+                    if len(members) >= min_size
+                ]
+        return out
 
     def _reduce_skewed(self, key, entries):
         """Merge per-mapper partial aggregates of one skewed c-group.
@@ -665,99 +670,23 @@ class _CubeReducer(Reducer):
         if total >= self._min_group_size:
             yield (mask, values), aggregate.finalize(merged)
 
-    def _reduce_base_group(self, key, rows):
-        """Aggregate a non-skewed base group and every node it covers.
-
-        Equivalent to the paper's "compute BUC over ancestors": the covered
-        masks are exactly the ancestors assigned to this base by the shared
-        marking plan, and each is aggregated over ``set(g)`` locally.
-        Returns a list (not a generator): the engine only iterates the
-        result, and skipping ~one generator frame switch per emitted
-        c-group matters at millions of groups.
-        """
-        _tag, base_mask, _values = key
-        aggregate = self._aggregate
-        min_size = self._min_group_size
-        count_only = self._count_only
-
-        if len(rows) == 1:
-            # Singleton base group — the common case on high-cardinality
-            # data.  Every covered node is visited exactly once, so the
-            # accumulator dict would hold only trivial entries; emit
-            # directly in covered order (== the dict's insertion order),
-            # fused into one pass over the covered masks.
-            self._walk_misses += 1
-            row = rows[0]
-            covered = self._plan(row).covered_by[base_mask]
-            self.context.add_cpu(len(covered))
-            if min_size > 1:
-                return []
-            if count_only:
-                value = 1
+    def _covered(self, base: int, rows: List, values: List):
+        """``(covered cuboid, the rows covering it, their values)`` for the
+        base groups in ``rows`` — the paper's "compute BUC over ancestors",
+        the ancestors being those the shared marking plan assigns to this
+        base; charges one CPU op per (row, covered node)."""
+        plans = self._plan.plans_of(rows)
+        covering: Dict[int, set] = {}  # covered cuboid -> plans covering it
+        distinct = dict.fromkeys(plans)
+        for plan in distinct:
+            for mask in plan.covered_by[base]:
+                covering.setdefault(mask, set()).add(plan)
+        for mask, covered_by in covering.items():
+            if len(covered_by) < len(distinct):
+                selector = list(map(covered_by.__contains__, plans))
+                chosen = list(compress(rows, selector))
+                self.context.add_cpu(len(chosen))
+                yield mask, chosen, list(compress(values, selector))
             else:
-                value = aggregate.finalize(
-                    aggregate.add(aggregate.create(), row[-1])
-                )
-            d = self._d
-            projectors = self._projectors
-            projectors_get = projectors.get
-            out = []
-            append = out.append
-            for mask in covered:
-                getter = projectors_get(mask)
-                if getter is None:
-                    getter = projectors[mask] = projector(mask, d)
-                append(((mask, getter(row)), value))
-            return out
-
-        # Heavy base group: rows sharing a dimension tuple (duplicated
-        # input tuples) share one covered walk through a per-group memo.
-        agg_add = aggregate.add
-        seen: Dict[Tuple, Tuple] = {}
-        seen_get = seen.get
-        covered_keys = self._covered_keys
-        d = self._d
-        accumulators: Dict[Tuple[int, Tuple], object] = {}
-        acc_get = accumulators.get
-        cpu = 0
-
-        for row in rows:
-            dims = row[:d]
-            entry = seen_get(dims)
-            if entry is None:
-                group_keys = covered_keys(row, base_mask)
-                entry = seen[dims] = (group_keys, len(group_keys))
-            group_keys, num_covered = entry
-            cpu += num_covered
-            if count_only:
-                for group_key in group_keys:
-                    acc = acc_get(group_key)
-                    accumulators[group_key] = 1 if acc is None else acc + 1
-            else:
-                measure = row[-1]
-                for group_key in group_keys:
-                    acc = acc_get(group_key)
-                    if acc is None:
-                        accumulators[group_key] = [
-                            1, agg_add(aggregate.create(), measure),
-                        ]
-                    else:
-                        acc[0] += 1
-                        acc[1] = agg_add(acc[1], measure)
-
-        self.context.add_cpu(cpu)
-        self._walk_hits += len(rows) - len(seen)
-        self._walk_misses += len(seen)
-
-        if count_only:
-            return [
-                (group_key, count)
-                for group_key, count in accumulators.items()
-                if count >= min_size
-            ]
-        finalize = aggregate.finalize
-        return [
-            (group_key, finalize(acc[1]))
-            for group_key, acc in accumulators.items()
-            if acc[0] >= min_size
-        ]
+                self.context.add_cpu(len(rows))
+                yield mask, rows, values

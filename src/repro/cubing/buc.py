@@ -24,9 +24,9 @@ Two kernels compute the same cube:
   Multi-row refinements are adaptive: small segments partition via a
   C-level stable sort + ``groupby`` run detection (no per-row bytecode),
   huge ones (> ``_SORT_MAX_SEGMENT``) via the legacy dict build, whose
-  O(n) hashing beats the sort's O(n log n) at scale.  Builtin
-  ``count``/``sum`` aggregates take counting fast paths (``len`` /
-  ``sum(map(...))``) instead of a Python-level fold per row.
+  O(n) hashing beats the sort's O(n log n) at scale.  Segments are
+  aggregated with one bulk ``fold`` (``len`` for ``count``) instead of
+  a Python-level ``add`` per row.
 * ``kernel="legacy"`` — the original recursive implementation, kept as
   the bit-identity oracle for the property tests.
 
@@ -49,7 +49,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..aggregates.functions import AggregateFunction, Count, Sum
+from ..aggregates.functions import AggregateFunction, Count
 from ..relation.relation import Relation
 from .result import CubeResult
 
@@ -165,31 +165,18 @@ def iceberg_groups(
 def _segment_folder(aggregate: AggregateFunction):
     """A ``segment -> finalized value`` fold for the array kernel.
 
-    Builtin distributive aggregates get counting-style fast paths that
-    reproduce the exact ``create``/``add`` left fold: ``count`` folds
-    ``0 + 1 + ...``, which is ``len``; ``sum`` folds ``0 + m1 + ...``,
-    which is the builtin ``sum`` (same left fold from the same ``0``
-    start, so bool/int coercion and float rounding are identical).
-    Exact type checks (not ``isinstance``) keep subclasses on the
-    generic protocol path.
+    One bulk :meth:`~AggregateFunction.fold` of the segment's measures,
+    by contract the exact ``create``/``add`` left fold.  ``count`` (the
+    exact type, not a subclass) skips even the measure column: ``len``.
     """
     if type(aggregate) is Count:
         return len
-    if type(aggregate) is Sum:
-        measure = itemgetter(-1)
-        return lambda segment: sum(map(measure, segment))
-
-    agg_create = aggregate.create
-    agg_add = aggregate.add
-    agg_finalize = aggregate.finalize
-
-    def fold(segment: List[Tuple]):
-        state = agg_create()
-        for row in segment:
-            state = agg_add(state, row[-1])
-        return agg_finalize(state)
-
-    return fold
+    create, fold = aggregate.create, aggregate.fold
+    finalize = aggregate.finalize
+    measure = itemgetter(-1)
+    return lambda segment: finalize(
+        fold(create(), list(map(measure, segment)))
+    )
 
 
 def _buc_iterative(

@@ -7,6 +7,7 @@ straight equality check between two of them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..relation.lattice import (
@@ -37,6 +38,9 @@ class CubeResult:
     ):
         self.schema = schema
         self._groups: Dict[CGroup, object] = dict(groups or {})
+        #: ``{mask: {values: value}}``: built by the first :meth:`cuboid`,
+        #: dropped after every insertion; readers must not race a writer.
+        self._by_mask: Optional[Dict[int, Dict[Tuple, object]]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -51,6 +55,7 @@ class CubeResult:
         # no second lookup, and re-insertion with an equal value (legal,
         # e.g. merged partial outputs) is also a single probe.
         existing = self._groups.setdefault(key, aggregate_value)
+        self._by_mask = None
         if existing is not aggregate_value and existing != aggregate_value:
             raise ValueError(
                 f"conflicting values for c-group {key}: "
@@ -74,6 +79,7 @@ class CubeResult:
                 self.add(mask, values, value)
             return
         groups.update(pairs)
+        self._by_mask = None
         if len(groups) != len(pairs):
             self._groups = {}
             for (mask, values), value in pairs:
@@ -89,12 +95,19 @@ class CubeResult:
         return self._groups.get((mask, values), default)
 
     def cuboid(self, mask: int) -> Dict[Tuple, object]:
-        """All groups of one cuboid: ``{values: aggregate_value}``."""
-        return {
-            values: agg
-            for (m, values), agg in self._groups.items()
-            if m == mask
-        }
+        """All groups of one cuboid: ``{values: aggregate_value}``.
+
+        A fresh dict per call, copied from a per-mask index built on
+        first use: one pass over the cube, not one per call.
+        """
+        by_mask = self._by_mask
+        if by_mask is None:
+            by_mask = defaultdict(dict)
+            for (m, values), agg in self._groups.items():
+                by_mask[m][values] = agg
+            # Published whole: a second reader never sees it half-built.
+            self._by_mask = by_mask
+        return dict(by_mask.get(mask, ()))
 
     def items(self) -> Iterator[Tuple[CGroup, object]]:
         return iter(self._groups.items())

@@ -236,13 +236,31 @@ class Mapper:
 
 class Reducer:
     """Base reducer.  ``reduce`` is called once per key with all its values,
-    in deterministic key order; ``close`` may emit trailing pairs."""
+    in deterministic key order; ``close`` may emit trailing pairs.
+
+    :meth:`reduce_runs` is the whole-task entry point the engine actually
+    calls, the reduce-side twin of :meth:`Mapper.map_chunk`; the default
+    drives :meth:`reduce` key by key, so existing reducers are
+    unaffected, while a hot reducer may override it to work across keys
+    (SP-Cube's round-2 reducer aggregates a cuboid at a time there).  An
+    override must emit the pairs the per-key loop would, in any order,
+    and owns the lists it is handed: they are this attempt's copies.
+    """
 
     def setup(self, context: TaskContext) -> None:
         self.context = context
 
     def reduce(self, key, values: List) -> Iterable[Pair]:
         raise NotImplementedError
+
+    def reduce_runs(self, keys: List, runs: Runs) -> Iterable[Pair]:
+        """Reduce the task's grouped ``runs``, given their ordered ``keys``."""
+        emitted: List = []
+        extend = emitted.extend
+        reduce = self.reduce
+        for key in keys:
+            extend(reduce(key, runs[key]))
+        return emitted
 
     def close(self) -> Iterable[Pair]:
         return ()
@@ -696,12 +714,8 @@ class _ReduceTask:
                 > job.oversized_dominance * task.records_in
             )
 
-        emitted: List = []
-        extend = emitted.extend
-        reducer_reduce = reducer.reduce
-        for key in _ordered_keys(grouped):
-            extend(reducer_reduce(key, grouped[key]))
-        extend(reducer.close())
+        emitted = list(reducer.reduce_runs(_ordered_keys(grouped), grouped))
+        emitted.extend(reducer.close())
         reducer_output = _validated_pairs(emitted, where)
 
         # Inlined pair sizing: the common cube pair is a shallow tuple key

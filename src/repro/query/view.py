@@ -163,16 +163,16 @@ class CubeView:
         dims = list(group) + [into]
         mask = self._mask_for(dims)
         ordered = mask_dimensions(mask, self.schema.num_dimensions)
-        into_index = self._dimension_index(into)
-        fixed = {
-            self._dimension_index(name): value
+        # Where each dimension sits in this cuboid's value tuples.
+        into_at = ordered.index(self._dimension_index(into))
+        fixed = [
+            (ordered.index(self._dimension_index(name)), value)
             for name, value in group.items()
-        }
+        ]
         result: Dict[object, object] = {}
         for values, agg in self._named_groups(mask).items():
-            by_index = dict(zip(ordered, values))
-            if all(by_index[i] == v for i, v in fixed.items()):
-                result[by_index[into_index]] = agg
+            if all(values[at] == value for at, value in fixed):
+                result[values[into_at]] = agg
         return result
 
     def top(

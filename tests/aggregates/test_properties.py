@@ -3,14 +3,19 @@
 The correctness of every distributed algorithm in this repository rests on
 ``merge`` being associative and commutative with ``create()`` as identity,
 and on "fold then merge" equaling "fold everything" — exactly what these
-hypothesis properties pin down, for every registered aggregate.
+hypothesis properties pin down, for every registered aggregate.  The
+bulk ``fold`` every kernel aggregates through is held to its contract
+here too: exactly the left fold of ``add``.
 """
 
+from collections import Counter
+from functools import reduce
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.aggregates import registered_aggregates
+from repro.aggregates import TopKFrequent, registered_aggregates
 
 AGGREGATES = sorted(registered_aggregates().values(), key=lambda f: f.name)
 measures = st.lists(st.integers(min_value=-100, max_value=100), max_size=30)
@@ -75,3 +80,72 @@ class TestMergeProtocol:
             assert via_merge == pytest.approx(via_add)
         else:
             assert via_merge == via_add
+
+
+_ints = st.integers(min_value=-100, max_value=100)
+_floats = st.floats(
+    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
+)
+#: Ints, floats and bools each on their own (the empty list included),
+#: and mixed: ``1``, ``True`` and ``1.0`` are equal and hash-equal.
+fold_values = st.one_of(
+    st.lists(_ints, max_size=30),
+    st.lists(_floats, max_size=30),
+    st.lists(st.booleans(), max_size=30),
+    st.lists(st.one_of(_ints, _floats, st.booleans()), max_size=30),
+)
+
+
+@pytest.mark.parametrize("fn", AGGREGATES, ids=lambda f: f.name)
+class TestFoldIsTheLeftFoldOfAdd:
+    @given(before=fold_values, values=fold_values)
+    # Builtin ``sum`` rounds ten 0.1s to 1.0 on Python >= 3.12 (compensated
+    # summation); the left fold of ``add`` gives 0.9999999999999999.
+    @example(before=[], values=[0.1] * 10)
+    @settings(max_examples=60)
+    def test_equal_by_value_and_repr(self, fn, before, values):
+        state = fold_state(fn, before)
+        kept = repr(state)
+        want = reduce(fn.add, values, state)
+        got = fn.fold(state, values)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert repr(fn.finalize(got)) == repr(fn.finalize(want))
+        assert repr(state) == kept  # fold, like add, leaves its input alone
+
+    def test_empty_list_from_the_identity(self, fn):
+        assert repr(fn.fold(fn.create(), [])) == repr(fn.create())
+
+
+class TestFoldRegressions:
+    def test_top_k_fold_keeps_counter_insertion_order(self):
+        fn = TopKFrequent(k=2)
+        before, values = [3, 1, 3], [2, True, 1.0, 2, 7, 1, 0, False]
+        state = fold_state(fn, before)
+        got = fn.fold(state, values)
+        want = reduce(fn.add, values, state)
+        assert list(got.items()) == list(want.items())
+        assert repr(list(got)) == "[3, 1, 2, 7, 0]"  # first-seen look-alikes
+        assert fn.finalize(got) == fn.finalize(want)
+        assert state == Counter({3: 2, 1: 1})
+
+    def test_top_k_fold_copies_the_counter_once(self, monkeypatch):
+        """``add`` copies the histogram per value (quadratic over a
+        group); ``fold`` must copy it once."""
+        copies = []
+
+        class CountedCounter(Counter):
+            def __init__(self, *args):
+                copies.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(
+            "repro.aggregates.functions.Counter", CountedCounter
+        )
+        fn = TopKFrequent()
+        state = fn.create()
+        del copies[:]
+        assert len(fn.fold(state, list(range(200)))) == 200
+        assert len(copies) == 1
+        assert len(reduce(fn.add, range(200), state)) == 200
+        assert len(copies) == 201

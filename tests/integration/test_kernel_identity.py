@@ -1,10 +1,10 @@
 """Bit-identity of the round-2 hot-path kernels against their legacy oracles.
 
-The performance layer rewrote three hot paths — the BUC reduce kernel
-(sort + run-length instead of recursive dict-of-lists), the map-side
-lattice walk (cuboid-at-a-time, with skew roll-up), and the
-broadcast/batched parallel executor — under one invariant: **nothing
-observable may change**.  Cubes, counters, pair
+The performance layer rewrote four hot paths — the BUC kernel (sort +
+run-length instead of recursive dict-of-lists), the map-side lattice
+walk and the reduce-side covered-node aggregation (both cuboid-at-a-time),
+and the broadcast/batched parallel executor — under one invariant:
+**nothing observable may change**.  Cubes, counters, pair
 streams, metrics and traces must be byte-identical to what the legacy
 implementations produced, serial and parallel alike.
 
@@ -18,12 +18,17 @@ This suite pins that invariant property-style:
   Algorithm 3 walk kept here as the oracle — every key the same value
   sequence, the same flushed partials, the same charged CPU — over
   generated relations, sketches, aggregates, ablations and chunkings;
+* the cuboid-at-a-time ``_CubeReducer.reduce_runs`` kernel versus a
+  per-record reducer kept here as the oracle — the same groups, values
+  and keys to the bit, the same charged CPU — over the same space, with
+  float measures and iceberg thresholds;
 * every engine, serial versus parallel, on the adversarial dataset and
   under injected faults (the binomial/zipf sweeps live in
   ``test_executors.py``).
 """
 
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -42,11 +47,12 @@ from repro.core.sketch import (
     SPSketch,
     build_exact_sketch,
 )
-from repro.core.spcube import _CubeMapper, _PlanFunction
+from repro.core.spcube import _CubeMapper, _CubeReducer, _PlanFunction
 from repro.cubing.buc import buc_cube, iceberg_groups
 from repro.cubing.naive import sequential_cube
 from repro.datagen import adversarial_relation, gen_binomial, gen_zipf
 from repro.mapreduce import TaskContext, estimate_bytes
+from repro.mapreduce.engine import _ordered_keys
 from repro.relation.lattice import project
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
@@ -149,6 +155,29 @@ class TestBUCKernelIdentity:
         relation = DATASETS[dataset]()
         assert buc_cube(relation) == sequential_cube(relation)
 
+    @pytest.mark.parametrize("agg_name", ["sum", "avg"])
+    def test_float_measures_are_left_folded(self, agg_name):
+        """Builtin ``sum`` is compensated on Python >= 3.12 (ten 0.1s make
+        1.0 there, 0.9999999999999999 as a left fold): the array kernel
+        must fold like ``add`` on every interpreter of the CI matrix."""
+        schema = Schema(["a", "b"], measure="m")
+        rows = [("x", "p", 0.1)] * 10 + [
+            ("y", "q", 1e16), ("y", "q", 1.0), ("y", "p", -1e16),
+            ("x", "q", 0.3), ("y", "q", 0.7),
+        ]
+        relation = Relation(schema, rows, validate=False, name="floats")
+        aggregate = get_aggregate(agg_name)
+        array = buc_cube(relation, aggregate, kernel="array")
+        naive = sequential_cube(relation, aggregate)
+        assert array == naive, array.diff(naive)
+        assert array == buc_cube(relation, aggregate, kernel="legacy")
+        assert repr(dict(array.items())) == repr(
+            {key: naive.value(*key) for key, _ in array.items()}
+        )
+        assert sequential_cube(relation, get_aggregate("sum")).value(
+            0b11, ("x", "p")
+        ) == 0.9999999999999999
+
 
 def reference_walk(chunks, sketch, aggregate, covering=True, partial=True):
     """Algorithm 3 one record at a time, no memo: the kernel's oracle.
@@ -232,12 +261,16 @@ COLUMNS = [
 ]
 
 
+#: Measures whose sum depends on the order of the additions.
+FLOAT_MEASURES = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1e16, -1e16, 1, 2.5])
+
+
 @st.composite
-def mapper_cases(draw):
+def mapper_cases(draw, measures=st.integers(-5, 9), min_rows=0):
     d = draw(st.integers(1, 4))
     columns = [draw(st.sampled_from(COLUMNS)) for _ in range(d)]
     rows = draw(st.lists(
-        st.tuples(*columns, st.integers(-5, 9)), max_size=40
+        st.tuples(*columns, measures), min_size=min_rows, max_size=40
     ))
     cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
     chunks = [rows[a:b] for a, b in zip([0] + cuts, cuts + [len(rows)])]
@@ -354,6 +387,190 @@ class TestCuboidKernelMatchesReferenceWalk:
             )
 
 
+def reference_reduce(
+    grouped, sketch, aggregate, min_size=1, covering=True, partial=True
+):
+    """Algorithm 3's reducer one base group, one row at a time, no memo:
+    the kernel's oracle.  Returns ``{group: value}`` and the CPU charged."""
+    d = sketch.num_dimensions
+    planner = plan_for_skew_bits if covering else plan_without_covering
+    out, cpu = {}, 0
+    for (tag, base, values), entries in grouped.items():
+        groups = {}
+        if tag == "S":
+            groups[(base, values)] = (
+                sum(count for count, _state in entries),
+                reduce(aggregate.merge, (s for _c, s in entries),
+                       aggregate.create()),
+            )
+        for row in entries if tag == "G" else ():
+            plan = planner(sketch.skew_bits(row) if partial else 0, d)
+            for mask in plan.covered_by[base]:
+                cpu += 1
+                key = (mask, project(row, mask, d))
+                count, state = groups.get(key, (0, aggregate.create()))
+                groups[key] = (count + 1, aggregate.add(state, row[-1]))
+        for key, (count, state) in groups.items():
+            assert key not in out  # every c-group has one home
+            if count >= min_size:
+                out[key] = aggregate.finalize(state)
+    return out, cpu
+
+
+def assert_reduce_kernel_matches_reference(
+    chunks, sketch, aggregate, min_size=1, covering=True, partial=True,
+    warm_memo=True,
+):
+    """One reduce task fed everything the mappers (one per chunk) emit."""
+    grouped = {}
+    for chunk in chunks:
+        runs, partials, _cpu = reference_walk(
+            [chunk], sketch, aggregate, covering, partial
+        )
+        for key, rows in runs.items():
+            grouped.setdefault(key, []).extend(rows)
+        for key, entry in partials.items():
+            grouped.setdefault(key, []).append(entry)
+    want, want_cpu = reference_reduce(
+        grouped, sketch, aggregate, min_size, covering, partial
+    )
+    plan = _PlanFunction(sketch, covering, partial)
+    if warm_memo:  # what mappers sharing the reducer's process leave behind
+        for chunk in chunks:
+            plan.plan_chunk(chunk)
+    reducer = _CubeReducer(sketch.num_dimensions, aggregate, plan, min_size)
+    context = TaskContext(0, 4, 32)
+    reducer.setup(context)
+    pairs = list(reducer.reduce_runs(
+        _ordered_keys(grouped), {key: list(v) for key, v in grouped.items()}
+    ))
+    got = dict(pairs)
+    assert len(got) == len(pairs)
+    assert got == want
+    # Keys as first seen (1 / True / 1.0), values to the last bit.
+    assert {repr(k): repr(v) for k, v in got.items()} == {
+        repr(k): repr(v) for k, v in want.items()
+    }
+    assert sum(map(estimate_bytes, got)) == sum(map(estimate_bytes, want))
+    assert context.extra_cpu == want_cpu
+
+
+class TestReduceKernelMatchesReferenceReducer:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=mapper_cases(),
+        agg_name=st.sampled_from(AGGREGATES),
+        min_size=st.integers(1, 3),
+        covering=st.booleans(),
+        partial=st.booleans(),
+        warm_memo=st.booleans(),
+    )
+    def test_generated_relations(
+        self, case, agg_name, min_size, covering, partial, warm_memo
+    ):
+        chunks, sketch = case
+        assert_reduce_kernel_matches_reference(
+            chunks, sketch, get_aggregate(agg_name), min_size,
+            covering, partial, warm_memo,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=mapper_cases(FLOAT_MEASURES, min_rows=6),
+        agg_name=st.sampled_from(["sum", "avg"]),
+        min_size=st.integers(1, 3),
+        covering=st.booleans(),
+        partial=st.booleans(),
+    )
+    def test_generated_float_relations(
+        self, case, agg_name, min_size, covering, partial
+    ):
+        """Where the order of the additions shows in the last bit."""
+        chunks, sketch = case
+        assert_reduce_kernel_matches_reference(
+            chunks, sketch, get_aggregate(agg_name), min_size,
+            covering, partial,
+        )
+
+    @pytest.mark.parametrize("dataset", ["binomial", "zipf", "duplicate-heavy"])
+    @pytest.mark.parametrize("agg_name", AGGREGATES)
+    def test_datasets_under_exact_sketch(self, dataset, agg_name):
+        relation = DATASETS[dataset]()
+        sketch = build_exact_sketch(relation, 4, 16)
+        chunks = [relation.rows[:150], relation.rows[150:]]
+        for min_size in (1, 2):
+            assert_reduce_kernel_matches_reference(
+                chunks, sketch, get_aggregate(agg_name), min_size
+            )
+
+    def test_one_row_task(self):
+        for threshold in (0, 1):
+            assert_reduce_kernel_matches_reference(
+                [[("a", "b", 0.5)]], counted_sketch([("a", "b", 1)], 2, threshold),
+                get_aggregate("avg"),
+            )
+
+    def test_every_base_group_a_singleton(self):
+        rows = [(i, str(i), i / 7) for i in range(12)]
+        for min_size in (1, 2):
+            assert_reduce_kernel_matches_reference(
+                [rows], counted_sketch(rows, 2, 0), get_aggregate("sum"),
+                min_size, covering=False,
+            )
+
+    def test_one_base_group_holds_every_row(self):
+        rows = [("a", "b", 0.1 * i) for i in range(11)]
+        sketch = counted_sketch(rows, 2, len(rows))  # nothing skewed
+        for agg_name in ("sum", "avg", "top_k"):
+            assert_reduce_kernel_matches_reference(
+                [rows[:4], rows[4:]], sketch, get_aggregate(agg_name)
+            )
+
+    def test_rows_repeated_verbatim(self):
+        rows = [("a", "b", 0.1)] * 10 + [("a", "c", 0.1)] * 3 + [("d", "b", 2)]
+        for threshold in (2, 5, len(rows)):
+            for min_size in (1, 2, 4):
+                assert_reduce_kernel_matches_reference(
+                    [rows[:7], rows[7:]], counted_sketch(rows, 2, threshold),
+                    get_aggregate("sum"), min_size,
+                )
+
+    def test_lookalikes_across_two_base_groups_of_one_cuboid(self):
+        # With ("x",) skewed, cuboid 0b10 is a base covering 0b11: its
+        # base groups ("p",) and ("q",) each hold 1 / True / 1.0 rows.
+        rows = [
+            (True, "p", 0.1), (1, "q", 0.2), (1.0, "p", 0.3), (0, "q", 0.4),
+            (1, "p", 0.5), (False, "q", 0.6), (1.0, "q", 0.7), (0, "p", 0.8),
+        ]
+        for threshold in (0, 2, 3, len(rows)):
+            for agg_name in ("sum", "count", "top_k"):
+                assert_reduce_kernel_matches_reference(
+                    [rows[:3], rows[3:]], counted_sketch(rows, 2, threshold),
+                    get_aggregate(agg_name),
+                )
+
+    def test_none_dimensions(self):
+        rows = [(None, "a", 1), (None, None, 2.5), ("b", None, 3)] * 3
+        for threshold in (0, 2, 4):
+            assert_reduce_kernel_matches_reference(
+                [rows], counted_sketch(rows, 2, threshold),
+                get_aggregate("min"),
+            )
+
+    def test_plan_memo_empty_or_cleared_mid_run(self, monkeypatch):
+        relation = DATASETS["zipf"]()
+        sketch = build_exact_sketch(relation, 4, 16)
+        chunks = [relation.rows[:150], relation.rows[150:]]
+        assert_reduce_kernel_matches_reference(  # fresh: the pool-hop path
+            chunks, sketch, get_aggregate("avg"), warm_memo=False
+        )
+        monkeypatch.setattr(_PlanFunction, "_MEMO_LIMIT", 7)
+        for warm_memo in (True, False):
+            assert_reduce_kernel_matches_reference(
+                chunks, sketch, get_aggregate("avg"), warm_memo=warm_memo
+            )
+
+
 class TestEngineBackendIdentity:
     """Serial vs parallel on the adversarial dataset, incl. faults —
     completing test_executors.py's binomial/zipf sweeps."""
@@ -376,23 +593,12 @@ class TestEngineBackendIdentity:
         ).compute(adversarial)
         assert_runs_identical(serial, parallel)
 
-    def test_spcube_counters_identical_across_backends(self, adversarial):
-        """The kernel counters (the reducers' covered walk) are part of
-        the observable surface: same totals serial and parallel."""
-
-        def totals(run):
-            merged = {}
-            for job in run.metrics.jobs:
-                for task in job.map_tasks + job.reduce_tasks:
-                    for name, value in task.counters.items():
-                        merged[name] = merged.get(name, 0) + value
-            return merged
-
-        serial = SPCube(make_cluster()).compute(adversarial)
-        parallel = SPCube(make_cluster(parallelism=3)).compute(adversarial)
-        serial_totals = totals(serial)
-        assert totals(parallel) == serial_totals
-        assert set(serial_totals) == {
-            "covered_walk_hits", "covered_walk_misses",
-        }
-        assert serial_totals["covered_walk_misses"] > 0
+    @pytest.mark.parametrize("parallelism", [None, 3])
+    def test_spcube_tasks_carry_no_counters(self, adversarial, parallelism):
+        """The kernels read plans from a process-local memo, whose hit
+        pattern depends on process layout: nothing of it may surface."""
+        run = SPCube(make_cluster(parallelism=parallelism)).compute(adversarial)
+        assert run.cube.num_groups
+        for job in run.metrics.jobs:
+            for task in job.map_tasks + job.reduce_tasks:
+                assert task.counters == {}

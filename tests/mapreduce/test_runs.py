@@ -4,8 +4,9 @@ Map output is ``key -> [values]`` from the mapper to the reducer (see
 ``engine._route_runs``).  These tests sit where that representation can
 bite: error attribution without a per-pair replay, re-run attempts that
 must see the runs a crashed attempt saw, backends that must agree byte
-for byte, flow accounting that counts records through runs, and the
-combiner path (which folds runs into runs).
+for byte, flow accounting that counts records through runs, the
+combiner path (which folds runs into runs), and the task-level
+``Reducer.reduce_runs`` hook, which hands a reducer all of them at once.
 """
 
 from dataclasses import asdict
@@ -13,7 +14,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.aggregates import get_aggregate
-from repro.baselines import MRCube, NaiveCube
+from repro.baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
 from repro.core import SPCube
 from repro.cubing import sequential_cube
 from repro.datagen import gen_binomial
@@ -71,6 +72,37 @@ class _MutatingReducer(Reducer):
         yield key, tuple(values)
         values.append("tainted")
         del values[0]
+
+
+class _SumPerKey(Reducer):
+    def reduce(self, key, values):
+        yield key, sum(values)
+
+
+class _SumPerTask(Reducer):
+    """The same reducer through the task-level hook only."""
+
+    def reduce_runs(self, keys, runs):
+        return [(key, sum(runs[key])) for key in keys]
+
+
+class _RunWrecker(Reducer):
+    """A ``reduce_runs`` that treats its runs as scratch space — the
+    hook's contract says they are the attempt's own copies."""
+
+    def reduce_runs(self, keys, runs):
+        first = runs[keys[0]]
+        for key in keys[1:]:
+            first += runs[key]
+            runs[key].clear()
+        first.sort()
+        del runs[keys[-1]]
+        return [("all", tuple(first))]
+
+
+class _NonPairRuns(Reducer):
+    def reduce_runs(self, keys, runs):
+        return [("fine", 1), "xyz"]
 
 
 class _PairMapper(Mapper):
@@ -145,11 +177,11 @@ class TestRerunSeesTheSameRuns:
         [("b", 4), ("a", 9)],
     ]
 
-    def run(self, fault_plan=None):
+    def run(self, fault_plan=None, reducer=_MutatingReducer):
         job = MapReduceJob(
             name="mutating",
             mapper_factory=TaskFactory(_PairMapper),
-            reducer_factory=TaskFactory(_MutatingReducer),
+            reducer_factory=TaskFactory(reducer),
             num_reducers=1,
         )
         return run_job(
@@ -174,6 +206,16 @@ class TestRerunSeesTheSameRuns:
             == 7
         )
 
+    def test_crashed_attempt_reruns_a_reduce_runs_that_wrecks_its_runs(self):
+        clean = self.run(reducer=_RunWrecker)
+        assert clean.output == [("all", (1, 1, 2, 3, 4, 5, 9))]
+        crashed = self.run(
+            FaultPlan([FaultSpec("crash", phase="reduce", task=0, attempt=0)]),
+            reducer=_RunWrecker,
+        )
+        assert crashed.metrics.recovered == 1
+        assert crashed.output == clean.output
+
     def test_crashed_map_attempt_contributes_nothing(self):
         clean = self.run()
         crashed = self.run(FaultPlan(
@@ -186,31 +228,73 @@ class TestRerunSeesTheSameRuns:
         )
 
 
+class TestReduceRunsHook:
+    CHUNKS = [[("a", 3), ("b", 1), ("a", 1)], [("a", 2), ("c", 5)]]
+
+    def run(self, reducer):
+        job = MapReduceJob(
+            name="hook",
+            mapper_factory=TaskFactory(_PairMapper),
+            reducer_factory=TaskFactory(reducer),
+        )
+        return run_job(job, self.CHUNKS, ClusterConfig(num_machines=2), 10)
+
+    def test_reduce_and_reduce_runs_overrides_are_one_job(self):
+        per_key, per_task = self.run(_SumPerKey), self.run(_SumPerTask)
+        assert dict(per_key.output) == {"a": 6, "b": 1, "c": 5}
+        assert per_task.output == per_key.output
+        per_key_metrics = asdict(per_key.metrics)
+        per_task_metrics = asdict(per_task.metrics)
+        for name in BACKEND_FIELDS:
+            del per_key_metrics[name], per_task_metrics[name]
+        assert repr(per_task_metrics) == repr(per_key_metrics)
+
+    def test_non_pair_from_reduce_runs_is_named(self):
+        with pytest.raises(PairFormatError) as caught:
+            self.run(_NonPairRuns)
+        assert str(caught.value).startswith(
+            "job 'hook': reduce task 0 emitted 'xyz'"
+        )
+
+
 class TestBackendsAgree:
-    def traced_run(self, relation, parallelism):
+    def traced_run(self, engine_cls, relation, parallelism):
         sink = MemorySink()
         lineage = LineageRecorder(run_id="runs")
         cluster = ClusterConfig(
             num_machines=4, memory_records=64, parallelism=parallelism,
             tracer=Tracer([sink], level=LEVEL_DEBUG), lineage=lineage,
         )
-        run = SPCube(cluster, get_aggregate("avg")).compute(relation)
+        run = engine_cls(cluster, get_aggregate("avg")).compute(relation)
         return run, sink.records, lineage.to_records()
 
     def test_serial_and_three_workers_are_byte_identical(self):
+        self.assert_backends_agree(SPCube, all_parallel=True)
+
+    @pytest.mark.parametrize(
+        "engine_cls", [NaiveCube, HiveCube, MRCube, PipeSortMR]
+    )
+    def test_baseline_engines_are_byte_identical(self, engine_cls):
+        # Their ``driver_state`` jobs fall back to the serial executor.
+        self.assert_backends_agree(engine_cls, all_parallel=False)
+
+    def assert_backends_agree(self, engine_cls, all_parallel):
         relation = gen_binomial(500, 0.3, seed=4)
-        serial, serial_trace, serial_lineage = self.traced_run(relation, None)
+        serial, serial_trace, serial_lineage = self.traced_run(
+            engine_cls, relation, None
+        )
         parallel, parallel_trace, parallel_lineage = self.traced_run(
-            relation, 3
+            engine_cls, relation, 3
         )
         assert list(parallel.cube.items()) == list(serial.cube.items())
         assert repr(parallel_trace) == repr(serial_trace)
         assert repr(parallel_lineage) == repr(serial_lineage)
         assert any(r.get("kind") == "route" for r in serial_trace)
+        on_pool = [job.executor == "parallel" for job in parallel.metrics.jobs]
+        assert all(on_pool) if all_parallel else any(on_pool)
         for serial_job, parallel_job in zip(
             serial.metrics.jobs, parallel.metrics.jobs
         ):
-            assert parallel_job.executor == "parallel"
             serial_dict, parallel_dict = asdict(serial_job), asdict(parallel_job)
             for name in BACKEND_FIELDS:
                 del serial_dict[name], parallel_dict[name]
