@@ -18,20 +18,19 @@ once with it disabled (the first node loss aborts the run).  The same
 seeded coins fire in both modes, so each pair isolates exactly what the
 checkpoint layer buys.
 
-Results land in ``BENCH_recovery.json`` at the repo root (the CI
-perf-smoke job uploads it as an artifact; the crash sweep fills
-``points``, the node sweep ``node_points``) and in
+Results land in ``BENCH_recovery.json`` at the repo root (the crash
+sweep fills ``points``, the node sweep ``node_points``) and in
 ``benchmarks/results/recovery_cost.txt`` /
 ``benchmarks/results/node_recovery_cost.txt`` as tables.
 
-Knobs (environment):
-
-``REPRO_BENCH_RECOVERY_ROWS``   workload size (default 6000)
-``REPRO_BENCH_RECOVERY_SEED``   base fault seed (default 1337)
+``BENCH_recovery.json`` is a golden file: every number in it is
+simulated, so it is a pure function of the code and of the two
+constants below, and a run rewrites it byte-identically.  CI's gate is
+this module followed by ``git diff --exit-code BENCH_recovery.json``; a
+cost-model change shows up as a reviewed diff of the file.
 """
 
 import json
-import os
 import pathlib
 
 from repro.analysis.runner import derive_fault_seed
@@ -41,8 +40,8 @@ from repro.mapreduce.faults import FaultPlan
 
 from conftest import PAPER_ALGORITHMS, write_result
 
-ROWS = int(os.environ.get("REPRO_BENCH_RECOVERY_ROWS", "6000"))
-BASE_SEED = int(os.environ.get("REPRO_BENCH_RECOVERY_SEED", "1337"))
+ROWS = 6000
+BASE_SEED = 1337
 #: Fault pressure axis: per-attempt crash AND straggle probability.
 PRESSURES = [0.0, 0.05, 0.1, 0.2]
 #: Node pressure axis: per-(node, round) kill probability.
@@ -97,12 +96,27 @@ def _run_point(name, factory, relation, pressure):
     }
 
 
-def test_recovery_cost_sweep():
-    relation = gen_zipf(ROWS, seed=9)
+def crash_sweep(relation):
+    """One row per (engine, pressure), ``slowdown`` against the engine's
+    own fault-free point (``PRESSURES[0]``) included."""
     rows = []
     for name, factory in PAPER_ALGORITHMS.items():
-        for pressure in PRESSURES:
-            rows.append(_run_point(name, factory, relation, pressure))
+        points = [
+            _run_point(name, factory, relation, pressure)
+            for pressure in PRESSURES
+        ]
+        baseline = points[0]["total_seconds"]
+        for row in points:
+            row["slowdown"] = round(
+                row["total_seconds"] / baseline if baseline else float("nan"),
+                3,
+            )
+        rows.extend(points)
+    return rows
+
+
+def test_recovery_cost_sweep():
+    rows = crash_sweep(gen_zipf(ROWS, seed=9))
 
     by_engine = {}
     for row in rows:
@@ -118,16 +132,12 @@ def test_recovery_cost_sweep():
     ]
     lines.append("-" * len(lines[-1]))
     for name, points in by_engine.items():
-        baseline = points[0.0]["total_seconds"]
         for pressure in PRESSURES:
             row = points[pressure]
-            slowdown = (
-                row["total_seconds"] / baseline if baseline else float("nan")
-            )
-            row["slowdown"] = round(slowdown, 3)
             lines.append(
                 f"{name:10s}{pressure:6.2f}{row['total_seconds']:10.1f}"
-                f"{row['recovery_overhead_seconds']:13.1f}{slowdown:10.2f}"
+                f"{row['recovery_overhead_seconds']:13.1f}"
+                f"{row['slowdown']:10.2f}"
                 f"{row['attempts']:10d}{row['killed_tasks']:8d}"
                 f"{row['speculative_wins']:6d}{row['recovered']:7d}"
             )
@@ -178,15 +188,18 @@ def _run_node_point(name, factory, relation, pressure, checkpointed):
     }
 
 
+def node_sweep(relation):
+    """One row per (engine, node pressure, checkpointed?)."""
+    return [
+        _run_node_point(name, factory, relation, pressure, checkpointed)
+        for name, factory in PAPER_ALGORITHMS.items()
+        for pressure in NODE_PRESSURES
+        for checkpointed in (True, False)
+    ]
+
+
 def test_node_pressure_checkpoint_vs_abort():
-    relation = gen_zipf(ROWS, seed=9)
-    rows = []
-    for name, factory in PAPER_ALGORITHMS.items():
-        for pressure in NODE_PRESSURES:
-            for checkpointed in (True, False):
-                rows.append(_run_node_point(
-                    name, factory, relation, pressure, checkpointed,
-                ))
+    rows = node_sweep(gen_zipf(ROWS, seed=9))
 
     by_key = {
         (row["engine"], row["node_pressure"], row["checkpointed"]): row

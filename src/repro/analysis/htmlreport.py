@@ -3,11 +3,11 @@
 ``python -m repro report`` stitches the run's observability artifacts —
 the structured trace (:mod:`repro.observability.analyze`), the telemetry
 timeline (:mod:`repro.observability.timeline`), the doctor audit
-(:mod:`repro.observability.diagnostics`), and the BENCH perf/recovery
-JSON files — into a single HTML document with inline CSS and inline SVG
-charts (:mod:`repro.analysis.charts`).  No JavaScript, no external
-assets, no network: the file opens identically from a CI artifact store,
-an email attachment, or ``file://``.
+(:mod:`repro.observability.diagnostics`), a ``benchmarks/suite`` run
+file and ``BENCH_recovery.json`` — into a single HTML document with
+inline CSS and inline SVG charts (:mod:`repro.analysis.charts`).  No
+JavaScript, no external assets, no network: the file opens identically
+from a CI artifact store, an email attachment, or ``file://``.
 
 Every section is optional.  A missing artifact renders a one-line
 "not provided" note instead of being silently absent, so a report built
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import html
 import json
+import statistics
 from typing import Dict, List, Optional
 
 from .charts import PALETTE, svg_bar_chart, svg_line_chart, svg_span_timeline
@@ -413,43 +414,61 @@ def _doctor_section(doctor_path) -> str:
 # -- bench sections -----------------------------------------------------------
 
 
+def _suite_runs(path) -> List[Dict]:
+    """The well-formed lines of a ``benchmarks/suite/run.py --out`` file
+    (one JSON object per run, traced or not)."""
+    runs = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            try:
+                run = json.loads(line)
+                runs.append({
+                    "workload": str(run["workload"]),
+                    "failed": int(run["failed"]),
+                    "attempted": int(run["attempted"]),
+                    "metrics": {
+                        name: (float(metric["value"]), str(metric["unit"]))
+                        for name, metric in run["metrics"].items()
+                    },
+                })
+            except (ValueError, TypeError, KeyError, AttributeError):
+                continue  # a truncated or foreign line is not a run
+    return runs
+
+
 def _perf_section(perf_path) -> str:
     if perf_path is None:
-        return _missing("BENCH_perf.json")
-    bench = _load_json(perf_path)
-    parts: List[str] = []
-    workload = bench.get("workload", {})
-    parts.append(
-        f"<p>workload: <code>{_esc(workload.get('dataset', '?'))}</code>, "
-        f"{workload.get('rows', '?'):,} rows — serial "
-        f"{bench.get('serial_wall_seconds', 0):.1f}s, parallel "
-        f"{bench.get('parallel_wall_seconds', 0):.1f}s "
-        f"(speedup {bench.get('speedup', 0):.2f}×), cubes identical: "
-        + _status_html(bench.get("cubes_identical", False), "yes", "NO")
-        + "</p>"
+        return _missing("suite JSONL (benchmarks/suite/run.py --out)")
+    runs = _suite_runs(perf_path)
+    if not runs:
+        return f'<p class="muted">(no suite runs in {_esc(perf_path)})</p>'
+    workloads = sorted({run["workload"] for run in runs})
+    cells: Dict[tuple, List[float]] = {}
+    units: Dict[str, str] = {}
+    for run in runs:
+        for name, (value, unit) in run["metrics"].items():
+            cells.setdefault((name, run["workload"]), []).append(value)
+            units[name] = unit
+    rows = [
+        [_esc(name), _esc(unit)]
+        + [
+            f"{statistics.median(cells[name, workload]):.4g}"
+            if (name, workload) in cells
+            else ""
+            for workload in workloads
+        ]
+        for name, unit in units.items()
+    ]
+    failed = sum(run["failed"] for run in runs)
+    attempted = sum(run["attempted"] for run in runs)
+    return (
+        f"<p>{len(runs)} suite run(s), median per cell; operations: "
+        + _status_html(
+            failed == 0, f"{attempted} ok", f"{failed} of {attempted} FAILED"
+        )
+        + "</p>\n"
+        + _table(["metric", "unit"] + workloads, rows, name_cols=2)
     )
-    sweep = bench.get("parallelism_sweep", [])
-    if sweep:
-        parts.append(
-            svg_line_chart(
-                {
-                    "speedup vs serial": [
-                        (point["workers"], point["speedup_vs_serial"])
-                        for point in sweep
-                    ]
-                },
-                "parallelism sweep",
-                x_label="workers",
-            )
-        )
-    telemetry = bench.get("telemetry")
-    if telemetry:
-        ratio = telemetry.get("overhead_ratio", 0.0)
-        parts.append(
-            f"<p>telemetry overhead: wall ratio {ratio:.3f}× "
-            "(telemetry-on / telemetry-off twin)</p>"
-        )
-    return "\n".join(parts)
 
 
 def _recovery_section(recovery_path) -> str:
@@ -492,7 +511,7 @@ def build_report(
         ("Telemetry", _telemetry_section, telemetry),
         ("Lineage & alerts", _lineage_section, lineage),
         ("Doctor audit", _doctor_section, doctor),
-        ("Bench: parallel perf", _perf_section, perf),
+        ("Bench: suite", _perf_section, perf),
         ("Bench: recovery cost", _recovery_section, recovery),
     )
     body: List[str] = [f"<h1>{_esc(title)}</h1>"]

@@ -897,7 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--doctor-json", metavar="PATH",
                         help="doctor report written with 'doctor --json'")
     report.add_argument("--perf-json", metavar="PATH",
-                        help="BENCH_perf.json from the perf bench")
+                        help="JSONL written by benchmarks/suite/run.py --out")
     report.add_argument("--recovery-json", metavar="PATH",
                         help="BENCH_recovery.json from the recovery bench")
     report.add_argument("--title", default="repro run report")

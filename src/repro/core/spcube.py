@@ -47,7 +47,6 @@ from ..aggregates.classify import check_spcube_support
 from ..aggregates.functions import AggregateFunction, Count
 from ..cubing.result import CubeResult
 from ..interface import CubeRun
-from ..mapreduce.broadcast import Broadcast, unwrap
 from ..mapreduce.checkpoint import RoundRunner
 from ..mapreduce.cluster import ClusterConfig
 from ..mapreduce.dfs import DistributedFileSystem, ReplicaExhausted
@@ -272,13 +271,8 @@ class SPCube:
         finally:
             metrics.extras["dfs_read_retries"] = self.dfs.read_retries
 
-        # Round-2 tasks all close over the sketch (plan function,
-        # partitioner, mapper factory); the broadcast handle ships it
-        # across the process-pool boundary once per worker instead of
-        # once per task reference.
-        sketch_ref = Broadcast(sketch)
-        plan = self._plan_factory(sketch_ref)
-        partitioner = _CubePartitioner(sketch_ref, k, self.range_partitioning)
+        plan = self._plan_factory(sketch)
+        partitioner = _CubePartitioner(sketch, k, self.range_partitioning)
 
         min_size = self.min_group_size
         job = MapReduceJob(
@@ -341,11 +335,6 @@ class SPCube:
 class _PlanFunction:
     """Picklable plan lookup honouring the ablation switches.
 
-    Accepts the sketch directly or as a
-    :class:`~repro.mapreduce.broadcast.Broadcast` handle — the handle is
-    what pickles, so the sketch crosses the pool boundary once per
-    worker process.
-
     Plans are memoized per distinct *dimension tuple* — the one memo of
     round 2.  ``skew_bits`` is a pure, equality-respecting function of
     the dimension values (its probes are dict-membership tests of
@@ -360,15 +349,12 @@ class _PlanFunction:
     which the simulation does not model.
     """
 
-    __slots__ = (
-        "_sketch_ref", "_sketch", "_d", "_dims", "_covering", "_partial",
-        "_memo",
-    )
+    __slots__ = ("_sketch", "_d", "_dims", "_covering", "_partial", "_memo")
 
     _MEMO_LIMIT = 1 << 17
 
     def __init__(
-        self, sketch, ancestor_covering: bool,
+        self, sketch: SPSketch, ancestor_covering: bool,
         map_partial_aggregation: bool,
     ):
         self.__setstate__(
@@ -408,11 +394,10 @@ class _PlanFunction:
         return plans
 
     def __getstate__(self):
-        return (self._sketch_ref, self._covering, self._partial)
+        return (self._sketch, self._covering, self._partial)
 
     def __setstate__(self, state):
-        self._sketch_ref, self._covering, self._partial = state
-        self._sketch = unwrap(self._sketch_ref)
+        self._sketch, self._covering, self._partial = state
         self._d = self._sketch.num_dimensions
         self._dims = itemgetter(slice(self._d))
         self._memo = {}
@@ -423,10 +408,12 @@ class _CubePartitioner:
     their sketch range partition (or a stable hash under the ablation).
     The engine calls it once per run, so a lookup is one short bisect."""
 
-    __slots__ = ("_sketch_ref", "_sketch", "_k", "_range_partitioning")
+    __slots__ = ("_sketch", "_k", "_range_partitioning")
 
-    def __init__(self, sketch, k: int, range_partitioning: bool):
-        self.__setstate__((sketch, k, range_partitioning))
+    def __init__(self, sketch: SPSketch, k: int, range_partitioning: bool):
+        self._sketch = sketch
+        self._k = k
+        self._range_partitioning = range_partitioning
 
     def __call__(self, key, num_reducers: int) -> int:
         tag, mask, values = key
@@ -435,13 +422,6 @@ class _CubePartitioner:
         if self._range_partitioning:
             return 1 + self._sketch.partition_of(mask, values)
         return 1 + stable_hash((mask, values)) % self._k
-
-    def __getstate__(self):
-        return (self._sketch_ref, self._k, self._range_partitioning)
-
-    def __setstate__(self, state):
-        self._sketch_ref, self._k, self._range_partitioning = state
-        self._sketch = unwrap(self._sketch_ref)
 
 
 class _SampleMapper(Mapper):

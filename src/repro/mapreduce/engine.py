@@ -137,34 +137,12 @@ DEFAULT_OVERSIZED_DOMINANCE = 1.0 / 3.0
 DEFAULT_OOM_QUORUM_FRACTION = 0.25
 
 
-#: Bounded memo for :func:`stable_hash` over *strings only*.  Strings are
-#: the one key type where memoization is both safe and profitable: a str
-#: can only ever equal another str (no ``1 == 1.0 == True`` cross-type
-#: collisions), and a dict hit costs ~6x less than repr+CRC32.  Tuples are
-#: deliberately not memoized — building a type-strict memo key costs more
-#: than the C-speed ``repr`` it would save (measured; see DESIGN.md §9) —
-#: and a repeated tuple key is one run, partitioned once per map task.
-_HASH_MEMO: Dict[str, int] = {}
-_HASH_MEMO_LIMIT = 1 << 16
-
-
 def stable_hash(obj) -> int:
     """Deterministic, process-independent hash (Python's ``hash`` is salted).
 
-    Bit-identical to ``zlib.crc32(repr(obj).encode())`` — the engine's
-    historical definition, pinned by regression tests so partition
-    assignments never shift — with string keys served from a bounded memo
-    (skewed workloads re-hash the same dimension values millions of
-    times).
+    The engine's historical definition, pinned by regression tests so
+    partition assignments never shift.
     """
-    if type(obj) is str:
-        cached = _HASH_MEMO.get(obj)
-        if cached is None:
-            if len(_HASH_MEMO) >= _HASH_MEMO_LIMIT:
-                _HASH_MEMO.clear()
-            cached = _crc32(repr(obj).encode())
-            _HASH_MEMO[obj] = cached
-        return cached
     return _crc32(repr(obj).encode())
 
 

@@ -353,10 +353,8 @@ class _TaskBatch:
     because one ``pickle.dumps`` memoizes shared objects — state
     referenced by every task in the batch (the job description, a
     partitioner, task factories) crosses the process boundary **once per
-    batch** instead of once per task.  Combined with
-    :class:`~repro.mapreduce.broadcast.Broadcast` for the genuinely
-    large shared state, the per-task IPC cost collapses to the task's
-    own chunk.
+    batch** instead of once per task (SP-Cube's sketch, a few KB,
+    included).
 
     The batch preserves task order internally and the executor flattens
     batch results in submission order, so outcome order — and therefore

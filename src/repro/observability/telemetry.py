@@ -27,7 +27,7 @@ functions of the simulated run only (shuffle bytes, phase seconds,
 checkpoint bytes, node liveness, group counts) and are bit-identical
 between serial and parallel backends on their logical-time axis — this
 is tested.  ``"host"`` samples observe the real machine (driver RSS,
-wall seconds, executor queue depth, broadcast cache hits) and are
+wall seconds, executor queue depth) and are
 excluded from identity comparisons, exactly like the ``executor`` and
 wall-clock fields of :class:`~repro.mapreduce.metrics.JobMetrics`.
 
@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Fixed default bucket schema (powers of four, records/bytes-friendly).
 #: Fixed schemas — not per-run adaptive ones — keep histograms mergeable
-#: and comparable across runs, which the regression gate relies on.
+#: and comparable across runs.
 DEFAULT_BUCKETS = (
     1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0,
     65536.0, 262144.0, 1048576.0, 4194304.0,

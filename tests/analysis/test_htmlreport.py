@@ -40,22 +40,28 @@ def doctor_json(tmp_path):
     return str(path)
 
 
+def suite_line(workload, failed=0, **metrics):
+    """One line of ``benchmarks/suite/run.py --out``."""
+    return json.dumps({
+        "workload": workload, "seed": 600, "trace": 0, "quick": True,
+        "attempted": 1006, "failed": failed, "correct": failed == 0,
+        "metrics": {
+            name: {"value": value, "n": 5, "unit": unit}
+            for name, (value, unit) in metrics.items()
+        },
+    })
+
+
 @pytest.fixture
 def perf_json(tmp_path):
-    bench = {
-        "workload": {"dataset": "gen_binomial", "rows": 200000},
-        "serial_wall_seconds": 10.0,
-        "parallel_wall_seconds": 4.0,
-        "speedup": 2.5,
-        "cubes_identical": True,
-        "parallelism_sweep": [
-            {"workers": 1, "speedup_vs_serial": 1.0},
-            {"workers": 4, "speedup_vs_serial": 2.5},
-        ],
-        "telemetry": {"overhead_ratio": 1.02},
-    }
-    path = tmp_path / "perf.json"
-    path.write_text(json.dumps(bench))
+    path = tmp_path / "suite.jsonl"
+    path.write_text("\n".join([
+        suite_line("build-dense", build_wall_s=(0.7, "s"),
+                   peak_rss_mb=(48.25, "MB")),
+        suite_line("build-dense", build_wall_s=(0.9, "s"),
+                   peak_rss_mb=(48.75, "MB")),
+        suite_line("serve-<hot>", query_p50_ms=(1.73, "ms")),
+    ]) + "\n")
     return str(path)
 
 
@@ -81,7 +87,7 @@ class TestBuildReport:
     def test_all_sections_marked_missing_by_default(self):
         html = build_report()
         for label in ("Trace", "Telemetry", "Lineage &amp; alerts",
-                      "Doctor audit", "Bench: parallel perf",
+                      "Doctor audit", "Bench: suite",
                       "Bench: recovery cost"):
             assert f"<h2>{label}</h2>" in html
         assert html.count("not provided") == 6
@@ -92,11 +98,48 @@ class TestBuildReport:
         assert "worst imbalance 3.1" in html
         assert "spcube" in html and "hive" in html
 
-    def test_perf_section_reports_overhead_and_sweep(self, perf_json):
+    def test_perf_section_tabulates_suite_medians(self, perf_json):
         html = build_report(perf=perf_json)
-        assert "speedup 2.50" in html
-        assert "telemetry overhead: wall ratio 1.020" in html
-        assert "parallelism sweep" in html
+        assert "3 suite run(s)" in html and "3018 ok" in html
+        # Median of the two build-dense runs; no serve-<hot> build time.
+        assert (
+            '<td class="name">build_wall_s</td><td class="name">s</td>'
+            "<td>0.8</td><td></td>"
+        ) in html
+        assert "<td>48.5</td>" in html and "<td>1.73</td>" in html
+        assert "serve-&lt;hot&gt;" in html
+        assert "<script" not in html and "serve-<hot>" not in html
+
+    def test_perf_section_counts_failed_operations(self, tmp_path):
+        path = tmp_path / "suite.jsonl"
+        path.write_text(suite_line("build-dense", failed=2,
+                                   build_wall_s=(0.7, "s")) + "\n")
+        assert "2 of 1006 FAILED" in build_report(perf=str(path))
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "not json\n",
+        '{"workload": "build-dense"}\n[1, 2]\n3\n',
+        '{"workload": "w", "failed": 0, "attempted": 1, "metrics": '
+        '{"m": {"value": "<script>"}}}\n',
+    ])
+    def test_perf_file_without_a_suite_run_is_a_one_line_note(
+        self, tmp_path, text
+    ):
+        path = tmp_path / "suite.jsonl"
+        path.write_text(text)
+        html = build_report(perf=str(path))
+        assert f'<p class="muted">(no suite runs in {path})</p>' in html
+        assert "<table" not in html and "<script" not in html
+
+    def test_garbled_lines_do_not_hide_the_good_ones(self, tmp_path):
+        path = tmp_path / "suite.jsonl"
+        path.write_text(
+            '{"truncated": \n'
+            + suite_line("build-dense", build_wall_s=(0.7, "s")) + "\n"
+        )
+        html = build_report(perf=str(path))
+        assert "1 suite run(s)" in html and "<td>0.7</td>" in html
 
     def test_recovery_section_drops_failed_points(self, recovery_json):
         html = build_report(recovery=recovery_json)

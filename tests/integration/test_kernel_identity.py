@@ -3,7 +3,7 @@
 The performance layer rewrote four hot paths — the BUC kernel (sort +
 run-length instead of recursive dict-of-lists), the map-side lattice
 walk and the reduce-side covered-node aggregation (both cuboid-at-a-time),
-and the broadcast/batched parallel executor — under one invariant:
+and the batched parallel executor — under one invariant:
 **nothing observable may change**.  Cubes, counters, pair
 streams, metrics and traces must be byte-identical to what the legacy
 implementations produced, serial and parallel alike.

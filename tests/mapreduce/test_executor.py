@@ -30,6 +30,7 @@ from repro.mapreduce import (
     resolve_parallelism,
     run_task_chain,
 )
+from repro.mapreduce.executor import _TaskBatch, batch_slices
 
 
 def _attempt(seconds=1.0, payload="out"):
@@ -226,3 +227,66 @@ class TestTaskFactory:
         factory = TaskFactory(FunctionMapper, len)
         clone = pickle.loads(pickle.dumps(factory))
         assert isinstance(clone(), FunctionMapper)
+
+
+class TestBatchSlices:
+    def test_even_split(self):
+        assert batch_slices(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+
+    def test_remainder_goes_to_earlier_batches(self):
+        assert batch_slices(10, 4) == [(0, 3), (3, 6), (6, 8), (8, 10)]
+
+    def test_more_batches_than_tasks_collapses(self):
+        assert batch_slices(3, 8) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_single_batch(self):
+        assert batch_slices(5, 1) == [(0, 5)]
+
+    @pytest.mark.parametrize("num_tasks", [1, 2, 7, 16, 100])
+    @pytest.mark.parametrize("num_batches", [1, 2, 3, 8])
+    def test_slices_cover_every_task_exactly_once(
+        self, num_tasks, num_batches
+    ):
+        slices = batch_slices(num_tasks, num_batches)
+        covered = [
+            index for start, stop in slices for index in range(start, stop)
+        ]
+        assert covered == list(range(num_tasks))
+
+
+class TestTaskBatch:
+    def test_runs_tasks_in_order(self):
+        order = []
+
+        def make(i):
+            def task():
+                order.append(i)
+                return i * i
+
+            return task
+
+        batch = _TaskBatch([make(i) for i in range(5)])
+        assert batch() == [0, 1, 4, 9, 16]
+        assert order == [0, 1, 2, 3, 4]
+
+    def test_empty_batch(self):
+        assert _TaskBatch([])() == []
+
+    def test_shared_state_pickles_once_per_batch(self):
+        """The batch's one pickle.dumps memoizes shared objects: N tasks
+        referencing the same big state serialize barely larger than one."""
+        big = ["y" * 64] * 5_000
+
+        single = len(pickle.dumps(_TaskBatch([_Closing(big)])))
+        batched = len(pickle.dumps(_TaskBatch([_Closing(big)] * 8)))
+        assert batched < single * 2
+
+
+class _Closing:
+    """Picklable task closing over (potentially shared) state."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def __call__(self):
+        return len(self.state)
