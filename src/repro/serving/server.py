@@ -28,11 +28,25 @@ Wire protocol: ``POST /query`` with a JSON body (see
 tuples in Python and become sorted ``[values-list, aggregate]`` pairs in
 JSON, so responses are deterministic byte-for-byte for a deterministic
 store.
+
+Connections: the server speaks HTTP/1.1 and keeps a connection open
+across requests, so a caller pays connect, accept and thread start once,
+not per query.  Every reply carries an exact ``Content-Length`` and
+leaves in one ``sendall`` (a header write then a body write on a
+kept-alive socket is the Nagle/delayed-ACK 40 ms stall).  The server
+closes after a reply to a pre-1.1 or ``Connection: close`` client,
+after a framing error (missing, malformed or over-``MAX_BODY_BYTES``
+``Content-Length``, a body on a ``GET``, a bad request line: the bytes
+that follow cannot be trusted), after ``IDLE_TIMEOUT_S`` without a
+complete request, and on :meth:`CubeServer.close`.  The two constants
+are not flags: no caller or workload needs a second value, and each
+would be one more configuration to test.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -45,6 +59,11 @@ from .view import StoredCubeView
 DEFAULT_WORKERS = 4
 DEFAULT_QUEUE_DEPTH = 16
 DEFAULT_DEADLINE = 5.0
+#: Largest request body read; a longer one is refused (413) unread.
+MAX_BODY_BYTES = 1 << 20
+#: Seconds a connection may sit without a complete request, or a reply
+#: without progress, before the server drops it and frees its thread.
+IDLE_TIMEOUT_S = 15.0
 
 #: Ops answerable over the wire.  ``dice`` is deliberately absent: its
 #: predicates are Python callables and deserializing code is not a
@@ -58,6 +77,11 @@ WIRE_OPS = (
     "pivot",
     "cuboid_sizes",
 )
+
+
+def _refusal(error: str) -> Dict:
+    """The body of a reply that retrying unchanged cannot improve."""
+    return {"ok": False, "error": error, "retriable": False}
 
 
 def _jsonable_groups(groups: Dict) -> List:
@@ -176,6 +200,8 @@ class CubeServer:
             max_workers=workers, thread_name_prefix="cube-query"
         )
         self._slots = threading.Semaphore(workers + queue_depth)
+        self._lock = threading.Lock()
+        self._connections: set = set()  # open client sockets, for close()
         self._httpd = self._build_httpd(port)
         self._thread: Optional[threading.Thread] = None
         self._serving = False
@@ -217,17 +243,18 @@ class CubeServer:
             }
         except (QueryError, StoreError) as exc:
             self.counters.bump("serving.query_errors")
-            return {
-                "status": 400,
-                "body": {
-                    "ok": False,
-                    "error": str(exc),
-                    "retriable": False,
-                },
-            }
+            return {"status": 400, "body": _refusal(str(exc))}
         return {"status": 200, "body": {"ok": True, "result": result}}
 
     def stats(self) -> Dict:
+        """The ``/stats`` body.  Of its counters the server owns
+        ``serving.connections`` (accepted) and ``serving.requests``
+        (queries admitted; their ratio is queries per connection),
+        ``serving.shed`` (503), ``serving.deadline_exceeded`` (504),
+        ``serving.query_errors`` (400 from the query),
+        ``serving.bad_requests`` (framing errors: 400/413, then closed)
+        and ``serving.disconnects`` (client gone mid-request or -reply).
+        """
         return {
             "counters": self.counters.to_dict(),
             "workers": self.workers,
@@ -242,48 +269,93 @@ class CubeServer:
         }
 
     def _build_httpd(self, port: int):
+        from http import HTTPStatus
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
         server = self
 
         class Handler(BaseHTTPRequestHandler):
-            def _reply(self, status: int, body: Dict) -> None:
+            protocol_version = "HTTP/1.1"
+            timeout = IDLE_TIMEOUT_S
+            disable_nagle_algorithm = True  # replies are one write each
+
+            def setup(self):
+                super().setup()
+                with server._lock:
+                    server._connections.add(self.connection)
+                    server.counters.bump("serving.connections")
+
+            def finish(self):
+                with server._lock:
+                    server._connections.discard(self.connection)
+                super().finish()
+
+            def handle(self):
+                try:
+                    super().handle()
+                except ConnectionError:  # reset on a read, EPIPE on a reply
+                    server.counters.bump("serving.disconnects")
+
+            def _reply(
+                self, status: int, body: Dict, close: bool = False
+            ) -> None:
                 payload = json.dumps(body, sort_keys=True).encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
+                if close or self.request_version != "HTTP/1.1":
+                    self.close_connection = True
+                closing = "Connection: close\r\n" * self.close_connection
+                head = (
+                    f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                    f"Date: {self.date_time_string()}\r\n"
+                    "Content-Type: application/json\r\n"
+                    f"Content-Length: {len(payload)}\r\n{closing}\r\n"
+                )
+                self.connection.sendall(head.encode("ascii") + payload)
+
+            def send_error(self, code, message=None, explain=None):
+                """A framing error, http.server's (bad request line,
+                unknown method) or ``do_POST``'s: typed reply, then close,
+                because the bytes that follow cannot be trusted."""
+                server.counters.bump("serving.bad_requests")
+                error = message or HTTPStatus(code).phrase
+                self._reply(code, _refusal(error), close=True)
 
             def do_GET(self):  # noqa: N802 - http.server API
+                # A body on a GET is never read: reply, then close.
+                close = (
+                    "Content-Length" in self.headers
+                    or "Transfer-Encoding" in self.headers
+                )
                 if self.path == "/healthz":
-                    self._reply(200, {"ok": True})
+                    self._reply(200, {"ok": True}, close)
                 elif self.path == "/stats":
-                    self._reply(200, server.stats())
+                    self._reply(200, server.stats(), close)
                 else:
-                    self._reply(
-                        404,
-                        {"ok": False, "error": "not found",
-                         "retriable": False},
-                    )
+                    self._reply(404, _refusal("not found"), close)
 
             def do_POST(self):  # noqa: N802 - http.server API
-                if self.path != "/query":
-                    self._reply(
-                        404,
-                        {"ok": False, "error": "not found",
-                         "retriable": False},
+                raw = self.headers.get("Content-Length", "")
+                # isdigit() alone admits "\xb2", and int() raises past 4300
+                # digits; no honest length comes near 19.
+                if not (raw.isascii() and raw.isdigit() and len(raw) < 19):
+                    self.send_error(
+                        400, "Content-Length must be a decimal byte count"
                     )
                     return
-                length = int(self.headers.get("Content-Length", 0))
-                try:
-                    spec = json.loads(self.rfile.read(length) or b"{}")
-                except ValueError:
-                    self._reply(
-                        400,
-                        {"ok": False, "error": "body is not valid JSON",
-                         "retriable": False},
+                if int(raw) > MAX_BODY_BYTES:
+                    self.send_error(
+                        413, f"body exceeds {MAX_BODY_BYTES} bytes"
                     )
+                    return
+                # Read before routing, so a body sent to an unknown path
+                # is not parsed as the connection's next request.
+                body = self.rfile.read(int(raw))
+                if self.path != "/query":
+                    self._reply(404, _refusal("not found"))
+                    return
+                try:
+                    spec = json.loads(body or b"{}")
+                except ValueError:
+                    self._reply(400, _refusal("body is not valid JSON"))
                     return
                 outcome = server._handle_query(spec)
                 self._reply(outcome["status"], outcome["body"])
@@ -298,8 +370,9 @@ class CubeServer:
     def start(self) -> "CubeServer":
         """Serve on a daemon thread; returns self for chaining."""
         self._serving = True
+        # close() waits out one poll of the serve loop, so keep it short.
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
+            target=self._httpd.serve_forever, args=(0.05,), daemon=True
         )
         self._thread.start()
         return self
@@ -317,6 +390,14 @@ class CubeServer:
             # must only run once the serve loop has actually started.
             self._httpd.shutdown()
         self._httpd.server_close()
+        # Kept-alive connections would hold their threads until the idle
+        # timeout; shut them down so every client sees EOF now.
+        with self._lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client closed it first
+                    pass
         self._pool.shutdown(wait=False)
         if self._thread is not None:
             self._thread.join(timeout=5)

@@ -99,10 +99,13 @@ class ServingCounters:
         "serving.segment_load",     # segments fetched from disk (store)
         "serving.bytes_read",       # raw segment + dictionary bytes read
         "serving.reaggregations",   # cuboids rebuilt from an ancestor
+        "serving.connections",      # connections accepted by the server
         "serving.requests",         # queries admitted by the server
         "serving.shed",             # queries refused at admission (503)
         "serving.deadline_exceeded",  # queries cut at the deadline (504)
         "serving.query_errors",     # queries rejected as unanswerable (400)
+        "serving.bad_requests",     # framing errors answered 400/413, closed
+        "serving.disconnects",      # clients gone mid-request or mid-reply
     )
 
     def __init__(self, telemetry=None):

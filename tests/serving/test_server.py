@@ -1,6 +1,12 @@
 """The query server: wire protocol, admission control, deadlines."""
 
+import contextlib
+import http.client
 import json
+import socket
+import struct
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -190,3 +196,405 @@ class TestServerOverRetailCube:
                     for values, value in body["result"]
                 )
                 assert groups[("keyboard", 2009)] == 2
+
+
+# -- persistent connections ---------------------------------------------------
+
+TOTAL = json.dumps({"op": "total"}).encode()
+
+
+def _post(path, body, extra=b""):
+    """Raw bytes of one HTTP/1.1 POST with an exact Content-Length."""
+    return (
+        b"POST %s HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n%s\r\n%s"
+        % (path, len(body), extra, body)
+    )
+
+
+def _read_replies(sock, count, within=5.0):
+    """Parse ``count`` HTTP responses off ``sock``: [(status, headers, body)]."""
+    sock.settimeout(within)
+    reader = sock.makefile("rb")
+    replies = []
+    for _ in range(count):
+        version, status, _reason = reader.readline().split(b" ", 2)
+        assert version == b"HTTP/1.1"
+        headers = {}
+        for line in iter(reader.readline, b"\r\n"):
+            name, value = line.decode("ascii").split(":", 1)
+            headers[name.lower()] = value.strip()
+        body = reader.read(int(headers["content-length"]))
+        replies.append((int(status), headers, json.loads(body)))
+    return replies
+
+
+def _closed_within(sock, seconds):
+    """True when the peer closes ``sock`` (EOF) inside ``seconds``."""
+    sock.settimeout(seconds)
+    try:
+        return sock.recv(1) == b""
+    except socket.timeout:
+        return False
+    except ConnectionError:
+        return True
+
+
+def _threads_return_to(baseline, within=2.0):
+    deadline = time.time() + within
+    while threading.active_count() > baseline and time.time() < deadline:
+        time.sleep(0.01)
+    return threading.active_count() <= baseline
+
+
+def _connect(port):
+    return socket.create_connection(("127.0.0.1", port), timeout=5)
+
+
+@contextlib.contextmanager
+def _no_free_slots(srv):
+    """Hold every free admission slot; yields how many there were."""
+    taken = 0
+    while srv._slots.acquire(blocking=False):
+        taken += 1
+    try:
+        yield taken
+    finally:
+        for _ in range(taken):
+            srv._slots.release()
+
+
+class TestKeepAlive:
+    def test_mixed_requests_share_one_connection(self, server, view):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            for _ in range(3):
+                conn.request("POST", "/query", body=TOTAL)
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert json.loads(resp.read())["result"] == view.total()
+                conn.request(
+                    "POST", "/query",
+                    body=json.dumps(
+                        {"op": "rollup", "dimensions": ["bogus"]}
+                    ),
+                )
+                resp = conn.getresponse()
+                assert resp.status == 400
+                assert json.loads(resp.read())["retriable"] is False
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert (resp.status, resp.read()) == (200, b'{"ok": true}')
+            conn.request("GET", "/stats")
+            counters = json.loads(conn.getresponse().read())["counters"]
+        finally:
+            conn.close()
+        assert counters["serving.connections"] == 1
+        assert counters["serving.requests"] == 6
+        assert counters["serving.query_errors"] == 3
+        assert counters["serving.bad_requests"] == 0
+
+    def test_pipelined_requests_get_in_order_replies(self, server, view):
+        with _connect(server.port) as sock:
+            sock.sendall(
+                _post(b"/query", TOTAL)
+                + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+            )
+            first, second = _read_replies(sock, 2)
+        assert first[0] == 200 and first[2]["result"] == view.total()
+        assert second[0] == 200 and second[2] == {"ok": True}
+
+    def test_unrouted_post_body_does_not_poison_the_next_request(
+        self, server
+    ):
+        with _connect(server.port) as sock:
+            sock.sendall(
+                _post(b"/nope", b"GET /stats HTTP/1.1\r\n\r\n")
+                + _post(b"/query", TOTAL)
+            )
+            first, second = _read_replies(sock, 2)
+        assert first[0] == 404
+        assert second[0] == 200 and second[2]["ok"]
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            (b"-1", 400),
+            (b"abc", 400),
+            (b"9" * 5000, 400),
+            (b"9999999999", 413),
+            (b"%d" % (server_module.MAX_BODY_BYTES + 1), 413),
+        ],
+        ids=["negative", "text", "huge-digits", "10-digits", "max-plus-1"],
+    )
+    def test_bad_content_length_is_a_typed_reply_then_close(
+        self, server, capfd, length, status
+    ):
+        baseline = threading.active_count()
+        began = time.time()
+        with _connect(server.port) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: "
+                + length + b"\r\n\r\n"
+            )
+            [(got, headers, body)] = _read_replies(sock, 1, within=1.0)
+            assert _closed_within(sock, 1.0)
+        assert time.time() - began < 1.0
+        assert got == status
+        assert headers["connection"] == "close"
+        assert body["ok"] is False and body["retriable"] is False
+        assert server.counters.value("serving.bad_requests") == 1
+        assert _threads_return_to(baseline)
+        assert capfd.readouterr().err == ""
+
+    def test_post_without_content_length_is_400(self, server):
+        with _connect(server.port) as sock:
+            sock.sendall(b"POST /query HTTP/1.1\r\nHost: t\r\n\r\n")
+            [(status, _headers, body)] = _read_replies(sock, 1)
+            assert _closed_within(sock, 1.0)
+        assert status == 400 and body["retriable"] is False
+
+    def test_get_with_a_body_is_answered_then_closed(self, server):
+        with _connect(server.port) as sock:
+            sock.sendall(
+                b"GET /healthz HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd"
+            )
+            [(status, headers, _body)] = _read_replies(sock, 1)
+            assert _closed_within(sock, 1.0)
+        assert status == 200 and headers["connection"] == "close"
+
+    def test_short_body_and_idle_connection_time_out(
+        self, view, monkeypatch, capfd
+    ):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
+        with CubeServer(view, workers=1, port=0).start() as srv:
+            baseline = threading.active_count()
+            with _connect(srv.port) as stalled, _connect(srv.port) as idle:
+                stalled.sendall(
+                    b"POST /query HTTP/1.1\r\nContent-Length: 50\r\n\r\n{"
+                )
+                assert _closed_within(stalled, 1.0)
+                assert _closed_within(idle, 1.0)
+            assert _threads_return_to(baseline)
+            assert srv.counters.value("serving.requests") == 0
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        ],
+        ids=["http10", "http10-keep-alive", "connection-close"],
+    )
+    def test_one_reply_then_close(self, server, request_bytes):
+        with _connect(server.port) as sock:
+            sock.sendall(request_bytes)
+            [(status, headers, body)] = _read_replies(sock, 1)
+            assert _closed_within(sock, 1.0)
+        assert (status, body) == (200, {"ok": True})
+        assert headers["connection"] == "close"
+
+    def test_shed_reply_leaves_the_connection_usable(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        with _no_free_slots(server):
+            conn.request("POST", "/query", body=TOTAL)
+            resp = conn.getresponse()
+            assert resp.status == 503
+            assert json.loads(resp.read())["retriable"] is True
+        try:
+            conn.request("POST", "/query", body=TOTAL)
+            resp = conn.getresponse()
+            assert resp.status == 200 and json.loads(resp.read())["ok"]
+        finally:
+            conn.close()
+        assert server.counters.value("serving.connections") == 1
+
+    def test_deadline_reply_leaves_the_connection_usable(
+        self, view, monkeypatch
+    ):
+        release = threading.Event()
+        real = server_module.execute_query
+
+        def execute(view_, spec):
+            if spec.get("op") == "slow":
+                release.wait(5)
+                return 0
+            return real(view_, spec)
+
+        monkeypatch.setattr(server_module, "execute_query", execute)
+        with CubeServer(
+            view, workers=2, queue_depth=0, deadline=0.05, port=0
+        ).start() as srv:
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", srv.port, timeout=5
+            )
+            try:
+                conn.request("POST", "/query", body=b'{"op": "slow"}')
+                resp = conn.getresponse()
+                assert resp.status == 504
+                assert json.loads(resp.read())["retriable"] is True
+                conn.request("POST", "/query", body=TOTAL)
+                resp = conn.getresponse()
+                assert resp.status == 200 and json.loads(resp.read())["ok"]
+            finally:
+                release.set()
+                conn.close()
+            assert srv.counters.value("serving.connections") == 1
+            # No admission slot leaks: both come back once the sleeper ends.
+            deadline = time.time() + 5
+            while time.time() < deadline:
+                with _no_free_slots(srv) as free:
+                    pass
+                if free == 2:
+                    break
+                time.sleep(0.02)
+            assert free == 2
+
+    def test_client_reset_mid_reply_is_counted_not_printed(
+        self, view, monkeypatch, capfd
+    ):
+        received = threading.Event()
+        release = threading.Event()
+
+        def execute(view_, spec):
+            received.set()
+            release.wait(5)
+            return 0
+
+        monkeypatch.setattr(server_module, "execute_query", execute)
+        with CubeServer(view, workers=1, port=0).start() as srv:
+            sock = _connect(srv.port)
+            sock.sendall(_post(b"/query", TOTAL))
+            assert received.wait(5)
+            # SO_LINGER 0: close() sends RST, so the reply hits a dead peer.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+            release.set()
+            deadline = time.time() + 5
+            while (
+                not srv.counters.value("serving.disconnects")
+                and time.time() < deadline
+            ):
+                time.sleep(0.01)
+            assert srv.counters.value("serving.disconnects") == 1
+        assert capfd.readouterr().err == ""
+
+    def test_close_drops_idle_and_in_flight_connections(
+        self, view, monkeypatch
+    ):
+        received = threading.Event()
+        release = threading.Event()
+        real = server_module.execute_query
+
+        def execute(view_, spec):
+            if spec.get("op") == "slow":
+                received.set()
+                release.wait(5)
+                return 0
+            return real(view_, spec)
+
+        monkeypatch.setattr(server_module, "execute_query", execute)
+        srv = CubeServer(view, workers=2, port=0).start()
+        socks = [_connect(srv.port) for _ in range(5)]
+        try:
+            for sock in socks[:4]:  # kept alive, now idle
+                sock.sendall(_post(b"/query", TOTAL))
+                assert _read_replies(sock, 1)[0][0] == 200
+            socks[4].sendall(_post(b"/query", b'{"op": "slow"}'))
+            assert received.wait(5)
+            began = time.time()
+            srv.close()
+            assert time.time() - began < 2.0
+            for sock in socks:
+                assert _closed_within(sock, 1.0)
+        finally:
+            release.set()
+            for sock in socks:
+                sock.close()
+
+
+class _RecordingSocket:
+    """Delegates to a real socket, recording each ``send``/``sendall``."""
+
+    def __init__(self, sock, sends):
+        self._sock = sock
+        self._sends = sends
+
+    def send(self, data, *flags):
+        self._sends.append(bytes(data))
+        return self._sock.send(data, *flags)
+
+    def sendall(self, data, *flags):
+        self._sends.append(bytes(data))
+        return self._sock.sendall(data, *flags)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestResponseFraming:
+    """Every reply is one HTTP/1.1 response in one socket write."""
+
+    REQUESTS = {
+        "query-200": (_post(b"/query", TOTAL), 200),
+        "query-error-400": (_post(b"/query", b'{"op": "dice"}'), 400),
+        "invalid-json-400": (_post(b"/query", b"not json"), 400),
+        "healthz-200": (b"GET /healthz HTTP/1.1\r\n\r\n", 200),
+        "stats-200": (b"GET /stats HTTP/1.1\r\n\r\n", 200),
+        "get-404": (b"GET /nope HTTP/1.1\r\n\r\n", 404),
+        "post-404": (_post(b"/nope", b"{}"), 404),
+        "bad-length-400": (
+            b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400,
+        ),
+        "too-long-413": (
+            b"POST /query HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n", 413,
+        ),
+        "bad-request-line-400": (b"nonsense\r\n\r\n", 400),
+        "unknown-method-501": (b"PUT /query HTTP/1.1\r\n\r\n", 501),
+        "shed-503": (_post(b"/query", b'{"op": "shed"}'), 503),
+        "deadline-504": (_post(b"/query", b'{"op": "slow"}'), 504),
+    }
+
+    @pytest.fixture
+    def recording_server(self, view, monkeypatch):
+        real = server_module.execute_query
+
+        def execute(view_, spec):
+            if spec.get("op") == "slow":
+                time.sleep(0.2)
+                return 0
+            return real(view_, spec)
+
+        monkeypatch.setattr(server_module, "execute_query", execute)
+        sends = []
+        with CubeServer(view, workers=1, deadline=0.05, port=0) as srv:
+            accept = srv._httpd.get_request
+
+            def get_request():
+                sock, address = accept()
+                return _RecordingSocket(sock, sends), address
+
+            srv._httpd.get_request = get_request
+            yield srv.start(), sends
+
+    @pytest.mark.parametrize("name", sorted(REQUESTS))
+    def test_reply_is_one_response_in_one_write(self, recording_server, name):
+        srv, sends = recording_server
+        request_bytes, status = self.REQUESTS[name]
+        shed = name == "shed-503"
+        with _no_free_slots(srv) if shed else contextlib.nullcontext():
+            with _connect(srv.port) as sock:
+                sock.sendall(request_bytes)
+                sock.shutdown(socket.SHUT_WR)  # EOF ends the connection
+                wire = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert sends == [wire]
+        head, _, body = wire.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("ascii").split("\r\n")
+        assert status_line.startswith(f"HTTP/1.1 {status} ")
+        headers = dict(line.lower().split(": ", 1) for line in header_lines)
+        assert headers["content-type"] == "application/json"
+        assert int(headers["content-length"]) == len(body)
+        assert isinstance(json.loads(body), dict)
