@@ -8,7 +8,7 @@ straight equality check between two of them.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..relation.lattice import (
     CGroup,
@@ -18,6 +18,19 @@ from ..relation.lattice import (
     mask_size,
 )
 from ..relation.schema import Schema
+
+
+def matching_rows(
+    groups: Dict[Tuple, object], fixed: Iterable[Tuple[int, object]]
+) -> List[Tuple[Tuple, object]]:
+    """The items of ``groups`` whose key equals, at every ``(position,
+    value)`` of ``fixed``, the given value; in dict order."""
+    fixed = list(fixed)
+    return [
+        item
+        for item in groups.items()
+        if all(item[0][at] == value for at, value in fixed)
+    ]
 
 
 class CubeResult:
@@ -108,6 +121,11 @@ class CubeResult:
             # Published whole: a second reader never sees it half-built.
             self._by_mask = by_mask
         return dict(by_mask.get(mask, ()))
+
+    def rows_matching(self, mask: int, fixed) -> List[Tuple[Tuple, object]]:
+        """:func:`matching_rows` of one cuboid, in cuboid order — the
+        selection seam :class:`CubeView` queries through."""
+        return matching_rows(self.cuboid(mask), fixed)
 
     def items(self) -> Iterator[Tuple[CGroup, object]]:
         return iter(self._groups.items())

@@ -67,6 +67,29 @@ class CubeView:
                 raise QueryError("cube has no apex; is it materialized?")
         return groups
 
+    def _rows_matching(
+        self, mask: int, fixed: Dict[str, object]
+    ) -> List[Tuple[Tuple, object]]:
+        """The ``(values, aggregate)`` rows of cuboid ``mask`` whose named
+        dimensions equal the ``fixed`` values.  Selection is the cube's
+        (``rows_matching``: a scan in memory, code space on a store); all
+        answer shaping stays in the operations."""
+        ordered = mask_dimensions(mask, self.schema.num_dimensions)
+        positions = []
+        for name, value in fixed.items():
+            try:
+                hash(value)
+            except TypeError:
+                raise QueryError(
+                    f"dimension {name!r} cannot be fixed to an unhashable "
+                    f"{type(value).__name__}"
+                ) from None
+            positions.append((ordered.index(self._dimension_index(name)), value))
+        rows = self.cube.rows_matching(mask, positions)
+        if not rows:
+            self._named_groups(mask)  # same apex check as a full read
+        return rows
+
     # -- operations ------------------------------------------------------------
 
     def rollup(self, *dimensions: str) -> Dict[Tuple, object]:
@@ -80,9 +103,9 @@ class CubeView:
         mask = self._mask_for(dimensions)
         ordered = mask_dimensions(mask, self.schema.num_dimensions)
         requested = [self.schema.dimension_index(d) for d in dimensions]
-        groups = self._named_groups(mask)
+        groups = self._named_groups(mask)  # the cube hands out a fresh dict
         if list(ordered) == requested:
-            return dict(groups)
+            return groups
         # Caller listed dimensions out of schema order: permute values.
         positions = [ordered.index(i) for i in requested]
         return {
@@ -108,21 +131,15 @@ class CubeView:
         {("laptop", 2012): 2, ...}
         """
         full = (1 << self.schema.num_dimensions) - 1
-        fixed_indexes = {
-            self._dimension_index(name): value
-            for name, value in fixed.items()
-        }
-        groups = self._named_groups(full)
-        result: Dict[Tuple, object] = {}
         free = [
             i
-            for i in range(self.schema.num_dimensions)
-            if i not in fixed_indexes
+            for i, name in enumerate(self.schema.dimensions)
+            if name not in fixed
         ]
-        for values, agg in groups.items():
-            if all(values[i] == v for i, v in fixed_indexes.items()):
-                result[tuple(values[i] for i in free)] = agg
-        return result
+        return {
+            tuple(values[i] for i in free): agg
+            for values, agg in self._rows_matching(full, fixed)
+        }
 
     def dice(
         self, **predicates: Callable[[object], bool]
@@ -160,20 +177,15 @@ class CubeView:
         """
         if into in group:
             raise QueryError(f"cannot drill into fixed dimension {into!r}")
-        dims = list(group) + [into]
-        mask = self._mask_for(dims)
-        ordered = mask_dimensions(mask, self.schema.num_dimensions)
-        # Where each dimension sits in this cuboid's value tuples.
-        into_at = ordered.index(self._dimension_index(into))
-        fixed = [
-            (ordered.index(self._dimension_index(name)), value)
-            for name, value in group.items()
-        ]
-        result: Dict[object, object] = {}
-        for values, agg in self._named_groups(mask).items():
-            if all(values[at] == value for at, value in fixed):
-                result[values[into_at]] = agg
-        return result
+        mask = self._mask_for(list(group) + [into])
+        # Where the expanded dimension sits in this cuboid's value tuples.
+        into_at = mask_dimensions(mask, self.schema.num_dimensions).index(
+            self._dimension_index(into)
+        )
+        return {
+            values[into_at]: agg
+            for values, agg in self._rows_matching(mask, group)
+        }
 
     def top(
         self,

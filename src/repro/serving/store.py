@@ -43,8 +43,10 @@ in ``repr`` order instead of failing.
 :meth:`CubeStore.open` reads only the header and footer; dictionaries
 and segment bytes are fetched (and CRC-checked) on first touch, so a
 point or slice query pays for exactly the cuboids it reads.  A small LRU
-keeps hot segments decoded.  Corruption anywhere — bad magic, truncated
-footer, a flipped byte in a segment — fails with a one-line,
+keeps hot segments as loaded — code columns, not decoded groups — and
+:meth:`CubeStore.rows_matching` selects in code space, decoding only the
+rows that match.  Corruption anywhere — bad magic, truncated footer, a
+flipped byte in a segment, code rows out of order — fails with a one-line,
 offset-numbered :class:`StoreError` instead of silently serving wrong
 aggregates.  :meth:`CubeStore.write` publishes atomically: the bytes go
 to a sibling temp file, are fsynced, and replace ``path`` in one rename,
@@ -62,9 +64,13 @@ import sys
 import threading
 import zlib
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain, compress, islice
+from operator import itemgetter, lt
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..cubing.result import CubeResult
 from ..relation.lattice import all_cuboids, group_sort_key, mask_dimensions
@@ -303,6 +309,47 @@ def estimate_cube_bytes(cube: CubeResult) -> int:
     return total
 
 
+class _Segment(NamedTuple):
+    """One cuboid as it is on disk, and as the LRU holds it.  Immutable
+    once loaded, so readers share it without a lock."""
+
+    #: Per dimension: code column, store dictionary (``code -> value``)
+    #: and that dictionary's index (``value -> codes``).
+    columns: List[Tuple[array, Sequence, Dict]]
+    aggregates: Sequence
+
+    def pairs(self, rows: Optional[Sequence[int]] = None) -> Iterable[Tuple]:
+        """``(values, aggregate)`` of the rows numbered ``rows`` (default:
+        every row), decoded through the dictionaries."""
+        if rows is None:
+            count, pick = len(self.aggregates), iter
+        else:
+            count, pick = len(rows), lambda column: map(column.__getitem__, rows)
+        keys = [map(values.__getitem__, pick(c)) for c, values, _ in self.columns]
+        return zip(zip(*keys) if keys else [()] * count, pick(self.aggregates))
+
+    def rows_matching(self, fixed: Iterable[Tuple[int, object]]) -> List[Tuple]:
+        """The ``(values, aggregate)`` rows whose value at every
+        ``(position, value)`` of ``fixed`` equals (``==``) the given one,
+        in row order.  Each value becomes its dictionary codes (none: no
+        row); a fixed leading column is bisected, any other compared in
+        C, and only the surviving rows are decoded."""
+        rows: Sequence[int] = range(len(self.aggregates))
+        for position, value in sorted(fixed, key=itemgetter(0)):
+            column, _, index = self.columns[position]
+            codes = index.get(value, ())
+            if position == 0:  # rows ascend in code order
+                spans = (
+                    range(bisect_left(column, c), bisect_right(column, c))
+                    for c in codes
+                )
+                rows = list(chain.from_iterable(spans))
+            else:
+                cells = column if type(rows) is range else map(column.__getitem__, rows)
+                rows = list(compress(rows, map(codes.__contains__, cells)))
+        return list(self.pairs(rows))
+
+
 class CubeStore:
     """A cube materialized as an offset-indexed, lazily-read store file.
 
@@ -340,8 +387,8 @@ class CubeStore:
         self._handle = handle
         self._index = index
         self._dictionary_index = dictionary_index
-        self._dictionaries: Dict[int, Sequence] = {}
-        self._cache: "OrderedDict[int, Dict[Tuple, object]]" = OrderedDict()
+        self._dictionaries: Dict[int, Tuple[Sequence, Dict]] = {}
+        self._cache: "OrderedDict[int, _Segment]" = OrderedDict()
         self._cache_size = max(1, segment_cache_size)
         self._lock = threading.RLock()
 
@@ -595,7 +642,15 @@ class CubeStore:
         return {mask: entry["groups"] for mask, entry in self._index.items()}
 
     def cuboid(self, mask: int) -> Dict[Tuple, object]:
-        """One cuboid's ``{values: aggregate}``, loaded (and cached) lazily."""
+        """One cuboid's ``{values: aggregate}``: a fresh dict per call,
+        decoded from the lazily loaded (and cached) segment columns."""
+        return dict(self._segment(mask).pairs())
+
+    def rows_matching(self, mask: int, fixed) -> List[Tuple[Tuple, object]]:
+        """``CubeResult.rows_matching`` for one cuboid, in code space."""
+        return self._segment(mask).rows_matching(fixed)
+
+    def _segment(self, mask: int) -> _Segment:
         with self._lock:
             cached = self._cache.get(mask)
             if cached is not None:
@@ -607,11 +662,11 @@ class CubeStore:
                 raise StoreError(
                     f"{self.path}: cuboid 0x{mask:x} is not materialized"
                 )
-            groups = self._load_segment(mask, entry)
-            self._cache[mask] = groups
+            segment = self._load_segment(mask, entry)
+            self._cache[mask] = segment
             if len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
-            return groups
+            return segment
 
     def _read(self, entry: Dict, where: str) -> bytes:
         """The CRC-checked bytes of one footer-indexed dictionary/segment."""
@@ -630,10 +685,13 @@ class CubeStore:
             )
         return raw
 
-    def _dictionary(self, dim: int) -> Sequence:
-        """One dimension's ``code -> value`` sequence, loaded on first use."""
-        values = self._dictionaries.get(dim)
-        if values is None:
+    def _dictionary(self, dim: int) -> Tuple[Sequence, Dict]:
+        """One dimension's ``code -> value`` sequence and ``value ->
+        codes`` index, loaded on first use.  The index has the ``==``
+        semantics of a scan: look-alikes (``1``/``1.0``/``True``) share
+        an entry holding each one's code, ascending."""
+        loaded = self._dictionaries.get(dim)
+        if loaded is None:
             entry = self._dictionary_index[dim]
             where = (
                 f"{self.path}: dictionary for dimension "
@@ -643,10 +701,16 @@ class CubeStore:
             values, end = _unpack(raw, 0, entry["count"], where)
             if end != len(raw):
                 raise StoreError(f"{where}: {len(raw) - end} trailing bytes")
-            self._dictionaries[dim] = values
-        return values
+            index: Dict[object, Tuple[int, ...]] = {}
+            try:
+                for code, value in enumerate(values):
+                    index[value] = index.get(value, ()) + (code,)
+            except TypeError:
+                raise StoreError(f"{where}: unhashable group value") from None
+            loaded = self._dictionaries[dim] = (values, index)
+        return loaded
 
-    def _load_segment(self, mask: int, entry: Dict) -> Dict[Tuple, object]:
+    def _load_segment(self, mask: int, entry: Dict) -> _Segment:
         where = (
             f"{self.path}: segment for cuboid 0x{mask:x} at offset "
             f"{entry['offset']}"
@@ -656,34 +720,39 @@ class CubeStore:
         count, pos = entry["groups"], 0
         columns = []
         for dim in mask_dimensions(mask, self.schema.num_dimensions):
-            values = self._dictionary(dim)
+            values, index = self._dictionary(dim)
             codes, pos = _unpack(raw, pos, count, where, b"i")
             if count and not 0 <= min(codes) <= max(codes) < len(values):
                 raise StoreError(
                     f"{where}: code outside the {len(values)}-value "
                     f"dictionary of dimension {self.schema.dimensions[dim]!r}"
                 )
-            columns.append(map(values.__getitem__, codes))
+            columns.append((codes, values, index))
         aggregates, pos = _unpack(raw, pos, count, where)
         if pos != len(raw):
             raise StoreError(f"{where}: {len(raw) - pos} trailing bytes")
-        try:
-            groups = dict(
-                zip(zip(*columns) if columns else [()] * count, aggregates)
-            )
-        except TypeError:
-            raise StoreError(f"{where}: unhashable group value") from None
-        if len(groups) != count:
-            raise StoreError(
-                f"{where}: {len(groups)} groups, footer promised {count}"
-            )
-        return groups
+        # Strictly ascending code rows: what the writer emits, what
+        # licenses the bisect, and proof that no group repeats.
+        coded = [codes for codes, _, _ in columns]
+        later = zip(*(islice(codes, 1, None) for codes in coded))
+        if not (all(map(lt, zip(*coded), later)) if coded else count <= 1):
+            raise StoreError(f"{where}: code rows are not strictly ascending")
+        segment = _Segment(columns, aggregates)
+        # Look-alike values are equal under distinct codes: only with them
+        # can distinct code rows still repeat a group, so count the groups.
+        if any(len(index) < len(values) for _, values, index in columns):
+            groups = len(dict(segment.pairs()))
+            if groups != count:
+                raise StoreError(
+                    f"{where}: {groups} groups, footer promised {count}"
+                )
+        return segment
 
     def to_cube(self) -> CubeResult:
         """Materialize the whole store back into a :class:`CubeResult`."""
         groups: Dict[Tuple[int, Tuple], object] = {}
         for mask in self._index:
-            for values, value in self.cuboid(mask).items():
+            for values, value in self._segment(mask).pairs():
                 groups[(mask, values)] = value
         return CubeResult(self.schema, groups)
 

@@ -37,8 +37,9 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from ..cubing.result import matching_rows
 from ..query.view import CubeView, QueryError
-from ..relation.lattice import mask_dimensions
+from ..relation.lattice import mask_dimensions, mask_size
 from .store import CubeStore, ServingCounters, StoreError
 
 #: Default number of finished query results kept hot per view.
@@ -49,15 +50,16 @@ class _StoredCube:
     """Duck-typed ``CubeResult`` face over a :class:`CubeStore`.
 
     Implements exactly the surface :class:`CubeView` touches —
-    ``schema``, ``cuboid``, ``value``, ``num_groups``,
-    ``groups_per_cuboid`` — backed by lazy segment reads and the
-    ancestor re-aggregation planner.
+    ``schema``, ``cuboid``, ``rows_matching``, ``value``, ``num_groups``,
+    ``groups_per_cuboid`` — backed by lazy segment reads, selection in
+    code space, and the ancestor re-aggregation planner.
     """
 
     def __init__(self, store: CubeStore):
         self.store = store
         self.schema = store.schema
         self.counters = store.counters
+        self._lock = threading.Lock()  # guards the one counter bumped here
 
     @property
     def num_groups(self) -> int:
@@ -80,8 +82,17 @@ class _StoredCube:
             return self.store.cuboid(mask)
         return self._reaggregate(mask)
 
+    def rows_matching(self, mask: int, fixed) -> List[Tuple[Tuple, object]]:
+        if self.store.has_cuboid(mask):
+            return self.store.rows_matching(mask, fixed)
+        return matching_rows(self._reaggregate(mask), fixed)
+
     def value(self, mask: int, values: Tuple):
-        return self.cuboid(mask)[values]
+        """A point lookup; ``KeyError`` when absent, as a dict would."""
+        if len(values) == mask_size(mask):
+            for _, value in self.rows_matching(mask, enumerate(values)):
+                return value
+        raise KeyError((mask, values))
 
     def _covering_ancestor(self, mask: int) -> int:
         """The smallest materialized cuboid covering ``mask``.
@@ -114,7 +125,8 @@ class _StoredCube:
 
         fn = get_aggregate(self.store.aggregate_name)
         ancestor = self._covering_ancestor(mask)
-        self.counters.bump("serving.reaggregations")
+        with self._lock:
+            self.counters.bump("serving.reaggregations")
         ancestor_dims = mask_dimensions(ancestor, self.schema.num_dimensions)
         wanted = mask_dimensions(mask, self.schema.num_dimensions)
         positions = [ancestor_dims.index(i) for i in wanted]
@@ -175,17 +187,27 @@ class StoredCubeView(CubeView):
     # -- result cache --------------------------------------------------------
 
     def _cached(self, key: Tuple, compute):
+        """Probe and insert under the lock, ``compute`` outside it: a hit
+        never queues behind another thread's segment read.  Two racing
+        misses both compute — equal answers, the later insert wins."""
+        try:
+            hash(key)
+        except TypeError:  # an unhashable fixed value: CubeView names it
+            return compute()
         with self._lock:
-            if key in self._results:
+            hit = key in self._results
+            self.counters.bump(
+                "serving.cache_hit" if hit else "serving.cache_miss"
+            )
+            if hit:
                 self._results.move_to_end(key)
-                self.counters.bump("serving.cache_hit")
                 return self._copy(self._results[key])
-            self.counters.bump("serving.cache_miss")
-            result = compute()
+        result = compute()
+        with self._lock:
             self._results[key] = result
             if len(self._results) > self._result_cache_size:
                 self._results.popitem(last=False)
-            return self._copy(result)
+        return self._copy(result)
 
     @staticmethod
     def _copy(result):
@@ -209,24 +231,17 @@ class StoredCubeView(CubeView):
         )
 
     def slice(self, **fixed) -> Dict[Tuple, object]:
-        try:
-            key = ("slice", tuple(sorted(fixed.items())))
-        except TypeError:
-            # Unorderable mixed-type values: answer uncached.
-            return super().slice(**fixed)
         return self._cached(
-            key, lambda: super(StoredCubeView, self).slice(**fixed)
+            ("slice", tuple(sorted(fixed.items()))),
+            lambda: super(StoredCubeView, self).slice(**fixed),
         )
 
     def drilldown(
         self, group: Dict[str, object], into: str
     ) -> Dict[object, object]:
-        try:
-            key = ("drilldown", tuple(sorted(group.items())), into)
-        except TypeError:
-            return super().drilldown(group, into)
         return self._cached(
-            key,
+            # key=repr: group names of any type order (CubeView rejects them).
+            ("drilldown", tuple(sorted(group.items(), key=repr)), into),
             lambda: super(StoredCubeView, self).drilldown(group, into),
         )
 

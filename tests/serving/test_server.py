@@ -83,6 +83,22 @@ class TestWireProtocol:
         assert body["retriable"] is False
         assert "unknown dimension" in body["error"]
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"op": "slice", "fixed": {"a1": [1]}},
+            {"op": "drilldown", "group": {"a1": {"k": 1}}, "into": "a2"},
+        ],
+        ids=["slice-list", "drilldown-object"],
+    )
+    def test_unhashable_fixed_value_is_400_naming_the_dimension(
+        self, server, spec
+    ):
+        status, body = _request(server.port, "/query", spec)
+        assert status == 400
+        assert "'a1'" in body["error"] and "unhashable" in body["error"]
+        assert "\n" not in body["error"]
+
     def test_unknown_op_is_400(self, server):
         status, body = _request(server.port, "/query", {"op": "dice"})
         assert status == 400

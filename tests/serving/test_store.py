@@ -1,6 +1,8 @@
 """The on-disk cube store: format, laziness, corruption detection."""
 
+import hashlib
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,12 @@ class TestWriteOpen:
         path = tmp_path / "cube.store"
         written = CubeStore.write(cube, str(path), aggregate="count")
         assert written == path.stat().st_size > 0
+
+    def test_format_bytes_are_pinned(self, store_path):
+        # The writer's output for a fixed cube, byte for byte: a change
+        # here is a format change and needs a new FORMAT_VERSION.
+        digest = hashlib.sha256(Path(store_path).read_bytes()).hexdigest()
+        assert (FORMAT_VERSION, digest[:16]) == (2, "f8523f81c6ace4d8")
 
     def test_metadata_survives(self, store_path, retail_schema):
         with CubeStore.open(store_path) as store:
@@ -166,6 +174,15 @@ class TestLaziness:
             store.cuboid(0b011)
             assert store.counters.value("serving.segment_load") == 1
             assert store.counters.value("serving.segment_hit") == 1
+
+    def test_caller_mutation_cannot_poison_segment_cache(self, cube, store_path):
+        with CubeStore.open(store_path) as store:
+            first = store.cuboid(0b011)
+            first[next(iter(first))] = -1
+            first["poison"] = -1
+            assert store.cuboid(0b011) == cube.cuboid(0b011)
+            assert store.cuboid(0b011) is not store.cuboid(0b011)
+            assert store.counters.value("serving.segment_load") == 1
 
     def test_lru_evicts_cold_segments(self, cube, store_path):
         with CubeStore.open(store_path, segment_cache_size=2) as store:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import struct
 import tempfile
 import zlib
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.aggregates import get_aggregate
 from repro.cubing import CubeResult, sequential_cube
+from repro.cubing.result import matching_rows
 from repro.relation import Relation, Schema, mask_dimensions, mask_size
 from repro.serving import CubeStore, StoreError
 
@@ -159,6 +161,10 @@ FUZZ_CUBES = {
 }
 
 
+#: The documented column prefix: kind, item size, payload bytes.
+COLUMN_PREFIX = struct.Struct("<cBQ")
+
+
 def split_store(data):
     """``(body, footer dict)`` of a store file's bytes."""
     pointer = data.rstrip(b"\n").rsplit(b"\n", 1)[1]
@@ -188,6 +194,11 @@ def read_back(path, data):
         # footer's group counts (the reader checks those itself).
         for (mask, values), _ in cube.items():
             assert 0 <= mask < 4 and len(values) == mask_size(mask)
+            # ... and selecting in code space agrees with scanning it.
+            fixed = [(len(values) - 1, values[-1])] if values else []
+            assert store.rows_matching(mask, fixed) == matching_rows(
+                cube.cuboid(mask), fixed
+            )
         return cube
 
 
@@ -255,6 +266,51 @@ class TestByteFuzz:
                     assert "\n" not in str(error)
                     outcomes.add("error")
         assert outcomes == {"cube", "error"}
+
+    @pytest.mark.parametrize("damage", ["swapped", "repeated"])
+    def test_matching_crc_disordered_code_rows_are_error(self, fuzz_store, damage):
+        # Only code rows move, so the parent reader would have served the
+        # swap as a well-formed cube with two aggregates exchanged.
+        cube, path, data = fuzz_store
+        body, footer = split_store(data)
+        finest = [entry["mask"] for entry in footer["cuboids"]].index(0b11)
+        forged, target = forge(footer, len(footer["dictionaries"]) + finest)
+        start, stop = target["offset"], target["offset"] + target["length"]
+        segment, pos = bytearray(body[start:stop]), 0
+        for _ in range(2):  # the two code columns lead the segment
+            kind, size, length = COLUMN_PREFIX.unpack_from(segment, pos)
+            assert kind == b"i" and length == size * target["groups"]
+            pos += COLUMN_PREFIX.size
+            first, second = slice(pos, pos + size), slice(pos + size, pos + 2 * size)
+            if damage == "swapped":
+                segment[first], segment[second] = segment[second], segment[first]
+            else:
+                segment[second] = segment[first]
+            pos += length
+        target["crc32"] = zlib.crc32(segment)
+        mutated = body[:start] + bytes(segment) + body[stop:]
+        with pytest.raises(StoreError, match="not strictly ascending"):
+            read_back(path, join_store(mutated, forged))
+
+    def test_matching_crc_lookalike_rows_repeating_a_group_are_error(self, tmp_path):
+        # Codes 0, 1, 2 are 1, True, 2: rewriting cuboid a's rows from
+        # (1,), (2,) to (1,), (True,) keeps them strictly ascending and in
+        # range, yet they are one group twice.
+        cube = CubeResult(
+            SCHEMA, {(0b01, (1,)): 2, (0b01, (2,)): 3, (0b11, (True, "x")): 1}
+        )
+        path = tmp_path / "cube.store"
+        CubeStore.write(cube, str(path), aggregate="count")
+        body, footer = split_store(path.read_bytes())
+        forged, target = forge(footer, len(footer["dictionaries"]) + 1)
+        assert target["mask"] == 0b01 and target["groups"] == 2
+        at = target["offset"] + COLUMN_PREFIX.size + 1  # the second int8 code
+        assert body[at] == 2
+        mutated = body[:at] + b"\x01" + body[at + 1 :]
+        start, stop = target["offset"], target["offset"] + target["length"]
+        target["crc32"] = zlib.crc32(mutated[start:stop])
+        with pytest.raises(StoreError, match="1 groups, footer promised 2"):
+            read_back(path, join_store(mutated, forged))
 
     def test_matching_crc_short_length_is_error(self, fuzz_store):
         # A column cut short inside a checksummed region: the footer

@@ -6,7 +6,14 @@ engines, for iceberg-pruned cubes, and through the ancestor
 re-aggregation path of deliberately partial stores.
 """
 
+import sys
+import tempfile
+import threading
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ClusterConfig,
@@ -19,8 +26,11 @@ from repro import (
     SPCube,
     StoredCubeView,
 )
-from repro.aggregates import Average, Sum
+from repro.aggregates import Average, Sum, get_aggregate
+from repro.cubing import CubeResult, sequential_cube
 from repro.datagen import gen_binomial
+from repro.relation import Relation, Schema, all_cuboids, mask_dimensions
+from repro.serving import CubeStore
 
 ENGINES = [NaiveCube, MRCube, HiveCube, PipeSortMR, SPCube]
 
@@ -184,6 +194,139 @@ class TestAncestorReaggregation:
                 stored.rollup("a1")
 
 
+# -- generated-input identity -------------------------------------------------
+
+#: One family of values per dimension: plain, ``None`` next to ints,
+#: look-alikes that are ``==`` but stored under separate codes, and values
+#: that do not compare (a ``repr``-ordered dictionary).
+FAMILIES = [
+    st.integers(0, 3),
+    st.sampled_from(["a", "b", "c"]),
+    st.sampled_from([None, 1, 2]),
+    st.sampled_from([0, 0.0, False, 1, 1.0, True, 2]),
+    st.sampled_from([None, "a", 1, (1,), 2.5]),
+]
+ABSENT = "~absent~"
+
+
+@st.composite
+def scenarios(draw):
+    """``(cube, write options, queries)``: a relation's cube under one of
+    three aggregates, written whole (some cuboids emptied, the apex too)
+    or partially (count only: re-aggregation must be exact), plus
+    queries whose fixed values are present, absent or look-alikes."""
+    d = draw(st.integers(1, 5))
+    names = [f"d{i}" for i in range(d)]
+    schema = Schema(names, "m")
+    columns = [draw(st.sampled_from(FAMILIES)) for _ in range(d)]
+    rows = draw(st.lists(st.tuples(*columns, st.integers(1, 3)), max_size=8))
+    aggregate = draw(st.sampled_from(["count", "avg", "top_k"]))
+    cube = sequential_cube(Relation(schema, rows), get_aggregate(aggregate))
+    masks, full = list(all_cuboids(d)), (1 << d) - 1
+    options = {"aggregate": aggregate}
+    if aggregate == "count" and draw(st.booleans()):
+        options["cuboids"] = sorted(draw(st.sets(st.sampled_from(masks))) | {full})
+    elif draw(st.booleans()):
+        emptied = draw(st.sets(st.sampled_from(masks)))
+        kept = {k: v for k, v in cube.items() if k[0] not in emptied}
+        cube = CubeResult(schema, kept)
+
+    def value_of(dim):
+        present = [row[dim] for row in rows]
+        alike = [v for v in (0, 0.0, False, 1, 1.0, True) if v in present]
+        return draw(st.sampled_from(present + alike + [ABSENT]))
+
+    def fixed(dims):
+        return {names[dim]: value_of(dim) for dim in dims}
+
+    def query():
+        op = draw(st.sampled_from(["total", "rollup", "slice", "drilldown", "value"]))
+        dims = draw(st.permutations(range(d)))[: draw(st.integers(0, d))]
+        if op == "total":
+            return (op,)
+        if op == "rollup":
+            return (op, *(names[dim] for dim in dims))
+        if op == "slice":
+            return (op, fixed(dims))
+        if op == "drilldown":
+            return (op, fixed(dims[1:]), names[dims[0] if dims else 0])
+        mask = sum(1 << dim for dim in dims)
+        return (op, mask, tuple(value_of(dim) for dim in mask_dimensions(mask, d)))
+
+    return cube, options, [query() for _ in range(draw(st.integers(1, 6)))]
+
+
+def answer(view, query):
+    """The answer to ``query``, or the typed error it raises."""
+    op, *args = query
+    try:
+        if op == "value":
+            return view.cube.value(*args)
+        if op == "slice":
+            return view.slice(**args[0])
+        return getattr(view, op)(*args)
+    except (QueryError, KeyError) as error:
+        return type(error).__name__, str(error)
+
+
+class TestGeneratedIdentity:
+    @settings(max_examples=50, deadline=None)
+    @given(scenarios())
+    def test_stored_answers_equal_memory_answers(self, scenario):
+        # ``==`` against the in-memory view is the contract.  Key order
+        # and exact types (``repr``) are compared with a scan over the
+        # *decoded* store: a memory cube iterates in engine order, a
+        # store in code order, so only that pins the pushdown's order.
+        cube, options, queries = scenario
+        with tempfile.TemporaryDirectory() as directory:
+            path = str(Path(directory) / "cube.store")
+            CubeStore.write(cube, path, **options)
+            with StoredCubeView.open(path) as stored:
+                decoded = {
+                    (mask, values): value
+                    for mask in all_cuboids(cube.schema.num_dimensions)
+                    for values, value in stored.cube.cuboid(mask).items()
+                }
+                scan = CubeView(CubeResult(cube.schema, decoded))
+                memory = CubeView(cube)
+                for query in queries:
+                    got = answer(stored, query)
+                    assert got == answer(memory, query), query
+                    assert repr(got) == repr(answer(scan, query)), query
+                    assert answer(stored, query) == got  # now from the cache
+
+
+    def test_empty_selection_gets_the_apex_check(self, tmp_path):
+        # A cube with neither apex nor finest cuboid: the full read says
+        # "no apex", and so must a selection that merely comes back empty.
+        schema = Schema(["a", "b"], "m")
+        cube = CubeResult(schema, {(0b01, ("x",)): 2})
+        path = str(tmp_path / "cube.store")
+        CubeStore.write(cube, path, aggregate="count")
+        with StoredCubeView.open(path) as stored:
+            for view in (CubeView(cube), stored):
+                with pytest.raises(QueryError, match="no apex"):
+                    view.slice(a="x")
+                with pytest.raises(QueryError, match="no apex"):
+                    view.drilldown({"a": "x"}, into="b")
+                assert view.drilldown({}, into="a") == {"x": 2}
+
+    @pytest.mark.parametrize("value", [[1], {"k": 1}], ids=["list", "object"])
+    def test_unhashable_fixed_value_names_the_dimension(
+        self, value, relation, tmp_path
+    ):
+        cube = sequential_cube(relation)
+        path = str(tmp_path / "cube.store")
+        CubeStore.write(cube, path, aggregate="count")
+        with StoredCubeView.open(path) as stored:
+            for view in (CubeView(cube), stored):
+                with pytest.raises(QueryError, match="'a2'.*unhashable"):
+                    view.slice(a1=1, a2=value)
+                with pytest.raises(QueryError, match="'a2'.*unhashable"):
+                    view.drilldown({"a2": value}, into="a1")
+            assert stored.stats()["serving.cache_miss"] == 0
+
+
 class TestResultCache:
     @pytest.fixture
     def stored(self, relation, tmp_path):
@@ -209,6 +352,105 @@ class TestResultCache:
         first = stored.rollup("a1")
         first.clear()
         assert stored.rollup("a1") != {}
+
+    def test_hit_does_not_wait_for_a_slow_miss(self, stored):
+        expected = stored.rollup("a1")
+        entered, release = threading.Event(), threading.Event()
+        read = stored.cube.cuboid
+
+        def slow_read(mask):
+            entered.set()
+            assert release.wait(10)
+            return read(mask)
+
+        stored.cube.cuboid = slow_read
+        miss = threading.Thread(target=stored.rollup, args=("a2",))
+        miss.start()
+        try:
+            assert entered.wait(10)  # the miss is inside its segment read
+            hits = []
+            hit = threading.Thread(target=lambda: hits.append(stored.rollup("a1")))
+            hit.start()
+            hit.join(5)
+            assert hits == [expected], "a hit queued behind another's miss"
+        finally:
+            release.set()
+            miss.join(10)
+        assert not miss.is_alive()
+        assert stored.stats()["serving.cache_hit"] == 1
+        assert stored.stats()["serving.cache_miss"] == 2
+
+    def test_racing_misses_both_compute_equal_answers(self, stored):
+        both_inside = threading.Barrier(2)
+        read = stored.cube.cuboid
+
+        def rendezvous(mask):
+            both_inside.wait(10)  # broken unless both compute at once
+            return read(mask)
+
+        stored.cube.cuboid = rendezvous
+        answers = []
+        threads = [
+            threading.Thread(target=lambda: answers.append(stored.rollup("a2")))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(15)
+        stored.cube.cuboid = read
+        assert len(answers) == 2 and answers[0] == answers[1]
+        assert stored.rollup("a2") == answers[0]
+        assert stored.stats()["serving.cache_miss"] == 2
+        assert stored.stats()["serving.cache_hit"] == 1
+
+    def test_stress_keeps_counters_and_cache_bound(self, relation, tmp_path):
+        # More threads than cores, a short switch interval, a cache far
+        # smaller than the key space: a lost counter update or an
+        # unguarded insert would break one of the three invariants.
+        run = SPCube(ClusterConfig(num_machines=4)).compute(relation)
+        path = str(tmp_path / "stress.store")
+        CubeStore.write(run.cube, path, aggregate="count")
+        memory = CubeView(run.cube)
+        anchors = sorted(memory.rollup("a1"))[:6]
+        expected = {
+            (anchor, into): memory.drilldown({"a1": anchor[0]}, into=into)
+            for anchor in anchors
+            for into in ("a2", "a3")
+        }
+        wrong, rounds, workers = [], 150, 8
+
+        def client(offset):
+            for step in range(rounds):
+                anchor = anchors[(offset + step) % len(anchors)]
+                into = ("a2", "a3")[step % 2]  # two segments, room for one
+                got = view.drilldown({"a1": anchor[0]}, into=into)
+                if got != expected[anchor, into]:
+                    wrong.append((anchor, into, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with StoredCubeView.open(
+                path, result_cache_size=3, segment_cache_size=1
+            ) as view:
+                threads = [
+                    threading.Thread(target=client, args=(i,))
+                    for i in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = view.stats()
+                assert len(view._results) <= 3
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert stats["serving.cache_hit"] + stats["serving.cache_miss"] == (
+            rounds * workers
+        )
 
     def test_pivot_rows_are_copies(self, stored):
         stored.pivot("a1", "a2")
