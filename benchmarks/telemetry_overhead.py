@@ -1,28 +1,20 @@
-"""Telemetry overhead twin: the same workload with and without a collector.
+"""Trace overhead twin: the same workload untraced and traced at a level.
 
-The telemetry layer's performance contract has two halves:
+Observability has one performance contract, in two halves:
 
-* **attached cost** — a run with a live :class:`Telemetry` collector may
-  not be materially slower than the identical run without one.  The twin
-  here runs the same relation on two identically-configured clusters,
-  telemetry off then on, and reports the wall-clock ratio.  CI's
-  ``telemetry-smoke`` job asserts the ratio stays under its budget.
-* **detached cost** — with no collector attached, the instrumentation
-  points must cost one attribute check and nothing else.  The micro
-  floor times the engine-style guard (``telemetry.enabled``) against the
-  null object and reports nanoseconds per check, so a refactor that
-  accidentally makes the disabled path allocate shows up as a number,
-  not a hunch.
+* **attached cost** — :func:`measure_trace_overhead` runs one relation on
+  two identically-configured clusters, tracer off then on at ``level``
+  with the watchdog, telemetry and lineage derivations riding as sinks
+  (the most expensive configuration of that level), and reports the
+  wall-clock ratio.  ``debug`` classifies every shuffled key to its
+  cuboid, so its ratio is well above 1.0 by design.
+* **detached cost** — with no tracer attached every instrumentation point
+  is ``if tracer.enabled:`` on the one null object;
+  :func:`null_guard_floor` times exactly that guard, so a refactor that
+  makes the disabled path allocate shows up as a number, not a hunch.
 
-The lineage layer (PR 9's flight recorder + watchdog) carries the same
-contract and gets the same twin: :func:`measure_lineage_overhead` runs
-the workload bare and then with a :class:`LineageRecorder` and
-:class:`Watchdog` attached — the most expensive observability
-configuration, since every shuffled key is classified to its cuboid.
-
-CI's ``telemetry-smoke`` job imports ``measure_overhead`` /
-``measure_lineage_overhead`` / ``null_guard_floor`` and asserts its
-budgets inline.
+CI's ``observability-smoke`` job imports both and asserts its budgets
+inline: ``task`` < 1.05x, ``debug`` < 2.0x, guard < 1 µs.
 """
 
 from __future__ import annotations
@@ -34,9 +26,11 @@ from repro.analysis import paper_cluster
 from repro.core import SPCube
 from repro.datagen import gen_binomial
 from repro.observability import (
-    NULL_TELEMETRY,
-    LineageRecorder,
+    NULL_TRACER,
+    LineageIndex,
+    MemorySink,
     Telemetry,
+    Tracer,
     Watchdog,
 )
 
@@ -48,80 +42,47 @@ def _timed_compute(cluster, relation) -> float:
     return time.perf_counter() - start
 
 
-def measure_overhead(
-    rows: int = 20_000, skew: float = 0.4, seed: int = 600,
-    repeats: int = 1,
+def measure_trace_overhead(
+    level: str = "task", rows: int = 20_000, skew: float = 0.4,
+    seed: int = 600, repeats: int = 1,
 ) -> Dict:
-    """Wall-clock twin: telemetry off vs on, best-of-``repeats`` each.
+    """Wall-clock twin: tracer off vs on at ``level``, best-of-``repeats``.
 
-    Returns the two times, the on/off ratio, and the sample count the
-    enabled collector gathered (so a ratio measured while collecting
-    nothing is recognizable as meaningless).
-    """
-    relation = gen_binomial(rows, skew, seed=seed)
-    off_times, on_times, samples = [], [], 0
-    for _ in range(repeats):
-        off_times.append(_timed_compute(paper_cluster(rows), relation))
-        telemetry = Telemetry(run_id="overhead-twin")
-        on_cluster = paper_cluster(rows)
-        on_cluster.telemetry = telemetry
-        on_times.append(_timed_compute(on_cluster, relation))
-        samples = len(telemetry.samples)
-    off_wall, on_wall = min(off_times), min(on_times)
-    return {
-        "rows": rows,
-        "telemetry_off_wall_seconds": round(off_wall, 4),
-        "telemetry_on_wall_seconds": round(on_wall, 4),
-        "overhead_ratio": round(on_wall / off_wall if off_wall else 0.0, 4),
-        "samples_collected": samples,
-    }
-
-
-def measure_lineage_overhead(
-    rows: int = 20_000, skew: float = 0.4, seed: int = 600,
-    repeats: int = 1,
-) -> Dict:
-    """Wall-clock twin: flight recorder + watchdog off vs on.
-
-    Returns the two times, the on/off ratio, and the flow/alert counts
-    the enabled recorder gathered (a ratio measured while recording
-    nothing is recognizable as meaningless).
+    Returns the two times, their ratio, and what the traced run recorded
+    (a ratio measured while recording nothing is recognizable as
+    meaningless).
     """
     relation = gen_binomial(rows, skew, seed=seed)
     off_times, on_times = [], []
-    flows = alerts = 0
     for _ in range(repeats):
         off_times.append(_timed_compute(paper_cluster(rows), relation))
+        sink, telemetry, lineage = MemorySink(), Telemetry(), LineageIndex()
         on_cluster = paper_cluster(rows)
-        on_cluster.lineage = LineageRecorder(run_id="overhead-twin")
-        on_cluster.watchdog = Watchdog()
+        on_cluster.tracer = Tracer(
+            [sink, Watchdog(), telemetry, lineage], level=level
+        )
         on_times.append(_timed_compute(on_cluster, relation))
-        flows = sum(len(job["flows"]) for job in on_cluster.lineage.jobs)
-        alerts = len(on_cluster.watchdog.alerts)
     off_wall, on_wall = min(off_times), min(on_times)
     return {
         "rows": rows,
-        "lineage_off_wall_seconds": round(off_wall, 4),
-        "lineage_on_wall_seconds": round(on_wall, 4),
+        "level": level,
+        "trace_off_wall_seconds": round(off_wall, 4),
+        "trace_on_wall_seconds": round(on_wall, 4),
         "overhead_ratio": round(on_wall / off_wall if off_wall else 0.0, 4),
-        "flows_recorded": flows,
-        "alerts_emitted": alerts,
+        "records": len(sink),
+        "samples": len(telemetry.samples),
+        "flows": sum(len(job["flows"]) for job in lineage.jobs.values()),
     }
 
 
 def null_guard_floor(iterations: int = 200_000) -> Dict:
-    """Nanoseconds per disabled-path check, vs an empty loop baseline.
-
-    The engine's instrumentation points reduce to ``if telemetry.enabled:``
-    when no collector is attached; this times exactly that guard on the
-    shared null object and subtracts the loop's own cost.
-    """
-    telemetry = NULL_TELEMETRY
+    """Nanoseconds per disabled-path check, vs an empty loop baseline."""
+    tracer = NULL_TRACER
     counted = 0
 
     start = time.perf_counter()
     for _ in range(iterations):
-        if telemetry.enabled:
+        if tracer.enabled:
             counted += 1
     guarded = time.perf_counter() - start
 
@@ -134,7 +95,7 @@ def null_guard_floor(iterations: int = 200_000) -> Dict:
     return {
         "iterations": iterations,
         "guard_ns_per_check": round(per_check_ns, 2),
-        "samples_taken": counted,  # always 0: the null never enables
+        "records_taken": counted,  # always 0: the null never enables
     }
 
 
@@ -142,8 +103,8 @@ if __name__ == "__main__":
     import json
 
     report = {
-        "twin": measure_overhead(),
-        "lineage_twin": measure_lineage_overhead(),
-        "null_floor": null_guard_floor(),
+        level: measure_trace_overhead(level)
+        for level in ("job", "task", "debug")
     }
+    report["null_floor"] = null_guard_floor()
     print(json.dumps(report, indent=2))

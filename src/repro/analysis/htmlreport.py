@@ -1,10 +1,10 @@
 """The unified HTML run report: one self-contained page per run.
 
 ``python -m repro report`` stitches the run's observability artifacts —
-the structured trace (:mod:`repro.observability.analyze`), the telemetry
-timeline (:mod:`repro.observability.timeline`), the doctor audit
-(:mod:`repro.observability.diagnostics`), a ``benchmarks/suite`` run
-file and ``BENCH_recovery.json`` — into a single HTML document with
+the structured trace (read once; its Trace, Telemetry and "Lineage &
+alerts" sections are three derivations of the same records), the doctor
+audit (:mod:`repro.observability.diagnostics`), a ``benchmarks/suite``
+run file and ``BENCH_recovery.json`` — into a single HTML document with
 inline CSS and inline SVG charts (:mod:`repro.analysis.charts`).  No
 JavaScript, no external assets, no network: the file opens identically
 from a CI artifact store, an email attachment, or ``file://``.
@@ -81,13 +81,12 @@ def _status_html(ok: bool, good: str = "ok", bad: str = "FAILED") -> str:
 # -- trace section ------------------------------------------------------------
 
 
-def _trace_section(trace_path) -> str:
-    if trace_path is None:
+def _trace_section(records) -> str:
+    if records is None:
         return _missing("trace")
     from ..observability import TraceAnalysis
 
-    analysis = TraceAnalysis.from_file(trace_path)
-    analysis.validate()
+    analysis = TraceAnalysis(records)
     summary = analysis.summary_dict()
     parts: List[str] = []
 
@@ -210,28 +209,21 @@ _CHARTED_SERIES = (
     ("shuffle_bytes", "shuffle bytes per job"),
     ("shuffle_records", "shuffled pairs per job"),
     ("checkpoint_bytes", "checkpoint bytes per round"),
-    ("executor_queue_depth", "executor queue depth (host)"),
-    ("driver_rss_bytes", "driver RSS bytes (host)"),
 )
 
 
-def _telemetry_section(timeline_path) -> str:
-    if timeline_path is None:
-        return _missing("telemetry timeline")
-    from ..observability import TimelineAnalysis
+def _telemetry_section(records) -> str:
+    if records is None:
+        return _missing("trace")
+    from ..observability import Telemetry, TimelineAnalysis, replay
 
-    analysis = TimelineAnalysis.from_file(timeline_path)
-    parts: List[str] = []
-    meta = analysis.meta or {}
-    parts.append(
-        f"<p>run <code>{_esc(meta.get('run_id', '?'))}</code>: "
-        f"{len(analysis.samples)} samples across "
-        f"{len(analysis.series_names())} series "
-        f"(cadence {meta.get('cadence', 0)}, "
-        f"{meta.get('dropped', 0)} cadence-dropped), "
-        f"registry dump {'present' if analysis.has_registry() else 'absent'}."
-        "</p>"
-    )
+    telemetry = replay(records, Telemetry())
+    analysis = TimelineAnalysis(telemetry.samples)
+    parts: List[str] = [
+        f"<p>{len(analysis.samples)} samples across "
+        f"{len(analysis.series_names())} series on the simulated clock; "
+        f"{len(telemetry.registry.names())} metric families.</p>"
+    ]
 
     rows = []
     for name in analysis.series_names():
@@ -241,7 +233,6 @@ def _telemetry_section(timeline_path) -> str:
                 _esc(name),
                 stats["samples"],
                 stats["label_sets"],
-                _esc(",".join(stats["sources"])),
                 _esc(f"{stats['min']:g}"),
                 _esc(f"{stats['max']:g}"),
                 _esc(f"{stats['last']:g}"),
@@ -249,8 +240,7 @@ def _telemetry_section(timeline_path) -> str:
         )
     parts.append(
         _table(
-            ["series", "samples", "label sets", "source", "min", "max",
-             "last"],
+            ["series", "samples", "label sets", "min", "max", "last"],
             rows,
         )
     )
@@ -277,22 +267,22 @@ def _telemetry_section(timeline_path) -> str:
 # -- lineage section ----------------------------------------------------------
 
 
-def _lineage_section(lineage_path) -> str:
-    if lineage_path is None:
-        return _missing("lineage artifact")
+def _lineage_section(records) -> str:
+    if records is None:
+        return _missing("trace")
     from ..observability import LineageIndex, explain_reducer
 
-    index = LineageIndex.from_file(lineage_path)
+    index = LineageIndex(records)
     parts: List[str] = [
         f"<p>run <code>{_esc(index.run_id)}</code>: "
         f"{len(index.jobs)} job execution(s), "
-        f"{sum(len(f) for f in index.flows.values())} flow edges, "
-        f"{len(index.alerts)} watchdog alert(s).</p>"
+        f"{sum(len(job['flows']) for job in index.jobs.values())} flow "
+        f"edges, {len(index.alerts)} watchdog alert(s).</p>"
     ]
 
     job_rows = []
     for (name, execution), job in sorted(index.jobs.items()):
-        flows = index.flows.get((name, execution), [])
+        flows = job["flows"]
         job_rows.append(
             [
                 _esc(name),
@@ -498,26 +488,35 @@ def _recovery_section(recovery_path) -> str:
 
 def build_report(
     trace=None,
-    telemetry=None,
-    lineage=None,
     doctor=None,
     perf=None,
     recovery=None,
     title: str = "repro run report",
 ) -> str:
-    """Render the unified report; every input path is optional."""
+    """Render the unified report; every input path is optional.
+
+    The trace file is read once (:func:`~repro.observability.load_trace`
+    — a damaged file raises its one-line, line-numbered error) and feeds
+    the three sections derived from it.
+    """
+    from ..observability import load_trace
+
+    records = None if trace is None else load_trace(trace)
     sections = (
-        ("Trace", _trace_section, trace),
-        ("Telemetry", _telemetry_section, telemetry),
-        ("Lineage & alerts", _lineage_section, lineage),
+        ("Trace", _trace_section, records),
+        ("Telemetry", _telemetry_section, records),
+        ("Lineage & alerts", _lineage_section, records),
         ("Doctor audit", _doctor_section, doctor),
         ("Bench: suite", _perf_section, perf),
         ("Bench: recovery cost", _recovery_section, recovery),
     )
     body: List[str] = [f"<h1>{_esc(title)}</h1>"]
     inputs = [
-        f"{label.lower()}: <code>{_esc(path)}</code>"
-        for label, _fn, path in sections
+        f"{label}: <code>{_esc(path)}</code>"
+        for label, path in (
+            ("trace", trace), ("doctor audit", doctor),
+            ("bench: suite", perf), ("bench: recovery cost", recovery),
+        )
         if path is not None
     ]
     body.append(
@@ -525,9 +524,9 @@ def build_report(
         + (", ".join(inputs) if inputs else "none")
         + "</p>"
     )
-    for label, render, path in sections:
+    for label, render, source in sections:
         body.append(f"<h2>{_esc(label)}</h2>")
-        body.append(render(path))
+        body.append(render(source))
     return (
         "<!DOCTYPE html>\n<html lang=\"en\"><head>"
         f"<meta charset=\"utf-8\"><title>{_esc(title)}</title>"

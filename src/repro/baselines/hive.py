@@ -48,10 +48,9 @@ from ..mapreduce.engine import (
     MapReduceJob,
     Reducer,
     TaskFactory,
+    cuboid_of_mask_key,
 )
 from ..mapreduce.metrics import RunMetrics
-from ..observability.lineage import cuboid_of_mask_key
-from ..observability.telemetry import emit_run_telemetry
 from ..observability.tracer import NULL_TRACER, emit_run_span
 from ..relation.lattice import all_cuboids, full_mask, projector
 from ..relation.relation import Relation
@@ -126,7 +125,6 @@ class HiveCube:
             cube.add(mask, values, value)
         metrics.output_groups = cube.num_groups
         emit_run_span(tracer, metrics, run_base)
-        emit_run_telemetry(self.cluster, metrics)
         return CubeRun(cube=cube, metrics=metrics)
 
     def _is_stuck(self, relation: Relation, memory_records: int) -> bool:

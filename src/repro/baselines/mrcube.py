@@ -39,10 +39,9 @@ from ..mapreduce.engine import (
     MapReduceJob,
     Reducer,
     TaskFactory,
+    cuboid_of_mask_key,
 )
 from ..mapreduce.metrics import RunMetrics
-from ..observability.lineage import cuboid_of_mask_key
-from ..observability.telemetry import emit_run_telemetry
 from ..observability.tracer import NULL_TRACER, emit_run_span
 from ..relation.lattice import all_cuboids, project, projector
 from ..relation.relation import Relation
@@ -113,7 +112,6 @@ class MRCube:
         emit_run_span(
             self.cluster.tracer or NULL_TRACER, metrics, self._run_base
         )
-        emit_run_telemetry(self.cluster, metrics)
         return CubeRun(cube=cube, metrics=metrics)
 
     def _aborted_run(
@@ -123,7 +121,6 @@ class MRCube:
         emit_run_span(
             self.cluster.tracer or NULL_TRACER, metrics, self._run_base
         )
-        emit_run_telemetry(self.cluster, metrics)
         return CubeRun(cube=CubeResult(relation.schema), metrics=metrics)
 
     # -- round 1 ----------------------------------------------------------------

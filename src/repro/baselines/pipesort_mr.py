@@ -28,10 +28,9 @@ from ..mapreduce.engine import (
     MapReduceJob,
     Reducer,
     TaskFactory,
+    cuboid_of_mask_key,
 )
 from ..mapreduce.metrics import RunMetrics
-from ..observability.lineage import cuboid_of_mask_key
-from ..observability.telemetry import emit_run_telemetry
 from ..observability.tracer import NULL_TRACER, emit_run_span
 from ..relation.lattice import full_mask, mask_size, project
 from ..relation.relation import Relation
@@ -111,7 +110,6 @@ class PipeSortMR:
             1 for job_metrics in metrics.jobs if not job_metrics.superseded
         )
         emit_run_span(tracer, metrics, self._run_base)
-        emit_run_telemetry(self.cluster, metrics)
         return CubeRun(cube=cube, metrics=metrics)
 
     def _aborted_run(
@@ -124,7 +122,6 @@ class PipeSortMR:
         emit_run_span(
             self.cluster.tracer or NULL_TRACER, metrics, self._run_base
         )
-        emit_run_telemetry(self.cluster, metrics)
         return CubeRun(cube=CubeResult(relation.schema), metrics=metrics)
 
 

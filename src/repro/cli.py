@@ -8,11 +8,11 @@ Commands
 ``sketch``         build and describe the SP-Sketch of a text relation
 ``analyze-trace``  summarize a trace file written with ``--trace``
 ``doctor``         audit sketch accuracy & load balance vs ground truth
-``metrics-export`` render a telemetry timeline as Prometheus text
+``metrics-export`` render a trace's derived metrics as Prometheus text
 ``report``         stitch run artifacts into one self-contained HTML page
-``explain-reducer`` walk a lineage artifact from a reducer back to
+``explain-reducer`` walk a debug-level trace from a reducer back to
                    cuboids, map tasks and input splits
-``explain-group``  walk a lineage artifact from a cuboid forward to the
+``explain-group``  walk a debug-level trace from a cuboid forward to the
                    reducers and map tasks that carried it
 ``serve-cube``     serve a cube store over HTTP with bounded admission,
                    per-query deadlines and load shedding
@@ -25,17 +25,14 @@ Examples::
     python -m repro compare zipf --rows 10000
     python -m repro compare binomial --rows 10000 --fault-seed 7 --verify
     python -m repro sketch data.tsv
-    python -m repro cube data.tsv --fault-seed 7 --trace run.trace.jsonl
+    python -m repro cube data.tsv --fault-seed 7 --trace run.trace.jsonl \
+        --trace-level debug
     python -m repro analyze-trace run.trace.jsonl --format json
+    python -m repro metrics-export run.trace.jsonl --check
+    python -m repro explain-reducer run.trace.jsonl
+    python -m repro explain-group run.trace.jsonl --cuboid 0xF
+    python -m repro report --trace run.trace.jsonl -o report.html
     python -m repro doctor --rows 4000 --machines 8 --json report.json
-    python -m repro cube data.tsv --telemetry run.timeline.jsonl
-    python -m repro metrics-export run.timeline.jsonl --check
-    python -m repro cube data.tsv --lineage run.lineage.jsonl --watchdog
-    python -m repro explain-reducer run.lineage.jsonl
-    python -m repro explain-group run.lineage.jsonl --cuboid 0xF
-    python -m repro report --trace run.trace.jsonl \
-        --telemetry run.timeline.jsonl --lineage run.lineage.jsonl \
-        -o report.html
     python -m repro cube data.tsv --store cube.store
     python -m repro query cube.store '{"op": "rollup", "dimensions": ["a1"]}'
     python -m repro serve-cube cube.store --port 8080
@@ -48,21 +45,22 @@ crashes, stragglers, whole-node losses and the framework's recovery are
 reproducible from the command line, plus ``--parallelism N``
 (or the ``REPRO_PARALLELISM`` environment variable) to fan map/reduce
 tasks out across worker processes — results are bit-identical to serial.
-Both also take observability knobs: ``--trace PATH`` writes a structured
-JSONL trace of the run (``--trace-level`` picks the detail),
-``--telemetry PATH`` writes a metrics timeline (inspect with
-``metrics-export`` or fold into ``report``), ``--lineage PATH`` writes
-the shuffle flight-recorder artifact (walk with ``explain-reducer`` /
-``explain-group``), ``--watchdog`` turns on online skew/misannotation/
-straggler alerts, and ``--progress`` prints live per-job/fault lines to
-stderr; see :mod:`repro.observability`.
+Both also take three observability knobs: ``--trace PATH`` writes the
+run's one artifact, a structured JSONL trace; ``--trace-level`` picks
+its detail (``task`` carries what ``metrics-export`` and the watchdog's
+skew/straggler alerts need, ``debug`` adds the per-cuboid flow edges
+behind ``explain-reducer`` / ``explain-group`` and misannotation
+alerts); ``--progress`` prints live per-job/fault/alert lines to stderr.
+A traced run is a watched run — alerts land in the trace as events; see
+:mod:`repro.observability`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from collections import Counter
+from typing import List, Optional
 
 from . import io as repro_io
 from .aggregates import get_aggregate
@@ -79,14 +77,10 @@ from .datagen import (
     wikipedia_traffic,
 )
 from .observability import (
-    ExplainError,
     JsonlSink,
     LineageIndex,
-    LineageRecorder,
     ProgressSink,
     Telemetry,
-    TimelineAnalysis,
-    TimelineError,
     TraceAnalysis,
     TraceSchemaError,
     Tracer,
@@ -95,7 +89,9 @@ from .observability import (
     explain_group,
     explain_reducer,
     format_explain_markdown,
+    load_trace,
     parse_cuboid,
+    replay,
 )
 from .relation import format_cuboid, format_group
 
@@ -158,7 +154,11 @@ def _cluster_from_args(args, num_rows: int):
 
 
 def _tracer_from_args(args):
-    """Build the run's tracer from ``--trace``/``--progress`` (or None)."""
+    """Build the run's tracer from ``--trace``/``--progress`` (or None).
+
+    A traced run is a watched run: the watchdog rides along as the last
+    sink, and what it can check follows from ``--trace-level``.
+    """
     sinks = []
     if args.trace:
         sinks.append(JsonlSink(args.trace))
@@ -166,73 +166,24 @@ def _tracer_from_args(args):
         sinks.append(ProgressSink())
     if not sinks:
         return None
+    sinks.append(Watchdog())
     try:
         return Tracer(sinks, level=args.trace_level)
     except ValueError as error:
         raise SystemExit(f"repro: error: {error}") from None
 
 
-def _telemetry_from_args(args, run_id: str):
-    """Build the run's telemetry collector from ``--telemetry`` (or None)."""
-    if not args.telemetry:
-        return None
-    try:
-        return Telemetry(cadence=args.telemetry_cadence, run_id=run_id)
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}") from None
-
-
-def _finish_telemetry(cluster, args) -> None:
-    """Write the timeline artifact if telemetry was on."""
-    telemetry = getattr(cluster, "telemetry", None)
-    if telemetry is None:
+def _finish_trace(tracer, args) -> None:
+    """Say where the trace went and what the watchdog saw."""
+    if tracer is None:
         return
-    telemetry.write_timeline(args.telemetry)
-    print(
-        f"telemetry timeline written to {args.telemetry} "
-        f"({len(telemetry.samples)} samples)"
+    if args.trace:
+        print(f"trace written to {args.trace}")
+    counts = Counter(alert["kind"] for alert in tracer.sinks[-1].alerts)
+    summary = ", ".join(
+        f"{count} {kind}" for kind, count in sorted(counts.items())
     )
-
-
-def _lineage_from_args(args, run_id: str):
-    """Build the run's flight recorder from ``--lineage`` (or None)."""
-    if not args.lineage:
-        return None
-    return LineageRecorder(run_id=run_id)
-
-
-def _watchdog_from_args(args):
-    """Build the run's watchdog from ``--watchdog`` (or None)."""
-    if not args.watchdog:
-        return None
-    try:
-        return Watchdog(skew_tolerance=args.watchdog_tolerance)
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}") from None
-
-
-def _finish_lineage(cluster, args) -> None:
-    """Write the lineage artifact and summarize alerts, if either was on."""
-    lineage = getattr(cluster, "lineage", None)
-    if lineage is not None:
-        lineage.write(args.lineage)
-        print(
-            f"lineage written to {args.lineage} "
-            f"({len(lineage.jobs)} job(s), {len(lineage.alerts)} alert(s); "
-            f"inspect with 'repro explain-reducer {args.lineage}')"
-        )
-    watchdog = getattr(cluster, "watchdog", None)
-    if watchdog is not None:
-        counts: Dict[str, int] = {}
-        for alert in watchdog.alerts:
-            counts[alert["kind"]] = counts.get(alert["kind"], 0) + 1
-        if counts:
-            summary = ", ".join(
-                f"{count} {kind}" for kind, count in sorted(counts.items())
-            )
-            print(f"watchdog:        {summary}")
-        else:
-            print("watchdog:        no alerts")
+    print(f"watchdog:        {summary or 'no alerts'}")
 
 
 def _print_survival(metrics) -> None:
@@ -260,9 +211,6 @@ def cmd_cube(args) -> int:
     relation = repro_io.read_relation(args.input)
     cluster = _cluster_from_args(args, len(relation))
     cluster.tracer = _tracer_from_args(args)
-    cluster.telemetry = _telemetry_from_args(args, run_id=args.engine)
-    cluster.lineage = _lineage_from_args(args, run_id=args.engine)
-    cluster.watchdog = _watchdog_from_args(args)
     engine_cls = ENGINES[args.engine]
     engine = engine_cls(cluster, get_aggregate(args.aggregate))
     try:
@@ -270,10 +218,7 @@ def cmd_cube(args) -> int:
     finally:
         if cluster.tracer is not None:
             cluster.tracer.close()
-    if args.trace:
-        print(f"trace written to {args.trace}")
-    _finish_telemetry(cluster, args)
-    _finish_lineage(cluster, args)
+    _finish_trace(cluster.tracer, args)
 
     if args.output:
         lines = repro_io.write_cube(run.cube, args.output)
@@ -304,9 +249,6 @@ def cmd_compare(args) -> int:
     relation = _generate_dataset(args.dataset, args.rows, args.skew, args.seed)
     cluster = _cluster_from_args(args, len(relation))
     cluster.tracer = _tracer_from_args(args)
-    cluster.telemetry = _telemetry_from_args(args, run_id=args.dataset)
-    cluster.lineage = _lineage_from_args(args, run_id=args.dataset)
-    cluster.watchdog = _watchdog_from_args(args)
     engines = {
         name: ENGINES[name](cluster, get_aggregate(args.aggregate))
         for name in args.engines
@@ -316,10 +258,7 @@ def cmd_compare(args) -> int:
     finally:
         if cluster.tracer is not None:
             cluster.tracer.close()
-    if args.trace:
-        print(f"trace written to {args.trace}\n")
-    _finish_telemetry(cluster, args)
-    _finish_lineage(cluster, args)
+    _finish_trace(cluster.tracer, args)
 
     with_faults = args.fault_seed is not None
     header = f"{'engine':12s}{'time(s)':>10s}{'traffic(MB)':>13s}{'status':>10s}"
@@ -382,18 +321,16 @@ def cmd_sketch(args) -> int:
 
 
 def cmd_analyze_trace(args) -> int:
+    # A malformed trace means every downstream number is suspect, so the
+    # loader's schema check always runs: one line to stderr, nonzero
+    # exit, no summary built from records that lie.
     try:
         analysis = TraceAnalysis.from_file(args.trace_file)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"repro: error: {error}") from None
-    # A malformed trace means every downstream number is suspect, so the
-    # schema check always runs: one line to stderr, nonzero exit, no
-    # summary built from records that lie.
-    try:
-        analysis.validate()
     except TraceSchemaError as error:
         print(f"trace schema violation: {error}", file=sys.stderr)
         return 1
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"repro: error: {error}") from None
     if args.validate:
         print(f"{len(analysis.records)} records, schema ok",
               file=sys.stderr if args.format == "json" else sys.stdout)
@@ -410,11 +347,10 @@ def cmd_analyze_trace(args) -> int:
 
 def cmd_metrics_export(args) -> int:
     try:
-        analysis = TimelineAnalysis.from_file(args.timeline)
-        registry = analysis.registry()
-    except (OSError, TimelineError) as error:
+        records = load_trace(args.trace_file)
+        text = replay(records, Telemetry()).prometheus_text()
+    except (OSError, ValueError, KeyError) as error:
         raise SystemExit(f"repro: error: {error}") from None
-    text = registry.prometheus_text()
     problems = check_prometheus_text(text)
     if problems:
         for problem in problems:
@@ -495,9 +431,9 @@ def _explain_common(args, result) -> int:
 
 def cmd_explain_reducer(args) -> int:
     try:
-        index = LineageIndex.from_file(args.lineage_file)
+        index = LineageIndex.from_file(args.trace_file)
         result = explain_reducer(index, job=args.job, reducer=args.reducer)
-    except (OSError, ExplainError, ValueError) as error:
+    except (OSError, ValueError, KeyError) as error:
         raise SystemExit(f"repro: error: {error}") from None
     return _explain_common(args, result)
 
@@ -505,9 +441,9 @@ def cmd_explain_reducer(args) -> int:
 def cmd_explain_group(args) -> int:
     try:
         cuboid = parse_cuboid(args.cuboid)
-        index = LineageIndex.from_file(args.lineage_file)
+        index = LineageIndex.from_file(args.trace_file)
         result = explain_group(index, cuboid, job=args.job)
-    except (OSError, ExplainError, ValueError) as error:
+    except (OSError, ValueError, KeyError) as error:
         raise SystemExit(f"repro: error: {error}") from None
     return _explain_common(args, result)
 
@@ -516,20 +452,16 @@ def cmd_report(args) -> int:
     from .analysis.htmlreport import write_report
 
     if not any(
-        (args.trace, args.telemetry, args.lineage, args.doctor_json,
-         args.perf_json, args.recovery_json)
+        (args.trace, args.doctor_json, args.perf_json, args.recovery_json)
     ):
         raise SystemExit(
             "repro: error: report needs at least one input artifact "
-            "(--trace/--telemetry/--lineage/--doctor-json/--perf-json/"
-            "--recovery-json)"
+            "(--trace/--doctor-json/--perf-json/--recovery-json)"
         )
     try:
         write_report(
             args.output,
             trace=args.trace,
-            telemetry=args.telemetry,
-            lineage=args.lineage,
             doctor=args.doctor_json,
             perf=args.perf_json,
             recovery=args.recovery_json,
@@ -641,46 +573,20 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("observability")
     group.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="write a structured JSONL trace of the run "
-             "(inspect with 'repro analyze-trace PATH')",
+        help="write the run's structured JSONL trace — the one artifact "
+             "'repro analyze-trace', 'metrics-export', 'explain-reducer', "
+             "'explain-group' and 'report --trace' all read",
     )
     group.add_argument(
         "--trace-level", choices=["job", "task", "debug"], default="task",
         help="trace detail: job = run/job/phase spans, task = + per-attempt "
-             "spans and fault events, debug = + route/spill detail",
+             "spans, fault events and skew/straggler alerts, debug = + "
+             "per-cuboid flow edges (explain-*), misannotation alerts, spills",
     )
     group.add_argument(
         "--progress", action="store_true",
-        help="print live per-job and per-fault progress lines to stderr",
-    )
-    group.add_argument(
-        "--telemetry", metavar="PATH", default=None,
-        help="collect runtime metrics and write a JSONL timeline "
-             "(inspect with 'repro metrics-export PATH' or fold into "
-             "'repro report')",
-    )
-    group.add_argument(
-        "--telemetry-cadence", type=float, default=0.0, metavar="SECONDS",
-        help="minimum logical seconds between kept samples of one series "
-             "(0 keeps everything; downsampling is deterministic)",
-    )
-    group.add_argument(
-        "--lineage", metavar="PATH", default=None,
-        help="record per-(map task, reducer, cuboid) shuffle flows and "
-             "write the lineage artifact (walk with 'repro "
-             "explain-reducer PATH' / 'repro explain-group PATH')",
-    )
-    group.add_argument(
-        "--watchdog", action="store_true",
-        help="compare observed reducer loads against the sketch-predicted "
-             "n/k + m band while the run executes; alerts surface on "
-             "stderr (--progress), in the trace and in the lineage "
-             "artifact",
-    )
-    group.add_argument(
-        "--watchdog-tolerance", type=float, default=2.0, metavar="X",
-        help="multiple of the n/k + m band a reducer (or one cuboid's "
-             "flow into it) may reach before a watchdog alert fires",
+        help="print live per-job, per-fault and per-alert progress lines "
+             "to stderr",
     )
 
 
@@ -824,10 +730,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics_export = sub.add_parser(
         "metrics-export",
-        help="rebuild the Prometheus text exposition from a telemetry "
-             "timeline written with --telemetry",
+        help="derive the Prometheus text exposition from a trace written "
+             "with --trace (task level or finer for per-reducer series)",
     )
-    metrics_export.add_argument("timeline")
+    metrics_export.add_argument("trace_file")
     metrics_export.add_argument(
         "--check", action="store_true",
         help="report the line count after the format check (the check "
@@ -846,11 +752,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain_reducer_p = sub.add_parser(
         "explain-reducer",
-        help="walk a lineage artifact from one reducer back to the "
-             "cuboids, map tasks and input splits that loaded it "
+        help="walk a --trace-level debug trace from one reducer back to "
+             "the cuboids, map tasks and input splits that loaded it "
              "(defaults to the hottest reducer of the dominant job)",
     )
-    explain_reducer_p.add_argument("lineage_file")
+    explain_reducer_p.add_argument("trace_file")
     explain_reducer_p.add_argument(
         "--job", default=None,
         help="job to explain (default: the job shuffling the most records)",
@@ -866,10 +772,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain_group_p = sub.add_parser(
         "explain-group",
-        help="walk a lineage artifact from one cuboid forward to the "
-             "reducers and map tasks that carried its groups",
+        help="walk a --trace-level debug trace from one cuboid forward to "
+             "the reducers and map tasks that carried its groups",
     )
-    explain_group_p.add_argument("lineage_file")
+    explain_group_p.add_argument("trace_file")
     explain_group_p.add_argument(
         "--cuboid", required=True, metavar="MASK",
         help="cuboid lattice mask (decimal, 0x hex or 0b binary)",
@@ -885,15 +791,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="stitch a run's artifacts (trace, telemetry timeline, doctor "
-             "audit, BENCH files) into one self-contained HTML page",
+        help="stitch a run's artifacts (trace, doctor audit, BENCH files) "
+             "into one self-contained HTML page",
     )
     report.add_argument("--trace", metavar="PATH",
-                        help="JSONL trace written with --trace")
-    report.add_argument("--telemetry", metavar="PATH",
-                        help="JSONL timeline written with --telemetry")
-    report.add_argument("--lineage", metavar="PATH",
-                        help="JSONL lineage artifact written with --lineage")
+                        help="JSONL trace written with --trace (feeds the "
+                             "Trace, Telemetry and Lineage & alerts sections)")
     report.add_argument("--doctor-json", metavar="PATH",
                         help="doctor report written with 'doctor --json'")
     report.add_argument("--perf-json", metavar="PATH",

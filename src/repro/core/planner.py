@@ -31,7 +31,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from ..relation.lattice import bfs_order, descendants, strict_supersets
+from ..relation.lattice import (
+    bfs_order,
+    descendants,
+    project,
+    strict_supersets,
+)
 from .sketch import SPSketch
 
 
@@ -141,3 +146,41 @@ def plan_without_covering(skew_bits: int, num_dimensions: int) -> TuplePlan:
 def plan_tuple(row: Sequence, sketch: SPSketch) -> TuplePlan:
     """The marking plan for one tuple under ``sketch``."""
     return plan_for_skew_bits(sketch.skew_bits(row), sketch.num_dimensions)
+
+
+def replay_routing(relation, sketch: SPSketch, num_mappers: int):
+    """Round 2's per-reducer record delivery, re-derived from the sketch.
+
+    Walks every tuple's marking plan exactly as the mapper does: ranged
+    emissions go to ``1 + partition_of(base)``, and each mapper's close()
+    flushes one record per distinct skewed c-group it touched — counted
+    by replaying the engine's ``relation.split(num_mappers)`` input
+    split.  Returns ``(predicted, by_cuboid, skew_by_cuboid)``: records
+    per reducer id, those broken down by routing base cuboid, and the
+    skew reducer's flushes per cuboid.
+    """
+    d = sketch.num_dimensions
+    predicted: Dict[int, int] = {
+        r: 0 for r in range(sketch.num_partitions + 1)
+    }
+    by_cuboid: Dict[int, Dict[int, int]] = {}
+    for row in relation:
+        for base_mask, _covered in plan_tuple(row, sketch).emissions:
+            values = project(row, base_mask, d)
+            reducer = 1 + sketch.partition_of(base_mask, values)
+            predicted[reducer] += 1
+            cuboids = by_cuboid.setdefault(reducer, {})
+            cuboids[base_mask] = cuboids.get(base_mask, 0) + 1
+
+    skew_by_cuboid: Dict[int, int] = {}
+    for chunk in relation.split(num_mappers):
+        seen = set()
+        for row in chunk:
+            for mask in plan_tuple(row, sketch).skewed_masks:
+                seen.add((mask, project(row, mask, d)))
+        predicted[0] += len(seen)
+        for mask, _values in seen:
+            skew_by_cuboid[mask] = skew_by_cuboid.get(mask, 0) + 1
+    if skew_by_cuboid:
+        by_cuboid[0] = dict(skew_by_cuboid)
+    return predicted, by_cuboid, skew_by_cuboid

@@ -59,11 +59,15 @@ from ..mapreduce.engine import (
     stable_hash,
 )
 from ..mapreduce.metrics import RunMetrics
-from ..observability.telemetry import emit_run_telemetry
-from ..observability.tracer import NULL_TRACER, emit_run_span
+from ..observability.tracer import LEVEL_DEBUG, NULL_TRACER, emit_run_span
 from ..relation.lattice import bfs_order, project_rows, projector
 from ..relation.relation import Relation
-from .planner import TuplePlan, plan_for_skew_bits, plan_without_covering
+from .planner import (
+    TuplePlan,
+    plan_for_skew_bits,
+    plan_without_covering,
+    replay_routing,
+)
 from .sampling import sampling_probability, skew_sample_threshold
 from .sketch import SPSketch, build_exact_sketch, build_sketch_from_sample
 
@@ -75,8 +79,8 @@ _GROUP_TAG = "G"
 def _spcube_cuboid_of(key):
     """Cuboid (lattice mask) of a round-2 ``(tag, mask, values)`` key.
 
-    Both streams carry the mask second; module-level so the lineage
-    layer's flow classification survives the pickle to worker processes.
+    Both streams carry the mask second; module-level so the job's flow
+    classification survives the pickle to worker processes.
     """
     return key[1]
 
@@ -165,8 +169,7 @@ class SPCube:
         if metrics.jobs and metrics.jobs[-1].aborted:
             # Round 1 exhausted a task's retry budget: the driver aborts
             # the run before the cube round, as a real JobTracker would.
-            emit_run_span(tracer, metrics, run_base)
-            emit_run_telemetry(self.cluster, metrics, dfs=self.dfs)
+            emit_run_span(tracer, metrics, run_base, dfs=self.dfs)
             return CubeRun(
                 cube=CubeResult(relation.schema), metrics=metrics,
                 sketch=sketch,
@@ -176,20 +179,32 @@ class SPCube:
         metrics.extras["sketch_bytes"] = summary["serialized_bytes"]
         metrics.extras["num_skewed_groups"] = summary["num_skewed"]
         if tracer.enabled:
+            fields = {
+                "bytes": summary["serialized_bytes"],
+                "skewed_groups": summary["num_skewed"],
+                "partition_elements": summary["num_partition_elements"],
+                "sample_size": metrics.extras.get("sample_size", 0),
+            }
+            if self.range_partitioning:
+                # The sketch's promise for round 2 — the Prop 4.2(2)
+                # band the watchdog holds "sp-cube" to.  Hash-routed
+                # ablations make none: the prediction replays range
+                # routing, which no longer matches.
+                promise = {"job": "sp-cube", "n": n, "k": k, "m": m}
+                if tracer.level >= LEVEL_DEBUG:
+                    predicted, _, _ = replay_routing(relation, sketch, k)
+                    promise["predicted"] = {
+                        str(reducer): load
+                        for reducer, load in predicted.items()
+                    }
+                fields["promise"] = promise
             tracer.event(
-                "sketch", at=tracer.clock, job="sp-sketch",
-                fields={
-                    "bytes": summary["serialized_bytes"],
-                    "skewed_groups": summary["num_skewed"],
-                    "partition_elements": summary["num_partition_elements"],
-                    "sample_size": metrics.extras.get("sample_size", 0),
-                },
+                "sketch", at=tracer.clock, job="sp-sketch", fields=fields
             )
 
         cube = self._round_two(relation, sketch, k, m, metrics, runner)
         metrics.output_groups = cube.num_groups
-        emit_run_span(tracer, metrics, run_base)
-        emit_run_telemetry(self.cluster, metrics, dfs=self.dfs)
+        emit_run_span(tracer, metrics, run_base, dfs=self.dfs)
         return CubeRun(cube=cube, metrics=metrics, sketch=sketch)
 
     # -- round 1: sketch ---------------------------------------------------------
@@ -285,24 +300,6 @@ class SPCube:
             partitioner=partitioner,
             cuboid_of=_spcube_cuboid_of,
         )
-        watchdog = self.cluster.watchdog
-        if (
-            watchdog is not None
-            and watchdog.enabled
-            and self.range_partitioning
-        ):
-            # Register the sketch's promise so the watchdog can hold
-            # round 2 to it.  Hash-routed ablations skip this: the
-            # prediction replays range routing, which no longer matches.
-            from ..observability.diagnostics import predicted_reducer_loads
-
-            attribution = predicted_reducer_loads(
-                relation, sketch, num_mappers=k
-            )
-            watchdog.expect(
-                "sp-cube", n=len(relation), k=k, m=m,
-                predicted=attribution.predicted,
-            )
         result = runner.run(job, relation.split(k), m)
         if result.metrics.aborted:
             return CubeResult(relation.schema)

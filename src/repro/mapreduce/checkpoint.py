@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..observability.telemetry import NULL_TELEMETRY
 from ..observability.tracer import NULL_TRACER
 from .cluster import ClusterConfig
 from .dfs import DistributedFileSystem, ReplicaExhausted
@@ -217,7 +216,6 @@ class RoundRunner:
         index = self.round_index
         self.round_index += 1
         tracer = self.cluster.tracer or NULL_TRACER
-        telemetry = self.cluster.telemetry or NULL_TELEMETRY
         completed: Dict[int, List[Pair]] = {}
         for round_attempt in range(self.max_round_attempts):
             result = run_job(
@@ -242,7 +240,7 @@ class RoundRunner:
                     job.name,
                     result.reducer_outputs,
                     clock=self.clock,
-                    trace_watermark=getattr(tracer, "_seq", 0),
+                    trace_watermark=tracer.seq,
                 )
                 if self.checkpoint.enabled and tracer.enabled:
                     tracer.event(
@@ -251,25 +249,15 @@ class RoundRunner:
                             "round": index,
                             "num_parts": len(result.reducer_outputs),
                             "run_clock": self.clock,
+                            # The reduce outputs being checkpointed are
+                            # exactly what the reduce tasks emitted, so
+                            # their already-accounted bytes_out is the
+                            # checkpoint volume — no re-estimation pass
+                            # over the (possibly huge) cube.
+                            "bytes": sum(
+                                t.bytes_out for t in jm.reduce_tasks
+                            ),
                         },
-                    )
-                if self.checkpoint.enabled and telemetry.enabled:
-                    # The reduce outputs being checkpointed are exactly
-                    # what the reduce tasks emitted, so their already-
-                    # accounted bytes_out is the checkpoint volume — no
-                    # re-estimation pass over the (possibly huge) cube.
-                    ckpt_bytes = sum(t.bytes_out for t in jm.reduce_tasks)
-                    telemetry.counter(
-                        "repro_checkpoint_writes_total",
-                        "Rounds checkpointed to the DFS",
-                    ).inc()
-                    telemetry.counter(
-                        "repro_checkpoint_bytes_total",
-                        "Reduce-output bytes persisted as checkpoints",
-                    ).inc(ckpt_bytes)
-                    telemetry.sample(
-                        "checkpoint_bytes", ckpt_bytes,
-                        labels={"round": index}, at=telemetry.clock,
                     )
                 return result
             resumable = (
@@ -293,21 +281,6 @@ class RoundRunner:
                 completed[part] = pairs
                 self.checkpoint.save_part(index, part, pairs)
             self.replaced.update(jm.dead_nodes)
-            if telemetry.enabled:
-                telemetry.counter(
-                    "repro_round_resumes_total",
-                    "Rounds resumed from a checkpoint after node loss",
-                ).inc()
-                up = telemetry.gauge(
-                    "repro_node_up", "Node liveness (1 = serving, 0 = dead)"
-                )
-                for node in sorted(jm.dead_nodes):
-                    # The dead domain is re-provisioned for the rerun.
-                    up.set(1, labels={"node": node})
-                    telemetry.sample(
-                        "node_up", 1, labels={"node": node},
-                        at=telemetry.clock,
-                    )
             if tracer.enabled:
                 tracer.event(
                     "round_resume", at=tracer.clock, job=job.name,

@@ -117,24 +117,9 @@ class ClusterConfig:
     tracer:
         A :class:`~repro.observability.Tracer` receiving span/event
         records from every job run on this cluster (``None`` = the
-        zero-overhead null tracer); see :mod:`repro.observability`.
-    telemetry:
-        A :class:`~repro.observability.Telemetry` collector sampling
-        metric series (shuffle bytes, reducer load, node liveness, …)
-        from every job run on this cluster (``None`` = the zero-overhead
-        null telemetry); see :mod:`repro.observability.telemetry`.
-    lineage:
-        A :class:`~repro.observability.LineageRecorder` capturing one
-        shuffle flow edge per (map task, reducer) pair of every job —
-        the flight recorder the ``explain-group`` / ``explain-reducer``
-        queries walk (``None`` = the zero-overhead null recorder); see
-        :mod:`repro.observability.lineage`.
-    watchdog:
-        A :class:`~repro.observability.Watchdog` comparing each round's
-        observed shuffle flows against the sketch-predicted ``n/k + m``
-        band and emitting skew / misannotation / straggler alerts
-        (``None`` = the zero-overhead null watchdog); see
-        :mod:`repro.observability.watchdog`.
+        zero-overhead null tracer) — the cluster's one observer: metrics,
+        lineage and watchdog alerts are derived from its records by the
+        sinks attached to it; see :mod:`repro.observability`.
     num_nodes:
         Physical failure domains the ``k`` machine slots are packed onto.
         ``None`` gives every machine its own node — the pre-topology
@@ -158,9 +143,6 @@ class ClusterConfig:
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     parallelism: Optional[int] = None
     tracer: Optional[object] = None
-    telemetry: Optional[object] = None
-    lineage: Optional[object] = None
-    watchdog: Optional[object] = None
     num_nodes: Optional[int] = None
     placement: str = "round-robin"
     checkpoint_enabled: bool = True

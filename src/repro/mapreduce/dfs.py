@@ -72,7 +72,7 @@ class DistributedFileSystem:
         self.failed_reads = 0
         #: Replicas re-created on surviving nodes after a node death.
         self.re_replications = 0
-        #: Write/append calls and records they stored (telemetry).
+        #: Write/append calls and records they stored (run-span counters).
         self.writes = 0
         self.records_written = 0
 

@@ -60,7 +60,8 @@ fault-free run unless the job aborts.
 :class:`~repro.observability.Tracer`, ``run_job`` emits structured span
 and event records onto the simulated timeline: one attempt span per task
 execution, fault events (crash/straggle/speculation), phase spans and a
-job span, plus route/spill detail at debug level.  Task chains buffer
+job span, plus per-(map task, reducer) flow edges and spills at debug
+level.  Task chains buffer
 their records locally (safe in worker processes) and the driver offsets
 and emits them in task-index order, so trace files are bit-identical
 across execution backends.  With no tracer attached the engine touches a
@@ -86,14 +87,11 @@ from typing import (
     Tuple,
 )
 
-from ..observability.lineage import NULL_LINEAGE
-from ..observability.telemetry import NULL_TELEMETRY, SECONDS_BUCKETS
 from ..observability.tracer import (
     LEVEL_DEBUG,
     LEVEL_TASK,
     NULL_TRACER,
 )
-from ..observability.watchdog import NULL_WATCHDOG
 from .cluster import ClusterConfig
 from .costmodel import CostModel
 from .executor import SerialExecutor, TaskOutcome, run_task_chain
@@ -322,8 +320,8 @@ class MapReduceJob:
     #: the engine always runs these rounds on the serial executor.
     driver_state: bool = False
     #: Classifier mapping one *map emission key* to the cuboid (lattice
-    #: mask) it belongs to, used by the shuffle flight recorder to break
-    #: each flow edge down per cuboid.  Must be a module-level function
+    #: mask) it belongs to, used by the debug-level ``flow`` trace events
+    #: to break each shuffle edge down per cuboid.  Must be a module-level function
     #: (parallel workers pickle the job) and a pure function of the key.
     #: ``None`` for rounds whose keys carry no cuboid (sampling rounds).
     cuboid_of: Optional[Callable[[object], int]] = None
@@ -868,33 +866,12 @@ def _run_job(
     trace_tasks = trace_on and tracer.level >= LEVEL_TASK
     trace_debug = trace_on and tracer.level >= LEVEL_DEBUG
     job_base = tracer.clock
-    telemetry = cluster.telemetry or NULL_TELEMETRY
-    telem_on = telemetry.enabled
-    # Telemetry keeps its own logical clock: the tracer's only advances
-    # when tracing is on, and sample times must not depend on whether a
-    # trace sink happens to be attached.
-    telem_base = telemetry.clock
-    lineage = cluster.lineage or NULL_LINEAGE
-    watchdog = cluster.watchdog or NULL_WATCHDOG
-    # One flow record per job feeds both the flight recorder and the
-    # watchdog; built from the driver-side merge loops (task-index
-    # order), so it is bit-identical across execution backends.
-    flow_job: Optional[Dict] = None
-    if lineage.enabled or watchdog.enabled:
-        flow_job = {
-            "job": job.name,
-            "num_reducers": num_reducers,
-            "map_tasks": len(input_chunks),
-            "memory_records": memory_records,
-            "completed_reducers": (
-                sorted(completed_reducers) if completed_reducers else []
-            ),
-            "maps": [],
-            "flows": [],
-            "reduces": [],
-        }
-        if lineage.enabled:
-            lineage.begin_job(flow_job)
+    #: Shape counters the job span carries for the trace's derivations.
+    job_shape = {
+        "num_reducers": num_reducers,
+        "map_tasks": len(input_chunks),
+        "memory_records": memory_records,
+    }
     cuboid_cache: Dict[object, Optional[int]] = {}
 
     # Node kills landing in this round's window, as job-relative times.
@@ -955,20 +932,9 @@ def _run_job(
             reducer_buckets[target].append(runs)
             reducer_bytes[target] += shard_bytes
             reducer_records[target] += shard_records
-        if flow_job is not None:
-            _record_flows(
-                flow_job, machine, outcome.payload, job.cuboid_of,
-                cuboid_cache,
-            )
-            flow_job["maps"].append({
-                "task": machine,
-                "records_in": task.records_in,
-                "records_out": task.records_out,
-                "seconds": round(task.seconds, 9),
-            })
         if trace_debug:
-            _emit_route_event(
-                tracer, job.name, machine, outcome.payload,
+            _emit_flow_events(
+                tracer, job, machine, outcome.payload, cuboid_cache,
                 map_start + task.seconds,
             )
         metrics.map_tasks.append(task)
@@ -986,20 +952,10 @@ def _run_job(
         metrics.total_seconds = metrics.map_phase_seconds
         _record_node_losses(
             tracer, trace_on, metrics, node_kills, topology,
-            job_base, job.name, telemetry, telem_base,
+            job_base, job.name,
         )
         if trace_on:
-            _finish_job_trace(tracer, job.name, metrics, job_base)
-        if flow_job is not None:
-            _finish_flow_job(
-                flow_job, metrics, lineage, watchdog, tracer, telemetry,
-                job_base,
-            )
-        if telem_on:
-            _sample_job_telemetry(
-                telemetry, job, metrics, telem_base, executor
-            )
-            telemetry.advance(metrics.total_seconds)
+            _finish_job_trace(tracer, job.name, metrics, job_base, job_shape)
         return JobResult(output=[], metrics=metrics, reducer_outputs=[])
 
     # ---- shuffle ----------------------------------------------------------
@@ -1080,13 +1036,6 @@ def _run_job(
                 fields={"records": task.spilled_records},
             )
         metrics.reduce_tasks.append(task)
-        if flow_job is not None:
-            flow_job["reduces"].append({
-                "task": machine,
-                "records_in": task.records_in,
-                "records_out": task.records_out,
-                "seconds": round(task.seconds, 9),
-            })
         merged_outputs[machine] = reducer_output
 
     metrics.reduce_phase_seconds = cost.round_startup_seconds + max(
@@ -1100,19 +1049,10 @@ def _run_job(
     )
     _record_node_losses(
         tracer, trace_on, metrics, node_kills, topology, job_base, job.name,
-        telemetry, telem_base,
     )
     if trace_on:
         _emit_phase_span(tracer, job.name, "reduce", reduce_base, metrics)
-        _finish_job_trace(tracer, job.name, metrics, job_base)
-    if flow_job is not None:
-        _finish_flow_job(
-            flow_job, metrics, lineage, watchdog, tracer, telemetry,
-            job_base,
-        )
-    if telem_on:
-        _sample_job_telemetry(telemetry, job, metrics, telem_base, executor)
-        telemetry.advance(metrics.total_seconds)
+        _finish_job_trace(tracer, job.name, metrics, job_base, job_shape)
     if metrics.aborted:
         # Partitions merged before the dead chain (plus checkpointed
         # skips) are salvageable by the round runner.
@@ -1130,94 +1070,47 @@ def _run_job(
     )
 
 
-def _record_flows(
-    flow_job: Dict,
-    machine: int,
-    payload,
-    cuboid_of: Optional[Callable],
-    cuboid_cache: Dict,
-) -> None:
-    """Record one map task's shuffle edges into the job's flow record.
+def cuboid_of_mask_key(key):
+    """Cuboid (lattice mask) of a ``(mask, values[, shard])`` shuffle key.
 
-    One flow per ``(map task, reducer)`` pair, in the shard order
-    :func:`_route_runs` produced (first-seen target order) — the same
-    deterministic order the merge loop consumes, so lineage artifacts
-    are bit-identical across execution backends.  The cuboid breakdown
-    classifies each run's key once, through a per-job equality-keyed
-    cache (the same keys recur in every map task).
+    The emission-key shape shared by the naive, Hive, MR-Cube and
+    PipeSort-MR engines (their jobs' :attr:`MapReduceJob.cuboid_of`);
+    module-level so parallel workers can pickle the job it is attached to.
     """
-    flows = flow_job["flows"]
+    return key[0]
+
+
+def _emit_flow_events(
+    tracer, job: MapReduceJob, machine: int, payload, cuboid_cache: Dict,
+    at: float,
+) -> None:
+    """Debug-level shuffle edges of one map task: a ``flow`` event per
+    ``(map task, reducer)`` pair, in the shard order :func:`_route_runs`
+    produced (first-seen target order) — the order the merge loop
+    consumes, so traces stay bit-identical across execution backends.
+    The per-cuboid breakdown classifies each run's key once through
+    ``job.cuboid_of`` and a per-job equality-keyed cache (the same keys
+    recur in every map task).
+    """
+    cuboid_of = job.cuboid_of
     cache_get = cuboid_cache.get
     for target, runs, shard_bytes, shard_records in payload:
-        cuboids: Dict[int, int] = {}
+        cuboids: Dict[str, int] = {}
         if cuboid_of is not None:
             for key, values in runs.items():
                 mask = cache_get(key)
                 if mask is None:
-                    mask = cuboid_of(key)
-                    cuboid_cache[key] = mask
+                    mask = cuboid_cache[key] = str(cuboid_of(key))
                 cuboids[mask] = cuboids.get(mask, 0) + len(values)
-        flows.append({
-            "map_task": machine,
-            "reducer": target,
-            "records": shard_records,
-            "bytes": shard_bytes,
-            "cuboids": cuboids,
-        })
-
-
-def _finish_flow_job(
-    flow_job: Dict,
-    metrics: JobMetrics,
-    lineage,
-    watchdog,
-    tracer,
-    telemetry,
-    job_base: float,
-) -> None:
-    """Close out a job's flow record: collect it, inspect it, surface it.
-
-    The lineage recorder keeps the record and advances its own clock;
-    the watchdog inspects the flows and its alerts fan out to the trace
-    (typed events → ProgressSink lines), the telemetry alert counter,
-    and the lineage artifact's alert stream.
-    """
-    lin_on = lineage.enabled
-    job_end = job_base + metrics.total_seconds
-    if lin_on:
-        lineage.finish_job(flow_job, metrics)
-        lineage.advance(metrics.total_seconds)
-        if tracer.enabled:
-            flows = flow_job["flows"]
-            tracer.event(
-                "lineage", at=job_end, job=flow_job["job"],
-                fields={
-                    "execution": flow_job.get("execution", 0),
-                    "flows": len(flows),
-                    "records": sum(flow["records"] for flow in flows),
-                    "bytes": sum(flow["bytes"] for flow in flows),
-                },
-            )
-    if watchdog.enabled:
-        alerts = watchdog.inspect_job(flow_job, metrics)
-        watchdog.advance(metrics.total_seconds)
-        for alert in alerts:
-            if lin_on:
-                lineage.alerts.append(alert)
-            if tracer.enabled:
-                fields = {
-                    name: value for name, value in alert.items()
-                    if name not in ("type", "kind", "job", "at")
-                }
-                tracer.event(
-                    alert["kind"], at=job_end, job=alert["job"],
-                    fields=fields,
-                )
-            if telemetry.enabled:
-                telemetry.counter(
-                    "repro_watchdog_alerts_total",
-                    "Watchdog alerts emitted, by kind",
-                ).inc(labels={"kind": alert["kind"]})
+        tracer.event(
+            "flow", at=at, job=job.name, phase="map", task=machine,
+            fields={
+                "reducer": target,
+                "records": shard_records,
+                "bytes": shard_bytes,
+                "cuboids": cuboids,
+            },
+        )
 
 
 def _record_node_losses(
@@ -1228,8 +1121,6 @@ def _record_node_losses(
     topology,
     job_base: float,
     job_name: str,
-    telemetry=NULL_TELEMETRY,
-    telem_base: float = 0.0,
 ) -> None:
     """Fold the kills that actually fired into the round's metrics.
 
@@ -1256,20 +1147,6 @@ def _record_node_losses(
                     "machines": list(topology.machines_on(node)),
                 },
             )
-    if telemetry.enabled and fired:
-        lost = telemetry.counter(
-            "repro_nodes_lost_total", "Failure domains lost to node kills"
-        )
-        up = telemetry.gauge(
-            "repro_node_up", "Node liveness (1 = serving, 0 = dead)"
-        )
-        for node in fired:
-            lost.inc()
-            up.set(0, labels={"node": node})
-            telemetry.sample(
-                "node_up", 0, labels={"node": node},
-                at=telem_base + node_kills[node],
-            )
 
 
 def _emit_chain_trace(tracer, outcome: TaskOutcome, phase_start: float) -> None:
@@ -1286,22 +1163,6 @@ def _emit_chain_trace(tracer, outcome: TaskOutcome, phase_start: float) -> None:
         else:
             record["at"] += phase_start
         tracer.emit(record)
-
-
-def _emit_route_event(
-    tracer, job_name: str, machine: int, payload, at: float
-) -> None:
-    """Debug-level shuffle routing summary for one map task (records
-    per target, in the shards' first-seen target order)."""
-    tracer.event(
-        "route", at=at, job=job_name, phase="map", task=machine,
-        fields={
-            "targets": {
-                str(target): shard_records
-                for target, _runs, _bytes, shard_records in payload
-            },
-        },
-    )
 
 
 def _emit_phase_span(
@@ -1321,12 +1182,14 @@ def _emit_phase_span(
             "tasks": len(tasks),
             "records_out": sum(t.records_out for t in tasks),
             "bytes_out": sum(t.bytes_out for t in tasks),
+            "seconds": seconds,
         },
     )
 
 
 def _finish_job_trace(
-    tracer, job_name: str, metrics: JobMetrics, job_base: float
+    tracer, job_name: str, metrics: JobMetrics, job_base: float,
+    job_shape: Dict[str, int],
 ) -> None:
     """Emit the round's job span and advance the simulated clock."""
     if metrics.aborted:
@@ -1346,105 +1209,10 @@ def _finish_job_trace(
             "speculative_wins": metrics.speculative_wins,
             "recovered": metrics.recovered,
             "oom_reducers": len(metrics.oom_reducers),
+            **job_shape,
         },
     )
     tracer.advance(metrics.total_seconds)
-
-
-def _sample_job_telemetry(
-    telemetry, job: MapReduceJob, metrics: JobMetrics, telem_base: float,
-    executor,
-) -> None:
-    """Record one finished round's metric series and registry updates.
-
-    Called once per job with ``telemetry.enabled`` already checked by the
-    caller.  Every ``"sim"``-source sample here is a pure function of the
-    job metrics and the logical clock, so serial and parallel backends
-    record bit-identical points; backend- and wall-clock-dependent
-    quantities (executor shape, phase wall seconds, driver RSS) are
-    tagged ``"host"`` and excluded from identity comparisons.
-    """
-    from ..observability.telemetry import driver_rss_bytes
-
-    name = job.name
-    labels = {"job": name}
-    t_map = telem_base + metrics.map_phase_seconds
-    t_shuffle = t_map + metrics.shuffle_seconds
-    t_end = telem_base + metrics.total_seconds
-
-    telemetry.counter(
-        "repro_jobs_total", "MapReduce rounds executed"
-    ).inc(labels=labels)
-    telemetry.counter(
-        "repro_shuffle_bytes_total", "Bytes shuffled from map to reduce"
-    ).inc(metrics.map_output_bytes, labels=labels)
-    telemetry.counter(
-        "repro_shuffle_records_total", "Pairs shuffled from map to reduce"
-    ).inc(metrics.map_output_records, labels=labels)
-    telemetry.counter(
-        "repro_task_attempts_total", "Task attempts including retries"
-    ).inc(metrics.attempts, labels=labels)
-    if metrics.killed_tasks:
-        telemetry.counter(
-            "repro_tasks_killed_total", "Attempts killed by injected faults"
-        ).inc(metrics.killed_tasks, labels=labels)
-
-    phase_hist = telemetry.histogram(
-        "repro_phase_seconds", "Simulated seconds per phase",
-        buckets=SECONDS_BUCKETS,
-    )
-    for phase, seconds in (
-        ("map", metrics.map_phase_seconds),
-        ("shuffle", metrics.shuffle_seconds),
-        ("reduce", metrics.reduce_phase_seconds),
-    ):
-        phase_hist.observe(seconds, labels={"phase": phase})
-    reduce_hist = telemetry.histogram(
-        "repro_reduce_task_records", "Input records per reduce task"
-    )
-    for task in metrics.reduce_tasks:
-        reduce_hist.observe(task.records_in, labels=labels)
-
-    telemetry.sample("shuffle_bytes", metrics.map_output_bytes,
-                     labels=labels, at=t_map)
-    telemetry.sample("shuffle_records", metrics.map_output_records,
-                     labels=labels, at=t_map)
-    telemetry.sample("phase_seconds", metrics.map_phase_seconds,
-                     labels={"job": name, "phase": "map"}, at=t_map)
-    telemetry.sample("phase_seconds", metrics.shuffle_seconds,
-                     labels={"job": name, "phase": "shuffle"}, at=t_shuffle)
-    telemetry.sample("phase_seconds", metrics.reduce_phase_seconds,
-                     labels={"job": name, "phase": "reduce"}, at=t_end)
-    for task in metrics.reduce_tasks:
-        telemetry.sample(
-            "reducer_records", task.records_in,
-            labels={"job": name, "task": task.machine}, at=t_end,
-        )
-
-    # Host-side diagnostics: real memory, real time, backend shape.
-    wall = metrics.map_phase_wall_seconds + metrics.reduce_phase_wall_seconds
-    telemetry.sample("job_wall_seconds", wall, labels=labels,
-                     at=t_end, source="host")
-    stats = getattr(executor, "last_run_stats", None)
-    if stats:
-        telemetry.gauge(
-            "repro_executor_queue_depth",
-            "Batches waiting behind busy workers in the last phase",
-        ).set(stats["max_queue_depth"], labels={"backend": stats["backend"]})
-        telemetry.gauge(
-            "repro_executor_inflight_batches",
-            "Batches concurrently in flight in the last phase",
-        ).set(stats["max_in_flight"], labels={"backend": stats["backend"]})
-        telemetry.sample("executor_queue_depth", stats["max_queue_depth"],
-                         labels=labels, at=t_end, source="host")
-        telemetry.sample("executor_inflight_batches", stats["max_in_flight"],
-                         labels=labels, at=t_end, source="host")
-    rss = driver_rss_bytes()
-    if rss is not None:
-        telemetry.gauge(
-            "repro_driver_rss_bytes", "Peak driver resident-set size"
-        ).set(rss)
-        telemetry.sample("driver_rss_bytes", rss, at=t_end, source="host")
 
 
 def _apply_combiner(

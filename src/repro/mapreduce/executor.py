@@ -283,12 +283,6 @@ class SerialExecutor:
 
     name = "serial"
 
-    def __init__(self):
-        #: Shape of the most recent :meth:`run_tasks` call, for telemetry
-        #: (see :class:`ParallelExecutor`): the serial backend executes one
-        #: task at a time with the rest queued behind it.
-        self.last_run_stats: Optional[Dict] = None
-
     def run_tasks(
         self,
         tasks: Sequence[Callable[[], TaskOutcome]],
@@ -300,13 +294,6 @@ class SerialExecutor:
             outcomes.append(outcome)
             if stop_early is not None and stop_early(outcome):
                 break
-        self.last_run_stats = {
-            "backend": "serial",
-            "tasks": len(tasks),
-            "batches": len(tasks),
-            "max_in_flight": 1 if tasks else 0,
-            "max_queue_depth": max(0, len(tasks) - 1),
-        }
         return outcomes
 
 
@@ -422,11 +409,6 @@ class ParallelExecutor:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
-        #: Shape of the most recent :meth:`run_tasks` call — backend kind,
-        #: task/batch counts, peak in-flight batches and queue depth.
-        #: Telemetry samples these as "host"-source diagnostics; they are
-        #: backend-dependent by nature and never feed the simulation.
-        self.last_run_stats: Optional[Dict] = None
 
     def run_tasks(
         self,
@@ -434,10 +416,7 @@ class ParallelExecutor:
         stop_early: Optional[Callable[[TaskOutcome], bool]] = None,
     ) -> List[TaskOutcome]:
         if len(tasks) <= 1:
-            serial = SerialExecutor()
-            outcomes = serial.run_tasks(tasks, stop_early)
-            self.last_run_stats = serial.last_run_stats
-            return outcomes
+            return SerialExecutor().run_tasks(tasks, stop_early)
         if self._picklable(tasks[0]):
             try:
                 return self._run_in_pool("process", tasks)
@@ -457,13 +436,6 @@ class ParallelExecutor:
                 len(tasks), self.max_workers * self.batches_per_worker
             )
         ]
-        self.last_run_stats = {
-            "backend": kind,
-            "tasks": len(tasks),
-            "batches": len(futures),
-            "max_in_flight": min(self.max_workers, len(futures)),
-            "max_queue_depth": max(0, len(futures) - self.max_workers),
-        }
         outcomes: List[TaskOutcome] = []
         for future in futures:
             outcomes.extend(future.result())

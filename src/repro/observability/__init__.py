@@ -12,18 +12,17 @@ that post-hoc aggregates cannot show.  This package provides:
 * :class:`TraceAnalysis` — per-reducer load, attempt chains and
   straggler timelines reconstructed from a trace file
   (:mod:`repro.observability.analyze`);
-* :class:`Telemetry` — a metrics registry (counters/gauges/histograms)
-  plus a logical-clock sampling collector with JSONL timeline and
-  Prometheus text exporters (:mod:`repro.observability.telemetry`);
-* :class:`TimelineAnalysis` — per-series analysis of a telemetry
-  timeline artifact (:mod:`repro.observability.timeline`);
-* :class:`LineageRecorder` — the shuffle flight recorder capturing one
-  flow edge per (map task, reducer) pair, the artifact the
-  ``explain-group`` / ``explain-reducer`` queries walk
-  (:mod:`repro.observability.lineage` / ``.explain``);
-* :class:`Watchdog` — online skew / misannotation / straggler alerts
-  comparing observed flows against the sketch's ``n/k + m`` promise
-  (:mod:`repro.observability.watchdog`).
+* three *derivations* of that one record stream, each a sink with a
+  ``write(record)`` face that runs live on a tracer or offline over a
+  trace file (:func:`replay`): :class:`Telemetry` (metrics registry,
+  sample timeline, Prometheus text — :mod:`repro.observability.telemetry`,
+  with :class:`TimelineAnalysis` for per-series access),
+  :class:`Watchdog` (online skew / misannotation / straggler alerts
+  against the sketch's ``n/k + m`` promise, re-entering the stream as
+  events — :mod:`repro.observability.watchdog`) and :class:`LineageIndex`
+  (per-(map task, reducer, cuboid) flow edges behind the
+  ``explain-group`` / ``explain-reducer`` queries —
+  :mod:`repro.observability.explain`).
 
 Attach a tracer to a :class:`~repro.mapreduce.ClusterConfig` and every
 job run on that cluster is traced::
@@ -36,7 +35,8 @@ job run on that cluster is traced::
     tracer.close()
 
 or use the CLI: ``python -m repro cube data.tsv --trace run.trace.jsonl``
-then ``python -m repro analyze-trace run.trace.jsonl``.
+then ``analyze-trace`` / ``metrics-export`` / ``explain-reducer`` /
+``report --trace`` on that one file.
 """
 
 from .analyze import (
@@ -66,42 +66,20 @@ from .explain import (
     format_explain_markdown,
     parse_cuboid,
 )
-from .lineage import (
-    LINEAGE_RECORD_TYPES,
-    LINEAGE_VERSION,
-    NULL_LINEAGE,
-    LineageRecorder,
-    NullLineage,
-    cuboid_of_mask_key,
-    lineage_of,
-    load_lineage,
-)
+from .lineage import JobAssembler
 from .telemetry import (
     DEFAULT_BUCKETS,
-    NULL_TELEMETRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullTelemetry,
     Telemetry,
     check_prometheus_text,
-    driver_rss_bytes,
-    emit_run_telemetry,
-    telemetry_of,
 )
-from .timeline import TimelineAnalysis, TimelineError
-from .watchdog import (
-    ALERT_KINDS,
-    NULL_WATCHDOG,
-    SKEW_TOLERANCE,
-    STRAGGLER_FACTOR,
-    NullWatchdog,
-    Watchdog,
-    WatchdogExpectation,
-    watchdog_of,
-)
+from .timeline import TimelineAnalysis
+from .watchdog import SKEW_TOLERANCE, STRAGGLER_FACTOR, Watchdog
 from .schema import (
+    ALERT_KINDS,
     EVENT_KINDS,
     SPAN_KINDS,
     SPAN_STATUSES,
@@ -124,6 +102,7 @@ from .tracer import (
     attempt_counters,
     emit_run_span,
     level_from_name,
+    replay,
 )
 
 __all__ = [
@@ -162,40 +141,24 @@ __all__ = [
     "attempt_counters",
     "emit_run_span",
     "level_from_name",
+    "replay",
     "DEFAULT_BUCKETS",
-    "NULL_TELEMETRY",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullTelemetry",
     "Telemetry",
     "check_prometheus_text",
-    "driver_rss_bytes",
-    "emit_run_telemetry",
-    "telemetry_of",
     "TimelineAnalysis",
-    "TimelineError",
     "ExplainError",
     "LineageIndex",
     "explain_group",
     "explain_reducer",
     "format_explain_markdown",
     "parse_cuboid",
-    "LINEAGE_RECORD_TYPES",
-    "LINEAGE_VERSION",
-    "NULL_LINEAGE",
-    "LineageRecorder",
-    "NullLineage",
-    "cuboid_of_mask_key",
-    "lineage_of",
-    "load_lineage",
+    "JobAssembler",
     "ALERT_KINDS",
-    "NULL_WATCHDOG",
     "SKEW_TOLERANCE",
     "STRAGGLER_FACTOR",
-    "NullWatchdog",
     "Watchdog",
-    "WatchdogExpectation",
-    "watchdog_of",
 ]

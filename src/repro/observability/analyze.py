@@ -32,17 +32,21 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .schema import record_problems
+from .schema import ALERT_KINDS, TraceSchemaError, record_problems
 
 
 def load_trace(path) -> List[Dict]:
     """Read a JSON-lines trace file into a record list (seq order).
 
-    Raises :class:`ValueError` naming the offending line on damaged
-    files: a truncated final line fails the JSON parse, and a line that
-    *is* valid JSON but not an object (``42``, ``"oops"``) — the other
-    way a partial write corrupts a trace — is rejected here rather than
-    surfacing later as an ``AttributeError`` inside the analyzer.
+    The one loader behind every trace consumer.  Raises
+    :class:`ValueError` with a one-line ``PATH:LINE: ...`` reason on
+    damaged files: a truncated final line fails the JSON parse, a line
+    that *is* valid JSON but not an object (``42``, ``"oops"``) is
+    rejected here rather than surfacing later as an ``AttributeError``,
+    and a record that violates the schema (a foreign dialect, a
+    non-numeric time or counter) raises the
+    :class:`~repro.observability.schema.TraceSchemaError` subclass.  A
+    file with no records is ``PATH: empty trace``.
     """
     records: List[Dict] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -61,7 +65,14 @@ def load_trace(path) -> List[Dict]:
                     f"{path}:{line_number}: trace record must be a JSON "
                     f"object, got {type(record).__name__}"
                 )
+            problems = record_problems(record)
+            if problems:
+                raise TraceSchemaError(
+                    f"{path}:{line_number}: " + "; ".join(problems)
+                )
             records.append(record)
+    if not records:
+        raise ValueError(f"{path}: empty trace")
     return records
 
 
@@ -93,8 +104,6 @@ class TraceAnalysis:
 
     def validate(self) -> int:
         """Schema-check every record; returns the count or raises."""
-        from .schema import TraceSchemaError
-
         for record in self.records:
             problems = record_problems(record)
             if problems:
@@ -203,7 +212,7 @@ class TraceAnalysis:
             e["fields"] for e in self._events_of_kind("round_resume", job)
         ]
 
-    # -- watchdog alerts and lineage -----------------------------------------
+    # -- watchdog alerts -----------------------------------------------------
 
     def alerts(self, job: Optional[str] = None,
                kind: Optional[str] = None) -> List[Dict]:
@@ -214,8 +223,6 @@ class TraceAnalysis:
         ``kind`` (``skew_alert`` / ``misannotation_alert`` /
         ``straggler_alert``).
         """
-        from .watchdog import ALERT_KINDS
-
         return [
             e
             for e in self._select(self.events, job)
@@ -229,10 +236,6 @@ class TraceAnalysis:
         for event in self.alerts():
             counts[event["kind"]] = counts.get(event["kind"], 0) + 1
         return counts
-
-    def lineage_events(self, job: Optional[str] = None) -> List[Dict]:
-        """Per-job ``lineage`` summary events (flow/record/byte totals)."""
-        return self._events_of_kind("lineage", job)
 
     # -- per-reducer load ---------------------------------------------------
 

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 # need them.  The engine imports this package's tracer module, so pulling
 # the algorithm stack in at module scope would close an import cycle
 # (observability -> diagnostics -> core -> engine -> observability).
-from ..relation.lattice import all_cuboids, project
+from ..relation.lattice import all_cuboids
 from .analyze import TraceAnalysis
 
 #: A misclassification whose Chernoff tail is below this is "confident":
@@ -564,42 +564,14 @@ class LoadAttribution:
 def predicted_reducer_loads(
     relation, sketch, num_mappers: Optional[int] = None
 ) -> LoadAttribution:
-    """Re-derive round 2's per-reducer record delivery from the sketch.
+    """The sketch's predicted round-2 loads as a :class:`LoadAttribution`
+    (see :func:`repro.core.planner.replay_routing`)."""
+    from ..core.planner import replay_routing
 
-    Walks every tuple's marking plan exactly as the mapper does: ranged
-    emissions go to ``1 + partition_of(base)``, and each mapper's close()
-    flushes one record per distinct skewed c-group it touched — counted
-    here by replaying the engine's ``relation.split(k)`` input split.
-    """
-    from ..core.planner import plan_tuple
-
-    d = sketch.num_dimensions
     k = sketch.num_partitions
-    predicted: Dict[int, int] = {r: 0 for r in range(k + 1)}
-    by_cuboid: Dict[int, Dict[int, int]] = {}
-
-    for row in relation:
-        plan = plan_tuple(row, sketch)
-        for base_mask, _covered in plan.emissions:
-            values = project(row, base_mask, d)
-            reducer = 1 + sketch.partition_of(base_mask, values)
-            predicted[reducer] += 1
-            cuboids = by_cuboid.setdefault(reducer, {})
-            cuboids[base_mask] = cuboids.get(base_mask, 0) + 1
-
-    skew_by_cuboid: Dict[int, int] = {}
-    for chunk in relation.split(num_mappers or k):
-        seen = set()
-        for row in chunk:
-            plan = plan_tuple(row, sketch)
-            for mask in plan.skewed_masks:
-                seen.add((mask, project(row, mask, d)))
-        predicted[0] += len(seen)
-        for mask, _values in seen:
-            skew_by_cuboid[mask] = skew_by_cuboid.get(mask, 0) + 1
-    if skew_by_cuboid:
-        by_cuboid[0] = dict(skew_by_cuboid)
-
+    predicted, by_cuboid, skew_by_cuboid = replay_routing(
+        relation, sketch, num_mappers or k
+    )
     return LoadAttribution(
         num_reducers=k + 1,
         predicted=predicted,

@@ -1,9 +1,11 @@
-"""Explain queries over a lineage artifact — from symptom back to cause.
+"""Explain queries over a trace — from symptom back to cause.
 
-The flight recorder (:mod:`repro.observability.lineage`) stores one flow
-edge per ``(map task, reducer)`` pair with a per-cuboid record breakdown.
-This module walks those edges to answer the two operator questions the
-ISSUE's production scenario starts from:
+A ``debug``-level trace carries one ``flow`` event per ``(map task,
+reducer)`` pair with a per-cuboid record breakdown.
+:class:`LineageIndex` — a trace sink, so it builds the same way live and
+from a trace file — groups them per job execution, and two queries walk
+them to answer the operator questions the production scenario starts
+from:
 
 * :func:`explain_reducer` — *why is this reducer hot?*  Aggregates every
   flow into one reducer of one job execution: which cuboids' groups
@@ -25,14 +27,15 @@ checkpoint layer salvaged are listed in the job's ``completed_reducers``
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .lineage import load_lineage
-from .watchdog import ALERT_KINDS
+from .analyze import load_trace
+from .lineage import JobAssembler
+from .schema import ALERT_KINDS
 
 
 class ExplainError(ValueError):
-    """The lineage artifact cannot answer the requested query."""
+    """The trace cannot answer the requested query."""
 
 
 def parse_cuboid(text: str) -> int:
@@ -47,36 +50,37 @@ def parse_cuboid(text: str) -> int:
 
 
 class LineageIndex:
-    """Indexed view over one lineage artifact's record list."""
+    """Job executions, their flow edges and the alerts of one trace."""
 
-    def __init__(self, records: List[Dict]):
-        if not records or records[0].get("type") != "lineage_meta":
-            raise ExplainError("not a lineage artifact (no lineage_meta head)")
-        self.meta = records[0]
-        self.run_id = self.meta.get("run_id", "run")
-        #: ``{(job, execution): job record}``
+    def __init__(self, records: Iterable[Dict] = ()):
+        self.run_id = "run"
+        #: ``{(job, execution): job view}`` — see
+        #: :class:`~repro.observability.lineage.JobAssembler`.
         self.jobs: Dict[Tuple[str, int], Dict] = {}
-        self.flows: Dict[Tuple[str, int], List[Dict]] = {}
-        self.maps: Dict[Tuple[str, int], List[Dict]] = {}
-        self.reduces: Dict[Tuple[str, int], List[Dict]] = {}
+        #: Alert events flattened to ``{kind, job, at, **fields}``.
         self.alerts: List[Dict] = []
-        for record in records[1:]:
-            rtype = record.get("type")
-            key = (record.get("job"), record.get("execution", 0))
-            if rtype == "job":
-                self.jobs[key] = record
-            elif rtype == "flow":
-                self.flows.setdefault(key, []).append(record)
-            elif rtype == "map_task":
-                self.maps.setdefault(key, []).append(record)
-            elif rtype == "reduce_task":
-                self.reduces.setdefault(key, []).append(record)
-            elif rtype == "alert":
-                self.alerts.append(record)
+        self._assembler = JobAssembler()
+        for record in records:
+            self.write(record)
+
+    def write(self, record: Dict) -> None:
+        """Consume one trace record (the sink face)."""
+        kind = record.get("kind")
+        if kind in ALERT_KINDS:
+            self.alerts.append({
+                "kind": kind, "job": record.get("job"), "at": record["at"],
+                **record["fields"],
+            })
+        elif kind == "run":
+            self.run_id = record["name"]
+        else:
+            job = self._assembler.write(record)
+            if job is not None:
+                self.jobs[job["job"], job["execution"]] = job
 
     @classmethod
     def from_file(cls, path) -> "LineageIndex":
-        return cls(load_lineage(path))
+        return cls(load_trace(path))
 
     # -- selection -----------------------------------------------------------
 
@@ -93,7 +97,7 @@ class LineageIndex:
         executions = [e for (name, e) in self.jobs if name == job]
         if not executions:
             raise ExplainError(
-                f"job {job!r} not in lineage artifact; "
+                f"job {job!r} not in trace; "
                 f"recorded jobs: {self.job_names()}"
             )
         return (job, max(executions))
@@ -101,12 +105,16 @@ class LineageIndex:
     def dominant_job(self) -> str:
         """The job whose flows carry the most records (the cube round)."""
         totals: Dict[str, int] = {}
-        for (name, _execution), flows in self.flows.items():
-            totals[name] = totals.get(name, 0) + sum(
-                flow["records"] for flow in flows
-            )
+        for (name, _execution), job in self.jobs.items():
+            if job["flows"]:
+                totals[name] = totals.get(name, 0) + sum(
+                    flow["records"] for flow in job["flows"]
+                )
         if not totals:
-            raise ExplainError("lineage artifact records no flows")
+            raise ExplainError(
+                "trace records no flow events; re-run with "
+                "--trace-level debug"
+            )
         return max(sorted(totals), key=lambda name: totals[name])
 
     def alerts_for(self, job: str, *, reducer: Optional[int] = None,
@@ -114,8 +122,6 @@ class LineageIndex:
         """Alerts of ``job`` touching the given reducer and/or cuboid."""
         matched = []
         for alert in self.alerts:
-            if alert.get("kind") not in ALERT_KINDS:
-                continue
             if alert.get("job") != job:
                 continue
             if reducer is not None and "reducer" in alert \
@@ -133,7 +139,7 @@ def explain_reducer(
     job: Optional[str] = None,
     reducer: Optional[int] = None,
 ) -> Dict:
-    """Walk the lineage from one reducer back to cuboids and input splits.
+    """Walk the flows from one reducer back to cuboids and input splits.
 
     Defaults: the dominant job's latest execution, and its hottest
     reducer (most delivered flow records).
@@ -143,7 +149,7 @@ def explain_reducer(
     if job is None:
         job = index.dominant_job()
     key = index.latest_execution(job)
-    flows = index.flows.get(key, [])
+    flows = index.jobs[key]["flows"]
     if not flows:
         raise ExplainError(f"no flows recorded for job {job!r}")
 
@@ -203,13 +209,13 @@ def explain_group(
     cuboid: int,
     job: Optional[str] = None,
 ) -> Dict:
-    """Walk the lineage from one cuboid forward to reducers and splits."""
+    """Walk the flows from one cuboid forward to reducers and splits."""
     index = records if isinstance(records, LineageIndex) \
         else LineageIndex(records)
     if job is None:
         job = index.dominant_job()
     key = index.latest_execution(job)
-    flows = index.flows.get(key, [])
+    flows = index.jobs[key]["flows"]
     mask_key = str(cuboid)
 
     by_reducer: Dict[int, int] = {}

@@ -1,236 +1,91 @@
-"""The shuffle flight recorder — per-flow lineage of every shuffle edge.
+"""Job views assembled from the trace — the shared front half of the
+watchdog and the explain index.
 
-Traces (PR 3) record *what ran* and telemetry (PR 8) records *how much*,
-but neither can answer the operator question the ROADMAP's production
-north-star demands: *why is this reducer hot — which cuboid's groups
-landed on it, emitted by which map tasks, fed by which input splits?*
-This module records exactly that join key: one **flow edge** per
-``(map task, reducer partition)`` pair of every job, carrying the
-record/byte volume of the edge and a per-cuboid breakdown classified by
-the job's :attr:`~repro.mapreduce.engine.MapReduceJob.cuboid_of`
-function.
-
-Like the tracer and the telemetry collector, the recorder is:
-
-* **driver-side** — flows are taken from the engine's deterministic
-  task-index-order merge loop, never from workers, so the artifact is
-  bit-identical between the serial and parallel backends (including
-  under injected task and node faults);
-* **logical-clock stamped** — the recorder keeps its own simulated
-  clock, advanced per job by the engine, so job records carry ``t0``
-  independent of whether a tracer or telemetry collector is attached;
-* **a null object by default** — :data:`NULL_LINEAGE` makes a detached
-  run pay a single attribute check.
-
-Re-executed rounds (the checkpoint layer's node-loss resume) appear as
-distinct *executions* of the same job name; salvaged partitions that did
-not re-run are listed in the job record's ``completed_reducers`` so the
-explain walk knows their flows live in the previous execution.
-
-The artifact is JSONL: a ``lineage_meta`` record, then per job a ``job``
-record followed by its ``map_task``, ``flow`` and ``reduce_task``
-records, then the watchdog's ``alert`` records (if a watchdog ran).
-:func:`load_lineage` reads it back with line-numbered errors, mirroring
-:func:`repro.observability.analyze.load_trace`.
+Everything the two need about one job execution is in the records the
+engine emits before that job's ``job`` span: the winning ``attempt``
+spans (task rows: records in/out, chain seconds), the ``debug``-level
+``flow`` events (one per ``(map task, reducer)`` edge, with the edge's
+per-cuboid record counts) and, for a round re-run after a node loss, the
+``round_resume`` event naming the partitions salvaged from a checkpoint.
+:class:`JobAssembler` buffers those and closes them into one plain dict
+when the ``job`` span arrives.  Re-executed rounds become successive
+*executions* of the same job name.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
-#: Artifact format version, bumped on incompatible record changes.
-LINEAGE_VERSION = 1
 
-#: Record types a lineage artifact may contain, in document order.
-LINEAGE_RECORD_TYPES = (
-    "lineage_meta",
-    "job",
-    "map_task",
-    "flow",
-    "reduce_task",
-    "alert",
-)
+class JobAssembler:
+    """Fold each job's task and flow records into one view per job span."""
 
-
-def cuboid_of_mask_key(key):
-    """Cuboid (lattice mask) of a ``(mask, values[, shard])`` shuffle key.
-
-    The emission-key shape shared by the naive, Hive, MR-Cube and
-    PipeSort-MR engines; module-level so parallel workers can pickle the
-    job it is attached to.
-    """
-    return key[0]
-
-
-class NullLineage:
-    """The zero-overhead default: every operation is a no-op."""
-
-    enabled = False
-    clock = 0.0
-
-    def begin_job(self, flow_job: Dict) -> None:
-        pass
-
-    def finish_job(self, flow_job: Dict, metrics) -> None:
-        pass
-
-    def advance(self, seconds: float) -> None:
-        pass
-
-
-#: Shared no-op recorder; safe because it carries no state.
-NULL_LINEAGE = NullLineage()
-
-
-class LineageRecorder:
-    """Accumulate per-job shuffle flows into one deterministic artifact.
-
-    The engine builds one *flow job* dict per round (see
-    ``repro.mapreduce.engine._run_job``) holding ``maps`` / ``flows`` /
-    ``reduces`` lists in merge order; the recorder stamps it with an
-    execution index and a logical start time, collects it on finish, and
-    serializes everything with sorted keys so two runs that did the same
-    work produce byte-identical files.
-    """
-
-    enabled = True
-
-    def __init__(self, run_id: str = "run"):
-        self.run_id = run_id
-        #: Cumulative simulated seconds recorded so far (independent of
-        #: the tracer/telemetry clocks — see the telemetry module's
-        #: clock-independence rationale).
-        self.clock = 0.0
-        #: Finished flow-job dicts, in completion order.
-        self.jobs: List[Dict] = []
-        #: Watchdog alert dicts, in emission order (engine-appended).
-        self.alerts: List[Dict] = []
+    def __init__(self):
         self._executions: Dict[str, int] = {}
+        self._salvaged: Dict[str, List[int]] = {}
+        self._open()
 
-    # -- recording (engine-facing) -------------------------------------------
+    def _open(self) -> None:
+        self._flows: List[Dict] = []
+        # phase -> task -> [chain start, winning attempt span or None]
+        self._chains: Dict[str, Dict[int, List]] = {"map": {}, "reduce": {}}
 
-    def begin_job(self, flow_job: Dict) -> None:
-        """Stamp a new flow job with its execution index and start time."""
-        name = flow_job["job"]
+    def write(self, record: Dict) -> Optional[Dict]:
+        """Consume one record; returns the job view a ``job`` span closes."""
+        kind = record.get("kind")
+        if kind == "attempt":
+            chain = self._chains[record["phase"]].setdefault(
+                record["task"], [record["t0"], None]
+            )
+            if record["status"] != "killed":
+                chain[1] = record
+        elif kind == "flow":
+            fields = record["fields"]
+            self._flows.append({
+                "map_task": record["task"],
+                "reducer": fields["reducer"],
+                "records": fields["records"],
+                "bytes": fields["bytes"],
+                "cuboids": fields["cuboids"],
+            })
+        elif kind == "round_resume":
+            self._salvaged[record.get("job")] = list(
+                record["fields"].get("salvaged_partitions", ())
+            )
+        elif kind == "job":
+            return self._close(record)
+        return None
+
+    def _close(self, span: Dict) -> Dict:
+        name, counters = span["name"], span["counters"]
         execution = self._executions.get(name, 0)
         self._executions[name] = execution + 1
-        flow_job["execution"] = execution
-        flow_job["t0"] = round(self.clock, 9)
+        view = {
+            "job": name,
+            "execution": execution,
+            "t0": span["t0"],
+            "t1": span["t1"],
+            "aborted": span["status"] == "aborted",
+            "num_reducers": counters.get("num_reducers", 0),
+            "map_tasks": counters.get("map_tasks", 0),
+            "memory_records": counters.get("memory_records", 0),
+            "completed_reducers": self._salvaged.pop(name, []),
+            "maps": self._task_rows("map"),
+            "flows": self._flows,
+            "reduces": self._task_rows("reduce"),
+        }
+        self._open()
+        return view
 
-    def finish_job(self, flow_job: Dict, metrics) -> None:
-        """Collect a completed (or aborted) flow job."""
-        flow_job["seconds"] = round(metrics.total_seconds, 9)
-        flow_job["aborted"] = metrics.aborted
-        self.jobs.append(flow_job)
-
-    def advance(self, seconds: float) -> None:
-        """Advance the recorder's simulated clock (one round finished)."""
-        self.clock += seconds
-
-    # -- serialization -------------------------------------------------------
-
-    def to_records(self) -> List[Dict]:
-        """The artifact as a flat record list (the JSONL line sequence)."""
-        records: List[Dict] = [
-            {
-                "type": "lineage_meta",
-                "version": LINEAGE_VERSION,
-                "run_id": self.run_id,
-            }
-        ]
-        for job in self.jobs:
-            name, execution = job["job"], job["execution"]
-            records.append(
-                {
-                    "type": "job",
-                    "job": name,
-                    "execution": execution,
-                    "t0": job["t0"],
-                    "seconds": job["seconds"],
-                    "aborted": job["aborted"],
-                    "num_reducers": job["num_reducers"],
-                    "map_tasks": job["map_tasks"],
-                    "completed_reducers": job["completed_reducers"],
-                }
-            )
-            for task in job["maps"]:
-                record = {"type": "map_task", "job": name,
-                          "execution": execution}
-                record.update(task)
-                records.append(record)
-            for flow in job["flows"]:
-                records.append(
-                    {
-                        "type": "flow",
-                        "job": name,
-                        "execution": execution,
-                        "map_task": flow["map_task"],
-                        "reducer": flow["reducer"],
-                        "records": flow["records"],
-                        "bytes": flow["bytes"],
-                        "cuboids": {
-                            str(mask): count
-                            for mask, count in flow["cuboids"].items()
-                        },
-                    }
-                )
-            for task in job["reduces"]:
-                record = {"type": "reduce_task", "job": name,
-                          "execution": execution}
-                record.update(task)
-                records.append(record)
-        records.extend(self.alerts)
-        return records
-
-    def write(self, path) -> str:
-        """Write the artifact as JSON lines; returns ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self.to_records():
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
-        return path
-
-
-def lineage_of(cluster) -> Optional["LineageRecorder"]:
-    """The cluster's lineage recorder when one is attached and enabled."""
-    recorder = getattr(cluster, "lineage", None)
-    if recorder is not None and recorder.enabled:
-        return recorder
-    return None
-
-
-def load_lineage(path) -> List[Dict]:
-    """Read a lineage artifact back as its record list.
-
-    Raises :class:`ValueError` naming the offending line on damaged
-    files (truncated writes, non-JSON garbage, JSON scalars) so CLI
-    consumers can exit with a one-line reason instead of a traceback.
-    """
-    records: List[Dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(
-                    f"{path}:{line_number}: not valid JSON: {error}"
-                ) from None
-            if not isinstance(record, dict):
-                raise ValueError(
-                    f"{path}:{line_number}: lineage record must be a JSON "
-                    f"object, got {type(record).__name__}"
-                )
-            records.append(record)
-    if not records:
-        raise ValueError(f"{path}: empty lineage artifact")
-    head = records[0]
-    if head.get("type") != "lineage_meta":
-        raise ValueError(
-            f"{path}:1: first record must be lineage_meta, "
-            f"got {head.get('type')!r}"
-        )
-    return records
+    def _task_rows(self, phase: str) -> List[Dict]:
+        """Winning attempts in task order; ``seconds`` spans the chain."""
+        rows = []
+        for task, (started, winner) in sorted(self._chains[phase].items()):
+            if winner is not None:
+                rows.append({
+                    "task": task,
+                    "records_in": winner["counters"].get("records_in", 0),
+                    "records_out": winner["counters"].get("records_out", 0),
+                    "seconds": round(winner["t1"] - started, 9),
+                })
+        return rows

@@ -25,9 +25,9 @@ flat JSON-serializable dict of one of two shapes:
     {
         "type": "event",
         "kind": "crash" | "straggle" | "speculation" | "spill" | "oom"
-              | "route" | "shuffle" | "sketch" | "abort"
+              | "flow" | "shuffle" | "sketch" | "abort"
               | "node_lost" | "checkpoint_write" | "round_resume"
-              | "lineage" | "skew_alert" | "misannotation_alert"
+              | "skew_alert" | "misannotation_alert"
               | "straggler_alert",
         "job": str, "phase": str, "task": int, "attempt": int,  # optional
         "at": float,            # simulated seconds since trace start
@@ -52,25 +52,25 @@ from typing import Dict, Iterable, List
 #: Span kinds, outermost first.
 SPAN_KINDS = ("run", "job", "phase", "attempt")
 
-#: Event kinds the engine, fault layer and engines emit.
+#: Alert kinds the watchdog derives from the stream, in check order.
+ALERT_KINDS = ("skew_alert", "misannotation_alert", "straggler_alert")
+
+#: Event kinds: what the engine, fault layer and engines emit, plus the
+#: watchdog's alerts, which re-enter the stream as ordinary events.
 EVENT_KINDS = (
     "crash",
     "straggle",
     "speculation",
     "spill",
     "oom",
-    "route",
+    "flow",
     "shuffle",
     "sketch",
     "abort",
     "node_lost",
     "checkpoint_write",
     "round_resume",
-    "lineage",
-    "skew_alert",
-    "misannotation_alert",
-    "straggler_alert",
-)
+) + ALERT_KINDS
 
 #: Allowed values of a span's ``status`` field.
 SPAN_STATUSES = ("ok", "killed", "speculative", "aborted", "failed")

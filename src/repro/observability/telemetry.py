@@ -1,48 +1,42 @@
-"""Runtime telemetry: metrics registry, sampling collector, exporters.
+"""Runtime telemetry: a metrics registry derived from the trace.
 
 This module is the quantitative sibling of :mod:`repro.observability.tracer`:
-where the tracer records *what happened* (typed spans and events), the
-telemetry layer records *how much of everything there was and when* —
-shuffle bytes per round, reducer load, checkpoint volume, node liveness,
-driver RSS — as named metric series that can be charted, diffed, and
-exported.
+where the trace records *what happened* (typed spans and events), the
+telemetry view says *how much of everything there was and when* —
+shuffle bytes per round, reducer load, checkpoint volume, node liveness —
+as named metric series that can be charted, diffed, and exported.
 
 Three pieces:
 
 * :class:`MetricsRegistry` — named :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments with Prometheus-style labels and fixed
-  bucket schemas, serializable to/from plain dicts and renderable as
-  Prometheus text exposition (:meth:`MetricsRegistry.prometheus_text`).
-* :class:`Telemetry` — the sampling collector threaded through the engine:
-  it owns a registry, a logical clock mirroring the tracer's simulated
-  clock, and a timeline of ``(series, t, value, labels, source)`` samples
-  taken on a logical-clock cadence.  :meth:`Telemetry.write_timeline`
-  writes the JSONL artifact that :class:`~repro.observability.timeline.\
-TimelineAnalysis` and ``python -m repro metrics-export`` consume.
+  bucket schemas, renderable as Prometheus text exposition
+  (:meth:`MetricsRegistry.prometheus_text`).
+* :class:`Telemetry` — a trace sink: ``write(record)`` folds ``run`` /
+  ``job`` / ``phase`` / ``attempt`` spans and ``shuffle`` / ``node_lost``
+  / ``checkpoint_write`` / ``round_resume`` / ``sketch`` / alert events
+  into the registry and into a timeline of ``(series, t, value, labels)``
+  samples on the trace's simulated clock.  The same code runs live on a
+  tracer and offline over a trace file (``python -m repro
+  metrics-export TRACE`` is :func:`~repro.observability.tracer.replay`
+  into a fresh :class:`Telemetry`).
 * :func:`check_prometheus_text` — a hand-rolled line-format checker for
   the exposition output (no third-party dependencies), used by CI.
 
-**Determinism.**  Samples carry a ``source`` tag.  ``"sim"`` samples are
-functions of the simulated run only (shuffle bytes, phase seconds,
-checkpoint bytes, node liveness, group counts) and are bit-identical
-between serial and parallel backends on their logical-time axis — this
-is tested.  ``"host"`` samples observe the real machine (driver RSS,
-wall seconds, executor queue depth) and are
-excluded from identity comparisons, exactly like the ``executor`` and
-wall-clock fields of :class:`~repro.mapreduce.metrics.JobMetrics`.
-
-**Overhead.**  The default everywhere is the :data:`NULL_TELEMETRY`
-singleton whose ``enabled`` flag is False; hot paths guard every
-instrumentation point with a single attribute check, so a telemetry-off
-run does no per-sample work at all.
+**Determinism.**  Every series is a pure function of the trace records,
+and trace files are byte-identical between serial and parallel backends,
+so the registry and the samples are too.  Host facts (RSS, wall seconds,
+executor shape) are deliberately absent: simulated and host seconds are
+never mixed in one artifact — ``benchmarks/suite`` is the host ledger.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from .schema import ALERT_KINDS
 
 #: Fixed default bucket schema (powers of four, records/bytes-friendly).
 #: Fixed schemas — not per-run adaptive ones — keep histograms mergeable
@@ -56,11 +50,6 @@ DEFAULT_BUCKETS = (
 SECONDS_BUCKETS = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0,
 )
-
-#: Sample source tags (see module docstring).
-SOURCE_SIM = "sim"
-SOURCE_HOST = "host"
-SOURCES = (SOURCE_SIM, SOURCE_HOST)
 
 _LabelsKey = Tuple[Tuple[str, str], ...]
 
@@ -313,273 +302,173 @@ class MetricsRegistry:
             out.extend(metric.exposition_lines())
         return "\n".join(out) + "\n" if out else ""
 
-    def to_dict(self) -> Dict:
-        metrics = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            entry = {"name": name, "type": metric.kind, "help": metric.help,
-                     "series": metric.series()}
-            if metric.kind == "histogram":
-                entry["buckets"] = list(metric.buckets)
-            metrics.append(entry)
-        return {"metrics": metrics}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "MetricsRegistry":
-        registry = cls()
-        for entry in data.get("metrics", []):
-            kind, name = entry["type"], entry["name"]
-            help_text = entry.get("help", "")
-            if kind == "counter":
-                counter = registry.counter(name, help_text)
-                for point in entry.get("series", []):
-                    counter.inc(point["value"], labels=point.get("labels"))
-            elif kind == "gauge":
-                gauge = registry.gauge(name, help_text)
-                for point in entry.get("series", []):
-                    gauge.set(point["value"], labels=point.get("labels"))
-            elif kind == "histogram":
-                hist = registry.histogram(
-                    name, help_text,
-                    buckets=entry.get("buckets", DEFAULT_BUCKETS),
-                )
-                for point in entry.get("series", []):
-                    key = _labels_key(point.get("labels"))
-                    hist._counts[key] = [int(c) for c in point["counts"]]
-                    hist._sums[key] = float(point["sum"])
-                    hist._totals[key] = int(point["count"])
-            else:
-                raise ValueError(f"unknown metric type {kind!r}")
-        return registry
-
-
-class _NullInstrument:
-    """Accepts every instrument operation and records nothing."""
-
-    def inc(self, amount: float = 1.0, labels=None) -> None:
-        pass
-
-    def set(self, value: float, labels=None) -> None:
-        pass
-
-    def observe(self, value: float, labels=None) -> None:
-        pass
-
-    def value(self, labels=None) -> float:
-        return 0.0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullTelemetry:
-    """The zero-overhead default: every operation is a no-op.
-
-    Mirrors :class:`~repro.observability.tracer.NullTracer` — ``enabled``
-    is False so instrumentation points skip even building a sample with
-    one attribute check.  The instrument accessors hand back a shared
-    no-op instrument rather than ``None``, so code that skips the
-    ``enabled`` guard still cannot crash on the null object.
-    """
-
-    enabled = False
-    clock = 0.0
-
-    def sample(self, series: str, value: float, labels=None, at=None,
-               source: str = SOURCE_SIM) -> None:
-        pass
-
-    def counter(self, name: str, help: str = ""):
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = ""):
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Iterable[float] = DEFAULT_BUCKETS):
-        return _NULL_INSTRUMENT
-
-    def advance(self, seconds: float) -> None:
-        pass
-
-    def write_timeline(self, path) -> None:
-        pass
-
-    def prometheus_text(self) -> str:
-        return ""
-
-
-#: Shared no-op telemetry; safe because it carries no state.
-NULL_TELEMETRY = NullTelemetry()
-
 
 class Telemetry:
-    """Sampling collector: a registry plus a logical-clock timeline.
+    """A trace sink building the metrics registry and its sample timeline.
 
-    Parameters
-    ----------
-    cadence:
-        Minimum logical-clock spacing, in simulated seconds, between two
-        samples of the same ``(series, labels)`` pair.  0 keeps every
-        sample.  Downsampling is deterministic — it depends only on the
-        logical timestamps, never on wall time — so a cadence-limited
-        serial run and parallel run drop exactly the same samples.
-    run_id:
-        Free-form identifier stamped into the timeline header.
+    Per-job facts arrive in several records (the map ``phase`` span, the
+    ``shuffle`` event, the winning reduce ``attempt`` spans, ...); they
+    are held until the job's ``job`` span closes the round, then counted
+    once.  ``samples`` is the timeline: one dict per point with
+    ``series`` / ``t`` / ``value`` and optional string ``labels``.
     """
 
-    enabled = True
-
-    def __init__(self, cadence: float = 0.0, run_id: str = ""):
-        if cadence < 0:
-            raise ValueError("cadence must be >= 0")
-        self.cadence = float(cadence)
-        self.run_id = run_id
+    def __init__(self):
         self.registry = MetricsRegistry()
-        #: Cumulative simulated seconds, advanced in lockstep with the
-        #: tracer clock by :func:`repro.mapreduce.engine.run_job`.
-        self.clock = 0.0
         self.samples: List[Dict] = []
-        self._last_sample_at: Dict[Tuple[str, _LabelsKey], float] = {}
-        self._dropped = 0
+        self._phase_seconds: Dict[str, float] = {}
+        self._reduce_loads: Dict[int, int] = {}
+        self._sketch_bytes: Optional[int] = None
 
-    # -- collection ----------------------------------------------------
-
-    def sample(self, series: str, value: float,
-               labels: Optional[Dict[str, str]] = None,
-               at: Optional[float] = None,
-               source: str = SOURCE_SIM) -> None:
-        """Record one timeline point for ``series`` at logical time ``at``
-        (default: the current logical clock), subject to the cadence."""
-        if source not in SOURCES:
-            raise ValueError(f"unknown sample source {source!r}")
-        t = self.clock if at is None else float(at)
-        key = (series, _labels_key(labels))
-        if self.cadence > 0.0:
-            last = self._last_sample_at.get(key)
-            if last is not None and (t - last) < self.cadence:
-                self._dropped += 1
-                return
-        self._last_sample_at[key] = t
-        record = {"type": "sample", "series": series, "t": round(t, 9),
-                  "value": value, "source": source}
+    def sample(self, series: str, value: float, at: float,
+               labels: Optional[Dict[str, str]] = None) -> None:
+        """Record one timeline point for ``series`` at simulated ``at``."""
+        record = {"series": series, "t": round(at, 9), "value": value}
         if labels:
             record["labels"] = {str(k): str(v) for k, v in labels.items()}
         self.samples.append(record)
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self.registry.counter(name, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self.registry.gauge(name, help)
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Iterable[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self.registry.histogram(name, help, buckets)
-
-    def advance(self, seconds: float) -> None:
-        """Advance the logical clock (one job/round finished)."""
-        self.clock += seconds
-
-    @property
-    def dropped_samples(self) -> int:
-        """Samples suppressed by the cadence (for overhead accounting)."""
-        return self._dropped
-
-    # -- export --------------------------------------------------------
-
     def prometheus_text(self) -> str:
         return self.registry.prometheus_text()
 
-    def timeline_records(self) -> List[Dict]:
-        """The full JSONL payload: header, samples, final registry dump."""
-        header = {
-            "type": "meta", "version": 1, "run_id": self.run_id,
-            "cadence": self.cadence, "clock": round(self.clock, 9),
-            "num_samples": len(self.samples), "dropped": self._dropped,
-        }
-        registry_record = {"type": "registry",
-                           "registry": self.registry.to_dict()}
-        return [header] + self.samples + [registry_record]
+    # -- the derivation ------------------------------------------------
 
-    def write_timeline(self, path) -> None:
-        """Write the timeline artifact (JSONL; see module docstring)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.timeline_records():
-                fh.write(json.dumps(record, sort_keys=True))
-                fh.write("\n")
+    def write(self, record: Dict) -> None:
+        """Fold one trace record into the registry and the timeline."""
+        handler = getattr(self, "_on_" + str(record.get("kind")), None)
+        if handler is not None:
+            handler(record)
+        elif record.get("kind") in ALERT_KINDS:
+            self.registry.counter(
+                "repro_watchdog_alerts_total",
+                "Watchdog alerts emitted, by kind",
+            ).inc(labels={"kind": record["kind"]})
 
+    def _on_phase(self, span: Dict) -> None:
+        seconds = span["counters"].get("seconds", span["t1"] - span["t0"])
+        self._phase_seconds[span["phase"]] = seconds
+        self.sample("phase_seconds", seconds, span["t1"],
+                    {"job": span["job"], "phase": span["phase"]})
 
-def driver_rss_bytes() -> Optional[int]:
-    """Peak resident-set size of this process in bytes, or ``None`` when
-    the platform lacks the :mod:`resource` module.  A "host"-source
-    quantity: real memory, excluded from determinism comparisons."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        return None
-    import sys
+    def _on_shuffle(self, event: Dict) -> None:
+        seconds = event["fields"].get("seconds", 0.0)
+        self._phase_seconds["shuffle"] = seconds
+        self.sample("phase_seconds", seconds, event["at"] + seconds,
+                    {"job": event.get("job"), "phase": "shuffle"})
 
-    rss = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    # ru_maxrss is KiB on Linux, bytes on macOS.
-    return rss if sys.platform == "darwin" else rss * 1024
+    def _on_attempt(self, span: Dict) -> None:
+        if span["phase"] == "reduce" and span["status"] != "killed":
+            self._reduce_loads[span["task"]] = span["counters"].get(
+                "records_in", 0
+            )
 
+    def _on_job(self, span: Dict) -> None:
+        name, counters, registry = span["name"], span["counters"], self.registry
+        labels = {"job": name}
+        registry.counter(
+            "repro_jobs_total", "MapReduce rounds executed"
+        ).inc(labels=labels)
+        shuffle_bytes = counters.get("map_output_bytes", 0)
+        shuffle_records = counters.get("map_output_records", 0)
+        registry.counter(
+            "repro_shuffle_bytes_total", "Bytes shuffled from map to reduce"
+        ).inc(shuffle_bytes, labels=labels)
+        registry.counter(
+            "repro_shuffle_records_total", "Pairs shuffled from map to reduce"
+        ).inc(shuffle_records, labels=labels)
+        registry.counter(
+            "repro_task_attempts_total", "Task attempts including retries"
+        ).inc(counters.get("attempts", 0), labels=labels)
+        if counters.get("killed_tasks"):
+            registry.counter(
+                "repro_tasks_killed_total",
+                "Attempts killed by injected faults",
+            ).inc(counters["killed_tasks"], labels=labels)
+        phase_hist = registry.histogram(
+            "repro_phase_seconds", "Simulated seconds per phase",
+            buckets=SECONDS_BUCKETS,
+        )
+        for phase in ("map", "shuffle", "reduce"):
+            phase_hist.observe(
+                self._phase_seconds.get(phase, 0.0), labels={"phase": phase}
+            )
+        t_map = span["t0"] + self._phase_seconds.get("map", 0.0)
+        self.sample("shuffle_bytes", shuffle_bytes, t_map, labels)
+        self.sample("shuffle_records", shuffle_records, t_map, labels)
+        if self._reduce_loads:
+            reduce_hist = registry.histogram(
+                "repro_reduce_task_records", "Input records per reduce task"
+            )
+            for task, records in sorted(self._reduce_loads.items()):
+                reduce_hist.observe(records, labels=labels)
+                self.sample("reducer_records", records, span["t1"],
+                            {"job": name, "task": task})
+        self._phase_seconds, self._reduce_loads = {}, {}
 
-def telemetry_of(cluster) -> "Telemetry":
-    """The cluster's telemetry, defaulting to :data:`NULL_TELEMETRY`.
+    def _on_node_lost(self, event: Dict) -> None:
+        node = event["fields"].get("node")
+        self.registry.counter(
+            "repro_nodes_lost_total", "Failure domains lost to node kills"
+        ).inc()
+        self._node_up(node, 0, event["at"])
 
-    Mirrors the ``cluster.tracer or NULL_TRACER`` idiom used by the
-    engine; tolerates configs created before the field existed.
-    """
-    return getattr(cluster, "telemetry", None) or NULL_TELEMETRY
+    def _node_up(self, node, up: int, at: float) -> None:
+        self.registry.gauge(
+            "repro_node_up", "Node liveness (1 = serving, 0 = dead)"
+        ).set(up, labels={"node": node})
+        self.sample("node_up", up, at, {"node": node})
 
+    def _on_round_resume(self, event: Dict) -> None:
+        self.registry.counter(
+            "repro_round_resumes_total",
+            "Rounds resumed from a checkpoint after node loss",
+        ).inc()
+        for node in event["fields"].get("replaced_nodes", ()):
+            # The dead domain is re-provisioned for the rerun.
+            self._node_up(node, 1, event["at"])
 
-def emit_run_telemetry(cluster, metrics, dfs=None) -> None:
-    """Record one algorithm execution's run-level metric series.
+    def _on_checkpoint_write(self, event: Dict) -> None:
+        fields = event["fields"]
+        self.registry.counter(
+            "repro_checkpoint_writes_total", "Rounds checkpointed to the DFS"
+        ).inc()
+        self.registry.counter(
+            "repro_checkpoint_bytes_total",
+            "Reduce-output bytes persisted as checkpoints",
+        ).inc(fields.get("bytes", 0))
+        self.sample("checkpoint_bytes", fields.get("bytes", 0), event["at"],
+                    {"round": fields.get("round")})
 
-    The engine-level instrumentation (:mod:`repro.mapreduce.engine`)
-    captures per-round quantities; this captures what only exists at run
-    end — output cube group counts, sketch bytes, DFS volume, driver RSS.
-    Called by every cube engine at the end of ``compute``, right next to
-    :func:`~repro.observability.tracer.emit_run_span`; a no-op when the
-    cluster carries no telemetry.
-    """
-    telemetry = telemetry_of(cluster)
-    if not telemetry.enabled:
-        return
-    name = metrics.algorithm
-    labels = {"run": name}
-    telemetry.counter(
-        "repro_runs_total", "Cube algorithm executions"
-    ).inc(labels=labels)
-    telemetry.gauge(
-        "repro_cube_groups", "Output cube groups of the last execution"
-    ).set(metrics.output_groups, labels=labels)
-    telemetry.sample("cube_groups", metrics.output_groups, labels=labels)
-    sketch_bytes = metrics.extras.get("sketch_bytes")
-    if sketch_bytes is not None:
-        telemetry.gauge(
-            "repro_sketch_bytes", "Serialized SP-Sketch size"
-        ).set(sketch_bytes, labels=labels)
-        telemetry.sample("sketch_bytes", sketch_bytes, labels=labels)
-    if dfs is not None:
-        # Driver-side DFS accounting is deterministic (writes happen in
-        # the merge order, read-drop coins are seeded), hence "sim".
-        telemetry.sample("dfs_writes", dfs.writes, labels=labels)
-        telemetry.sample("dfs_records_written", dfs.records_written,
-                         labels=labels)
-        if dfs.read_retries:
-            telemetry.sample("dfs_read_retries", dfs.read_retries,
-                             labels=labels)
-        telemetry.gauge(
-            "repro_dfs_files", "Files in the simulated DFS"
-        ).set(len(dfs), labels=labels)
-    rss = driver_rss_bytes()
-    if rss is not None:
-        telemetry.gauge(
-            "repro_driver_rss_bytes", "Peak driver resident-set size"
-        ).set(rss)
-        telemetry.sample("driver_rss_bytes", rss, source=SOURCE_HOST)
+    def _on_sketch(self, event: Dict) -> None:
+        self._sketch_bytes = event["fields"].get("bytes")
+
+    def _on_run(self, span: Dict) -> None:
+        counters, at = span["counters"], span["t1"]
+        labels = {"run": span["name"]}
+        self.registry.counter(
+            "repro_runs_total", "Cube algorithm executions"
+        ).inc(labels=labels)
+        groups = counters.get("output_groups", 0)
+        self.registry.gauge(
+            "repro_cube_groups", "Output cube groups of the last execution"
+        ).set(groups, labels=labels)
+        self.sample("cube_groups", groups, at, labels)
+        if self._sketch_bytes is not None:
+            self.registry.gauge(
+                "repro_sketch_bytes", "Serialized SP-Sketch size"
+            ).set(self._sketch_bytes, labels=labels)
+            self.sample("sketch_bytes", self._sketch_bytes, at, labels)
+            self._sketch_bytes = None
+        if "dfs_files" in counters:
+            self.sample("dfs_writes", counters["dfs_writes"], at, labels)
+            self.sample("dfs_records_written",
+                        counters["dfs_records_written"], at, labels)
+            if counters["dfs_read_retries"]:
+                self.sample("dfs_read_retries",
+                            counters["dfs_read_retries"], at, labels)
+            self.registry.gauge(
+                "repro_dfs_files", "Files in the simulated DFS"
+            ).set(counters["dfs_files"], labels=labels)
 
 
 # ---------------------------------------------------------------------------

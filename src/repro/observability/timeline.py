@@ -1,67 +1,24 @@
-"""Analysis of telemetry timeline artifacts (JSONL).
+"""Per-series access to a telemetry sample timeline.
 
-:class:`TimelineAnalysis` loads the artifact written by
-:meth:`repro.observability.telemetry.Telemetry.write_timeline` — a meta
-header, one record per sample, and a final full registry dump — and
-answers the questions the HTML report and CI ask of it: which series
-exist, their per-series points and extrema, per-source splits, and the
-registry rebuilt as a :class:`~repro.observability.telemetry.\
-MetricsRegistry` so the Prometheus exposition can be regenerated from
-the archived timeline alone (``python -m repro metrics-export``).
+:class:`TimelineAnalysis` indexes the samples of a
+:class:`~repro.observability.telemetry.Telemetry` (live, or replayed
+from a trace file) and answers the questions the HTML report asks of
+them: which series exist, their per-label-set points and their extrema.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Tuple
-
-from .telemetry import MetricsRegistry
-
-
-class TimelineError(ValueError):
-    """The timeline artifact is malformed."""
 
 
 class TimelineAnalysis:
-    """Index a telemetry timeline's records for analysis."""
+    """Index a list of ``{series, t, value[, labels]}`` samples."""
 
-    def __init__(self, records: List[Dict]):
-        self.meta: Dict = {}
-        self.samples: List[Dict] = []
-        self._registry_dump: Optional[Dict] = None
-        for record in records:
-            rtype = record.get("type")
-            if rtype == "meta":
-                self.meta = record
-            elif rtype == "sample":
-                if "series" not in record or "t" not in record:
-                    raise TimelineError(
-                        f"sample record missing series/t: {record!r}"
-                    )
-                self.samples.append(record)
-            elif rtype == "registry":
-                self._registry_dump = record.get("registry")
-            else:
-                raise TimelineError(f"unknown record type {rtype!r}")
+    def __init__(self, samples: List[Dict]):
+        self.samples = list(samples)
         self._by_series: Dict[str, List[Dict]] = {}
         for sample in self.samples:
             self._by_series.setdefault(sample["series"], []).append(sample)
-
-    @classmethod
-    def from_file(cls, path) -> "TimelineAnalysis":
-        records = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise TimelineError(
-                        f"{path}:{lineno}: not JSON: {exc}"
-                    ) from None
-        return cls(records)
 
     # -- access --------------------------------------------------------
 
@@ -94,27 +51,6 @@ class TimelineAnalysis:
                 out.append(dict(key))
         return out
 
-    def sources(self, name: str) -> List[str]:
-        return sorted({s.get("source", "sim")
-                       for s in self._by_series.get(name, [])})
-
-    def sim_samples(self) -> List[Dict]:
-        """Samples on the deterministic simulated axis only — the subset
-        that must be bit-identical between serial and parallel runs."""
-        return [s for s in self.samples if s.get("source", "sim") == "sim"]
-
-    def registry(self) -> MetricsRegistry:
-        """The final metrics registry rebuilt from the embedded dump."""
-        if self._registry_dump is None:
-            raise TimelineError(
-                "timeline has no registry record; was it written by "
-                "Telemetry.write_timeline?"
-            )
-        return MetricsRegistry.from_dict(self._registry_dump)
-
-    def has_registry(self) -> bool:
-        return self._registry_dump is not None
-
     # -- summaries -----------------------------------------------------
 
     def series_summary(self, name: str) -> Dict:
@@ -126,53 +62,9 @@ class TimelineAnalysis:
             "series": name,
             "samples": len(samples),
             "label_sets": len(self.label_sets(name)),
-            "sources": self.sources(name),
             "min": min(values) if values else None,
             "max": max(values) if values else None,
             "last": values[-1] if values else None,
             "t0": min(times) if times else None,
             "t1": max(times) if times else None,
         }
-
-    def summary_dict(self) -> Dict:
-        """Machine-readable digest of the whole timeline."""
-        return {
-            "run_id": self.meta.get("run_id", ""),
-            "clock": self.meta.get("clock"),
-            "cadence": self.meta.get("cadence"),
-            "num_samples": len(self.samples),
-            "dropped": self.meta.get("dropped", 0),
-            "series": [self.series_summary(n) for n in self.series_names()],
-            "has_registry": self.has_registry(),
-        }
-
-    def format_summary(self) -> str:
-        """Human-readable digest, one line per series."""
-        lines = []
-        meta = self.meta
-        run_id = meta.get("run_id") or "<unnamed>"
-        lines.append(
-            f"timeline {run_id}: {len(self.samples)} samples across "
-            f"{len(self._by_series)} series, clock {meta.get('clock', 0)}s"
-            + (f", {meta.get('dropped', 0)} dropped by cadence"
-               if meta.get("dropped") else "")
-        )
-        for name in self.series_names():
-            s = self.series_summary(name)
-            sources = "+".join(s["sources"])
-            lines.append(
-                f"  {name:<28s} {s['samples']:>5d} samples "
-                f"[{sources}]  min {_fmt(s['min'])}  max {_fmt(s['max'])}  "
-                f"last {_fmt(s['last'])}"
-            )
-        if not self._by_series:
-            lines.append("  (no samples)")
-        return "\n".join(lines)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float) and not value.is_integer():
-        return f"{value:.3f}"
-    return str(int(value))

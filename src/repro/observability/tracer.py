@@ -12,6 +12,16 @@ and fans it out to pluggable sinks:
 * :class:`ProgressSink` — a human-readable live reporter printing one
   line per job/phase completion and per injected fault.
 
+**Derivations.**  A sink is anything with ``write(record)``.  The
+:class:`~repro.observability.watchdog.Watchdog`,
+:class:`~repro.observability.telemetry.Telemetry` and
+:class:`~repro.observability.explain.LineageIndex` are sinks that build
+their view from the records alone, so the same code runs live on a
+tracer and offline over a trace file (:func:`replay`).  ``write`` may
+return follow-up records (the watchdog's alerts); the tracer emits them
+*after* every sink has seen the record that caused them, so each sink
+sees a job's alerts right after that job's span, in ``seq`` order.
+
 The default tracer everywhere is the singleton :data:`NULL_TRACER`, whose
 methods are no-ops and whose ``enabled`` flag lets hot paths skip even
 building a record — a traced-off run does no per-record work at all.
@@ -42,7 +52,7 @@ from .schema import EVENT_KINDS, SPAN_KINDS  # noqa: F401  (re-exported)
 
 #: Trace levels, coarse to fine.  ``job`` records run/job/phase spans and
 #: job-level events; ``task`` adds per-attempt spans and fault events;
-#: ``debug`` adds per-task route summaries and spill events.
+#: ``debug`` adds per-(map task, reducer) flow events and spill events.
 LEVEL_OFF = 0
 LEVEL_JOB = 1
 LEVEL_TASK = 2
@@ -68,12 +78,13 @@ class NullTracer:
 
     ``enabled`` is False so call sites guard record construction with a
     single attribute check; ``level`` is ``LEVEL_OFF`` so level-gated
-    emitters (task buffers, route summaries) never activate.
+    emitters (task buffers, flow events) never activate.
     """
 
     enabled = False
     level = LEVEL_OFF
     clock = 0.0
+    seq = 0
 
     def emit(self, record: Dict) -> None:
         pass
@@ -109,14 +120,19 @@ class Tracer:
         self.level = level
         #: Cumulative simulated seconds traced so far (see module doc).
         self.clock = 0.0
-        self._seq = 0
+        #: ``seq`` the next record will carry (= records emitted so far).
+        self.seq = 0
 
     def emit(self, record: Dict) -> None:
-        """Assign the next ``seq`` and hand the record to every sink."""
-        record["seq"] = self._seq
-        self._seq += 1
+        """Assign the next ``seq`` and hand the record to every sink, then
+        emit whatever follow-up records the sinks derived from it."""
+        record["seq"] = self.seq
+        self.seq += 1
+        derived: List[Dict] = []
         for sink in self.sinks:
-            sink.write(record)
+            derived.extend(sink.write(record) or ())
+        for follow_up in derived:
+            self.emit(follow_up)
 
     def span(self, kind: str, **fields) -> None:
         """Emit a span record; ``t0``/``t1``/``name`` come via ``fields``."""
@@ -278,14 +294,28 @@ class ProgressSink:
         return None
 
 
-def emit_run_span(tracer, metrics, base: float) -> None:
+def replay(records: Iterable[Dict], sink):
+    """Feed recorded trace records to a derivation sink, offline.
+
+    Follow-up records the sink returns are dropped: a recorded stream
+    already carries them.  Returns the sink, so
+    ``replay(load_trace(path), Telemetry())`` reads as a value.
+    """
+    for record in records:
+        sink.write(record)
+    return sink
+
+
+def emit_run_span(tracer, metrics, base: float, dfs=None) -> None:
     """Emit one algorithm execution's ``run`` span.
 
     Called by every cube engine at the end of ``compute`` with the clock
     value it saw at the start; the span covers ``[base, tracer.clock]``
     (the jobs in between advanced the clock) and carries the run's
     headline counters so the analyzer can summarize without re-deriving
-    them from job spans.
+    them from job spans.  An engine that owns a DFS passes it so the
+    span also carries the file system's (deterministic, driver-side)
+    write/read accounting.
     """
     if not tracer.enabled:
         return
@@ -295,20 +325,28 @@ def emit_run_span(tracer, metrics, base: float) -> None:
         status = "failed"
     else:
         status = "ok"
+    counters = {
+        "jobs": len(metrics.jobs),
+        "output_groups": metrics.output_groups,
+        "intermediate_bytes": metrics.intermediate_bytes,
+        "intermediate_records": metrics.intermediate_records,
+        "attempts": metrics.attempts,
+        "killed_tasks": metrics.killed_tasks,
+        "speculative_wins": metrics.speculative_wins,
+        "recovered": metrics.recovered,
+        "recovery_overhead_seconds": metrics.recovery_overhead(),
+    }
+    if dfs is not None:
+        counters.update(
+            dfs_writes=dfs.writes,
+            dfs_records_written=dfs.records_written,
+            dfs_read_retries=dfs.read_retries,
+            dfs_files=len(dfs),
+        )
     tracer.span(
         "run", name=metrics.algorithm,
         t0=base, t1=base + metrics.total_seconds, status=status,
-        counters={
-            "jobs": len(metrics.jobs),
-            "output_groups": metrics.output_groups,
-            "intermediate_bytes": metrics.intermediate_bytes,
-            "intermediate_records": metrics.intermediate_records,
-            "attempts": metrics.attempts,
-            "killed_tasks": metrics.killed_tasks,
-            "speculative_wins": metrics.speculative_wins,
-            "recovered": metrics.recovered,
-            "recovery_overhead_seconds": metrics.recovery_overhead(),
-        },
+        counters=counters,
     )
 
 

@@ -7,20 +7,25 @@ work) treat as first-class: detecting, **while the run is in flight**,
 that a reducer is drifting past the load the theory promised, and saying
 which cuboid put it there.
 
-The watchdog inspects every job's flow record (built by the engine for
-the :mod:`~repro.observability.lineage` recorder) at the job's merge
-point and emits three typed alerts:
+The watchdog is a trace sink (see :mod:`repro.observability.tracer`):
+it assembles each job's task rows and flow edges from the records that
+precede the job's span (:class:`~repro.observability.lineage.JobAssembler`),
+inspects the job when that span arrives, and hands its alerts back to
+the tracer as ordinary events.  What it can check follows from the trace
+level: reducer loads and task durations need ``task``-level attempt
+spans, per-cuboid loads need ``debug``-level ``flow`` events.  Three
+typed alerts:
 
 ``skew_alert``
     A reducer's delivered records exceed ``tolerance`` times the
     Prop 4.2(2) band ``n/k + m``, with ``n``/``k`` the job's *observed*
     reduce totals and ``m`` the configured reducer memory.  For jobs
-    with a registered sketch expectation (SP-Cube's round 2) the skew
-    reducer 0 is exempt — it is *supposed* to absorb the heavy groups —
-    and the band uses the ranged reducers only.
+    with a sketch promise (SP-Cube's round 2) the skew reducer 0 is
+    exempt — it is *supposed* to absorb the heavy groups — and the band
+    uses the ranged reducers only.
 
 ``misannotation_alert``
-    Only for expectation jobs: a value-partitioned (ranged) cuboid put
+    Only for promised jobs: a value-partitioned (ranged) cuboid put
     more than ``tolerance × (n/k + m)`` records on one reducer — it is
     behaving like a batch cuboid, i.e. the sketch missed a skewed group
     and range-routed it whole.  Named per cuboid so the operator can
@@ -31,28 +36,25 @@ point and emits three typed alerts:
     median of its phase — the attempt-duration-quantile rule, guarded by
     a minimum task count so tiny phases cannot alarm.
 
-Alerts are plain dicts (the lineage artifact's ``alert`` records); the
-engine surfaces each through the tracer (typed trace events →
-ProgressSink ``[watch]`` lines), the telemetry counter
-``repro_watchdog_alerts_total{kind}``, and the lineage artifact.  Like
-every observability layer the watchdog is observation-only and keeps its
-own logical clock, and a detached run pays one attribute check
-(:data:`NULL_WATCHDOG`).
-
-For expectation jobs the watchdog also retains the predicted-vs-observed
-per-reducer comparison (:attr:`Watchdog.comparisons`); on a fault-free
-run the deltas are all zero and the observed side equals
+The sketch's promise reaches the watchdog the way everything else does,
+as a record: SP-Cube's ``sketch`` event carries ``promise = {job, n, k,
+m}`` and, at ``debug`` level, the ``predicted`` per-reducer loads.  For
+those the watchdog also retains the predicted-vs-observed comparison
+(:attr:`Watchdog.comparisons`); on a fault-free run the deltas are all
+zero and the observed side equals
 :func:`repro.observability.diagnostics.attribute_load`'s ``actual``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from statistics import median
 from typing import Dict, List, Optional
 
+from .lineage import JobAssembler
+from .schema import ALERT_KINDS  # noqa: F401  (re-exported)
+
 #: Multiple of the ``n/k + m`` band a reducer (or a cuboid's flow into
-#: one reducer) may reach before alerting — matches the doctor's
+#: one reducer) may reach before alerting — the doctor's
 #: :data:`repro.observability.diagnostics.BALANCE_TOLERANCE`.
 SKEW_TOLERANCE = 2.0
 
@@ -62,50 +64,9 @@ STRAGGLER_FACTOR = 3.0
 #: Phases with fewer tasks than this are never straggler-checked.
 MIN_STRAGGLER_TASKS = 4
 
-#: Alert kinds, in the order checks run.
-ALERT_KINDS = ("skew_alert", "misannotation_alert", "straggler_alert")
-
-
-@dataclass
-class WatchdogExpectation:
-    """Sketch-predicted reducer loads registered for one job by name."""
-
-    job: str
-    #: Input rows of the round (Prop 4.2's ``n``).
-    n: int
-    #: Sketch partitions (ranged reducers ``1..k``).
-    k: int
-    #: Reducer memory in records (the skew threshold ``m``).
-    m: int
-    #: Predicted delivered records per reducer id.
-    predicted: Dict[int, int] = field(default_factory=dict)
-
-
-class NullWatchdog:
-    """The zero-overhead default: every operation is a no-op."""
-
-    enabled = False
-    clock = 0.0
-
-    def expect(self, job: str, *, n: int, k: int, m: int,
-               predicted: Dict[int, int]) -> None:
-        pass
-
-    def inspect_job(self, flow_job: Dict, metrics) -> List[Dict]:
-        return []
-
-    def advance(self, seconds: float) -> None:
-        pass
-
-
-#: Shared no-op watchdog; safe because it carries no state.
-NULL_WATCHDOG = NullWatchdog()
-
 
 class Watchdog:
     """Compare observed shuffle flows against the theory, per round."""
-
-    enabled = True
 
     def __init__(
         self,
@@ -118,75 +79,53 @@ class Watchdog:
         self.skew_tolerance = skew_tolerance
         self.straggler_factor = straggler_factor
         self.min_straggler_tasks = min_straggler_tasks
-        #: Cumulative simulated seconds inspected so far (own clock, like
-        #: telemetry's — alert times cannot depend on a tracer being
-        #: attached).
-        self.clock = 0.0
-        #: Every alert emitted, in order.
+        #: Every alert event emitted, in order.
         self.alerts: List[Dict] = []
-        #: Per expectation job: predicted/observed/delta reducer loads.
+        #: Per promised job: predicted/observed/delta reducer loads.
         self.comparisons: Dict[str, Dict] = {}
-        self._expectations: Dict[str, WatchdogExpectation] = {}
-        self._executions: Dict[str, int] = {}
+        self._promises: Dict[str, Dict] = {}
+        self._assembler = JobAssembler()
 
-    # -- configuration -------------------------------------------------------
+    def write(self, record: Dict) -> Optional[List[Dict]]:
+        """Consume one trace record; a ``job`` span returns its alerts.
 
-    def expect(self, job: str, *, n: int, k: int, m: int,
-               predicted: Dict[int, int]) -> None:
-        """Register sketch-predicted loads for ``job`` (SP-Cube round 2)."""
-        self._expectations[job] = WatchdogExpectation(
-            job=job, n=n, k=k, m=m, predicted=dict(predicted)
-        )
-
-    # -- inspection (engine-facing) ------------------------------------------
-
-    def inspect_job(self, flow_job: Dict, metrics) -> List[Dict]:
-        """Check one finished job's flows; returns the new alerts.
-
-        Called by the engine for *every* job a watchdog-carrying cluster
-        runs (so execution indices track re-executed rounds); aborted
-        executions are counted but never inspected — their flows are
-        partial by definition.
+        Aborted executions are counted (so execution indices track
+        re-executed rounds) but never inspected — their flows are partial
+        by definition.
         """
-        name = flow_job["job"]
-        execution = self._executions.get(name, 0)
-        self._executions[name] = execution + 1
-        if metrics.aborted:
-            return []
-        at = round(self.clock + metrics.total_seconds, 9)
-        expectation = self._expectations.get(name)
+        if record.get("kind") == "sketch":
+            promise = record["fields"].get("promise")
+            if promise:
+                self._promises[promise["job"]] = promise
+            return None
+        job = self._assembler.write(record)
+        if job is None or job["aborted"]:
+            return None
+        promise = self._promises.get(job["job"])
         alerts: List[Dict] = []
 
         def alert(kind: str, **fields) -> None:
-            record = {
-                "type": "alert",
-                "kind": kind,
-                "job": name,
-                "execution": execution,
-                "at": at,
-            }
-            record.update(fields)
-            alerts.append(record)
+            alerts.append({
+                "type": "event", "kind": kind, "at": job["t1"],
+                "job": job["job"],
+                "fields": {"execution": job["execution"], **fields},
+            })
 
-        self._check_skew(flow_job, expectation, alert)
-        if expectation is not None:
-            self._check_misannotation(flow_job, expectation, alert)
-            self._record_comparison(flow_job, expectation)
-        self._check_stragglers(flow_job, alert)
-
+        self._check_skew(job, promise, alert)
+        if promise is not None:
+            self._check_misannotation(job, promise, alert)
+            if "predicted" in promise:
+                self._record_comparison(job, promise)
+        self._check_stragglers(job, alert)
         self.alerts.extend(alerts)
         return alerts
 
-    def advance(self, seconds: float) -> None:
-        """Advance the watchdog's simulated clock (one round finished)."""
-        self.clock += seconds
-
     # -- checks --------------------------------------------------------------
 
-    def _check_skew(self, flow_job, expectation, alert) -> None:
+    def _check_skew(self, job, promise, alert) -> None:
         """Observed per-reducer records vs the ``n/k + m`` band."""
-        reduces = flow_job["reduces"]
-        if expectation is not None:
+        reduces = job["reduces"]
+        if promise is not None:
             # Reducer 0 absorbs the sketch-flagged skewed groups by
             # design; the Prop 4.2(2) promise covers the ranged ones.
             reduces = [task for task in reduces if task["task"] != 0]
@@ -194,7 +133,7 @@ class Watchdog:
             return
         n_observed = sum(task["records_in"] for task in reduces)
         k_active = len(reduces)
-        bound = n_observed / k_active + flow_job["memory_records"]
+        bound = n_observed / k_active + job["memory_records"]
         ceiling = self.skew_tolerance * bound
         for task in reduces:
             observed = task["records_in"]
@@ -208,19 +147,17 @@ class Watchdog:
                     tolerance=self.skew_tolerance,
                 )
 
-    def _check_misannotation(self, flow_job, expectation, alert) -> None:
+    def _check_misannotation(self, job, promise, alert) -> None:
         """Per-cuboid flow into one ranged reducer vs its own band."""
         loads: Dict[int, Dict[int, int]] = {}
-        for flow in flow_job["flows"]:
+        for flow in job["flows"]:
             reducer = flow["reducer"]
             if reducer == 0:
                 continue
             for mask, count in flow["cuboids"].items():
-                if mask is None:
-                    continue
-                per_reducer = loads.setdefault(mask, {})
+                per_reducer = loads.setdefault(int(mask), {})
                 per_reducer[reducer] = per_reducer.get(reducer, 0) + count
-        bound = expectation.n / expectation.k + expectation.m
+        bound = promise["n"] / promise["k"] + promise["m"]
         ceiling = self.skew_tolerance * bound
         for mask in sorted(loads):
             for reducer in sorted(loads[mask]):
@@ -236,11 +173,11 @@ class Watchdog:
                         tolerance=self.skew_tolerance,
                     )
 
-    def _check_stragglers(self, flow_job, alert) -> None:
+    def _check_stragglers(self, job, alert) -> None:
         """Winning-attempt durations vs the phase median."""
         for phase, tasks in (
-            ("map", flow_job["maps"]),
-            ("reduce", flow_job["reduces"]),
+            ("map", job["maps"]),
+            ("reduce", job["reduces"]),
         ):
             if len(tasks) < self.min_straggler_tasks:
                 continue
@@ -260,33 +197,22 @@ class Watchdog:
                         factor=self.straggler_factor,
                     )
 
-    def _record_comparison(self, flow_job, expectation) -> None:
+    def _record_comparison(self, job, promise) -> None:
         """Retain predicted vs observed loads for post-run attribution."""
-        observed = {
-            task["task"]: task["records_in"]
-            for task in flow_job["reduces"]
+        predicted = {
+            int(reducer): load
+            for reducer, load in promise["predicted"].items()
         }
+        observed = {task["task"]: task["records_in"] for task in job["reduces"]}
         reducers = sorted(
-            set(expectation.predicted) | set(observed)
-            | set(range(flow_job["num_reducers"]))
+            set(predicted) | set(observed) | set(range(job["num_reducers"]))
         )
-        self.comparisons[flow_job["job"]] = {
-            "execution": flow_job.get("execution", 0),
-            "predicted": dict(expectation.predicted),
+        self.comparisons[job["job"]] = {
+            "execution": job["execution"],
+            "predicted": predicted,
             "observed": observed,
             "deltas": {
-                reducer: (
-                    observed.get(reducer, 0)
-                    - expectation.predicted.get(reducer, 0)
-                )
+                reducer: observed.get(reducer, 0) - predicted.get(reducer, 0)
                 for reducer in reducers
             },
         }
-
-
-def watchdog_of(cluster) -> Optional["Watchdog"]:
-    """The cluster's watchdog when one is attached and enabled."""
-    watchdog = getattr(cluster, "watchdog", None)
-    if watchdog is not None and watchdog.enabled:
-        return watchdog
-    return None

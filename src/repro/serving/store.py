@@ -89,8 +89,7 @@ class StoreError(ValueError):
 
 
 class ServingCounters:
-    """Shared read-path counters (``serving.*``), optionally mirrored
-    into a :class:`~repro.observability.telemetry.Telemetry` registry.
+    """Shared read-path counters (``serving.*``).
 
     One instance is threaded through a store, its view, and the server
     so a single ``/stats`` read shows the whole pipeline.  All methods
@@ -114,19 +113,11 @@ class ServingCounters:
         "serving.disconnects",      # clients gone mid-request or mid-reply
     )
 
-    def __init__(self, telemetry=None):
+    def __init__(self):
         self._counts = {field: 0 for field in self.FIELDS}
-        if telemetry is None:
-            from ..observability.telemetry import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
-        self._telemetry = telemetry
 
     def bump(self, field: str, amount: int = 1) -> None:
         self._counts[field] += amount
-        if self._telemetry.enabled:
-            name = "repro_" + field.replace(".", "_") + "_total"
-            self._telemetry.counter(name, f"{field} events").inc(amount)
 
     def value(self, field: str) -> int:
         return self._counts[field]

@@ -278,53 +278,57 @@ class TestDoctor:
 
 
 class TestTelemetryCommands:
-    """--telemetry, metrics-export, analyze-trace --format json, report."""
+    """metrics-export, analyze-trace --format json and report, all from
+    the one trace file."""
 
     def make_artifacts(self, tmp_path):
         data = str(tmp_path / "data.tsv")
         trace = str(tmp_path / "run.trace.jsonl")
-        timeline = str(tmp_path / "run.timeline.jsonl")
         main(["generate", "binomial", "--rows", "300", "-o", data])
         assert main(
-            ["cube", data, "--machines", "4", "--trace", trace,
-             "--telemetry", timeline]
+            ["cube", data, "--machines", "4", "--trace", trace]
         ) == 0
-        return data, trace, timeline
+        return data, trace
 
     def test_cube_writes_timeline(self, tmp_path, capsys):
+        """The trace is the only artifact a run writes, and it is pure
+        span/event records — no second dialect rides in the file."""
         import json
 
-        _data, _trace, timeline = self.make_artifacts(tmp_path)
-        assert "telemetry timeline written" in capsys.readouterr().out
-        lines = open(timeline).read().strip().splitlines()
-        types = [json.loads(line)["type"] for line in lines]
-        assert types[0] == "meta"
-        assert types[-1] == "registry"
-        assert "sample" in types
+        _data, trace = self.make_artifacts(tmp_path)
+        out = capsys.readouterr().out
+        assert "trace written to" in out and "telemetry" not in out
+        types = {json.loads(line)["type"] for line in open(trace)}
+        assert types == {"span", "event"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data.tsv", "run.trace.jsonl",
+        ]
 
     def test_metrics_export_prints_valid_exposition(self, tmp_path, capsys):
-        _data, _trace, timeline = self.make_artifacts(tmp_path)
+        _data, trace = self.make_artifacts(tmp_path)
         capsys.readouterr()
-        assert main(["metrics-export", timeline, "--check"]) == 0
+        assert main(["metrics-export", trace, "--check"]) == 0
         captured = capsys.readouterr()
         assert "format ok" in captured.err
         assert "# TYPE repro_jobs_total counter" in captured.out
         assert "repro_phase_seconds_bucket" in captured.out
+        assert "repro_reduce_task_records_bucket" in captured.out
+        assert "rss" not in captured.out  # no host facts on the sim clock
 
     def test_metrics_export_to_file(self, tmp_path, capsys):
-        _data, _trace, timeline = self.make_artifacts(tmp_path)
+        _data, trace = self.make_artifacts(tmp_path)
         out = str(tmp_path / "metrics.prom")
-        assert main(["metrics-export", timeline, "-o", out]) == 0
+        assert main(["metrics-export", trace, "-o", out]) == 0
         assert "# HELP" in open(out).read()
 
     def test_metrics_export_missing_file_exits_cleanly(self):
         with pytest.raises(SystemExit, match="error"):
-            main(["metrics-export", "/nonexistent/timeline.jsonl"])
+            main(["metrics-export", "/nonexistent/run.trace.jsonl"])
 
     def test_analyze_trace_json_format(self, tmp_path, capsys):
         import json
 
-        _data, trace, _timeline = self.make_artifacts(tmp_path)
+        _data, trace = self.make_artifacts(tmp_path)
         capsys.readouterr()
         assert main(["analyze-trace", trace, "--format", "json"]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -333,16 +337,14 @@ class TestTelemetryCommands:
         assert summary["recovery"]["attempts"] > 0
 
     def test_report_stitches_everything(self, tmp_path, capsys):
-        _data, trace, timeline = self.make_artifacts(tmp_path)
+        _data, trace = self.make_artifacts(tmp_path)
         out = str(tmp_path / "report.html")
-        assert main(
-            ["report", "--trace", trace, "--telemetry", timeline,
-             "-o", out]
-        ) == 0
+        assert main(["report", "--trace", trace, "-o", out]) == 0
         html = open(out).read()
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html
         assert "per-reducer delivered records" in html
+        assert "logical seconds per phase" in html  # the Telemetry section
         assert "<script" not in html  # self-contained, no JS
         # Sections without inputs say so instead of vanishing.
         assert "not provided" in html
@@ -353,17 +355,18 @@ class TestTelemetryCommands:
 
 
 class TestLineageCommands:
-    """--lineage/--watchdog on cube, and the explain query commands."""
+    """A debug-level trace carries the flows and the watchdog's alerts;
+    the explain query commands walk it."""
 
     def adversarial_artifact(self, tmp_path):
         """The CI smoke pair's skewed half: a run that must alert."""
         data = str(tmp_path / "adv.tsv")
-        lineage = str(tmp_path / "adv.lineage.jsonl")
+        lineage = str(tmp_path / "adv.trace.jsonl")
         main(["generate", "binomial", "--rows", "1500", "--skew", "0.9",
               "--seed", "11", "-o", data])
         assert main(
             ["cube", data, "--machines", "4", "--memory-records", "32",
-             "--lineage", lineage, "--watchdog"]
+             "--trace", lineage, "--trace-level", "debug"]
         ) == 0
         return data, lineage
 
@@ -372,25 +375,28 @@ class TestLineageCommands:
 
         _data, lineage = self.adversarial_artifact(tmp_path)
         out = capsys.readouterr().out
-        assert "lineage written" in out
-        assert "skew_alert" in out
+        assert "watchdog:        1 skew_alert" in out
         records = [
             json.loads(line) for line in open(lineage).read().splitlines()
         ]
-        assert records[0]["type"] == "lineage_meta"
-        kinds = {r["kind"] for r in records if r["type"] == "alert"}
-        assert "skew_alert" in kinds
+        kinds = [r["kind"] for r in records]
+        assert "flow" in kinds
+        # The alert is an ordinary event, right behind its job's span.
+        span = max(i for i, r in enumerate(records)
+                   if r["kind"] == "job" and r["name"] == "sp-cube")
+        assert kinds[span + 1] == "skew_alert"
 
     def test_uniform_run_stays_quiet(self, tmp_path, capsys):
         data = str(tmp_path / "uni.tsv")
-        lineage = str(tmp_path / "uni.lineage.jsonl")
+        trace = str(tmp_path / "uni.trace.jsonl")
         main(["generate", "binomial", "--rows", "1500", "--skew", "0.0",
               "--seed", "11", "-o", data])
         assert main(
             ["cube", data, "--machines", "4", "--memory-records", "32",
-             "--lineage", lineage, "--watchdog"]
+             "--trace", trace, "--trace-level", "debug"]
         ) == 0
         assert "watchdog:        no alerts" in capsys.readouterr().out
+        assert "_alert" not in open(trace).read()
 
     def test_explain_reducer_markdown_and_json(self, tmp_path, capsys):
         import json
@@ -430,9 +436,9 @@ class TestLineageCommands:
 
     def test_explain_missing_file_exits_cleanly(self):
         with pytest.raises(SystemExit, match="error"):
-            main(["explain-reducer", "/nonexistent/run.lineage.jsonl"])
+            main(["explain-reducer", "/nonexistent/run.trace.jsonl"])
         with pytest.raises(SystemExit, match="error"):
-            main(["explain-group", "/nonexistent/run.lineage.jsonl",
+            main(["explain-group", "/nonexistent/run.trace.jsonl",
                   "--cuboid", "3"])
 
     def test_explain_bad_cuboid_exits_cleanly(self, tmp_path):
@@ -443,7 +449,7 @@ class TestLineageCommands:
     def test_explain_truncated_artifact_names_line(self, tmp_path):
         _data, lineage = self.adversarial_artifact(tmp_path)
         text = open(lineage).read()
-        truncated = str(tmp_path / "truncated.lineage.jsonl")
+        truncated = str(tmp_path / "truncated.trace.jsonl")
         open(truncated, "w").write(text[: len(text) // 2])
         with pytest.raises(SystemExit, match="not valid JSON"):
             main(["explain-reducer", truncated])
@@ -451,7 +457,7 @@ class TestLineageCommands:
     def test_report_with_only_lineage(self, tmp_path, capsys):
         _data, lineage = self.adversarial_artifact(tmp_path)
         out = str(tmp_path / "report.html")
-        assert main(["report", "--lineage", lineage, "-o", out]) == 0
+        assert main(["report", "--trace", lineage, "-o", out]) == 0
         html = open(out).read()
         assert "Lineage &amp; alerts" in html
         assert "skew_alert" in html
@@ -495,6 +501,59 @@ class TestTruncatedTrace:
         message = str(excinfo.value)
         assert "must be a JSON object, got int" in message
         assert f":{len(open(trace).readlines()) + 1}:" in message
+
+
+class TestDamagedArtifact:
+    """One loader, one contract: every trace consumer answers a damaged
+    file with a one-line ``PATH[:LINE]: reason`` and a non-zero exit."""
+
+    VALID = ('{"type": "event", "kind": "oom", "at": 0, "fields": {}, '
+             '"seq": 0}\n')
+    DAMAGE = {
+        "empty": ("", r"bad\.jsonl: empty trace"),
+        "truncated last line": (VALID + VALID[:30], ":2: not valid JSON"),
+        "JSON scalar line": (VALID + "42\n", ":2: .*got int"),
+        "non-numeric time": (
+            VALID + '{"type": "span", "kind": "run", "name": "r", "t0": "0",'
+            ' "t1": 1, "status": "ok", "counters": {}, "seq": 1}\n',
+            ":2: span needs numeric t0 and t1",
+        ),
+        "pre-PR lineage file": (
+            '{"type": "lineage_meta", "version": 1, "run_id": "r"}\n'
+            '{"type": "job", "job": "sp-cube", "execution": 0}\n',
+            ":1: type must be 'span' or 'event', got 'lineage_meta'",
+        ),
+        "pre-PR timeline file": (
+            '{"type": "meta", "version": 1, "run_id": "r", "cadence": 0}\n'
+            '{"type": "sample", "series": "s", "t": 0, "value": "x"}\n',
+            ":1: type must be 'span' or 'event', got 'meta'",
+        ),
+    }
+    COMMANDS = {
+        "analyze-trace": ["analyze-trace", "{path}"],
+        "metrics-export": ["metrics-export", "{path}"],
+        "explain-reducer": ["explain-reducer", "{path}"],
+        "explain-group": ["explain-group", "{path}", "--cuboid", "1"],
+        "report": ["report", "--trace", "{path}", "-o", "{path}.html"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_line_reason_and_nonzero_exit(self, tmp_path, capsys, command):
+        import re
+
+        path = tmp_path / "bad.jsonl"
+        argv = [arg.format(path=path) for arg in self.COMMANDS[command]]
+        for damage, (text, reason) in self.DAMAGE.items():
+            path.write_text(text)
+            try:
+                code, message = main(argv), capsys.readouterr().err.strip()
+            except SystemExit as exit_:
+                code, message = exit_.code, str(exit_.code)
+            assert code not in (0, None), damage
+            assert re.search(reason, message), (damage, message)
+            assert "\n" not in message, damage
+            assert capsys.readouterr().out == "", damage
+            assert not (tmp_path / "bad.jsonl.html").exists(), damage
 
 
 class TestMetricsServe:
@@ -543,16 +602,13 @@ class TestMetricsServe:
         import urllib.request
 
         from repro.cli import build_metrics_server
-        from repro.observability import TimelineAnalysis
+        from repro.observability import Telemetry, load_trace, replay
 
         data = str(tmp_path / "data.tsv")
-        timeline = str(tmp_path / "run.timeline.jsonl")
+        trace = str(tmp_path / "run.trace.jsonl")
         main(["generate", "binomial", "--rows", "300", "-o", data])
-        assert main(
-            ["cube", data, "--machines", "4", "--telemetry", timeline]
-        ) == 0
-        text = TimelineAnalysis.from_file(timeline).registry()
-        text = text.prometheus_text()
+        assert main(["cube", data, "--machines", "4", "--trace", trace]) == 0
+        text = replay(load_trace(trace), Telemetry()).prometheus_text()
         server = build_metrics_server(text, port=0)
         try:
             thread = threading.Thread(

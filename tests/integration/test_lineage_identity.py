@@ -1,10 +1,9 @@
-"""The flight recorder and watchdog are deterministic observers.
+"""Flow lineage and watchdog alerts are deterministic derivations.
 
-The lineage artifact is recorded at the engine's driver-side merge
-point, so its byte sequence — and the watchdog alerts derived from it —
-must be **bit-identical** between the serial and parallel backends for
-every engine, clean and under injected task and node faults.  And like
-telemetry, attaching either may never change the simulation itself.
+The spine suite (``tests/observability/test_trace_integration.py``)
+asserts trace byte identity once; these checks stay as the per-engine
+statement at the lineage level, over the same cached runs, plus the
+fault-free acceptance check that the watchdog agrees with the doctor.
 """
 
 from dataclasses import replace
@@ -12,162 +11,93 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis import paper_cluster
-from repro.baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
 from repro.core import SPCube
 from repro.datagen import gen_binomial
-from repro.mapreduce import (
-    ClusterConfig,
-    CostModel,
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-)
-from repro.mapreduce.faults import NodeFaultSpec
 from repro.observability import (
-    LineageRecorder,
+    ExplainError,
+    LineageIndex,
     MemorySink,
     TraceAnalysis,
     Tracer,
     Watchdog,
     attribute_load,
+    explain_reducer,
 )
 
-ENGINES = {
-    "spcube": SPCube,
-    "naive": NaiveCube,
-    "hive": HiveCube,
-    "mrcube": MRCube,
-    "pipesort": PipeSortMR,
-}
-
-CRASH_PLAN = FaultPlan([FaultSpec("crash", phase="map", task=0, attempt=0)])
-
-
-@pytest.fixture(scope="module")
-def binomial():
-    return gen_binomial(400, 0.3, seed=9)
+from ..observability.spine import (
+    ENGINES,
+    cluster,
+    relation,
+    simulation,
+    spine_run,
+    untraced_run,
+)
 
 
-def make_cluster(lineage=None, watchdog=None, parallelism=None,
-                 fault_plan=None):
-    return ClusterConfig(
-        num_machines=4,
-        memory_records=64,
-        cost_model=CostModel(speculation_launch_seconds=1e-4),
-        fault_plan=fault_plan,
-        retry_policy=RetryPolicy(),
-        parallelism=parallelism,
-        lineage=lineage,
-        watchdog=watchdog,
-    )
-
-
-def recorded_run(engine_cls, relation, parallelism=None, fault_plan=None):
-    lineage = LineageRecorder(run_id="identity")
-    watchdog = Watchdog()
-    engine_cls(
-        make_cluster(lineage, watchdog, parallelism=parallelism,
-                     fault_plan=fault_plan)
-    ).compute(relation)
-    return lineage, watchdog
+def assert_same_lineage(engine_name, faults):
+    serial = spine_run(engine_name, faults).live
+    parallel = spine_run(engine_name, faults, parallelism=2).live
+    assert parallel.lineage.jobs == serial.lineage.jobs
+    assert parallel.lineage.alerts == serial.lineage.alerts
+    assert parallel.watchdog.comparisons == serial.watchdog.comparisons
+    return serial.lineage
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_serial_parallel_identity_clean(binomial, engine_name):
-    serial_lin, serial_dog = recorded_run(ENGINES[engine_name], binomial)
-    par_lin, par_dog = recorded_run(
-        ENGINES[engine_name], binomial, parallelism=3
-    )
-    assert par_lin.to_records() == serial_lin.to_records()
-    assert par_dog.alerts == serial_dog.alerts
-    assert par_dog.comparisons == serial_dog.comparisons
+def test_serial_parallel_identity_clean(engine_name):
+    assert_same_lineage(engine_name, "clean")
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_serial_parallel_identity_under_task_faults(binomial, engine_name):
-    serial_lin, serial_dog = recorded_run(
-        ENGINES[engine_name], binomial, fault_plan=CRASH_PLAN
-    )
-    par_lin, par_dog = recorded_run(
-        ENGINES[engine_name], binomial, parallelism=3,
-        fault_plan=CRASH_PLAN,
-    )
-    assert par_lin.to_records() == serial_lin.to_records()
-    assert par_dog.alerts == serial_dog.alerts
-
-
-def node_cluster(parallelism=None):
-    """A checkpointing multi-node cluster that loses node 1 mid-round."""
-    base = paper_cluster(2000, num_machines=6, num_nodes=3)
-    plan = FaultPlan(seed=11, node_specs=[
-        NodeFaultSpec(node=1, at_seconds=0.5, job="mrcube-materialize"),
-    ])
-    return replace(
-        base,
-        fault_plan=plan,
-        parallelism=parallelism,
-        lineage=LineageRecorder(run_id="identity"),
-        watchdog=Watchdog(),
-    )
+def test_serial_parallel_identity_under_task_faults(engine_name):
+    assert_same_lineage(engine_name, "task-faults")
 
 
 def test_serial_parallel_identity_under_node_faults():
     """A node loss re-executes the round; the aborted execution and the
-    resume both appear in the artifact identically for both backends."""
-    relation = gen_binomial(2000, 0.5, seed=3)
-    serial = node_cluster()
-    parallel = node_cluster(parallelism=3)
-    serial_run = MRCube(serial).compute(relation)
-    parallel_run = MRCube(parallel).compute(relation)
-    assert serial_run.metrics.nodes_lost == 1
-    assert parallel_run.cube == serial_run.cube
-    assert parallel.lineage.to_records() == serial.lineage.to_records()
-    assert parallel.watchdog.alerts == serial.watchdog.alerts
-    # The killed round is present as an aborted execution 0 followed by
-    # a clean execution 1 of the same job name.
-    executions = [
-        (r["job"], r["execution"], r["aborted"])
-        for r in serial.lineage.to_records() if r["type"] == "job"
-        and r["job"] == "mrcube-materialize"
-    ]
-    assert ("mrcube-materialize", 0, True) in executions
-    assert ("mrcube-materialize", 1, False) in executions
+    resume both appear in the index, identically for both backends."""
+    lineage = assert_same_lineage("mrcube", "node-loss")
+    executions = {
+        execution: job for (name, execution), job in lineage.jobs.items()
+        if name == "mrcube-materialize"
+    }
+    assert executions[0]["aborted"] and not executions[1]["aborted"]
+    # Reducer 0 finished before the node died and was salvaged.
+    assert executions[1]["completed_reducers"] == [0]
+    assert explain_reducer(
+        lineage, job="mrcube-materialize", reducer=0
+    )["salvaged"]
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_recording_does_not_change_runs(binomial, engine_name):
-    engine_cls = ENGINES[engine_name]
-    plain = engine_cls(make_cluster()).compute(binomial)
-    recorded = engine_cls(
-        make_cluster(LineageRecorder(), Watchdog())
-    ).compute(binomial)
-    assert recorded.cube == plain.cube
-    assert len(recorded.metrics.jobs) == len(plain.metrics.jobs)
-    for plain_job, rec_job in zip(
-        plain.metrics.jobs, recorded.metrics.jobs
-    ):
-        assert rec_job.total_seconds == plain_job.total_seconds
-        assert rec_job.map_output_records == plain_job.map_output_records
+def test_recording_does_not_change_runs(engine_name):
+    traced = spine_run(engine_name, "task-faults")
+    plain = untraced_run(engine_name, "task-faults")
+    assert simulation(traced.run) == simulation(plain)
 
 
-def test_lineage_off_by_default(binomial):
-    cluster = make_cluster()
-    assert cluster.lineage is None
-    assert cluster.watchdog is None
-    run = SPCube(cluster).compute(binomial)
+def test_lineage_off_by_default():
+    """Flow edges ride only at ``debug``: the default ``task`` level
+    records none, and the explain walk says how to get them."""
+    lineage = LineageIndex()
+    run = SPCube(
+        cluster(tracer=Tracer([lineage]))
+    ).compute(relation())
     assert run.metrics.output_groups > 0
+    assert lineage.jobs and not any(j["flows"] for j in lineage.jobs.values())
+    with pytest.raises(ExplainError, match="--trace-level debug"):
+        explain_reducer(lineage)
 
 
-def test_every_engine_classifies_cuboids(binomial):
+def test_every_engine_classifies_cuboids():
     """Every cube round's flows carry a per-cuboid breakdown; only the
-    classifier-less sample round (key ``0``) may record empty ones."""
-    for engine_name, engine_cls in sorted(ENGINES.items()):
-        lineage, _ = recorded_run(engine_cls, binomial)
-        for job in lineage.jobs:
-            if job["job"] in ("sp-sketch", "mrcube-sample"):
+    classifier-less sample rounds (key ``0``) record empty ones."""
+    for engine_name in sorted(ENGINES):
+        for (name, _), job in spine_run(engine_name).live.lineage.jobs.items():
+            if name in ("sp-sketch", "mrcube-sample"):
                 continue
             assert any(flow["cuboids"] for flow in job["flows"]), (
-                engine_name, job["job"],
+                engine_name, name,
             )
 
 
@@ -178,21 +108,17 @@ class TestWatchdogMatchesDoctor:
     @pytest.fixture(scope="class")
     def run(self):
         relation = gen_binomial(1500, 0.9, seed=11)
-        sink = MemorySink()
-        cluster = paper_cluster(len(relation), num_machines=4)
+        sink, watchdog, lineage = MemorySink(), Watchdog(), LineageIndex()
         cluster = replace(
-            cluster,
-            tracer=Tracer([sink], level="task"),
-            lineage=LineageRecorder(run_id="doctor"),
-            watchdog=Watchdog(),
+            paper_cluster(len(relation), num_machines=4),
+            tracer=Tracer([sink, watchdog, lineage], level="debug"),
         )
         cube_run = SPCube(cluster).compute(relation)
-        cluster.tracer.close()
-        return relation, cluster, cube_run, sink.records
+        return relation, watchdog, lineage, cube_run, sink.records
 
     def test_deltas_are_zero_and_sides_match_attribution(self, run):
-        relation, cluster, cube_run, records = run
-        comparison = cluster.watchdog.comparisons["sp-cube"]
+        relation, watchdog, _lineage, cube_run, records = run
+        comparison = watchdog.comparisons["sp-cube"]
         attribution = attribute_load(
             relation, cube_run.sketch, TraceAnalysis(records)
         )
@@ -204,13 +130,9 @@ class TestWatchdogMatchesDoctor:
     def test_explain_reducer_names_doctor_flagged_cuboids(self, run):
         """The hottest ranged reducer's explain walk must surface the
         cuboids the doctor's attribution says routed its load."""
-        from repro.observability import explain_reducer
-
-        relation, cluster, cube_run, _records = run
+        relation, _watchdog, lineage, cube_run, _records = run
         attribution = attribute_load(relation, cube_run.sketch)
-        result = explain_reducer(
-            cluster.lineage.to_records(), job="sp-cube"
-        )
+        result = explain_reducer(lineage, job="sp-cube")
         flagged = attribution.by_cuboid.get(result["reducer"], {})
         explained = {int(mask) for mask in result["by_cuboid"]}
         assert explained  # the walk names cuboids at all

@@ -1,171 +1,58 @@
-"""Telemetry is observation-only: it may never change a run.
+"""Tracing is observation-only, and its derived metrics are deterministic.
 
-Two invariants of the telemetry layer, enforced for every engine:
-
-* **on/off identity** — a run with a :class:`Telemetry` collector
-  attached produces the same cube and the same simulated metrics as a
-  run without one, serial and parallel alike.  Instrumentation reads the
-  simulation; it never feeds back into it.
-* **serial/parallel sample identity** — every sample on the logical-time
-  axis (``source == "sim"``) is bit-identical between a serial and a
-  parallel run of the same workload.  Host-source samples (RSS, wall
-  clock, executor depth) are explicitly excluded: they measure the real
-  machine.
+Both follow from the spine suite
+(``tests/observability/test_trace_integration.py``: byte-identical
+traces, live sinks == replay); these checks stay as the engine-by-engine
+statement of the two invariants at the metrics level, over the same
+cached runs.
 """
 
-from dataclasses import asdict
+import dataclasses
 
 import pytest
 
-from repro.baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
-from repro.core import SPCube
-from repro.datagen import gen_binomial
-from repro.mapreduce import (
-    ClusterConfig,
-    CostModel,
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-)
-from repro.observability import MemorySink, Telemetry, Tracer
+from repro.mapreduce import ClusterConfig
 
-ENGINES = {
-    "spcube": SPCube,
-    "naive": NaiveCube,
-    "hive": HiveCube,
-    "mrcube": MRCube,
-    "pipesort": PipeSortMR,
-}
-
-#: JobMetrics fields describing the backend, not the simulation.
-BACKEND_FIELDS = (
-    "executor", "map_phase_wall_seconds", "reduce_phase_wall_seconds",
-)
-
-CRASH_PLAN = FaultPlan([FaultSpec("crash", phase="map", task=0, attempt=0)])
-
-
-@pytest.fixture(scope="module")
-def binomial():
-    return gen_binomial(400, 0.3, seed=9)
-
-
-def make_cluster(telemetry=None, parallelism=None, fault_plan=None,
-                 tracer=None):
-    return ClusterConfig(
-        num_machines=4,
-        memory_records=64,
-        cost_model=CostModel(speculation_launch_seconds=1e-4),
-        fault_plan=fault_plan,
-        retry_policy=RetryPolicy(),
-        parallelism=parallelism,
-        telemetry=telemetry,
-        tracer=tracer,
-    )
-
-
-def assert_same_simulation(plain_run, telemetered_run):
-    assert telemetered_run.cube == plain_run.cube
-    assert len(telemetered_run.metrics.jobs) == len(plain_run.metrics.jobs)
-    for plain_job, telem_job in zip(
-        plain_run.metrics.jobs, telemetered_run.metrics.jobs
-    ):
-        plain_dict, telem_dict = asdict(plain_job), asdict(telem_job)
-        for backend_field in BACKEND_FIELDS:
-            plain_dict.pop(backend_field)
-            telem_dict.pop(backend_field)
-        assert telem_dict == plain_dict, plain_job.name
-    assert telemetered_run.metrics.extras == plain_run.metrics.extras
-    assert (
-        telemetered_run.metrics.output_groups
-        == plain_run.metrics.output_groups
-    )
+from ..observability.spine import ENGINES, simulation, spine_run, untraced_run
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_telemetry_does_not_change_serial_runs(binomial, engine_name):
-    engine_cls = ENGINES[engine_name]
-    plain = engine_cls(make_cluster()).compute(binomial)
-    telemetry = Telemetry(run_id=engine_name)
-    telemetered = engine_cls(make_cluster(telemetry)).compute(binomial)
-    assert_same_simulation(plain, telemetered)
-    assert telemetry.samples  # the collector actually collected
+def test_telemetry_does_not_change_serial_runs(engine_name):
+    traced = spine_run(engine_name)
+    assert simulation(traced.run) == simulation(untraced_run(engine_name))
+    assert traced.live.telemetry.samples  # the derivation actually ran
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_telemetry_does_not_change_parallel_runs(binomial, engine_name):
-    engine_cls = ENGINES[engine_name]
-    plain = engine_cls(make_cluster(parallelism=3)).compute(binomial)
-    telemetered = engine_cls(
-        make_cluster(Telemetry(run_id=engine_name), parallelism=3)
-    ).compute(binomial)
-    assert_same_simulation(plain, telemetered)
+def test_telemetry_does_not_change_parallel_runs(engine_name):
+    # Against the untraced *serial* run: backends agreeing when nothing
+    # is traced is tests/integration/test_executors.py's job.
+    traced = spine_run(engine_name, parallelism=2)
+    assert simulation(traced.run) == simulation(untraced_run(engine_name))
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_sim_samples_identical_serial_vs_parallel(binomial, engine_name):
-    """The logical-time axis is deterministic: a parallel run must emit
-    exactly the serial run's sim samples (host samples may differ)."""
-    engine_cls = ENGINES[engine_name]
-    serial_telemetry = Telemetry(run_id=engine_name)
-    parallel_telemetry = Telemetry(run_id=engine_name)
-    engine_cls(make_cluster(serial_telemetry)).compute(binomial)
-    engine_cls(
-        make_cluster(parallel_telemetry, parallelism=3)
-    ).compute(binomial)
-
-    def sim_only(telemetry):
-        return [
-            {k: v for k, v in record.items() if k != "source"}
-            for record in telemetry.samples
-            if record["source"] == "sim"
-        ]
-
-    assert sim_only(parallel_telemetry) == sim_only(serial_telemetry)
-    assert parallel_telemetry.clock == serial_telemetry.clock
+def test_sim_samples_identical_serial_vs_parallel(engine_name):
+    serial = spine_run(engine_name).live.telemetry
+    parallel = spine_run(engine_name, parallelism=2).live.telemetry
+    assert parallel.samples == serial.samples
+    assert parallel.prometheus_text() == serial.prometheus_text()
 
 
-def test_sim_samples_identical_under_faults(binomial):
-    """Crash-retry chains land on the logical clock too, so the sample
-    identity must survive fault injection."""
-    serial_telemetry = Telemetry(run_id="faulted")
-    parallel_telemetry = Telemetry(run_id="faulted")
-    SPCube(
-        make_cluster(serial_telemetry, fault_plan=CRASH_PLAN)
-    ).compute(binomial)
-    SPCube(
-        make_cluster(parallel_telemetry, parallelism=3,
-                     fault_plan=CRASH_PLAN)
-    ).compute(binomial)
-    serial_sim = [
-        r for r in serial_telemetry.samples if r["source"] == "sim"
+def test_sim_samples_identical_under_faults():
+    """Crash-retry chains and a resumed round land on the clock too."""
+    for faults in ("task-faults", "node-loss"):
+        serial = spine_run("spcube", faults).live.telemetry
+        parallel = spine_run("spcube", faults, parallelism=2).live.telemetry
+        assert parallel.samples == serial.samples
+
+
+def test_telemetry_off_by_default():
+    """A cluster has exactly one observer field, and it is off: nothing
+    to pay, nothing recorded."""
+    observers = [
+        field.name for field in dataclasses.fields(ClusterConfig)
+        if field.name in ("tracer", "telemetry", "lineage", "watchdog")
     ]
-    parallel_sim = [
-        r for r in parallel_telemetry.samples if r["source"] == "sim"
-    ]
-    assert parallel_sim == serial_sim
-
-
-def test_samples_independent_of_tracer(binomial):
-    """Sample times ride the telemetry clock, not the tracer's: a run
-    with a trace sink attached must emit exactly the samples of an
-    untraced run (the tracer's clock only advances when tracing is on,
-    so borrowing it would shift every multi-round timestamp)."""
-    untraced_telemetry = Telemetry(run_id="multi-round")
-    traced_telemetry = Telemetry(run_id="multi-round")
-    SPCube(make_cluster(untraced_telemetry)).compute(binomial)
-    SPCube(
-        make_cluster(traced_telemetry, tracer=Tracer(sinks=[MemorySink()]))
-    ).compute(binomial)
-    sim = lambda t: [r for r in t.samples if r["source"] == "sim"]
-    assert sim(traced_telemetry) == sim(untraced_telemetry)
-    assert traced_telemetry.clock == untraced_telemetry.clock
-
-
-def test_telemetry_off_by_default(binomial):
-    """A bare cluster carries no collector: nothing to pay, nothing
-    recorded."""
-    cluster = make_cluster()
-    assert cluster.telemetry is None
-    run = SPCube(cluster).compute(binomial)
-    assert run.metrics.output_groups > 0
+    assert observers == ["tracer"]
+    assert ClusterConfig().tracer is None

@@ -29,7 +29,7 @@ from repro.mapreduce import (
     TaskFactory,
     run_job,
 )
-from repro.observability import LineageRecorder, MemorySink, Tracer
+from repro.observability import LineageIndex, MemorySink, Tracer
 from repro.observability.tracer import LEVEL_DEBUG
 
 BACKEND_FIELDS = (
@@ -260,13 +260,12 @@ class TestReduceRunsHook:
 class TestBackendsAgree:
     def traced_run(self, engine_cls, relation, parallelism):
         sink = MemorySink()
-        lineage = LineageRecorder(run_id="runs")
         cluster = ClusterConfig(
             num_machines=4, memory_records=64, parallelism=parallelism,
-            tracer=Tracer([sink], level=LEVEL_DEBUG), lineage=lineage,
+            tracer=Tracer([sink], level=LEVEL_DEBUG),
         )
         run = engine_cls(cluster, get_aggregate("avg")).compute(relation)
-        return run, sink.records, lineage.to_records()
+        return run, sink.records
 
     def test_serial_and_three_workers_are_byte_identical(self):
         self.assert_backends_agree(SPCube, all_parallel=True)
@@ -280,16 +279,11 @@ class TestBackendsAgree:
 
     def assert_backends_agree(self, engine_cls, all_parallel):
         relation = gen_binomial(500, 0.3, seed=4)
-        serial, serial_trace, serial_lineage = self.traced_run(
-            engine_cls, relation, None
-        )
-        parallel, parallel_trace, parallel_lineage = self.traced_run(
-            engine_cls, relation, 3
-        )
+        serial, serial_trace = self.traced_run(engine_cls, relation, None)
+        parallel, parallel_trace = self.traced_run(engine_cls, relation, 3)
         assert list(parallel.cube.items()) == list(serial.cube.items())
         assert repr(parallel_trace) == repr(serial_trace)
-        assert repr(parallel_lineage) == repr(serial_lineage)
-        assert any(r.get("kind") == "route" for r in serial_trace)
+        assert any(r.get("kind") == "flow" for r in serial_trace)
         on_pool = [job.executor == "parallel" for job in parallel.metrics.jobs]
         assert all(on_pool) if all_parallel else any(on_pool)
         for serial_job, parallel_job in zip(
@@ -304,14 +298,15 @@ class TestBackendsAgree:
 class TestFlowAccounting:
     @pytest.mark.parametrize("engine_cls", [SPCube, NaiveCube, MRCube])
     def test_flows_and_cuboids_sum_to_map_output(self, engine_cls):
-        lineage = LineageRecorder(run_id="flows")
+        lineage = LineageIndex()
         cluster = ClusterConfig(
-            num_machines=4, memory_records=64, lineage=lineage
+            num_machines=4, memory_records=64,
+            tracer=Tracer([lineage], level=LEVEL_DEBUG),
         )
         run = engine_cls(cluster).compute(gen_binomial(400, 0.3, seed=9))
         assert len(lineage.jobs) == len(run.metrics.jobs)
         classified = 0
-        for flow_job, job in zip(lineage.jobs, run.metrics.jobs):
+        for flow_job, job in zip(lineage.jobs.values(), run.metrics.jobs):
             flows = flow_job["flows"]
             assert sum(f["records"] for f in flows) == job.map_output_records
             assert sum(f["bytes"] for f in flows) == job.map_output_bytes

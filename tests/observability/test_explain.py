@@ -1,4 +1,4 @@
-"""Explain queries: walking a lineage artifact from symptom to cause."""
+"""Explain queries: walking a trace's flow edges from symptom to cause."""
 
 import pytest
 
@@ -11,57 +11,44 @@ from repro.observability import (
     parse_cuboid,
 )
 
+from .trace_records import event, flow, job_span
+
 
 def artifact():
     """Two executions of 'cube' (a resume) plus a small side job."""
-    meta = {"type": "lineage_meta", "version": 1, "run_id": "r"}
-
-    def job(name, execution, reducers, completed=()):
-        return {
-            "type": "job", "job": name, "execution": execution,
-            "t0": 0.0, "seconds": 4.0, "aborted": False,
-            "num_reducers": reducers, "map_tasks": 2,
-            "completed_reducers": list(completed),
-        }
-
-    def flow(name, execution, map_task, reducer, records, cuboids):
-        return {
-            "type": "flow", "job": name, "execution": execution,
-            "map_task": map_task, "reducer": reducer, "records": records,
-            "bytes": 10 * records,
-            "cuboids": {str(k): v for k, v in cuboids.items()},
-        }
-
+    alert = {"bound": 15.0, "tolerance": 2.0, "execution": 1, "reducer": 1}
     return [
-        meta,
-        job("side", 0, 1),
-        flow("side", 0, 0, 0, 5, {0: 5}),
+        flow("side", 0, 0, 5, {0: 5}),
+        job_span("side", num_reducers=1, map_tasks=2),
         # Execution 0 of the cube round was aborted mid-way; the resume
         # (execution 1) salvaged reducer 2 from a checkpoint.
-        job("cube", 0, 3),
-        flow("cube", 0, 0, 1, 8, {3: 8}),
-        job("cube", 1, 3, completed=[2]),
-        flow("cube", 1, 0, 1, 30, {3: 20, 1: 10}),
-        flow("cube", 1, 1, 1, 10, {3: 10}),
-        flow("cube", 1, 1, 0, 5, {1: 5}),
+        flow("cube", 0, 1, 8, {3: 8}),
+        job_span("cube", status="aborted", num_reducers=3, map_tasks=2),
+        event("round_resume", "cube", at=4.0, round=1,
+              salvaged_partitions=[2], replaced_nodes=[0]),
+        flow("cube", 0, 1, 30, {3: 20, 1: 10}),
+        flow("cube", 1, 1, 10, {3: 10}),
+        flow("cube", 1, 0, 5, {1: 5}),
         # Reducer 2 was salvaged from a checkpoint: the re-run maps still
         # shuffled to it, but its reduce task ran in execution 0.
-        flow("cube", 1, 0, 2, 4, {3: 4}),
-        {"type": "alert", "kind": "skew_alert", "job": "cube",
-         "execution": 1, "at": 8.0, "reducer": 1, "observed": 40,
-         "bound": 15.0, "ratio": 2.67, "tolerance": 2.0},
-        {"type": "alert", "kind": "misannotation_alert", "job": "cube",
-         "execution": 1, "at": 8.0, "cuboid": 3, "reducer": 1,
-         "observed": 30, "bound": 15.0, "ratio": 2.0, "tolerance": 2.0},
+        flow("cube", 0, 2, 4, {3: 4}),
+        job_span("cube", 4.0, 8.0, num_reducers=3, map_tasks=2),
+        event("skew_alert", "cube", at=8.0, observed=40, ratio=2.67, **alert),
+        event("misannotation_alert", "cube", at=8.0, cuboid=3, observed=30,
+              ratio=2.0, **alert),
+        {"type": "span", "kind": "run", "name": "r", "t0": 0.0, "t1": 8.0,
+         "status": "ok", "counters": {}},
     ]
 
 
 class TestIndex:
     def test_requires_meta_head(self):
-        with pytest.raises(ExplainError, match="lineage_meta"):
-            LineageIndex([{"type": "job", "job": "x"}])
+        """What an index requires is flow events, not a header record: a
+        trace below debug level says how to get them."""
+        with pytest.raises(ExplainError, match="--trace-level debug"):
+            explain_reducer([job_span("x", num_reducers=1)])
         with pytest.raises(ExplainError):
-            LineageIndex([])
+            explain_reducer(LineageIndex())
 
     def test_dominant_job_by_flow_records(self):
         index = LineageIndex(artifact())

@@ -1,23 +1,19 @@
-"""Telemetry: registry, instruments, sampling collector, exposition."""
-
-import json
+"""Telemetry: registry, instruments, the trace derivation, exposition."""
 
 import pytest
 
 from repro.observability import (
     DEFAULT_BUCKETS,
-    NULL_TELEMETRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullTelemetry,
     Telemetry,
     check_prometheus_text,
-    driver_rss_bytes,
-    emit_run_telemetry,
-    telemetry_of,
+    replay,
 )
+
+from .trace_records import attempt, event, job_span
 
 
 class TestCounter:
@@ -118,141 +114,108 @@ class TestMetricsRegistry:
         registry.histogram("repro_secs", "s", buckets=(1.0, 5.0)).observe(2)
         assert check_prometheus_text(registry.prometheus_text()) == []
 
-    def test_round_trips_through_dict(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_jobs_total", "jobs").inc(3, {"job": "a"})
-        registry.histogram("repro_secs", "s", buckets=(1.0,)).observe(0.5)
-        clone = MetricsRegistry.from_dict(registry.to_dict())
-        assert clone.prometheus_text() == registry.prometheus_text()
-
-
-class TestNullTelemetry:
-    def test_disabled_and_inert(self):
-        assert NULL_TELEMETRY.enabled is False
-        NULL_TELEMETRY.sample("s", 1.0)
-        NULL_TELEMETRY.counter("repro_x_total").inc()
-        NULL_TELEMETRY.gauge("repro_x").set(1)
-        NULL_TELEMETRY.histogram("repro_h").observe(1)
-        NULL_TELEMETRY.advance(5.0)
-        assert NULL_TELEMETRY.prometheus_text() == ""
-
-    def test_write_timeline_is_a_no_op(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        NullTelemetry().write_timeline(path)
-        assert not path.exists()
-
-    def test_cluster_without_telemetry_gets_the_null(self):
-        class Bare:
-            pass
-
-        assert telemetry_of(Bare()) is NULL_TELEMETRY
-
 
 class TestTelemetrySampling:
     def test_samples_record_series_value_time_source(self):
-        telemetry = Telemetry(run_id="r")
-        telemetry.sample("shuffle_bytes", 100, labels={"job": "j"})
-        telemetry.advance(5.0)
-        telemetry.sample("shuffle_bytes", 200, labels={"job": "j"})
-        records = telemetry.samples
-        assert [r["value"] for r in records] == [100, 200]
-        assert [r["t"] for r in records] == [0.0, 5.0]
-        assert all(r["source"] == "sim" for r in records)
-        assert records[0]["labels"] == {"job": "j"}
-
-    def test_explicit_timestamp_overrides_clock(self):
+        """Samples carry series, value, the record's simulated time and
+        stringified labels — and nothing about the host."""
         telemetry = Telemetry()
-        telemetry.sample("s", 1, at=42.5)
-        assert telemetry.samples[0]["t"] == 42.5
-
-    def test_host_source_tagged(self):
-        telemetry = Telemetry()
-        telemetry.sample("driver_rss_bytes", 1, source="host")
-        assert telemetry.samples[0]["source"] == "host"
-
-    def test_unknown_source_rejected(self):
-        telemetry = Telemetry()
-        with pytest.raises(ValueError, match="source"):
-            telemetry.sample("s", 1, source="wall")
-
-    def test_cadence_drops_dense_samples_deterministically(self):
-        telemetry = Telemetry(cadence=1.0)
-        for tick in range(10):
-            telemetry.sample("s", tick, at=tick * 0.25)
-        kept = [r["t"] for r in telemetry.samples]
-        # Only samples >= 1.0 logical second apart survive.
-        assert kept == [0.0, 1.0, 2.0]
-        assert telemetry.dropped_samples == 7
-
-    def test_cadence_is_per_series_and_label_set(self):
-        telemetry = Telemetry(cadence=10.0)
-        telemetry.sample("s", 1, labels={"job": "a"}, at=0.0)
-        telemetry.sample("s", 2, labels={"job": "b"}, at=0.5)
-        assert len(telemetry.samples) == 2  # different keys: both kept
-
-    def test_negative_cadence_rejected(self):
-        with pytest.raises(ValueError, match="cadence"):
-            Telemetry(cadence=-1.0)
-
-
-class TestTimelineArtifact:
-    def test_records_have_meta_then_samples_then_registry(self):
-        telemetry = Telemetry(run_id="run-1")
-        telemetry.counter("repro_jobs_total", "jobs").inc()
-        telemetry.sample("s", 1)
-        records = telemetry.timeline_records()
-        assert records[0]["type"] == "meta"
-        assert records[0]["run_id"] == "run-1"
-        assert records[1]["type"] == "sample"
-        assert records[-1]["type"] == "registry"
-
-    def test_write_timeline_is_valid_jsonl(self, tmp_path):
-        telemetry = Telemetry(run_id="run-1")
-        telemetry.sample("s", 1)
-        path = tmp_path / "timeline.jsonl"
-        telemetry.write_timeline(path)
-        lines = path.read_text().strip().splitlines()
-        assert [json.loads(line)["type"] for line in lines] == [
-            "meta", "sample", "registry",
+        telemetry.sample("shuffle_bytes", 100, 0.0, labels={"job": "j"})
+        telemetry.sample("shuffle_bytes", 200, 5.0, labels={"job": 7})
+        assert telemetry.samples == [
+            {"series": "shuffle_bytes", "t": 0.0, "value": 100,
+             "labels": {"job": "j"}},
+            {"series": "shuffle_bytes", "t": 5.0, "value": 200,
+             "labels": {"job": "7"}},
         ]
 
 
-class TestDriverRss:
-    def test_reports_positive_bytes_or_none(self):
-        rss = driver_rss_bytes()
-        assert rss is None or rss > 1024 * 1024  # > 1 MiB if measurable
+def job_stream(name="j", t0=0.0):
+    """One traced round: map phase, shuffle, two reduce attempts (task 1
+    retried), reduce phase, job span."""
+    phase = {"type": "span", "kind": "phase", "job": name, "status": "ok"}
+    return [
+        {**phase, "name": "map", "phase": "map", "t0": t0, "t1": t0 + 2.0,
+         "counters": {"seconds": 2.0}},
+        event("shuffle", name, at=t0 + 2.0, seconds=0.5),
+        attempt(name, "reduce", 0, records_in=30),
+        attempt(name, "reduce", 1, records_in=99, status="killed"),
+        attempt(name, "reduce", 1, records_in=70, attempt=1),
+        {**phase, "name": "reduce", "phase": "reduce", "t0": t0 + 2.5,
+         "t1": t0 + 4.0, "counters": {"seconds": 1.5}},
+        job_span(name, t0, t0 + 4.0, map_output_bytes=1000,
+                 map_output_records=100, attempts=5, killed_tasks=1),
+    ]
+
+
+class TestDerivation:
+    def test_job_span_closes_the_round_once(self):
+        telemetry = replay(job_stream(), Telemetry())
+        registry, labels = telemetry.registry, {"job": "j"}
+        assert registry.get("repro_jobs_total").value(labels) == 1
+        assert registry.get("repro_shuffle_bytes_total").value(labels) == 1000
+        assert registry.get("repro_task_attempts_total").value(labels) == 5
+        assert registry.get("repro_tasks_killed_total").value(labels) == 1
+        phases = registry.get("repro_phase_seconds")
+        assert [phases.sum({"phase": p}) for p in ("map", "shuffle", "reduce")] \
+            == [2.0, 0.5, 1.5]
+        # Winning attempts only: the killed 99-record attempt is not a load.
+        loads = registry.get("repro_reduce_task_records")
+        assert (loads.count(labels), loads.sum(labels)) == (2, 100.0)
+        times = {(s["series"], s.get("labels", {}).get("phase")): s["t"]
+                 for s in telemetry.samples}
+        assert times["phase_seconds", "shuffle"] == 2.5
+        assert times["shuffle_bytes", None] == 2.0
+
+    def test_per_job_state_does_not_leak_into_the_next_job(self):
+        aborted_in_map = [job_stream("a")[0], job_span("a", 0.0, 2.0, "aborted")]
+        telemetry = replay(aborted_in_map + job_stream("b", 2.0), Telemetry())
+        phases = telemetry.registry.get("repro_phase_seconds")
+        # Job a never shuffled or reduced: it observes zeros, not b's.
+        assert phases.count({"phase": "reduce"}) == 2
+        assert phases.sum({"phase": "reduce"}) == 1.5
+
+    def test_failure_domain_events(self):
+        telemetry = replay([
+            event("node_lost", "j", at=1.0, node=2, machines=[2]),
+            event("round_resume", "j", at=3.0, round=0,
+                  salvaged_partitions=[0], replaced_nodes=[2]),
+            event("checkpoint_write", "j", at=9.0, round=0, num_parts=2,
+                  bytes=640),
+            event("skew_alert", "j", at=9.0, reducer=1),
+        ], Telemetry())
+        registry = telemetry.registry
+        assert registry.get("repro_nodes_lost_total").value() == 1
+        assert registry.get("repro_round_resumes_total").value() == 1
+        assert registry.get("repro_node_up").value({"node": 2}) == 1
+        assert registry.get("repro_checkpoint_bytes_total").value() == 640
+        assert registry.get("repro_watchdog_alerts_total").value(
+            {"kind": "skew_alert"}) == 1
+        assert [(s["t"], s["value"]) for s in telemetry.samples
+                if s["series"] == "node_up"] == [(1.0, 0), (3.0, 1)]
 
 
 class TestEmitRunTelemetry:
-    def run_metrics(self):
-        from repro.mapreduce import JobMetrics, RunMetrics
-
-        run = RunMetrics(algorithm="X", output_groups=42)
-        run.jobs.append(JobMetrics(name="j", total_seconds=3.0))
-        run.extras["sketch_bytes"] = 512
-        return run
-
-    def test_null_cluster_is_a_no_op(self):
-        class Bare:
-            telemetry = None
-
-        emit_run_telemetry(Bare(), self.run_metrics())  # must not raise
-
     def test_records_run_level_series(self):
-        class Cluster:
-            pass
-
-        cluster = Cluster()
-        cluster.telemetry = Telemetry(run_id="t")
-        emit_run_telemetry(cluster, self.run_metrics())
-        names = {r["series"] for r in cluster.telemetry.samples}
-        assert "cube_groups" in names
-        assert "sketch_bytes" in names
-        registry = cluster.telemetry.registry
-        assert registry.get("repro_runs_total").value({"run": "X"}) == 1
-        assert (
-            registry.get("repro_cube_groups").value({"run": "X"}) == 42
+        """The ``run`` span (plus the ``sketch`` event before it) carries
+        what only exists at run end."""
+        run = {"type": "span", "kind": "run", "name": "X", "t0": 0.0,
+               "t1": 3.0, "status": "ok",
+               "counters": {"output_groups": 42, "dfs_writes": 3,
+                            "dfs_records_written": 9, "dfs_read_retries": 0,
+                            "dfs_files": 2}}
+        telemetry = replay(
+            [event("sketch", "sp-sketch", at=1.0, bytes=512), run],
+            Telemetry(),
         )
+        names = {r["series"] for r in telemetry.samples}
+        assert {"cube_groups", "sketch_bytes", "dfs_writes"} <= names
+        assert "dfs_read_retries" not in names
+        registry, labels = telemetry.registry, {"run": "X"}
+        assert registry.get("repro_runs_total").value(labels) == 1
+        assert registry.get("repro_cube_groups").value(labels) == 42
+        assert registry.get("repro_sketch_bytes").value(labels) == 512
+        assert registry.get("repro_dfs_files").value(labels) == 2
 
 
 class TestPrometheusChecker:

@@ -1,102 +1,57 @@
-"""TimelineAnalysis over telemetry timeline artifacts."""
+"""TimelineAnalysis over a Telemetry's sample timeline."""
 
-import pytest
+from repro.observability import Telemetry, TimelineAnalysis, replay
 
-from repro.observability import Telemetry, TimelineAnalysis, TimelineError
+from .trace_records import event
 
 
 def sample_telemetry():
-    telemetry = Telemetry(run_id="run-1")
-    telemetry.counter("repro_jobs_total", "jobs").inc(2)
-    telemetry.sample("shuffle_bytes", 100, labels={"job": "a"})
-    telemetry.advance(10.0)
-    telemetry.sample("shuffle_bytes", 300, labels={"job": "b"})
-    telemetry.sample("driver_rss_bytes", 4096, source="host")
+    telemetry = Telemetry()
+    telemetry.sample("shuffle_bytes", 100, 0.0, labels={"job": "a"})
+    telemetry.sample("shuffle_bytes", 300, 10.0, labels={"job": "b"})
+    telemetry.sample("cube_groups", 4096, 10.0)
     return telemetry
 
 
-class TestLoading:
-    def test_from_file_round_trips(self, tmp_path):
-        path = tmp_path / "timeline.jsonl"
-        sample_telemetry().write_timeline(path)
-        analysis = TimelineAnalysis.from_file(path)
-        assert analysis.meta["run_id"] == "run-1"
-        assert len(analysis.samples) == 3
-        assert analysis.has_registry()
-
-    def test_unknown_record_type_rejected(self):
-        with pytest.raises(TimelineError, match="unknown record type"):
-            TimelineAnalysis([{"type": "mystery"}])
-
-    def test_sample_missing_fields_rejected(self):
-        with pytest.raises(TimelineError, match="series"):
-            TimelineAnalysis([{"type": "sample", "value": 1}])
-
-    def test_invalid_json_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"type": "meta"}\nnot json\n')
-        with pytest.raises(TimelineError, match="not JSON"):
-            TimelineAnalysis.from_file(path)
+def analysis():
+    return TimelineAnalysis(sample_telemetry().samples)
 
 
 class TestSeriesAccess:
     def test_series_names_sorted(self):
-        analysis = TimelineAnalysis(sample_telemetry().timeline_records())
-        assert analysis.series_names() == [
-            "driver_rss_bytes", "shuffle_bytes",
-        ]
+        assert analysis().series_names() == ["cube_groups", "shuffle_bytes"]
 
     def test_label_filter_is_exact(self):
-        analysis = TimelineAnalysis(sample_telemetry().timeline_records())
-        only_a = analysis.series("shuffle_bytes", labels={"job": "a"})
+        only_a = analysis().series("shuffle_bytes", labels={"job": "a"})
         assert [s["value"] for s in only_a] == [100]
-        assert analysis.series("shuffle_bytes", labels={"job": "z"}) == []
+        assert analysis().series("shuffle_bytes", labels={"job": "z"}) == []
 
     def test_points_are_time_value_pairs(self):
-        analysis = TimelineAnalysis(sample_telemetry().timeline_records())
-        assert analysis.points("shuffle_bytes") == [(0.0, 100), (10.0, 300)]
-
-    def test_sim_samples_exclude_host_source(self):
-        analysis = TimelineAnalysis(sample_telemetry().timeline_records())
-        names = {s["series"] for s in analysis.sim_samples()}
-        assert "driver_rss_bytes" not in names
-        assert "shuffle_bytes" in names
+        assert analysis().points("shuffle_bytes") == [(0.0, 100), (10.0, 300)]
 
 
 class TestRegistryRebuild:
     def test_exposition_matches_live_registry(self):
-        telemetry = sample_telemetry()
-        analysis = TimelineAnalysis(telemetry.timeline_records())
-        assert (
-            analysis.registry().prometheus_text()
-            == telemetry.prometheus_text()
-        )
-
-    def test_missing_registry_dump_raises(self):
-        analysis = TimelineAnalysis(
-            [{"type": "sample", "series": "s", "t": 0.0, "value": 1}]
-        )
-        assert not analysis.has_registry()
-        with pytest.raises(TimelineError, match="registry"):
-            analysis.registry()
+        """A registry rebuilt by replaying the records a live collector
+        saw renders the same exposition."""
+        records = [
+            event("node_lost", "j", at=1.0, node=0, machines=[0]),
+            event("checkpoint_write", "j", at=2.0, round=0, bytes=64),
+        ]
+        live = Telemetry()
+        for record in records:
+            live.write(record)
+        rebuilt = replay(records, Telemetry())
+        assert rebuilt.prometheus_text() == live.prometheus_text() != ""
+        assert rebuilt.samples == live.samples
 
 
 class TestSummaries:
     def test_series_summary_extrema(self):
-        analysis = TimelineAnalysis(sample_telemetry().timeline_records())
-        summary = analysis.series_summary("shuffle_bytes")
+        summary = analysis().series_summary("shuffle_bytes")
         assert summary["samples"] == 2
         assert summary["label_sets"] == 2
         assert summary["min"] == 100
         assert summary["max"] == 300
         assert summary["last"] == 300
-        assert summary["sources"] == ["sim"]
-
-    def test_summary_dict_and_text_agree_on_counts(self):
-        analysis = TimelineAnalysis(sample_telemetry().timeline_records())
-        digest = analysis.summary_dict()
-        assert digest["num_samples"] == 3
-        assert len(digest["series"]) == 2
-        text = analysis.format_summary()
-        assert "3 samples across 2 series" in text
-        assert "shuffle_bytes" in text
+        assert (summary["t0"], summary["t1"]) == (0.0, 10.0)

@@ -1,11 +1,18 @@
-"""End-to-end tracing: the acceptance criteria of the observability PR.
+"""End-to-end tracing: the one identity suite, asserted on the spine.
 
 A fault-injected gen-zipf run traced to a JSONL file must yield an
 analyzer whose attempt counts, speculative wins and per-reducer pair
 counts exactly match ``RunMetrics``; a traced run's metrics must be
-identical to an untraced run's; and trace files must be byte-identical
-between serial and parallel execution backends.
+identical to an untraced run's; and for all five engines, fault-free,
+under task faults and across a node loss with checkpoint resume, the
+``debug``-level trace must be byte-identical between the serial and the
+parallel backend.  Telemetry, the watchdog and the explain index are
+pure functions of those records, so two more properties make that
+sufficient for them: the live sinks equal an offline replay of the
+JSONL, and every sink sees a job's alerts right behind that job's span.
 """
+
+import json
 
 import pytest
 
@@ -14,12 +21,21 @@ from repro.core import SPCube
 from repro.datagen import gen_zipf
 from repro.mapreduce.faults import FaultPlan
 from repro.observability import (
+    ALERT_KINDS,
     JsonlSink,
+    LineageIndex,
     MemorySink,
+    Telemetry,
     TraceAnalysis,
     Tracer,
+    Watchdog,
+    explain_group,
+    explain_reducer,
+    replay,
     validate_records,
 )
+
+from .spine import ENGINES, FAULTS, simulation, spine_run, untraced_run
 
 ROWS = 2000
 WALL_FIELDS = ("map_phase_wall_seconds", "reduce_phase_wall_seconds")
@@ -134,6 +150,67 @@ class TestBackendIdentity:
         assert len(contents[0]) > 0
 
 
+@pytest.mark.parametrize("faults", sorted(FAULTS))
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+class TestSpine:
+    def test_trace_bytes_identical_serial_vs_parallel(self, engine, faults):
+        serial = spine_run(engine, faults)
+        parallel = spine_run(engine, faults, parallelism=2)
+        assert parallel.text == serial.text
+        assert validate_records(serial.records) == len(serial.records) > 0
+        assert any(r["kind"] == "flow" for r in serial.records)
+        # The faults fired, were survived, and changed nothing but time.
+        metrics = serial.run.metrics
+        assert not metrics.failed
+        assert (metrics.killed_tasks > 0) == (faults != "clean")
+        assert metrics.resumed_rounds == (faults == "node-loss")
+        assert serial.run.cube == untraced_run(engine).cube
+        assert simulation(parallel.run) == simulation(serial.run)
+
+    def test_live_sinks_equal_offline_replay(self, engine, faults):
+        traced = spine_run(engine, faults)
+        live = traced.live
+        records = [json.loads(line) for line in traced.text.splitlines()]
+        telemetry, watchdog, lineage = (
+            replay(records, sink())
+            for sink in (Telemetry, Watchdog, LineageIndex)
+        )
+        assert telemetry.prometheus_text() == live.telemetry.prometheus_text()
+        assert telemetry.samples == live.telemetry.samples
+        recorded_alerts = [r for r in records if r["kind"] in ALERT_KINDS]
+        assert [
+            dict(alert, seq=recorded["seq"])
+            for alert, recorded in zip(watchdog.alerts, recorded_alerts)
+        ] == recorded_alerts == live.watchdog.alerts
+        assert watchdog.comparisons == live.watchdog.comparisons
+        explained = explain_reducer(lineage)
+        assert explained == explain_reducer(live.lineage)
+        cuboid = int(next(iter(explained["by_cuboid"])))
+        assert explain_group(lineage, cuboid) == explain_group(
+            live.lineage, cuboid
+        )
+
+    def test_alerts_follow_their_job_span_in_every_sink(self, engine, faults):
+        live = spine_run(engine, faults).live
+        # One sink sits before the watchdog in the fan-out, one after.
+        assert live.before.records == live.after.records
+        previous = None
+        for record in live.before.records:
+            if record["kind"] in ALERT_KINDS:
+                assert previous["kind"] == "job" or (
+                    previous["kind"] in ALERT_KINDS
+                ), "alert not directly behind its job's span"
+                assert previous["job"] == record["job"]
+                assert previous["seq"] + 1 == record["seq"]
+            previous = record
+
+
+def test_the_matrix_does_alert():
+    """The ordering property above is not vacuous."""
+    assert spine_run("pipesort").live.watchdog.alerts
+    assert spine_run("spcube", "task-faults").live.watchdog.alerts
+
+
 class TestLevelGating:
     def test_job_level_omits_attempt_spans(self):
         sink = MemorySink()
@@ -147,10 +224,14 @@ class TestLevelGating:
         run_spcube(Tracer([sink], level="task"))
         kinds = {r["kind"] for r in sink.records}
         assert "attempt" in kinds
-        assert "route" not in kinds and "spill" not in kinds
+        assert "flow" not in kinds and "spill" not in kinds
 
     def test_debug_level_adds_route_events(self):
+        """``flow`` is what ``route`` became: the same edge, with bytes
+        and per-cuboid counts, and the sketch's predicted loads with it."""
         sink = MemorySink()
         run_spcube(Tracer([sink], level="debug"))
         kinds = {r["kind"] for r in sink.records}
-        assert "route" in kinds
+        assert "flow" in kinds and "route" not in kinds
+        (sketch,) = (r for r in sink.records if r["kind"] == "sketch")
+        assert sketch["fields"]["promise"]["predicted"]

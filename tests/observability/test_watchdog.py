@@ -1,79 +1,48 @@
-"""The online watchdog: typed alerts from synthetic flow jobs."""
-
-from types import SimpleNamespace
+"""The online watchdog: typed alert events from hand-built job records."""
 
 import pytest
 
-from repro.observability import (
-    ALERT_KINDS,
-    NULL_WATCHDOG,
-    Watchdog,
-    watchdog_of,
-)
+from repro.observability import ALERT_KINDS, Watchdog
+
+from .trace_records import event, feed, job_records
 
 
-def metrics(seconds=4.0, aborted=False):
-    return SimpleNamespace(total_seconds=seconds, aborted=aborted)
+def promise(watchdog, **fields):
+    """Deliver a sketch promise for job ``"job"`` the way SP-Cube does."""
+    watchdog.write(event("sketch", promise={"job": "job", **fields}))
 
 
-def flow_job(reduces, flows=None, maps=None, name="job", memory=10):
-    """A synthetic merge-point flow record.
-
-    ``reduces`` is ``{reducer: records_in}``; ``flows`` a list of
-    ``(map_task, reducer, records, cuboids)``.
-    """
-    return {
-        "job": name,
-        "num_reducers": len(reduces),
-        "map_tasks": len(maps or []),
-        "memory_records": memory,
-        "completed_reducers": [],
-        "maps": maps or [],
-        "flows": [
-            {"map_task": m, "reducer": r, "records": n, "bytes": 10 * n,
-             "cuboids": dict(cuboids)}
-            for m, r, n, cuboids in (flows or [])
-        ],
-        "reduces": [
-            {"task": task, "records_in": records, "records_out": records,
-             "seconds": 1.0}
-            for task, records in sorted(reduces.items())
-        ],
-    }
+def inspect(watchdog, reduces, **job):
+    return feed(watchdog, job_records(reduces, **job))
 
 
 class TestSkew:
     def test_balanced_job_stays_quiet(self):
-        watchdog = Watchdog()
-        job = flow_job({0: 10, 1: 11, 2: 9})
-        assert watchdog.inspect_job(job, metrics()) == []
+        assert inspect(Watchdog(), {0: 10, 1: 11, 2: 9}) == []
 
     def test_hot_reducer_fires_with_band_fields(self):
-        watchdog = Watchdog()
         # n=120 over k=3 → band 40+10=50, ceiling 100; reducer 2 is 110.
-        job = flow_job({0: 5, 1: 5, 2: 110})
-        alerts = watchdog.inspect_job(job, metrics())
+        alerts = inspect(Watchdog(), {0: 5, 1: 5, 2: 110})
         assert [a["kind"] for a in alerts] == ["skew_alert"]
         alert = alerts[0]
-        assert alert["reducer"] == 2
-        assert alert["observed"] == 110
-        assert alert["bound"] == 50.0
-        assert alert["ratio"] == 2.2
+        assert alert["fields"] == {
+            "execution": 0, "reducer": 2, "observed": 110, "bound": 50.0,
+            "ratio": 2.2, "tolerance": 2.0,
+        }
         assert alert["at"] == 4.0
-        assert alert["type"] == "alert"
+        assert alert["type"] == "event" and alert["job"] == "job"
 
     def test_expectation_exempts_skew_reducer_zero(self):
         watchdog = Watchdog()
-        watchdog.expect("job", n=30, k=2, m=10, predicted={})
+        promise(watchdog, n=30, k=2, m=10)
         # Reducer 0 is huge but is the designated skew reducer; the
         # ranged reducers 1..2 are balanced (band 15+10).
-        job = flow_job({0: 500, 1: 15, 2: 15})
-        assert watchdog.inspect_job(job, metrics()) == []
+        assert inspect(watchdog, {0: 500, 1: 15, 2: 15}) == []
 
     def test_tolerance_knob_scales_the_ceiling(self):
         strict = Watchdog(skew_tolerance=1.0)
-        job = flow_job({0: 10, 1: 10, 2: 45})  # band ~31.7, ceiling 1×
-        alerts = strict.inspect_job(job, metrics())
+        # band ~31.7, ceiling 1×
+        alerts = inspect(strict, {0: 10, 1: 10, 2: 45})
         assert [a["kind"] for a in alerts] == ["skew_alert"]
 
     def test_tolerances_must_be_positive(self):
@@ -85,25 +54,21 @@ class TestSkew:
 
 class TestMisannotation:
     def test_requires_an_expectation(self):
-        watchdog = Watchdog()
-        job = flow_job(
-            {0: 5, 1: 200},
-            flows=[(0, 1, 200, {7: 200})],
+        alerts = inspect(
+            Watchdog(), {0: 5, 1: 200}, flows=[(0, 1, 200, {7: 200})]
         )
-        kinds = [a["kind"] for a in watchdog.inspect_job(job, metrics())]
-        assert "misannotation_alert" not in kinds
+        assert "misannotation_alert" not in [a["kind"] for a in alerts]
 
     def test_ranged_cuboid_over_band_is_named(self):
         watchdog = Watchdog()
-        watchdog.expect("job", n=40, k=2, m=10, predicted={})
+        promise(watchdog, n=40, k=2, m=10)
         # Band 40/2+10=30, ceiling 60; cuboid 7 drops 100 on reducer 1.
-        job = flow_job(
-            {0: 5, 1: 105, 2: 5},
-            flows=[(0, 1, 100, {7: 100}), (0, 1, 5, {3: 5}),
-                   (0, 0, 5, {7: 5})],
-        )
         alerts = [
-            a for a in watchdog.inspect_job(job, metrics())
+            a["fields"] for a in inspect(
+                watchdog, {0: 5, 1: 105, 2: 5},
+                flows=[(0, 1, 100, {7: 100}), (0, 1, 5, {3: 5}),
+                       (0, 0, 5, {7: 5})],
+            )
             if a["kind"] == "misannotation_alert"
         ]
         assert len(alerts) == 1
@@ -114,87 +79,68 @@ class TestMisannotation:
 
 
 class TestStragglers:
-    def make_job(self, seconds):
-        job = flow_job({i: 10 for i in range(len(seconds))})
-        for task, duration in zip(job["reduces"], seconds):
-            task["seconds"] = duration
-        return job
-
     def test_needs_minimum_task_count(self):
-        watchdog = Watchdog()
-        job = self.make_job([1.0, 1.0, 30.0])  # 3 < MIN_STRAGGLER_TASKS
-        assert watchdog.inspect_job(job, metrics()) == []
+        # 3 < MIN_STRAGGLER_TASKS
+        assert inspect(Watchdog(), {0: 10, 1: 10, 2: 10},
+                       reduce_seconds=[1.0, 1.0, 30.0]) == []
 
     def test_slow_task_over_three_times_median_fires(self):
-        watchdog = Watchdog()
-        job = self.make_job([1.0, 1.0, 1.0, 3.5])
-        alerts = watchdog.inspect_job(job, metrics())
+        alerts = inspect(Watchdog(), {i: 10 for i in range(4)},
+                         reduce_seconds=[1.0, 1.0, 1.0, 3.5])
         assert [a["kind"] for a in alerts] == ["straggler_alert"]
-        assert alerts[0]["phase"] == "reduce"
-        assert alerts[0]["task"] == 3
-        assert alerts[0]["ratio"] == 3.5
+        assert alerts[0]["fields"]["phase"] == "reduce"
+        assert alerts[0]["fields"]["task"] == 3
+        assert alerts[0]["fields"]["ratio"] == 3.5
 
     def test_map_phase_checked_too(self):
-        watchdog = Watchdog()
-        job = flow_job(
-            {0: 10},
-            maps=[{"task": i, "records_in": 1, "records_out": 1,
-                   "seconds": 1.0} for i in range(4)],
-        )
-        job["maps"][2]["seconds"] = 10.0
-        alerts = watchdog.inspect_job(job, metrics())
-        assert [(a["kind"], a["phase"], a["task"]) for a in alerts] == [
-            ("straggler_alert", "map", 2)
-        ]
+        alerts = inspect(Watchdog(), {0: 10},
+                         map_seconds=[1.0, 1.0, 10.0, 1.0])
+        assert [
+            (a["kind"], a["fields"]["phase"], a["fields"]["task"])
+            for a in alerts
+        ] == [("straggler_alert", "map", 2)]
 
 
 class TestLifecycle:
     def test_aborted_executions_counted_but_not_inspected(self):
         watchdog = Watchdog()
-        hot = flow_job({0: 5, 1: 5, 2: 110})
-        assert watchdog.inspect_job(hot, metrics(aborted=True)) == []
-        alerts = watchdog.inspect_job(flow_job({0: 5, 1: 5, 2: 110}),
-                                      metrics())
+        assert inspect(watchdog, {0: 5, 1: 5, 2: 110}, aborted=True) == []
+        alerts = inspect(watchdog, {0: 5, 1: 5, 2: 110})
         # The aborted run consumed execution 0; the retry is execution 1.
-        assert alerts[0]["execution"] == 1
+        assert alerts[0]["fields"]["execution"] == 1
 
     def test_clock_advances_alert_timestamps(self):
-        watchdog = Watchdog()
-        watchdog.advance(10.0)
-        alerts = watchdog.inspect_job(flow_job({0: 5, 1: 5, 2: 110}),
-                                      metrics(seconds=2.0))
+        """Alerts are stamped with their job span's end on the one clock."""
+        alerts = inspect(Watchdog(), {0: 5, 1: 5, 2: 110},
+                         t0=10.0, seconds=2.0)
         assert alerts[0]["at"] == 12.0
 
     def test_alert_kinds_are_the_public_taxonomy(self):
         watchdog = Watchdog()
-        watchdog.expect("job", n=40, k=2, m=10, predicted={})
-        job = flow_job(
-            {0: 5, 1: 205, 2: 5, 3: 5},
+        promise(watchdog, n=40, k=2, m=10)
+        alerts = inspect(
+            watchdog, {0: 5, 1: 205, 2: 5, 3: 5},
             flows=[(0, 1, 200, {7: 200})],
+            reduce_seconds=[1.0, 50.0, 1.0, 1.0],
         )
-        job["reduces"][1]["seconds"] = 50.0
-        kinds = [a["kind"] for a in watchdog.inspect_job(job, metrics())]
-        assert kinds == list(ALERT_KINDS)
-        assert watchdog.alerts[-len(kinds):] == watchdog.alerts
+        assert [a["kind"] for a in alerts] == list(ALERT_KINDS)
+        assert watchdog.alerts == alerts
 
     def test_comparison_spans_the_reducer_union(self):
         watchdog = Watchdog()
-        watchdog.expect("job", n=30, k=2, m=10,
-                        predicted={0: 4, 1: 16, 2: 10})
-        watchdog.inspect_job(flow_job({0: 4, 1: 18, 2: 8}), metrics())
+        promise(watchdog, n=30, k=2, m=10,
+                predicted={"0": 4, "1": 16, "2": 10})
+        inspect(watchdog, {0: 4, 1: 18, 2: 8})
         comparison = watchdog.comparisons["job"]
         assert comparison["observed"] == {0: 4, 1: 18, 2: 8}
         assert comparison["deltas"] == {0: 0, 1: 2, 2: -2}
         assert comparison["execution"] == 0
 
-    def test_null_watchdog_is_inert(self):
-        assert NULL_WATCHDOG.enabled is False
-        assert NULL_WATCHDOG.inspect_job({}, metrics()) == []
-        NULL_WATCHDOG.advance(5.0)
-        assert NULL_WATCHDOG.clock == 0.0
-
-    def test_watchdog_of_checks_enabled(self):
-        watchdog = Watchdog()
-        assert watchdog_of(SimpleNamespace(watchdog=watchdog)) is watchdog
-        assert watchdog_of(SimpleNamespace(watchdog=NULL_WATCHDOG)) is None
-        assert watchdog_of(SimpleNamespace()) is None
+    def test_own_alerts_are_ignored_on_replay(self):
+        """A recorded stream carries the alerts; replaying it must not
+        count them as input (live == replay)."""
+        watchdog, replayed = Watchdog(), Watchdog()
+        records = job_records({0: 5, 1: 5, 2: 110})
+        alerts = feed(watchdog, records)
+        feed(replayed, records + alerts)
+        assert replayed.alerts == alerts
