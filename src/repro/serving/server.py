@@ -6,8 +6,16 @@
 port, the caller owns shutdown) but the execution model is a serving
 one:
 
-* queries run on a fixed :class:`~concurrent.futures.ThreadPoolExecutor`
-  of ``workers`` threads;
+* a query whose reply is already in the view's result LRU is answered
+  by its connection's own thread with the **cached bytes**: no admission
+  slot, no pool hand-off, no sort, no ``json.dumps``.  The LRU is keyed
+  by the canonical spec (``json.dumps(spec, sort_keys=True)``) and holds
+  the encoded reply body; a store is immutable once opened, so an entry
+  is never invalidated, only evicted (``--result-cache``);
+* every other query runs on a fixed
+  :class:`~concurrent.futures.ThreadPoolExecutor` of ``workers`` threads,
+  and the worker caches the reply it encodes — also when the caller has
+  already been told 504, so the retry that reply advertises is a hit;
 * admission is bounded by a semaphore of ``workers + queue_depth``
   slots — a request that finds no slot is **shed immediately** with
   HTTP 503 and a typed, retriable JSON error
@@ -50,7 +58,7 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..query.view import QueryError
 from .store import StoreError
@@ -79,9 +87,14 @@ WIRE_OPS = (
 )
 
 
-def _refusal(error: str) -> Dict:
-    """The body of a reply that retrying unchanged cannot improve."""
-    return {"ok": False, "error": error, "retriable": False}
+def _refusal(error: str, retriable: bool = False) -> Dict:
+    """An error body; by default one retrying unchanged cannot improve."""
+    return {"ok": False, "error": error, "retriable": retriable}
+
+
+def _encode(body: Dict) -> bytes:
+    """The wire bytes of a reply body: key-sorted JSON, UTF-8."""
+    return json.dumps(body, sort_keys=True).encode("utf-8")
 
 
 def _jsonable_groups(groups: Dict) -> List:
@@ -212,54 +225,60 @@ class CubeServer:
 
     # -- request handling ----------------------------------------------------
 
-    def _handle_query(self, spec: Dict) -> Dict:
-        """Admission + execution of one query; returns (status, body)."""
+    def _answer(self, key: str, spec: Dict) -> bytes:
+        """A miss, on a pool thread: compute, encode, cache.  The worker
+        inserts, not the handler waiting on it, so an answer that lands
+        after its 504 still makes the advertised retry a hit."""
+        payload = _encode(
+            {"ok": True, "result": execute_query(self.view.uncached, spec)}
+        )
+        self.view.insert(key, payload)
+        return payload
+
+    def _handle_query(self, spec) -> Tuple[int, object]:
+        """One query; returns (status, body) — the encoded reply of a
+        200, a dict otherwise.  The result cache is probed first: a hit
+        takes no admission slot and no pool thread."""
+        key = json.dumps(spec, sort_keys=True)
+        payload = self.view.probe(key)
+        if payload is not None:
+            self.counters.bump("serving.requests")
+            return 200, payload
         if not self._slots.acquire(blocking=False):
             self.counters.bump("serving.shed")
-            return {
-                "status": 503,
-                "body": {
-                    "ok": False,
-                    "error": "overloaded",
-                    "retriable": True,
-                },
-            }
+            return 503, _refusal("overloaded", retriable=True)
         self.counters.bump("serving.requests")
-        future = self._pool.submit(execute_query, self.view, spec)
+        future = self._pool.submit(self._answer, key, spec)
         # The slot is freed when the computation finishes — not when the
         # deadline fires — so admission always reflects real backlog.
         future.add_done_callback(lambda _f: self._slots.release())
         try:
-            result = future.result(timeout=self.deadline)
+            return 200, future.result(timeout=self.deadline)
         except FutureTimeout:
             self.counters.bump("serving.deadline_exceeded")
-            return {
-                "status": 504,
-                "body": {
-                    "ok": False,
-                    "error": "deadline-exceeded",
-                    "retriable": True,
-                },
-            }
+            return 504, _refusal("deadline-exceeded", retriable=True)
         except (QueryError, StoreError) as exc:
             self.counters.bump("serving.query_errors")
-            return {"status": 400, "body": _refusal(str(exc))}
-        return {"status": 200, "body": {"ok": True, "result": result}}
+            return 400, _refusal(str(exc))
 
     def stats(self) -> Dict:
         """The ``/stats`` body.  Of its counters the server owns
         ``serving.connections`` (accepted) and ``serving.requests``
-        (queries admitted; their ratio is queries per connection),
+        (queries answered from the cache or admitted; their ratio is
+        queries per connection),
         ``serving.shed`` (503), ``serving.deadline_exceeded`` (504),
         ``serving.query_errors`` (400 from the query),
         ``serving.bad_requests`` (framing errors: 400/413, then closed)
         and ``serving.disconnects`` (client gone mid-request or -reply).
+        ``result_cache`` sizes the view's LRU: what the server holds in
+        memory beyond the store's segment cache.
         """
         return {
             "counters": self.counters.to_dict(),
             "workers": self.workers,
             "queue_depth": self.queue_depth,
             "deadline": self.deadline,
+            "result_cache": self.view.cache_stats(),
             "store": {
                 "path": self.view.store.path,
                 "bytes": self.view.store.store_bytes,
@@ -296,10 +315,8 @@ class CubeServer:
                 except ConnectionError:  # reset on a read, EPIPE on a reply
                     server.counters.bump("serving.disconnects")
 
-            def _reply(
-                self, status: int, body: Dict, close: bool = False
-            ) -> None:
-                payload = json.dumps(body, sort_keys=True).encode("utf-8")
+            def _reply(self, status: int, body, close: bool = False) -> None:
+                payload = body if isinstance(body, bytes) else _encode(body)
                 if close or self.request_version != "HTTP/1.1":
                     self.close_connection = True
                 closing = "Connection: close\r\n" * self.close_connection
@@ -357,8 +374,7 @@ class CubeServer:
                 except ValueError:
                     self._reply(400, _refusal("body is not valid JSON"))
                     return
-                outcome = server._handle_query(spec)
-                self._reply(outcome["status"], outcome["body"])
+                self._reply(*server._handle_query(spec))
 
             def log_message(self, *_args):
                 pass

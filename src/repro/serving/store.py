@@ -105,7 +105,7 @@ class ServingCounters:
         "serving.bytes_read",       # raw segment + dictionary bytes read
         "serving.reaggregations",   # cuboids rebuilt from an ancestor
         "serving.connections",      # connections accepted by the server
-        "serving.requests",         # queries admitted by the server
+        "serving.requests",         # queries answered: cache hit or admitted
         "serving.shed",             # queries refused at admission (503)
         "serving.deadline_exceeded",  # queries cut at the deadline (504)
         "serving.query_errors",     # queries rejected as unanswerable (400)

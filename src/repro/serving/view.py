@@ -26,9 +26,16 @@ answers) and only deliberately partial stores take this path.
 On top sits a **keyed query-result cache**: repeated rollups, slices,
 pivots, drilldowns, tops and totals are answered from an LRU of final
 results without touching the segment layer.  ``dice`` takes callables
-and is never cached.  Hits and misses feed the shared
-``serving.cache_hit`` / ``serving.cache_miss`` counters next to the
-store's segment counters, so one ``/stats`` read shows both tiers.
+and is never cached.  The same LRU holds both kinds of final result:
+the Python value of an in-process call, keyed by the operation and its
+arguments, and the encoded reply body of a wire query, keyed by the
+server with the canonical spec (:meth:`StoredCubeView.probe` /
+:meth:`StoredCubeView.insert`).  Either way one query is one lookup and
+one slot: a miss is computed through :attr:`StoredCubeView.uncached`,
+so ``top`` and ``pivot`` do not also cache the rollup beneath them.
+Hits and misses feed the shared ``serving.cache_hit`` /
+``serving.cache_miss`` counters next to the store's segment counters,
+so one ``/stats`` read shows both tiers.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .store import CubeStore, ServingCounters, StoreError
 
 #: Default number of finished query results kept hot per view.
 DEFAULT_RESULT_CACHE = 128
+_MISS = object()  # "not cached", for in-process results that may be None
 
 
 class _StoredCube:
@@ -158,9 +166,11 @@ class StoredCubeView(CubeView):
         result_cache_size: int = DEFAULT_RESULT_CACHE,
     ):
         super().__init__(_StoredCube(store))
+        #: The same cube behind a plain view: what a cache miss computes.
+        self.uncached = CubeView(self.cube)
         self.store = store
         self.counters = store.counters
-        self._results: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._results: "OrderedDict[object, object]" = OrderedDict()
         self._result_cache_size = max(1, result_cache_size)
         self._lock = threading.RLock()
 
@@ -186,6 +196,37 @@ class StoredCubeView(CubeView):
 
     # -- result cache --------------------------------------------------------
 
+    def probe(self, key, default=None):
+        """The result cached under ``key`` (not a copy), else ``default``;
+        counts the hit or miss."""
+        with self._lock:
+            result = self._results.get(key, _MISS)
+            if result is _MISS:
+                self.counters.bump("serving.cache_miss")
+                return default
+            self.counters.bump("serving.cache_hit")
+            self._results.move_to_end(key)
+            return result
+
+    def insert(self, key, result) -> None:
+        """Cache ``result`` under ``key``, evicting the least recent."""
+        with self._lock:
+            self._results[key] = result
+            if len(self._results) > self._result_cache_size:
+                self._results.popitem(last=False)
+
+    def cache_stats(self) -> Dict[str, int]:
+        """Entries held, and the bytes of the encoded replies among them."""
+        with self._lock:
+            return {
+                "entries": len(self._results),
+                "payload_bytes": sum(
+                    len(result)
+                    for result in self._results.values()
+                    if isinstance(result, bytes)
+                ),
+            }
+
     def _cached(self, key: Tuple, compute):
         """Probe and insert under the lock, ``compute`` outside it: a hit
         never queues behind another thread's segment read.  Two racing
@@ -194,19 +235,10 @@ class StoredCubeView(CubeView):
             hash(key)
         except TypeError:  # an unhashable fixed value: CubeView names it
             return compute()
-        with self._lock:
-            hit = key in self._results
-            self.counters.bump(
-                "serving.cache_hit" if hit else "serving.cache_miss"
-            )
-            if hit:
-                self._results.move_to_end(key)
-                return self._copy(self._results[key])
-        result = compute()
-        with self._lock:
-            self._results[key] = result
-            if len(self._results) > self._result_cache_size:
-                self._results.popitem(last=False)
+        result = self.probe(key, _MISS)
+        if result is _MISS:
+            result = compute()
+            self.insert(key, result)
         return self._copy(result)
 
     @staticmethod
@@ -222,18 +254,16 @@ class StoredCubeView(CubeView):
     def rollup(self, *dimensions: str) -> Dict[Tuple, object]:
         return self._cached(
             ("rollup", tuple(dimensions)),
-            lambda: super(StoredCubeView, self).rollup(*dimensions),
+            lambda: self.uncached.rollup(*dimensions),
         )
 
     def total(self):
-        return self._cached(
-            ("total",), lambda: super(StoredCubeView, self).total()
-        )
+        return self._cached(("total",), self.uncached.total)
 
     def slice(self, **fixed) -> Dict[Tuple, object]:
         return self._cached(
             ("slice", tuple(sorted(fixed.items()))),
-            lambda: super(StoredCubeView, self).slice(**fixed),
+            lambda: self.uncached.slice(**fixed),
         )
 
     def drilldown(
@@ -242,7 +272,7 @@ class StoredCubeView(CubeView):
         return self._cached(
             # key=repr: group names of any type order (CubeView rejects them).
             ("drilldown", tuple(sorted(group.items(), key=repr)), into),
-            lambda: super(StoredCubeView, self).drilldown(group, into),
+            lambda: self.uncached.drilldown(group, into),
         )
 
     def top(
@@ -256,7 +286,7 @@ class StoredCubeView(CubeView):
             return super().top(dimensions, k, key)
         return self._cached(
             ("top", tuple(dimensions), k),
-            lambda: super(StoredCubeView, self).top(dimensions, k),
+            lambda: self.uncached.top(dimensions, k),
         )
 
     def pivot(
@@ -264,7 +294,7 @@ class StoredCubeView(CubeView):
     ) -> Dict[object, Dict[object, object]]:
         result = self._cached(
             ("pivot", row_dim, column_dim),
-            lambda: super(StoredCubeView, self).pivot(row_dim, column_dim),
+            lambda: self.uncached.pivot(row_dim, column_dim),
         )
         # Deep-ish copy: the outer dict is already fresh, the inner row
         # dicts still alias the cached ones.

@@ -5,6 +5,7 @@ import http.client
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -15,6 +16,7 @@ import pytest
 from repro import ClusterConfig, SPCube
 from repro.cubing import sequential_cube
 from repro.datagen import gen_binomial
+from repro.query import CubeView
 from repro.serving import CubeServer, CubeStore, StoredCubeView, execute_query
 from repro.serving import server as server_module
 
@@ -36,9 +38,13 @@ def _request(port, path, body=None):
 
 
 @pytest.fixture(scope="module")
-def store_path(tmp_path_factory):
-    rel = gen_binomial(300, 0.4, seed=9)
-    run = SPCube(ClusterConfig(num_machines=4)).compute(rel)
+def relation():
+    return gen_binomial(300, 0.4, seed=9)
+
+
+@pytest.fixture(scope="module")
+def store_path(relation, tmp_path_factory):
+    run = SPCube(ClusterConfig(num_machines=4)).compute(relation)
     path = str(tmp_path_factory.mktemp("serve") / "cube.store")
     CubeStore.write(run.cube, path, aggregate="count")
     return path
@@ -125,6 +131,10 @@ class TestWireProtocol:
         assert body["workers"] == 2
         assert body["queue_depth"] == 4
         assert body["store"]["groups"] > 0
+        assert body["result_cache"] == {
+            "entries": 1,
+            "payload_bytes": len(b'{"ok": true, "result": 300}'),
+        }
 
     def test_dice_is_not_a_wire_op(self):
         assert "dice" not in server_module.WIRE_OPS
@@ -277,6 +287,18 @@ def _no_free_slots(srv):
     finally:
         for _ in range(taken):
             srv._slots.release()
+
+
+def _free_slots_return_to(srv, count, within=5.0):
+    """True once ``count`` admission slots are free again."""
+    deadline = time.time() + within
+    while time.time() < deadline:
+        with _no_free_slots(srv) as free:
+            pass
+        if free == count:
+            return True
+        time.sleep(0.02)
+    return False
 
 
 class TestKeepAlive:
@@ -458,14 +480,7 @@ class TestKeepAlive:
                 conn.close()
             assert srv.counters.value("serving.connections") == 1
             # No admission slot leaks: both come back once the sleeper ends.
-            deadline = time.time() + 5
-            while time.time() < deadline:
-                with _no_free_slots(srv) as free:
-                    pass
-                if free == 2:
-                    break
-                time.sleep(0.02)
-            assert free == 2
+            assert _free_slots_return_to(srv, 2)
 
     def test_client_reset_mid_reply_is_counted_not_printed(
         self, view, monkeypatch, capfd
@@ -614,3 +629,230 @@ class TestResponseFraming:
         assert headers["content-type"] == "application/json"
         assert int(headers["content-length"]) == len(body)
         assert isinstance(json.loads(body), dict)
+
+
+# -- the answer-bytes cache ---------------------------------------------------
+
+
+def _ask(conn, body):
+    """POST raw ``body`` to /query on ``conn``; (status, raw reply body)."""
+    conn.request("POST", "/query", body=body)
+    reply = conn.getresponse()
+    return reply.status, reply.read()
+
+
+def _oracle_body(oracle, spec):
+    """The reply the wire format promises: the oracle's answer, encoded."""
+    return json.dumps(
+        {"ok": True, "result": execute_query(oracle, spec)}, sort_keys=True
+    ).encode()
+
+
+@pytest.fixture
+def conn(server):
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+    yield connection
+    connection.close()
+
+
+class TestAnswerBytesCache:
+    """A result-cache hit is answered with the bytes the miss encoded."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self, relation):
+        return CubeView(sequential_cube(relation))
+
+    @pytest.fixture(scope="class")
+    def anchor(self, oracle):
+        return sorted(oracle.rollup("a1", "a2"))[0]
+
+    def test_hit_equals_its_miss_and_the_oracle_for_every_wire_op(
+        self, server, view, conn, oracle, anchor
+    ):
+        a1, a2 = anchor
+        specs = [
+            {"op": "rollup", "dimensions": ["a3", "a1"]},
+            {"op": "total"},
+            {"op": "slice", "fixed": {"a1": a1, "a2": a2}},
+            {"op": "drilldown", "group": {"a1": a1}, "into": "a2"},
+            {"op": "top", "dimensions": ["a1"], "k": 2},
+            {"op": "pivot", "row": "a1", "column": "a2"},
+            {"op": "cuboid_sizes"},
+        ]
+        assert {spec["op"] for spec in specs} == set(server_module.WIRE_OPS)
+        for held, spec in enumerate(specs, start=1):
+            body = json.dumps(spec).encode()
+            expected = _oracle_body(oracle, spec)
+            assert _ask(conn, body) == (200, expected)  # the miss
+            assert _ask(conn, body) == (200, expected)  # the hit
+            # One wire query is one lookup and one slot: top and pivot do
+            # not also probe for, or cache, the rollup beneath them.
+            assert len(view._results) == held
+            assert server.counters.value("serving.cache_miss") == held
+            assert server.counters.value("serving.cache_hit") == held
+        assert server.counters.value("serving.requests") == 2 * len(specs)
+
+    def test_key_order_shares_an_entry(self, server, view, conn):
+        first = _ask(conn, b'{"op": "top", "dimensions": ["a1"], "k": 2}')
+        again = _ask(conn, b'{"k": 2, "dimensions": ["a1"], "op": "top"}')
+        assert first == again and first[0] == 200
+        assert len(view._results) == 1
+        assert server.counters.value("serving.cache_hit") == 1
+
+    def test_k_into_and_fixed_values_do_not_share_one(
+        self, server, view, conn, oracle, anchor
+    ):
+        a1, other = anchor[0], sorted(oracle.rollup("a1"))[-1][0]
+        assert a1 != other
+        for spec in [
+            {"op": "top", "dimensions": ["a1"], "k": 2},
+            {"op": "top", "dimensions": ["a1"], "k": 3},
+            {"op": "drilldown", "group": {"a1": a1}, "into": "a2"},
+            {"op": "drilldown", "group": {"a1": a1}, "into": "a3"},
+            {"op": "drilldown", "group": {"a1": other}, "into": "a3"},
+        ]:
+            assert _ask(conn, json.dumps(spec).encode()) == (
+                200, _oracle_body(oracle, spec),
+            )
+        assert len(view._results) == 5
+        assert server.counters.value("serving.cache_hit") == 0
+
+    def test_a_400_is_never_cached(self, server, view, conn):
+        bad = b'{"op": "rollup", "dimensions": ["bogus"]}'
+        first, again = _ask(conn, bad), _ask(conn, bad)
+        assert first == again and first[0] == 400
+        assert server.counters.value("serving.query_errors") == 2
+        assert server.counters.value("serving.cache_hit") == 0
+        assert len(view._results) == 0
+        assert server.stats()["result_cache"] == {
+            "entries": 0, "payload_bytes": 0,
+        }
+
+    def test_stress_keeps_the_bound_and_the_bytes(self, store_path, oracle):
+        # More client threads than cores, a short switch interval, a cache
+        # smaller than the pool: handler-thread probes race worker-thread
+        # inserts, and neither may overfill the LRU or serve a wrong body.
+        pool = [
+            json.dumps({"op": "rollup", "dimensions": dims})
+            for dims in (["a1"], ["a2"], ["a3"], ["a1", "a2"], ["a2", "a3"])
+        ]
+        expected = {body: _oracle_body(oracle, json.loads(body)) for body in pool}
+        wrong, overfull, rounds, clients = [], [], 60, 3
+
+        def client(offset):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", srv.port, timeout=10
+            )
+            try:
+                for step in range(rounds):
+                    body = pool[(offset + step) % len(pool)]
+                    if _ask(connection, body) != (200, expected[body]):
+                        wrong.append(body)
+                    if len(view._results) > 3:
+                        overfull.append(len(view._results))
+            finally:
+                connection.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with StoredCubeView.open(store_path, result_cache_size=3) as view:
+                with CubeServer(view, workers=2, port=0).start() as srv:
+                    threads = [
+                        threading.Thread(target=client, args=(i,))
+                        for i in range(clients)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(60)
+                    assert not any(t.is_alive() for t in threads)
+                    stats = srv.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [] and overfull == []
+        assert stats["result_cache"]["entries"] <= 3
+        counters = stats["counters"]
+        assert counters["serving.cache_hit"] + counters["serving.cache_miss"] == (
+            rounds * clients
+        )
+        assert counters["serving.shed"] == counters["serving.query_errors"] == 0
+
+
+class TestCacheHitsBypassAdmission:
+    """Hits take no slot; misses are admitted, timed out and shed as before."""
+
+    WORKERS, QUEUE_DEPTH = 1, 1
+
+    @pytest.fixture
+    def gated(self, view, monkeypatch):
+        """(server, release, calls): ``{"op": "slow", ...}`` specs block
+        their worker until ``release`` is set, then answer 0."""
+        release, calls = threading.Event(), []
+        real = server_module.execute_query
+
+        def execute(view_, spec):
+            if spec.get("op") == "slow":
+                calls.append(spec)
+                assert release.wait(10)
+                return 0
+            return real(view_, spec)
+
+        monkeypatch.setattr(server_module, "execute_query", execute)
+        with CubeServer(
+            view, workers=self.WORKERS, queue_depth=self.QUEUE_DEPTH,
+            deadline=0.05, port=0,
+        ).start() as srv:
+            try:
+                yield srv, release, calls
+            finally:
+                release.set()
+
+    def _hold_every_slot(self, srv, tag):
+        """Admit one blocked query per slot; each is cut at its deadline
+        while its worker (running or queued) keeps the slot."""
+        for n in range(self.WORKERS + self.QUEUE_DEPTH):
+            spec = {"op": "slow", "tag": tag, "n": n}
+            assert _request(srv.port, "/query", spec)[0] == 504
+
+    def test_uncached_is_shed_while_cached_still_answers(self, gated):
+        srv, _release, _calls = gated
+        total = _request(srv.port, "/query", {"op": "total"})
+        assert total[0] == 200
+        self._hold_every_slot(srv, "a")
+        status, body = _request(
+            srv.port, "/query", {"op": "rollup", "dimensions": ["a1"]}
+        )
+        assert status == 503 and body["retriable"] is True
+        assert _request(srv.port, "/query", {"op": "total"}) == total
+        assert srv.counters.value("serving.shed") == 1
+        assert srv.counters.value("serving.cache_hit") == 1
+
+    def test_a_504_is_a_hit_on_retry_once_its_worker_finishes(self, gated):
+        srv, release, calls = gated
+        assert _request(srv.port, "/query", {"op": "slow"})[0] == 504
+        release.set()
+        slots = self.WORKERS + self.QUEUE_DEPTH
+        assert _free_slots_return_to(srv, slots)
+        assert _request(srv.port, "/query", {"op": "slow"}) == (
+            200, {"ok": True, "result": 0},
+        )
+        assert len(calls) == 1  # the retry never reached a worker
+        assert srv.counters.value("serving.cache_hit") == 1
+
+    def test_no_slot_leaks_through_hits_or_expired_workers(self, gated):
+        srv, release, _calls = gated
+        slots = self.WORKERS + self.QUEUE_DEPTH
+        _request(srv.port, "/query", {"op": "total"})
+        self._hold_every_slot(srv, "a")
+        for _ in range(3):  # hits while every slot is held
+            assert _request(srv.port, "/query", {"op": "total"})[0] == 200
+        release.set()
+        assert _free_slots_return_to(srv, slots)
+        # Every slot is back: a fresh blocked query per slot is admitted
+        # (cut at its deadline, not shed), and only the next one is shed.
+        release.clear()
+        self._hold_every_slot(srv, "b")
+        assert srv.counters.value("serving.shed") == 0
+        assert _request(srv.port, "/query", {"op": "slow", "n": -1})[0] == 503
+        assert srv.counters.value("serving.deadline_exceeded") == 2 * slots

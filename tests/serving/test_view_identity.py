@@ -473,6 +473,16 @@ class TestResultCache:
             assert view.stats()["serving.cache_hit"] == 0
             assert view.stats()["serving.cache_miss"] == 4
 
+    def test_top_and_pivot_are_one_lookup_and_one_slot(self, stored):
+        # Neither probes for, nor caches, the rollup it is computed from.
+        stored.top(["a1"], k=2)
+        stored.pivot("a1", "a2")
+        assert stored.stats()["serving.cache_miss"] == 2
+        assert len(stored._results) == 2
+        stored.rollup("a1")
+        assert stored.stats()["serving.cache_miss"] == 3
+        assert stored.stats()["serving.cache_hit"] == 0
+
     def test_custom_top_key_is_uncached(self, stored):
         # The ranking itself is never cached (the key is a callable),
         # but the rollup underneath still is: one miss, then hits.
