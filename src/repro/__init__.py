@@ -25,80 +25,27 @@ Package layout
 ``repro.serving``     on-disk cube store, stored views, query server
 """
 
-from .aggregates import (
-    Average,
-    Multi,
-    Count,
-    CountDistinct,
-    Max,
-    Median,
-    Min,
-    Sum,
-    TopKFrequent,
-    Variance,
-    get_aggregate,
-)
-from .analysis import format_figure, format_panel, run_sweep
-from .baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
-from .core import SPCube, SPSketch, build_exact_sketch
-from .cubing import CubeResult, buc_cube, sequential_cube, topdown_cube
-from .datagen import (
-    adversarial_relation,
-    gen_binomial,
-    gen_zipf,
-    usagov_clicks,
-    wikipedia_traffic,
-)
-from .interface import CubeAlgorithm, CubeRun
-from .query import CubeView, QueryError
-from .mapreduce import ClusterConfig, CostModel
-from .relation import Relation, Schema
-from .serving import CubeServer, CubeStore, StoredCubeView, StoreError
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Average",
-    "Count",
-    "CountDistinct",
-    "Max",
-    "Median",
-    "Min",
-    "Multi",
-    "Sum",
-    "TopKFrequent",
-    "Variance",
-    "get_aggregate",
-    "format_figure",
-    "format_panel",
-    "run_sweep",
-    "HiveCube",
-    "MRCube",
-    "NaiveCube",
-    "PipeSortMR",
-    "SPCube",
-    "SPSketch",
-    "build_exact_sketch",
-    "CubeResult",
-    "buc_cube",
-    "sequential_cube",
-    "topdown_cube",
-    "adversarial_relation",
-    "gen_binomial",
-    "gen_zipf",
-    "usagov_clicks",
-    "wikipedia_traffic",
-    "CubeAlgorithm",
-    "CubeRun",
-    "CubeView",
-    "QueryError",
-    "CubeServer",
-    "CubeStore",
-    "StoredCubeView",
-    "StoreError",
-    "ClusterConfig",
-    "CostModel",
-    "Relation",
-    "Schema",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "aggregates": [
+        "Average", "Count", "CountDistinct", "Max", "Median", "Min", "Multi",
+        "Sum", "TopKFrequent", "Variance", "get_aggregate",
+    ],
+    "analysis": ["format_figure", "format_panel", "run_sweep"],
+    "baselines": ["HiveCube", "MRCube", "NaiveCube", "PipeSortMR"],
+    "core": ["SPCube", "SPSketch", "build_exact_sketch"],
+    "cubing": ["CubeResult", "buc_cube", "sequential_cube", "topdown_cube"],
+    "datagen": [
+        "adversarial_relation", "gen_binomial", "gen_zipf", "usagov_clicks",
+        "wikipedia_traffic",
+    ],
+    "interface": ["CubeAlgorithm", "CubeRun"],
+    "query": ["CubeView", "QueryError"],
+    "serving": ["CubeServer", "CubeStore", "StoredCubeView", "StoreError"],
+    "mapreduce": ["ClusterConfig", "CostModel"],
+    "relation": ["Relation", "Schema"],
+})
+__all__.append("__version__")

@@ -21,6 +21,15 @@ import json
 import statistics
 from typing import Dict, List, Optional
 
+from ..observability import (
+    LineageIndex,
+    Telemetry,
+    TimelineAnalysis,
+    TraceAnalysis,
+    explain_reducer,
+    load_trace,
+    replay,
+)
 from .charts import PALETTE, svg_bar_chart, svg_line_chart, svg_span_timeline
 
 _CSS = """
@@ -84,8 +93,6 @@ def _status_html(ok: bool, good: str = "ok", bad: str = "FAILED") -> str:
 def _trace_section(records) -> str:
     if records is None:
         return _missing("trace")
-    from ..observability import TraceAnalysis
-
     analysis = TraceAnalysis(records)
     summary = analysis.summary_dict()
     parts: List[str] = []
@@ -215,8 +222,6 @@ _CHARTED_SERIES = (
 def _telemetry_section(records) -> str:
     if records is None:
         return _missing("trace")
-    from ..observability import Telemetry, TimelineAnalysis, replay
-
     telemetry = replay(records, Telemetry())
     analysis = TimelineAnalysis(telemetry.samples)
     parts: List[str] = [
@@ -270,8 +275,6 @@ def _telemetry_section(records) -> str:
 def _lineage_section(records) -> str:
     if records is None:
         return _missing("trace")
-    from ..observability import LineageIndex, explain_reducer
-
     index = LineageIndex(records)
     parts: List[str] = [
         f"<p>run <code>{_esc(index.run_id)}</code>: "
@@ -499,8 +502,6 @@ def build_report(
     — a damaged file raises its one-line, line-numbered error) and feeds
     the three sections derived from it.
     """
-    from ..observability import load_trace
-
     records = None if trace is None else load_trace(trace)
     sections = (
         ("Trace", _trace_section, records),

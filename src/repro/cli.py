@@ -62,71 +62,42 @@ import sys
 from collections import Counter
 from typing import List, Optional
 
-from . import io as repro_io
-from .aggregates import get_aggregate
-from .analysis import paper_cluster, run_algorithms
-from .baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
-from .mapreduce.faults import FaultPlan, RetryPolicy
-from .core import SPCube, build_exact_sketch
-from .datagen import (
-    USAGOV_CUBE_DIMENSIONS,
-    gen_binomial,
-    gen_zipf,
-    project_to_dimensions,
-    usagov_clicks,
-    wikipedia_traffic,
-)
-from .observability import (
-    JsonlSink,
-    LineageIndex,
-    ProgressSink,
-    Telemetry,
-    TraceAnalysis,
-    TraceSchemaError,
-    Tracer,
-    Watchdog,
-    check_prometheus_text,
-    explain_group,
-    explain_reducer,
-    format_explain_markdown,
-    load_trace,
-    parse_cuboid,
-    replay,
-)
-from .relation import format_cuboid, format_group
-
-ENGINES = {
-    "spcube": SPCube,
-    "naive": NaiveCube,
-    "mrcube": MRCube,
-    "hive": HiveCube,
-    "pipesort": PipeSortMR,
-}
+# Import layering (DESIGN.md): this module imports what parsing argv
+# needs and nothing else; each command imports what it runs.
+from .engines import ENGINE_NAMES, load_engines
 
 
 def _generate_dataset(name: str, rows: int, skew: float, seed: int):
+    from . import datagen
+
     if name == "binomial":
-        return gen_binomial(rows, skew, seed=seed)
+        return datagen.gen_binomial(rows, skew, seed=seed)
     if name == "zipf":
-        return gen_zipf(rows, seed=seed)
+        return datagen.gen_zipf(rows, seed=seed)
     if name == "wikipedia":
-        return wikipedia_traffic(rows, seed=seed)
+        return datagen.wikipedia_traffic(rows, seed=seed)
     if name == "usagov":
-        return project_to_dimensions(
-            usagov_clicks(rows, seed=seed), USAGOV_CUBE_DIMENSIONS
+        return datagen.project_to_dimensions(
+            datagen.usagov_clicks(rows, seed=seed),
+            datagen.USAGOV_CUBE_DIMENSIONS,
         )
     raise SystemExit(f"unknown dataset {name!r}")
 
 
 def cmd_generate(args) -> int:
+    from .io import write_relation
+
     relation = _generate_dataset(args.dataset, args.rows, args.skew, args.seed)
-    count = repro_io.write_relation(relation, args.output)
+    count = write_relation(relation, args.output)
     print(f"wrote {count} rows of {relation.name} to {args.output}")
     return 0
 
 
 def _cluster_from_args(args, num_rows: int):
     """Build the run's cluster, honouring the fault-injection knobs."""
+    from .analysis import paper_cluster
+    from .mapreduce.faults import FaultPlan, RetryPolicy
+
     try:
         fault_plan = None
         if args.fault_seed is not None:
@@ -159,13 +130,15 @@ def _tracer_from_args(args):
     A traced run is a watched run: the watchdog rides along as the last
     sink, and what it can check follows from ``--trace-level``.
     """
+    if not (args.trace or args.progress):
+        return None
+    from .observability import JsonlSink, ProgressSink, Tracer, Watchdog
+
     sinks = []
     if args.trace:
         sinks.append(JsonlSink(args.trace))
     if args.progress:
         sinks.append(ProgressSink())
-    if not sinks:
-        return None
     sinks.append(Watchdog())
     try:
         return Tracer(sinks, level=args.trace_level)
@@ -208,10 +181,13 @@ def _failure_reason(metrics) -> str:
 
 
 def cmd_cube(args) -> int:
+    from . import io as repro_io
+    from .aggregates import get_aggregate
+
     relation = repro_io.read_relation(args.input)
     cluster = _cluster_from_args(args, len(relation))
     cluster.tracer = _tracer_from_args(args)
-    engine_cls = ENGINES[args.engine]
+    engine_cls = load_engines([args.engine])[args.engine]
     engine = engine_cls(cluster, get_aggregate(args.aggregate))
     try:
         run = engine.compute(relation)
@@ -246,12 +222,15 @@ def cmd_cube(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .aggregates import get_aggregate
+    from .analysis import run_algorithms
+
     relation = _generate_dataset(args.dataset, args.rows, args.skew, args.seed)
     cluster = _cluster_from_args(args, len(relation))
     cluster.tracer = _tracer_from_args(args)
     engines = {
-        name: ENGINES[name](cluster, get_aggregate(args.aggregate))
-        for name in args.engines
+        name: engine_cls(cluster, get_aggregate(args.aggregate))
+        for name, engine_cls in load_engines(args.engines).items()
     }
     try:
         runs = run_algorithms(relation, engines, verify=args.verify)
@@ -289,6 +268,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sketch(args) -> int:
+    from . import io as repro_io
+    from .analysis import paper_cluster
+    from .core import SPCube, build_exact_sketch
+    from .relation import format_cuboid, format_group
+
     relation = repro_io.read_relation(args.input)
     cluster = paper_cluster(len(relation), num_machines=args.machines)
     m = cluster.derive_memory(len(relation))
@@ -324,6 +308,8 @@ def cmd_analyze_trace(args) -> int:
     # A malformed trace means every downstream number is suspect, so the
     # loader's schema check always runs: one line to stderr, nonzero
     # exit, no summary built from records that lie.
+    from .observability import TraceAnalysis, TraceSchemaError
+
     try:
         analysis = TraceAnalysis.from_file(args.trace_file)
     except TraceSchemaError as error:
@@ -346,6 +332,13 @@ def cmd_analyze_trace(args) -> int:
 
 
 def cmd_metrics_export(args) -> int:
+    from .observability import (
+        Telemetry,
+        check_prometheus_text,
+        load_trace,
+        replay,
+    )
+
     try:
         records = load_trace(args.trace_file)
         text = replay(records, Telemetry()).prometheus_text()
@@ -419,6 +412,8 @@ def _serve_metrics(text: str, port: int) -> None:
 
 
 def _explain_common(args, result) -> int:
+    from .observability import format_explain_markdown
+
     """Shared output path of the two explain commands."""
     if args.format == "json":
         import json
@@ -430,6 +425,8 @@ def _explain_common(args, result) -> int:
 
 
 def cmd_explain_reducer(args) -> int:
+    from .observability import LineageIndex, explain_reducer
+
     try:
         index = LineageIndex.from_file(args.trace_file)
         result = explain_reducer(index, job=args.job, reducer=args.reducer)
@@ -439,6 +436,8 @@ def cmd_explain_reducer(args) -> int:
 
 
 def cmd_explain_group(args) -> int:
+    from .observability import LineageIndex, explain_group, parse_cuboid
+
     try:
         cuboid = parse_cuboid(args.cuboid)
         index = LineageIndex.from_file(args.trace_file)
@@ -449,7 +448,7 @@ def cmd_explain_group(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .analysis.htmlreport import write_report
+    from .analysis import write_report
 
     if not any(
         (args.trace, args.doctor_json, args.perf_json, args.recovery_json)
@@ -495,6 +494,11 @@ def cmd_serve_cube(args) -> int:
     except ValueError as error:
         view.close()
         raise SystemExit(f"repro: error: {error}") from None
+    except OSError as error:
+        view.close()
+        raise SystemExit(
+            f"repro: error: cannot listen on 127.0.0.1:{args.port}: {error}"
+        ) from None
     print(
         f"serving {args.store} "
         f"({len(view.store.masks)} cuboids, {view.store.total_groups} "
@@ -664,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cube = sub.add_parser("cube", help="compute a cube from a file")
     cube.add_argument("input")
-    cube.add_argument("--engine", choices=sorted(ENGINES), default="spcube")
+    cube.add_argument("--engine", choices=ENGINE_NAMES, default="spcube")
     cube.add_argument("--aggregate", default="count")
     cube.add_argument("--machines", type=int, default=20)
     cube.add_argument("-o", "--output")
@@ -690,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--engines",
         nargs="+",
-        choices=sorted(ENGINES),
+        choices=ENGINE_NAMES,
         default=["spcube", "mrcube", "hive"],
     )
     compare.add_argument("--verify", action="store_true",
@@ -867,8 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
     doctor.add_argument("--rows", type=int, default=4_000)
     doctor.add_argument("--machines", type=int, default=8)
     doctor.add_argument(
-        "--engines", nargs="+", choices=sorted(ENGINES),
-        default=sorted(ENGINES),
+        "--engines", nargs="+", choices=ENGINE_NAMES,
+        default=list(ENGINE_NAMES),
         help="engines for the side-by-side table (spcube always runs)",
     )
     doctor.add_argument(

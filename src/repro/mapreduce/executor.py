@@ -37,12 +37,11 @@ import atexit
 import gc
 import os
 import pickle
-from concurrent.futures import Executor as _FuturesExecutor
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..observability.tracer import attempt_counters
 from .costmodel import CostModel
 from .faults import FaultPlan, RetryPolicy
 from .metrics import TaskMetrics
@@ -263,8 +262,6 @@ def _attempt_span(
     task: TaskMetrics,
 ) -> dict:
     """One attempt's span record (chain-relative times, no seq yet)."""
-    from ..observability.tracer import attempt_counters
-
     return {
         "type": "span", "kind": "attempt", "name": phase,
         "job": job_name, "phase": phase, "task": machine,
@@ -300,7 +297,7 @@ class SerialExecutor:
 #: Cached worker pools, keyed by (kind, max_workers).  Forking a pool per
 #: phase would dominate small jobs; the pools are process-global, reused
 #: across runs, and torn down at interpreter exit.
-_POOLS: Dict[tuple, _FuturesExecutor] = {}
+_POOLS: Dict[tuple, futures.Executor] = {}
 
 
 def _shutdown_pools() -> None:
@@ -312,13 +309,16 @@ def _shutdown_pools() -> None:
 atexit.register(_shutdown_pools)
 
 
-def _get_pool(kind: str, max_workers: int) -> _FuturesExecutor:
+def _get_pool(kind: str, max_workers: int) -> futures.Executor:
+    # ``concurrent.futures`` imports its pool classes on first attribute
+    # access, so the process machinery (``multiprocessing`` and all) is
+    # loaded here, by the first pool built — never by a serial run.
     pool = _POOLS.get((kind, max_workers))
     if pool is None:
         if kind == "process":
-            pool = ProcessPoolExecutor(max_workers=max_workers)
+            pool = futures.ProcessPoolExecutor(max_workers=max_workers)
         else:
-            pool = ThreadPoolExecutor(
+            pool = futures.ThreadPoolExecutor(
                 max_workers=max_workers,
                 thread_name_prefix="repro-task",
             )
@@ -420,7 +420,7 @@ class ParallelExecutor:
         if self._picklable(tasks[0]):
             try:
                 return self._run_in_pool("process", tasks)
-            except (BrokenProcessPool, pickle.PicklingError):
+            except (futures.BrokenExecutor, pickle.PicklingError):
                 # The pool died mid-phase (or a worker's result would not
                 # serialize): discard it and redo the phase on threads.
                 _discard_pool("process", self.max_workers)

@@ -39,126 +39,36 @@ then ``analyze-trace`` / ``metrics-export`` / ``explain-reducer`` /
 ``report --trace`` on that one file.
 """
 
-from .analyze import (
-    SUMMARY_SCHEMA,
-    TraceAnalysis,
-    load_trace,
-    summary_problems,
-)
-from .diagnostics import (
-    BalanceStats,
-    CuboidAudit,
-    LoadAttribution,
-    SketchAudit,
-    SkewConfusion,
-    TheoryChecks,
-    attribute_load,
-    audit_sketch,
-    format_doctor_markdown,
-    predicted_reducer_loads,
-    run_doctor,
-)
-from .explain import (
-    ExplainError,
-    LineageIndex,
-    explain_group,
-    explain_reducer,
-    format_explain_markdown,
-    parse_cuboid,
-)
-from .lineage import JobAssembler
-from .telemetry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Telemetry,
-    check_prometheus_text,
-)
-from .timeline import TimelineAnalysis
-from .watchdog import SKEW_TOLERANCE, STRAGGLER_FACTOR, Watchdog
-from .schema import (
-    ALERT_KINDS,
-    EVENT_KINDS,
-    SPAN_KINDS,
-    SPAN_STATUSES,
-    TraceSchemaError,
-    record_problems,
-    validate_record,
-    validate_records,
-)
-from .tracer import (
-    LEVEL_DEBUG,
-    LEVEL_JOB,
-    LEVEL_OFF,
-    LEVEL_TASK,
-    NULL_TRACER,
-    JsonlSink,
-    MemorySink,
-    NullTracer,
-    ProgressSink,
-    Tracer,
-    attempt_counters,
-    emit_run_span,
-    level_from_name,
-    replay,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SUMMARY_SCHEMA",
-    "TraceAnalysis",
-    "load_trace",
-    "summary_problems",
-    "BalanceStats",
-    "CuboidAudit",
-    "LoadAttribution",
-    "SketchAudit",
-    "SkewConfusion",
-    "TheoryChecks",
-    "attribute_load",
-    "audit_sketch",
-    "format_doctor_markdown",
-    "predicted_reducer_loads",
-    "run_doctor",
-    "EVENT_KINDS",
-    "SPAN_KINDS",
-    "SPAN_STATUSES",
-    "TraceSchemaError",
-    "record_problems",
-    "validate_record",
-    "validate_records",
-    "LEVEL_DEBUG",
-    "LEVEL_JOB",
-    "LEVEL_OFF",
-    "LEVEL_TASK",
-    "NULL_TRACER",
-    "JsonlSink",
-    "MemorySink",
-    "NullTracer",
-    "ProgressSink",
-    "Tracer",
-    "attempt_counters",
-    "emit_run_span",
-    "level_from_name",
-    "replay",
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Telemetry",
-    "check_prometheus_text",
-    "TimelineAnalysis",
-    "ExplainError",
-    "LineageIndex",
-    "explain_group",
-    "explain_reducer",
-    "format_explain_markdown",
-    "parse_cuboid",
-    "JobAssembler",
-    "ALERT_KINDS",
-    "SKEW_TOLERANCE",
-    "STRAGGLER_FACTOR",
-    "Watchdog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "analyze": [
+        "SUMMARY_SCHEMA", "TraceAnalysis", "load_trace", "summary_problems",
+    ],
+    "diagnostics": [
+        "BalanceStats", "CuboidAudit", "LoadAttribution", "SketchAudit",
+        "SkewConfusion", "TheoryChecks", "attribute_load", "audit_sketch",
+        "format_doctor_markdown", "predicted_reducer_loads", "run_doctor",
+    ],
+    "explain": [
+        "ExplainError", "LineageIndex", "explain_group", "explain_reducer",
+        "format_explain_markdown", "parse_cuboid",
+    ],
+    "lineage": ["JobAssembler"],
+    "schema": [
+        "ALERT_KINDS", "EVENT_KINDS", "SPAN_KINDS", "SPAN_STATUSES",
+        "TraceSchemaError", "record_problems", "validate_record",
+        "validate_records",
+    ],
+    "telemetry": [
+        "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "Telemetry", "check_prometheus_text",
+    ],
+    "timeline": ["TimelineAnalysis"],
+    "tracer": [
+        "LEVEL_DEBUG", "LEVEL_JOB", "LEVEL_OFF", "LEVEL_TASK", "NULL_TRACER",
+        "JsonlSink", "MemorySink", "NullTracer", "ProgressSink", "Tracer",
+        "attempt_counters", "emit_run_span", "level_from_name", "replay",
+    ],
+    "watchdog": ["SKEW_TOLERANCE", "STRAGGLER_FACTOR", "Watchdog"],
+})

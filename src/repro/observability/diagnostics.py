@@ -39,12 +39,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-# NOTE: repro.core / repro.theory are imported inside the functions that
-# need them.  The engine imports this package's tracer module, so pulling
-# the algorithm stack in at module scope would close an import cycle
-# (observability -> diagnostics -> core -> engine -> observability).
+import os
+import tempfile
+
+from ..aggregates import Count
+from ..analysis import format_markdown_table, paper_cluster
+from ..core.partition import partition_loads
+from ..core.planner import replay_routing
+from ..datagen import gen_binomial, gen_zipf
+from ..engines import ENGINE_NAMES, load_engines
 from ..relation.lattice import all_cuboids
+from ..serving import CubeStore, estimate_cube_bytes
+from ..theory.bounds import (
+    expected_false_negatives,
+    expected_false_positives,
+    false_negative_probability,
+    false_positive_probability,
+    planned_traffic,
+    worst_case_traffic,
+)
 from .analyze import TraceAnalysis
+from .tracer import MemorySink, Tracer
 
 #: A misclassification whose Chernoff tail is below this is "confident":
 #: the theory says it essentially cannot happen by sampling luck, so its
@@ -369,16 +384,6 @@ def audit_sketch(
     for (``ClusterConfig.derive_memory``); ground truth per cuboid is the
     exact group-size census ``|set(g)| > m``.
     """
-    from ..core.partition import partition_loads
-    from ..theory.bounds import (
-        expected_false_negatives,
-        expected_false_positives,
-        false_negative_probability,
-        false_positive_probability,
-        planned_traffic,
-        worst_case_traffic,
-    )
-
     d = relation.schema.num_dimensions
     k = sketch.num_partitions
     n = len(relation)
@@ -566,8 +571,6 @@ def predicted_reducer_loads(
 ) -> LoadAttribution:
     """The sketch's predicted round-2 loads as a :class:`LoadAttribution`
     (see :func:`repro.core.planner.replay_routing`)."""
-    from ..core.planner import replay_routing
-
     k = sketch.num_partitions
     predicted, by_cuboid, skew_by_cuboid = replay_routing(
         relation, sketch, num_mappers or k
@@ -620,29 +623,11 @@ def run_doctor(
     and run the other requested engines for the side-by-side balance and
     runtime comparison.
     """
-    # Imported here: the engine registry pulls in every baseline, which
-    # module-level diagnostics imports must not force on trace-only users.
-    from ..aggregates import Count
-    from ..analysis.runner import paper_cluster
-    from ..baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
-    from ..core import SPCube
-    from ..datagen import gen_binomial, gen_zipf
-    from .tracer import MemorySink, Tracer
-
-    engine_registry = {
-        "spcube": SPCube,
-        "naive": NaiveCube,
-        "mrcube": MRCube,
-        "hive": HiveCube,
-        "pipesort": PipeSortMR,
-    }
-    engine_names = list(engines) if engines else sorted(engine_registry)
-    unknown = [name for name in engine_names if name not in engine_registry]
-    if unknown:
-        raise ValueError(f"unknown engines: {unknown}")
+    engine_names = list(engines or ENGINE_NAMES)
     if "spcube" not in engine_names:
         # The sketch under audit comes from an SP-Cube run.
         engine_names = ["spcube"] + engine_names
+    engine_registry = load_engines(engine_names)
 
     datasets = [
         (
@@ -717,11 +702,6 @@ def run_doctor(
         # scratch store and compare bytes on disk against the resident
         # cube, so store-format bloat (or a broken compression ratio)
         # surfaces in the same report as sketch quality.
-        import os
-        import tempfile
-
-        from ..serving import CubeStore, estimate_cube_bytes
-
         spcube_run = spcube_cube
         in_memory_bytes = estimate_cube_bytes(spcube_run)
         with tempfile.TemporaryDirectory() as tmp:
@@ -753,8 +733,6 @@ def run_doctor(
 
 def format_doctor_markdown(report: Dict) -> str:
     """Render a doctor report as a markdown document."""
-    from ..analysis.report import format_markdown_table
-
     config = report["config"]
     lines = [
         "# Cube doctor report",

@@ -17,16 +17,12 @@ serving time, in three layers:
   (``python -m repro serve-cube``).
 """
 
-from .server import CubeServer, execute_query
-from .store import CubeStore, ServingCounters, StoreError, estimate_cube_bytes
-from .view import StoredCubeView
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CubeServer",
-    "CubeStore",
-    "ServingCounters",
-    "StoreError",
-    "StoredCubeView",
-    "estimate_cube_bytes",
-    "execute_query",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "server": ["CubeServer", "execute_query"],
+    "store": [
+        "CubeStore", "ServingCounters", "StoreError", "estimate_cube_bytes",
+    ],
+    "view": ["StoredCubeView"],
+})

@@ -72,6 +72,7 @@ from typing import (
     Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
+from ..aggregates import get_aggregate
 from ..cubing.result import CubeResult
 from ..relation.lattice import all_cuboids, group_sort_key, mask_dimensions
 from ..relation.schema import Schema
@@ -419,8 +420,6 @@ class CubeStore:
         aggregate_name = aggregate_kind = None
         if aggregate is not None:
             if isinstance(aggregate, str):
-                from ..aggregates import get_aggregate
-
                 aggregate = get_aggregate(aggregate)
             aggregate_name = aggregate.name
             aggregate_kind = aggregate.kind.value

@@ -44,9 +44,10 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from ..aggregates import get_aggregate
 from ..cubing.result import matching_rows
 from ..query.view import CubeView, QueryError
-from ..relation.lattice import mask_dimensions, mask_size
+from ..relation.lattice import all_cuboids, mask_dimensions, mask_size
 from .store import CubeStore, ServingCounters, StoreError
 
 #: Default number of finished query results kept hot per view.
@@ -77,8 +78,6 @@ class _StoredCube:
         # Footer counts for materialized cuboids; a partial store's
         # missing cuboids are rebuilt so the lattice stays complete,
         # matching ``CubeResult.groups_per_cuboid``.
-        from ..relation.lattice import all_cuboids
-
         counts = self.store.groups_per_cuboid()
         for mask in all_cuboids(self.schema.num_dimensions):
             if mask not in counts:
@@ -129,8 +128,6 @@ class _StoredCube:
                 f"{kind or 'unknown kind'}) cannot be re-aggregated from "
                 "an ancestor; only distributive aggregates can"
             )
-        from ..aggregates import get_aggregate
-
         fn = get_aggregate(self.store.aggregate_name)
         ancestor = self._covering_ancestor(mask)
         with self._lock:

@@ -623,3 +623,76 @@ class TestMetricsServe:
             server.shutdown()
             thread.join(timeout=5)
             server.server_close()
+
+
+class TestServeCube:
+    def test_port_in_use_is_one_line_and_closes_the_view(
+        self, tmp_path, monkeypatch
+    ):
+        import socket
+
+        from repro.serving import StoredCubeView
+
+        data = str(tmp_path / "data.tsv")
+        store = str(tmp_path / "cube.store")
+        main(["generate", "binomial", "--rows", "200", "-o", data])
+        assert main(["cube", data, "--machines", "3", "--store", store]) == 0
+
+        closed = []
+        close = StoredCubeView.close
+        monkeypatch.setattr(
+            StoredCubeView, "close",
+            lambda view: (closed.append(view), close(view))[1],
+        )
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            port = taken.getsockname()[1]
+            with pytest.raises(SystemExit) as exc:
+                main(["serve-cube", store, "--port", str(port)])
+        message = str(exc.value)
+        assert message.startswith(
+            f"repro: error: cannot listen on 127.0.0.1:{port}: "
+        )
+        assert "\n" not in message
+        assert len(closed) == 1
+
+
+class TestEngineRegistry:
+    def test_parser_choices_are_the_registry(self):
+        from repro.cli import build_parser
+        from repro.engines import ENGINE_NAMES, load_engines
+
+        assert ENGINE_NAMES == ("hive", "mrcube", "naive", "pipesort", "spcube")
+        engines = load_engines(ENGINE_NAMES)
+        assert tuple(engines) == ENGINE_NAMES
+        assert {cls.__name__ for cls in engines.values()} == {
+            "HiveCube", "MRCube", "NaiveCube", "PipeSortMR", "SPCube"
+        }
+        args = build_parser().parse_args(["doctor"])
+        assert args.engines == list(ENGINE_NAMES)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cube", "data.tsv", "--engine", "spark"],
+            ["compare", "zipf", "--engines", "spcube", "spark"],
+        ],
+        ids=["cube", "compare"],
+    )
+    def test_unknown_engine_is_one_error_line(self, argv, capsys):
+        # The parser's choices are the registry's names, so argparse
+        # refuses the name before any engine is imported.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        error_lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith(f"repro {argv[0]}: error:")
+        ]
+        assert len(error_lines) == 1 and "'spark'" in error_lines[0]
+
+    def test_unknown_engine_from_the_api_names_it(self):
+        from repro.engines import load_engines
+
+        with pytest.raises(ValueError, match=r"unknown engines: \['spark'\]"):
+            load_engines(["spcube", "spark"])

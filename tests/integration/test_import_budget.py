@@ -1,0 +1,154 @@
+"""Import cost is proportional to the command, and lazy packages keep
+their eager API.
+
+The budget cases each run in a child interpreter: inside pytest nearly
+every ``repro`` module is already in ``sys.modules``, which would mask
+exactly the imports being counted.
+"""
+
+import importlib
+import json
+import pickle
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+#: What no process may load unless its command uses it.
+DENY = (
+    "multiprocessing",
+    "concurrent.futures.process",
+    "repro.baselines",
+    "repro.analysis.charts",
+    "repro.analysis.htmlreport",
+    "repro.observability.diagnostics",
+    "repro.observability.analyze",
+    "repro.observability.telemetry",
+    "repro.datagen",
+)
+
+LAZY_PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.observability",
+    "repro.serving",
+)
+
+
+def child(code: str):
+    """Run ``code`` in a fresh interpreter; the JSON it prints last."""
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def denied_after(code: str):
+    modules = child(
+        code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    )
+    assert "repro" in modules
+    return [
+        module for module in modules
+        if any(module == d or module.startswith(d + ".") for d in DENY)
+    ]
+
+
+class TestImportBudget:
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import repro",
+            "import repro.cli\nrepro.cli.build_parser()",
+            "from repro.serving import CubeServer, StoredCubeView, execute_query",
+            "from repro.cli import main\n"
+            "try:\n"
+            "    main(['serve-cube', '--help'])\n"
+            "except SystemExit:\n"
+            "    pass",
+        ],
+        ids=["import-repro", "build-parser", "serving", "serve-cube-help"],
+    )
+    def test_loads_nothing_on_the_deny_list(self, code):
+        assert denied_after(code) == []
+
+    def test_parsing_argv_loads_no_engine_layer(self):
+        modules = child(
+            "import repro.cli, json, sys\n"
+            "repro.cli.build_parser()\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('repro')]))"
+        )
+        assert sorted(modules) == [
+            "repro", "repro._lazy", "repro.cli", "repro.engines"
+        ]
+
+    def test_serial_compute_never_loads_the_process_pool(self):
+        denied = denied_after(
+            "from repro import ClusterConfig, SPCube, gen_binomial\n"
+            "run = SPCube(ClusterConfig(num_machines=3)).compute(\n"
+            "    gen_binomial(200, 0.3, seed=1))\n"
+            "assert run.cube.num_groups > 0"
+        )
+        assert [m for m in denied if not m.startswith("repro.")] == []
+
+    def test_a_built_pool_is_what_loads_it(self):
+        # The positive control: the deny-list names are real, and
+        # parallelism > 1 is what pays for them.
+        denied = denied_after(
+            "from repro import ClusterConfig, SPCube, gen_binomial\n"
+            "SPCube(ClusterConfig(num_machines=3, parallelism=2)).compute(\n"
+            "    gen_binomial(200, 0.3, seed=1))"
+        )
+        assert "multiprocessing" in denied
+        assert "concurrent.futures.process" in denied
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+class TestLazyPackageApi:
+    def test_every_export_is_its_submodules_object(self, package):
+        module = importlib.import_module(package)
+        submodules = [
+            importlib.import_module(f"{package}.{info.name}")
+            for info in pkgutil.iter_modules(module.__path__)
+            if info.name not in ("__main__", "cli")
+        ]
+        for name in module.__all__:
+            if name == "__version__":
+                continue
+            value = getattr(module, name)
+            assert any(
+                getattr(sub, name, None) is value for sub in submodules
+            ), name
+
+    def test_dir_lists_exports_before_any_is_resolved(self, package):
+        listed = child(
+            f"import {package} as pkg, json\n"
+            "listed = dir(pkg)\n"
+            "assert set(pkg.__all__) <= set(listed), pkg.__all__\n"
+            "print(json.dumps(listed))"
+        )
+        assert "__getattr__" in listed and listed == sorted(listed)
+
+    def test_star_import_binds_every_export(self, package):
+        module = importlib.import_module(package)
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), name
+
+    def test_unknown_attribute_names_itself(self, package):
+        module = importlib.import_module(package)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec(f"from {package} import no_such_name", {})
+
+
+def test_exports_pickle_by_their_defining_module():
+    assert pickle.loads(pickle.dumps(repro.SPCube)) is repro.SPCube
+    assert repro.SPCube.__module__ == "repro.core.spcube"

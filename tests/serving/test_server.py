@@ -856,3 +856,75 @@ class TestCacheHitsBypassAdmission:
         assert srv.counters.value("serving.shed") == 0
         assert _request(srv.port, "/query", {"op": "slow", "n": -1})[0] == 503
         assert srv.counters.value("serving.deadline_exceeded") == 2 * slots
+
+
+# -- no import on the request path ---------------------------------------------
+
+#: Runs in a child interpreter (pytest has already imported nearly all of
+#: ``repro``, which would hide a lazy import): serve, print the port,
+#: snapshot ``sys.modules`` once listening, wait for the client to finish,
+#: print what the requests made the server import.
+_SERVE_AND_REPORT_IMPORTS = """
+import json, sys
+from repro.serving import CubeServer, StoredCubeView
+with StoredCubeView.open(sys.argv[1]) as view:
+    with CubeServer(view, port=0).start() as server:
+        before = set(sys.modules)
+        print(server.port, flush=True)
+        sys.stdin.readline()
+        print(json.dumps(sorted(set(sys.modules) - before)), flush=True)
+"""
+
+
+def test_no_request_makes_the_server_import_anything(relation, tmp_path):
+    import subprocess
+
+    # A partial store, so a rollup also takes the re-aggregation path.
+    run = SPCube(ClusterConfig(num_machines=4)).compute(relation)
+    path = str(tmp_path / "partial.store")
+    CubeStore.write(run.cube, path, aggregate="count", cuboids=[0b1111, 0b11])
+    child = subprocess.Popen(
+        [sys.executable, "-c", _SERVE_AND_REPORT_IMPORTS, path],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        port = int(child.stdout.readline())
+        statuses = [
+            _request(port, "/query", spec)[0]
+            for spec in [
+                {"op": "rollup", "dimensions": ["a1"]},  # re-aggregated
+                {"op": "rollup", "dimensions": ["a1"]},  # cache hit
+                {"op": "total"},
+                {"op": "slice", "fixed": {"a1": 0}},
+                {"op": "drilldown", "group": {"a1": 0}, "into": "a2"},
+                {"op": "top", "dimensions": ["a1"], "k": 2},
+                {"op": "pivot", "row": "a1", "column": "a2"},
+                {"op": "cuboid_sizes"},
+                {"op": "rollup", "dimensions": ["bogus"]},
+            ]
+        ]
+        assert statuses == [200] * 8 + [400]
+        assert set(server_module.WIRE_OPS) == {
+            "rollup", "total", "slice", "drilldown", "top", "pivot",
+            "cuboid_sizes",
+        }  # one of every wire op was sent above
+        with _connect(port) as sock:
+            sock.sendall(_post(b"/query", b"not json"))
+            assert _read_replies(sock, 1)[0][0] == 400
+        with _connect(port) as sock:  # oversized: refused unread
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n"
+                % (server_module.MAX_BODY_BYTES + 1)
+            )
+            assert _read_replies(sock, 1)[0][0] == 413
+        with _connect(port) as sock:  # not HTTP at all
+            sock.sendall(b"GARBAGE\r\n\r\n")
+            assert _read_replies(sock, 1)[0][0] == 400
+        assert _request(port, "/stats")[0] == 200
+        assert _request(port, "/healthz") == (200, {"ok": True})
+        assert _request(port, "/nope")[0] == 404
+        grown, _ = child.communicate("done\n", timeout=30)
+    finally:
+        child.kill()
+        child.wait()
+    assert json.loads(grown) == []
