@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
+from .._gc import paused_gc
 from ..aggregates.classify import check_spcube_support
 from ..aggregates.functions import AggregateFunction, Count
 from ..cubing.result import CubeResult
@@ -55,10 +56,10 @@ from ..mapreduce.engine import (
     MapReduceJob,
     Reducer,
     TaskFactory,
-    paused_gc,
     stable_hash,
 )
 from ..mapreduce.metrics import RunMetrics
+from ..mapreduce.sizes import Block
 from ..observability.tracer import LEVEL_DEBUG, NULL_TRACER, emit_run_span
 from ..relation.lattice import bfs_order, project_rows, projector
 from ..relation.relation import Relation
@@ -142,7 +143,7 @@ class SPCube:
         """Compute the full cube of ``relation`` (both rounds).
 
         Runs with cyclic GC paused end to end (see
-        :func:`~repro.mapreduce.engine.paused_gc`): the rounds *and* the
+        :func:`~repro._gc.paused_gc`): the rounds *and* the
         driver-side assembly (cube building, DFS output) allocate
         cycle-free data by the million, and re-enabling the collector
         between phases just buys repeated full scans of the live cube.
@@ -304,9 +305,17 @@ class SPCube:
         if result.metrics.aborted:
             return CubeResult(relation.schema)
 
+        # The round's output is one block per (reducer, cuboid): the cube
+        # takes each as it is, and a cuboid's DFS file — one per cuboid,
+        # as Section 3.1 describes — is the blocks its reducers wrote.
         cube = CubeResult(relation.schema)
-        cube.add_pairs(result.output)
-        self._write_output(cube)
+        files: Dict[int, List[Block]] = {}
+        for block in result.output:
+            cube.add_block(*block)
+            if block.groups:
+                files.setdefault(block.mask, []).append(block)
+        for mask, blocks in files.items():
+            self.dfs.write(f"spcube/cube/cuboid-{mask}", blocks)
         return cube
 
     def _plan_factory(self, sketch: SPSketch) -> "_PlanFunction":
@@ -314,19 +323,6 @@ class SPCube:
         return _PlanFunction(
             sketch, self.ancestor_covering, self.map_partial_aggregation
         )
-
-    def _write_output(self, cube: CubeResult) -> None:
-        """Persist one DFS file per cuboid, as Section 3.1 describes."""
-        # try/except beats setdefault here: no default-list allocation per
-        # group, and the KeyError path fires once per cuboid (<= 2^d).
-        per_cuboid: Dict[int, List] = {}
-        for (mask, values), value in cube.items():
-            try:
-                per_cuboid[mask].append((values, value))
-            except KeyError:
-                per_cuboid[mask] = [(values, value)]
-        for mask, rows in per_cuboid.items():
-            self.dfs.write(f"spcube/cube/cuboid-{mask}", sorted(rows))
 
 
 class _PlanFunction:
@@ -597,13 +593,19 @@ class _CubeReducer(Reducer):
     def reduce_runs(self, keys, runs):
         d, min_size, agg = self._d, self._min_group_size, self._aggregate
         create, fold, finalize = agg.create, agg.fold, agg.finalize
-        out: List = []
+        out: Dict[int, Block] = {}  # cuboid -> this task's block of it
+
+        def emit(mask, groups, values):
+            block = out.setdefault(mask, Block(mask, [], []))
+            block.groups.extend(groups)
+            block.values.extend(values)
+
         # Per base cuboid: the rows of one-row base groups, of heavier ones.
         single, heavy = defaultdict(list), defaultdict(list)
         for key in keys:
             rows = runs[key]
             if key[0] == _SKEW_TAG:
-                out += self._reduce_skewed(key, rows)
+                self._reduce_skewed(key, rows, emit)
             else:
                 (heavy if len(rows) > 1 else single)[key[1]] += rows
         for base, rows in single.items():
@@ -615,22 +617,19 @@ class _CubeReducer(Reducer):
             # Alone in every group it covers: each row's own aggregate.
             own = [finalize(fold(create(), (m,))) for m in map(_MEASURE, rows)]
             for mask, chosen, values in self._covered(base, rows, own):
-                nodes = zip(repeat(mask), project_rows(chosen, mask, d))
-                out += zip(nodes, values)
+                emit(mask, project_rows(chosen, mask, d), values)
         for base, rows in heavy.items():
             measures = list(map(_MEASURE, rows))
             for mask, chosen, values in self._covered(base, rows, measures):
                 groups = defaultdict(list)
                 for group, value in zip(project_rows(chosen, mask, d), values):
                     groups[group].append(value)
-                out += [
-                    ((mask, group), finalize(fold(create(), members)))
-                    for group, members in groups.items()
-                    if len(members) >= min_size
-                ]
-        return out
+                kept = {g: v for g, v in groups.items() if len(v) >= min_size}
+                folded = [finalize(fold(create(), v)) for v in kept.values()]
+                emit(mask, kept, folded)
+        return list(out.values())
 
-    def _reduce_skewed(self, key, entries):
+    def _reduce_skewed(self, key, entries, emit):
         """Merge per-mapper partial aggregates of one skewed c-group.
 
         Each entry is a ``(count, state)`` pair; the exact count supports
@@ -645,7 +644,7 @@ class _CubeReducer(Reducer):
             total += count
             merged = aggregate.merge(merged, state)
         if total >= self._min_group_size:
-            yield (mask, values), aggregate.finalize(merged)
+            emit(mask, (values,), (aggregate.finalize(merged),))
 
     def _covered(self, base: int, rows: List, values: List):
         """``(covered cuboid, the rows covering it, their values)`` for the

@@ -50,8 +50,8 @@ def read_relation(
         if len(header) < 2:
             raise ValueError(f"{path}: header needs >= 2 columns")
         schema = Schema(header[:-1], measure=header[-1])
-        parsers = dimension_parsers or [str] * schema.num_dimensions
-        if len(parsers) != schema.num_dimensions:
+        parsers = dimension_parsers or ()  # none: the fields stay text
+        if parsers and len(parsers) != schema.num_dimensions:
             raise ValueError(
                 f"{len(parsers)} parsers for {schema.num_dimensions} dimensions"
             )
@@ -66,13 +66,12 @@ def read_relation(
             measure = measure_parser(fields[-1])
             if isinstance(measure, float) and measure.is_integer():
                 measure = int(measure)
-            rows.append(
-                tuple(
-                    parse(field)
-                    for parse, field in zip(parsers, fields[:-1])
-                )
-                + (measure,)
-            )
+            fields[-1] = measure
+            if parsers:
+                fields[:-1] = [
+                    parse(field) for parse, field in zip(parsers, fields)
+                ]
+            rows.append(tuple(fields))
     return Relation(schema, rows, validate=False, name=name or path)
 
 

@@ -140,7 +140,7 @@ class CheckpointManager:
                 path = self.part_path(index, part)
                 if not self.dfs.exists(path):
                     return None
-                outputs[part] = [tuple(pair) for pair in self.dfs.read(path)]
+                outputs[part] = self.dfs.read(path)  # a fresh list
         except (ReplicaExhausted, KeyError, IndexError, TypeError):
             return None
         return {"manifest": manifest, "outputs": outputs}

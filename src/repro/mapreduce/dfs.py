@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set
 
 from .faults import FaultPlan
-from .sizes import estimate_bytes
+from .sizes import Block, estimate_bytes
 
 #: HDFS's default replication factor.
 DEFAULT_REPLICATION = 3
@@ -42,6 +42,12 @@ class FileNotFound(KeyError):
 
 class ReplicaExhausted(IOError):
     """Raised when every replica of a path failed to serve a read."""
+
+
+def _record_count(records: List) -> int:
+    """Records a file holds: a :class:`Block` is one per group."""
+    blocks = [record for record in records if type(record) is Block]
+    return len(records) - len(blocks) + sum(len(b.groups) for b in blocks)
 
 
 class DistributedFileSystem:
@@ -143,7 +149,7 @@ class DistributedFileSystem:
         self._lost.discard(path)
         self._place(path)
         self.writes += 1
-        self.records_written += len(materialized)
+        self.records_written += _record_count(materialized)
         return len(materialized)
 
     def append(self, path: str, records: Iterable) -> int:
@@ -155,7 +161,7 @@ class DistributedFileSystem:
             self._place(path)
         self._files[path].extend(materialized)
         self.writes += 1
-        self.records_written += len(materialized)
+        self.records_written += _record_count(materialized)
         return len(materialized)
 
     def read(self, path: str, preferred_node: Optional[int] = None) -> List:

@@ -71,12 +71,11 @@ tracing on or off.
 
 from __future__ import annotations
 
-import gc
 import time
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -87,6 +86,7 @@ from typing import (
     Tuple,
 )
 
+from .._gc import paused_gc
 from ..observability.tracer import (
     LEVEL_DEBUG,
     LEVEL_TASK,
@@ -97,7 +97,7 @@ from .costmodel import CostModel
 from .executor import SerialExecutor, TaskOutcome, run_task_chain
 from .faults import NO_FAULTS, FaultPlan, RetryPolicy
 from .metrics import JobMetrics, TaskMetrics
-from .sizes import estimate_bytes
+from .sizes import Block, column_bytes, estimate_bytes
 
 Pair = Tuple[object, object]
 #: One map task's output: every key's values, in emission order.
@@ -219,8 +219,11 @@ class Reducer:
     drives :meth:`reduce` key by key, so existing reducers are
     unaffected, while a hot reducer may override it to work across keys
     (SP-Cube's round-2 reducer aggregates a cuboid at a time there).  An
-    override must emit the pairs the per-key loop would, in any order,
-    and owns the lists it is handed: they are this attempt's copies.
+    override must emit the pairs the per-key loop would, in any order —
+    one by one or in a :class:`~repro.mapreduce.sizes.Block` of
+    ``((mask, group), value)`` pairs sharing a mask, which the engine
+    counts and charges as those pairs and hands on unexpanded — and owns
+    the lists it is handed: they are this attempt's copies.
     """
 
     def setup(self, context: TaskContext) -> None:
@@ -385,7 +388,8 @@ def _ordered_keys(keys) -> List:
 
 @dataclass
 class JobResult:
-    """Reduce output plus the round's metrics."""
+    """Reduce output — pairs and/or :class:`Block` items, as the reducers
+    emitted them — plus the round's metrics."""
 
     output: List[Pair]
     metrics: JobMetrics
@@ -411,28 +415,38 @@ def _unpack_pair(item, where: str) -> Pair:
     return key, value
 
 
-def _validated_pairs(items: List, where: str) -> List[Pair]:
-    """Repack a reducer's emitted items as ``(key, value)`` tuples.
+def _charged_output(emitted: List, where: str) -> Tuple[List, int, int]:
+    """A reduce task's validated output and its ``(records, bytes)``.
 
-    Items that are already 2-tuples — every reducer in this repository —
-    pass through unchanged: the scan is two C-level checks per item
-    versus an unpack-and-repack allocation.  Anything else (a generator
-    of lists, say) falls back to the repacking comprehension, and only
-    when *that* trips does the slow rescan run to attribute the error to
-    the first malformed item.
+    Pairs that are exact 2-tuples — every reducer in this repository —
+    pass through as they are (two C-level checks per item); anything
+    else is repacked, or named in a :class:`PairFormatError`.  They are
+    sized a column at a time.  A :class:`Block` is counted and charged
+    as exactly the pairs it stands for, so no total depends on which of
+    the two shapes a reducer chose.
     """
-    if type(items) is list:  # the scan must not consume a generator
-        for item in items:
-            if type(item) is not tuple or len(item) != 2:
-                break
-        else:
-            return items
-    try:
-        return [(key, value) for key, value in items]
-    except (TypeError, ValueError):
-        for item in items:
-            _unpack_pair(item, where)
-        raise
+    blocks: List[Block] = []
+    for item in emitted:
+        if type(item) is not tuple or len(item) != 2:
+            blocks = [item for item in emitted if type(item) is Block]
+            emitted = [
+                _unpack_pair(item, where)
+                for item in emitted if type(item) is not Block
+            ]
+            break
+    records = len(emitted)
+    size = sum(
+        column_bytes(list(map(itemgetter(side), emitted))) for side in (0, 1)
+    )
+    for block in blocks:
+        if len(block.groups) != len(block.values):
+            raise PairFormatError(
+                f"{where} emitted a block of cuboid {block.mask!r} with "
+                f"{len(block.groups)} groups but {len(block.values)} values"
+            )
+        records += len(block.groups)
+        size += block.bytes()
+    return (blocks + emitted if blocks else emitted), records, size
 
 
 def _fold_pairs(runs: Runs, items: Iterable, where: str) -> None:
@@ -692,48 +706,9 @@ class _ReduceTask:
 
         emitted = list(reducer.reduce_runs(_ordered_keys(grouped), grouped))
         emitted.extend(reducer.close())
-        reducer_output = _validated_pairs(emitted, where)
-
-        # Inlined pair sizing: the common cube pair is a shallow tuple key
-        # and a scalar value, so the estimator's tuple walk runs inline
-        # here (same arithmetic as estimate_bytes, see sizes.py) and only
-        # unusual shapes fall through to the function.  Cube reducers emit
-        # one pair per c-group, which reaches millions on the bench
-        # workloads — at that volume the call overhead is the cost.
-        sizer = estimate_bytes
-        bytes_out = 0
-        for key, value in reducer_output:
-            kind = type(key)
-            if kind is tuple:
-                size = 4
-                for item in key:
-                    kind = type(item)
-                    if kind is int or kind is float:
-                        size += 8
-                    elif kind is str:
-                        size += 4 + len(item)
-                    elif kind is tuple:
-                        size += 4
-                        for inner in item:
-                            kind = type(inner)
-                            if kind is int or kind is float:
-                                size += 8
-                            elif kind is str:
-                                size += 4 + len(inner)
-                            else:
-                                size += sizer(inner)
-                    else:
-                        size += sizer(item)
-            else:
-                size = sizer(key)
-            kind = type(value)
-            if kind is int or kind is float:
-                size += 8
-            else:
-                size += sizer(value)
-            bytes_out += size
-        task.records_out = len(reducer_output)
-        task.bytes_out = bytes_out
+        reducer_output, task.records_out, task.bytes_out = _charged_output(
+            emitted, where
+        )
 
         task.cpu_ops = (
             task.records_in + task.records_out + context.extra_cpu
@@ -756,39 +731,6 @@ def _merge_outcome(metrics: JobMetrics, outcome: TaskOutcome) -> None:
     metrics.speculative_wins += outcome.speculative_wins
     metrics.recovered += outcome.recovered
     metrics.killed_attempts.extend(outcome.killed_attempts)
-
-
-@contextmanager
-def paused_gc():
-    """Pause cyclic GC for the duration of one round.
-
-    The shuffle allocates millions of small tuples that never form
-    reference cycles, but every generation-0 collection they trigger
-    eventually escalates to a full scan of the (huge, live) cube state —
-    a measurable fraction of round wall time on the bench workloads.
-    Pausing the collector defers cycle detection to the round boundary;
-    reference counting still reclaims the (acyclic) bulk immediately, so
-    peak memory is unchanged.  Results cannot be affected: GC timing is
-    invisible to the simulation.  No-op when the caller already disabled
-    the collector.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        # While the collector is off, every surviving allocation sits in
-        # generation 0, so the first post-enable collection would scan
-        # the entire live heap (the full cube!) right at round end.
-        # freeze/enable/unfreeze instead promotes everything allocated
-        # during the pause straight to the oldest generation — the same
-        # place two survived collections would have put it — so the next
-        # gen-0 pass only sees genuinely new objects.
-        gc.freeze()
-        gc.enable()
-        gc.unfreeze()
 
 
 def run_job(*args, **kwargs) -> JobResult:

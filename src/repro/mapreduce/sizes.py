@@ -20,7 +20,9 @@ cache).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Tuple
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 #: Framing overhead charged per composite value (length/type header).
 _CONTAINER_OVERHEAD = 4
@@ -89,6 +91,46 @@ def _estimate_slow(obj) -> int:
 def pair_bytes(key, value) -> int:
     """Serialized size of one shuffled ``(key, value)`` pair."""
     return estimate_bytes(key) + estimate_bytes(value)
+
+
+def column_bytes(column: Sequence) -> int:
+    """``sum(map(estimate_bytes, column))``, by arithmetic on the exact
+    types where the column is homogeneous (``bool`` and ``None`` are no
+    numbers here either: they go to the per-item estimator).  Tuples of
+    one arity — a cuboid's groups, ``(mask, group)`` keys — are sized
+    position by position, others flattened."""
+    count, kinds = len(column), set(map(type, column))
+    if kinds <= {int, float}:
+        return _NUMBER_BYTES * count
+    if kinds == {str}:
+        return _CONTAINER_OVERHEAD * count + sum(map(len, column))
+    if kinds == {tuple}:
+        arities = set(map(len, column))
+        if len(arities) == 1:  # one position's column alive at a time
+            positions = range(arities.pop())
+            inner = (list(map(itemgetter(at), column)) for at in positions)
+        else:
+            inner = [list(chain.from_iterable(column))]
+        return _CONTAINER_OVERHEAD * count + sum(map(column_bytes, inner))
+    return sum(map(estimate_bytes, column))
+
+
+class Block(NamedTuple):
+    """One cuboid's share of a reduce task's output as two parallel
+    columns — the pairs of :meth:`pairs`, which is what it is counted and
+    charged as, without a wrapper object per c-group."""
+
+    mask: int
+    groups: List
+    values: List
+
+    def pairs(self) -> Iterator[Tuple[Tuple, object]]:
+        return zip(zip(repeat(self.mask), self.groups), self.values)
+
+    def bytes(self) -> int:
+        """``sum(pair_bytes(*pair) for pair in self.pairs())``."""
+        framing = _CONTAINER_OVERHEAD + estimate_bytes(self.mask)
+        return framing * len(self.groups) + sum(map(column_bytes, self[1:]))
 
 
 def relation_bytes(rows) -> Tuple[int, int]:

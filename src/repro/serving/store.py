@@ -72,6 +72,7 @@ from typing import (
     Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
+from .._gc import paused_gc
 from ..aggregates import get_aggregate
 from ..cubing.result import CubeResult
 from ..relation.lattice import all_cuboids, group_sort_key, mask_dimensions
@@ -283,21 +284,22 @@ def _index_entries(entries: List[Dict], keys: Sequence[str], limit: int):
 
 
 def estimate_cube_bytes(cube: CubeResult) -> int:
-    """Approximate resident size of a cube's group mapping in bytes.
+    """Approximate resident size of a cube's group mappings in bytes.
 
-    Sums ``sys.getsizeof`` over the dict, each key pair, each values
-    tuple and its elements, and each aggregate value.  Shared/interned
-    objects are counted once per reference, so this is an upper-ish
-    estimate of exclusive footprint — good enough for the doctor's
-    store-vs-memory ratio, not an allocator audit.
+    Sums ``sys.getsizeof`` over each cuboid's ``{values: aggregate}``
+    dict, each values tuple and its elements, and each aggregate value —
+    the layout :class:`CubeResult` holds (no ``(mask, values)`` key pair
+    per group).  Shared/interned objects are counted once per reference,
+    so this is an upper-ish estimate of exclusive footprint — good enough
+    for the doctor's store-vs-memory ratio, not an allocator audit.
     """
-    total = sys.getsizeof(cube._groups)
-    for (mask, values), agg in cube.items():
-        total += sys.getsizeof((mask, values))
-        total += sys.getsizeof(mask)
-        total += sys.getsizeof(values)
-        total += sum(sys.getsizeof(v) for v in values)
-        total += sys.getsizeof(agg)
+    total = 0
+    for mask in all_cuboids(cube.schema.num_dimensions):
+        groups = cube.cuboid(mask)
+        total += sys.getsizeof(groups)
+        total += sum(map(sys.getsizeof, groups))
+        total += sum(map(sys.getsizeof, chain.from_iterable(groups)))
+        total += sum(map(sys.getsizeof, groups.values()))
     return total
 
 
@@ -387,6 +389,7 @@ class CubeStore:
     # -- writing -------------------------------------------------------------
 
     @classmethod
+    @paused_gc()  # ~2 cycle-free objects per group, next to a live cube
     def write(
         cls,
         cube: CubeResult,
@@ -424,20 +427,17 @@ class CubeStore:
             aggregate_name = aggregate.name
             aggregate_kind = aggregate.kind.value
 
-        # Bucket by cuboid, transpose each bucket into per-dimension
-        # value columns, and build one dictionary per dimension from
-        # every column of that dimension.
+        # Transpose each cuboid into per-dimension value columns, and
+        # build one dictionary per dimension from every column of that
+        # dimension.
         num_dimensions = schema.num_dimensions
-        buckets: Dict[int, Tuple[List, List]] = {m: ([], []) for m in masks}
-        for (mask, values), value in cube.items():
-            bucket = buckets.get(mask)
-            if bucket is not None:
-                bucket[0].append(values)
-                bucket[1].append(value)
         by_dimension: List[List[Tuple]] = [[] for _ in range(num_dimensions)]
         value_columns: Dict[int, List[Tuple]] = {}
-        for mask, (keys, _) in buckets.items():
-            value_columns[mask] = list(zip(*keys))
+        aggregates: Dict[int, List] = {}
+        for mask in masks:
+            groups = cube.cuboid(mask)
+            value_columns[mask] = list(zip(*groups))
+            aggregates[mask] = list(groups.values())
             for dim, column in zip(
                 mask_dimensions(mask, num_dimensions), value_columns[mask]
             ):
@@ -481,7 +481,7 @@ class CubeStore:
                 map(encoders[dim], column)
                 for dim, column in zip(dims, value_columns[mask])
             ]
-            rows = sorted(zip(*codes, buckets[mask][1]))
+            rows = sorted(zip(*codes, aggregates[mask]))
             columns = list(zip(*rows)) or [()] * (len(dims) + 1)
             segment = b"".join(map(_pack, columns))
             entries.append(append(segment, mask=mask, groups=len(rows)))
@@ -740,11 +740,11 @@ class CubeStore:
 
     def to_cube(self) -> CubeResult:
         """Materialize the whole store back into a :class:`CubeResult`."""
-        groups: Dict[Tuple[int, Tuple], object] = {}
+        cube = CubeResult(self.schema)
         for mask in self._index:
             for values, value in self._segment(mask).pairs():
-                groups[(mask, values)] = value
-        return CubeResult(self.schema, groups)
+                cube.add(mask, values, value)
+        return cube
 
     # -- lifecycle -----------------------------------------------------------
 

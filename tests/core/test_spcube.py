@@ -12,9 +12,14 @@ from repro.aggregates import (
     UnsupportedAggregateError,
     Variance,
 )
-from repro.core import SKETCH_PATH, SPCube
-from repro.cubing import sequential_cube
-from repro.mapreduce import ClusterConfig, DistributedFileSystem
+from repro.core import SKETCH_PATH, SPCube, spcube
+from repro.cubing import buc_cube, sequential_cube
+from repro.mapreduce import (
+    Block,
+    ClusterConfig,
+    DistributedFileSystem,
+    pair_bytes,
+)
 
 from ..conftest import make_random_relation
 
@@ -176,8 +181,50 @@ class TestDFSIntegration:
             path for path in dfs.list_files() if path.startswith("spcube/cube/")
         ]
         assert len(cuboid_files) == 8
-        total = sum(len(dfs.read(path)) for path in cuboid_files)
-        assert total == run.cube.num_groups
+        # A cuboid's file is the blocks its reducers wrote: columns, not
+        # one record per group.
+        for path in cuboid_files:
+            mask = int(path.rsplit("-", 1)[1])
+            written = {}
+            for block in dfs.read(path):
+                assert block.mask == mask
+                written.update(zip(block.groups, block.values))
+            assert written == run.cube.cuboid(mask)
+
+
+class TestBlockOutput:
+    """Round 2 hands on one block per (reducer, cuboid) — never a pair,
+    node tuple or dict key per c-group — and is charged as the pairs."""
+
+    @pytest.mark.parametrize("fn", [Count(), Average()], ids=lambda f: f.name)
+    @pytest.mark.parametrize("min_size", [1, 3])
+    def test_output_is_blocks_and_counts_are_the_pairs(
+        self, cluster, skewed_relation, monkeypatch, fn, min_size
+    ):
+        results = []
+
+        class Recording(spcube.RoundRunner):
+            def run(self, *args):
+                results.append(super().run(*args))
+                return results[-1]
+
+        monkeypatch.setattr(spcube, "RoundRunner", Recording)
+        run = SPCube(cluster, fn, min_group_size=min_size).compute(
+            skewed_relation
+        )
+        result = results[-1]
+        k, d = cluster.num_machines, skewed_relation.schema.num_dimensions
+        assert result.metrics.name == "sp-cube"
+        assert all(type(item) is Block for item in result.output)
+        assert len(result.output) <= (k + 1) << d
+        assert run.cube.num_groups > 5 * len(result.output)
+        tasks = result.metrics.reduce_tasks
+        assert sum(task.records_out for task in tasks) == run.cube.num_groups
+        for task, blocks in zip(tasks, result.reducer_outputs):
+            pairs = [pair for block in blocks for pair in block.pairs()]
+            assert task.records_out == len(pairs)
+            assert task.bytes_out == sum(pair_bytes(*p) for p in pairs)
+        assert run.cube == buc_cube(skewed_relation, fn, min_support=min_size)
 
 
 class TestDeterminism:

@@ -40,6 +40,70 @@ class TestAddAndAccess:
         assert (0b01, ("y",)) not in cube
 
 
+class TestAddBlock:
+    GROUPS = [("x",), ("y",), ("z",)]
+
+    def test_block_lands_in_its_cuboid(self, schema):
+        cube = CubeResult(schema)
+        cube.add_block(0b01, self.GROUPS, [1, 2, 3])
+        assert cube.cuboid(0b01) == {("x",): 1, ("y",): 2, ("z",): 3}
+        assert cube.num_groups == len(cube) == 3
+        assert list(cube.items()) == [
+            ((0b01, ("x",)), 1), ((0b01, ("y",)), 2), ((0b01, ("z",)), 3)
+        ]
+
+    def test_equal_reinsert_is_a_noop(self, schema):
+        cube = CubeResult(schema)
+        cube.add_block(0b01, self.GROUPS, [1, 2, 3])
+        before = list(cube.items())
+        cube.add_block(0b01, self.GROUPS, [1, 2, 3])
+        cube.add_block(0b01, [("y",)], [2.0])  # equal, first value wins
+        assert list(cube.items()) == before
+        assert type(cube.value(0b01, ("y",))) is int
+
+    def test_conflicting_reinsert_names_the_group(self, schema):
+        cube = CubeResult(schema)
+        cube.add_block(0b01, self.GROUPS, [1, 2, 3])
+        with pytest.raises(ValueError, match=r"c-group \(1, \('y',\)\): 2 vs 9"):
+            cube.add_block(0b01, [("w",), ("y",)], [0, 9])
+
+    def test_into_a_non_empty_cuboid_validates_per_group(self, schema):
+        cube = CubeResult(schema)
+        cube.add(0b01, ("y",), 2)
+        cube.add_block(0b01, self.GROUPS, [1, 2, 3])  # overlaps, agrees
+        assert cube.cuboid(0b01) == {("y",): 2, ("x",): 1, ("z",): 3}
+        cube.add_block(0b01, [("u",), ("v",)], [7, 8])  # disjoint: bulk
+        assert cube.num_groups == 5
+        with pytest.raises(ValueError, match="conflicting"):
+            cube.add_block(0b01, [("t",), ("x",)], [0, -1])
+
+    def test_group_repeated_inside_a_block(self, schema):
+        cube = CubeResult(schema)
+        cube.add_block(0b10, [("p",), ("q",), ("p",)], [1, 2, 1])
+        assert cube.cuboid(0b10) == {("p",): 1, ("q",): 2}
+        other = CubeResult(schema)
+        other.add(0b10, ("o",), 0)
+        with pytest.raises(ValueError, match=r"\('p',\)\): 1 vs 5"):
+            other.add_block(0b10, [("p",), ("q",), ("p",)], [1, 2, 5])
+        assert other.value(0b10, ("o",)) == 0  # what was there stays
+
+    def test_value_names_the_whole_group_when_absent(self, schema):
+        cube = CubeResult(schema)
+        cube.add_block(0b01, self.GROUPS, [1, 2, 3])
+        for key in [(0b01, ("w",)), (0b10, ("x",))]:
+            with pytest.raises(KeyError) as caught:
+                cube.value(*key)
+            assert caught.value.args == (key,)
+            assert key not in cube and cube.get(*key) is None
+
+    def test_add_pairs_is_add_pair_by_pair(self, schema):
+        cube = CubeResult(schema, {(0, ()): 4})
+        cube.add_pairs([((0b01, ("x",)), 1), ((0, ()), 4)])
+        assert cube == CubeResult(schema, {(0, ()): 4, (0b01, ("x",)): 1})
+        with pytest.raises(ValueError, match="conflicting"):
+            cube.add_pairs([((0b01, ("x",)), 2)])
+
+
 class TestViews:
     def test_cuboid_extraction(self, schema):
         cube = CubeResult(schema)
@@ -74,6 +138,16 @@ class TestComparison:
     def test_inequality(self, schema):
         a = CubeResult(schema, {(0, ()): 5})
         b = CubeResult(schema, {(0, ()): 6})
+        assert a != b
+
+    def test_equality_ignores_empty_cuboids(self, schema):
+        a = CubeResult(schema, {(0, ()): 5})
+        b = CubeResult(schema, {(0, ()): 5})
+        b.add_block(0b11, [], [])
+        assert a == b and b == a
+        assert b.cuboid(0b11) == {} and b.num_groups == 1
+        assert "0-level" in repr(b)
+        b.add_block(0b11, [("x", "y")], [1])
         assert a != b
 
     def test_not_comparable_to_dict(self, schema):

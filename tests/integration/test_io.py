@@ -42,9 +42,23 @@ class TestRelationRoundtrip:
 
     def test_bad_field_count_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
-        path.write_text("a\tb\tm\n1\t2\n")
-        with pytest.raises(ValueError, match="fields"):
-            repro_io.read_relation(str(path))
+        path.write_text("a\tb\tm\n1\t2\t3\n1\t2\n")
+        for parsers in (None, [int, int]):
+            with pytest.raises(
+                ValueError, match=r"bad\.tsv:3: 2 fields, expected 3"
+            ):
+                repro_io.read_relation(str(path), dimension_parsers=parsers)
+
+    def test_default_keeps_text_and_narrows_integral_measures(self, tmp_path):
+        path = tmp_path / "mixed.tsv"
+        path.write_text("a\tb\tm\nx\t1\t3.0\ny\t2\t2.5\n\t\t-4\n")
+        loaded = repro_io.read_relation(str(path))
+        assert loaded.rows == [("x", "1", 3), ("y", "2", 2.5), ("", "", -4)]
+        assert [type(row[-1]) for row in loaded.rows] == [int, float, int]
+        explicit = repro_io.read_relation(
+            str(path), dimension_parsers=[str, str]
+        )
+        assert explicit.rows == loaded.rows
 
     def test_wrong_parser_count(self, retail_relation, tmp_path):
         path = str(tmp_path / "retail.tsv")

@@ -51,8 +51,18 @@ from repro.core.spcube import _CubeMapper, _CubeReducer, _PlanFunction
 from repro.cubing.buc import buc_cube, iceberg_groups
 from repro.cubing.naive import sequential_cube
 from repro.datagen import adversarial_relation, gen_binomial, gen_zipf
-from repro.mapreduce import TaskContext, estimate_bytes
-from repro.mapreduce.engine import _ordered_keys
+from repro.mapreduce import (
+    NO_FAULTS,
+    Block,
+    CostModel,
+    MapReduceJob,
+    RetryPolicy,
+    TaskContext,
+    TaskFactory,
+    estimate_bytes,
+    pair_bytes,
+)
+from repro.mapreduce.engine import _ordered_keys, _ReduceTask
 from repro.relation.lattice import project
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
@@ -441,9 +451,11 @@ def assert_reduce_kernel_matches_reference(
     reducer = _CubeReducer(sketch.num_dimensions, aggregate, plan, min_size)
     context = TaskContext(0, 4, 32)
     reducer.setup(context)
-    pairs = list(reducer.reduce_runs(
+    blocks = reducer.reduce_runs(
         _ordered_keys(grouped), {key: list(v) for key, v in grouped.items()}
-    ))
+    )
+    assert len({block.mask for block in blocks}) == len(blocks)
+    pairs = [pair for block in blocks for pair in block.pairs()]
     got = dict(pairs)
     assert len(got) == len(pairs)
     assert got == want
@@ -453,6 +465,20 @@ def assert_reduce_kernel_matches_reference(
     }
     assert sum(map(estimate_bytes, got)) == sum(map(estimate_bytes, want))
     assert context.extra_cpu == want_cpu
+    # Through the engine the blocks are counted and charged as the pairs
+    # they stand for, whatever the key and value types.
+    job = MapReduceJob(
+        "sp-cube", None,
+        TaskFactory(_CubeReducer, sketch.num_dimensions, aggregate, plan, min_size),
+    )
+    task, (output, _oom) = _ReduceTask(
+        job, 0, [grouped], sum(map(len, grouped.values())), 0, 1 << 30, 4, 32,
+        CostModel(), NO_FAULTS, RetryPolicy(),
+    )._attempt()
+    assert all(type(block) is Block for block in output)
+    assert repr(sorted(output)) == repr(sorted(blocks))
+    assert task.records_out == len(pairs)
+    assert task.bytes_out == sum(pair_bytes(*pair) for pair in pairs)
 
 
 class TestReduceKernelMatchesReferenceReducer:

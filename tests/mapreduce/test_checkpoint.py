@@ -1,11 +1,18 @@
 """Checkpoint persistence, manifest atomicity, and DFS failure domains."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis import paper_cluster
+from repro.core import SPCube
+from repro.cubing import CubeResult, sequential_cube
+from repro.datagen import gen_zipf
 from repro.mapreduce.checkpoint import CheckpointManager
 from repro.mapreduce.cluster import NodeTopology
 from repro.mapreduce.dfs import DistributedFileSystem, ReplicaExhausted
-from repro.mapreduce.faults import FaultPlan, FaultSpec
+from repro.mapreduce.faults import FaultPlan, FaultSpec, NodeFaultSpec
+from repro.mapreduce.sizes import Block
 
 
 def make_manager(**kwargs):
@@ -85,6 +92,45 @@ class TestCheckpointManager:
         manager.save_round(0, "a", OUTPUTS)
         manager.save_part(0, 0, OUTPUTS[0])
         assert len(dfs) == 0
+
+
+class TestBlocksThroughTheCheckpoint:
+    def test_parts_keep_their_blocks(self):
+        manager, dfs = make_manager()
+        block = Block(0b01, [("x",), ("y",)], [1, 2])
+        manager.save_round(0, "sp-cube", [[block], [("c", 3)], []])
+        outputs = manager.load_round(0)["outputs"]
+        assert outputs == {0: [block], 1: [("c", 3)], 2: []}
+        assert type(outputs[0][0]) is Block
+        # A block is a record per group on the DFS, as at the reducer.
+        assert dfs.records_written == 2 + 1 + 0 + 1
+
+    def test_node_kill_resume_of_sp_cube_merges_salvaged_blocks(self):
+        relation = gen_zipf(2000, seed=3)
+        plan = FaultPlan(seed=5, node_specs=[
+            NodeFaultSpec(node=2, at_seconds=30.0, job="sp-cube"),
+        ])
+        cluster = replace(
+            paper_cluster(2000, num_machines=6, num_nodes=3), fault_plan=plan
+        )
+        dfs = DistributedFileSystem(
+            fault_plan=plan, topology=cluster.topology()
+        )
+        run = SPCube(cluster, dfs=dfs).compute(relation)
+        killed, rerun = run.metrics.jobs[-2:]
+        assert killed.superseded and not rerun.aborted
+        assert 0 < len(rerun.reduce_tasks) < 7  # salvaged parts not re-run
+        assert run.cube == sequential_cube(relation)
+        # The committed round, read back, is salvaged and re-run parts
+        # alike as blocks, and rebuilds the same cube.
+        parts = CheckpointManager(dfs, run_id="spcube").load_round(1)["outputs"]
+        assert sorted(parts) == list(range(7))
+        reloaded = CubeResult(relation.schema)
+        for blocks in parts.values():
+            for block in blocks:
+                assert type(block) is Block
+                reloaded.add_block(*block)
+        assert reloaded == run.cube
 
 
 class TestDfsFailureDomains:

@@ -19,6 +19,7 @@ from repro.core import SPCube
 from repro.cubing import sequential_cube
 from repro.datagen import gen_binomial
 from repro.mapreduce import (
+    Block,
     ClusterConfig,
     FaultPlan,
     FaultSpec,
@@ -98,6 +99,24 @@ class _RunWrecker(Reducer):
         first.sort()
         del runs[keys[-1]]
         return [("all", tuple(first))]
+
+
+class _SumPerCuboid(Reducer):
+    """``(mask, group)`` keys summed into one block per mask, next to a
+    plain pair: the shapes a reducer may mix."""
+
+    def reduce_runs(self, keys, runs):
+        blocks = {}
+        for mask, group in keys[1:]:
+            block = blocks.setdefault(mask, Block(mask, [], []))
+            block.groups.append(group)
+            block.values.append(sum(runs[mask, group]))
+        return [(keys[0], sum(runs[keys[0]])), *blocks.values()]
+
+
+class _LopsidedBlock(Reducer):
+    def reduce_runs(self, keys, runs):
+        return [Block(5, [("a",), ("b",)], [1])]
 
 
 class _NonPairRuns(Reducer):
@@ -248,6 +267,43 @@ class TestReduceRunsHook:
         for name in BACKEND_FIELDS:
             del per_key_metrics[name], per_task_metrics[name]
         assert repr(per_task_metrics) == repr(per_key_metrics)
+
+    def test_blocks_are_counted_and_charged_as_their_pairs(self):
+        chunks = [
+            [((1, ("a",)), 3), ((2, ("b", None)), 1), ((1, ("a",)), 1)],
+            [((1, (True,)), 2), ((2, ("c", 1.5)), 5), ((1, ("a",)), 4)],
+        ]
+        job = MapReduceJob(
+            name="hook", mapper_factory=TaskFactory(_PairMapper),
+            reducer_factory=TaskFactory(_SumPerKey), num_reducers=1,
+        )
+        blocked = MapReduceJob(
+            name="hook", mapper_factory=TaskFactory(_PairMapper),
+            reducer_factory=TaskFactory(_SumPerCuboid), num_reducers=1,
+        )
+        cluster = ClusterConfig(num_machines=2)
+        per_key = run_job(job, chunks, cluster, 10)
+        per_cuboid = run_job(blocked, chunks, cluster, 10)
+        assert len(per_key.output) == 4
+        blocks = [item for item in per_cuboid.output if type(item) is Block]
+        pairs = [item for item in per_cuboid.output if type(item) is not Block]
+        assert sorted(b.mask for b in blocks) == [1, 2] and len(pairs) == 1
+        assert per_cuboid.reducer_outputs == [per_cuboid.output]
+        expanded = pairs + [pair for b in blocks for pair in b.pairs()]
+        assert sorted(map(repr, expanded)) == sorted(map(repr, per_key.output))
+        per_key_metrics = asdict(per_key.metrics)
+        per_cuboid_metrics = asdict(per_cuboid.metrics)
+        for name in BACKEND_FIELDS:
+            del per_key_metrics[name], per_cuboid_metrics[name]
+        assert repr(per_cuboid_metrics) == repr(per_key_metrics)
+
+    def test_lopsided_block_is_named(self):
+        with pytest.raises(PairFormatError) as caught:
+            self.run(_LopsidedBlock)
+        assert str(caught.value) == (
+            "job 'hook': reduce task 0 emitted a block of cuboid 5 with "
+            "2 groups but 1 values"
+        )
 
     def test_non_pair_from_reduce_runs_is_named(self):
         with pytest.raises(PairFormatError) as caught:

@@ -1,8 +1,12 @@
 """Serialized-size estimation."""
 
-from collections import Counter
+from collections import Counter, namedtuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mapreduce import estimate_bytes, pair_bytes, relation_bytes
+from repro.mapreduce.sizes import Block, column_bytes
 
 
 class TestScalars:
@@ -69,3 +73,58 @@ class TestHelpers:
                 return "odd"
 
         assert estimate_bytes(Odd()) == 4 + 3
+
+
+Point = namedtuple("Point", "x y")
+
+SCALARS = st.one_of(
+    st.integers(-3, 3), st.just(1 << 70), st.floats(allow_nan=False),
+    st.booleans(), st.none(), st.text(max_size=5), st.binary(max_size=3),
+)
+#: Group-like and aggregate-like values: tuples (``top_k`` is a tuple of
+#: pairs), a tuple subclass, and the containers holistic states use.
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(inner, max_size=3),
+        st.tuples(inner, inner).map(lambda pair: Point(*pair)),
+        st.frozensets(st.integers(0, 3), max_size=3),
+    ),
+    max_leaves=8,
+)
+#: Columns as reducers build them: one family throughout, or a mix.
+COLUMNS = st.one_of(
+    st.lists(st.integers()), st.lists(st.floats(allow_nan=False)),
+    st.lists(st.one_of(st.integers(), st.floats(allow_nan=False))),
+    st.lists(st.text(max_size=6)), st.lists(st.booleans()),
+    st.lists(st.sampled_from([1, True, 1.0, 0, False, None])),
+    st.lists(st.lists(st.text(max_size=3), max_size=3).map(tuple)),
+    st.lists(st.tuples(st.text(max_size=3), st.integers())),
+    st.lists(VALUES),
+)
+
+
+class TestColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(column=COLUMNS)
+    def test_column_bytes_is_the_sum_of_its_items(self, column):
+        want = sum(map(estimate_bytes, column))
+        assert column_bytes(column) == want
+        assert column_bytes(tuple(column)) == want
+
+    def test_lookalikes_are_sized_by_type_not_by_equality(self):
+        assert column_bytes([1, 1.0]) == 16
+        assert column_bytes([1, True]) == 8 + 1
+        assert column_bytes([(1,), (True,), (None,)]) == 12 + 5 + 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mask=st.one_of(st.integers(0, 255), st.none(), st.text(max_size=3)),
+        pairs=st.lists(st.tuples(VALUES, VALUES), max_size=12),
+    )
+    def test_a_block_costs_what_its_pairs_cost(self, mask, pairs):
+        block = Block(mask, [g for g, _ in pairs], [v for _, v in pairs])
+        expanded = list(block.pairs())
+        assert expanded == [((mask, g), v) for g, v in pairs]
+        assert block.bytes() == sum(pair_bytes(*pair) for pair in expanded)
