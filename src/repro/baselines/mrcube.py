@@ -150,9 +150,6 @@ class MRCube:
             # The sample is O(m) w.h.p. (Prop 4.4) and is collected under a
             # single key by design; the value-buffer flag does not apply.
             value_buffer_fraction=None,
-            # The reducer returns the shard plan through ``holder``; that
-            # side channel pins the round to the driver process.
-            driver_state=True,
         )
         result = runner.run(job, relation.split(k), m)
         metrics.extras["sample_size"] = result.metrics.map_output_records
@@ -324,8 +321,7 @@ class _MaterializeReducer(Reducer):
 
 
 class _MergeCombiner:
-    """Hadoop combiner merging per-key partial aggregate states; a
-    picklable callable so materialization tasks can run in workers."""
+    """Hadoop combiner merging per-key partial aggregate states."""
 
     __slots__ = ("_aggregate",)
 
@@ -334,12 +330,6 @@ class _MergeCombiner:
 
     def __call__(self, key, values):
         yield key, _merge_all(self._aggregate, values)
-
-    def __getstate__(self):
-        return self._aggregate
-
-    def __setstate__(self, state):
-        self._aggregate = state
 
 
 class _IdentityMapper(Mapper):

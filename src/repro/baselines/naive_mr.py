@@ -90,7 +90,7 @@ class NaiveCube:
 
 class _PartialCombiner:
     """Hadoop combiner: fold a map task's raw measures per c-group into a
-    single tagged partial state (picklable, unlike the old closure)."""
+    single tagged partial state."""
 
     __slots__ = ("_aggregate",)
 
@@ -100,12 +100,6 @@ class _PartialCombiner:
     def __call__(self, key, values):
         aggregate = self._aggregate
         yield key, ("partial", aggregate.fold(aggregate.create(), values))
-
-    def __getstate__(self):
-        return self._aggregate
-
-    def __setstate__(self, state):
-        self._aggregate = state
 
 
 class _NaiveMapper(Mapper):

@@ -42,9 +42,7 @@ The ``cube`` and ``compare`` commands take fault-injection knobs
 ``--max-task-attempts``, plus the failure-domain knobs ``--num-nodes``,
 ``--node-crash-prob`` and ``--checkpoint/--no-checkpoint``) so task
 crashes, stragglers, whole-node losses and the framework's recovery are
-reproducible from the command line, plus ``--parallelism N``
-(or the ``REPRO_PARALLELISM`` environment variable) to fan map/reduce
-tasks out across worker processes — results are bit-identical to serial.
+reproducible from the command line.
 Both also take three observability knobs: ``--trace PATH`` writes the
 run's one artifact, a structured JSONL trace; ``--trace-level`` picks
 its detail (``task`` carries what ``metrics-export`` and the watchdog's
@@ -113,7 +111,6 @@ def _cluster_from_args(args, num_rows: int):
             num_machines=args.machines,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
-            parallelism=args.parallelism,
             num_nodes=args.num_nodes,
             checkpoint=args.checkpoint,
         )
@@ -595,13 +592,7 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_execution_args(parser: argparse.ArgumentParser) -> None:
-    """Execution-backend knobs shared by the cube-computing commands."""
-    parser.add_argument(
-        "--parallelism", type=int, default=None, metavar="N",
-        help="worker processes running map/reduce tasks concurrently "
-             "(default: REPRO_PARALLELISM env var, else serial); "
-             "results are bit-identical to a serial run",
-    )
+    """Execution knobs shared by the cube-computing commands."""
     parser.add_argument(
         "--memory-records", type=int, default=None, metavar="M",
         help="pin the per-machine memory budget m in records instead of "

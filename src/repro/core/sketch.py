@@ -129,15 +129,6 @@ class SPSketch:
         }
         return list(map(bitmap.__getitem__, hits))
 
-    # -- pickling ---------------------------------------------------------------
-
-    def __getstate__(self):
-        """Drop the probe list: it holds compiled projector closures that
-        cannot cross a process boundary, and it rebuilds on first use."""
-        state = self.__dict__.copy()
-        state["_probes"] = None
-        return state
-
     # -- inspection ------------------------------------------------------------
 
     def skewed_groups(self) -> Iterator[Tuple[int, GroupValues, int]]:

@@ -78,11 +78,8 @@ _GROUP_TAG = "G"
 
 
 def _spcube_cuboid_of(key):
-    """Cuboid (lattice mask) of a round-2 ``(tag, mask, values)`` key.
-
-    Both streams carry the mask second; module-level so the job's flow
-    classification survives the pickle to worker processes.
-    """
+    """Cuboid (lattice mask) of a round-2 ``(tag, mask, values)`` key;
+    both streams carry the mask second."""
     return key[1]
 
 #: DFS path under which round 1 publishes the sketch.
@@ -244,9 +241,6 @@ class SPCube:
             # The sample is O(m) w.h.p. (Prop 4.4) and is collected under a
             # single key by design; the value-buffer flag does not apply.
             value_buffer_fraction=None,
-            # The sketch comes back through the round's output pairs — no
-            # driver-side holder list — so this round runs on whatever
-            # executor the cluster configures, parallel included.
         )
         result = runner.run(job, relation.split(k), m)
 
@@ -326,7 +320,7 @@ class SPCube:
 
 
 class _PlanFunction:
-    """Picklable plan lookup honouring the ablation switches.
+    """Plan lookup honouring the ablation switches.
 
     Plans are memoized per distinct *dimension tuple* — the one memo of
     round 2.  ``skew_bits`` is a pure, equality-respecting function of
@@ -336,10 +330,11 @@ class _PlanFunction:
     kernel fills it a chunk at a time (:meth:`plan_chunk`), which is why
     it exists: the reduce kernel then reads its rows' plans with one
     bulk probe (:meth:`plans_of`) instead of re-probing the sketch.  It
-    is process-local transient state (never pickled, rebuilt empty after
-    a pool hop) and must never feed *per-task* observables (counters,
-    metrics) — its hit pattern depends on which tasks shared a process,
-    which the simulation does not model.
+    is shared by every task of the round — interleaved threads included:
+    each access is one dict operation, and a ``clear`` under a reader
+    only turns hits into misses, which are re-planned — so it must never
+    feed *per-task* observables (counters, metrics): its hit pattern
+    depends on task order, which the simulation does not model.
     """
 
     __slots__ = ("_sketch", "_d", "_dims", "_covering", "_partial", "_memo")
@@ -350,9 +345,12 @@ class _PlanFunction:
         self, sketch: SPSketch, ancestor_covering: bool,
         map_partial_aggregation: bool,
     ):
-        self.__setstate__(
-            (sketch, ancestor_covering, map_partial_aggregation)
-        )
+        self._sketch = sketch
+        self._covering = ancestor_covering
+        self._partial = map_partial_aggregation
+        self._d = sketch.num_dimensions
+        self._dims = itemgetter(slice(self._d))
+        self._memo: Dict[tuple, TuplePlan] = {}
 
     def _plan_for(self, bits: int) -> TuplePlan:
         if self._covering:
@@ -385,15 +383,6 @@ class _PlanFunction:
                 for miss, plan in zip(missed, plans)
             ]
         return plans
-
-    def __getstate__(self):
-        return (self._sketch, self._covering, self._partial)
-
-    def __setstate__(self, state):
-        self._sketch, self._covering, self._partial = state
-        self._d = self._sketch.num_dimensions
-        self._dims = itemgetter(slice(self._d))
-        self._memo = {}
 
 
 class _CubePartitioner:
@@ -438,11 +427,7 @@ class _SketchReducer(Reducer):
     """Round 1 reduce (Algorithm 2 lines 7-10): build the sketch in memory.
 
     The sketch is returned through the round's output pairs — the normal
-    MapReduce data path — rather than a driver-side holder list, so the
-    round is free to run on the parallel executor (a mutable holder
-    cannot cross a process boundary; it silently stays empty in a worker
-    fork, which is why the holder design pinned round 1 to the serial
-    backend).
+    MapReduce data path.
     """
 
     def __init__(self, d: int, k: int, beta: float):

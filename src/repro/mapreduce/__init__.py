@@ -33,12 +33,9 @@ from .engine import (
     stable_hash,
 )
 from .executor import (
-    PARALLELISM_ENV,
     ParallelExecutor,
     SerialExecutor,
     TaskOutcome,
-    build_executor,
-    resolve_parallelism,
     run_task_chain,
 )
 from .faults import (
@@ -91,12 +88,9 @@ __all__ = [
     "cuboid_of_mask_key",
     "run_job",
     "stable_hash",
-    "PARALLELISM_ENV",
     "ParallelExecutor",
     "SerialExecutor",
     "TaskOutcome",
-    "build_executor",
-    "resolve_parallelism",
     "run_task_chain",
     "JobMetrics",
     "MetricsInvariantError",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .costmodel import CostModel
-from .executor import build_executor, resolve_parallelism
+from .executor import ParallelExecutor, SerialExecutor
 from .faults import FaultPlan, RetryPolicy
 
 #: Task-to-node placement policies understood by :class:`NodeTopology`.
@@ -110,10 +110,11 @@ class ClusterConfig:
         How the framework recovers from injected task failures; see
         :class:`~repro.mapreduce.faults.RetryPolicy`.
     parallelism:
-        Worker processes running a phase's map/reduce tasks concurrently.
-        ``None`` defers to the ``REPRO_PARALLELISM`` environment variable
-        (default 1 = serial).  Parallel runs are bit-identical to serial
-        ones; see :mod:`repro.mapreduce.executor`.
+        Threads a phase's map/reduce tasks are interleaved on (``None``
+        or 1 = serial).  It exists for the identity and fault tests, not
+        for speed — the paper's parallelism is simulated by the cost
+        model — and parallel runs are bit-identical to serial ones; see
+        :mod:`repro.mapreduce.executor`.
     tracer:
         A :class:`~repro.observability.Tracer` receiving span/event
         records from every job run on this cluster (``None`` = the
@@ -170,13 +171,11 @@ class ClusterConfig:
             placement=self.placement,
         )
 
-    def effective_parallelism(self) -> int:
-        """The resolved worker count (explicit value, env var, or 1)."""
-        return resolve_parallelism(self.parallelism)
-
     def task_executor(self):
         """The executor backend jobs on this cluster run their tasks on."""
-        return build_executor(self.parallelism)
+        if self.parallelism is None or self.parallelism == 1:
+            return SerialExecutor()
+        return ParallelExecutor(self.parallelism)
 
     def derive_memory(self, num_input_records: int) -> int:
         """``m`` for an input of the given size (paper: ``m = n / k``)."""

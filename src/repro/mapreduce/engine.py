@@ -25,13 +25,11 @@ counters the paper's figures are built from.
 **Execution backends.**  Each phase's tasks are self-contained
 :class:`_MapTask`/:class:`_ReduceTask` objects executed by the cluster's
 task executor (see :mod:`repro.mapreduce.executor`): the default
-:class:`~repro.mapreduce.executor.SerialExecutor` runs them in-process one
-by one, while a :class:`~repro.mapreduce.executor.ParallelExecutor`
-(enabled via ``ClusterConfig.parallelism`` or ``REPRO_PARALLELISM``) fans
-them out across worker processes.  Outcomes are merged in task-index
-order, so cubes, metrics and fault chains are bit-identical across
-backends.  Jobs that feed results back to the driver through shared
-objects (``MapReduceJob.driver_state``) always run serially.
+:class:`~repro.mapreduce.executor.SerialExecutor` runs them one by one,
+while a :class:`~repro.mapreduce.executor.ParallelExecutor` (enabled via
+``ClusterConfig.parallelism``) interleaves them on threads.  Outcomes are
+merged in task-index order, so cubes, metrics and fault chains are
+bit-identical across backends.
 
 **Fault tolerance.**  When the cluster carries a
 :class:`~repro.mapreduce.faults.FaultPlan`, every task runs as a chain of
@@ -62,9 +60,9 @@ and event records onto the simulated timeline: one attempt span per task
 execution, fault events (crash/straggle/speculation), phase spans and a
 job span, plus per-(map task, reducer) flow edges and spills at debug
 level.  Task chains buffer
-their records locally (safe in worker processes) and the driver offsets
-and emits them in task-index order, so trace files are bit-identical
-across execution backends.  With no tracer attached the engine touches a
+their records locally and the driver offsets and emits them in
+task-index order, so trace files are bit-identical across execution
+backends.  With no tracer attached the engine touches a
 single ``enabled`` flag per job — metrics and outputs are identical with
 tracing on or off.
 """
@@ -94,7 +92,7 @@ from ..observability.tracer import (
 )
 from .cluster import ClusterConfig
 from .costmodel import CostModel
-from .executor import SerialExecutor, TaskOutcome, run_task_chain
+from .executor import TaskOutcome, run_task_chain
 from .faults import NO_FAULTS, FaultPlan, RetryPolicy
 from .metrics import JobMetrics, TaskMetrics
 from .sizes import Block, column_bytes, estimate_bytes
@@ -268,12 +266,8 @@ class FunctionReducer(Reducer):
 
 
 class TaskFactory:
-    """Picklable task factory: ``TaskFactory(Cls, *args)() == Cls(*args)``.
-
-    Engines historically built mappers with ``lambda: Cls(...)``, which
-    cannot cross a process boundary; a :class:`TaskFactory` can, as long
-    as the class is module-level and the arguments pickle.
-    """
+    """Task factory: ``TaskFactory(Cls, *args)() == Cls(*args)``, a fresh
+    mapper/reducer instance per task attempt."""
 
     __slots__ = ("_cls", "_args", "_kwargs")
 
@@ -317,15 +311,10 @@ class MapReduceJob:
     oversized_dominance: float = DEFAULT_OVERSIZED_DOMINANCE
     #: Fraction of flagged reduce tasks at which the job counts as failed.
     oom_quorum_fraction: float = DEFAULT_OOM_QUORUM_FRACTION
-    #: True for rounds whose mapper/reducer feeds results back to the
-    #: driver through a shared in-memory object (e.g. a sketch holder
-    #: list).  Such side channels do not survive a process boundary, so
-    #: the engine always runs these rounds on the serial executor.
-    driver_state: bool = False
     #: Classifier mapping one *map emission key* to the cuboid (lattice
     #: mask) it belongs to, used by the debug-level ``flow`` trace events
-    #: to break each shuffle edge down per cuboid.  Must be a module-level function
-    #: (parallel workers pickle the job) and a pure function of the key.
+    #: to break each shuffle edge down per cuboid.  Must be a pure
+    #: function of the key.
     #: ``None`` for rounds whose keys carry no cuboid (sampling rounds).
     cuboid_of: Optional[Callable[[object], int]] = None
 
@@ -532,8 +521,8 @@ def _route_runs(
 class _MapTask:
     """One self-contained map task: chunk in, routed runs out.
 
-    Carries everything an attempt chain needs, so the task can execute in
-    the driver or in a worker process with identical results.
+    Carries everything an attempt chain needs, so the task gives the
+    same result on whichever thread, and in whatever order, it runs.
     """
 
     def __init__(
@@ -748,7 +737,6 @@ def _run_job(
     input_chunks: Sequence[Sequence],
     cluster: ClusterConfig,
     memory_records: int,
-    executor=None,
     *,
     run_clock: float = 0.0,
     replaced_nodes: frozenset = frozenset(),
@@ -767,8 +755,6 @@ def _run_job(
         parallelism (which executor runs the phase's tasks).
     memory_records:
         ``m``, the per-machine memory in records for this run.
-    executor:
-        Override the cluster's task executor (mostly for tests).
     run_clock:
         Run-relative simulated seconds at which this round starts — how
         run-relative :class:`~repro.mapreduce.faults.NodeFaultSpec` kills
@@ -796,11 +782,7 @@ def _run_job(
         name=job.name,
         oom_quorum=max(2, int(job.oom_quorum_fraction * num_reducers)),
     )
-    if executor is None:
-        executor = cluster.task_executor()
-    if job.driver_state and not isinstance(executor, SerialExecutor):
-        # Driver-side side channels (holder lists) cannot cross processes.
-        executor = SerialExecutor()
+    executor = cluster.task_executor()
     metrics.executor = executor.name
 
     tracer = cluster.tracer or NULL_TRACER
@@ -1016,8 +998,7 @@ def cuboid_of_mask_key(key):
     """Cuboid (lattice mask) of a ``(mask, values[, shard])`` shuffle key.
 
     The emission-key shape shared by the naive, Hive, MR-Cube and
-    PipeSort-MR engines (their jobs' :attr:`MapReduceJob.cuboid_of`);
-    module-level so parallel workers can pickle the job it is attached to.
+    PipeSort-MR engines (their jobs' :attr:`MapReduceJob.cuboid_of`).
     """
     return key[0]
 
@@ -1094,9 +1075,9 @@ def _record_node_losses(
 def _emit_chain_trace(tracer, outcome: TaskOutcome, phase_start: float) -> None:
     """Shift a chain's buffered records onto the timeline and emit them.
 
-    Chains buffer records with chain-relative times (they may have run in
-    a worker process); the driver calls this in task-index order, so the
-    trace stream is bit-identical across execution backends.
+    Chains buffer records with chain-relative times (they may have run
+    interleaved on threads); the driver calls this in task-index order,
+    so the trace stream is bit-identical across execution backends.
     """
     for record in outcome.trace or ():
         if record["type"] == "span":

@@ -1,16 +1,16 @@
-"""Pluggable task-execution backends for the simulated engine.
+"""Task-execution backends for the simulated engine.
 
 The engine's map and reduce tasks are independent by construction — the
 same property real MapReduce exploits for scale-out — so a phase's tasks
-can run concurrently without touching the simulation's semantics.  This
-module provides the two backends:
+can run interleaved without touching the simulation's semantics.  The
+paper's parallelism is *simulated* (the cost model charges it); the host
+backends exist so the identity and fault tests can interleave tasks, not
+to make a run faster:
 
-* :class:`SerialExecutor` — the default: tasks run one after another in
-  the driver process, stopping early once a task aborts (exactly the
-  engine's historical behaviour).
-* :class:`ParallelExecutor` — a ``ProcessPoolExecutor`` fans the phase's
-  tasks out across worker processes; tasks whose job closes over
-  non-picklable state fall back to a thread pool transparently.
+* :class:`SerialExecutor` — the default: tasks run one after another,
+  stopping early once a task aborts.
+* :class:`ParallelExecutor` — the phase's tasks interleaved on a few
+  threads of the same process (``ClusterConfig.parallelism`` > 1).
 
 Determinism is preserved by contract, not by luck:
 
@@ -23,32 +23,24 @@ Determinism is preserved by contract, not by luck:
 3. a task chain that exhausts its retry budget produces an *outcome*
    (``task is None``), never an exception; the engine truncates the merge
    at the first aborted index, which reproduces serial early-stopping
-   even when a parallel backend has already run the later tasks.
+   even when the threads have already run the later tasks.
 
 :func:`run_task_chain` is the pure attempt-chain driver shared by both
 backends: it accumulates the fault-tolerance counters into the returned
 :class:`TaskOutcome` instead of mutating shared job metrics, which is
-what makes a task safe to execute in a worker process.
+what makes tasks safe to interleave.
 """
 
 from __future__ import annotations
 
-import atexit
-import gc
-import os
-import pickle
-from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..observability.tracer import attempt_counters
 from .costmodel import CostModel
 from .faults import FaultPlan, RetryPolicy
 from .metrics import TaskMetrics
-
-#: Environment variable consulted when a cluster does not pin parallelism.
-PARALLELISM_ENV = "REPRO_PARALLELISM"
-
 
 @dataclass
 class TaskOutcome:
@@ -57,8 +49,8 @@ class TaskOutcome:
     ``task`` is the winning attempt's metrics (``seconds`` covering the
     whole chain) or ``None`` when the retry budget was exhausted; the
     fault-tolerance counters are carried here instead of being written to
-    shared :class:`~repro.mapreduce.metrics.JobMetrics`, so a chain can
-    run in a worker process and be merged deterministically afterwards.
+    shared :class:`~repro.mapreduce.metrics.JobMetrics`, so chains can
+    run interleaved and be merged deterministically afterwards.
     """
 
     task: Optional[TaskMetrics]
@@ -114,8 +106,8 @@ def run_task_chain(
 
     With ``trace=True`` the chain also buffers one attempt span per
     execution and one event per injected fault into ``outcome.trace``,
-    with chain-relative times — safe to build in a worker process and
-    merged deterministically by the driver (see
+    with chain-relative times — local to the chain, whichever thread
+    runs it, and merged deterministically by the driver (see
     :mod:`repro.observability.tracer`).
     """
     outcome = TaskOutcome(task=None, payload=None)
@@ -271,11 +263,10 @@ def _attempt_span(
 
 
 class SerialExecutor:
-    """Run tasks one after another in the driver process (the default).
+    """Run tasks one after another (the default).
 
     Stops dispatching as soon as a task chain exhausts its retry budget —
-    later tasks never run and contribute nothing, exactly as the engine
-    always behaved.
+    later tasks never run and contribute nothing.
     """
 
     name = "serial"
@@ -294,116 +285,16 @@ class SerialExecutor:
         return outcomes
 
 
-#: Cached worker pools, keyed by (kind, max_workers).  Forking a pool per
-#: phase would dominate small jobs; the pools are process-global, reused
-#: across runs, and torn down at interpreter exit.
-_POOLS: Dict[tuple, futures.Executor] = {}
-
-
-def _shutdown_pools() -> None:
-    for pool in _POOLS.values():
-        pool.shutdown(wait=False, cancel_futures=True)
-    _POOLS.clear()
-
-
-atexit.register(_shutdown_pools)
-
-
-def _get_pool(kind: str, max_workers: int) -> futures.Executor:
-    # ``concurrent.futures`` imports its pool classes on first attribute
-    # access, so the process machinery (``multiprocessing`` and all) is
-    # loaded here, by the first pool built — never by a serial run.
-    pool = _POOLS.get((kind, max_workers))
-    if pool is None:
-        if kind == "process":
-            pool = futures.ProcessPoolExecutor(max_workers=max_workers)
-        else:
-            pool = futures.ThreadPoolExecutor(
-                max_workers=max_workers,
-                thread_name_prefix="repro-task",
-            )
-        _POOLS[(kind, max_workers)] = pool
-    return pool
-
-
-def _discard_pool(kind: str, max_workers: int) -> None:
-    pool = _POOLS.pop((kind, max_workers), None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-class _TaskBatch:
-    """A contiguous run of tasks executed as one pool submission.
-
-    Batching amortizes the per-submission overhead (one future, one
-    pickle round-trip, one result wakeup) over several tasks, and —
-    because one ``pickle.dumps`` memoizes shared objects — state
-    referenced by every task in the batch (the job description, a
-    partitioner, task factories) crosses the process boundary **once per
-    batch** instead of once per task (SP-Cube's sketch, a few KB,
-    included).
-
-    The batch preserves task order internally and the executor flattens
-    batch results in submission order, so outcome order — and therefore
-    the engine's merge — is identical to unbatched execution.
-    """
-
-    __slots__ = ("tasks",)
-
-    def __init__(self, tasks: Sequence[Callable[[], TaskOutcome]]):
-        self.tasks = tasks
-
-    def __call__(self) -> List[TaskOutcome]:
-        # Worker-side mirror of the engine's round-level GC pause: task
-        # execution allocates cycle-free tuples by the million, and the
-        # collector's full scans are pure overhead while a batch runs.
-        if gc.isenabled():
-            gc.disable()
-            try:
-                return [task() for task in self.tasks]
-            finally:
-                gc.enable()
-        return [task() for task in self.tasks]
-
-
-def batch_slices(num_tasks: int, num_batches: int) -> List[Tuple[int, int]]:
-    """Contiguous ``[start, stop)`` slices splitting ``num_tasks`` into at
-    most ``num_batches`` near-equal batches (earlier batches get the
-    remainder, mirroring how input chunks are split)."""
-    num_batches = max(1, min(num_batches, num_tasks))
-    base, extra = divmod(num_tasks, num_batches)
-    slices: List[Tuple[int, int]] = []
-    start = 0
-    for index in range(num_batches):
-        stop = start + base + (1 if index < extra else 0)
-        slices.append((start, stop))
-        start = stop
-    return slices
-
-
 class ParallelExecutor:
-    """Fan a phase's tasks out across processes (threads as a fallback).
+    """Interleave a phase's tasks on ``max_workers`` threads.
 
-    A phase's first task is pickle-probed: picklable tasks go to a
-    ``ProcessPoolExecutor`` (true parallelism), anything closing over
-    lambdas or other non-picklable state runs on a thread pool instead
-    (same API, GIL-bound).  Tasks are submitted in contiguous
-    :class:`_TaskBatch` groups (``batches_per_worker`` per worker) to
-    amortize submit/serialize overhead.  Either way the outcomes come
-    back in task-index order, so the engine's merge — and therefore the
-    cube, the metrics and the fault chains — is bit-identical to serial.
-
-    A broken pool (a worker segfaulted, or a task's *result* failed to
-    pickle) degrades to the thread pool and re-runs the phase; tasks are
-    pure, so re-execution is safe.
+    Outcomes come back in task-index order, so the engine's merge — and
+    therefore the cube, the metrics and the fault chains — is
+    bit-identical to serial.  Every task runs (``stop_early`` is not
+    consulted); the engine truncates the merge at the first dead chain.
     """
 
     name = "parallel"
-
-    #: Batches per worker: 1 would minimize IPC but lose all load
-    #: balancing; 2 keeps every worker busy while a straggling batch
-    #: finishes, at twice the (already amortized) submission cost.
-    batches_per_worker = 2
 
     def __init__(self, max_workers: int):
         if max_workers < 1:
@@ -415,63 +306,5 @@ class ParallelExecutor:
         tasks: Sequence[Callable[[], TaskOutcome]],
         stop_early: Optional[Callable[[TaskOutcome], bool]] = None,
     ) -> List[TaskOutcome]:
-        if len(tasks) <= 1:
-            return SerialExecutor().run_tasks(tasks, stop_early)
-        if self._picklable(tasks[0]):
-            try:
-                return self._run_in_pool("process", tasks)
-            except (futures.BrokenExecutor, pickle.PicklingError):
-                # The pool died mid-phase (or a worker's result would not
-                # serialize): discard it and redo the phase on threads.
-                _discard_pool("process", self.max_workers)
-        return self._run_in_pool("thread", tasks)
-
-    def _run_in_pool(
-        self, kind: str, tasks: Sequence[Callable[[], TaskOutcome]]
-    ) -> List[TaskOutcome]:
-        pool = _get_pool(kind, self.max_workers)
-        futures = [
-            pool.submit(_TaskBatch(tasks[start:stop]))
-            for start, stop in batch_slices(
-                len(tasks), self.max_workers * self.batches_per_worker
-            )
-        ]
-        outcomes: List[TaskOutcome] = []
-        for future in futures:
-            outcomes.extend(future.result())
-        return outcomes
-
-    @staticmethod
-    def _picklable(task) -> bool:
-        try:
-            pickle.dumps(task)
-            return True
-        except Exception:
-            return False
-
-
-def resolve_parallelism(value: Optional[int] = None) -> int:
-    """Worker count for a run: explicit value, else ``REPRO_PARALLELISM``,
-    else 1 (serial)."""
-    if value is not None:
-        return value
-    env = os.environ.get(PARALLELISM_ENV)
-    if env:
-        try:
-            parsed = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{PARALLELISM_ENV} must be an integer, got {env!r}"
-            ) from None
-        if parsed < 1:
-            raise ValueError(f"{PARALLELISM_ENV} must be >= 1, got {parsed}")
-        return parsed
-    return 1
-
-
-def build_executor(parallelism: Optional[int] = None):
-    """The executor for a resolved parallelism level (1 = serial)."""
-    workers = resolve_parallelism(parallelism)
-    if workers <= 1:
-        return SerialExecutor()
-    return ParallelExecutor(workers)
+        with ThreadPoolExecutor(self.max_workers) as pool:
+            return list(pool.map(lambda task: task(), tasks))

@@ -127,12 +127,12 @@ class JobMetrics:
     #: aborted the job — the run produced no output.
     aborted: bool = False
     abort_reason: Optional[str] = None
-    #: Which execution backend ran the round's tasks ("serial"/"parallel")
-    #: and the *real* wall-clock seconds the driver spent per phase —
-    #: measured host time, not simulated time.  These are diagnostics for
-    #: the perf harness and are excluded from determinism comparisons
-    #: (everything else in this dataclass is bit-identical across
-    #: backends).
+    #: Which execution backend ran the round's tasks — "serial", or
+    #: "parallel" (interleaved on threads) — and the *real* wall-clock
+    #: seconds the driver spent per phase: measured host time, not
+    #: simulated time.  These are diagnostics for the perf harness and
+    #: are excluded from determinism comparisons (everything else in this
+    #: dataclass is bit-identical across backends).
     executor: str = "serial"
     map_phase_wall_seconds: float = 0.0
     reduce_phase_wall_seconds: float = 0.0

@@ -26,8 +26,8 @@ The default tracer everywhere is the singleton :data:`NULL_TRACER`, whose
 methods are no-ops and whose ``enabled`` flag lets hot paths skip even
 building a record — a traced-off run does no per-record work at all.
 
-**Parallel-merge semantics.**  Task attempts may execute in worker
-processes where no sink exists.  The attempt-chain driver
+**Parallel-merge semantics.**  Task attempts may run interleaved on
+threads, in no fixed order.  The attempt-chain driver
 (:func:`repro.mapreduce.executor.run_task_chain`) therefore buffers its
 records *chain-locally* into the returned
 :class:`~repro.mapreduce.executor.TaskOutcome`; the engine's driver-side
@@ -353,7 +353,7 @@ def emit_run_span(tracer, metrics, base: float, dfs=None) -> None:
 def attempt_counters(task) -> Dict[str, float]:
     """The standard counters of one task attempt, from its metrics.
 
-    Shared by the worker-side buffer (executor) and any driver-side
+    Shared by the chain-local buffer (executor) and any driver-side
     emitter so attempt spans always carry the same counter set; user
     counters (``TaskContext.incr``) are merged in.
     """

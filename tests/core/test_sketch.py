@@ -185,12 +185,3 @@ class TestToDict:
         first = sketch.serialized_bytes()
         assert sketch._size_bytes == first
         assert sketch.serialized_bytes() == first
-
-    def test_cache_survives_pickling(self):
-        import pickle
-
-        rel = skewed_relation(n=100)
-        sketch = build_exact_sketch(rel, 3, 30)
-        size = sketch.serialized_bytes()
-        clone = pickle.loads(pickle.dumps(sketch))
-        assert clone.serialized_bytes() == size

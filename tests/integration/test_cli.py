@@ -109,34 +109,13 @@ class TestFaultKnobs:
 
 
 class TestParallelism:
-    def test_cube_parallel_matches_serial_output(self, tmp_path, capsys):
-        data = str(tmp_path / "data.tsv")
-        main(["generate", "binomial", "--rows", "300", "-o", data])
-        serial_cube = str(tmp_path / "serial.tsv")
-        parallel_cube = str(tmp_path / "parallel.tsv")
-        assert main(
-            ["cube", data, "--machines", "4", "-o", serial_cube]
-        ) == 0
-        assert main(
-            ["cube", data, "--machines", "4", "--parallelism", "2",
-             "-o", parallel_cube]
-        ) == 0
-        assert open(parallel_cube).read() == open(serial_cube).read()
-
-    def test_invalid_parallelism_exits_cleanly(self, tmp_path, capsys):
+    def test_the_flag_is_gone(self, tmp_path, capsys):
         data = str(tmp_path / "data.tsv")
         main(["generate", "binomial", "--rows", "100", "-o", data])
-        with pytest.raises(SystemExit, match="parallelism"):
-            main(["cube", data, "--parallelism", "0"])
-
-    def test_compare_accepts_parallelism(self, capsys):
-        code = main(
-            ["compare", "binomial", "--rows", "300", "--machines", "4",
-             "--engines", "spcube", "naive", "--parallelism", "2",
-             "--verify"]
-        )
-        assert code == 0
-        assert "identical cubes" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as caught:
+            main(["cube", data, "--parallelism", "2"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSketch:

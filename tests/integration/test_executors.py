@@ -1,9 +1,9 @@
 """Serial vs parallel execution: bit-identical cubes and metrics.
 
 The tentpole invariant of the executor layer: for every engine, on every
-workload, with or without injected faults, a run under the
-:class:`~repro.mapreduce.ParallelExecutor` produces the *same
-``CubeResult``* and the *same ``JobMetrics``* as the
+workload, with or without injected faults, a run whose tasks the
+:class:`~repro.mapreduce.ParallelExecutor` interleaves on threads
+produces the *same ``CubeResult``* and the *same ``JobMetrics``* as the
 :class:`~repro.mapreduce.SerialExecutor` — parallelism may only change
 real wall-clock time, never the simulation.  The only fields allowed to
 differ are the executor name and the two wall-clock diagnostics, which
@@ -14,18 +14,11 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
-from repro.core import SPCube
 from repro.datagen import gen_binomial, gen_zipf
+from repro.engines import ENGINE_NAMES, load_engines
 from repro.mapreduce import ClusterConfig, CostModel, FaultPlan, FaultSpec, RetryPolicy
 
-ENGINES = {
-    "spcube": SPCube,
-    "naive": NaiveCube,
-    "hive": HiveCube,
-    "mrcube": MRCube,
-    "pipesort": PipeSortMR,
-}
+ENGINES = load_engines(ENGINE_NAMES)
 
 #: The fault plans of tests/integration/test_fault_tolerance.py plus the
 #: fault-free baseline: parity must hold through crash-retry chains and
@@ -93,11 +86,6 @@ def test_parallel_matches_serial_on_binomial(binomial, engine_name, plan_name):
         make_cluster(PLANS[plan_name], parallelism=3)
     ).compute(binomial)
     assert_runs_identical(serial, parallel)
-    # The parallel run must actually have used the parallel backend for
-    # at least one round (driver-state rounds legitimately stay serial).
-    assert any(
-        job.executor == "parallel" for job in parallel.metrics.jobs
-    )
     assert all(job.executor == "serial" for job in serial.metrics.jobs)
 
 
@@ -126,12 +114,10 @@ def test_parallel_abort_matches_serial(binomial, engine_name):
     assert_runs_identical(serial, parallel)
 
 
-def test_all_rounds_use_configured_executor(binomial):
-    """Both SP-Cube rounds run on the configured backend.  The sketch
-    round historically smuggled the sketch out through a driver-side
-    holder object, which forced it onto the serial executor; it now
-    returns the sketch through the job's output pairs and parallelizes
-    like any other round."""
-    run = SPCube(make_cluster(parallelism=3)).compute(binomial)
-    executors = [job.executor for job in run.metrics.jobs]
-    assert executors == ["parallel"] * len(executors)
+@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+def test_all_rounds_use_configured_executor(binomial, engine_name):
+    """No round is pinned serial: rounds that hand the driver a result
+    through a shared holder list (MR-Cube's annotation) interleave like
+    every other, because threads share the holder."""
+    run = ENGINES[engine_name](make_cluster(parallelism=3)).compute(binomial)
+    assert {job.executor for job in run.metrics.jobs} == {"parallel"}

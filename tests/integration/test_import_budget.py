@@ -96,16 +96,14 @@ class TestImportBudget:
         )
         assert [m for m in denied if not m.startswith("repro.")] == []
 
-    def test_a_built_pool_is_what_loads_it(self):
-        # The positive control: the deny-list names are real, and
-        # parallelism > 1 is what pays for them.
+    def test_parallel_compute_loads_no_process_pool(self):
         denied = denied_after(
             "from repro import ClusterConfig, SPCube, gen_binomial\n"
-            "SPCube(ClusterConfig(num_machines=3, parallelism=2)).compute(\n"
-            "    gen_binomial(200, 0.3, seed=1))"
+            "run = SPCube(ClusterConfig(num_machines=3, parallelism=2)).compute(\n"
+            "    gen_binomial(200, 0.3, seed=1))\n"
+            "assert {j.executor for j in run.metrics.jobs} == {'parallel'}"
         )
-        assert "multiprocessing" in denied
-        assert "concurrent.futures.process" in denied
+        assert [m for m in denied if not m.startswith("repro.")] == []
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

@@ -587,7 +587,7 @@ class TestReduceKernelMatchesReferenceReducer:
         relation = DATASETS["zipf"]()
         sketch = build_exact_sketch(relation, 4, 16)
         chunks = [relation.rows[:150], relation.rows[150:]]
-        assert_reduce_kernel_matches_reference(  # fresh: the pool-hop path
+        assert_reduce_kernel_matches_reference(  # fresh: nothing memoised
             chunks, sketch, get_aggregate("avg"), warm_memo=False
         )
         monkeypatch.setattr(_PlanFunction, "_MEMO_LIMIT", 7)
@@ -621,8 +621,8 @@ class TestEngineBackendIdentity:
 
     @pytest.mark.parametrize("parallelism", [None, 3])
     def test_spcube_tasks_carry_no_counters(self, adversarial, parallelism):
-        """The kernels read plans from a process-local memo, whose hit
-        pattern depends on process layout: nothing of it may surface."""
+        """The kernels read plans from a memo the round's tasks share,
+        whose hit pattern depends on task order: nothing of it may surface."""
         run = SPCube(make_cluster(parallelism=parallelism)).compute(adversarial)
         assert run.cube.num_groups
         for job in run.metrics.jobs:

@@ -1,19 +1,16 @@
-"""Executor backends: chain driver, serial/parallel parity, fallbacks.
+"""Executor backends: chain driver, serial/parallel parity.
 
 The contract under test (see ``repro.mapreduce.executor``): a task chain
 is a pure function of its inputs that accumulates fault counters into a
 :class:`TaskOutcome`; both executors return outcomes in task-index
-order; exhausted chains surface as ``task=None``, never as exceptions;
-and the parallel backend degrades to threads for non-picklable tasks
-while producing byte-identical outcomes.
+order; exhausted chains surface as ``task=None``, never as exceptions.
 """
 
-import pickle
+import time
 
 import pytest
 
 from repro.mapreduce import (
-    PARALLELISM_ENV,
     ClusterConfig,
     CostModel,
     FaultPlan,
@@ -26,11 +23,8 @@ from repro.mapreduce import (
     TaskFactory,
     TaskMetrics,
     TaskOutcome,
-    build_executor,
-    resolve_parallelism,
     run_task_chain,
 )
-from repro.mapreduce.executor import _TaskBatch, batch_slices
 
 
 def _attempt(seconds=1.0, payload="out"):
@@ -102,7 +96,7 @@ class TestRunTaskChain:
 
 
 class _IndexTask:
-    """A picklable task callable, as the engine's _MapTask/_ReduceTask are."""
+    """A task callable, as the engine's _MapTask/_ReduceTask are."""
 
     def __init__(self, index):
         self.index = index
@@ -139,25 +133,20 @@ class TestParallelExecutor:
         with pytest.raises(ValueError):
             ParallelExecutor(0)
 
-    def test_process_pool_outcomes_match_serial(self):
-        tasks = [_IndexTask(i) for i in range(6)]
-        assert ParallelExecutor._picklable(tasks[0])
+    def test_outcomes_in_task_order_under_threads(self):
+        # Earlier tasks finish last, on more tasks than threads: order
+        # comes from the task index, never from completion.
+        def slow(index):
+            def task():
+                time.sleep(0.002 * (6 - index))
+                return _IndexTask(index)()
+            return task
+
+        tasks = [slow(i) for i in range(6)]
         serial = SerialExecutor().run_tasks(tasks)
         parallel = ParallelExecutor(3).run_tasks(tasks)
         assert [o.payload for o in parallel] == [o.payload for o in serial]
         assert [o.task.machine for o in parallel] == list(range(6))
-
-    def test_unpicklable_tasks_fall_back_to_threads(self):
-        # Lambdas cannot cross a process boundary; the thread fallback
-        # must still return identical outcomes in order.
-        hidden = object()  # captured, unpicklable-by-reference state
-        tasks = [
-            (lambda i=i: TaskOutcome(task=TaskMetrics(machine=i), payload=(i, id(hidden))))
-            for i in range(4)
-        ]
-        assert not ParallelExecutor._picklable(tasks[0])
-        outcomes = ParallelExecutor(2).run_tasks(tasks)
-        assert [o.task.machine for o in outcomes] == [0, 1, 2, 3]
 
     def test_single_task_runs_serially(self):
         outcomes = ParallelExecutor(4).run_tasks([_IndexTask(7)])
@@ -165,38 +154,10 @@ class TestParallelExecutor:
 
     def test_dead_chains_are_outcomes_not_exceptions(self):
         tasks = [_IndexTask(0), _dead_task, _IndexTask(2)]
-        # Parallel backends run everything; the engine truncates later.
+        # The threads run everything; the engine truncates later.
         outcomes = ParallelExecutor(2).run_tasks(tasks)
         assert len(outcomes) == 3
         assert outcomes[1].exhausted
-
-
-class TestResolveParallelism:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv(PARALLELISM_ENV, "8")
-        assert resolve_parallelism(2) == 2
-
-    def test_env_var_is_consulted(self, monkeypatch):
-        monkeypatch.setenv(PARALLELISM_ENV, "3")
-        assert resolve_parallelism() == 3
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(PARALLELISM_ENV, raising=False)
-        assert resolve_parallelism() == 1
-
-    @pytest.mark.parametrize("bad", ["zero", "0", "-2", "1.5"])
-    def test_invalid_env_values_raise(self, monkeypatch, bad):
-        monkeypatch.setenv(PARALLELISM_ENV, bad)
-        with pytest.raises(ValueError):
-            resolve_parallelism()
-
-    def test_build_executor_picks_backend(self, monkeypatch):
-        monkeypatch.delenv(PARALLELISM_ENV, raising=False)
-        assert isinstance(build_executor(), SerialExecutor)
-        assert isinstance(build_executor(1), SerialExecutor)
-        executor = build_executor(4)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.max_workers == 4
 
 
 class TestClusterParallelism:
@@ -205,11 +166,15 @@ class TestClusterParallelism:
             ClusterConfig(parallelism=0)
 
     def test_executor_construction(self, monkeypatch):
-        monkeypatch.delenv(PARALLELISM_ENV, raising=False)
+        # The environment selects nothing: one value, on the cluster.
+        monkeypatch.setenv("REPRO_PARALLELISM", "4")
         assert isinstance(ClusterConfig().task_executor(), SerialExecutor)
-        cluster = ClusterConfig(parallelism=3)
-        assert cluster.effective_parallelism() == 3
-        assert isinstance(cluster.task_executor(), ParallelExecutor)
+        assert isinstance(
+            ClusterConfig(parallelism=1).task_executor(), SerialExecutor
+        )
+        executor = ClusterConfig(parallelism=3).task_executor()
+        assert isinstance(executor, ParallelExecutor)
+        assert executor.max_workers == 3
 
     def test_with_memory_preserves_parallelism(self):
         cluster = ClusterConfig(parallelism=5)
@@ -222,71 +187,3 @@ class TestTaskFactory:
         first, second = factory(), factory()
         assert isinstance(first, FunctionMapper)
         assert first is not second
-
-    def test_round_trips_through_pickle(self):
-        factory = TaskFactory(FunctionMapper, len)
-        clone = pickle.loads(pickle.dumps(factory))
-        assert isinstance(clone(), FunctionMapper)
-
-
-class TestBatchSlices:
-    def test_even_split(self):
-        assert batch_slices(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-
-    def test_remainder_goes_to_earlier_batches(self):
-        assert batch_slices(10, 4) == [(0, 3), (3, 6), (6, 8), (8, 10)]
-
-    def test_more_batches_than_tasks_collapses(self):
-        assert batch_slices(3, 8) == [(0, 1), (1, 2), (2, 3)]
-
-    def test_single_batch(self):
-        assert batch_slices(5, 1) == [(0, 5)]
-
-    @pytest.mark.parametrize("num_tasks", [1, 2, 7, 16, 100])
-    @pytest.mark.parametrize("num_batches", [1, 2, 3, 8])
-    def test_slices_cover_every_task_exactly_once(
-        self, num_tasks, num_batches
-    ):
-        slices = batch_slices(num_tasks, num_batches)
-        covered = [
-            index for start, stop in slices for index in range(start, stop)
-        ]
-        assert covered == list(range(num_tasks))
-
-
-class TestTaskBatch:
-    def test_runs_tasks_in_order(self):
-        order = []
-
-        def make(i):
-            def task():
-                order.append(i)
-                return i * i
-
-            return task
-
-        batch = _TaskBatch([make(i) for i in range(5)])
-        assert batch() == [0, 1, 4, 9, 16]
-        assert order == [0, 1, 2, 3, 4]
-
-    def test_empty_batch(self):
-        assert _TaskBatch([])() == []
-
-    def test_shared_state_pickles_once_per_batch(self):
-        """The batch's one pickle.dumps memoizes shared objects: N tasks
-        referencing the same big state serialize barely larger than one."""
-        big = ["y" * 64] * 5_000
-
-        single = len(pickle.dumps(_TaskBatch([_Closing(big)])))
-        batched = len(pickle.dumps(_TaskBatch([_Closing(big)] * 8)))
-        assert batched < single * 2
-
-
-class _Closing:
-    """Picklable task closing over (potentially shared) state."""
-
-    def __init__(self, state):
-        self.state = state
-
-    def __call__(self):
-        return len(self.state)

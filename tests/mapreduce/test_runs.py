@@ -9,6 +9,8 @@ combiner path (which folds runs into runs), and the task-level
 ``Reducer.reduce_runs`` hook, which hands a reducer all of them at once.
 """
 
+import sys
+import threading
 from dataclasses import asdict
 
 import pytest
@@ -16,8 +18,9 @@ import pytest
 from repro.aggregates import get_aggregate
 from repro.baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
 from repro.core import SPCube
+from repro.core.spcube import _PlanFunction
 from repro.cubing import sequential_cube
-from repro.datagen import gen_binomial
+from repro.datagen import adversarial_relation, gen_binomial
 from repro.mapreduce import (
     Block,
     ClusterConfig,
@@ -324,24 +327,52 @@ class TestBackendsAgree:
         return run, sink.records
 
     def test_serial_and_three_workers_are_byte_identical(self):
-        self.assert_backends_agree(SPCube, all_parallel=True)
+        self.assert_backends_agree(SPCube)
 
     @pytest.mark.parametrize(
         "engine_cls", [NaiveCube, HiveCube, MRCube, PipeSortMR]
     )
     def test_baseline_engines_are_byte_identical(self, engine_cls):
-        # Their ``driver_state`` jobs fall back to the serial executor.
-        self.assert_backends_agree(engine_cls, all_parallel=False)
+        self.assert_backends_agree(engine_cls)
 
-    def assert_backends_agree(self, engine_cls, all_parallel):
-        relation = gen_binomial(500, 0.3, seed=4)
+    def test_state_the_threads_share_changes_nothing(self, monkeypatch):
+        """What was per-process is shared by the interleaved tasks: the
+        round's one plan memo — cleared under its readers here — and the
+        sketch's lazily built probe list."""
+        relation = adversarial_relation(4, 300, seed=17)
+        monkeypatch.setattr(_PlanFunction, "_MEMO_LIMIT", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sketch = self.assert_backends_agree(SPCube, relation, 4).sketch
+            assert sketch.num_skewed
+            sketch._probes = None  # the debug trace's routing replay built it
+            barrier, seen = threading.Barrier(2), []
+
+            def probe():
+                barrier.wait(timeout=10)
+                seen.append([sketch.skew_bits(row) for row in relation.rows])
+
+            threads = [threading.Thread(target=probe) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [sketch.skew_bits_of(relation.rows)] * 2
+
+    def assert_backends_agree(self, engine_cls, relation=None, workers=3):
+        relation = relation or gen_binomial(500, 0.3, seed=4)
         serial, serial_trace = self.traced_run(engine_cls, relation, None)
-        parallel, parallel_trace = self.traced_run(engine_cls, relation, 3)
+        parallel, parallel_trace = self.traced_run(
+            engine_cls, relation, workers
+        )
         assert list(parallel.cube.items()) == list(serial.cube.items())
         assert repr(parallel_trace) == repr(serial_trace)
         assert any(r.get("kind") == "flow" for r in serial_trace)
-        on_pool = [job.executor == "parallel" for job in parallel.metrics.jobs]
-        assert all(on_pool) if all_parallel else any(on_pool)
+        assert {job.executor for job in parallel.metrics.jobs} == {"parallel"}
         for serial_job, parallel_job in zip(
             serial.metrics.jobs, parallel.metrics.jobs
         ):
@@ -349,6 +380,7 @@ class TestBackendsAgree:
             for name in BACKEND_FIELDS:
                 del serial_dict[name], parallel_dict[name]
             assert repr(parallel_dict) == repr(serial_dict)
+        return parallel
 
 
 class TestFlowAccounting:
