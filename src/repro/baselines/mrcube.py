@@ -26,7 +26,6 @@ more data, and combiner-resistant traffic for the uniform tail.
 from __future__ import annotations
 
 import math
-import random
 from typing import Dict, List, Optional, Tuple
 
 from ..aggregates.functions import AggregateFunction, Count
@@ -45,7 +44,7 @@ from ..mapreduce.metrics import RunMetrics
 from ..observability.tracer import NULL_TRACER, emit_run_span
 from ..relation.lattice import all_cuboids, project, projector
 from ..relation.relation import Relation
-from ..core.sampling import sampling_probability
+from ..core.sampling import _SampleMapper, sampling_probability
 
 #: Fraction of reducer memory a single group may fill before its cuboid is
 #: declared reducer-unfriendly (MR-Cube uses 0.75 of reducer capacity).
@@ -209,22 +208,6 @@ class MRCube:
         chunks = _spread(shard_pairs, k)
         result = runner.run(job, chunks, m)
         return list(result.output)
-
-
-class _SampleMapper(Mapper):
-    """Bernoulli sampling, one deterministic stream per machine."""
-
-    def __init__(self, alpha: float, seed: int):
-        self._alpha = alpha
-        self._seed = seed
-
-    def setup(self, context) -> None:
-        super().setup(context)
-        self._rng = random.Random(self._seed * 1_000_003 + context.machine)
-
-    def map(self, record):
-        if self._rng.random() <= self._alpha:
-            yield 0, record
 
 
 class _AnnotateReducer(Reducer):

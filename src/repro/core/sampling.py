@@ -18,6 +18,9 @@ threshold has expected sample count exactly ``beta``.
 from __future__ import annotations
 
 import math
+import random
+
+from ..mapreduce.engine import Mapper
 
 
 def sampling_probability(num_records: int, num_machines: int, memory_records: int) -> float:
@@ -33,6 +36,25 @@ def sampling_probability(num_records: int, num_machines: int, memory_records: in
         raise ValueError("num_machines and memory_records must be positive")
     alpha = math.log(num_records * num_machines) / memory_records
     return min(1.0, max(0.0, alpha))
+
+
+class _SampleMapper(Mapper):
+    """Round 1 map (Algorithm 2 lines 2-5): Bernoulli sampling, one
+    deterministic stream per machine — SP-Cube's and MR-Cube's alike."""
+
+    def __init__(self, alpha: float, seed: int):
+        self._alpha = alpha
+        self._seed = seed
+
+    def setup(self, context) -> None:
+        super().setup(context)
+        self._rng = random.Random(self._seed * 1_000_003 + context.machine)
+
+    def map_chunk(self, chunk):
+        """One draw per record, in chunk order; the sample is one run."""
+        draw, alpha = self._rng.random, self._alpha
+        sample = [record for record in chunk if draw() <= alpha]
+        return len(chunk), ({0: sample} if sample else {})
 
 
 def skew_sample_threshold(num_records: int, num_machines: int) -> float:

@@ -37,10 +37,9 @@ exact on both the skewed path (reducer 0) and the covered path, matching
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
-from itertools import compress
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import is_, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .._gc import paused_gc
@@ -69,7 +68,11 @@ from .planner import (
     plan_without_covering,
     replay_routing,
 )
-from .sampling import sampling_probability, skew_sample_threshold
+from .sampling import (
+    _SampleMapper,
+    sampling_probability,
+    skew_sample_threshold,
+)
 from .sketch import SPSketch, build_exact_sketch, build_sketch_from_sample
 
 #: Key tags distinguishing the two reduce-side streams of Algorithm 3.
@@ -325,19 +328,19 @@ class _PlanFunction:
     Plans are memoized per distinct *dimension tuple* — the one memo of
     round 2.  ``skew_bits`` is a pure, equality-respecting function of
     the dimension values (its probes are dict-membership tests of
-    projections), so equal tuples always get the same plan object and the
-    memo can change neither plans nor anything downstream.  The map
-    kernel fills it a chunk at a time (:meth:`plan_chunk`), which is why
-    it exists: the reduce kernel then reads its rows' plans with one
-    bulk probe (:meth:`plans_of`) instead of re-probing the sketch.  It
-    is shared by every task of the round — interleaved threads included:
-    each access is one dict operation, and a ``clear`` under a reader
-    only turns hits into misses, which are re-planned — so it must never
-    feed *per-task* observables (counters, metrics): its hit pattern
-    depends on task order, which the simulation does not model.
+    projections), so equal tuples always get the same plan and the memo
+    can change neither plans nor anything downstream.  Both kernels ask
+    :meth:`plans_of`, memo first: a tuple any earlier task has seen costs
+    one probe, and only the distinct unseen ones reach the sketch
+    (:meth:`_plan_unseen`).  It is shared by every task of the round —
+    interleaved threads included: each access is one dict operation, and
+    a ``clear`` under a reader only turns hits into misses, which are
+    re-planned — so it must never feed *per-task* observables (counters,
+    metrics): its hit pattern depends on task order, which the
+    simulation does not model.
     """
 
-    __slots__ = ("_sketch", "_d", "_dims", "_covering", "_partial", "_memo")
+    __slots__ = ("_sketch", "_d", "_dims", "_planner", "_partial", "_memo")
 
     _MEMO_LIMIT = 1 << 17
 
@@ -346,42 +349,39 @@ class _PlanFunction:
         map_partial_aggregation: bool,
     ):
         self._sketch = sketch
-        self._covering = ancestor_covering
+        self._planner = (
+            plan_for_skew_bits if ancestor_covering else plan_without_covering
+        )
         self._partial = map_partial_aggregation
         self._d = sketch.num_dimensions
         self._dims = itemgetter(slice(self._d))
         self._memo: Dict[tuple, TuplePlan] = {}
 
-    def _plan_for(self, bits: int) -> TuplePlan:
-        if self._covering:
-            return plan_for_skew_bits(bits, self._d)
-        return plan_without_covering(bits, self._d)
-
-    def plan_chunk(self, chunk) -> Tuple[List[int], Dict[int, TuplePlan]]:
-        """Each row's skew bitmap and the plan of every distinct bitmap."""
+    def _plan_unseen(self, tuples: List[tuple]) -> Dict[tuple, TuplePlan]:
+        """The miss path: each distinct dimension tuple's plan (remembered)
+        — skew bitmaps column-wise, one plan per distinct bitmap."""
         if self._partial:
-            bits = self._sketch.skew_bits_of(chunk)
+            bits = self._sketch.skew_bits_of(tuples)
         else:
-            bits = [0] * len(chunk)
-        plans = {bitmap: self._plan_for(bitmap) for bitmap in set(bits)}
+            bits = [0] * len(tuples)
+        plan, d = self._planner, self._d
+        by_bitmap = {bitmap: plan(bitmap, d) for bitmap in set(bits)}
+        planned = dict(zip(tuples, map(by_bitmap.get, bits)))
         memo = self._memo
-        if len(memo) + len(chunk) > self._MEMO_LIMIT:
+        if len(memo) + len(planned) > self._MEMO_LIMIT:
             memo.clear()
-        memo.update(zip(map(self._dims, chunk), map(plans.get, bits)))
-        return bits, plans
+        memo.update(planned)
+        return planned
 
     def plans_of(self, rows) -> List[TuplePlan]:
-        """Each row's plan, from one bulk probe of the memo; the rows it
-        does not hold are planned (and remembered) as one chunk."""
-        plans = list(map(self._memo.get, map(self._dims, rows)))
+        """Each row's plan, from one bulk probe of the memo; the tuples
+        it does not hold are planned once each."""
+        dims = self._dims
+        plans = list(map(self._memo.get, map(dims, rows)))
         if None in plans:
-            missed = [plan is None for plan in plans]
-            bits, by_bitmap = self.plan_chunk(list(compress(rows, missed)))
-            planned = map(by_bitmap.get, bits)
-            plans = [
-                next(planned) if miss else plan
-                for miss, plan in zip(missed, plans)
-            ]
+            missed = compress(rows, map(is_, plans, repeat(None)))
+            planned = self._plan_unseen(list(dict.fromkeys(map(dims, missed))))
+            plans = list(map(planned.get, map(dims, rows), plans))
         return plans
 
 
@@ -404,23 +404,6 @@ class _CubePartitioner:
         if self._range_partitioning:
             return 1 + self._sketch.partition_of(mask, values)
         return 1 + stable_hash((mask, values)) % self._k
-
-
-class _SampleMapper(Mapper):
-    """Round 1 map (Algorithm 2 lines 2-5): Bernoulli sampling."""
-
-    def __init__(self, alpha: float, seed: int):
-        self._alpha = alpha
-        self._seed = seed
-
-    def setup(self, context) -> None:
-        super().setup(context)
-        # Per-machine deterministic stream, independent across machines.
-        self._rng = random.Random(self._seed * 1_000_003 + context.machine)
-
-    def map(self, record):
-        if self._rng.random() <= self._alpha:
-            yield 0, record
 
 
 class _SketchReducer(Reducer):
@@ -447,24 +430,26 @@ class _CubeMapper(Mapper):
     """Round 2 map (Algorithm 3 lines 2-20), one cuboid at a time.
 
     The paper walks each tuple's lattice; this is the loop interchange.
-    The plan function tests sketch membership column-wise and plans once
-    per *distinct skew bitmap* of the chunk; then each base cuboid
-    projects its emitting rows with one C-level ``map`` and groups them
-    by key in chunk order — the runs the engine shuffles — so every key
-    carries the value sequence the per-tuple walk would give it.
+    The plan function answers the chunk memo first — only dimension
+    tuples no earlier task has seen are tested against the sketch — and
+    the chunk is partitioned by plan; then each base cuboid projects its
+    emitting rows with one C-level ``map`` and groups them by key in
+    chunk order — the runs the engine shuffles — so every key carries
+    the value sequence the per-tuple walk would give it.
 
     A row is folded into the partial aggregate of skewed cuboid ``M``
     only where the roll-up chain ends: ``M``'s *refinement* ``M | lowest
-    absent dimension`` is not skewed for it.  :meth:`close` rebuilds every
-    coarser skewed group by merging its refinement's groups into it,
-    finest cuboid first.  That is exact because skew is downward
-    monotone: the rows of a skewed group split, by their value on the
-    refining dimension, into skewed refinements (whose totals are merged
-    in) and rows folded directly — each row counted once — and it is the
-    ``merge`` reducer 0 already applies to per-mapper partials.  A bitmap
-    that is not monotone never gets here (the planner raises).  Each
-    partial remembers its first contributing row, so a group is flushed
-    under the key the per-tuple walk would have seen first.
+    absent dimension`` is not among its plan's skewed cuboids.
+    :meth:`close` rebuilds every coarser skewed group by merging its
+    refinement's groups into it, finest cuboid first.  That is exact
+    because skew is downward monotone: the rows of a skewed group split,
+    by their value on the refining dimension, into skewed refinements
+    (whose totals are merged in) and rows folded directly — each row
+    counted once — and it is the ``merge`` reducer 0 already applies to
+    per-mapper partials.  A bitmap that is not monotone never gets here
+    (the planner raises).  Each partial remembers its first contributing
+    row, so a group is flushed under the key the per-tuple walk would
+    have seen first.
     """
 
     def __init__(self, d: int, aggregate: AggregateFunction, plan):
@@ -479,36 +464,37 @@ class _CubeMapper(Mapper):
         d = self._d
         # One lattice-node visit per cuboid per row, as in the BFS walk.
         self.context.add_cpu(len(chunk) << d)
-        bits, plans = self._plan.plan_chunk(chunk)
-        emitting: Dict[int, set] = {}  # base cuboid -> bitmaps emitting it
-        folding: Dict[int, set] = {}  # skewed cuboid -> bitmaps folded there
-        for bitmap, plan in plans.items():
+        plans = self._plan.plans_of(chunk)
+        distinct = dict.fromkeys(plans)
+        emitting: Dict[int, set] = {}  # base cuboid -> plans emitting it
+        folding: Dict[int, set] = {}  # skewed cuboid -> plans folded there
+        for plan in distinct:
             for base, _covered in plan.emissions:
-                emitting.setdefault(base, set()).add(bitmap)
+                emitting.setdefault(base, set()).add(plan)
             for mask in plan.skewed_masks:
-                if not bitmap >> (mask | mask + 1) & 1:
-                    folding.setdefault(mask, set()).add(bitmap)
+                if (mask | mask + 1) not in plan.skewed_masks:
+                    folding.setdefault(mask, set()).add(plan)
 
-        def grouped(mask, bitmaps) -> Dict[Tuple, List]:
-            """The rows planned by ``bitmaps``, by ``mask`` c-group."""
+        def grouped(mask, members) -> Dict[Tuple, List]:
+            """The rows planned by ``members``, by ``mask`` c-group."""
             rows = chunk
-            if len(bitmaps) < len(plans):
-                rows = list(compress(chunk, map(bitmaps.__contains__, bits)))
+            if len(members) < len(distinct):
+                rows = list(compress(chunk, map(members.__contains__, plans)))
             groups = defaultdict(list)
             for values, row in zip(project_rows(rows, mask, d), rows):
                 groups[values].append(row)
             return groups
 
         runs: Dict[Tuple, List] = {}
-        for base, bitmaps in emitting.items():
-            for values, rows in grouped(base, bitmaps).items():
+        for base, members in emitting.items():
+            for values, rows in grouped(base, members).items():
                 runs[(_GROUP_TAG, base, values)] = rows
         if folding:
             self._rows += chunk
         create, fold = self._aggregate.create, self._aggregate.fold
-        for mask, bitmaps in folding.items():
+        for mask, members in folding.items():
             partials = self._partials.setdefault(mask, {})
-            for values, rows in grouped(mask, bitmaps).items():
+            for values, rows in grouped(mask, members).items():
                 acc = partials.get(values)
                 if acc is None:
                     acc = partials[values] = [0, create(), rows[0]]
@@ -554,13 +540,15 @@ class _CubeReducer(Reducer):
     groups of one base cuboid are concatenated; every (base, covered
     cuboid) pair selects the rows whose plan covers it, projects them
     with one C-level ``map``, groups them by projection and folds each
-    group once.  That equals aggregating base group by base group: a
-    covered group's projection onto the base cuboid *is* its base group,
-    so covered groups of different base groups are disjoint, and rows
-    keep their arrival order inside every group — the same left fold,
-    floats included, under the same first-seen key.  Rows of one-row
-    base groups, the bulk of a sparse cube, skip the grouping: each is
-    its own group in every cuboid it covers.
+    group once — except the base cuboid itself, whose groups are the
+    runs the shuffle delivered, folded as they came.  That equals
+    aggregating base group by base group: a covered group's projection
+    onto the base cuboid *is* its base group, so covered groups of
+    different base groups are disjoint, and rows keep their arrival
+    order inside every group — the same left fold, floats included,
+    under the same first-seen key.  Rows of one-row base groups, the
+    bulk of a sparse cube, skip the grouping: each is its own group in
+    every cuboid it covers.
     """
 
     def __init__(
@@ -585,14 +573,17 @@ class _CubeReducer(Reducer):
             block.groups.extend(groups)
             block.values.extend(values)
 
-        # Per base cuboid: the rows of one-row base groups, of heavier ones.
-        single, heavy = defaultdict(list), defaultdict(list)
+        # Per base cuboid: the rows of one-row base groups, and the heavier
+        # runs as the shuffle delivered them, {group values: rows}.
+        single, heavy = defaultdict(list), defaultdict(dict)
         for key in keys:
             rows = runs[key]
             if key[0] == _SKEW_TAG:
                 self._reduce_skewed(key, rows, emit)
+            elif len(rows) > 1:
+                heavy[key[1]][key[2]] = rows
             else:
-                (heavy if len(rows) > 1 else single)[key[1]] += rows
+                single[key[1]] += rows
         for base, rows in single.items():
             if min_size > 1:  # all under the iceberg threshold: charge only
                 plans = self._plan.plans_of(rows)
@@ -603,12 +594,21 @@ class _CubeReducer(Reducer):
             own = [finalize(fold(create(), (m,))) for m in map(_MEASURE, rows)]
             for mask, chosen, values in self._covered(base, rows, own):
                 emit(mask, project_rows(chosen, mask, d), values)
-        for base, rows in heavy.items():
+        for base, base_runs in heavy.items():
+            rows = list(chain.from_iterable(base_runs.values()))
             measures = list(map(_MEASURE, rows))
             for mask, chosen, values in self._covered(base, rows, measures):
-                groups = defaultdict(list)
-                for group, value in zip(project_rows(chosen, mask, d), values):
-                    groups[group].append(value)
+                if mask == base:  # already grouped: fold each run as it came
+                    groups = {
+                        group: list(map(_MEASURE, run))
+                        for group, run in base_runs.items()
+                    }
+                else:
+                    groups = defaultdict(list)
+                    for group, value in zip(
+                        project_rows(chosen, mask, d), values
+                    ):
+                        groups[group].append(value)
                 kept = {g: v for g, v in groups.items() if len(v) >= min_size}
                 folded = [finalize(fold(create(), v)) for v in kept.values()]
                 emit(mask, kept, folded)

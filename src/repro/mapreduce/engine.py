@@ -479,7 +479,8 @@ def _route_runs(
     the key sized once per *run* (partitioners must be pure functions of
     the key, as in Hadoop): a key's bytes are charged once per value it
     carries, exactly what a per-pair loop would charge.  The shards are
-    what crosses the process-pool boundary.
+    what a map task hands back, whether tasks ran serially or interleaved
+    on threads.
     """
     shards: Dict[int, List] = {}  # target -> [target, runs, bytes, records]
     shard_of = shards.get

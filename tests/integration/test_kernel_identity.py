@@ -54,6 +54,7 @@ from repro.datagen import adversarial_relation, gen_binomial, gen_zipf
 from repro.mapreduce import (
     NO_FAULTS,
     Block,
+    ClusterConfig,
     CostModel,
     MapReduceJob,
     RetryPolicy,
@@ -63,6 +64,8 @@ from repro.mapreduce import (
     pair_bytes,
 )
 from repro.mapreduce.engine import _ordered_keys, _ReduceTask
+from repro.observability import MemorySink, Tracer
+from repro.observability.tracer import LEVEL_DEBUG
 from repro.relation.lattice import project
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
@@ -447,7 +450,7 @@ def assert_reduce_kernel_matches_reference(
     plan = _PlanFunction(sketch, covering, partial)
     if warm_memo:  # what mappers sharing the reducer's process leave behind
         for chunk in chunks:
-            plan.plan_chunk(chunk)
+            plan.plans_of(chunk)
     reducer = _CubeReducer(sketch.num_dimensions, aggregate, plan, min_size)
     context = TaskContext(0, 4, 32)
     reducer.setup(context)
@@ -583,6 +586,34 @@ class TestReduceKernelMatchesReferenceReducer:
                 get_aggregate("min"),
             )
 
+    @pytest.mark.parametrize("covering", [True, False])
+    @pytest.mark.parametrize("partial", [True, False])
+    def test_base_cuboid_is_folded_from_the_runs_as_delivered(
+        self, covering, partial
+    ):
+        """A base cuboid's groups are the shuffled runs themselves: keys
+        as the first mapper saw them, floats left-folded in arrival
+        order, the iceberg threshold on the run's length.  Four map
+        tasks; in cuboid 0b11 the run (1, "p") takes a row from each
+        (first seen as ``True``), (1, "q") from three (first ``1.0``),
+        (0, "q") from two and (0, "p") from one.  Without covering every
+        cuboid is its own base, so every heavy run takes that path."""
+        rows = [
+            (True, "p", 0.1), (0, "q", 0.2),
+            (1, "p", 0.3), (1.0, "q", 0.7),
+            (1.0, "p", 1e16), (1, "q", -1e16), (False, "q", 2.5),
+            (True, "q", 0.1), (0, "p", 0.2), (1, "p", 0.3),
+        ]
+        chunks = [rows[:2], rows[2:4], rows[4:7], rows[7:]]
+        for threshold in (0, 2, 3, len(rows)):
+            sketch = counted_sketch(rows, 2, threshold)
+            for agg_name in ("sum", "avg"):
+                for min_size in (1, 2, 3):
+                    assert_reduce_kernel_matches_reference(
+                        chunks, sketch, get_aggregate(agg_name), min_size,
+                        covering, partial,
+                    )
+
     def test_plan_memo_empty_or_cleared_mid_run(self, monkeypatch):
         relation = DATASETS["zipf"]()
         sketch = build_exact_sketch(relation, 4, 16)
@@ -595,6 +626,80 @@ class TestReduceKernelMatchesReferenceReducer:
             assert_reduce_kernel_matches_reference(
                 chunks, sketch, get_aggregate("avg"), warm_memo=warm_memo
             )
+
+
+class TestSketchAskedOncePerDistinctTuple:
+    """Work counted, not timed: both round-2 kernels learn plans memo
+    first, so the sketch is tested once per distinct dimension tuple."""
+
+    @pytest.fixture
+    def relation(self):
+        relation = gen_zipf(600, num_values=4, seed=5, measure=None)
+        assert 2 * len(set(self.dimension_tuples(relation.rows))) < 600
+        return relation
+
+    @staticmethod
+    def dimension_tuples(rows):
+        return [row[:-1] for row in rows]
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        """The size of every batch handed to ``SPSketch.skew_bits_of``."""
+        sizes, real = [], SPSketch.skew_bits_of
+
+        def counting(sketch, rows):
+            sizes.append(len(rows))
+            return real(sketch, rows)
+
+        monkeypatch.setattr(SPSketch, "skew_bits_of", counting)
+        return sizes
+
+    def test_cube_round_asks_once_per_distinct_tuple(self, relation, asked):
+        run = SPCube(make_cluster(), get_aggregate("avg")).compute(relation)
+        assert run.sketch.num_skewed
+        assert run.cube == sequential_cube(relation, get_aggregate("avg"))
+        assert sum(asked) == len(set(self.dimension_tuples(relation.rows)))
+
+    def test_second_reduce_over_the_same_rows_asks_nothing(
+        self, relation, asked
+    ):
+        aggregate = get_aggregate("avg")
+        sketch = build_exact_sketch(relation, 4, 16)
+        grouped, _partials, _cpu = reference_walk(
+            [relation.rows], sketch, aggregate
+        )
+        shuffled = [row for rows in grouped.values() for row in rows]
+        plan = _PlanFunction(sketch, True, True)
+        for want in (len(set(self.dimension_tuples(shuffled))), 0):
+            assert want < len(shuffled)
+            reducer = _CubeReducer(sketch.num_dimensions, aggregate, plan)
+            reducer.setup(TaskContext(0, 4, 32))
+            del asked[:]
+            reducer.reduce_runs(
+                _ordered_keys(grouped),
+                {key: list(rows) for key, rows in grouped.items()},
+            )
+            assert sum(asked) == want
+
+    def test_a_memo_that_keeps_nothing_changes_nothing(
+        self, relation, monkeypatch
+    ):
+        def traced_run():
+            sink = MemorySink()
+            cluster = ClusterConfig(
+                num_machines=4, memory_records=64,
+                tracer=Tracer([sink], level=LEVEL_DEBUG),
+            )
+            run = SPCube(cluster, get_aggregate("avg")).compute(relation)
+            return run, sink.records
+
+        want, want_trace = traced_run()
+        monkeypatch.setattr(_PlanFunction, "_MEMO_LIMIT", 7)
+        got, got_trace = traced_run()
+        assert list(got.cube.items()) == list(want.cube.items())
+        assert_runs_identical(want, got)
+        assert repr(got_trace) == repr(want_trace)
+        assert any(record.get("kind") == "flow" for record in want_trace)
 
 
 class TestEngineBackendIdentity:
