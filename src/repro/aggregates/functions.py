@@ -40,7 +40,7 @@ and ``Counter`` insertion order included, and like ``add`` it never
 mutates ``state``.  An override may only change *how* the fold runs (one
 C-level call instead of a Python call per value), never *what* it
 computes: no builtin ``sum`` (compensated for floats since Python 3.12),
-and ``min``/``max`` must see ``state`` first.
+and ``min``/``max`` must see ``state`` first.  Same for ``fold_groups``.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ import operator
 from abc import ABC, abstractmethod
 from collections import Counter
 from functools import reduce
-from itertools import chain
-from typing import Any, Dict, List, Sequence, Tuple
+from itertools import chain, repeat
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 
 class AggregateKind(enum.Enum):
@@ -92,6 +92,11 @@ class AggregateFunction(ABC):
         :meth:`add` (see the module docstring for the override contract)."""
         return reduce(self.add, values, state)
 
+    def fold_groups(self, groups: Iterable[Sequence]) -> List:
+        """``[finalize(fold(create(), v)) for v in groups]``, exactly."""
+        create, fold, finalize = self.create, self.fold, self.finalize
+        return [finalize(fold(create(), values)) for values in groups]
+
     @abstractmethod
     def merge(self, left: Any, right: Any) -> Any:
         """Combine two partial states; associative and commutative."""
@@ -123,6 +128,9 @@ class Count(AggregateFunction):
     def fold(self, state: int, values: Sequence) -> int:
         return state + len(values)
 
+    def fold_groups(self, groups: Iterable[Sequence]) -> List[int]:
+        return list(map(len, groups))
+
     def merge(self, left: int, right: int) -> int:
         return left + right
 
@@ -144,6 +152,9 @@ class Sum(AggregateFunction):
 
     def fold(self, state, values: Sequence):
         return reduce(operator.add, values, state)
+
+    def fold_groups(self, groups: Iterable[Sequence]) -> List:
+        return list(map(reduce, repeat(operator.add), groups, repeat(0)))
 
     def merge(self, left, right):
         return left + right
@@ -217,6 +228,13 @@ class Average(AggregateFunction):
     def fold(self, state, values: Sequence):
         total, count = state
         return (reduce(operator.add, values, total), count + len(values))
+
+    def fold_groups(self, groups: Iterable[Sequence]) -> List:
+        groups = list(groups)
+        if not all(groups):  # an empty group's average is None
+            return super().fold_groups(groups)
+        totals = map(reduce, repeat(operator.add), groups, repeat(0))
+        return list(map(operator.truediv, totals, map(len, groups)))
 
     def merge(self, left, right):
         return (left[0] + right[0], left[1] + right[1])

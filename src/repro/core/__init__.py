@@ -5,7 +5,6 @@ from .partition import (
     partition_elements_for_cuboid,
     partition_elements_from_sorted,
     partition_loads,
-    partition_sizes,
 )
 from .planner import (
     PlannerError,
@@ -33,7 +32,6 @@ __all__ = [
     "partition_elements_for_cuboid",
     "partition_elements_from_sorted",
     "partition_loads",
-    "partition_sizes",
     "PlannerError",
     "TuplePlan",
     "plan_for_skew_bits",

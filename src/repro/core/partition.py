@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 from typing import AbstractSet, List, Sequence, Tuple
 
-from ..relation.lattice import GroupValues, project
+from ..relation.lattice import GroupValues, project_rows
 
 
 def partition_elements_from_sorted(
@@ -51,9 +51,7 @@ def partition_elements_for_cuboid(
     num_partitions: int,
 ) -> List[GroupValues]:
     """Sort ``rows`` by ``<_C`` for cuboid ``mask`` and extract the elements."""
-    projections = sorted(
-        project(row, mask, num_dimensions) for row in rows
-    )
+    projections = sorted(project_rows(rows, mask, num_dimensions))
     return partition_elements_from_sorted(projections, num_partitions)
 
 
@@ -79,17 +77,6 @@ def find_partition(
     return bisect.bisect_left(elements, group)
 
 
-def partition_sizes(
-    rows: Sequence[Tuple],
-    mask: int,
-    num_dimensions: int,
-    elements: Sequence[GroupValues],
-    num_partitions: int,
-) -> List[int]:
-    """Tuples per partition for cuboid ``mask`` — used to verify Prop 4.2."""
-    return partition_loads(rows, mask, num_dimensions, elements, num_partitions)
-
-
 def partition_loads(
     rows: Sequence[Tuple],
     mask: int,
@@ -107,8 +94,7 @@ def partition_loads(
     """
     sizes = [0] * num_partitions
     element_list = list(elements)
-    for row in rows:
-        group = project(row, mask, num_dimensions)
+    for group in project_rows(rows, mask, num_dimensions):
         if group in exclude_groups:
             continue
         sizes[bisect.bisect_left(element_list, group)] += 1

@@ -564,12 +564,12 @@ class _CubeReducer(Reducer):
         self._min_group_size = min_group_size
 
     def reduce_runs(self, keys, runs):
-        d, min_size, agg = self._d, self._min_group_size, self._aggregate
-        create, fold, finalize = agg.create, agg.fold, agg.finalize
+        d, min_size = self._d, self._min_group_size
+        fold_groups = self._aggregate.fold_groups
         out: Dict[int, Block] = {}  # cuboid -> this task's block of it
 
-        def emit(mask, groups, values):
-            block = out.setdefault(mask, Block(mask, [], []))
+        def emit(mask, groups, values):  # a Block, a 3-tuple, is truthy
+            block = out.get(mask) or out.setdefault(mask, Block(mask, [], []))
             block.groups.extend(groups)
             block.values.extend(values)
 
@@ -591,7 +591,7 @@ class _CubeReducer(Reducer):
                 self.context.add_cpu(charged)
                 continue
             # Alone in every group it covers: each row's own aggregate.
-            own = [finalize(fold(create(), (m,))) for m in map(_MEASURE, rows)]
+            own = fold_groups(zip(map(_MEASURE, rows)))
             for mask, chosen, values in self._covered(base, rows, own):
                 emit(mask, project_rows(chosen, mask, d), values)
         for base, base_runs in heavy.items():
@@ -609,9 +609,11 @@ class _CubeReducer(Reducer):
                         project_rows(chosen, mask, d), values
                     ):
                         groups[group].append(value)
-                kept = {g: v for g, v in groups.items() if len(v) >= min_size}
-                folded = [finalize(fold(create(), v)) for v in kept.values()]
-                emit(mask, kept, folded)
+                if min_size > 1:
+                    groups = {
+                        g: v for g, v in groups.items() if len(v) >= min_size
+                    }
+                emit(mask, groups, fold_groups(groups.values()))
         return list(out.values())
 
     def _reduce_skewed(self, key, entries, emit):

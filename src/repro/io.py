@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from typing import Callable, List, Optional, Sequence
 
+from ._gc import paused_gc
 from .core.sketch import CuboidSketch, SPSketch
 from .cubing.result import CubeResult
 from .relation.lattice import format_group
@@ -45,7 +46,7 @@ def read_relation(
     keep strings); the measure column parses as a number.  Integral measures
     are narrowed back to ``int`` so count/sum round-trips are exact.
     """
-    with open(path) as handle:
+    with open(path) as handle, paused_gc():
         header = handle.readline().rstrip("\n").split(delimiter)
         if len(header) < 2:
             raise ValueError(f"{path}: header needs >= 2 columns")
@@ -55,13 +56,13 @@ def read_relation(
             raise ValueError(
                 f"{len(parsers)} parsers for {schema.num_dimensions} dimensions"
             )
-        rows = []
+        rows, arity = [], schema.arity
         for line_number, line in enumerate(handle, start=2):
             fields = line.rstrip("\n").split(delimiter)
-            if len(fields) != schema.arity:
+            if len(fields) != arity:
                 raise ValueError(
                     f"{path}:{line_number}: {len(fields)} fields, "
-                    f"expected {schema.arity}"
+                    f"expected {arity}"
                 )
             measure = measure_parser(fields[-1])
             if isinstance(measure, float) and measure.is_integer():

@@ -95,7 +95,7 @@ from .costmodel import CostModel
 from .executor import TaskOutcome, run_task_chain
 from .faults import NO_FAULTS, FaultPlan, RetryPolicy
 from .metrics import JobMetrics, TaskMetrics
-from .sizes import Block, column_bytes, estimate_bytes
+from .sizes import Block, blocks_bytes, column_bytes, estimate_bytes
 
 Pair = Tuple[object, object]
 #: One map task's output: every key's values, in emission order.
@@ -412,7 +412,7 @@ def _charged_output(emitted: List, where: str) -> Tuple[List, int, int]:
     else is repacked, or named in a :class:`PairFormatError`.  They are
     sized a column at a time.  A :class:`Block` is counted and charged
     as exactly the pairs it stands for, so no total depends on which of
-    the two shapes a reducer chose.
+    the two shapes a reducer chose; a task's blocks are sized together.
     """
     blocks: List[Block] = []
     for item in emitted:
@@ -424,9 +424,6 @@ def _charged_output(emitted: List, where: str) -> Tuple[List, int, int]:
             ]
             break
     records = len(emitted)
-    size = sum(
-        column_bytes(list(map(itemgetter(side), emitted))) for side in (0, 1)
-    )
     for block in blocks:
         if len(block.groups) != len(block.values):
             raise PairFormatError(
@@ -434,7 +431,9 @@ def _charged_output(emitted: List, where: str) -> Tuple[List, int, int]:
                 f"{len(block.groups)} groups but {len(block.values)} values"
             )
         records += len(block.groups)
-        size += block.bytes()
+    size = blocks_bytes(blocks) + sum(
+        column_bytes(list(map(itemgetter(side), emitted))) for side in (0, 1)
+    )
     return (blocks + emitted if blocks else emitted), records, size
 
 

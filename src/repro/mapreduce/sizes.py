@@ -20,8 +20,8 @@ cache).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import is_, itemgetter
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 #: Framing overhead charged per composite value (length/type header).
@@ -67,9 +67,7 @@ def _estimate_slow(obj) -> int:
         return 1
     if isinstance(obj, (int, float)):  # bool-excluded numeric subclasses
         return _NUMBER_BYTES
-    if isinstance(obj, str):
-        return _CONTAINER_OVERHEAD + len(obj)
-    if isinstance(obj, bytes):
+    if isinstance(obj, (str, bytes)):
         return _CONTAINER_OVERHEAD + len(obj)
     if isinstance(obj, Counter):
         return _CONTAINER_OVERHEAD + sum(
@@ -93,32 +91,36 @@ def pair_bytes(key, value) -> int:
     return estimate_bytes(key) + estimate_bytes(value)
 
 
+#: Cost per item by exact type; a string adds its length, a tuple its items.
+_WIDTHS = {int: _NUMBER_BYTES, float: _NUMBER_BYTES, bool: 1, type(None): 1,
+           str: _CONTAINER_OVERHEAD, tuple: _CONTAINER_OVERHEAD}
+
+
 def column_bytes(column: Sequence) -> int:
-    """``sum(map(estimate_bytes, column))``, by arithmetic on the exact
-    types where the column is homogeneous (``bool`` and ``None`` are no
-    numbers here either: they go to the per-item estimator).  Tuples of
-    one arity — a cuboid's groups, ``(mask, group)`` keys — are sized
-    position by position, others flattened."""
-    count, kinds = len(column), set(map(type, column))
-    if kinds <= {int, float}:
-        return _NUMBER_BYTES * count
-    if kinds == {str}:
-        return _CONTAINER_OVERHEAD * count + sum(map(len, column))
-    if kinds == {tuple}:
-        arities = set(map(len, column))
-        if len(arities) == 1:  # one position's column alive at a time
-            positions = range(arities.pop())
-            inner = (list(map(itemgetter(at), column)) for at in positions)
-        else:
-            inner = [list(chain.from_iterable(column))]
-        return _CONTAINER_OVERHEAD * count + sum(map(column_bytes, inner))
-    return sum(map(estimate_bytes, column))
+    """``sum(map(estimate_bytes, column))``, by counting exact types: any
+    mix of ints, floats, strings, bools, ``None`` and tuples costs each
+    kind's width times its count, plus the strings' lengths and the
+    tuples' items (flattened, one more column); only other items are
+    sized one by one."""
+    types = list(map(type, column))
+    kinds, total = set(types), 0
+    for kind in kinds:
+        of_kind = map(is_, types, repeat(kind))
+        items = column if len(kinds) == 1 else list(compress(column, of_kind))
+        total += _WIDTHS.get(kind, 0) * len(items)
+        if kind is str:
+            total += sum(map(len, items))
+        elif kind is tuple:
+            total += column_bytes(list(chain.from_iterable(items)))
+        elif kind not in _WIDTHS:
+            total += sum(map(estimate_bytes, items))
+    return total
 
 
 class Block(NamedTuple):
     """One cuboid's share of a reduce task's output as two parallel
-    columns — the pairs of :meth:`pairs`, which is what it is counted and
-    charged as, without a wrapper object per c-group."""
+    columns — the pairs of :meth:`pairs`, counted and charged as those
+    (:func:`blocks_bytes`) without a wrapper object per c-group."""
 
     mask: int
     groups: List
@@ -127,10 +129,19 @@ class Block(NamedTuple):
     def pairs(self) -> Iterator[Tuple[Tuple, object]]:
         return zip(zip(repeat(self.mask), self.groups), self.values)
 
-    def bytes(self) -> int:
-        """``sum(pair_bytes(*pair) for pair in self.pairs())``."""
-        framing = _CONTAINER_OVERHEAD + estimate_bytes(self.mask)
-        return framing * len(self.groups) + sum(map(column_bytes, self[1:]))
+
+def blocks_bytes(blocks: Sequence[Block]) -> int:
+    """``sum(pair_bytes(*pair) for b in blocks for pair in b.pairs())``:
+    each pair's ``(mask, group)`` frame and mask, then one
+    :func:`column_bytes` pass over all the groups, one over all values."""
+    framing = sum(
+        (_CONTAINER_OVERHEAD + estimate_bytes(mask)) * len(groups)
+        for mask, groups, _values in blocks
+    )
+    return framing + sum(
+        column_bytes(list(chain.from_iterable(map(itemgetter(side), blocks))))
+        for side in (1, 2)
+    )
 
 
 def relation_bytes(rows) -> Tuple[int, int]:

@@ -5,7 +5,8 @@ The correctness of every distributed algorithm in this repository rests on
 and on "fold then merge" equaling "fold everything" — exactly what these
 hypothesis properties pin down, for every registered aggregate.  The
 bulk ``fold`` every kernel aggregates through is held to its contract
-here too: exactly the left fold of ``add``.
+here too: exactly the left fold of ``add``; so is ``fold_groups``,
+exactly one ``finalize(fold(create(), group))`` per group.
 """
 
 from collections import Counter
@@ -115,6 +116,43 @@ class TestFoldIsTheLeftFoldOfAdd:
 
     def test_empty_list_from_the_identity(self, fn):
         assert repr(fn.fold(fn.create(), [])) == repr(fn.create())
+
+
+#: Groups as a reducer hands a cuboid over: ints, floats whose sum depends
+#: on the order of the additions, look-alikes, one-element and empty groups.
+_group_values = st.one_of(
+    _ints, st.sampled_from([0.1, 1e16, -1e16, 1, True, 1.0, 0.3])
+)
+fold_groups_input = st.lists(
+    st.one_of(
+        st.lists(_group_values, max_size=12),
+        st.tuples(_group_values),
+        st.just([]),
+    ),
+    max_size=10,
+)
+
+
+def comprehension(fn, groups):
+    """``fold_groups``' contract, spelled out."""
+    return [fn.finalize(fn.fold(fn.create(), values)) for values in groups]
+
+
+@pytest.mark.parametrize("fn", AGGREGATES, ids=lambda f: f.name)
+class TestFoldGroupsIsTheComprehension:
+    @given(groups=fold_groups_input)
+    @example(groups=[[0.1] * 10, [1e16, 1, -1e16], [True], [1.0], []])
+    @example(groups=[(0.1,), (True,), (1,), (1.0,)])
+    @settings(max_examples=60)
+    def test_equal_by_repr(self, fn, groups):
+        want = repr(comprehension(fn, groups))
+        assert repr(fn.fold_groups(groups)) == want
+        assert repr(fn.fold_groups(dict(enumerate(groups)).values())) == want
+        assert repr(fn.fold_groups(group for group in groups)) == want
+
+    def test_no_groups(self, fn):
+        assert fn.fold_groups([]) == []
+        assert fn.fold_groups(iter(())) == []
 
 
 class TestFoldRegressions:

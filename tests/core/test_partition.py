@@ -8,7 +8,7 @@ from repro.core import (
     find_partition,
     partition_elements_for_cuboid,
     partition_elements_from_sorted,
-    partition_sizes,
+    partition_loads,
 )
 
 from ..conftest import make_random_relation
@@ -93,7 +93,7 @@ class TestProposition42:
         m = len(rel) // k
         mask = 0b11
         elements = partition_elements_for_cuboid(rel.rows, mask, 2, k)
-        sizes = partition_sizes(rel.rows, mask, 2, elements, k)
+        sizes = partition_loads(rel.rows, mask, 2, elements, k)
         assert sum(sizes) == len(rel)
         # Exact elements from the full sort: each partition within ~2m.
         assert max(sizes) <= 2 * m
@@ -102,6 +102,6 @@ class TestProposition42:
         rel = make_random_relation(137, num_dimensions=3, seed=4)
         k = 4
         elements = partition_elements_for_cuboid(rel.rows, 0b101, 3, k)
-        sizes = partition_sizes(rel.rows, 0b101, 3, elements, k)
+        sizes = partition_loads(rel.rows, 0b101, 3, elements, k)
         assert sum(sizes) == 137
         assert len(sizes) == k

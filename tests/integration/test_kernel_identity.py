@@ -614,6 +614,31 @@ class TestReduceKernelMatchesReferenceReducer:
                         covering, partial,
                     )
 
+    @pytest.mark.parametrize("d", [5, 6])
+    @pytest.mark.parametrize("agg_name", ["count", "sum", "avg"])
+    @pytest.mark.parametrize("min_size", [1, 3])
+    def test_wide_lattices_cover_many_cuboids_per_base(
+        self, d, agg_name, min_size
+    ):
+        """At d = 5 and 6 a base covers up to 2^d - 1 cuboids, so a task
+        folds, filters and appends to many blocks per base and to one
+        block from several bases; float measures show the fold order."""
+        relation = gen_zipf(
+            120, num_values=4, num_zipf_dimensions=3,
+            num_uniform_dimensions=d - 3, seed=d,
+        )
+        rows = [
+            row[:-1] + ((0.1, 1e16, -1e16, 0.3, 2)[i % 5],)
+            for i, row in enumerate(relation.rows)
+        ]
+        sketch = counted_sketch(rows, d, 12)
+        plan = _PlanFunction(sketch, True, True)
+        covered = [len(c) for p in plan.plans_of(rows) for _, c in p.emissions]
+        assert max(covered) >= 8
+        assert_reduce_kernel_matches_reference(
+            [rows[:50], rows[50:]], sketch, get_aggregate(agg_name), min_size
+        )
+
     def test_plan_memo_empty_or_cleared_mid_run(self, monkeypatch):
         relation = DATASETS["zipf"]()
         sketch = build_exact_sketch(relation, 4, 16)

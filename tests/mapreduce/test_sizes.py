@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapreduce import estimate_bytes, pair_bytes, relation_bytes
-from repro.mapreduce.sizes import Block, column_bytes
+from repro.mapreduce.sizes import Block, blocks_bytes, column_bytes
 
 
 class TestScalars:
@@ -93,6 +93,16 @@ VALUES = st.recursive(
     ),
     max_leaves=8,
 )
+#: The scalar kinds a column is sized by counting, in any mix.
+COUNTED = st.one_of(
+    st.integers(), st.floats(allow_nan=False), st.text(max_size=6),
+    st.booleans(), st.none(),
+)
+#: A typed relation's dimension value: int, str, None, bool or a tuple.
+DIMENSION = st.one_of(
+    st.integers(-3, 3), st.text(max_size=3), st.none(), st.booleans(),
+    st.tuples(st.integers(0, 2), st.text(max_size=2)),
+)
 #: Columns as reducers build them: one family throughout, or a mix.
 COLUMNS = st.one_of(
     st.lists(st.integers()), st.lists(st.floats(allow_nan=False)),
@@ -101,6 +111,9 @@ COLUMNS = st.one_of(
     st.lists(st.sampled_from([1, True, 1.0, 0, False, None])),
     st.lists(st.lists(st.text(max_size=3), max_size=3).map(tuple)),
     st.lists(st.tuples(st.text(max_size=3), st.integers())),
+    st.lists(COUNTED),
+    st.lists(st.one_of(COUNTED, st.lists(DIMENSION, max_size=3).map(tuple))),
+    st.lists(st.one_of(COUNTED, st.binary(max_size=2), VALUES)),
     st.lists(VALUES),
 )
 
@@ -118,6 +131,10 @@ class TestColumns:
         assert column_bytes([1, True]) == 8 + 1
         assert column_bytes([(1,), (True,), (None,)]) == 12 + 5 + 5
 
+    def test_a_mixed_column_is_counted_by_kind(self):
+        column = [1, "ab", None, True, 2.5, "", ("x", 1), Point(1, 2), b"z"]
+        assert column_bytes(column) == 8 + 6 + 1 + 1 + 8 + 4 + 17 + 20 + 5
+
     @settings(max_examples=60, deadline=None)
     @given(
         mask=st.one_of(st.integers(0, 255), st.none(), st.text(max_size=3)),
@@ -127,4 +144,59 @@ class TestColumns:
         block = Block(mask, [g for g, _ in pairs], [v for _, v in pairs])
         expanded = list(block.pairs())
         assert expanded == [((mask, g), v) for g, v in pairs]
-        assert block.bytes() == sum(pair_bytes(*pair) for pair in expanded)
+        assert blocks_bytes([block]) == sum(
+            pair_bytes(*pair) for pair in expanded
+        )
+
+
+def _block(mask, width, groups):
+    """A cuboid's block: ``width``-wide groups of typed dimension values."""
+    return Block(mask, [g[:width] for g, _ in groups], [v for _, v in groups])
+
+
+#: A reduce task's blocks: cuboids of different arities (0 to 4
+#: dimensions), some empty, values of the aggregates' kinds.
+BLOCKS = st.lists(
+    st.builds(
+        _block,
+        st.integers(0, 31),
+        st.integers(0, 4),
+        st.lists(
+            st.tuples(
+                st.lists(DIMENSION, min_size=4, max_size=4).map(tuple),
+                st.one_of(COUNTED, VALUES),
+            ),
+            max_size=6,
+        ),
+    ),
+    max_size=6,
+)
+
+
+class TestBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=BLOCKS)
+    def test_blocks_cost_what_their_pairs_cost(self, blocks):
+        want = sum(
+            pair_bytes(*pair) for block in blocks for pair in block.pairs()
+        )
+        assert blocks_bytes(blocks) == want
+        assert blocks_bytes(blocks) == sum(blocks_bytes([b]) for b in blocks)
+
+    def test_no_blocks_and_empty_blocks_cost_nothing(self):
+        assert blocks_bytes([]) == 0
+        assert blocks_bytes([Block(3, [], []), Block(0, [], [])]) == 0
+
+    def test_arities_and_kinds_mixed_across_blocks(self):
+        # Every pair: a 4-byte key frame and an 8-byte int mask, then the
+        # group (4-byte frame + items) and the value.
+        blocks = [
+            Block(0, [()], [7]),  # 12 + 4 + 8
+            Block(0b01, [(None,), (True,)], [1, 2.5]),  # 2 * (12 + 5 + 8)
+            Block(
+                0b11,
+                [("ab", 1), ((1, "x"), None)],
+                [(3,), "v"],
+            ),  # (12 + 18 + 12) + (12 + (4 + 17 + 1) + 5)
+        ]
+        assert blocks_bytes(blocks) == 24 + 50 + 42 + 39
