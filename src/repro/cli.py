@@ -804,8 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_cube = sub.add_parser(
         "serve-cube",
-        help="serve a cube store over HTTP: ThreadPool workers, bounded "
-             "admission queue, per-query deadline, retriable load "
+        help="serve a cube store over HTTP: a thread per connection, "
+             "bounded admission queue, per-query deadline, retriable load "
              "shedding; POST /query, GET /stats, GET /healthz",
     )
     serve_cube.add_argument("store", help="store file written with --store")
@@ -815,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cube.add_argument(
         "--workers", type=int, default=4, metavar="N",
-        help="query worker threads",
+        help="queries computed at once",
     )
     serve_cube.add_argument(
         "--queue-depth", type=int, default=16, metavar="N",

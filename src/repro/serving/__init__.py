@@ -12,7 +12,7 @@ serving time, in three layers:
   ancestor-cuboid re-aggregation for non-materialized cuboids, an LRU
   segment cache and a keyed query-result cache;
 * :mod:`~repro.serving.server` — :class:`CubeServer`, the front end:
-  a ThreadPool-backed HTTP query server with bounded admission,
+  a thread-per-connection HTTP query server with bounded admission,
   per-query deadlines and typed retriable load-shedding errors
   (``python -m repro serve-cube``).
 """

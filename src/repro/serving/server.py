@@ -3,32 +3,25 @@
 ``python -m repro serve-cube cube.store`` runs an HTTP front end over a
 :class:`~repro.serving.view.StoredCubeView`.  The plumbing follows the
 ``metrics-export --serve`` exporter (bind 127.0.0.1, port 0 picks a free
-port, the caller owns shutdown) but the execution model is a serving
-one:
+port, the caller owns shutdown); every query runs on its connection's
+own handler thread:
 
 * a query whose reply is already in the view's result LRU is answered
-  by its connection's own thread with the **cached bytes**: no admission
-  slot, no pool hand-off, no sort, no ``json.dumps``.  The LRU is keyed
-  by the canonical spec (``json.dumps(spec, sort_keys=True)``) and holds
-  the encoded reply body; a store is immutable once opened, so an entry
-  is never invalidated, only evicted (``--result-cache``);
-* every other query runs on a fixed
-  :class:`~concurrent.futures.ThreadPoolExecutor` of ``workers`` threads,
-  and the worker caches the reply it encodes — also when the caller has
-  already been told 504, so the retry that reply advertises is a hit;
-* admission is bounded by a semaphore of ``workers + queue_depth``
-  slots — a request that finds no slot is **shed immediately** with
-  HTTP 503 and a typed, retriable JSON error
-  (``{"ok": false, "error": "overloaded", "retriable": true}``) instead
-  of queueing without bound and stalling every client behind it;
-* each admitted query gets a **per-query deadline**: when the worker
-  has not answered in time the caller receives HTTP 504
-  (``"error": "deadline-exceeded"``, retriable) while the worker's slot
-  is reclaimed only when the computation actually finishes — shedding
-  decisions therefore see the true backlog, not an optimistic one;
+  with the **cached bytes**: no admission slot, no sort, no
+  ``json.dumps``.  The LRU is keyed by the canonical spec
+  (``json.dumps(spec, sort_keys=True)``) and holds the encoded reply;
+  a store is immutable once opened, so an entry is only ever evicted;
+* a miss takes one of ``workers + queue_depth`` admission slots or is
+  **shed immediately** (HTTP 503, ``"overloaded"``, retriable), then
+  one of ``workers`` compute permits; it caches its reply even after
+  its caller was told 504, so the advertised retry is a hit;
+* each admitted miss has a **deadline**: the accept loop's sweep sends
+  the 504 (``"deadline-exceeded"``, retriable, ``Connection: close``)
+  in one non-blocking write, or shuts a socket that would block.  The
+  slot is freed only when the computation finishes, so shedding sees
+  the true backlog;
 * malformed or unanswerable queries (unknown op, unknown dimension,
-  non-materializable cuboid) return HTTP 400 with ``"retriable": false``
-  — retrying a query the store cannot answer would only burn slots.
+  non-materializable cuboid) return HTTP 400 with ``"retriable": false``.
 
 Wire protocol: ``POST /query`` with a JSON body (see
 :func:`execute_query` for the op shapes), ``GET /stats`` for the shared
@@ -38,26 +31,24 @@ JSON, so responses are deterministic byte-for-byte for a deterministic
 store.
 
 Connections: the server speaks HTTP/1.1 and keeps a connection open
-across requests, so a caller pays connect, accept and thread start once,
-not per query.  Every reply carries an exact ``Content-Length`` and
-leaves in one ``sendall`` (a header write then a body write on a
-kept-alive socket is the Nagle/delayed-ACK 40 ms stall).  The server
-closes after a reply to a pre-1.1 or ``Connection: close`` client,
-after a framing error (missing, malformed or over-``MAX_BODY_BYTES``
-``Content-Length``, a body on a ``GET``, a bad request line: the bytes
-that follow cannot be trusted), after ``IDLE_TIMEOUT_S`` without a
-complete request, and on :meth:`CubeServer.close`.  The two constants
-are not flags: no caller or workload needs a second value, and each
-would be one more configuration to test.
+across requests.  Every reply carries an exact ``Content-Length`` and
+leaves in one write (a header write then a body write on a kept-alive
+socket is the Nagle/delayed-ACK 40 ms stall).  The server closes after
+a reply to a pre-1.1 or ``Connection: close`` client, after a 504 (its
+thread is still computing), after a framing error (missing, malformed
+or over-``MAX_BODY_BYTES`` ``Content-Length``, a body on a ``GET``, a
+bad request line: the bytes that follow cannot be trusted), after
+``IDLE_TIMEOUT_S`` without a complete request, and on
+:meth:`CubeServer.close`; no module constant needs to be a flag.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
+import time
 from typing import Dict, List, Optional, Tuple
 
 from ..query.view import QueryError
@@ -67,6 +58,8 @@ from .view import StoredCubeView
 DEFAULT_WORKERS = 4
 DEFAULT_QUEUE_DEPTH = 16
 DEFAULT_DEADLINE = 5.0
+#: Accept-loop poll, seconds: how late a 504 may be, and close()'s wait.
+POLL_S = 0.05
 #: Largest request body read; a longer one is refused (413) unread.
 MAX_BODY_BYTES = 1 << 20
 #: Seconds a connection may sit without a complete request, or a reply
@@ -209,13 +202,13 @@ class CubeServer:
         self.queue_depth = queue_depth
         self.deadline = deadline
         self.counters = view.counters
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="cube-query"
-        )
         self._slots = threading.Semaphore(workers + queue_depth)
+        self._computing = threading.Semaphore(workers)
         self._lock = threading.Lock()
         self._connections: set = set()  # open client sockets, for close()
-        self._httpd = self._build_httpd(port)
+        #: Admitted misses, ``connection -> due time``: oldest first.
+        self._due: Dict[socket.socket, float] = {}
+        self._httpd, self._response = self._build_httpd(port)
         self._thread: Optional[threading.Thread] = None
         self._serving = False
 
@@ -226,19 +219,19 @@ class CubeServer:
     # -- request handling ----------------------------------------------------
 
     def _answer(self, key: str, spec: Dict) -> bytes:
-        """A miss, on a pool thread: compute, encode, cache.  The worker
-        inserts, not the handler waiting on it, so an answer that lands
-        after its 504 still makes the advertised retry a hit."""
+        """A miss: compute, encode, cache — also when the sweep has
+        already answered 504, so the advertised retry is a hit."""
         payload = _encode(
             {"ok": True, "result": execute_query(self.view.uncached, spec)}
         )
         self.view.insert(key, payload)
         return payload
 
-    def _handle_query(self, spec) -> Tuple[int, object]:
+    def _handle_query(self, spec, connection) -> Optional[Tuple[int, object]]:
         """One query; returns (status, body) — the encoded reply of a
-        200, a dict otherwise.  The result cache is probed first: a hit
-        takes no admission slot and no pool thread."""
+        200, a dict otherwise — or None when the sweep has answered
+        ``connection`` 504.  The result cache is probed first: a hit
+        takes no admission slot."""
         key = json.dumps(spec, sort_keys=True)
         payload = self.view.probe(key)
         if payload is not None:
@@ -248,18 +241,44 @@ class CubeServer:
             self.counters.bump("serving.shed")
             return 503, _refusal("overloaded", retriable=True)
         self.counters.bump("serving.requests")
-        future = self._pool.submit(self._answer, key, spec)
-        # The slot is freed when the computation finishes — not when the
-        # deadline fires — so admission always reflects real backlog.
-        future.add_done_callback(lambda _f: self._slots.release())
+        with self._lock:
+            self._due[connection] = time.monotonic() + self.deadline
         try:
-            return 200, future.result(timeout=self.deadline)
-        except FutureTimeout:
-            self.counters.bump("serving.deadline_exceeded")
-            return 504, _refusal("deadline-exceeded", retriable=True)
+            with self._computing:
+                reply = 200, self._answer(key, spec)
         except (QueryError, StoreError) as exc:
             self.counters.bump("serving.query_errors")
-            return 400, _refusal(str(exc))
+            reply = 400, _refusal(str(exc))
+        finally:
+            # The slot is freed when the computation finishes — not when
+            # the deadline fires — so admission always reflects real backlog.
+            self._slots.release()
+            with self._lock:  # whoever pops the entry owns the reply
+                swept = self._due.pop(connection, None) is None
+        return None if swept else reply
+
+    def _sweep(self) -> None:
+        """Answer each overdue miss 504 in a write that never blocks the
+        accept loop; one that would, or is partial, shuts the socket
+        down.  The lock spans the sends, so a handler that finds its
+        entry gone may close its socket at once."""
+        with self._lock:
+            for connection, due in list(self._due.items()):
+                if due > time.monotonic():
+                    break
+                del self._due[connection]
+                self.counters.bump("serving.deadline_exceeded")
+                reply = self._response(
+                    504, _refusal("deadline-exceeded", retriable=True), True
+                )
+                try:
+                    connection.settimeout(0)  # never restored: it closes
+                    sent = connection.send(reply)
+                except OSError:  # the write would block, or the peer left
+                    sent = 0
+                if sent < len(reply):
+                    with contextlib.suppress(OSError):
+                        connection.shutdown(socket.SHUT_RDWR)
 
     def stats(self) -> Dict:
         """The ``/stats`` body.  Of its counters the server owns
@@ -288,10 +307,23 @@ class CubeServer:
         }
 
     def _build_httpd(self, port: int):
+        """The listening server, and the function that frames a reply."""
+        from email.utils import formatdate
         from http import HTTPStatus
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
         server = self
+
+        def response(status: int, body, close: bool) -> bytes:
+            payload = body if isinstance(body, bytes) else _encode(body)
+            head = (
+                f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                f"Date: {formatdate(usegmt=True)}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(payload)}\r\n"
+                + "Connection: close\r\n" * close + "\r\n"
+            )
+            return head.encode("ascii") + payload
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
@@ -316,17 +348,11 @@ class CubeServer:
                     server.counters.bump("serving.disconnects")
 
             def _reply(self, status: int, body, close: bool = False) -> None:
-                payload = body if isinstance(body, bytes) else _encode(body)
                 if close or self.request_version != "HTTP/1.1":
                     self.close_connection = True
-                closing = "Connection: close\r\n" * self.close_connection
-                head = (
-                    f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-                    f"Date: {self.date_time_string()}\r\n"
-                    "Content-Type: application/json\r\n"
-                    f"Content-Length: {len(payload)}\r\n{closing}\r\n"
+                self.connection.sendall(
+                    response(status, body, self.close_connection)
                 )
-                self.connection.sendall(head.encode("ascii") + payload)
 
             def send_error(self, code, message=None, explain=None):
                 """A framing error, http.server's (bad request line,
@@ -371,24 +397,29 @@ class CubeServer:
                     return
                 try:
                     spec = json.loads(body or b"{}")
-                except ValueError:
+                except (ValueError, RecursionError):  # or nested too deep
                     self._reply(400, _refusal("body is not valid JSON"))
                     return
-                self._reply(*server._handle_query(spec))
+                reply = server._handle_query(spec, self.connection)
+                if reply is None:  # the sweep has sent the 504
+                    self.close_connection = True
+                else:
+                    self._reply(*reply)
 
             def log_message(self, *_args):
                 pass
 
-        return ThreadingHTTPServer(("127.0.0.1", port), Handler)
+        httpd = ThreadingHTTPServer(("127.0.0.1", port), Handler)
+        httpd.service_actions = self._sweep
+        return httpd, response
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "CubeServer":
         """Serve on a daemon thread; returns self for chaining."""
         self._serving = True
-        # close() waits out one poll of the serve loop, so keep it short.
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, args=(0.05,), daemon=True
+            target=self._httpd.serve_forever, args=(POLL_S,), daemon=True
         )
         self._thread.start()
         return self
@@ -396,7 +427,7 @@ class CubeServer:
     def serve_forever(self) -> None:
         self._serving = True
         try:
-            self._httpd.serve_forever()
+            self._httpd.serve_forever(POLL_S)
         except KeyboardInterrupt:
             pass
 
@@ -414,7 +445,6 @@ class CubeServer:
                     connection.shutdown(socket.SHUT_RDWR)
                 except OSError:  # the client closed it first
                     pass
-        self._pool.shutdown(wait=False)
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

@@ -137,6 +137,16 @@ _TYPECODES = {
 }
 #: What decoding corrupt-but-CRC-clean column bytes can raise.
 _DECODE_ERRORS = (ValueError, SyntaxError, TypeError, RecursionError, MemoryError)
+#: The int8 codes ``0 .. 127``.  Deleting its first ``n`` bytes from a
+#: 1-byte column in one C call must leave nothing.
+_IN_RANGE = bytes(range(128))
+
+
+def _codes_in_range(codes: array, n: int) -> bool:
+    """Every code in ``0 .. n - 1``; 1-byte columns are checked in C."""
+    if codes.itemsize == 1:
+        return not codes.tobytes().translate(None, _IN_RANGE[:n])
+    return not codes or 0 <= min(codes) <= max(codes) < n
 
 
 def _unstorable(values: Sequence) -> StoreError:
@@ -712,7 +722,7 @@ class CubeStore:
         for dim in mask_dimensions(mask, self.schema.num_dimensions):
             values, index = self._dictionary(dim)
             codes, pos = _unpack(raw, pos, count, where, b"i")
-            if count and not 0 <= min(codes) <= max(codes) < len(values):
+            if not _codes_in_range(codes, len(values)):
                 raise StoreError(
                     f"{where}: code outside the {len(values)}-value "
                     f"dictionary of dimension {self.schema.dimensions[dim]!r}"

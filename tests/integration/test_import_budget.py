@@ -48,34 +48,42 @@ def child(code: str):
     return json.loads(result.stdout.splitlines()[-1])
 
 
-def denied_after(code: str):
+def denied_after(code: str, also=()):
     modules = child(
         code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     )
     assert "repro" in modules
     return [
         module for module in modules
-        if any(module == d or module.startswith(d + ".") for d in DENY)
+        if any(module == d or module.startswith(d + ".") for d in DENY + also)
     ]
 
 
 class TestImportBudget:
     @pytest.mark.parametrize(
-        "code",
+        "code, also",
         [
-            "import repro",
-            "import repro.cli\nrepro.cli.build_parser()",
-            "from repro.serving import CubeServer, StoredCubeView, execute_query",
-            "from repro.cli import main\n"
-            "try:\n"
-            "    main(['serve-cube', '--help'])\n"
-            "except SystemExit:\n"
-            "    pass",
+            ("import repro", ()),
+            ("import repro.cli\nrepro.cli.build_parser()", ()),
+            # Misses compute on their connection's thread: no pool at all.
+            (
+                "from repro.serving import CubeServer, StoredCubeView, "
+                "execute_query",
+                ("concurrent.futures",),
+            ),
+            (
+                "from repro.cli import main\n"
+                "try:\n"
+                "    main(['serve-cube', '--help'])\n"
+                "except SystemExit:\n"
+                "    pass",
+                (),
+            ),
         ],
         ids=["import-repro", "build-parser", "serving", "serve-cube-help"],
     )
-    def test_loads_nothing_on_the_deny_list(self, code):
-        assert denied_after(code) == []
+    def test_loads_nothing_on_the_deny_list(self, code, also):
+        assert denied_after(code, also) == []
 
     def test_parsing_argv_loads_no_engine_layer(self):
         modules = child(

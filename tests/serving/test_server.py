@@ -189,6 +189,38 @@ class TestAdmissionControl:
                 time.sleep(0.02)
             assert finished["done"]
 
+    def test_a_queued_miss_is_cut_at_its_deadline_and_cached(
+        self, view, monkeypatch
+    ):
+        release, calls = threading.Event(), []
+
+        def execute(view_, spec):
+            calls.append(spec["n"])
+            assert release.wait(10)
+            return spec["n"]
+
+        monkeypatch.setattr(server_module, "execute_query", execute)
+        with CubeServer(
+            view, workers=1, queue_depth=1, deadline=0.05, port=0
+        ).start() as srv:
+            try:
+                # The first computes; the second waits for the one worker.
+                for n in range(2):
+                    spec = {"op": "slow", "n": n}
+                    assert _request(srv.port, "/query", spec)[0] == 504
+                assert calls == [0]
+            finally:
+                release.set()
+            assert _free_slots_return_to(srv, 2)
+            for n in range(2):
+                spec = {"op": "slow", "n": n}
+                assert _request(srv.port, "/query", spec) == (
+                    200, {"ok": True, "result": n},
+                )
+            assert calls == [0, 1]
+            assert srv.counters.value("serving.cache_hit") == 2
+            assert srv.counters.value("serving.deadline_exceeded") == 2
+
     def test_config_validation(self, view):
         with pytest.raises(ValueError, match="workers"):
             CubeServer(view, workers=0)
@@ -227,6 +259,8 @@ class TestServerOverRetailCube:
 # -- persistent connections ---------------------------------------------------
 
 TOTAL = json.dumps({"op": "total"}).encode()
+#: Valid JSON to no depth ``json.loads`` reaches: it raises RecursionError.
+NESTED = b"[" * 100_000 + b"]" * 100_000
 
 
 def _post(path, body, extra=b""):
@@ -384,6 +418,23 @@ class TestKeepAlive:
         assert _threads_return_to(baseline)
         assert capfd.readouterr().err == ""
 
+    def test_deeply_nested_body_is_400_and_the_connection_lives(
+        self, server, capfd
+    ):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            status, body = _ask(conn, NESTED)
+            assert status == 400
+            assert json.loads(body) == {
+                "ok": False, "error": "body is not valid JSON",
+                "retriable": False,
+            }
+            assert _ask(conn, TOTAL)[0] == 200
+        finally:
+            conn.close()
+        assert server.counters.value("serving.connections") == 1
+        assert capfd.readouterr().err == ""
+
     def test_post_without_content_length_is_400(self, server):
         with _connect(server.port) as sock:
             sock.sendall(b"POST /query HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -448,9 +499,7 @@ class TestKeepAlive:
             conn.close()
         assert server.counters.value("serving.connections") == 1
 
-    def test_deadline_reply_leaves_the_connection_usable(
-        self, view, monkeypatch
-    ):
+    def test_deadline_reply_closes_the_connection(self, view, monkeypatch):
         release = threading.Event()
         real = server_module.execute_query
 
@@ -471,16 +520,56 @@ class TestKeepAlive:
                 conn.request("POST", "/query", body=b'{"op": "slow"}')
                 resp = conn.getresponse()
                 assert resp.status == 504
+                assert resp.getheader("Connection") == "close"
                 assert json.loads(resp.read())["retriable"] is True
+                # Its thread is still computing: the retry reconnects.
                 conn.request("POST", "/query", body=TOTAL)
                 resp = conn.getresponse()
                 assert resp.status == 200 and json.loads(resp.read())["ok"]
             finally:
                 release.set()
                 conn.close()
-            assert srv.counters.value("serving.connections") == 1
+            assert srv.counters.value("serving.connections") == 2
             # No admission slot leaks: both come back once the sleeper ends.
             assert _free_slots_return_to(srv, 2)
+
+    @pytest.mark.parametrize("limit", [0, 10], ids=["would-block", "partial"])
+    def test_a_504_that_cannot_leave_whole_shuts_its_socket(
+        self, view, monkeypatch, capfd, limit
+    ):
+        release = threading.Event()
+
+        def execute(view_, spec):
+            release.wait(5)
+            return 0
+
+        monkeypatch.setattr(server_module, "execute_query", execute)
+        with CubeServer(view, workers=1, deadline=0.05, port=0) as srv:
+            accept = srv._httpd.get_request
+
+            def get_request():
+                sock, address = accept()
+                return _ShortSendSocket(sock, limit), address
+
+            srv._httpd.get_request = get_request
+            srv.start()
+            try:
+                with _connect(srv.port) as sock:
+                    sock.sendall(_post(b"/query", TOTAL))
+                    began = time.time()
+                    sock.settimeout(2.0)
+                    wire = b"".join(iter(lambda: sock.recv(65536), b""))
+                    assert time.time() - began < 1.0
+                # The accept loop did not stall on it.
+                began = time.time()
+                assert _request(srv.port, "/healthz") == (200, {"ok": True})
+                assert time.time() - began < 1.0
+            finally:
+                release.set()
+            assert wire == b"HTTP/1.1 504"[:limit]
+            assert srv.counters.value("serving.deadline_exceeded") == 1
+            assert _free_slots_return_to(srv, srv.workers + srv.queue_depth)
+        assert capfd.readouterr().err == ""
 
     def test_client_reset_mid_reply_is_counted_not_printed(
         self, view, monkeypatch, capfd
@@ -566,6 +655,23 @@ class _RecordingSocket:
         return getattr(self._sock, name)
 
 
+class _ShortSendSocket:
+    """A real socket whose ``send`` writes at most ``limit`` bytes; with
+    ``limit`` 0 it would block."""
+
+    def __init__(self, sock, limit):
+        self._sock = sock
+        self._limit = limit
+
+    def send(self, data, *flags):
+        if not self._limit:
+            raise BlockingIOError
+        return self._sock.send(data[: self._limit], *flags)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
 class TestResponseFraming:
     """Every reply is one HTTP/1.1 response in one socket write."""
 
@@ -573,6 +679,7 @@ class TestResponseFraming:
         "query-200": (_post(b"/query", TOTAL), 200),
         "query-error-400": (_post(b"/query", b'{"op": "dice"}'), 400),
         "invalid-json-400": (_post(b"/query", b"not json"), 400),
+        "deep-json-400": (_post(b"/query", NESTED), 400),
         "healthz-200": (b"GET /healthz HTTP/1.1\r\n\r\n", 200),
         "stats-200": (b"GET /stats HTTP/1.1\r\n\r\n", 200),
         "get-404": (b"GET /nope HTTP/1.1\r\n\r\n", 404),

@@ -5,6 +5,7 @@ import json
 import struct
 import tempfile
 import zlib
+from array import array
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from repro.cubing import CubeResult, sequential_cube
 from repro.cubing.result import matching_rows
 from repro.relation import Relation, Schema, mask_dimensions, mask_size
 from repro.serving import CubeStore, StoreError
+from repro.serving.store import _codes_in_range
 
 SCHEMA = Schema(["a", "b"], "m")
 
@@ -312,6 +314,34 @@ class TestByteFuzz:
         with pytest.raises(StoreError, match="1 groups, footer promised 2"):
             read_back(path, join_store(mutated, forged))
 
+    @pytest.mark.parametrize("code", ["n", 0x80], ids=["n", "0x80"])
+    def test_matching_crc_code_outside_the_dictionary_is_error(
+        self, tmp_path, code
+    ):
+        # Cuboid a's codes are one byte each: the last one becomes the
+        # dictionary's size, then int8 -128; both are out of range.
+        cube = CubeResult(
+            SCHEMA, {(0b01, (1,)): 2, (0b01, (2,)): 3, (0b11, (1, "x")): 1}
+        )
+        path = tmp_path / "cube.store"
+        CubeStore.write(cube, str(path), aggregate="count")
+        body, footer = split_store(path.read_bytes())
+        size = footer["dictionaries"][0]["count"]
+        forged, target = forge(footer, len(footer["dictionaries"]) + 1)
+        assert target["mask"] == 0b01 and target["groups"] == 2
+        at = target["offset"] + COLUMN_PREFIX.size + 1  # the second int8 code
+        assert body[at] == 1
+        byte = size if code == "n" else code
+        mutated = body[:at] + bytes([byte]) + body[at + 1 :]
+        start, stop = target["offset"], target["offset"] + target["length"]
+        target["crc32"] = zlib.crc32(mutated[start:stop])
+        with pytest.raises(StoreError) as error:
+            read_back(path, join_store(mutated, forged))
+        assert str(error.value) == (
+            f"{path}: segment for cuboid 0x1 at offset {target['offset']}: "
+            f"code outside the {size}-value dictionary of dimension 'a'"
+        )
+
     def test_matching_crc_short_length_is_error(self, fuzz_store):
         # A column cut short inside a checksummed region: the footer
         # claims fewer bytes and the CRC agrees with them.
@@ -337,3 +367,30 @@ class TestByteFuzz:
                 read_back(path, body + forged + pointer)
             except StoreError as error:
                 assert "\n" not in str(error)
+
+
+# -- the load-time range check ------------------------------------------------
+
+
+@st.composite
+def code_columns(draw):
+    """``(codes, n)``: a code column of any width, biased to the edges."""
+    typecode = draw(st.sampled_from("bhiq"))
+    n = draw(st.integers(0, 300))
+    bits = 8 * array(typecode).itemsize
+    low, high = -(1 << bits - 1), (1 << bits - 1) - 1
+    edges = [low, -1, 0, 1, n - 1, n, n + 1, 127, 128, 255, high]
+    codes = st.one_of(
+        st.sampled_from([v for v in edges if low <= v <= high]),
+        st.integers(low, high),
+        st.integers(0, min(max(n - 1, 0), high)),  # in range
+    )
+    return array(typecode, draw(st.lists(codes, max_size=12))), n
+
+
+@settings(max_examples=600, deadline=None)
+@given(code_columns())
+def test_codes_in_range_is_the_min_max_check(column):
+    codes, n = column
+    expected = not codes or 0 <= min(codes) <= max(codes) < n
+    assert _codes_in_range(codes, n) is expected
