@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Compare all engines across data distributions — Section 6 in miniature.
 
-Runs SP-Cube against Pig's MR-Cube, Hive's plan, the naive algorithm and
-the multi-round top-down baseline on four distributions (uniform, Zipf,
-gen-binomial at two skew levels), printing a paper-style comparison table
-of simulated time, intermediate traffic, and failure status.
+Runs SP-Cube against Pig's MR-Cube, Hive's plan and the naive algorithm
+on four distributions (uniform, Zipf, gen-binomial at two skew levels),
+printing a paper-style comparison table of simulated time, intermediate
+traffic, and failure status.
 
 Usage::
 
@@ -18,7 +18,6 @@ from repro import (
     HiveCube,
     MRCube,
     NaiveCube,
-    PipeSortMR,
     SPCube,
     gen_binomial,
     gen_zipf,
@@ -41,7 +40,6 @@ def main():
         "Pig": lambda: MRCube(cluster, Count()),
         "Hive": lambda: HiveCube(cluster, Count()),
         "Naive": lambda: NaiveCube(cluster, Count()),
-        "PipeSort-MR": lambda: PipeSortMR(cluster, Count()),
     }
 
     header = f"{'dataset':16s}" + "".join(f"{name:>14s}" for name in engines)

@@ -16,9 +16,9 @@ Package layout
 ``repro.relation``    schemas, relations, cube/tuple lattices
 ``repro.aggregates``  distributive/algebraic/holistic aggregate functions
 ``repro.mapreduce``   the simulated cluster substrate
-``repro.cubing``      sequential algorithms (oracle, BUC, top-down)
+``repro.cubing``      sequential algorithms (oracle, BUC)
 ``repro.core``        the SP-Sketch, the planner, and SP-Cube itself
-``repro.baselines``   Naive-MR, Pig's MR-Cube, Hive, PipeSort-MR
+``repro.baselines``   Naive-MR, Pig's MR-Cube, Hive
 ``repro.datagen``     the paper's workload generators
 ``repro.theory``      skewness monotonicity and traffic-bound predicates
 ``repro.analysis``    sweep harness and paper-style reporting
@@ -35,9 +35,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "Sum", "TopKFrequent", "Variance", "get_aggregate",
     ],
     "analysis": ["format_figure", "format_panel", "run_sweep"],
-    "baselines": ["HiveCube", "MRCube", "NaiveCube", "PipeSortMR"],
+    "baselines": ["HiveCube", "MRCube", "NaiveCube"],
     "core": ["SPCube", "SPSketch", "build_exact_sketch"],
-    "cubing": ["CubeResult", "buc_cube", "sequential_cube", "topdown_cube"],
+    "cubing": ["CubeResult", "buc_cube", "sequential_cube"],
     "datagen": [
         "adversarial_relation", "gen_binomial", "gen_zipf", "usagov_clicks",
         "wikipedia_traffic",

@@ -1,8 +1,7 @@
-"""Competitor cube algorithms: naive, Pig's MR-Cube, Hive, PipeSort-MR."""
+"""Competitor cube algorithms: naive, Pig's MR-Cube, Hive."""
 
 from .hive import HiveCube
 from .mrcube import MRCube
 from .naive_mr import NaiveCube
-from .pipesort_mr import PipeSortMR
 
-__all__ = ["HiveCube", "MRCube", "NaiveCube", "PipeSortMR"]
+__all__ = ["HiveCube", "MRCube", "NaiveCube"]

@@ -1,15 +1,12 @@
-"""Sequential cube algorithms: oracle, BUC, and top-down PipeSort-style."""
+"""Sequential cube algorithms: the oracle and BUC."""
 
 from .buc import buc_cube, iceberg_groups
 from .naive import sequential_cube
-from .pipesort import aggregation_tree, topdown_cube
 from .result import CubeResult
 
 __all__ = [
     "buc_cube",
     "iceberg_groups",
     "sequential_cube",
-    "aggregation_tree",
-    "topdown_cube",
     "CubeResult",
 ]

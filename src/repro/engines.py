@@ -17,7 +17,6 @@ _ENGINES = {
     "naive": "NaiveCube",
     "mrcube": "MRCube",
     "hive": "HiveCube",
-    "pipesort": "PipeSortMR",
 }
 
 ENGINE_NAMES = tuple(sorted(_ENGINES))

@@ -1,8 +1,7 @@
 """Round-level checkpointing and partial re-execution after node loss.
 
 Multi-round cube algorithms (MR-Cube's sample/materialize/post-aggregate
-pipeline, PipeSort-MR's level-by-level rounds, SP-Cube's sketch + cube
-rounds) historically aborted the *whole run* whenever one round died.
+pipeline, SP-Cube's sketch + cube rounds) historically aborted the *whole run* whenever one round died.
 That is the abort-restart recovery model; HaCube's argument — and real
 frameworks' behaviour — is that round boundaries are natural checkpoints:
 a completed round's reduce output persisted to the DFS lets the driver

@@ -997,8 +997,8 @@ def _run_job(
 def cuboid_of_mask_key(key):
     """Cuboid (lattice mask) of a ``(mask, values[, shard])`` shuffle key.
 
-    The emission-key shape shared by the naive, Hive, MR-Cube and
-    PipeSort-MR engines (their jobs' :attr:`MapReduceJob.cuboid_of`).
+    The emission-key shape shared by the naive, Hive and MR-Cube engines
+    (their jobs' :attr:`MapReduceJob.cuboid_of`).
     """
     return key[0]
 

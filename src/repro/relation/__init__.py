@@ -6,7 +6,6 @@ from . import lattice
 from .lattice import (
     STAR,
     all_cuboids,
-    ancestors,
     bfs_order,
     cube_lattice_edges,
     descendants,
@@ -30,7 +29,6 @@ __all__ = [
     "lattice",
     "STAR",
     "all_cuboids",
-    "ancestors",
     "bfs_order",
     "cube_lattice_edges",
     "descendants",

@@ -85,13 +85,6 @@ def descendants(mask: Mask, num_dimensions: int) -> Iterator[Mask]:
             yield mask & ~(1 << i)
 
 
-def ancestors(mask: Mask, num_dimensions: int) -> Iterator[Mask]:
-    """Direct ancestors: masks with exactly one extra bit set."""
-    for i in range(num_dimensions):
-        if not mask >> i & 1:
-            yield mask | 1 << i
-
-
 @lru_cache(maxsize=None)
 def strict_supersets(mask: Mask, num_dimensions: int) -> Tuple[Mask, ...]:
     """All masks strictly containing ``mask`` (transitive ancestors)."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.aggregates import Average, Count, Sum, TopKFrequent
-from repro.baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
+from repro.baselines import HiveCube, MRCube, NaiveCube
 from repro.baselines.hive import DUPLICATE_ROW_DOMINANCE
 from repro.cubing import sequential_cube
 from repro.mapreduce import ClusterConfig
@@ -23,7 +23,7 @@ def skewed_relation():
     )
 
 
-ALGORITHMS = [NaiveCube, MRCube, HiveCube, PipeSortMR]
+ALGORITHMS = [NaiveCube, MRCube, HiveCube]
 
 
 class TestCorrectness:
@@ -143,25 +143,3 @@ class TestHive:
         )
         run = HiveCube(cluster).compute(rel)
         assert not run.metrics.failed
-
-
-class TestPipeSortMR:
-    def test_d_plus_one_rounds(self, cluster, skewed_relation):
-        run = PipeSortMR(cluster).compute(skewed_relation)
-        assert run.metrics.extras["rounds"] == 3 + 1
-
-    def test_round_names_descend_levels(self, cluster, skewed_relation):
-        run = PipeSortMR(cluster).compute(skewed_relation)
-        names = [job.name for job in run.metrics.jobs]
-        assert names == [f"pipesort-level-{i}" for i in (3, 2, 1, 0)]
-
-    def test_slower_than_single_round_baselines(self, cluster, skewed_relation):
-        """Round startup makes the multi-round top-down approach pay a
-        fixed penalty — the reason the paper excludes it (Section 7)."""
-        pipesort = PipeSortMR(cluster).compute(skewed_relation)
-        hive = HiveCube(cluster).compute(skewed_relation)
-        startup = cluster.cost_model.round_startup_seconds
-        assert pipesort.metrics.total_seconds >= 4 * 2 * startup
-        assert (
-            len(pipesort.metrics.jobs) > len(hive.metrics.jobs)
-        )

@@ -1,18 +1,12 @@
-"""Sequential algorithms: oracle semantics, BUC, top-down, cross-checks."""
+"""Sequential algorithms: oracle semantics, BUC, cross-checks."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregates import Average, Count, Max, Min, Sum, TopKFrequent
-from repro.cubing import (
-    buc_cube,
-    iceberg_groups,
-    sequential_cube,
-    topdown_cube,
-)
-from repro.cubing.pipesort import aggregation_tree
-from repro.relation import Relation, Schema, full_mask, mask_size
+from repro.aggregates import Average, Count, Max, Min, Sum
+from repro.cubing import buc_cube, iceberg_groups, sequential_cube
+from repro.relation import Relation, Schema
 
 from ..conftest import make_random_relation
 
@@ -108,33 +102,6 @@ class TestBUC:
         assert buc_cube(rel) == sequential_cube(rel)
 
 
-class TestTopDown:
-    def test_matches_oracle(self, retail_relation):
-        assert topdown_cube(retail_relation) == sequential_cube(
-            retail_relation
-        )
-
-    def test_matches_oracle_holistic(self, retail_relation):
-        fn = TopKFrequent(2)
-        assert topdown_cube(retail_relation, fn) == sequential_cube(
-            retail_relation, fn
-        )
-
-    def test_aggregation_tree_is_valid(self):
-        d = 4
-        plan = aggregation_tree(d)
-        top = full_mask(d)
-        assert top not in plan
-        for child, parent in plan.items():
-            assert mask_size(parent) == mask_size(child) + 1
-            assert parent & child == child
-
-    def test_aggregation_tree_uses_cost_estimates(self):
-        counts = {0b011: 5, 0b101: 500, 0b110: 50}
-        plan = aggregation_tree(2 + 1, counts)
-        assert plan[0b001] == 0b011  # cheapest parent of {0}
-
-
 ALL_AGGREGATES = [Count(), Sum(), Min(), Max(), Average()]
 
 
@@ -144,7 +111,6 @@ class TestCrossCheck:
         rel = make_random_relation(300, num_dimensions=3, seed=5)
         oracle = sequential_cube(rel, fn)
         assert buc_cube(rel, fn) == oracle
-        assert topdown_cube(rel, fn) == oracle
 
     @given(
         rows=st.lists(
@@ -162,4 +128,3 @@ class TestCrossCheck:
         rel = Relation(Schema(["a", "b", "c"], "m"), rows, validate=False)
         oracle = sequential_cube(rel)
         assert buc_cube(rel) == oracle
-        assert topdown_cube(rel) == oracle

@@ -1,8 +1,8 @@
 """Integration: every engine produces the identical cube on every input.
 
 This is the repository's master correctness property: the sequential
-oracle, BUC, top-down, SP-Cube (both sketch modes and all ablations), and
-all four distributed baselines must agree bit-for-bit.
+oracle, BUC, SP-Cube (both sketch modes and all ablations), and all
+three distributed baselines must agree bit-for-bit.
 """
 
 import pytest
@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates import Average, Count, Sum
-from repro.baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
+from repro.baselines import HiveCube, MRCube, NaiveCube
 from repro.core import SPCube
-from repro.cubing import buc_cube, sequential_cube, topdown_cube
+from repro.cubing import buc_cube, sequential_cube
 from repro.datagen import gen_binomial, gen_zipf, wikipedia_traffic
 from repro.mapreduce import ClusterConfig
 from repro.relation import Relation, Schema
@@ -28,7 +28,6 @@ def all_engines(cluster, fn):
         "naive-combiner": NaiveCube(cluster, fn, use_combiner=True),
         "mrcube": MRCube(cluster, fn),
         "hive": HiveCube(cluster, fn),
-        "pipesort": PipeSortMR(cluster, fn),
     }
 
 
@@ -43,7 +42,6 @@ def test_engines_agree_on_random_data(fn, skew):
     )
     oracle = sequential_cube(rel, fn)
     assert buc_cube(rel, fn) == oracle
-    assert topdown_cube(rel, fn) == oracle
     for name, engine in all_engines(cluster, fn).items():
         run = engine.compute(rel)
         assert run.cube == oracle, (name, run.cube.diff(oracle, 3))
@@ -104,10 +102,5 @@ def test_property_baselines_equal_oracle(rows):
     rel = Relation(Schema(["a", "b"], "m"), rows, validate=False)
     cluster = ClusterConfig(num_machines=3)
     oracle = sequential_cube(rel)
-    for engine in (
-        NaiveCube(cluster),
-        MRCube(cluster),
-        HiveCube(cluster),
-        PipeSortMR(cluster),
-    ):
+    for engine in (NaiveCube(cluster), MRCube(cluster), HiveCube(cluster)):
         assert engine.compute(rel).cube == oracle

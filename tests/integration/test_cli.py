@@ -42,7 +42,7 @@ class TestCube:
     def test_cube_each_engine(self, tmp_path):
         data = str(tmp_path / "data.tsv")
         main(["generate", "binomial", "--rows", "200", "-o", data])
-        for engine in ("naive", "mrcube", "hive", "pipesort"):
+        for engine in ("naive", "mrcube", "hive"):
             assert main(
                 ["cube", data, "--engine", engine, "--machines", "3"]
             ) == 0
@@ -641,11 +641,11 @@ class TestEngineRegistry:
         from repro.cli import build_parser
         from repro.engines import ENGINE_NAMES, load_engines
 
-        assert ENGINE_NAMES == ("hive", "mrcube", "naive", "pipesort", "spcube")
+        assert ENGINE_NAMES == ("hive", "mrcube", "naive", "spcube")
         engines = load_engines(ENGINE_NAMES)
         assert tuple(engines) == ENGINE_NAMES
         assert {cls.__name__ for cls in engines.values()} == {
-            "HiveCube", "MRCube", "NaiveCube", "PipeSortMR", "SPCube"
+            "HiveCube", "MRCube", "NaiveCube", "SPCube"
         }
         args = build_parser().parse_args(["doctor"])
         assert args.engines == list(ENGINE_NAMES)

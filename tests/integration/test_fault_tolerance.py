@@ -11,18 +11,14 @@ mirroring how Figure 6a reports engines that get stuck.
 import pytest
 
 from repro.analysis import paper_cluster, run_algorithms
-from repro.baselines import HiveCube, MRCube, NaiveCube
+from repro.baselines import HiveCube, NaiveCube
 from repro.core import SPCube
 from repro.core.spcube import SKETCH_PATH
 from repro.datagen import gen_binomial
+from repro.engines import ENGINE_NAMES, load_engines
 from repro.mapreduce import ClusterConfig, CostModel, FaultPlan, FaultSpec, RetryPolicy
 
-ENGINES = {
-    "spcube": SPCube,
-    "naive": NaiveCube,
-    "hive": HiveCube,
-    "mrcube": MRCube,
-}
+ENGINES = load_engines(ENGINE_NAMES)
 
 #: Three qualitatively different fault plans, per the acceptance criteria:
 #: a map-side crash, a reduce-side crash, and a heavy straggler that

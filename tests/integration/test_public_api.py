@@ -36,9 +36,8 @@ class TestProtocolConformance:
             lambda: repro.NaiveCube(),
             lambda: repro.MRCube(),
             lambda: repro.HiveCube(),
-            lambda: repro.PipeSortMR(),
         ],
-        ids=["spcube", "naive", "mrcube", "hive", "pipesort"],
+        ids=["spcube", "naive", "mrcube", "hive"],
     )
     def test_engines_satisfy_cube_algorithm(self, factory):
         engine = factory()

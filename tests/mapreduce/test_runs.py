@@ -16,7 +16,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.aggregates import get_aggregate
-from repro.baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
+from repro.baselines import HiveCube, MRCube, NaiveCube
 from repro.core import SPCube
 from repro.core.spcube import _PlanFunction
 from repro.cubing import sequential_cube
@@ -329,9 +329,7 @@ class TestBackendsAgree:
     def test_serial_and_three_workers_are_byte_identical(self):
         self.assert_backends_agree(SPCube)
 
-    @pytest.mark.parametrize(
-        "engine_cls", [NaiveCube, HiveCube, MRCube, PipeSortMR]
-    )
+    @pytest.mark.parametrize("engine_cls", [NaiveCube, HiveCube, MRCube])
     def test_baseline_engines_are_byte_identical(self, engine_cls):
         self.assert_backends_agree(engine_cls)
 

@@ -7,9 +7,8 @@ from dataclasses import asdict
 from functools import lru_cache
 from types import SimpleNamespace
 
-from repro.baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
-from repro.core import SPCube
 from repro.datagen import gen_binomial
+from repro.engines import ENGINE_NAMES, load_engines
 from repro.mapreduce import ClusterConfig, CostModel, FaultPlan, FaultSpec
 from repro.mapreduce.faults import NodeFaultSpec
 from repro.observability import (
@@ -20,13 +19,7 @@ from repro.observability import (
     Watchdog,
 )
 
-ENGINES = {
-    "spcube": SPCube,
-    "naive": NaiveCube,
-    "hive": HiveCube,
-    "mrcube": MRCube,
-    "pipesort": PipeSortMR,
-}
+ENGINES = load_engines(ENGINE_NAMES)
 
 #: Fault mode -> the plan injected (``None`` = a healthy cluster).
 FAULTS = {

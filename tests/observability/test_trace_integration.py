@@ -3,7 +3,7 @@
 A fault-injected gen-zipf run traced to a JSONL file must yield an
 analyzer whose attempt counts, speculative wins and per-reducer pair
 counts exactly match ``RunMetrics``; a traced run's metrics must be
-identical to an untraced run's; and for all five engines, fault-free,
+identical to an untraced run's; and for all four engines, fault-free,
 under task faults and across a node loss with checkpoint resume, the
 ``debug``-level trace must be byte-identical between the serial and the
 parallel backend.  Telemetry, the watchdog and the explain index are
@@ -18,7 +18,8 @@ import pytest
 
 from repro.analysis import paper_cluster
 from repro.core import SPCube
-from repro.datagen import gen_zipf
+from repro.datagen import gen_binomial, gen_zipf
+from repro.mapreduce import ClusterConfig
 from repro.mapreduce.faults import FaultPlan
 from repro.observability import (
     ALERT_KINDS,
@@ -194,21 +195,37 @@ class TestSpine:
         live = spine_run(engine, faults).live
         # One sink sits before the watchdog in the fan-out, one after.
         assert live.before.records == live.after.records
-        previous = None
-        for record in live.before.records:
-            if record["kind"] in ALERT_KINDS:
-                assert previous["kind"] == "job" or (
-                    previous["kind"] in ALERT_KINDS
-                ), "alert not directly behind its job's span"
-                assert previous["job"] == record["job"]
-                assert previous["seq"] + 1 == record["seq"]
-            previous = record
+        alerts_behind_their_job_spans(live.before.records)
+
+
+def alerts_behind_their_job_spans(records):
+    """The kinds of the alerts in ``records``, each asserted to sit
+    directly behind its job's span (or that job's previous alert)."""
+    kinds, previous = [], None
+    for record in records:
+        if record["kind"] in ALERT_KINDS:
+            assert previous["kind"] == "job" or (
+                previous["kind"] in ALERT_KINDS
+            ), "alert not directly behind its job's span"
+            assert previous["job"] == record["job"]
+            assert previous["seq"] + 1 == record["seq"]
+            kinds.append(record["kind"])
+        previous = record
+    return kinds
 
 
 def test_the_matrix_does_alert():
-    """The ordering property above is not vacuous."""
-    assert spine_run("pipesort").live.watchdog.alerts
-    assert spine_run("spcube", "task-faults").live.watchdog.alerts
+    """The ordering property above is not vacuous: the spine raises a
+    straggler alert, and the observability smoke's hot input a skew
+    alert, each right behind its job span."""
+    straggling = spine_run("spcube", "task-faults").live.before.records
+    assert "straggler_alert" in alerts_behind_their_job_spans(straggling)
+    sink = MemorySink()
+    tracer = Tracer([Watchdog(), sink], level="debug")
+    SPCube(
+        ClusterConfig(num_machines=4, memory_records=32, tracer=tracer)
+    ).compute(gen_binomial(1500, 0.9, seed=11))
+    assert "skew_alert" in alerts_behind_their_job_spans(sink.records)
 
 
 class TestLevelGating:

@@ -5,7 +5,6 @@ import pytest
 from repro.relation import Schema, lattice
 from repro.relation.lattice import (
     all_cuboids,
-    ancestors,
     bfs_order,
     cube_lattice_edges,
     descendants,
@@ -67,18 +66,6 @@ class TestAncestorsDescendants:
 
     def test_apex_has_no_descendants(self):
         assert list(descendants(0, 3)) == []
-
-    def test_ancestors_add_one_attribute(self):
-        assert sorted(ancestors(0b001, 3)) == [0b011, 0b101]
-
-    def test_full_mask_has_no_ancestors(self):
-        assert list(ancestors(0b111, 3)) == []
-
-    def test_ancestor_descendant_are_inverse(self):
-        d = 4
-        for mask in all_cuboids(d):
-            for child in descendants(mask, d):
-                assert mask in set(ancestors(child, d))
 
     def test_strict_supersets(self):
         supersets = strict_supersets(0b001, 3)

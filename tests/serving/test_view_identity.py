@@ -1,7 +1,7 @@
 """StoredCubeView vs in-memory CubeView: bit-identity by construction.
 
 The acceptance bar for the serving layer: every query type answered
-from disk must equal the in-memory answer exactly — across all five
+from disk must equal the in-memory answer exactly — across all four
 engines, for iceberg-pruned cubes, and through the ancestor
 re-aggregation path of deliberately partial stores.
 """
@@ -18,10 +18,6 @@ from hypothesis import strategies as st
 from repro import (
     ClusterConfig,
     CubeView,
-    HiveCube,
-    MRCube,
-    NaiveCube,
-    PipeSortMR,
     QueryError,
     SPCube,
     StoredCubeView,
@@ -29,10 +25,11 @@ from repro import (
 from repro.aggregates import Average, Sum, get_aggregate
 from repro.cubing import CubeResult, sequential_cube
 from repro.datagen import gen_binomial
+from repro.engines import ENGINE_NAMES, load_engines
 from repro.relation import Relation, Schema, all_cuboids, mask_dimensions
 from repro.serving import CubeStore
 
-ENGINES = [NaiveCube, MRCube, HiveCube, PipeSortMR, SPCube]
+ENGINES = list(load_engines(ENGINE_NAMES).values())
 
 
 @pytest.fixture(scope="module")
