@@ -28,7 +28,7 @@ Examples::
     python -m repro cube data.tsv --fault-seed 7 --trace run.trace.jsonl \
         --trace-level debug
     python -m repro analyze-trace run.trace.jsonl --format json
-    python -m repro metrics-export run.trace.jsonl --check
+    python -m repro metrics-export run.trace.jsonl
     python -m repro explain-reducer run.trace.jsonl
     python -m repro explain-group run.trace.jsonl --cuboid 0xF
     python -m repro report --trace run.trace.jsonl -o report.html
@@ -314,14 +314,9 @@ def cmd_analyze_trace(args) -> int:
         return 1
     except (OSError, ValueError) as error:
         raise SystemExit(f"repro: error: {error}") from None
-    if args.validate:
-        print(f"{len(analysis.records)} records, schema ok",
-              file=sys.stderr if args.format == "json" else sys.stdout)
     if args.format == "json":
         import json
 
-        # summary_dict() self-validates against SUMMARY_SCHEMA, so a
-        # summary that reaches stdout is guaranteed well-formed.
         print(json.dumps(analysis.summary_dict(), indent=2, sort_keys=True))
     else:
         print(analysis.format_summary())
@@ -329,28 +324,13 @@ def cmd_analyze_trace(args) -> int:
 
 
 def cmd_metrics_export(args) -> int:
-    from .observability import (
-        Telemetry,
-        check_prometheus_text,
-        load_trace,
-        replay,
-    )
+    from .observability import Telemetry, load_trace, replay
 
     try:
         records = load_trace(args.trace_file)
         text = replay(records, Telemetry()).prometheus_text()
     except (OSError, ValueError, KeyError) as error:
         raise SystemExit(f"repro: error: {error}") from None
-    problems = check_prometheus_text(text)
-    if problems:
-        for problem in problems:
-            print(f"exposition problem: {problem}", file=sys.stderr)
-        return 1
-    if args.check:
-        print(
-            f"{len(text.splitlines())} exposition lines, format ok",
-            file=sys.stderr,
-        )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -409,9 +389,9 @@ def _serve_metrics(text: str, port: int) -> None:
 
 
 def _explain_common(args, result) -> int:
+    """Shared output path of the two explain commands."""
     from .observability import format_explain_markdown
 
-    """Shared output path of the two explain commands."""
     if args.format == "json":
         import json
 
@@ -548,7 +528,6 @@ def cmd_doctor(args) -> int:
             binomial_skews=args.binomial_skews,
             zipf_exponents=args.zipf_exponents,
             seed=args.seed,
-            balance_tolerance=args.balance_tolerance,
         )
     except ValueError as error:
         raise SystemExit(f"repro: error: {error}") from None
@@ -712,11 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("trace_file")
     analyze.add_argument(
-        "--validate", action="store_true",
-        help="print the record count after the schema check (the check "
-             "itself always runs; violations exit 1)",
-    )
-    analyze.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="text = the human-readable report, json = the stable "
              "machine-readable summary (schema_version 1, append-only keys)",
@@ -729,11 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
              "with --trace (task level or finer for per-reducer series)",
     )
     metrics_export.add_argument("trace_file")
-    metrics_export.add_argument(
-        "--check", action="store_true",
-        help="report the line count after the format check (the check "
-             "itself always runs; violations exit 1)",
-    )
     metrics_export.add_argument(
         "-o", "--output", metavar="PATH",
         help="write the exposition to a file instead of stdout",
@@ -875,12 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S", help="gen-zipf exponents to audit",
     )
     doctor.add_argument("--seed", type=int, default=0)
-    doctor.add_argument(
-        "--balance-tolerance", type=float, default=2.0, metavar="X",
-        help="flag a cuboid when its heaviest partition (skewed groups "
-             "excluded) exceeds X times the n/k + m per-partition load "
-             "that Prop 4.2(2) promises for exact elements",
-    )
     doctor.add_argument("--json", dest="json_out", metavar="PATH",
                         help="write the full report as JSON")
     doctor.add_argument("--markdown", dest="markdown_out", metavar="PATH",

@@ -42,13 +42,10 @@ then ``analyze-trace`` / ``metrics-export`` / ``explain-reducer`` /
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    "analyze": [
-        "SUMMARY_SCHEMA", "TraceAnalysis", "load_trace", "summary_problems",
-    ],
+    "analyze": ["TraceAnalysis", "load_trace"],
     "diagnostics": [
-        "BalanceStats", "CuboidAudit", "LoadAttribution", "SketchAudit",
-        "SkewConfusion", "TheoryChecks", "attribute_load", "audit_sketch",
-        "format_doctor_markdown", "predicted_reducer_loads", "run_doctor",
+        "audit_problems", "audit_sketch", "format_doctor_markdown",
+        "run_doctor",
     ],
     "explain": [
         "ExplainError", "LineageIndex", "explain_group", "explain_reducer",
@@ -62,7 +59,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ],
     "telemetry": [
         "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
-        "Telemetry", "check_prometheus_text",
+        "Telemetry",
     ],
     "timeline": ["TimelineAnalysis"],
     "tracer": [

@@ -100,19 +100,6 @@ class TraceAnalysis:
             if r.get("type") == "span" and r.get("kind") == kind
         ]
 
-    # -- validation ---------------------------------------------------------
-
-    def validate(self) -> int:
-        """Schema-check every record; returns the count or raises."""
-        for record in self.records:
-            problems = record_problems(record)
-            if problems:
-                raise TraceSchemaError(
-                    f"record seq={record.get('seq')} invalid: "
-                    + "; ".join(problems)
-                )
-        return len(self.records)
-
     # -- filters ------------------------------------------------------------
 
     def job_names(self) -> List[str]:
@@ -373,10 +360,6 @@ class TraceAnalysis:
         added (readers must tolerate unknown keys, matching the
         forward-compatibility contract of
         :meth:`~repro.mapreduce.metrics.RunMetrics.from_dict`).
-
-        The shape is checked by :func:`summary_problems` before it leaves
-        the process, so a refactor that silently drops a key fails loudly
-        instead of shipping a summary that lies by omission.
         """
         runs = [
             {
@@ -410,7 +393,7 @@ class TraceAnalysis:
         critical = (
             self.critical_path(dominant) if dominant is not None else []
         )
-        summary = {
+        return {
             "schema_version": 1,
             "records": len(self.records),
             "runs": runs,
@@ -427,13 +410,6 @@ class TraceAnalysis:
             "critical_path": critical,
             "alerts": self.alert_counts(),
         }
-        problems = summary_problems(summary)
-        if problems:
-            raise ValueError(
-                "trace summary failed its own schema check: "
-                + "; ".join(problems)
-            )
-        return summary
 
     def recovery_summary(self) -> Dict[str, int]:
         """The four recovery counters over the whole trace."""
@@ -505,89 +481,6 @@ class TraceAnalysis:
                     + (", spec win)" if summary["speculative"] else ")")
                 )
         return "\n".join(lines)
-
-
-#: ``summary_dict`` top-level keys and the types readers may rely on.
-#: Append-only: new keys may join, existing ones never change meaning.
-SUMMARY_SCHEMA = {
-    "schema_version": int,
-    "records": int,
-    "runs": list,
-    "recovery": dict,
-    "failure_domains": dict,
-    "jobs": list,
-    "dominant_job": (str, type(None)),
-    "reducer_loads": dict,
-    "critical_path": list,
-    "alerts": dict,
-}
-
-_RECOVERY_KEYS = ("attempts", "killed", "speculative_wins", "recovered")
-_DOMAIN_KEYS = (
-    "nodes_lost",
-    "node_loss_events",
-    "round_resumes",
-    "checkpoints_committed",
-)
-
-
-def summary_problems(summary: Dict) -> List[str]:
-    """Validate a :meth:`TraceAnalysis.summary_dict` payload.
-
-    Returns a list of human-readable problems (empty when valid).  Extra
-    top-level keys are *allowed* — the schema is append-only — but every
-    required key must be present with the promised type, every run/job
-    entry must carry its mandatory fields, and the recovery/failure
-    counters must all be present and non-negative.
-    """
-    problems: List[str] = []
-    if not isinstance(summary, dict):
-        return ["summary is not an object"]
-    for key, expected in SUMMARY_SCHEMA.items():
-        if key not in summary:
-            problems.append(f"missing key {key!r}")
-        elif not isinstance(summary[key], expected):
-            problems.append(
-                f"key {key!r} has type {type(summary[key]).__name__}"
-            )
-    if problems:
-        return problems
-    if summary["schema_version"] < 1:
-        problems.append("schema_version must be >= 1")
-    for i, run in enumerate(summary["runs"]):
-        for field in ("name", "seconds", "status"):
-            if field not in run:
-                problems.append(f"runs[{i}] missing {field!r}")
-    for i, job in enumerate(summary["jobs"]):
-        for field in (
-            "name", "seconds", "status", "map_output_records", "attempts"
-        ):
-            if field not in job:
-                problems.append(f"jobs[{i}] missing {field!r}")
-    for key in _RECOVERY_KEYS:
-        value = summary["recovery"].get(key)
-        if not isinstance(value, int) or value < 0:
-            problems.append(f"recovery.{key} must be a non-negative int")
-    for key in _DOMAIN_KEYS:
-        if key not in summary["failure_domains"]:
-            problems.append(f"failure_domains missing {key!r}")
-    for task, records in summary["reducer_loads"].items():
-        if not isinstance(task, str) or not isinstance(records, int):
-            problems.append(
-                f"reducer_loads[{task!r}] must map str task -> int records"
-            )
-            break
-    for i, entry in enumerate(summary["critical_path"]):
-        for field in ("phase", "task", "attempts", "chain_seconds"):
-            if field not in entry:
-                problems.append(f"critical_path[{i}] missing {field!r}")
-    for kind, count in summary["alerts"].items():
-        if not isinstance(kind, str) or not isinstance(count, int):
-            problems.append(
-                f"alerts[{kind!r}] must map str kind -> int count"
-            )
-            break
-    return problems
 
 
 def _winning(spans: List[Dict]) -> Optional[Dict]:

@@ -41,8 +41,10 @@ timeline.  All tasks of a phase start when the phase's round startup
 completes — the simulator's model of a fully parallel wave.
 
 :func:`validate_record` enforces this schema without any third-party
-dependency; the CI trace-smoke job runs it over every record of a real
-fault-injected run (``python -m repro analyze-trace TRACE --validate``).
+dependency; :func:`~repro.observability.analyze.load_trace` runs the
+same check over every record it reads, so every trace consumer
+(``python -m repro analyze-trace TRACE`` among them) rejects a
+malformed file.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ telemetry view says *how much of everything there was and when* —
 shuffle bytes per round, reducer load, checkpoint volume, node liveness —
 as named metric series that can be charted, diffed, and exported.
 
-Three pieces:
+Two pieces:
 
 * :class:`MetricsRegistry` — named :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments with Prometheus-style labels and fixed
@@ -20,8 +20,10 @@ Three pieces:
   tracer and offline over a trace file (``python -m repro
   metrics-export TRACE`` is :func:`~repro.observability.tracer.replay`
   into a fresh :class:`Telemetry`).
-* :func:`check_prometheus_text` — a hand-rolled line-format checker for
-  the exposition output (no third-party dependencies), used by CI.
+
+The exposition is valid by construction: metric names are checked when
+an instrument is registered, label values are escaped, and histogram
+buckets are rendered cumulatively with ``+Inf`` equal to ``_count``.
 
 **Determinism.**  Every series is a pure function of the trace records,
 and trace files are byte-identical between serial and parallel backends,
@@ -121,15 +123,10 @@ class Counter:
         ]
 
 
-class Gauge:
+class Gauge(Counter):
     """Point-in-time value that can go up and down."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str):
-        self.name = name
-        self.help = help
-        self._values: Dict[_LabelsKey, float] = {}
 
     def set(self, value: float,
             labels: Optional[Dict[str, str]] = None) -> None:
@@ -137,24 +134,7 @@ class Gauge:
 
     def inc(self, amount: float = 1.0,
             labels: Optional[Dict[str, str]] = None) -> None:
-        key = _labels_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, labels: Optional[Dict[str, str]] = None) -> float:
-        return self._values.get(_labels_key(labels), 0.0)
-
-    def series(self) -> List[Dict]:
-        return [
-            {"labels": dict(key), "value": self._values[key]}
-            for key in sorted(self._values)
-        ]
-
-    def exposition_lines(self) -> List[str]:
-        return [
-            f"{self.name}{_render_labels(key)} "
-            f"{_format_value(self._values[key])}"
-            for key in sorted(self._values)
-        ]
+        self.set(self.value(labels) + amount, labels)
 
 
 class Histogram:
@@ -469,178 +449,3 @@ class Telemetry:
             self.registry.gauge(
                 "repro_dfs_files", "Files in the simulated DFS"
             ).set(counters["dfs_files"], labels=labels)
-
-
-# ---------------------------------------------------------------------------
-# Prometheus text-format checker (hand-rolled; used by CI and tests).
-# ---------------------------------------------------------------------------
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{[^}]*\})?"
-    r"\s+(?P<value>\S+)"
-    r"(?:\s+(?P<timestamp>-?\d+))?\s*$"
-)
-_LABEL_RE = re.compile(
-    r'^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\["\\n])*"$'
-)
-
-
-def _parse_label_block(block: str) -> Optional[List[Tuple[str, str]]]:
-    """Split ``{a="x",b="y"}`` into pairs; None when malformed."""
-    inner = block[1:-1].strip()
-    if not inner:
-        return []
-    pairs = []
-    # Split on commas outside quotes.
-    parts, depth, current = [], False, []
-    for ch in inner:
-        if ch == '"' and (not current or current[-1] != "\\"):
-            depth = not depth
-        if ch == "," and not depth:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    for part in parts:
-        part = part.strip()
-        if not _LABEL_RE.match(part):
-            return None
-        name, _, value = part.partition("=")
-        pairs.append((name, value[1:-1]))
-    return pairs
-
-
-def _parse_value(text: str) -> Optional[float]:
-    if text in ("+Inf", "Inf"):
-        return math.inf
-    if text == "-Inf":
-        return -math.inf
-    if text == "NaN":
-        return math.nan
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-def check_prometheus_text(text: str) -> List[str]:
-    """Validate Prometheus text exposition; return a list of problems.
-
-    Checks line syntax (metric names, label syntax, numeric values),
-    HELP/TYPE comment structure, duplicate samples, histogram structure
-    (``le`` on ``_bucket`` lines, cumulative monotonicity, a ``+Inf``
-    bucket matching ``_count``), and that every sample belongs to a
-    TYPE-declared family.  An empty list means the text is valid.
-    """
-    problems: List[str] = []
-    types: Dict[str, str] = {}
-    seen_samples: Dict[Tuple[str, _LabelsKey], float] = {}
-    # histogram family -> base labels key -> list of (le, value)
-    buckets: Dict[str, Dict[_LabelsKey, List[Tuple[float, float]]]] = {}
-    counts: Dict[str, Dict[_LabelsKey, float]] = {}
-
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            fields = line.split(None, 3)
-            if len(fields) < 3 or fields[1] not in ("HELP", "TYPE"):
-                problems.append(f"line {lineno}: malformed comment: {line!r}")
-                continue
-            if not _METRIC_NAME_RE.match(fields[2]):
-                problems.append(
-                    f"line {lineno}: invalid metric name {fields[2]!r}"
-                )
-                continue
-            if fields[1] == "TYPE":
-                if len(fields) != 4 or fields[3] not in (
-                    "counter", "gauge", "histogram", "summary", "untyped"
-                ):
-                    problems.append(
-                        f"line {lineno}: invalid TYPE line: {line!r}"
-                    )
-                    continue
-                if fields[2] in types:
-                    problems.append(
-                        f"line {lineno}: duplicate TYPE for {fields[2]}"
-                    )
-                types[fields[2]] = fields[3]
-            continue
-        match = _SAMPLE_RE.match(line)
-        if not match:
-            problems.append(f"line {lineno}: malformed sample: {line!r}")
-            continue
-        name = match.group("name")
-        label_block = match.group("labels")
-        pairs = _parse_label_block(label_block) if label_block else []
-        if pairs is None:
-            problems.append(f"line {lineno}: malformed labels: {line!r}")
-            continue
-        value = _parse_value(match.group("value"))
-        if value is None:
-            problems.append(
-                f"line {lineno}: non-numeric value "
-                f"{match.group('value')!r}"
-            )
-            continue
-        family = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            base = name[: -len(suffix)] if name.endswith(suffix) else None
-            if base and types.get(base) in ("histogram", "summary"):
-                family = base
-                break
-        if family not in types:
-            problems.append(
-                f"line {lineno}: sample {name!r} has no TYPE declaration"
-            )
-        key = (name, tuple(sorted(pairs)))
-        if key in seen_samples:
-            problems.append(f"line {lineno}: duplicate sample {line!r}")
-        seen_samples[key] = value
-        if types.get(family) == "histogram":
-            base_pairs = tuple(sorted(p for p in pairs if p[0] != "le"))
-            if name == family + "_bucket":
-                le = dict(pairs).get("le")
-                if le is None:
-                    problems.append(
-                        f"line {lineno}: histogram bucket missing le label"
-                    )
-                    continue
-                le_value = _parse_value(le)
-                if le_value is None:
-                    problems.append(
-                        f"line {lineno}: non-numeric le value {le!r}"
-                    )
-                    continue
-                buckets.setdefault(family, {}).setdefault(
-                    base_pairs, []
-                ).append((le_value, value))
-            elif name == family + "_count":
-                counts.setdefault(family, {})[base_pairs] = value
-
-    for family, by_labels in buckets.items():
-        for base_pairs, points in by_labels.items():
-            points = sorted(points)
-            values = [v for _, v in points]
-            if values != sorted(values):
-                problems.append(
-                    f"{family}: bucket counts not cumulative for labels "
-                    f"{dict(base_pairs)}"
-                )
-            les = [le for le, _ in points]
-            if math.inf not in les:
-                problems.append(
-                    f"{family}: missing +Inf bucket for labels "
-                    f"{dict(base_pairs)}"
-                )
-            else:
-                inf_value = dict(points)[math.inf]
-                total = counts.get(family, {}).get(base_pairs)
-                if total is not None and total != inf_value:
-                    problems.append(
-                        f"{family}: +Inf bucket ({inf_value}) != _count "
-                        f"({total}) for labels {dict(base_pairs)}"
-                    )
-    return problems

@@ -32,7 +32,7 @@ typed alerts:
     jump straight to ``explain-group``.
 
 ``straggler_alert``
-    A task's (simulated) duration exceeds ``straggler_factor`` times the
+    A task's (simulated) duration exceeds ``factor`` times the
     median of its phase — the attempt-duration-quantile rule, guarded by
     a minimum task count so tiny phases cannot alarm.
 
@@ -41,8 +41,10 @@ as a record: SP-Cube's ``sketch`` event carries ``promise = {job, n, k,
 m}`` and, at ``debug`` level, the ``predicted`` per-reducer loads.  For
 those the watchdog also retains the predicted-vs-observed comparison
 (:attr:`Watchdog.comparisons`); on a fault-free run the deltas are all
-zero and the observed side equals
-:func:`repro.observability.diagnostics.attribute_load`'s ``actual``.
+zero.  The cube doctor reads its load attribution from it.
+
+The thresholds are the module constants below; each alert carries the
+one it was checked against (``tolerance`` or ``factor``).
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from .lineage import JobAssembler
 from .schema import ALERT_KINDS  # noqa: F401  (re-exported)
 
 #: Multiple of the ``n/k + m`` band a reducer (or a cuboid's flow into
-#: one reducer) may reach before alerting — the doctor's
-#: :data:`repro.observability.diagnostics.BALANCE_TOLERANCE`.
+#: one reducer) may reach before alerting; the doctor's partition check
+#: uses the same 2x (its ``BALANCE_TOLERANCE``).
 SKEW_TOLERANCE = 2.0
 
 #: Multiple of the phase-median task duration that flags a straggler.
@@ -68,17 +70,7 @@ MIN_STRAGGLER_TASKS = 4
 class Watchdog:
     """Compare observed shuffle flows against the theory, per round."""
 
-    def __init__(
-        self,
-        skew_tolerance: float = SKEW_TOLERANCE,
-        straggler_factor: float = STRAGGLER_FACTOR,
-        min_straggler_tasks: int = MIN_STRAGGLER_TASKS,
-    ):
-        if skew_tolerance <= 0 or straggler_factor <= 0:
-            raise ValueError("watchdog tolerances must be positive")
-        self.skew_tolerance = skew_tolerance
-        self.straggler_factor = straggler_factor
-        self.min_straggler_tasks = min_straggler_tasks
+    def __init__(self):
         #: Every alert event emitted, in order.
         self.alerts: List[Dict] = []
         #: Per promised job: predicted/observed/delta reducer loads.
@@ -134,7 +126,7 @@ class Watchdog:
         n_observed = sum(task["records_in"] for task in reduces)
         k_active = len(reduces)
         bound = n_observed / k_active + job["memory_records"]
-        ceiling = self.skew_tolerance * bound
+        ceiling = SKEW_TOLERANCE * bound
         for task in reduces:
             observed = task["records_in"]
             if observed > ceiling:
@@ -144,7 +136,7 @@ class Watchdog:
                     observed=observed,
                     bound=round(bound, 2),
                     ratio=round(observed / bound, 2),
-                    tolerance=self.skew_tolerance,
+                    tolerance=SKEW_TOLERANCE,
                 )
 
     def _check_misannotation(self, job, promise, alert) -> None:
@@ -158,7 +150,7 @@ class Watchdog:
                 per_reducer = loads.setdefault(int(mask), {})
                 per_reducer[reducer] = per_reducer.get(reducer, 0) + count
         bound = promise["n"] / promise["k"] + promise["m"]
-        ceiling = self.skew_tolerance * bound
+        ceiling = SKEW_TOLERANCE * bound
         for mask in sorted(loads):
             for reducer in sorted(loads[mask]):
                 observed = loads[mask][reducer]
@@ -170,7 +162,7 @@ class Watchdog:
                         observed=observed,
                         bound=round(bound, 2),
                         ratio=round(observed / bound, 2),
-                        tolerance=self.skew_tolerance,
+                        tolerance=SKEW_TOLERANCE,
                     )
 
     def _check_stragglers(self, job, alert) -> None:
@@ -179,12 +171,12 @@ class Watchdog:
             ("map", job["maps"]),
             ("reduce", job["reduces"]),
         ):
-            if len(tasks) < self.min_straggler_tasks:
+            if len(tasks) < MIN_STRAGGLER_TASKS:
                 continue
             typical = median(task["seconds"] for task in tasks)
             if typical <= 0:
                 continue
-            ceiling = self.straggler_factor * typical
+            ceiling = STRAGGLER_FACTOR * typical
             for task in tasks:
                 if task["seconds"] > ceiling:
                     alert(
@@ -194,7 +186,7 @@ class Watchdog:
                         seconds=round(task["seconds"], 9),
                         median_seconds=round(typical, 9),
                         ratio=round(task["seconds"] / typical, 2),
-                        factor=self.straggler_factor,
+                        factor=STRAGGLER_FACTOR,
                     )
 
     def _record_comparison(self, job, promise) -> None:

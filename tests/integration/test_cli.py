@@ -157,10 +157,9 @@ class TestTraceCommands:
         )
         assert code == 0
         assert "trace written to" in capsys.readouterr().out
-        code = main(["analyze-trace", trace, "--validate"])
+        code = main(["analyze-trace", trace])
         assert code == 0
         out = capsys.readouterr().out
-        assert "schema ok" in out
         assert "run SP-Cube" in out
         assert "per-reducer records" in out
 
@@ -194,7 +193,7 @@ class TestTraceCommands:
     def test_analyze_trace_validate_fails_on_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"type": "span", "kind": "mystery"}\n')
-        code = main(["analyze-trace", str(bad), "--validate"])
+        code = main(["analyze-trace", str(bad)])
         assert code == 1
         assert "schema violation" in capsys.readouterr().err
 
@@ -211,7 +210,6 @@ class TestAnalyzeTraceExitCodes:
         assert main(["analyze-trace", trace]) == 0
         out = capsys.readouterr().out
         assert "run SP-Cube" in out
-        assert "schema ok" not in out  # the count line needs --validate
 
     def test_invalid_trace_without_flag_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -286,9 +284,9 @@ class TestTelemetryCommands:
     def test_metrics_export_prints_valid_exposition(self, tmp_path, capsys):
         _data, trace = self.make_artifacts(tmp_path)
         capsys.readouterr()
-        assert main(["metrics-export", trace, "--check"]) == 0
+        assert main(["metrics-export", trace]) == 0
         captured = capsys.readouterr()
-        assert "format ok" in captured.err
+        assert captured.err == ""
         assert "# TYPE repro_jobs_total counter" in captured.out
         assert "repro_phase_seconds_bucket" in captured.out
         assert "repro_reduce_task_records_bucket" in captured.out
@@ -543,7 +541,6 @@ class TestMetricsServe:
         import urllib.request
 
         from repro.cli import build_metrics_server
-        from repro.observability import check_prometheus_text
 
         text = (
             "# HELP repro_jobs_total MapReduce jobs run\n"
@@ -564,7 +561,6 @@ class TestMetricsServe:
                 )
                 body = response.read().decode("utf-8")
             assert body == text
-            assert check_prometheus_text(body) == []
             with pytest.raises(Exception):
                 urllib.request.urlopen(
                     f"http://127.0.0.1:{server.server_port}/other",
@@ -597,7 +593,7 @@ class TestMetricsServe:
             url = f"http://127.0.0.1:{server.server_port}/metrics"
             with urllib.request.urlopen(url, timeout=5) as response:
                 body = response.read().decode("utf-8")
-            assert "# TYPE repro_jobs_total counter" in body
+            assert body == text
         finally:
             server.shutdown()
             thread.join(timeout=5)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis import paper_cluster
 from repro.core import SPCube
+from repro.core.planner import replay_routing
 from repro.datagen import gen_binomial
 from repro.observability import (
     ExplainError,
@@ -20,7 +21,6 @@ from repro.observability import (
     TraceAnalysis,
     Tracer,
     Watchdog,
-    attribute_load,
     explain_reducer,
 )
 
@@ -103,7 +103,9 @@ def test_every_engine_classifies_cuboids():
 
 class TestWatchdogMatchesDoctor:
     """Acceptance: on a fault-free run the watchdog's predicted-vs-
-    observed comparison must match ``attribute_load`` exactly."""
+    observed comparison — what the doctor's attribution reads — must
+    match an independent oracle on each side: the sketch's routing
+    replayed over the relation, and the analyzer's reducer loads."""
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -119,21 +121,24 @@ class TestWatchdogMatchesDoctor:
     def test_deltas_are_zero_and_sides_match_attribution(self, run):
         relation, watchdog, _lineage, cube_run, records = run
         comparison = watchdog.comparisons["sp-cube"]
-        attribution = attribute_load(
-            relation, cube_run.sketch, TraceAnalysis(records)
+        predicted, _, _ = replay_routing(
+            relation, cube_run.sketch, cube_run.sketch.num_partitions
         )
-        assert attribution.matches is True
-        assert comparison["predicted"] == attribution.predicted
-        assert comparison["observed"] == attribution.actual
+        assert comparison["predicted"] == predicted
+        assert comparison["observed"] == TraceAnalysis(
+            records
+        ).reducer_records("sp-cube")
         assert all(d == 0 for d in comparison["deltas"].values())
 
     def test_explain_reducer_names_doctor_flagged_cuboids(self, run):
         """The hottest ranged reducer's explain walk must surface the
-        cuboids the doctor's attribution says routed its load."""
+        cuboids the sketch's replayed routing says loaded it."""
         relation, _watchdog, lineage, cube_run, _records = run
-        attribution = attribute_load(relation, cube_run.sketch)
+        _, by_cuboid, _ = replay_routing(
+            relation, cube_run.sketch, cube_run.sketch.num_partitions
+        )
         result = explain_reducer(lineage, job="sp-cube")
-        flagged = attribution.by_cuboid.get(result["reducer"], {})
+        flagged = by_cuboid.get(result["reducer"], {})
         explained = {int(mask) for mask in result["by_cuboid"]}
         assert explained  # the walk names cuboids at all
         assert {m for m in flagged if flagged[m] > 0} <= explained

@@ -114,14 +114,6 @@ class TestTimelines:
 
 
 class TestValidationAndIO:
-    def test_validate_passes_on_good_trace(self, faulted_records):
-        assert TraceAnalysis(faulted_records).validate() == 7
-
-    def test_validate_raises_with_seq(self, faulted_records):
-        faulted_records[2]["status"] = "broken"
-        with pytest.raises(TraceSchemaError, match="seq=2"):
-            TraceAnalysis(faulted_records).validate()
-
     def test_load_trace_round_trip(self, tmp_path, faulted_records):
         import json
 
@@ -141,6 +133,19 @@ class TestValidationAndIO:
         with pytest.raises(ValueError, match=":2: not valid JSON"):
             load_trace(path)
 
+    def test_load_trace_names_the_schema_violation_line(
+        self, tmp_path, faulted_records
+    ):
+        import json
+
+        faulted_records[2]["status"] = "broken"
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            "\n".join(json.dumps(r) for r in faulted_records) + "\n"
+        )
+        with pytest.raises(TraceSchemaError, match=":3: .*status"):
+            load_trace(path)
+
     def test_format_summary_mentions_recovery(self, faulted_records):
         text = TraceAnalysis(faulted_records).format_summary()
         assert "4 attempts" in text
@@ -148,14 +153,15 @@ class TestValidationAndIO:
 
 
 class TestSummaryDict:
-    """The stable machine-readable summary (satellite of the telemetry
-    PR): append-only keys, self-validated before leaving the process."""
+    """The stable machine-readable summary: append-only keys."""
 
     def test_has_every_schema_key(self, faulted_records):
-        from repro.observability import SUMMARY_SCHEMA
-
         summary = TraceAnalysis(faulted_records).summary_dict()
-        assert set(SUMMARY_SCHEMA) <= set(summary)
+        assert set(summary) == {
+            "schema_version", "records", "runs", "recovery",
+            "failure_domains", "jobs", "dominant_job", "reducer_loads",
+            "critical_path", "alerts",
+        }
         assert summary["schema_version"] == 1
 
     def test_numbers_match_the_accessors(self, faulted_records):
@@ -171,35 +177,6 @@ class TestSummaryDict:
 
         payload = json.dumps(TraceAnalysis(faulted_records).summary_dict())
         assert json.loads(payload)["schema_version"] == 1
-
-    def test_validator_accepts_extra_keys(self, faulted_records):
-        from repro.observability import summary_problems
-
-        summary = TraceAnalysis(faulted_records).summary_dict()
-        summary["future_field"] = {"anything": True}
-        assert summary_problems(summary) == []
-
-    def test_validator_flags_missing_and_mistyped_keys(self):
-        from repro.observability import summary_problems
-
-        assert summary_problems({"runs": "not-a-list"})
-        problems = summary_problems(
-            {
-                "schema_version": 1, "records": 0, "runs": [],
-                "recovery": {}, "failure_domains": {}, "jobs": [],
-                "dominant_job": None, "reducer_loads": {},
-                "critical_path": [], "alerts": {},
-            }
-        )
-        assert any("recovery." in p for p in problems)
-        assert any("failure_domains" in p for p in problems)
-
-    def test_validator_flags_negative_counters(self, faulted_records):
-        from repro.observability import summary_problems
-
-        summary = TraceAnalysis(faulted_records).summary_dict()
-        summary["recovery"]["killed"] = -1
-        assert any("non-negative" in p for p in summary_problems(summary))
 
     def test_empty_trace_summarizes(self):
         summary = TraceAnalysis([]).summary_dict()

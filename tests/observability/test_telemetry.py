@@ -9,7 +9,6 @@ from repro.observability import (
     Histogram,
     MetricsRegistry,
     Telemetry,
-    check_prometheus_text,
     replay,
 )
 
@@ -107,13 +106,6 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError, match="registered"):
             registry.gauge("repro_x_total", "x")
 
-    def test_prometheus_text_passes_own_checker(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_jobs_total", "jobs").inc(3)
-        registry.gauge("repro_depth", "queue depth").set(2, {"backend": "s"})
-        registry.histogram("repro_secs", "s", buckets=(1.0, 5.0)).observe(2)
-        assert check_prometheus_text(registry.prometheus_text()) == []
-
 
 class TestTelemetrySampling:
     def test_samples_record_series_value_time_source(self):
@@ -148,6 +140,15 @@ def job_stream(name="j", t0=0.0):
     ]
 
 
+FAILURE_DOMAIN_EVENTS = [
+    event("node_lost", "j", at=1.0, node=2, machines=[2]),
+    event("round_resume", "j", at=3.0, round=0,
+          salvaged_partitions=[0], replaced_nodes=[2]),
+    event("checkpoint_write", "j", at=9.0, round=0, num_parts=2, bytes=640),
+    event("skew_alert", "j", at=9.0, reducer=1),
+]
+
+
 class TestDerivation:
     def test_job_span_closes_the_round_once(self):
         telemetry = replay(job_stream(), Telemetry())
@@ -176,14 +177,7 @@ class TestDerivation:
         assert phases.sum({"phase": "reduce"}) == 1.5
 
     def test_failure_domain_events(self):
-        telemetry = replay([
-            event("node_lost", "j", at=1.0, node=2, machines=[2]),
-            event("round_resume", "j", at=3.0, round=0,
-                  salvaged_partitions=[0], replaced_nodes=[2]),
-            event("checkpoint_write", "j", at=9.0, round=0, num_parts=2,
-                  bytes=640),
-            event("skew_alert", "j", at=9.0, reducer=1),
-        ], Telemetry())
+        telemetry = replay(FAILURE_DOMAIN_EVENTS, Telemetry())
         registry = telemetry.registry
         assert registry.get("repro_nodes_lost_total").value() == 1
         assert registry.get("repro_round_resumes_total").value() == 1
@@ -218,32 +212,114 @@ class TestEmitRunTelemetry:
         assert registry.get("repro_dfs_files").value(labels) == 2
 
 
-class TestPrometheusChecker:
-    def test_flags_malformed_lines(self):
-        bad = "\n".join([
-            "# TYPE repro_x counter",
-            "repro_x notanumber",
-            "9bad_name 1",
-            'repro_y{le=} 3',
-        ])
-        problems = check_prometheus_text(bad)
-        assert len(problems) >= 3
-
-    def test_flags_noncumulative_histogram(self):
-        bad = "\n".join([
-            "# TYPE repro_h histogram",
-            'repro_h_bucket{le="1"} 5',
-            'repro_h_bucket{le="10"} 3',
-            'repro_h_bucket{le="+Inf"} 5',
-            "repro_h_sum 1",
-            "repro_h_count 5",
-        ])
-        problems = check_prometheus_text(bad)
-        assert any("cumulative" in p or "monoton" in p for p in problems)
-
-    def test_flags_duplicate_series(self):
-        bad = "repro_x 1\nrepro_x 2"
-        assert any("duplicate" in p for p in check_prometheus_text(bad))
-
-    def test_accepts_empty_text(self):
-        assert check_prometheus_text("") == []
+class TestExposition:
+    def test_whole_text_of_a_replayed_stream(self):
+        """The full exposition, pinned: HELP/TYPE per family in name order,
+        cumulative buckets with ``+Inf`` equal to ``_count``, integral
+        values without ``.0``, and an escaped label value."""
+        telemetry = replay(job_stream() + FAILURE_DOMAIN_EVENTS, Telemetry())
+        telemetry.registry.gauge("repro_odd_label", "Label escaping").set(
+            1.5, labels={"path": 'a"b\\c\nd'}
+        )
+        assert telemetry.prometheus_text() == "\n".join([
+            '# HELP repro_checkpoint_bytes_total Reduce-output bytes persisted as checkpoints',
+            '# TYPE repro_checkpoint_bytes_total counter',
+            'repro_checkpoint_bytes_total 640',
+            '# HELP repro_checkpoint_writes_total Rounds checkpointed to the DFS',
+            '# TYPE repro_checkpoint_writes_total counter',
+            'repro_checkpoint_writes_total 1',
+            '# HELP repro_jobs_total MapReduce rounds executed',
+            '# TYPE repro_jobs_total counter',
+            'repro_jobs_total{job="j"} 1',
+            '# HELP repro_node_up Node liveness (1 = serving, 0 = dead)',
+            '# TYPE repro_node_up gauge',
+            'repro_node_up{node="2"} 1',
+            '# HELP repro_nodes_lost_total Failure domains lost to node kills',
+            '# TYPE repro_nodes_lost_total counter',
+            'repro_nodes_lost_total 1',
+            '# HELP repro_odd_label Label escaping',
+            '# TYPE repro_odd_label gauge',
+            'repro_odd_label{path="a\\"b\\\\c\\nd"} 1.5',
+            '# HELP repro_phase_seconds Simulated seconds per phase',
+            '# TYPE repro_phase_seconds histogram',
+            'repro_phase_seconds_bucket{phase="map",le="0.1"} 0',
+            'repro_phase_seconds_bucket{phase="map",le="0.25"} 0',
+            'repro_phase_seconds_bucket{phase="map",le="0.5"} 0',
+            'repro_phase_seconds_bucket{phase="map",le="1"} 0',
+            'repro_phase_seconds_bucket{phase="map",le="2.5"} 1',
+            'repro_phase_seconds_bucket{phase="map",le="5"} 1',
+            'repro_phase_seconds_bucket{phase="map",le="10"} 1',
+            'repro_phase_seconds_bucket{phase="map",le="25"} 1',
+            'repro_phase_seconds_bucket{phase="map",le="50"} 1',
+            'repro_phase_seconds_bucket{phase="map",le="100"} 1',
+            'repro_phase_seconds_bucket{phase="map",le="250"} 1',
+            'repro_phase_seconds_bucket{phase="map",le="1000"} 1',
+            'repro_phase_seconds_bucket{phase="map",le="+Inf"} 1',
+            'repro_phase_seconds_sum{phase="map"} 2',
+            'repro_phase_seconds_count{phase="map"} 1',
+            'repro_phase_seconds_bucket{phase="reduce",le="0.1"} 0',
+            'repro_phase_seconds_bucket{phase="reduce",le="0.25"} 0',
+            'repro_phase_seconds_bucket{phase="reduce",le="0.5"} 0',
+            'repro_phase_seconds_bucket{phase="reduce",le="1"} 0',
+            'repro_phase_seconds_bucket{phase="reduce",le="2.5"} 1',
+            'repro_phase_seconds_bucket{phase="reduce",le="5"} 1',
+            'repro_phase_seconds_bucket{phase="reduce",le="10"} 1',
+            'repro_phase_seconds_bucket{phase="reduce",le="25"} 1',
+            'repro_phase_seconds_bucket{phase="reduce",le="50"} 1',
+            'repro_phase_seconds_bucket{phase="reduce",le="100"} 1',
+            'repro_phase_seconds_bucket{phase="reduce",le="250"} 1',
+            'repro_phase_seconds_bucket{phase="reduce",le="1000"} 1',
+            'repro_phase_seconds_bucket{phase="reduce",le="+Inf"} 1',
+            'repro_phase_seconds_sum{phase="reduce"} 1.5',
+            'repro_phase_seconds_count{phase="reduce"} 1',
+            'repro_phase_seconds_bucket{phase="shuffle",le="0.1"} 0',
+            'repro_phase_seconds_bucket{phase="shuffle",le="0.25"} 0',
+            'repro_phase_seconds_bucket{phase="shuffle",le="0.5"} 1',
+            'repro_phase_seconds_bucket{phase="shuffle",le="1"} 1',
+            'repro_phase_seconds_bucket{phase="shuffle",le="2.5"} 1',
+            'repro_phase_seconds_bucket{phase="shuffle",le="5"} 1',
+            'repro_phase_seconds_bucket{phase="shuffle",le="10"} 1',
+            'repro_phase_seconds_bucket{phase="shuffle",le="25"} 1',
+            'repro_phase_seconds_bucket{phase="shuffle",le="50"} 1',
+            'repro_phase_seconds_bucket{phase="shuffle",le="100"} 1',
+            'repro_phase_seconds_bucket{phase="shuffle",le="250"} 1',
+            'repro_phase_seconds_bucket{phase="shuffle",le="1000"} 1',
+            'repro_phase_seconds_bucket{phase="shuffle",le="+Inf"} 1',
+            'repro_phase_seconds_sum{phase="shuffle"} 0.5',
+            'repro_phase_seconds_count{phase="shuffle"} 1',
+            '# HELP repro_reduce_task_records Input records per reduce task',
+            '# TYPE repro_reduce_task_records histogram',
+            'repro_reduce_task_records_bucket{job="j",le="1"} 0',
+            'repro_reduce_task_records_bucket{job="j",le="4"} 0',
+            'repro_reduce_task_records_bucket{job="j",le="16"} 0',
+            'repro_reduce_task_records_bucket{job="j",le="64"} 1',
+            'repro_reduce_task_records_bucket{job="j",le="256"} 2',
+            'repro_reduce_task_records_bucket{job="j",le="1024"} 2',
+            'repro_reduce_task_records_bucket{job="j",le="4096"} 2',
+            'repro_reduce_task_records_bucket{job="j",le="16384"} 2',
+            'repro_reduce_task_records_bucket{job="j",le="65536"} 2',
+            'repro_reduce_task_records_bucket{job="j",le="262144"} 2',
+            'repro_reduce_task_records_bucket{job="j",le="1048576"} 2',
+            'repro_reduce_task_records_bucket{job="j",le="4194304"} 2',
+            'repro_reduce_task_records_bucket{job="j",le="+Inf"} 2',
+            'repro_reduce_task_records_sum{job="j"} 100',
+            'repro_reduce_task_records_count{job="j"} 2',
+            '# HELP repro_round_resumes_total Rounds resumed from a checkpoint after node loss',
+            '# TYPE repro_round_resumes_total counter',
+            'repro_round_resumes_total 1',
+            '# HELP repro_shuffle_bytes_total Bytes shuffled from map to reduce',
+            '# TYPE repro_shuffle_bytes_total counter',
+            'repro_shuffle_bytes_total{job="j"} 1000',
+            '# HELP repro_shuffle_records_total Pairs shuffled from map to reduce',
+            '# TYPE repro_shuffle_records_total counter',
+            'repro_shuffle_records_total{job="j"} 100',
+            '# HELP repro_task_attempts_total Task attempts including retries',
+            '# TYPE repro_task_attempts_total counter',
+            'repro_task_attempts_total{job="j"} 5',
+            '# HELP repro_tasks_killed_total Attempts killed by injected faults',
+            '# TYPE repro_tasks_killed_total counter',
+            'repro_tasks_killed_total{job="j"} 1',
+            '# HELP repro_watchdog_alerts_total Watchdog alerts emitted, by kind',
+            '# TYPE repro_watchdog_alerts_total counter',
+            'repro_watchdog_alerts_total{kind="skew_alert"} 1',
+        ]) + "\n"
