@@ -16,7 +16,7 @@ Package layout
 ``repro.relation``    schemas, relations, cube/tuple lattices
 ``repro.aggregates``  distributive/algebraic/holistic aggregate functions
 ``repro.mapreduce``   the simulated cluster substrate
-``repro.cubing``      sequential algorithms (oracle, BUC)
+``repro.cubing``      sequential cube algorithms (oracle, BUC)
 ``repro.core``        the SP-Sketch, the planner, and SP-Cube itself
 ``repro.baselines``   Naive-MR, Pig's MR-Cube, Hive
 ``repro.datagen``     the paper's workload generators

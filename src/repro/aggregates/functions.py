@@ -29,8 +29,7 @@ because the correctness of every distributed algorithm in this repository
 rests on it.
 
 A fifth method is the bulk form of ``add``, which every kernel that
-aggregates a batch goes through (SP-Cube's reducers and mappers, the
-array BUC)::
+aggregates a batch goes through (SP-Cube's reducers and mappers, BUC)::
 
     state = fn.fold(state, values)  # fold a sequence of values in, in order
 

@@ -2,7 +2,6 @@
 
 from .partition import (
     find_partition,
-    partition_elements_for_cuboid,
     partition_elements_from_sorted,
     partition_loads,
 )
@@ -29,7 +28,6 @@ from .spcube import SKETCH_PATH, SPCube
 
 __all__ = [
     "find_partition",
-    "partition_elements_for_cuboid",
     "partition_elements_from_sorted",
     "partition_loads",
     "PlannerError",

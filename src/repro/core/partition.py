@@ -26,12 +26,8 @@ from ..relation.lattice import GroupValues, project_rows
 def partition_elements_from_sorted(
     sorted_groups: Sequence[GroupValues], num_partitions: int
 ) -> List[GroupValues]:
-    """The ``k - 1`` partition elements of an already-sorted group list.
-
-    Implements Definition 4.1 on an arbitrary sorted sequence (the utopian
-    sketch passes the full relation's projections, Algorithm 2's reducer
-    passes the sample's).
-    """
+    """The ``k - 1`` partition elements (Definition 4.1) of an already
+    sorted group list: a cuboid's projections of the relation or sample."""
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
     count = len(sorted_groups)
@@ -42,17 +38,6 @@ def partition_elements_from_sorted(
         position = min(i * count // num_partitions, count - 1)
         elements.append(sorted_groups[position])
     return elements
-
-
-def partition_elements_for_cuboid(
-    rows: Sequence[Tuple],
-    mask: int,
-    num_dimensions: int,
-    num_partitions: int,
-) -> List[GroupValues]:
-    """Sort ``rows`` by ``<_C`` for cuboid ``mask`` and extract the elements."""
-    projections = sorted(project_rows(rows, mask, num_dimensions))
-    return partition_elements_from_sorted(projections, num_partitions)
 
 
 def find_partition(

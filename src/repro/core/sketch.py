@@ -16,8 +16,9 @@ Two builders are provided, mirroring the paper's exposition:
   exact; used as ground truth in tests and available for ablations.
 * :func:`build_sketch_from_sample` — the approximated sketch of
   Algorithm 2: skews are the c-groups whose **sample** count exceeds
-  ``beta = ln(nk)`` (an iceberg cube over the sample, computed with BUC),
-  and partition elements are sample quantiles.
+  ``beta = ln(nk)``, and partition elements are sample quantiles.
+
+Both sort each cuboid's projections once (:func:`_sketch`).
 
 The sketch is independent of the aggregate function: once built it can
 serve any number of cube computations (Section 4 preamble).
@@ -26,23 +27,21 @@ serve any number of cube computations (Section 4 preamble).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import eq
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from ..cubing.buc import iceberg_groups
 from ..mapreduce.sizes import estimate_bytes
 from ..relation.lattice import (
     GroupValues,
     all_cuboids,
-    project,
     project_rows,
     projector,
 )
 from ..relation.relation import Relation
-from .partition import (
-    find_partition,
-    partition_elements_for_cuboid,
-)
+from .partition import find_partition, partition_elements_from_sorted
 
 
 class SketchError(RuntimeError):
@@ -236,18 +235,7 @@ def build_exact_sketch(
     it the test oracle for :func:`build_sketch_from_sample`.
     """
     d = relation.schema.num_dimensions
-    cuboids: Dict[int, CuboidSketch] = {}
-    for mask in all_cuboids(d):
-        skewed = {
-            values: count
-            for values, count in relation.group_sizes(mask).items()
-            if count > memory_records
-        }
-        elements = partition_elements_for_cuboid(
-            relation.rows, mask, d, num_partitions
-        )
-        cuboids[mask] = CuboidSketch(skewed, elements)
-    return SPSketch(d, num_partitions, cuboids)
+    return _sketch(relation.rows, d, num_partitions, memory_records)
 
 
 def build_sketch_from_sample(
@@ -258,26 +246,43 @@ def build_sketch_from_sample(
 ) -> SPSketch:
     """Algorithm 2's ``build-sketch``: the sketch from a Bernoulli sample.
 
-    Skew detection is an iceberg cube over the sample with threshold
-    ``count > beta`` (the paper runs BUC with ``count`` aggregation and
-    keeps groups above ``beta``); partition elements are the sample's
+    Skews are the c-groups whose sample count exceeds ``beta`` (counts the
+    paper takes from an iceberg BUC); partition elements are the sample's
     ``k - 1`` per-cuboid quantile projections.
     """
-    rows = list(sample_rows)
-    min_support = max(1, math.floor(beta) + 1)
-    heavy = iceberg_groups(rows, num_dimensions, min_support)
+    return _sketch(list(sample_rows), num_dimensions, num_partitions, beta)
 
-    cuboids: Dict[int, CuboidSketch] = {
-        mask: CuboidSketch() for mask in all_cuboids(num_dimensions)
-    }
-    for (mask, values), count in heavy.items():
-        if count > beta:
-            cuboids[mask].skewed[values] = count
-    for mask in all_cuboids(num_dimensions):
-        cuboids[mask].partition_elements = partition_elements_for_cuboid(
-            rows, mask, num_dimensions, num_partitions
+
+def _sketch(
+    rows: Sequence[Tuple], d: int, k: int, threshold: float
+) -> SPSketch:
+    """One sort per cuboid gives both halves of its sketch.
+
+    Each c-group is a run of the sorted projections.  A run longer than
+    ``threshold`` starts where ``ordered[i] == ordered[i + span]``, with
+    ``span = floor(threshold)`` (C-level ``map``/``compress``), and ends
+    where ``bisect`` says; a stable sort keys it by its first row's
+    projection.  The partition elements are the same list's quantiles.
+    """
+    span = max(0, math.floor(threshold))
+    cuboids: Dict[int, CuboidSketch] = {}
+    for mask in all_cuboids(d):
+        ordered = sorted(project_rows(rows, mask, d))
+        hits = list(compress(
+            range(len(ordered)), map(eq, ordered, islice(ordered, span, None))
+        ))
+        skewed = {}
+        i = 0
+        while i < len(hits):
+            # The first hit at or past the last run's end starts a run.
+            start = hits[i]
+            end = bisect_right(ordered, ordered[start], start + span)
+            skewed[ordered[start]] = end - start
+            i = bisect_left(hits, end, i)
+        cuboids[mask] = CuboidSketch(
+            skewed, partition_elements_from_sorted(ordered, k)
         )
-    return SPSketch(num_dimensions, num_partitions, cuboids)
+    return SPSketch(d, k, cuboids)
 
 
 def _mask_dims(mask: int, d: int) -> List[int]:

@@ -31,8 +31,8 @@ Ablation switches (all default to the paper's configuration):
 Extension beyond the paper: ``min_group_size`` computes an *iceberg* cube
 — only c-groups with at least that many contributing tuples are output.
 Mappers carry exact counts next to the partial states, so filtering is
-exact on both the skewed path (reducer 0) and the covered path, matching
-``buc_cube(min_support=...)`` bit-for-bit.
+exact on both the skewed path (reducer 0) and the covered path: the
+output is the full cube's groups of at least that size, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -420,7 +420,7 @@ class _SketchReducer(Reducer):
 
     def reduce(self, key, values):
         sample = values
-        # Charge the in-memory BUC over the sample: one lattice walk per row.
+        # Charge the in-memory sketch build: one lattice walk per sampled row.
         self.context.add_cpu(len(sample) * (1 << self._d))
         sketch = build_sketch_from_sample(sample, self._d, self._k, self._beta)
         yield key, sketch

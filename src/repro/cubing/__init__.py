@@ -1,12 +1,11 @@
-"""Sequential cube algorithms: the oracle and BUC."""
+"""Sequential cube algorithms: the oracle and a full-cube BUC."""
 
-from .buc import buc_cube, iceberg_groups
+from .buc import buc_cube
 from .naive import sequential_cube
 from .result import CubeResult
 
 __all__ = [
     "buc_cube",
-    "iceberg_groups",
     "sequential_cube",
     "CubeResult",
 ]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.aggregates import Count
+from repro.cubing import CubeResult, sequential_cube
 from repro.mapreduce import ClusterConfig
 from repro.relation import Relation, Schema
 
@@ -65,3 +66,14 @@ def make_random_relation(
         rows.append(dims + (rng.randint(1, 10),))
     schema = Schema([f"a{i}" for i in range(num_dimensions)], "m")
     return Relation(schema, rows, validate=False, name=f"rand{seed}")
+
+
+def iceberg_cube(relation, aggregate, min_support):
+    """The iceberg oracle: ``sequential_cube`` cut to the c-groups with at
+    least ``min_support`` contributing rows."""
+    counts = sequential_cube(relation)
+    iceberg = CubeResult(relation.schema)
+    for (mask, values), value in sequential_cube(relation, aggregate).items():
+        if counts.value(mask, values) >= min_support:
+            iceberg.add(mask, values, value)
+    return iceberg

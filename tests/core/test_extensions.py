@@ -11,10 +11,10 @@ from repro.aggregates import (
     Sum,
 )
 from repro.core import SPCube
-from repro.cubing import buc_cube, sequential_cube
+from repro.cubing import sequential_cube
 from repro.mapreduce import ClusterConfig
 
-from ..conftest import make_random_relation
+from ..conftest import iceberg_cube, make_random_relation
 
 
 @pytest.fixture
@@ -33,7 +33,7 @@ class TestIcebergSPCube:
     @pytest.mark.parametrize("support", [2, 5, 25, 200])
     def test_matches_iceberg_buc(self, cluster, relation, support):
         run = SPCube(cluster, min_group_size=support).compute(relation)
-        assert run.cube == buc_cube(relation, min_support=support)
+        assert run.cube == iceberg_cube(relation, Count(), support)
 
     def test_support_one_is_full_cube(self, cluster, relation):
         run = SPCube(cluster, min_group_size=1).compute(relation)
@@ -41,13 +41,13 @@ class TestIcebergSPCube:
 
     def test_iceberg_with_sum(self, cluster, relation):
         run = SPCube(cluster, Sum(), min_group_size=4).compute(relation)
-        assert run.cube == buc_cube(relation, Sum(), min_support=4)
+        assert run.cube == iceberg_cube(relation, Sum(), 4)
 
     def test_iceberg_with_exact_sketch(self, cluster, relation):
         run = SPCube(
             cluster, min_group_size=10, use_exact_sketch=True
         ).compute(relation)
-        assert run.cube == buc_cube(relation, min_support=10)
+        assert run.cube == iceberg_cube(relation, Count(), 10)
 
     def test_huge_support_keeps_only_apex(self, cluster, relation):
         run = SPCube(cluster, min_group_size=len(relation)).compute(relation)
@@ -106,5 +106,5 @@ class TestMultiAggregate:
     def test_works_with_iceberg(self, cluster, relation):
         fn = Multi((Count(), Sum()))
         run = SPCube(cluster, fn, min_group_size=5).compute(relation)
-        oracle = buc_cube(relation, fn, min_support=5)
+        oracle = iceberg_cube(relation, fn, 5)
         assert run.cube == oracle

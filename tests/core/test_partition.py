@@ -5,13 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    build_exact_sketch,
     find_partition,
-    partition_elements_for_cuboid,
     partition_elements_from_sorted,
     partition_loads,
 )
 
 from ..conftest import make_random_relation
+
+
+def cuboid_elements(relation, mask, k):
+    """The partition elements the (exact) sketch records for ``mask``."""
+    sketch = build_exact_sketch(relation, k, len(relation))
+    return sketch.cuboids[mask].partition_elements
 
 
 class TestPartitionElements:
@@ -42,7 +48,7 @@ class TestPartitionElements:
 
     def test_for_cuboid_sorts_projections(self):
         rel = make_random_relation(60, num_dimensions=2, seed=1)
-        elements = partition_elements_for_cuboid(rel.rows, 0b01, 2, 4)
+        elements = cuboid_elements(rel, 0b01, 4)
         assert elements == sorted(elements)
         assert all(len(e) == 1 for e in elements)
 
@@ -77,7 +83,7 @@ class TestProposition42:
         since routing is a pure function of the group value)."""
         rel = make_random_relation(200, num_dimensions=2, cardinality=4, seed=2)
         mask = 0b01
-        elements = partition_elements_for_cuboid(rel.rows, mask, 2, 5)
+        elements = cuboid_elements(rel, mask, 5)
         routes = {}
         for row in rel:
             group = rel.project_group(row, mask)
@@ -92,7 +98,7 @@ class TestProposition42:
         k = 5
         m = len(rel) // k
         mask = 0b11
-        elements = partition_elements_for_cuboid(rel.rows, mask, 2, k)
+        elements = cuboid_elements(rel, mask, k)
         sizes = partition_loads(rel.rows, mask, 2, elements, k)
         assert sum(sizes) == len(rel)
         # Exact elements from the full sort: each partition within ~2m.
@@ -101,7 +107,7 @@ class TestProposition42:
     def test_partition_sizes_accounts_every_row(self):
         rel = make_random_relation(137, num_dimensions=3, seed=4)
         k = 4
-        elements = partition_elements_for_cuboid(rel.rows, 0b101, 3, k)
+        elements = cuboid_elements(rel, 0b101, k)
         sizes = partition_loads(rel.rows, 0b101, 3, elements, k)
         assert sum(sizes) == 137
         assert len(sizes) == k

@@ -1,8 +1,11 @@
 """The SP-Sketch: exact and sampled builders, invariants, size."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     SketchError,
@@ -12,7 +15,8 @@ from repro.core import (
     skew_sample_threshold,
 )
 from repro.core.sketch import CuboidSketch, SPSketch
-from repro.relation import all_cuboids
+from repro.relation import Relation, Schema, all_cuboids
+from repro.relation.lattice import project_rows
 
 from ..conftest import make_random_relation
 
@@ -185,3 +189,57 @@ class TestToDict:
         first = sketch.serialized_bytes()
         assert sketch._size_bytes == first
         assert sketch.serialized_bytes() == first
+
+
+#: Dimension values that compare equal across types (``1 == True ==
+#: 1.0``): a group's key is the projection of its first row.
+LOOK_ALIKE = st.sampled_from([0, 1, 2, False, True, 0.0, 1.0, 2.5])
+
+
+@st.composite
+def relations(draw):
+    d = draw(st.integers(1, 4))
+    row = st.tuples(*[LOOK_ALIKE] * d, st.integers(1, 9))
+    if draw(st.booleans()):
+        rows = draw(st.lists(row, max_size=40))
+    else:  # all rows equal, or none
+        rows = [draw(row)] * draw(st.integers(0, 30))
+    schema = Schema([f"a{i}" for i in range(d)], "m")
+    return Relation(schema, rows, validate=False)
+
+
+class TestSketchProperties:
+    """Both builders against oracles that do not sort runs: a ``Counter``
+    for the skews, positions ``i * n // k`` for the elements.  Compared
+    by ``repr`` so that a look-alike key of another type fails."""
+
+    @given(
+        rel=relations(),
+        k=st.integers(1, 5),
+        beta=st.floats(-1.0, 8.0, allow_nan=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sketch_is_counts_and_quantiles(self, rel, k, beta):
+        d = rel.schema.num_dimensions
+        sketch = build_sketch_from_sample(rel.rows, d, k, beta)
+        for mask in all_cuboids(d):
+            counts = Counter(project_rows(rel.rows, mask, d))
+            heavy = {group: n for group, n in counts.items() if n > beta}
+            assert repr(sorted(sketch.cuboids[mask].skewed.items())) == repr(
+                sorted(heavy.items())
+            )
+            ordered = sorted(project_rows(rel.rows, mask, d))
+            n = len(ordered)
+            quantiles = [ordered[i * n // k] for i in range(1, k)] if n else []
+            assert repr(sketch.cuboids[mask].partition_elements) == repr(
+                quantiles
+            )
+
+    @given(rel=relations(), k=st.integers(1, 5), m=st.integers(0, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_sampled_builder_on_all_rows_is_the_exact_sketch(self, rel, k, m):
+        d = rel.schema.num_dimensions
+        sampled = build_sketch_from_sample(rel.rows, d, k, m)
+        assert repr(sampled.to_payload()) == repr(
+            build_exact_sketch(rel, k, m).to_payload()
+        )

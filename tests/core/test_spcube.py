@@ -13,7 +13,7 @@ from repro.aggregates import (
     Variance,
 )
 from repro.core import SKETCH_PATH, SPCube, spcube
-from repro.cubing import buc_cube, sequential_cube
+from repro.cubing import sequential_cube
 from repro.mapreduce import (
     Block,
     ClusterConfig,
@@ -21,7 +21,7 @@ from repro.mapreduce import (
     pair_bytes,
 )
 
-from ..conftest import make_random_relation
+from ..conftest import iceberg_cube, make_random_relation
 
 
 @pytest.fixture
@@ -224,7 +224,7 @@ class TestBlockOutput:
             pairs = [pair for block in blocks for pair in block.pairs()]
             assert task.records_out == len(pairs)
             assert task.bytes_out == sum(pair_bytes(*p) for p in pairs)
-        assert run.cube == buc_cube(skewed_relation, fn, min_support=min_size)
+        assert run.cube == iceberg_cube(skewed_relation, fn, min_size)
 
 
 class TestDeterminism:

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates import Average, Count, Max, Min, Sum
-from repro.cubing import buc_cube, iceberg_groups, sequential_cube
+from repro.core import build_exact_sketch
+from repro.cubing import buc_cube, sequential_cube
 from repro.relation import Relation, Schema
 
-from ..conftest import make_random_relation
+from ..conftest import iceberg_cube, make_random_relation
 
 
 class TestOracleSemantics:
@@ -63,17 +64,16 @@ class TestBUC:
         )
 
     def test_iceberg_prunes_small_groups(self, retail_relation):
-        iceberg = buc_cube(retail_relation, min_support=2)
-        full = sequential_cube(retail_relation)
-        for (mask, values), _count in iceberg.items():
-            assert full.value(mask, values) >= 0
-        # Every kept group has at least 2 contributing rows.
+        # The iceberg oracle keeps groups of two or more rows, values intact.
+        iceberg = iceberg_cube(retail_relation, Sum(), 2)
+        full = sequential_cube(retail_relation, Sum())
         counts = sequential_cube(retail_relation)
-        for (mask, values), _agg in iceberg.items():
+        for (mask, values), total in iceberg.items():
+            assert total == full.value(mask, values)
             assert counts.value(mask, values) >= 2
 
     def test_iceberg_keeps_all_qualifying(self, retail_relation):
-        iceberg = buc_cube(retail_relation, min_support=3)
+        iceberg = iceberg_cube(retail_relation, Count(), 3)
         oracle = sequential_cube(retail_relation)
         expected = {
             key for key, count in oracle.items() if count >= 3
@@ -81,18 +81,20 @@ class TestBUC:
         assert set(key for key, _ in iceberg.items()) == expected
 
     def test_invalid_min_support(self, retail_relation):
-        with pytest.raises(ValueError):
-            buc_cube(retail_relation, min_support=0)
-
-    def test_mask_restriction(self, retail_relation):
-        cube = buc_cube(retail_relation, masks=[0b011])
-        assert set(mask for (mask, _v), _ in cube.items()) == {0b011}
+        # BUC computes the full cube only.
+        with pytest.raises(TypeError):
+            buc_cube(retail_relation, min_support=2)
+        with pytest.raises(TypeError):
+            buc_cube(retail_relation, masks=[0b011])
 
     def test_iceberg_groups_helper(self, retail_relation):
-        heavy = iceberg_groups(retail_relation.rows, 3, min_support=3)
-        assert heavy[(0, ())] == 10
-        assert (0b001, ("laptop",)) in heavy
-        assert all(count >= 3 for count in heavy.values())
+        # The sketch's skew table at m = 2: the groups of three or more rows.
+        sketch = build_exact_sketch(retail_relation, 2, 2)
+        assert sketch.cuboids[0].skewed == {(): 10}
+        assert sketch.cuboids[0b001].skewed == {
+            ("laptop",): 3, ("keyboard",): 3,
+        }
+        assert all(count >= 3 for _, _, count in sketch.skewed_groups())
 
     def test_unorderable_dimension_values(self):
         # Mixed-type dimension values must not break partitioning.

@@ -10,10 +10,11 @@ implementations produced, serial and parallel alike.
 
 This suite pins that invariant property-style:
 
-* ``buc_cube(kernel="array")`` versus ``kernel="legacy"`` across binomial,
-  zipf, adversarial and hand-built pathological datasets (mixed orderable
-  types, ``1`` vs ``True`` key conflation, duplicate-heavy rows), across
-  aggregates and iceberg thresholds;
+* ``buc_cube`` versus ``sequential_cube`` across binomial, zipf,
+  adversarial and hand-built pathological datasets (mixed orderable
+  types, ``1`` vs ``True`` key conflation, duplicate-heavy rows) and
+  aggregates, and the sketch's skew table and the tests' iceberg oracle
+  against cube counts over the same datasets;
 * the cuboid-at-a-time ``_CubeMapper`` kernel versus a per-record
   Algorithm 3 walk kept here as the oracle — every key the same value
   sequence, the same flushed partials, the same charged CPU — over
@@ -48,7 +49,7 @@ from repro.core.sketch import (
     build_exact_sketch,
 )
 from repro.core.spcube import _CubeMapper, _CubeReducer, _PlanFunction
-from repro.cubing.buc import buc_cube, iceberg_groups
+from repro.cubing.buc import buc_cube
 from repro.cubing.naive import sequential_cube
 from repro.datagen import adversarial_relation, gen_binomial, gen_zipf
 from repro.mapreduce import (
@@ -70,6 +71,7 @@ from repro.relation.lattice import project
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
 
+from ..conftest import iceberg_cube
 from .test_executors import (
     ENGINES,
     PLANS,
@@ -119,54 +121,63 @@ DATASETS = {
 
 
 class TestBUCKernelIdentity:
+    """BUC's one kernel against the oracle.  Test ids predate the removal
+    of the legacy recursion and of ``iceberg_groups``; the iceberg cases
+    now pin what replaced them."""
+
     @pytest.mark.parametrize("dataset", sorted(DATASETS))
     @pytest.mark.parametrize("agg_name", ["count", "sum", "avg"])
     def test_full_cube_matches_legacy(self, dataset, agg_name):
         relation = DATASETS[dataset]()
-        array = buc_cube(relation, get_aggregate(agg_name), kernel="array")
-        legacy = buc_cube(relation, get_aggregate(agg_name), kernel="legacy")
-        assert array == legacy, array.diff(legacy)
-        # Bit-identity includes emission order: CubeResult insertion order
-        # is the DFS preorder, which to_rows() normalizes away — compare
-        # the raw iteration order too.
-        assert list(array.items()) == list(legacy.items())
+        aggregate = get_aggregate(agg_name)
+        cube = buc_cube(relation, aggregate)
+        oracle = sequential_cube(relation, aggregate)
+        assert cube == oracle, cube.diff(oracle)
 
     @pytest.mark.parametrize("dataset", sorted(DATASETS))
     @pytest.mark.parametrize("min_support", [1, 2, 5])
     def test_iceberg_matches_legacy(self, dataset, min_support):
+        """The iceberg oracle is the full count cube cut at the support."""
         relation = DATASETS[dataset]()
-        array = buc_cube(relation, min_support=min_support, kernel="array")
-        legacy = buc_cube(relation, min_support=min_support, kernel="legacy")
-        assert array == legacy, array.diff(legacy)
-        assert list(array.items()) == list(legacy.items())
+        counts = buc_cube(relation)
+        expected = {key: n for key, n in counts.items() if n >= min_support}
+        iceberg = iceberg_cube(relation, get_aggregate("count"), min_support)
+        assert dict(iceberg.items()) == expected
 
     @pytest.mark.parametrize("dataset", sorted(DATASETS))
     def test_iceberg_groups_matches_legacy(self, dataset):
+        """The sketch's skew table at ``m = 1`` is the iceberg of the
+        groups of two or more rows, with their counts.  Range partitions
+        need values that sort: mixed types fail loudly."""
         relation = DATASETS[dataset]()
-        d = relation.schema.num_dimensions
-        array = iceberg_groups(relation.rows, d, 2, kernel="array")
-        legacy = iceberg_groups(relation.rows, d, 2, kernel="legacy")
-        assert array == legacy
-        assert list(array.items()) == list(legacy.items())
-
-    def test_mask_restriction_matches_legacy(self):
-        relation = gen_binomial(300, 0.4, seed=21)
-        masks = [0b000, 0b011, 0b101]
-        array = buc_cube(relation, masks=masks, kernel="array")
-        legacy = buc_cube(relation, masks=masks, kernel="legacy")
-        assert array == legacy, array.diff(legacy)
+        if dataset == "mixed-types":
+            with pytest.raises(TypeError):
+                build_exact_sketch(relation, 3, 1)
+            return
+        sketch = build_exact_sketch(relation, 3, 1)
+        found = {
+            (mask, values): n
+            for mask, cuboid in sketch.cuboids.items()
+            for values, n in cuboid.skewed.items()
+        }
+        counts = buc_cube(relation)
+        assert found == {key: n for key, n in counts.items() if n >= 2}
 
     def test_unknown_kernel_rejected(self):
         relation = gen_binomial(50, 0.4, seed=1)
-        with pytest.raises(ValueError, match="unknown BUC kernel"):
-            buc_cube(relation, kernel="vectorized")
-        with pytest.raises(ValueError, match="unknown BUC kernel"):
-            iceberg_groups(relation.rows, 3, 1, kernel="")
+        with pytest.raises(TypeError):
+            buc_cube(relation, kernel="array")
 
     @pytest.mark.parametrize("dataset", sorted(DATASETS))
-    def test_array_kernel_matches_naive_oracle(self, dataset):
-        relation = DATASETS[dataset]()
-        assert buc_cube(relation) == sequential_cube(relation)
+    def test_array_kernel_matches_naive_oracle(self, dataset, monkeypatch):
+        """The dict partitioner, which huge segments take, on every
+        refinement: the same cube and the same emission order."""
+        relation, avg = DATASETS[dataset](), get_aggregate("avg")
+        sorted_runs = buc_cube(relation, avg)
+        monkeypatch.setattr("repro.cubing.buc._SORT_MAX_SEGMENT", 0)
+        dict_runs = buc_cube(relation, avg)
+        assert dict_runs == sequential_cube(relation, avg)
+        assert list(dict_runs.items()) == list(sorted_runs.items())
 
     @pytest.mark.parametrize("agg_name", ["sum", "avg"])
     def test_float_measures_are_left_folded(self, agg_name):
@@ -180,10 +191,9 @@ class TestBUCKernelIdentity:
         ]
         relation = Relation(schema, rows, validate=False, name="floats")
         aggregate = get_aggregate(agg_name)
-        array = buc_cube(relation, aggregate, kernel="array")
+        array = buc_cube(relation, aggregate)
         naive = sequential_cube(relation, aggregate)
         assert array == naive, array.diff(naive)
-        assert array == buc_cube(relation, aggregate, kernel="legacy")
         assert repr(dict(array.items())) == repr(
             {key: naive.value(*key) for key, _ in array.items()}
         )
