@@ -35,11 +35,11 @@ across requests.  Every reply carries an exact ``Content-Length`` and
 leaves in one write (a header write then a body write on a kept-alive
 socket is the Nagle/delayed-ACK 40 ms stall).  The server closes after
 a reply to a pre-1.1 or ``Connection: close`` client, after a 504 (its
-thread is still computing), after a framing error (missing, malformed
-or over-``MAX_BODY_BYTES`` ``Content-Length``, a body on a ``GET``, a
-bad request line: the bytes that follow cannot be trusted), after
-``IDLE_TIMEOUT_S`` without a complete request, and on
-:meth:`CubeServer.close`; no module constant needs to be a flag.
+thread is still computing), after a framing error (a bad request or
+header line, a missing, malformed, conflicting or too large length,
+``Transfer-Encoding`` on a POST, a body on a GET: the bytes that follow
+cannot be trusted), after ``IDLE_TIMEOUT_S`` without a complete
+request, and on :meth:`CubeServer.close`.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ MAX_BODY_BYTES = 1 << 20
 #: Seconds a connection may sit without a complete request, or a reply
 #: without progress, before the server drops it and frees its thread.
 IDLE_TIMEOUT_S = 15.0
+#: Longest request or header line, and most header lines (414, 431).
+MAX_LINE_BYTES, MAX_HEADERS = 65536, 100
 
 #: Ops answerable over the wire.  ``dice`` is deliberately absent: its
 #: predicates are Python callables and deserializing code is not a
@@ -313,12 +315,15 @@ class CubeServer:
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
         server = self
+        date = [0, ""]  # [second, Date value]; racers just format it twice
 
         def response(status: int, body, close: bool) -> bytes:
             payload = body if isinstance(body, bytes) else _encode(body)
+            if date[0] != int(time.time()):
+                date[:] = int(time.time()), formatdate(usegmt=True)
             head = (
                 f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-                f"Date: {formatdate(usegmt=True)}\r\n"
+                f"Date: {date[1]}\r\n"
                 "Content-Type: application/json\r\n"
                 f"Content-Length: {len(payload)}\r\n"
                 + "Connection: close\r\n" * close + "\r\n"
@@ -347,17 +352,57 @@ class CubeServer:
                 except ConnectionError:  # reset on a read, EPIPE on a reply
                     server.counters.bump("serving.disconnects")
 
+            def parse_request(self):
+                """The request head, read without a MIME parser:
+                ``self.headers`` maps lowercased names to values (repeats
+                joined).  Falsy after a refusal or EOF."""
+                self.close_connection = True
+                words = str(self.raw_requestline, "latin-1").split()
+                if len(words) != 3:  # blank: close quietly; HTTP/0.9: 400
+                    return words and self.send_error(400, "bad request line")
+                self.command, self.path, version = words
+                # RFC 9112: HTTP-version = "HTTP/" DIGIT "." DIGIT
+                if not (len(version) == 8 and version[:5] == "HTTP/"
+                        and version[6] == "." and version[5:8:2].isdecimal()):
+                    return self.send_error(400, f"bad version {version[:9]!r}")
+                if version >= "HTTP/2":
+                    return self.send_error(505, f"{version} is unsupported")
+                self.request_version = version
+                headers = self.headers = {}
+                for _ in range(MAX_HEADERS + 1):
+                    raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+                    if len(raw) > MAX_LINE_BYTES:
+                        return self.send_error(431, "header line too long")
+                    if not raw.endswith(b"\n"):
+                        return False  # the client left mid-head
+                    if raw in (b"\r\n", b"\n"):
+                        break
+                    name, colon, value = str(raw, "latin-1").partition(":")
+                    if not (colon and name and name == name.strip()):
+                        # No colon, a folded line or "Name :".
+                        return self.send_error(400, f"bad header {raw[:40]!r}")
+                    name, value = name.lower(), value.strip()
+                    if headers.setdefault(name, value) != value:
+                        if name == "content-length":
+                            return self.send_error(400, "two lengths differ")
+                        headers[name] += ", " + value
+                else:
+                    return self.send_error(431, "too many header lines")
+                tokens = headers.get("connection", "").replace(" ", "")
+                close = "close" in tokens.lower().split(",")
+                self.close_connection = close or version < "HTTP/1.1"
+                return True
+
             def _reply(self, status: int, body, close: bool = False) -> None:
-                if close or self.request_version != "HTTP/1.1":
-                    self.close_connection = True
+                self.close_connection |= close
                 self.connection.sendall(
                     response(status, body, self.close_connection)
                 )
 
             def send_error(self, code, message=None, explain=None):
-                """A framing error, http.server's (bad request line,
-                unknown method) or ``do_POST``'s: typed reply, then close,
-                because the bytes that follow cannot be trusted."""
+                """A framing error, the head's, http.server's (414, 501)
+                or ``do_POST``'s: typed reply, then close, because the
+                bytes that follow cannot be trusted."""
                 server.counters.bump("serving.bad_requests")
                 error = message or HTTPStatus(code).phrase
                 self._reply(code, _refusal(error), close=True)
@@ -365,8 +410,8 @@ class CubeServer:
             def do_GET(self):  # noqa: N802 - http.server API
                 # A body on a GET is never read: reply, then close.
                 close = (
-                    "Content-Length" in self.headers
-                    or "Transfer-Encoding" in self.headers
+                    "content-length" in self.headers
+                    or "transfer-encoding" in self.headers
                 )
                 if self.path == "/healthz":
                     self._reply(200, {"ok": True}, close)
@@ -376,19 +421,24 @@ class CubeServer:
                     self._reply(404, _refusal("not found"), close)
 
             def do_POST(self):  # noqa: N802 - http.server API
-                raw = self.headers.get("Content-Length", "")
+                if "transfer-encoding" in self.headers:  # not length-framed
+                    return self.send_error(400, "Transfer-Encoding refused")
+                raw = self.headers.get("content-length", "")
                 # isdigit() alone admits "\xb2", and int() raises past 4300
                 # digits; no honest length comes near 19.
                 if not (raw.isascii() and raw.isdigit() and len(raw) < 19):
-                    self.send_error(
+                    return self.send_error(
                         400, "Content-Length must be a decimal byte count"
                     )
-                    return
                 if int(raw) > MAX_BODY_BYTES:
-                    self.send_error(
+                    return self.send_error(
                         413, f"body exceeds {MAX_BODY_BYTES} bytes"
                     )
-                    return
+                if (
+                    self.headers.get("expect", "").lower() == "100-continue"
+                    and self.request_version >= "HTTP/1.1"
+                ):
+                    self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
                 # Read before routing, so a body sent to an unknown path
                 # is not parsed as the connection's next request.
                 body = self.rfile.read(int(raw))

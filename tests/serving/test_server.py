@@ -636,6 +636,155 @@ class TestKeepAlive:
                 sock.close()
 
 
+# -- the request head ---------------------------------------------------------
+
+_LONG = server_module.MAX_LINE_BYTES
+#: Requests the head reader refuses, each with its status; the connection
+#: closes after the reply.  Over-long lines end exactly at the byte that
+#: trips the limit, so the refusal leaves nothing unread.
+REFUSALS = {
+    "chunked-post": (
+        b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+        b"Content-Length: 5\r\n\r\n%x\r\n%s\r\n0\r\n\r\n"
+        % (len(TOTAL), TOTAL),
+        400,
+    ),
+    "conflicting-lengths": (
+        b"POST /query HTTP/1.1\r\nContent-Length: 15\r\n"
+        b"Content-Length: 2\r\n\r\n" + TOTAL,
+        400,
+    ),
+    "folded-header": (
+        b"GET /healthz HTTP/1.1\r\nX-A: 1\r\n 2\r\n\r\n", 400,
+    ),
+    "header-without-colon": (b"GET /healthz HTTP/1.1\r\nX-A 1\r\n\r\n", 400),
+    "space-before-colon": (b"GET /healthz HTTP/1.1\r\nHost : t\r\n\r\n", 400),
+    "http09-line": (b"GET /healthz\r\n", 400),
+    "bad-version": (b"GET /healthz HTTP/1.x\r\n\r\n", 400),
+    "two-digit-version": (b"GET /healthz HTTP/1.10\r\n\r\n", 400),
+    "http2": (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+    "unknown-method": (b"PUT /query HTTP/1.1\r\n\r\n", 501),
+    "request-line-too-long": (b"GET /" + b"a" * (_LONG - 4), 414),
+    "header-line-too-long": (
+        b"GET /healthz HTTP/1.1\r\nX: " + b"a" * (_LONG - 2), 431,
+    ),
+    "too-many-headers": (
+        b"GET /healthz HTTP/1.1\r\n"
+        + b"X: 1\r\n" * (server_module.MAX_HEADERS + 1),
+        431,
+    ),
+}
+
+
+class TestRequestHead:
+    """The server reads the request head itself: one reply per raw head,
+    after which the connection is closed or answers the next request."""
+
+    ACCEPTED = {
+        "lowercase-content-length": (
+            b"POST /query HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s"
+            % (len(TOTAL), TOTAL),
+            False,
+        ),
+        "same-length-twice": (
+            _post(b"/query", TOTAL, b"Content-Length: %d\r\n" % len(TOTAL)),
+            False,
+        ),
+        "repeated-header": (
+            b"GET /healthz HTTP/1.1\r\nX-A: 1\r\nX-A: 2\r\n\r\n", False,
+        ),
+        "most-headers": (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"X: 1\r\n" * server_module.MAX_HEADERS + b"\r\n",
+            False,
+        ),
+        "uppercase-connection-close": (
+            b"GET /healthz HTTP/1.1\r\nCONNECTION: close\r\n\r\n", True,
+        ),
+        "close-in-a-token-list": (
+            b"GET /healthz HTTP/1.1\r\nConnection: keep-alive, Close\r\n\r\n",
+            True,
+        ),
+        "chunked-get": (
+            b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"0\r\n\r\n",
+            True,
+        ),
+    }
+    CASES = {
+        **{name: (raw, 200, closed) for name, (raw, closed) in ACCEPTED.items()},
+        **{name: (raw, status, True) for name, (raw, status) in REFUSALS.items()},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_status_and_whether_the_connection_closes(
+        self, server, capfd, name
+    ):
+        request_bytes, status, closed = self.CASES[name]
+        with _connect(server.port) as sock:
+            sock.sendall(request_bytes)
+            # At once: an HTTP/0.9 line used to wait IDLE_TIMEOUT_S.
+            [(got, headers, body)] = _read_replies(sock, 1, within=1.0)
+            if closed:
+                assert _closed_within(sock, 1.0)
+            else:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert _read_replies(sock, 1)[0][0] == 200
+        assert got == status
+        assert (headers.get("connection") == "close") == closed
+        assert body["ok"] is (status == 200)
+        assert server.counters.value("serving.bad_requests") == (status != 200)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("version", [b"HTTP/1.1", b"HTTP/1.0"])
+    def test_expect_100_continue(self, server, view, version):
+        """An HTTP/1.1 client gets the interim 100 before it sends the
+        body; an HTTP/1.0 one's expectation is ignored."""
+        head = (
+            b"POST /query %s\r\nEXPECT: 100-Continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % (version, len(TOTAL))
+        )
+        interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+        with _connect(server.port) as sock:
+            if version == b"HTTP/1.1":
+                sock.sendall(head)
+                assert sock.makefile("rb").read(len(interim)) == interim
+                sock.sendall(TOTAL)
+            else:
+                sock.sendall(head + TOTAL)
+            [(status, _headers, body)] = _read_replies(sock, 1)
+        assert (status, body["result"]) == (200, view.total())
+
+    def test_no_request_needs_the_stdlib_header_parser(
+        self, server, view, monkeypatch, capfd
+    ):
+        def parse_headers(*_args, **_kwargs):
+            raise AssertionError("http.client.parse_headers was called")
+
+        monkeypatch.setattr(http.client, "parse_headers", parse_headers)
+        [(a1, a2)] = sorted(view.rollup("a1", "a2"))[:1]
+        specs = [
+            {"op": "rollup", "dimensions": ["a1"]},
+            {"op": "total"},
+            {"op": "slice", "fixed": {"a1": a1, "a2": a2}},
+            {"op": "drilldown", "group": {"a1": a1}, "into": "a2"},
+            {"op": "top", "dimensions": ["a1"], "k": 2},
+            {"op": "pivot", "row": "a1", "column": "a2"},
+            {"op": "cuboid_sizes"},
+        ]
+        assert {spec["op"] for spec in specs} == set(server_module.WIRE_OPS)
+        with _connect(server.port) as sock:  # one kept-alive connection
+            for spec in specs:
+                sock.sendall(_post(b"/query", json.dumps(spec).encode()))
+                [(status, _headers, body)] = _read_replies(sock, 1)
+                assert status == 200 and body["ok"], (spec, body)
+            for path in (b"/healthz", b"/stats"):
+                sock.sendall(b"GET %s HTTP/1.1\r\nHost: t\r\n\r\n" % path)
+                assert _read_replies(sock, 1)[0][0] == 200
+        assert server.counters.value("serving.connections") == 1
+        assert capfd.readouterr().err == ""
+
+
 class _RecordingSocket:
     """Delegates to a real socket, recording each ``send``/``sendall``."""
 
@@ -694,6 +843,10 @@ class TestResponseFraming:
         "unknown-method-501": (b"PUT /query HTTP/1.1\r\n\r\n", 501),
         "shed-503": (_post(b"/query", b'{"op": "shed"}'), 503),
         "deadline-504": (_post(b"/query", b'{"op": "slow"}'), 504),
+        **{
+            f"{name}-{status}": (raw, status)
+            for name, (raw, status) in REFUSALS.items()
+        },
     }
 
     @pytest.fixture
