@@ -70,7 +70,7 @@ def measure_trace_overhead(
         "trace_on_wall_seconds": round(on_wall, 4),
         "overhead_ratio": round(on_wall / off_wall if off_wall else 0.0, 4),
         "records": len(sink),
-        "samples": len(telemetry.samples),
+        "metric_families": len(telemetry.registry.names()),
         "flows": sum(len(job["flows"]) for job in lineage.jobs.values()),
     }
 

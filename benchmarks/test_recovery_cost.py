@@ -21,7 +21,8 @@ checkpoint layer buys.
 Results land in ``BENCH_recovery.json`` at the repo root (the crash
 sweep fills ``points``, the node sweep ``node_points``) and in
 ``benchmarks/results/recovery_cost.txt`` /
-``benchmarks/results/node_recovery_cost.txt`` as tables.
+``benchmarks/results/node_recovery_cost.txt`` as the tables
+:func:`repro.analysis.format_recovery_tables` renders.
 
 ``BENCH_recovery.json`` is a golden file: every number in it is
 simulated, so it is a pure function of the code and of the two
@@ -34,7 +35,7 @@ import json
 import pathlib
 
 from repro.analysis.runner import derive_fault_seed
-from repro.analysis import paper_cluster
+from repro.analysis import format_recovery_tables, paper_cluster
 from repro.datagen import gen_zipf
 from repro.mapreduce.faults import FaultPlan
 
@@ -122,26 +123,12 @@ def test_recovery_cost_sweep():
     for row in rows:
         by_engine.setdefault(row["engine"], {})[row["pressure"]] = row
 
-    lines = [
+    table = format_recovery_tables({"points": rows})["points"]
+    title = (
         f"recovery cost vs fault pressure — gen-zipf, n={ROWS}, "
-        f"seed base {BASE_SEED}",
-        "",
-        f"{'engine':10s}{'p':>6s}{'time(s)':>10s}{'overhead(s)':>13s}"
-        f"{'slowdown':>10s}{'attempts':>10s}{'killed':>8s}{'spec':>6s}"
-        f"{'recov':>7s}",
-    ]
-    lines.append("-" * len(lines[-1]))
-    for name, points in by_engine.items():
-        for pressure in PRESSURES:
-            row = points[pressure]
-            lines.append(
-                f"{name:10s}{pressure:6.2f}{row['total_seconds']:10.1f}"
-                f"{row['recovery_overhead_seconds']:13.1f}"
-                f"{row['slowdown']:10.2f}"
-                f"{row['attempts']:10d}{row['killed_tasks']:8d}"
-                f"{row['speculative_wins']:6d}{row['recovered']:7d}"
-            )
-    write_result("recovery_cost", "\n".join(lines))
+        f"seed base {BASE_SEED}"
+    )
+    write_result("recovery_cost", f"{title}\n\n{table}")
     _merge_result(points=rows)
 
     for name, points in by_engine.items():
@@ -206,27 +193,12 @@ def test_node_pressure_checkpoint_vs_abort():
         for row in rows
     }
 
-    lines = [
+    table = format_recovery_tables({"node_points": rows})["node_points"]
+    title = (
         f"node loss: checkpoint-resume vs abort-restart — gen-zipf, "
-        f"n={ROWS}, {NUM_NODES} nodes, seed base {BASE_SEED}",
-        "",
-        f"{'engine':10s}{'p':>6s}{'mode':>8s}{'time(s)':>10s}"
-        f"{'lost':>6s}{'resumed':>9s}{'overhead(s)':>13s}{'done':>6s}",
-    ]
-    lines.append("-" * len(lines[-1]))
-    for name in PAPER_ALGORITHMS:
-        for pressure in NODE_PRESSURES:
-            for checkpointed in (True, False):
-                row = by_key[(name, pressure, checkpointed)]
-                mode = "ckpt" if checkpointed else "abort"
-                done = "yes" if row["completed"] else "no"
-                lines.append(
-                    f"{name:10s}{pressure:6.2f}{mode:>8s}"
-                    f"{row['total_seconds']:10.1f}{row['nodes_lost']:6d}"
-                    f"{row['resumed_rounds']:9d}"
-                    f"{row['recovery_overhead_seconds']:13.1f}{done:>6s}"
-                )
-    write_result("node_recovery_cost", "\n".join(lines))
+        f"n={ROWS}, {NUM_NODES} nodes, seed base {BASE_SEED}"
+    )
+    write_result("node_recovery_cost", f"{title}\n\n{table}")
     _merge_result(node_points=rows)
 
     any_kill_fired = False

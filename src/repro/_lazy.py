@@ -2,7 +2,7 @@
 
 A package ``__init__`` that re-exports its subsystems eagerly makes every
 process pay for all of them — ``serve-cube`` for the doctor, ``query``
-for the HTML report.  Each lazy ``__init__`` declares what it exports and
+for the run report.  Each lazy ``__init__`` declares what it exports and
 from where, and installs the three hooks this module builds (the
 stdlib's ``concurrent/futures/__init__.py`` is the model)::
 

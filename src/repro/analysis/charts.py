@@ -1,38 +1,20 @@
-"""ASCII and SVG charts for sweep results and run reports.
+"""ASCII charts for sweep results.
 
 The paper's figures are line charts; the text tables of
 :mod:`repro.analysis.report` carry the numbers, and this module carries the
 *shape* — a terminal-rendered plot of one metric's curves, one glyph per
 algorithm, so crossovers and failures are visible at a glance in the bench
 output files.
-
-The ``svg_*`` helpers render the same kinds of figures as inline SVG for
-the self-contained HTML run report (:mod:`repro.analysis.htmlreport`):
-no JavaScript, no external assets, every chart a pure function of its
-data so report generation stays deterministic.
 """
 
 from __future__ import annotations
 
-import html
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .runner import SweepResult
 
 #: Plot glyphs assigned to algorithms in sweep order.
 GLYPHS = "*o+x#@%&"
-
-#: Line/bar colors assigned to series in insertion order (SVG charts).
-PALETTE = (
-    "#2563eb",  # blue
-    "#dc2626",  # red
-    "#16a34a",  # green
-    "#9333ea",  # purple
-    "#ea580c",  # orange
-    "#0891b2",  # cyan
-    "#ca8a04",  # yellow
-    "#db2777",  # pink
-)
 
 
 def ascii_chart(
@@ -119,240 +101,3 @@ def _format_number(value: float) -> str:
         return f"{value:.3g}"
     return f"{value:.4g}"
 
-
-# -- inline SVG for the HTML run report --------------------------------------
-
-
-def _svg_open(width: int, height: int, title: str) -> List[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" '
-        'role="img" font-family="sans-serif" font-size="11">',
-        f'<title>{html.escape(title)}</title>',
-        f'<text x="8" y="14" font-size="13" font-weight="bold">'
-        f"{html.escape(title)}</text>",
-    ]
-
-
-def _axis_bounds(values: Sequence[float]) -> Tuple[float, float]:
-    low = min(min(values), 0.0)
-    high = max(values)
-    if high == low:
-        high = low + 1.0
-    return low, high
-
-
-def svg_line_chart(
-    series: Dict[str, List[Tuple[float, float]]],
-    title: str,
-    width: int = 640,
-    height: int = 220,
-    x_label: str = "",
-    y_label: str = "",
-) -> str:
-    """One metric's curves as a self-contained ``<svg>`` fragment.
-
-    ``series`` maps a legend name to ``(x, y)`` points; points are
-    plotted in the given order (sort by x upstream if needed).  Empty
-    series are dropped; an all-empty input renders a "(no data)" box so
-    the report never shows a silently blank panel.
-    """
-    points = {name: list(curve) for name, curve in series.items() if curve}
-    parts = _svg_open(width, height, title)
-    left, top, right, bottom = 58, 26, width - 10, height - 30
-    if not points:
-        parts.append(
-            f'<text x="{left}" y="{(top + bottom) // 2}" fill="#666">'
-            "(no data)</text></svg>"
-        )
-        return "\n".join(parts)
-
-    all_x = [x for curve in points.values() for x, _y in curve]
-    all_y = [y for curve in points.values() for _x, y in curve]
-    x_low, x_high = min(all_x), max(all_x)
-    if x_high == x_low:
-        x_high = x_low + 1.0
-    y_low, y_high = _axis_bounds(all_y)
-
-    def sx(x: float) -> float:
-        return left + (x - x_low) / (x_high - x_low) * (right - left)
-
-    def sy(y: float) -> float:
-        return bottom - (y - y_low) / (y_high - y_low) * (bottom - top)
-
-    parts.append(
-        f'<rect x="{left}" y="{top}" width="{right - left}" '
-        f'height="{bottom - top}" fill="#fafafa" stroke="#ccc"/>'
-    )
-    for index, (name, curve) in enumerate(points.items()):
-        color = PALETTE[index % len(PALETTE)]
-        coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in curve)
-        if len(curve) > 1:
-            parts.append(
-                f'<polyline points="{coords}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-        for x, y in curve:
-            parts.append(
-                f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2.5" '
-                f'fill="{color}"/>'
-            )
-        parts.append(
-            f'<text x="{left + 6}" y="{top + 14 + 13 * index}" '
-            f'fill="{color}">{html.escape(name)}</text>'
-        )
-    for value, y in ((y_high, top), (y_low, bottom)):
-        parts.append(
-            f'<text x="{left - 6}" y="{y + 4}" text-anchor="end" '
-            f'fill="#444">{_format_number(value)}</text>'
-        )
-    for value, x, anchor in (
-        (x_low, left, "start"), (x_high, right, "end")
-    ):
-        parts.append(
-            f'<text x="{x}" y="{bottom + 14}" text-anchor="{anchor}" '
-            f'fill="#444">{_format_number(value)}</text>'
-        )
-    if x_label:
-        parts.append(
-            f'<text x="{(left + right) // 2}" y="{height - 4}" '
-            f'text-anchor="middle" fill="#444">{html.escape(x_label)}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="12" y="{(top + bottom) // 2}" fill="#444" '
-            f'transform="rotate(-90 12 {(top + bottom) // 2})" '
-            f'text-anchor="middle">{html.escape(y_label)}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def svg_bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    title: str,
-    width: int = 640,
-    height: int = 220,
-    color: str = PALETTE[0],
-    highlight: Optional[float] = None,
-) -> str:
-    """A labelled bar chart (e.g. per-reducer delivered records).
-
-    ``highlight``, if given, draws a dashed reference line at that y
-    value — used for the mean in the reducer-load histogram so the
-    balance argument is visible without reading numbers.
-    """
-    parts = _svg_open(width, height, title)
-    left, top, right, bottom = 58, 26, width - 10, height - 30
-    if not values:
-        parts.append(
-            f'<text x="{left}" y="{(top + bottom) // 2}" fill="#666">'
-            "(no data)</text></svg>"
-        )
-        return "\n".join(parts)
-    y_low, y_high = _axis_bounds(list(values))
-
-    def sy(y: float) -> float:
-        return bottom - (y - y_low) / (y_high - y_low) * (bottom - top)
-
-    parts.append(
-        f'<rect x="{left}" y="{top}" width="{right - left}" '
-        f'height="{bottom - top}" fill="#fafafa" stroke="#ccc"/>'
-    )
-    count = len(values)
-    slot = (right - left) / count
-    bar = max(1.0, slot * 0.8)
-    label_every = max(1, count // 16)
-    for index, (label, value) in enumerate(zip(labels, values)):
-        x = left + slot * index + (slot - bar) / 2
-        y = sy(value)
-        parts.append(
-            f'<rect x="{x:.1f}" y="{y:.1f}" width="{bar:.1f}" '
-            f'height="{max(0.0, bottom - y):.1f}" fill="{color}">'
-            f"<title>{html.escape(str(label))}: "
-            f"{_format_number(value)}</title></rect>"
-        )
-        if index % label_every == 0:
-            parts.append(
-                f'<text x="{x + bar / 2:.1f}" y="{bottom + 14}" '
-                f'text-anchor="middle" fill="#444">'
-                f"{html.escape(str(label))}</text>"
-            )
-    if highlight is not None:
-        y = sy(highlight)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.1f}" x2="{right}" y2="{y:.1f}" '
-            'stroke="#dc2626" stroke-dasharray="4 3"/>'
-        )
-        parts.append(
-            f'<text x="{right - 4}" y="{y - 4:.1f}" text-anchor="end" '
-            f'fill="#dc2626">mean {_format_number(highlight)}</text>'
-        )
-    for value, y in ((y_high, top), (y_low, bottom)):
-        parts.append(
-            f'<text x="{left - 6}" y="{y + 4}" text-anchor="end" '
-            f'fill="#444">{_format_number(value)}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def svg_span_timeline(
-    spans: Sequence[Dict],
-    title: str,
-    width: int = 640,
-    row_height: int = 18,
-) -> str:
-    """Horizontal span bars on a shared time axis (job/phase timeline).
-
-    Each span is ``{"label": str, "t0": float, "t1": float}`` with an
-    optional ``"color"``.  Rows render in the given order, so callers
-    control grouping (jobs, then their phases indented).
-    """
-    spans = list(spans)
-    left, top = 150, 26
-    height = top + row_height * max(1, len(spans)) + 34
-    parts = _svg_open(width, height, title)
-    right = width - 10
-    if not spans:
-        parts.append(
-            f'<text x="{left}" y="{top + 14}" fill="#666">'
-            "(no spans)</text></svg>"
-        )
-        return "\n".join(parts)
-    t0 = min(span["t0"] for span in spans)
-    t1 = max(span["t1"] for span in spans)
-    extent = max(t1 - t0, 1e-12)
-
-    def sx(t: float) -> float:
-        return left + (t - t0) / extent * (right - left)
-
-    bottom = top + row_height * len(spans)
-    parts.append(
-        f'<rect x="{left}" y="{top}" width="{right - left}" '
-        f'height="{bottom - top}" fill="#fafafa" stroke="#ccc"/>'
-    )
-    for index, span in enumerate(spans):
-        y = top + row_height * index + 3
-        color = span.get("color", PALETTE[index % len(PALETTE)])
-        x0, x1 = sx(span["t0"]), sx(span["t1"])
-        parts.append(
-            f'<rect x="{x0:.1f}" y="{y}" '
-            f'width="{max(1.0, x1 - x0):.1f}" height="{row_height - 6}" '
-            f'fill="{color}" fill-opacity="0.75">'
-            f"<title>{html.escape(str(span['label']))}: "
-            f"{span['t0']:.1f}s → {span['t1']:.1f}s</title></rect>"
-        )
-        parts.append(
-            f'<text x="{left - 6}" y="{y + row_height - 9}" '
-            f'text-anchor="end" fill="#333">'
-            f"{html.escape(str(span['label']))}</text>"
-        )
-    for value, x, anchor in ((t0, left, "start"), (t1, right, "end")):
-        parts.append(
-            f'<text x="{x}" y="{bottom + 14}" text-anchor="{anchor}" '
-            f'fill="#444">{_format_number(value)}s</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..interface import CubeRun
 from ..mapreduce.cluster import ClusterConfig
@@ -234,17 +234,3 @@ def paper_cluster(
         num_nodes=num_nodes,
         checkpoint_enabled=checkpoint,
     )
-
-
-def subsample_sweep(
-    relation: Relation,
-    sizes: Sequence[int],
-    seed: int = 0,
-) -> List[Tuple[float, Relation]]:
-    """Random subsets of growing size — the paper's data-size protocol."""
-    import random
-
-    rng = random.Random(seed)
-    return [
-        (float(size), relation.random_subset(size, rng)) for size in sizes
-    ]

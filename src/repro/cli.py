@@ -9,7 +9,7 @@ Commands
 ``analyze-trace``  summarize a trace file written with ``--trace``
 ``doctor``         audit sketch accuracy & load balance vs ground truth
 ``metrics-export`` render a trace's derived metrics as Prometheus text
-``report``         stitch run artifacts into one self-contained HTML page
+``report``         stitch run artifacts into one markdown file
 ``explain-reducer`` walk a debug-level trace from a reducer back to
                    cuboids, map tasks and input splits
 ``explain-group``  walk a debug-level trace from a cuboid forward to the
@@ -31,7 +31,7 @@ Examples::
     python -m repro metrics-export run.trace.jsonl
     python -m repro explain-reducer run.trace.jsonl
     python -m repro explain-group run.trace.jsonl --cuboid 0xF
-    python -m repro report --trace run.trace.jsonl -o report.html
+    python -m repro report --trace run.trace.jsonl -o report.md
     python -m repro doctor --rows 4000 --machines 8 --json report.json
     python -m repro cube data.tsv --store cube.store
     python -m repro query cube.store '{"op": "rollup", "dimensions": ["a1"]}'
@@ -443,7 +443,7 @@ def cmd_report(args) -> int:
             recovery=args.recovery_json,
             title=args.title,
         )
-    except (OSError, ValueError, KeyError) as error:
+    except (OSError, ValueError, KeyError, TypeError) as error:
         raise SystemExit(f"repro: error: {error}") from None
     print(f"report written to {args.output}")
     return 0
@@ -756,7 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report",
         help="stitch a run's artifacts (trace, doctor audit, BENCH files) "
-             "into one self-contained HTML page",
+             "into one markdown file, each section the text of the "
+             "command that renders it",
     )
     report.add_argument("--trace", metavar="PATH",
                         help="JSONL trace written with --trace (feeds the "
@@ -768,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--recovery-json", metavar="PATH",
                         help="BENCH_recovery.json from the recovery bench")
     report.add_argument("--title", default="repro run report")
-    report.add_argument("-o", "--output", default="report.html")
+    report.add_argument("-o", "--output", default="report.md")
     report.set_defaults(fn=cmd_report)
 
     serve_cube = sub.add_parser(

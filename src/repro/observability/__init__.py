@@ -14,9 +14,8 @@ that post-hoc aggregates cannot show.  This package provides:
   (:mod:`repro.observability.analyze`);
 * three *derivations* of that one record stream, each a sink with a
   ``write(record)`` face that runs live on a tracer or offline over a
-  trace file (:func:`replay`): :class:`Telemetry` (metrics registry,
-  sample timeline, Prometheus text — :mod:`repro.observability.telemetry`,
-  with :class:`TimelineAnalysis` for per-series access),
+  trace file (:func:`replay`): :class:`Telemetry` (metrics registry and
+  its Prometheus text — :mod:`repro.observability.telemetry`),
   :class:`Watchdog` (online skew / misannotation / straggler alerts
   against the sketch's ``n/k + m`` promise, re-entering the stream as
   events — :mod:`repro.observability.watchdog`) and :class:`LineageIndex`
@@ -61,7 +60,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
         "Telemetry",
     ],
-    "timeline": ["TimelineAnalysis"],
     "tracer": [
         "LEVEL_DEBUG", "LEVEL_JOB", "LEVEL_OFF", "LEVEL_TASK", "NULL_TRACER",
         "JsonlSink", "MemorySink", "NullTracer", "ProgressSink", "Tracer",

@@ -354,8 +354,8 @@ class TraceAnalysis:
         """Machine-readable run summary with a stable schema.
 
         The JSON twin of :meth:`format_summary`, consumed by
-        ``analyze-trace --format json``, the HTML run report, and any
-        downstream tooling that would otherwise scrape the text report.
+        ``analyze-trace --format json`` and any downstream tooling that
+        would otherwise scrape the text report.
         Keys are append-only: fields are never renamed or removed, only
         added (readers must tolerate unknown keys, matching the
         forward-compatibility contract of

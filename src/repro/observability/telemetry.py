@@ -2,9 +2,9 @@
 
 This module is the quantitative sibling of :mod:`repro.observability.tracer`:
 where the trace records *what happened* (typed spans and events), the
-telemetry view says *how much of everything there was and when* —
-shuffle bytes per round, reducer load, checkpoint volume, node liveness —
-as named metric series that can be charted, diffed, and exported.
+telemetry view says *how much of everything there was* — shuffle bytes
+per round, reducer load, checkpoint volume, node liveness — as named
+metric series that can be diffed and exported.
 
 Two pieces:
 
@@ -15,11 +15,10 @@ Two pieces:
 * :class:`Telemetry` — a trace sink: ``write(record)`` folds ``run`` /
   ``job`` / ``phase`` / ``attempt`` spans and ``shuffle`` / ``node_lost``
   / ``checkpoint_write`` / ``round_resume`` / ``sketch`` / alert events
-  into the registry and into a timeline of ``(series, t, value, labels)``
-  samples on the trace's simulated clock.  The same code runs live on a
-  tracer and offline over a trace file (``python -m repro
-  metrics-export TRACE`` is :func:`~repro.observability.tracer.replay`
-  into a fresh :class:`Telemetry`).
+  into the registry.  The same code runs live on a tracer and offline
+  over a trace file (``python -m repro metrics-export TRACE`` is
+  :func:`~repro.observability.tracer.replay` into a fresh
+  :class:`Telemetry`).
 
 The exposition is valid by construction: metric names are checked when
 an instrument is registered, label values are escaped, and histogram
@@ -27,7 +26,7 @@ buckets are rendered cumulatively with ``+Inf`` equal to ``_count``.
 
 **Determinism.**  Every series is a pure function of the trace records,
 and trace files are byte-identical between serial and parallel backends,
-so the registry and the samples are too.  Host facts (RSS, wall seconds,
+so the registry and its exposition are too.  Host facts (RSS, wall seconds,
 executor shape) are deliberately absent: simulated and host seconds are
 never mixed in one artifact — ``benchmarks/suite`` is the host ledger.
 """
@@ -187,19 +186,6 @@ class Histogram:
     def sum(self, labels: Optional[Dict[str, str]] = None) -> float:
         return self._sums.get(_labels_key(labels), 0.0)
 
-    def cumulative_counts(
-        self, labels: Optional[Dict[str, str]] = None
-    ) -> List[int]:
-        """Cumulative per-bucket counts including the ``+Inf`` bucket."""
-        counts = self._counts.get(_labels_key(labels))
-        if counts is None:
-            return [0] * (len(self.buckets) + 1)
-        out, running = [], 0
-        for c in counts:
-            running += c
-            out.append(running)
-        return out
-
     def series(self) -> List[Dict]:
         return [
             {
@@ -284,29 +270,19 @@ class MetricsRegistry:
 
 
 class Telemetry:
-    """A trace sink building the metrics registry and its sample timeline.
+    """A trace sink building the metrics registry.
 
     Per-job facts arrive in several records (the map ``phase`` span, the
     ``shuffle`` event, the winning reduce ``attempt`` spans, ...); they
     are held until the job's ``job`` span closes the round, then counted
-    once.  ``samples`` is the timeline: one dict per point with
-    ``series`` / ``t`` / ``value`` and optional string ``labels``.
+    once.
     """
 
     def __init__(self):
         self.registry = MetricsRegistry()
-        self.samples: List[Dict] = []
         self._phase_seconds: Dict[str, float] = {}
         self._reduce_loads: Dict[int, int] = {}
         self._sketch_bytes: Optional[int] = None
-
-    def sample(self, series: str, value: float, at: float,
-               labels: Optional[Dict[str, str]] = None) -> None:
-        """Record one timeline point for ``series`` at simulated ``at``."""
-        record = {"series": series, "t": round(at, 9), "value": value}
-        if labels:
-            record["labels"] = {str(k): str(v) for k, v in labels.items()}
-        self.samples.append(record)
 
     def prometheus_text(self) -> str:
         return self.registry.prometheus_text()
@@ -314,7 +290,7 @@ class Telemetry:
     # -- the derivation ------------------------------------------------
 
     def write(self, record: Dict) -> None:
-        """Fold one trace record into the registry and the timeline."""
+        """Fold one trace record into the registry."""
         handler = getattr(self, "_on_" + str(record.get("kind")), None)
         if handler is not None:
             handler(record)
@@ -325,16 +301,12 @@ class Telemetry:
             ).inc(labels={"kind": record["kind"]})
 
     def _on_phase(self, span: Dict) -> None:
-        seconds = span["counters"].get("seconds", span["t1"] - span["t0"])
-        self._phase_seconds[span["phase"]] = seconds
-        self.sample("phase_seconds", seconds, span["t1"],
-                    {"job": span["job"], "phase": span["phase"]})
+        self._phase_seconds[span["phase"]] = span["counters"].get(
+            "seconds", span["t1"] - span["t0"]
+        )
 
     def _on_shuffle(self, event: Dict) -> None:
-        seconds = event["fields"].get("seconds", 0.0)
-        self._phase_seconds["shuffle"] = seconds
-        self.sample("phase_seconds", seconds, event["at"] + seconds,
-                    {"job": event.get("job"), "phase": "shuffle"})
+        self._phase_seconds["shuffle"] = event["fields"].get("seconds", 0.0)
 
     def _on_attempt(self, span: Dict) -> None:
         if span["phase"] == "reduce" and span["status"] != "killed":
@@ -343,19 +315,17 @@ class Telemetry:
             )
 
     def _on_job(self, span: Dict) -> None:
-        name, counters, registry = span["name"], span["counters"], self.registry
-        labels = {"job": name}
+        counters, registry = span["counters"], self.registry
+        labels = {"job": span["name"]}
         registry.counter(
             "repro_jobs_total", "MapReduce rounds executed"
         ).inc(labels=labels)
-        shuffle_bytes = counters.get("map_output_bytes", 0)
-        shuffle_records = counters.get("map_output_records", 0)
         registry.counter(
             "repro_shuffle_bytes_total", "Bytes shuffled from map to reduce"
-        ).inc(shuffle_bytes, labels=labels)
+        ).inc(counters.get("map_output_bytes", 0), labels=labels)
         registry.counter(
             "repro_shuffle_records_total", "Pairs shuffled from map to reduce"
-        ).inc(shuffle_records, labels=labels)
+        ).inc(counters.get("map_output_records", 0), labels=labels)
         registry.counter(
             "repro_task_attempts_total", "Task attempts including retries"
         ).inc(counters.get("attempts", 0), labels=labels)
@@ -372,31 +342,24 @@ class Telemetry:
             phase_hist.observe(
                 self._phase_seconds.get(phase, 0.0), labels={"phase": phase}
             )
-        t_map = span["t0"] + self._phase_seconds.get("map", 0.0)
-        self.sample("shuffle_bytes", shuffle_bytes, t_map, labels)
-        self.sample("shuffle_records", shuffle_records, t_map, labels)
         if self._reduce_loads:
             reduce_hist = registry.histogram(
                 "repro_reduce_task_records", "Input records per reduce task"
             )
-            for task, records in sorted(self._reduce_loads.items()):
+            for _task, records in sorted(self._reduce_loads.items()):
                 reduce_hist.observe(records, labels=labels)
-                self.sample("reducer_records", records, span["t1"],
-                            {"job": name, "task": task})
         self._phase_seconds, self._reduce_loads = {}, {}
 
     def _on_node_lost(self, event: Dict) -> None:
-        node = event["fields"].get("node")
         self.registry.counter(
             "repro_nodes_lost_total", "Failure domains lost to node kills"
         ).inc()
-        self._node_up(node, 0, event["at"])
+        self._node_up(event["fields"].get("node"), 0)
 
-    def _node_up(self, node, up: int, at: float) -> None:
+    def _node_up(self, node, up: int) -> None:
         self.registry.gauge(
             "repro_node_up", "Node liveness (1 = serving, 0 = dead)"
         ).set(up, labels={"node": node})
-        self.sample("node_up", up, at, {"node": node})
 
     def _on_round_resume(self, event: Dict) -> None:
         self.registry.counter(
@@ -405,47 +368,35 @@ class Telemetry:
         ).inc()
         for node in event["fields"].get("replaced_nodes", ()):
             # The dead domain is re-provisioned for the rerun.
-            self._node_up(node, 1, event["at"])
+            self._node_up(node, 1)
 
     def _on_checkpoint_write(self, event: Dict) -> None:
-        fields = event["fields"]
         self.registry.counter(
             "repro_checkpoint_writes_total", "Rounds checkpointed to the DFS"
         ).inc()
         self.registry.counter(
             "repro_checkpoint_bytes_total",
             "Reduce-output bytes persisted as checkpoints",
-        ).inc(fields.get("bytes", 0))
-        self.sample("checkpoint_bytes", fields.get("bytes", 0), event["at"],
-                    {"round": fields.get("round")})
+        ).inc(event["fields"].get("bytes", 0))
 
     def _on_sketch(self, event: Dict) -> None:
         self._sketch_bytes = event["fields"].get("bytes")
 
     def _on_run(self, span: Dict) -> None:
-        counters, at = span["counters"], span["t1"]
+        counters = span["counters"]
         labels = {"run": span["name"]}
         self.registry.counter(
             "repro_runs_total", "Cube algorithm executions"
         ).inc(labels=labels)
-        groups = counters.get("output_groups", 0)
         self.registry.gauge(
             "repro_cube_groups", "Output cube groups of the last execution"
-        ).set(groups, labels=labels)
-        self.sample("cube_groups", groups, at, labels)
+        ).set(counters.get("output_groups", 0), labels=labels)
         if self._sketch_bytes is not None:
             self.registry.gauge(
                 "repro_sketch_bytes", "Serialized SP-Sketch size"
             ).set(self._sketch_bytes, labels=labels)
-            self.sample("sketch_bytes", self._sketch_bytes, at, labels)
             self._sketch_bytes = None
         if "dfs_files" in counters:
-            self.sample("dfs_writes", counters["dfs_writes"], at, labels)
-            self.sample("dfs_records_written",
-                        counters["dfs_records_written"], at, labels)
-            if counters["dfs_read_retries"]:
-                self.sample("dfs_read_retries",
-                            counters["dfs_read_retries"], at, labels)
             self.registry.gauge(
                 "repro_dfs_files", "Files in the simulated DFS"
             ).set(counters["dfs_files"], labels=labels)

@@ -11,8 +11,6 @@ from repro.analysis import (
     paper_cluster,
     run_algorithms,
     run_sweep,
-    speedup_summary,
-    subsample_sweep,
 )
 from repro.baselines import NaiveCube
 from repro.core import SPCube
@@ -176,11 +174,6 @@ class TestReports:
         text = format_panel(sweep, "total_seconds", "t", "s")
         assert "FAIL(OOM)" in text
 
-    def test_speedup_summary(self, sweep):
-        summary = speedup_summary(sweep, ["Naive"], "SP-Cube")
-        assert set(summary) == {"Naive"}
-        assert summary["Naive"] > 0
-
 
 class TestHelpers:
     def test_paper_cluster_memory_calibration(self):
@@ -190,12 +183,6 @@ class TestHelpers:
 
     def test_paper_cluster_floor(self):
         assert paper_cluster(10).memory_records == 16
-
-    def test_subsample_sweep(self):
-        rel = make_random_relation(300, seed=7)
-        points = subsample_sweep(rel, [50, 100], seed=1)
-        assert [x for x, _r in points] == [50.0, 100.0]
-        assert [len(r) for _x, r in points] == [50, 100]
 
 
 class TestPerPointFaultSeeds:

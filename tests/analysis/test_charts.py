@@ -63,65 +63,3 @@ class TestAsciiChart:
             [("total_seconds", "time"), ("map_output_mb", "traffic")],
         )
         assert "time" in text and "traffic" in text
-
-
-class TestSvgCharts:
-    """Inline-SVG chart helpers for the HTML run report."""
-
-    def test_line_chart_renders_series_and_legend(self):
-        from repro.analysis import svg_line_chart
-
-        svg = svg_line_chart(
-            {"sp-cube": [(0.0, 1.0), (1.0, 4.0)],
-             "hive": [(0.0, 2.0), (1.0, 3.0)]},
-            "phase seconds",
-        )
-        assert svg.startswith("<svg")
-        assert svg.endswith("</svg>")
-        assert "phase seconds" in svg
-        assert "sp-cube" in svg and "hive" in svg
-        assert svg.count("<polyline") == 2
-
-    def test_line_chart_empty_shows_no_data(self):
-        from repro.analysis import svg_line_chart
-
-        assert "(no data)" in svg_line_chart({}, "empty")
-
-    def test_line_chart_escapes_labels(self):
-        from repro.analysis import svg_line_chart
-
-        svg = svg_line_chart({"<evil>": [(0, 1)]}, "a & b")
-        assert "<evil>" not in svg
-        assert "&lt;evil&gt;" in svg
-        assert "a &amp; b" in svg
-
-    def test_bar_chart_draws_one_rect_per_value(self):
-        from repro.analysis import svg_bar_chart
-
-        svg = svg_bar_chart(["r0", "r1", "r2"], [5, 9, 2], "loads",
-                            highlight=5.33)
-        bars = [part for part in svg.split("<rect") if 'fill="#' in part]
-        assert len(bars) >= 3
-        assert "mean 5.33" in svg
-
-    def test_bar_chart_single_point_does_not_divide_by_zero(self):
-        from repro.analysis import svg_bar_chart
-
-        svg = svg_bar_chart(["only"], [7.0], "one bar")
-        assert "<svg" in svg
-
-    def test_span_timeline_rows_and_tooltips(self):
-        from repro.analysis import svg_span_timeline
-
-        svg = svg_span_timeline(
-            [{"label": "sp-sketch", "t0": 0.0, "t1": 4.0},
-             {"label": "sp-cube", "t0": 4.0, "t1": 20.0}],
-            "jobs",
-        )
-        assert "sp-sketch" in svg and "sp-cube" in svg
-        assert "<title>sp-cube: 4.0s" in svg
-
-    def test_span_timeline_empty(self):
-        from repro.analysis import svg_span_timeline
-
-        assert "(no spans)" in svg_span_timeline([], "empty")

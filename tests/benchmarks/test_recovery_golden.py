@@ -3,16 +3,19 @@
 CI runs ``benchmarks/test_recovery_cost.py`` and then
 ``git diff --exit-code BENCH_recovery.json``.  That only works while the
 committed file is the bench's own output shape and the sweeps are pure
-functions of (code, rows, seed); both are pinned here at tier-1 cost.
+functions of (code, rows, seed); both are pinned here at tier-1 cost, as
+is EXPERIMENTS.md's copy of the file's two tables.
 """
 
 import importlib.util
 import json
 import pathlib
+import re
 import sys
 
 import pytest
 
+from repro.analysis import format_recovery_tables
 from repro.datagen import gen_zipf
 
 _ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -57,3 +60,18 @@ def test_sweeps_are_pure_functions_of_their_input(bench):
     nodes = bench.node_sweep(relation)
     assert nodes == bench.node_sweep(relation)
     assert any(row["nodes_lost"] for row in nodes)
+
+
+def test_experiments_tables_are_the_rendered_golden_file():
+    golden = json.loads((_ROOT / "BENCH_recovery.json").read_text())
+    experiments = (_ROOT / "EXPERIMENTS.md").read_text()
+    tables = format_recovery_tables(golden)
+    assert sorted(tables) == ["node_points", "points"]
+    for key, table in tables.items():
+        block = re.search(
+            rf"<!-- BEGIN recovery {key} -->\n```text\n(.*?)\n```\n"
+            rf"<!-- END recovery {key} -->",
+            experiments, re.S,
+        )
+        assert block is not None, key
+        assert block.group(1) == table, key

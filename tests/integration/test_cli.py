@@ -247,7 +247,15 @@ class TestDoctor:
             "binomial(p=0.4)", "zipf(s=1.3)"
         ]
         with open(md_out) as handle:
-            assert "Cube doctor report" in handle.read()
+            markdown = handle.read()
+        assert "Cube doctor report" in markdown
+        # The run report's doctor section is the same text, byte for byte.
+        report_out = str(tmp_path / "report.md")
+        assert main(["report", "--doctor-json", json_out,
+                     "-o", report_out]) == 0
+        with open(report_out) as handle:
+            assert f"\n## Doctor audit\n\n{markdown}\n## Bench: suite\n" \
+                in handle.read()
 
     def test_doctor_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
@@ -315,20 +323,31 @@ class TestTelemetryCommands:
 
     def test_report_stitches_everything(self, tmp_path, capsys):
         _data, trace = self.make_artifacts(tmp_path)
-        out = str(tmp_path / "report.html")
+        out = str(tmp_path / "report.md")
         assert main(["report", "--trace", trace, "-o", out]) == 0
-        html = open(out).read()
-        assert html.startswith("<!DOCTYPE html>")
-        assert "<svg" in html
-        assert "per-reducer delivered records" in html
-        assert "logical seconds per phase" in html  # the Telemetry section
-        assert "<script" not in html  # self-contained, no JS
+        report = open(out).read()
+        assert report.startswith("# repro run report\n")
+        assert "per-reducer records, job 'sp-cube'" in report  # Trace
+        assert "# TYPE repro_jobs_total counter" in report  # Telemetry
+        assert "<svg" not in report and "<html" not in report
         # Sections without inputs say so instead of vanishing.
-        assert "not provided" in html
+        assert "(doctor report not provided)" in report
 
     def test_report_without_inputs_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="at least one input"):
-            main(["report", "-o", str(tmp_path / "r.html")])
+            main(["report", "-o", str(tmp_path / "r.md")])
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--doctor-json", "[1]"),
+        ("--recovery-json", '{"points": [1]}'),
+    ])
+    def test_report_on_a_foreign_json_exits_cleanly(self, tmp_path, flag,
+                                                    text):
+        path = tmp_path / "foreign.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit, match="^repro: error: "):
+            main(["report", flag, str(path), "-o", str(tmp_path / "r.md")])
+        assert not (tmp_path / "r.md").exists()
 
 
 class TestLineageCommands:
@@ -433,13 +452,13 @@ class TestLineageCommands:
 
     def test_report_with_only_lineage(self, tmp_path, capsys):
         _data, lineage = self.adversarial_artifact(tmp_path)
-        out = str(tmp_path / "report.html")
+        out = str(tmp_path / "report.md")
         assert main(["report", "--trace", lineage, "-o", out]) == 0
-        html = open(out).read()
-        assert "Lineage &amp; alerts" in html
-        assert "skew_alert" in html
+        report = open(out).read()
+        assert "\n## Lineage & alerts\n\n## Reducer 0 of `sp-cube`" in report
+        assert "skew_alert" in report
         # Every other section degrades to its placeholder.
-        assert "not provided" in html
+        assert "(BENCH_recovery.json not provided)" in report
 
 
 class TestTruncatedTrace:
@@ -511,7 +530,7 @@ class TestDamagedArtifact:
         "metrics-export": ["metrics-export", "{path}"],
         "explain-reducer": ["explain-reducer", "{path}"],
         "explain-group": ["explain-group", "{path}", "--cuboid", "1"],
-        "report": ["report", "--trace", "{path}", "-o", "{path}.html"],
+        "report": ["report", "--trace", "{path}", "-o", "{path}.md"],
     }
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -530,7 +549,7 @@ class TestDamagedArtifact:
             assert re.search(reason, message), (damage, message)
             assert "\n" not in message, damage
             assert capsys.readouterr().out == "", damage
-            assert not (tmp_path / "bad.jsonl.html").exists(), damage
+            assert not (tmp_path / "bad.jsonl.md").exists(), damage
 
 
 class TestMetricsServe:

@@ -23,7 +23,6 @@ DENY = (
     "concurrent.futures.process",
     "repro.baselines",
     "repro.analysis.charts",
-    "repro.analysis.htmlreport",
     "repro.observability.diagnostics",
     "repro.observability.analyze",
     "repro.observability.telemetry",
@@ -84,6 +83,22 @@ class TestImportBudget:
     )
     def test_loads_nothing_on_the_deny_list(self, code, also):
         assert denied_after(code, also) == []
+
+    def test_suite_report_loads_no_chart_or_trace_reader(self, tmp_path):
+        """The suite section renders with the markdown table helper
+        alone: no chart, no trace reader, no doctor."""
+        perf = tmp_path / "suite.jsonl"
+        perf.write_text(json.dumps({
+            "workload": "build-dense", "failed": 0, "attempted": 1,
+            "metrics": {"build_wall_s": {"value": 0.7, "unit": "s"}},
+        }) + "\n")
+        out = tmp_path / "report.md"
+        assert denied_after(
+            "from repro.cli import main\n"
+            f"assert main(['report', '--perf-json', {str(perf)!r}, "
+            f"'-o', {str(out)!r}]) == 0"
+        ) == []
+        assert "1 suite run(s)" in out.read_text()
 
     def test_parsing_argv_loads_no_engine_layer(self):
         modules = child(

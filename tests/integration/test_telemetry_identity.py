@@ -20,7 +20,8 @@ from ..observability.spine import ENGINES, simulation, spine_run, untraced_run
 def test_telemetry_does_not_change_serial_runs(engine_name):
     traced = spine_run(engine_name)
     assert simulation(traced.run) == simulation(untraced_run(engine_name))
-    assert traced.live.telemetry.samples  # the derivation actually ran
+    # The derivation actually ran.
+    assert traced.live.telemetry.registry.get("repro_jobs_total").series()
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
@@ -35,16 +36,15 @@ def test_telemetry_does_not_change_parallel_runs(engine_name):
 def test_sim_samples_identical_serial_vs_parallel(engine_name):
     serial = spine_run(engine_name).live.telemetry
     parallel = spine_run(engine_name, parallelism=2).live.telemetry
-    assert parallel.samples == serial.samples
-    assert parallel.prometheus_text() == serial.prometheus_text()
+    assert parallel.prometheus_text() == serial.prometheus_text() != ""
 
 
 def test_sim_samples_identical_under_faults():
-    """Crash-retry chains and a resumed round land on the clock too."""
+    """Crash-retry chains and a resumed round count the same too."""
     for faults in ("task-faults", "node-loss"):
         serial = spine_run("spcube", faults).live.telemetry
         parallel = spine_run("spcube", faults, parallelism=2).live.telemetry
-        assert parallel.samples == serial.samples
+        assert parallel.prometheus_text() == serial.prometheus_text() != ""
 
 
 def test_telemetry_off_by_default():

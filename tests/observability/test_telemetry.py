@@ -70,8 +70,10 @@ class TestHistogram:
             hist.observe(value)
         assert hist.count() == 3
         assert hist.sum() == 55.5
-        # Cumulative: le=1 -> 1, le=10 -> 2, +Inf -> 3.
-        assert hist.cumulative_counts() == [1, 2, 3]
+        # One count per bucket, the overflow last.
+        assert hist.series() == [
+            {"labels": {}, "counts": [1, 1, 1], "sum": 55.5, "count": 3}
+        ]
 
     def test_buckets_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -105,21 +107,6 @@ class TestMetricsRegistry:
         registry.counter("repro_x_total", "x")
         with pytest.raises(ValueError, match="registered"):
             registry.gauge("repro_x_total", "x")
-
-
-class TestTelemetrySampling:
-    def test_samples_record_series_value_time_source(self):
-        """Samples carry series, value, the record's simulated time and
-        stringified labels — and nothing about the host."""
-        telemetry = Telemetry()
-        telemetry.sample("shuffle_bytes", 100, 0.0, labels={"job": "j"})
-        telemetry.sample("shuffle_bytes", 200, 5.0, labels={"job": 7})
-        assert telemetry.samples == [
-            {"series": "shuffle_bytes", "t": 0.0, "value": 100,
-             "labels": {"job": "j"}},
-            {"series": "shuffle_bytes", "t": 5.0, "value": 200,
-             "labels": {"job": "7"}},
-        ]
 
 
 def job_stream(name="j", t0=0.0):
@@ -163,10 +150,8 @@ class TestDerivation:
         # Winning attempts only: the killed 99-record attempt is not a load.
         loads = registry.get("repro_reduce_task_records")
         assert (loads.count(labels), loads.sum(labels)) == (2, 100.0)
-        times = {(s["series"], s.get("labels", {}).get("phase")): s["t"]
-                 for s in telemetry.samples}
-        assert times["phase_seconds", "shuffle"] == 2.5
-        assert times["shuffle_bytes", None] == 2.0
+        assert registry.get("repro_shuffle_records_total").value(labels) \
+            == 100
 
     def test_per_job_state_does_not_leak_into_the_next_job(self):
         aborted_in_map = [job_stream("a")[0], job_span("a", 0.0, 2.0, "aborted")]
@@ -185,8 +170,9 @@ class TestDerivation:
         assert registry.get("repro_checkpoint_bytes_total").value() == 640
         assert registry.get("repro_watchdog_alerts_total").value(
             {"kind": "skew_alert"}) == 1
-        assert [(s["t"], s["value"]) for s in telemetry.samples
-                if s["series"] == "node_up"] == [(1.0, 0), (3.0, 1)]
+        # Lost at t=1, re-provisioned by the resume at t=3.
+        lost_only = replay(FAILURE_DOMAIN_EVENTS[:1], Telemetry()).registry
+        assert lost_only.get("repro_node_up").value({"node": 2}) == 0
 
 
 class TestEmitRunTelemetry:
@@ -202,14 +188,26 @@ class TestEmitRunTelemetry:
             [event("sketch", "sp-sketch", at=1.0, bytes=512), run],
             Telemetry(),
         )
-        names = {r["series"] for r in telemetry.samples}
-        assert {"cube_groups", "sketch_bytes", "dfs_writes"} <= names
-        assert "dfs_read_retries" not in names
         registry, labels = telemetry.registry, {"run": "X"}
+        assert registry.names() == [
+            "repro_cube_groups", "repro_dfs_files", "repro_runs_total",
+            "repro_sketch_bytes",
+        ]
         assert registry.get("repro_runs_total").value(labels) == 1
         assert registry.get("repro_cube_groups").value(labels) == 42
         assert registry.get("repro_sketch_bytes").value(labels) == 512
         assert registry.get("repro_dfs_files").value(labels) == 2
+
+
+class TestRegistryRebuild:
+    def test_exposition_matches_live_registry(self):
+        """A registry rebuilt by replaying the records a live collector
+        saw renders the same exposition."""
+        live = Telemetry()
+        for record in FAILURE_DOMAIN_EVENTS:
+            live.write(record)
+        rebuilt = replay(FAILURE_DOMAIN_EVENTS, Telemetry())
+        assert rebuilt.prometheus_text() == live.prometheus_text() != ""
 
 
 class TestExposition:
