@@ -126,8 +126,13 @@ def execute_query(view: StoredCubeView, spec: Dict) -> object:
             f"unknown op {op!r}; supported: {', '.join(WIRE_OPS)}"
         )
     try:
-        if op == "rollup":
+        if op in ("rollup", "top"):
             dims = spec.get("dimensions", [])
+            if type(dims) is not list or not all(type(d) is str for d in dims):
+                raise QueryError(
+                    f"{op}'s 'dimensions' must be an array of names"
+                )
+        if op == "rollup":
             return _jsonable_groups(view.rollup(*dims))
         if op == "total":
             return view.total()
@@ -145,9 +150,8 @@ def execute_query(view: StoredCubeView, spec: Dict) -> object:
                 )
             return _jsonable_groups(view.drilldown(group, into))
         if op == "top":
-            dims = spec.get("dimensions", [])
             k = spec.get("k", 10)
-            if not isinstance(k, int):
+            if type(k) is not int:  # not a bool either
                 raise QueryError("top's 'k' must be an integer")
             return [
                 [list(values), value] for values, value in view.top(dims, k)

@@ -48,7 +48,8 @@ keeps hot segments as loaded — code columns, not decoded groups — and
 rows that match.  Corruption anywhere — bad magic, truncated footer, a
 flipped byte in a segment, code rows out of order — fails with a one-line,
 offset-numbered :class:`StoreError` instead of silently serving wrong
-aggregates.  :meth:`CubeStore.write` publishes atomically: the bytes go
+aggregates; a reload skips only the row checks its exact bytes passed
+before.  :meth:`CubeStore.write` publishes atomically: the bytes go
 to a sibling temp file, are fsynced, and replace ``path`` in one rename,
 so a failed or interrupted write leaves the previous store (or nothing).
 """
@@ -336,8 +337,10 @@ class _Segment(NamedTuple):
         """The ``(values, aggregate)`` rows whose value at every
         ``(position, value)`` of ``fixed`` equals (``==``) the given one,
         in row order.  Each value becomes its dictionary codes (none: no
-        row); a fixed leading column is bisected, any other compared in
-        C, and only the surviving rows are decoded."""
+        row); a fixed leading column is bisected, the first other one
+        scanned with ``bytes.translate`` when its codes are one byte
+        each, any other compared in C, and only the surviving rows are
+        decoded."""
         rows: Sequence[int] = range(len(self.aggregates))
         for position, value in sorted(fixed, key=itemgetter(0)):
             column, _, index = self.columns[position]
@@ -348,10 +351,34 @@ class _Segment(NamedTuple):
                     for c in codes
                 )
                 rows = list(chain.from_iterable(spans))
+            elif type(rows) is range and column.itemsize == 1:
+                table = bytearray(256)  # code -> 1 if it is the value's
+                for code in codes:
+                    if code < 256:  # a wider code cannot be in the column
+                        table[code] = 1
+                rows = list(compress(rows, column.tobytes().translate(table)))
             else:
                 cells = column if type(rows) is range else map(column.__getitem__, rows)
                 rows = list(compress(rows, map(codes.__contains__, cells)))
         return list(self.pairs(rows))
+
+
+def _check_rows(segment: _Segment, count: int, where: str) -> None:
+    """The checks of a decoded segment's rows as a whole."""
+    # Strictly ascending code rows: what the writer emits, what licenses
+    # the bisect, and proof that no group repeats.
+    coded = [codes for codes, _, _ in segment.columns]
+    later = zip(*(islice(codes, 1, None) for codes in coded))
+    if not (all(map(lt, zip(*coded), later)) if coded else count <= 1):
+        raise StoreError(f"{where}: code rows are not strictly ascending")
+    # Look-alike values are equal under distinct codes: only with them
+    # can distinct code rows still repeat a group, so count the groups.
+    if any(len(index) < len(values) for _, values, index in segment.columns):
+        groups = len(dict(segment.pairs()))
+        if groups != count:
+            raise StoreError(
+                f"{where}: {groups} groups, footer promised {count}"
+            )
 
 
 class CubeStore:
@@ -394,6 +421,14 @@ class CubeStore:
         self._dictionaries: Dict[int, Tuple[Sequence, Dict]] = {}
         self._cache: "OrderedDict[int, _Segment]" = OrderedDict()
         self._cache_size = max(1, segment_cache_size)
+        # Only :meth:`open` constructs a store: a build process never
+        # loads ``hashlib`` (~3 MB of RSS).
+        import hashlib
+
+        self._blake2b = hashlib.blake2b
+        #: ``mask -> BLAKE2b-128`` of the segment bytes that passed the
+        #: row checks.
+        self._verified: Dict[int, bytes] = {}
         self._lock = threading.RLock()
 
     # -- writing -------------------------------------------------------------
@@ -731,21 +766,14 @@ class CubeStore:
         aggregates, pos = _unpack(raw, pos, count, where)
         if pos != len(raw):
             raise StoreError(f"{where}: {len(raw) - pos} trailing bytes")
-        # Strictly ascending code rows: what the writer emits, what
-        # licenses the bisect, and proof that no group repeats.
-        coded = [codes for codes, _, _ in columns]
-        later = zip(*(islice(codes, 1, None) for codes in coded))
-        if not (all(map(lt, zip(*coded), later)) if coded else count <= 1):
-            raise StoreError(f"{where}: code rows are not strictly ascending")
         segment = _Segment(columns, aggregates)
-        # Look-alike values are equal under distinct codes: only with them
-        # can distinct code rows still repeat a group, so count the groups.
-        if any(len(index) < len(values) for _, values, index in columns):
-            groups = len(dict(segment.pairs()))
-            if groups != count:
-                raise StoreError(
-                    f"{where}: {groups} groups, footer promised {count}"
-                )
+        # The row checks are Python loops over every row; the same bytes
+        # over the same dictionaries pass them again, so a reload of
+        # bytes that already passed skips them.
+        digest = self._blake2b(raw, digest_size=16).digest()
+        if self._verified.get(mask) != digest:
+            _check_rows(segment, count, where)
+            self._verified[mask] = digest
         return segment
 
     def to_cube(self) -> CubeResult:

@@ -119,6 +119,20 @@ class TestImportBudget:
         )
         assert [m for m in denied if not m.startswith("repro.")] == []
 
+    def test_compute_and_store_write_load_no_hashlib(self, tmp_path):
+        """Only ``CubeStore.open`` needs ``hashlib`` (the verified-bytes
+        digests); a build that loaded it would pay ~3 MB of peak RSS."""
+        path = str(tmp_path / "cube.store")
+        denied = denied_after(
+            "from repro import ClusterConfig, SPCube, gen_binomial\n"
+            "from repro.serving import CubeStore\n"
+            "run = SPCube(ClusterConfig(num_machines=3)).compute(\n"
+            "    gen_binomial(200, 0.3, seed=1))\n"
+            f"assert CubeStore.write(run.cube, {path!r}, aggregate='count')",
+            ("hashlib", "_hashlib"),
+        )
+        assert [m for m in denied if not m.startswith("repro.")] == []
+
     def test_parallel_compute_loads_no_process_pool(self):
         denied = denied_after(
             "from repro import ClusterConfig, SPCube, gen_binomial\n"

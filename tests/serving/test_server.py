@@ -90,6 +90,28 @@ class TestWireProtocol:
         assert "unknown dimension" in body["error"]
 
     @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"op": "rollup", "dimensions": "a1a2"}, "dimensions"),
+            ({"op": "rollup", "dimensions": {"a1": 1}}, "dimensions"),
+            ({"op": "rollup", "dimensions": ["a1", 2]}, "dimensions"),
+            ({"op": "top", "dimensions": "a1", "k": 2}, "dimensions"),
+            ({"op": "top", "dimensions": ["a1"], "k": True}, "k"),
+            ({"op": "top", "dimensions": ["a1"], "k": 2.0}, "k"),
+        ],
+        ids=[
+            "rollup-string", "rollup-object", "rollup-number-name",
+            "top-string", "top-k-bool", "top-k-float",
+        ],
+    )
+    def test_wrong_typed_field_is_400_not_retriable(self, server, spec, field):
+        # A string or an object unpacks into names, and True is an int:
+        # each would otherwise be answered as some other query.
+        status, body = _request(server.port, "/query", spec)
+        assert status == 400 and body["retriable"] is False
+        assert f"'{field}' must be" in body["error"]
+
+    @pytest.mark.parametrize(
         "spec",
         [
             {"op": "slice", "fixed": {"a1": [1]}},

@@ -17,6 +17,7 @@ from repro.cubing import CubeResult, sequential_cube
 from repro.cubing.result import matching_rows
 from repro.relation import Relation, Schema, mask_dimensions, mask_size
 from repro.serving import CubeStore, StoreError
+from repro.serving import store as store_module
 from repro.serving.store import _codes_in_range
 
 SCHEMA = Schema(["a", "b"], "m")
@@ -394,3 +395,150 @@ def test_codes_in_range_is_the_min_max_check(column):
     codes, n = column
     expected = not codes or 0 <= min(codes) <= max(codes) < n
     assert _codes_in_range(codes, n) is expected
+
+
+# -- the verified-bytes memo --------------------------------------------------
+
+
+@pytest.fixture
+def typed_store(tmp_path):
+    rows, aggregate = FUZZ_CUBES["typed"]
+    cube = sequential_cube(Relation(SCHEMA, rows), get_aggregate(aggregate))
+    path = tmp_path / "cube.store"
+    CubeStore.write(cube, str(path), aggregate=aggregate)
+    return cube, path
+
+
+def crc_forged(data, at, crc):
+    """``data`` with its four bytes at ``at`` changed so that its CRC-32
+    is ``crc``: CRC-32 is affine over GF(2), so the change solves 32
+    linear equations in those 32 bits."""
+    zero = zlib.crc32(bytes(len(data)))
+    basis = []  # (image, bits), distinct top bits of image, descending
+    for bit in range(32):
+        flip = bytearray(len(data))
+        flip[at + bit // 8] = 1 << bit % 8
+        image, bits = zlib.crc32(flip) ^ zero, 1 << bit
+        for vector, combination in basis:
+            if image ^ vector < image:
+                image, bits = image ^ vector, bits ^ combination
+        if image:
+            basis = sorted(basis + [(image, bits)], reverse=True)
+    target, bits = zlib.crc32(data) ^ crc, 0
+    for vector, combination in basis:
+        if target ^ vector < target:
+            target, bits = target ^ vector, bits ^ combination
+    assert target == 0
+    forged = bytearray(data)
+    forged[at : at + 4] = bytes(
+        a ^ b for a, b in zip(forged[at : at + 4], bits.to_bytes(4, "little"))
+    )
+    return bytes(forged)
+
+
+def test_tampered_reload_runs_the_row_checks_again(typed_store):
+    # The bytes change after a first load passed, yet keep their CRC:
+    # the two leading code rows swap, and the first aggregate's low four
+    # bytes absorb the difference.  Only a memo keyed by the bytes
+    # themselves (not by mask, not by CRC) runs the row checks again.
+    _, path = typed_store
+    with CubeStore.open(str(path), segment_cache_size=1) as store:
+        store.cuboid(0b11)
+        store.cuboid(0b01)  # evicts 0b11
+        entry = store._index[0b11]
+        start, stop = entry["offset"], entry["offset"] + entry["length"]
+        segment, pos = bytearray(path.read_bytes()[start:stop]), 0
+        for _ in range(2):  # swap the first two rows of both code columns
+            _, size, length = COLUMN_PREFIX.unpack_from(segment, pos)
+            pos += COLUMN_PREFIX.size
+            first, second = slice(pos, pos + size), slice(pos + size, pos + 2 * size)
+            segment[first], segment[second] = segment[second], segment[first]
+            pos += length
+        assert COLUMN_PREFIX.unpack_from(segment, pos)[:2] == (b"f", 8)
+        tampered = crc_forged(segment, pos + COLUMN_PREFIX.size, entry["crc32"])
+        assert zlib.crc32(tampered) == entry["crc32"]
+        with open(path, "r+b") as handle:
+            handle.seek(start)
+            handle.write(tampered)
+        # A buffered reader may still hold the old bytes: read afresh.
+        store._handle.close()
+        store._handle = open(path, "rb")
+        with pytest.raises(StoreError, match="not strictly ascending"):
+            store.cuboid(0b11)
+
+
+def test_unchanged_reload_skips_the_row_checks(typed_store, monkeypatch):
+    cube, path = typed_store
+    checked = []
+    check = store_module._check_rows
+
+    def counting(segment, count, where):
+        checked.append(where)
+        return check(segment, count, where)
+
+    monkeypatch.setattr(store_module, "_check_rows", counting)
+    with CubeStore.open(str(path), segment_cache_size=1) as store:
+        for _ in range(5):
+            for mask in store.masks:
+                assert store.cuboid(mask) == cube.cuboid(mask)
+        assert len(checked) == len(set(checked)) == len(store.masks)
+        assert store.counters.value("serving.segment_load") == 5 * len(
+            store.masks
+        )
+
+
+# -- the one-byte scan --------------------------------------------------------
+
+
+def test_wide_dictionary_code_is_no_row_of_a_one_byte_column(tmp_path):
+    # Dimension b holds 300 values (codes up to 299), but cuboid ab only
+    # the lowest three, so its b column stays one byte per code.
+    groups = {(0b10, (b,)): 1 for b in range(300)}
+    groups.update({(0b11, ("x", b)): 1 for b in range(3)})
+    path = str(tmp_path / "cube.store")
+    CubeStore.write(CubeResult(SCHEMA, groups), path, aggregate="count")
+    with CubeStore.open(path) as store:
+        assert store._segment(0b11).columns[1][0].itemsize == 1
+        assert store._segment(0b10).columns[0][0].itemsize == 2
+        assert store.rows_matching(0b11, [(1, 299)]) == []
+        assert store.rows_matching(0b11, [(1, 2)]) == [(("x", 2), 1)]
+
+
+def test_lookalike_codes_are_all_found(tmp_path):
+    # 1, 1.0 and True are three codes of b, each found by any of them.
+    cube = CubeResult(
+        SCHEMA,
+        {(0b11, ("x", 1)): 1, (0b11, ("y", 1.0)): 2, (0b11, ("z", True)): 3,
+         (0b11, ("z", 2)): 4},
+    )
+    path = str(tmp_path / "cube.store")
+    CubeStore.write(cube, path, aggregate="count")
+    with CubeStore.open(path) as store:
+        assert store._segment(0b11).columns[1][0].itemsize == 1
+        for value in (1, 1.0, True):
+            rows = store.rows_matching(0b11, [(1, value)])
+            assert list(map(repr, rows)) == [
+                "(('x', 1), 1)", "(('y', 1.0), 2)", "(('z', True), 3)"
+            ]
+
+
+def test_rows_matching_is_the_brute_force_filter(tmp_path):
+    # Both code widths: c has 200 values, so cuboids with c hold a
+    # two-byte column; a and b stay one byte.
+    schema = Schema(["a", "b", "c"], "m")
+    rows = [(i % 3, i % 5 == 0, i % 200, 1) for i in range(400)]
+    cube = sequential_cube(Relation(schema, rows))
+    path = str(tmp_path / "cube.store")
+    CubeStore.write(cube, path, aggregate="count")
+    with CubeStore.open(path) as store:
+        for mask in store.masks:
+            groups = store.cuboid(mask)
+            width = mask_size(mask)
+            probes = list(groups)[:: max(1, len(groups) // 7)] + [("none",) * width]
+            for subset in range(1 << width):
+                positions = [p for p in range(width) if subset >> p & 1]
+                for values in probes:
+                    fixed = [(p, values[p]) for p in positions]
+                    assert store.rows_matching(mask, fixed) == matching_rows(
+                        groups, fixed
+                    )
