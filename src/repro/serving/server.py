@@ -31,15 +31,17 @@ JSON, so responses are deterministic byte-for-byte for a deterministic
 store.
 
 Connections: the server speaks HTTP/1.1 and keeps a connection open
-across requests.  Every reply carries an exact ``Content-Length`` and
-leaves in one write (a header write then a body write on a kept-alive
-socket is the Nagle/delayed-ACK 40 ms stall).  The server closes after
-a reply to a pre-1.1 or ``Connection: close`` client, after a 504 (its
-thread is still computing), after a framing error (a bad request or
-header line, a missing, malformed, conflicting or too large length,
+across requests; its ``socketserver`` thread reads the socket into its
+own buffer (``http.server`` would load ``http.client``, ``ssl`` and
+``email``).  Every reply carries an exact ``Content-Length`` and leaves
+in one write (a header write then a body write on a kept-alive socket
+is the Nagle/delayed-ACK 40 ms stall).  The server closes after a reply
+to a pre-1.1 or ``Connection: close`` client, after a 504 (its thread
+is still computing), after a framing error (a bad request or header
+line, a missing, malformed, conflicting or too large length,
 ``Transfer-Encoding`` on a POST, a body on a GET: the bytes that follow
-cannot be trusted), after ``IDLE_TIMEOUT_S`` without a complete
-request, and on :meth:`CubeServer.close`.
+cannot be trusted), when a request's head and body are not all in
+``IDLE_TIMEOUT_S`` after its wait began, and on :meth:`CubeServer.close`.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ from __future__ import annotations
 import contextlib
 import json
 import socket
+import socketserver
 import threading
 import time
+from http import HTTPStatus  # an enum; the http package imports no more
 from typing import Dict, List, Optional, Tuple
 
 from ..query.view import QueryError
@@ -62,8 +66,8 @@ DEFAULT_DEADLINE = 5.0
 POLL_S = 0.05
 #: Largest request body read; a longer one is refused (413) unread.
 MAX_BODY_BYTES = 1 << 20
-#: Seconds a connection may sit without a complete request, or a reply
-#: without progress, before the server drops it and frees its thread.
+#: Seconds each request (head and body) may take to arrive, and each
+#: reply to leave, before the server drops the connection and its thread.
 IDLE_TIMEOUT_S = 15.0
 #: Longest request or header line, and most header lines (414, 431).
 MAX_LINE_BYTES, MAX_HEADERS = 65536, 100
@@ -90,6 +94,19 @@ def _refusal(error: str, retriable: bool = False) -> Dict:
 def _encode(body: Dict) -> bytes:
     """The wire bytes of a reply body: key-sorted JSON, UTF-8."""
     return json.dumps(body, sort_keys=True).encode("utf-8")
+
+
+def _http_date(t: float) -> str:
+    """The ``Date`` value of time ``t``: ``email.utils.formatdate(t,
+    usegmt=True)`` without loading ``email``."""
+    tm = time.gmtime(t)
+    return "%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+        ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")[tm.tm_wday],
+        tm.tm_mday,
+        ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+         "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")[tm.tm_mon - 1],
+        tm.tm_year, tm.tm_hour, tm.tm_min, tm.tm_sec,
+    )
 
 
 def _jsonable_groups(groups: Dict) -> List:
@@ -177,6 +194,11 @@ def execute_query(view: StoredCubeView, spec: Dict) -> object:
         raise QueryError(str(exc)) from None
 
 
+class _TCPServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True  # a kept-alive connection never blocks exit
+
+
 class CubeServer:
     """A bound, not-yet-serving query server over a stored cube.
 
@@ -220,7 +242,7 @@ class CubeServer:
 
     @property
     def port(self) -> int:
-        return self._httpd.server_port
+        return self._httpd.server_address[1]
 
     # -- request handling ----------------------------------------------------
 
@@ -314,17 +336,14 @@ class CubeServer:
 
     def _build_httpd(self, port: int):
         """The listening server, and the function that frames a reply."""
-        from email.utils import formatdate
-        from http import HTTPStatus
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
         server = self
         date = [0, ""]  # [second, Date value]; racers just format it twice
 
         def response(status: int, body, close: bool) -> bytes:
             payload = body if isinstance(body, bytes) else _encode(body)
-            if date[0] != int(time.time()):
-                date[:] = int(time.time()), formatdate(usegmt=True)
+            now = int(time.time())
+            if date[0] != now:
+                date[:] = now, _http_date(now)
             head = (
                 f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
                 f"Date: {date[1]}\r\n"
@@ -334,13 +353,14 @@ class CubeServer:
             )
             return head.encode("ascii") + payload
 
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            timeout = IDLE_TIMEOUT_S
-            disable_nagle_algorithm = True  # replies are one write each
-
+        class Handler(socketserver.BaseRequestHandler):
             def setup(self):
-                super().setup()
+                self.connection = self.request
+                self.connection.settimeout(IDLE_TIMEOUT_S)
+                self.connection.setsockopt(  # replies are one write each
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY, True
+                )
+                self._buf, self._pos = b"", 0  # received, not yet read
                 with server._lock:
                     server._connections.add(self.connection)
                     server.counters.bump("serving.connections")
@@ -348,13 +368,54 @@ class CubeServer:
             def finish(self):
                 with server._lock:
                     server._connections.discard(self.connection)
-                super().finish()
 
             def handle(self):
+                self.close_connection = False
                 try:
-                    super().handle()
+                    while not self.close_connection:
+                        self.due = None  # set by the request's first recv
+                        self.handle_one_request()
+                except socket.timeout:  # not TimeoutError on 3.9
+                    pass  # no whole request in time, or a stalled reply
                 except ConnectionError:  # reset on a read, EPIPE on a reply
                     server.counters.bump("serving.disconnects")
+
+            def handle_one_request(self):
+                self.raw_requestline = self._read(MAX_LINE_BYTES + 1, True)
+                if len(self.raw_requestline) > MAX_LINE_BYTES:
+                    return self.send_error(414)
+                if not self.parse_request():
+                    return
+                if not hasattr(self, "do_" + self.command):
+                    unsupported = f"Unsupported method ({self.command!r})"
+                    return self.send_error(501, unsupported)
+                getattr(self, "do_" + self.command)()
+
+            def _read(self, size: int, line: bool = False) -> bytes:
+                """``size`` bytes, or with ``line`` through the first
+                newline within them; fewer only at EOF.  A request's
+                reads all end within ``IDLE_TIMEOUT_S`` of its first."""
+                parts = []
+                while True:
+                    start = self._pos
+                    end = start + size
+                    if line:
+                        end = self._buf.find(b"\n", start, end) + 1 or end
+                    parts.append(self._buf[start:end])
+                    if end <= len(self._buf):  # the rest was buffered
+                        self._pos = end
+                        return b"".join(parts)
+                    size -= len(self._buf) - start
+                    if self.due is None:  # the socket holds the whole budget
+                        self.due = time.monotonic() + IDLE_TIMEOUT_S
+                    else:
+                        left = self.due - time.monotonic()
+                        if left <= 0:
+                            raise socket.timeout
+                        self.connection.settimeout(left)
+                    self._buf, self._pos = self.connection.recv(65536), 0
+                    if not self._buf:  # EOF
+                        return b"".join(parts)
 
             def parse_request(self):
                 """The request head, read without a MIME parser:
@@ -374,7 +435,7 @@ class CubeServer:
                 self.request_version = version
                 headers = self.headers = {}
                 for _ in range(MAX_HEADERS + 1):
-                    raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+                    raw = self._read(MAX_LINE_BYTES + 1, True)
                     if len(raw) > MAX_LINE_BYTES:
                         return self.send_error(431, "header line too long")
                     if not raw.endswith(b"\n"):
@@ -399,19 +460,21 @@ class CubeServer:
 
             def _reply(self, status: int, body, close: bool = False) -> None:
                 self.close_connection |= close
+                if self.connection.gettimeout() != IDLE_TIMEOUT_S:
+                    self.connection.settimeout(IDLE_TIMEOUT_S)  # reply budget
                 self.connection.sendall(
                     response(status, body, self.close_connection)
                 )
 
             def send_error(self, code, message=None, explain=None):
-                """A framing error, the head's, http.server's (414, 501)
-                or ``do_POST``'s: typed reply, then close, because the
-                bytes that follow cannot be trusted."""
+                """A framing error, the request line's (414, 501), the
+                head's or ``do_POST``'s: typed reply, then close, because
+                the bytes that follow cannot be trusted."""
                 server.counters.bump("serving.bad_requests")
                 error = message or HTTPStatus(code).phrase
                 self._reply(code, _refusal(error), close=True)
 
-            def do_GET(self):  # noqa: N802 - http.server API
+            def do_GET(self):  # noqa: N802 - handle_one_request's name
                 # A body on a GET is never read: reply, then close.
                 close = (
                     "content-length" in self.headers
@@ -424,7 +487,7 @@ class CubeServer:
                 else:
                     self._reply(404, _refusal("not found"), close)
 
-            def do_POST(self):  # noqa: N802 - http.server API
+            def do_POST(self):  # noqa: N802 - handle_one_request's name
                 if "transfer-encoding" in self.headers:  # not length-framed
                     return self.send_error(400, "Transfer-Encoding refused")
                 raw = self.headers.get("content-length", "")
@@ -445,7 +508,7 @@ class CubeServer:
                     self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
                 # Read before routing, so a body sent to an unknown path
                 # is not parsed as the connection's next request.
-                body = self.rfile.read(int(raw))
+                body = self._read(int(raw))
                 if self.path != "/query":
                     self._reply(404, _refusal("not found"))
                     return
@@ -460,10 +523,7 @@ class CubeServer:
                 else:
                     self._reply(*reply)
 
-            def log_message(self, *_args):
-                pass
-
-        httpd = ThreadingHTTPServer(("127.0.0.1", port), Handler)
+        httpd = _TCPServer(("127.0.0.1", port), Handler)
         httpd.service_actions = self._sweep
         return httpd, response
 

@@ -421,11 +421,11 @@ class CubeStore:
         self._dictionaries: Dict[int, Tuple[Sequence, Dict]] = {}
         self._cache: "OrderedDict[int, _Segment]" = OrderedDict()
         self._cache_size = max(1, segment_cache_size)
-        # Only :meth:`open` constructs a store: a build process never
-        # loads ``hashlib`` (~3 MB of RSS).
-        import hashlib
+        # ``hashlib.blake2b`` itself, without ``hashlib``'s OpenSSL
+        # (~3.5 MB of RSS); only :meth:`open` constructs a store.
+        from _blake2 import blake2b
 
-        self._blake2b = hashlib.blake2b
+        self._blake2b = blake2b
         #: ``mask -> BLAKE2b-128`` of the segment bytes that passed the
         #: row checks.
         self._verified: Dict[int, bytes] = {}

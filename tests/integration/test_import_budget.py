@@ -120,8 +120,8 @@ class TestImportBudget:
         assert [m for m in denied if not m.startswith("repro.")] == []
 
     def test_compute_and_store_write_load_no_hashlib(self, tmp_path):
-        """Only ``CubeStore.open`` needs ``hashlib`` (the verified-bytes
-        digests); a build that loaded it would pay ~3 MB of peak RSS."""
+        """No build loads ``hashlib`` (``CubeStore.open`` takes BLAKE2b
+        from ``_blake2``); one that did would pay ~3 MB of peak RSS."""
         path = str(tmp_path / "cube.store")
         denied = denied_after(
             "from repro import ClusterConfig, SPCube, gen_binomial\n"

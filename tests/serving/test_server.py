@@ -3,6 +3,7 @@
 import contextlib
 import http.client
 import json
+import re
 import socket
 import struct
 import sys
@@ -489,6 +490,39 @@ class TestKeepAlive:
             assert srv.counters.value("serving.requests") == 0
         assert capfd.readouterr().err == ""
 
+    def test_a_trickled_head_is_dropped_at_the_request_budget(
+        self, view, monkeypatch, capfd
+    ):
+        """``IDLE_TIMEOUT_S`` bounds the whole request, not each recv:
+        a byte every 0.1 s does not keep the connection alive."""
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.5)
+        with CubeServer(view, workers=1, port=0).start() as srv:
+            baseline = threading.active_count()
+            with _connect(srv.port) as sock:
+                began = time.time()
+                for byte in _post(b"/query", TOTAL):  # ~7 s at this pace
+                    sock.send(bytes([byte]))
+                    if _closed_within(sock, 0.1):
+                        break
+                assert time.time() - began < 1.0
+            assert _threads_return_to(baseline)
+            assert srv.counters.value("serving.requests") == 0
+        assert capfd.readouterr().err == ""
+
+    def test_a_request_in_pieces_inside_the_budget_is_answered(
+        self, view, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.5)
+        request_bytes = _post(b"/query", TOTAL)
+        n = len(request_bytes)
+        with CubeServer(view, workers=1, port=0).start() as srv:
+            with _connect(srv.port) as sock:
+                for i in range(4):  # 0.3 s from first piece to last
+                    time.sleep(0.1 if i else 0)
+                    sock.sendall(request_bytes[i * n // 4:(i + 1) * n // 4])
+                [(status, _headers, body)] = _read_replies(sock, 1)
+        assert (status, body["result"]) == (200, view.total())
+
     @pytest.mark.parametrize(
         "request_bytes",
         [
@@ -805,6 +839,79 @@ class TestRequestHead:
                 assert _read_replies(sock, 1)[0][0] == 200
         assert server.counters.value("serving.connections") == 1
         assert capfd.readouterr().err == ""
+
+
+def _wire_after_eof(port, chunks, pause=0.0):
+    """Send ``chunks``, ``pause`` s apart, then EOF; every byte received,
+    without the ``Date`` line (it may tick between two calls)."""
+    with _connect(port) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        for chunk in chunks:
+            sock.send(chunk)
+            time.sleep(pause)
+        sock.shutdown(socket.SHUT_WR)
+        wire = b"".join(iter(lambda: sock.recv(65536), b""))
+    return re.sub(rb"Date: [^\r]*\r\n", b"", wire)
+
+
+class TestRequestReader:
+    """The handler's own buffer over ``recv``: lines and bodies come out
+    the same however the bytes are split."""
+
+    def test_one_byte_per_send_gets_the_one_send_reply(self, server):
+        request_bytes = _post(b"/query", TOTAL)
+        assert b"\r\n" in request_bytes  # so one send splits "\r" | "\n"
+        whole = _wire_after_eof(server.port, [request_bytes])
+        trickled = _wire_after_eof(
+            server.port,
+            [bytes([byte]) for byte in request_bytes],
+            pause=0.002,
+        )
+        assert whole.startswith(b"HTTP/1.1 200 ")
+        assert trickled == whole
+
+    def test_pipelined_requests_and_a_third_head_in_one_send(
+        self, server, view
+    ):
+        rollup = json.dumps({"op": "rollup", "dimensions": ["a1"]}).encode()
+        third = _post(b"/query", TOTAL)
+        head = third[: -len(TOTAL)]
+        with _connect(server.port) as sock:
+            sock.sendall(
+                _post(b"/query", TOTAL) + _post(b"/query", rollup) + head
+            )
+            first, second = _read_replies(sock, 2)
+            assert not _closed_within(sock, 0.2)  # waiting for the body
+            sock.sendall(TOTAL)
+            [last] = _read_replies(sock, 1)
+        assert first[0] == second[0] == last[0] == 200
+        assert first[2]["result"] == last[2]["result"] == view.total()
+        assert second[2]["result"] == json.loads(
+            json.dumps(execute_query(view, json.loads(rollup)))
+        )
+
+    def test_a_max_size_body_spans_many_recvs(self, server, view):
+        body = TOTAL + b" " * (server_module.MAX_BODY_BYTES - len(TOTAL))
+        with _connect(server.port) as sock:
+            sock.sendall(_post(b"/query", body))
+            [(status, _headers, reply)] = _read_replies(sock, 1)
+            assert (status, reply["result"]) == (200, view.total())
+            # Nothing over- or under-read: the connection answers again.
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_replies(sock, 1)[0][0] == 200
+
+
+@pytest.mark.parametrize(
+    "t",
+    [0, 1709251199, 2147483648, 1704067199],
+    ids=["epoch", "2024-02-29T23:59:59", "2038-01-19T03:14:08", "year-end"],
+)
+def test_http_date_is_email_formatdate(t):
+    import email.utils
+
+    assert server_module._http_date(t) == email.utils.formatdate(
+        t, usegmt=True
+    )
 
 
 class _RecordingSocket:
@@ -1143,9 +1250,9 @@ class TestCacheHitsBypassAdmission:
 # -- no import on the request path ---------------------------------------------
 
 #: Runs in a child interpreter (pytest has already imported nearly all of
-#: ``repro``, which would hide a lazy import): serve, print the port,
-#: snapshot ``sys.modules`` once listening, wait for the client to finish,
-#: print what the requests made the server import.
+#: ``repro``, which would hide a lazy import): serve, print the port and
+#: ``sys.modules`` once listening, wait for the client to finish, print
+#: what the requests made the server import.
 _SERVE_AND_REPORT_IMPORTS = """
 import json, sys
 from repro.serving import CubeServer, StoredCubeView
@@ -1153,6 +1260,7 @@ with StoredCubeView.open(sys.argv[1]) as view:
     with CubeServer(view, port=0).start() as server:
         before = set(sys.modules)
         print(server.port, flush=True)
+        print(json.dumps(sorted(before)), flush=True)
         sys.stdin.readline()
         print(json.dumps(sorted(set(sys.modules) - before)), flush=True)
 """
@@ -1171,6 +1279,7 @@ def test_no_request_makes_the_server_import_anything(relation, tmp_path):
     )
     try:
         port = int(child.stdout.readline())
+        loaded = json.loads(child.stdout.readline())
         statuses = [
             _request(port, "/query", spec)[0]
             for spec in [
@@ -1210,3 +1319,13 @@ def test_no_request_makes_the_server_import_anything(relation, tmp_path):
         child.kill()
         child.wait()
     assert json.loads(grown) == []
+    # What serving does not need is not held either: no HTTP client, MIME
+    # or TLS library, and no OpenSSL behind hashlib.
+    unneeded = (
+        "http.server", "http.client", "email", "ssl", "_ssl", "hashlib",
+        "_hashlib", "mimetypes", "html",
+    )
+    assert [
+        module for module in loaded
+        if any(module == u or module.startswith(u + ".") for u in unneeded)
+    ] == []

@@ -487,6 +487,16 @@ def test_unchanged_reload_skips_the_row_checks(typed_store, monkeypatch):
         )
 
 
+def test_the_store_digest_is_hashlibs_blake2b():
+    """The store takes BLAKE2b from ``_blake2`` to skip ``hashlib``'s
+    OpenSSL; a CPython whose ``hashlib.blake2b`` stopped being that
+    builtin fails here, not silently."""
+    import _blake2
+    import hashlib
+
+    assert _blake2.blake2b is hashlib.blake2b
+
+
 # -- the one-byte scan --------------------------------------------------------
 
 
