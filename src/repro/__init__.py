@@ -42,7 +42,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "adversarial_relation", "gen_binomial", "gen_zipf", "usagov_clicks",
         "wikipedia_traffic",
     ],
-    "interface": ["CubeAlgorithm", "CubeRun"],
+    "interface": ["CubeRun"],
     "query": ["CubeView", "QueryError"],
     "serving": ["CubeServer", "CubeStore", "StoredCubeView", "StoreError"],
     "mapreduce": ["ClusterConfig", "CostModel"],

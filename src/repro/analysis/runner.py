@@ -224,6 +224,8 @@ def paper_cluster(
     ``p * n/20`` rows each, and with ``m = n/(4k) = n/80`` they cross the
     skew/memory threshold exactly when ``p`` passes ~1/4-1/3.
     """
+    if num_machines < 1:
+        raise ValueError("num_machines must be positive")
     memory = max(16, num_rows // (object_overhead * num_machines))
     return ClusterConfig(
         num_machines=num_machines,

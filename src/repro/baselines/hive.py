@@ -76,12 +76,9 @@ class HiveCube:
         self,
         cluster: Optional[ClusterConfig] = None,
         aggregate: Optional[AggregateFunction] = None,
-        *,
-        map_side_aggregation: bool = True,
     ):
         self.cluster = cluster or ClusterConfig()
         self.aggregate = aggregate or Count()
-        self.map_side_aggregation = map_side_aggregation
 
     @property
     def name(self) -> str:
@@ -102,11 +99,7 @@ class HiveCube:
         job = MapReduceJob(
             name="hive-cube",
             mapper_factory=TaskFactory(
-                _HiveMapper,
-                d,
-                aggregate,
-                hash_capacity,
-                self.map_side_aggregation,
+                _HiveMapper, d, aggregate, hash_capacity
             ),
             reducer_factory=TaskFactory(_HiveReducer, aggregate),
             cuboid_of=cuboid_of_mask_key,
@@ -150,11 +143,7 @@ class _HiveMapper(Mapper):
     """Grouping-set expansion through an adaptive aggregation hash."""
 
     def __init__(
-        self,
-        d: int,
-        aggregate: AggregateFunction,
-        hash_capacity: int,
-        map_side_aggregation: bool,
+        self, d: int, aggregate: AggregateFunction, hash_capacity: int
     ):
         self._d = d
         self._masks = all_cuboids(d)
@@ -164,10 +153,10 @@ class _HiveMapper(Mapper):
         self._aggregate = aggregate
         self._capacity = hash_capacity
         self._hash: Dict[Tuple[int, Tuple], object] = {}
-        self._hash_enabled = map_side_aggregation
+        self._hash_enabled = True
         self._pairs_seen = 0
         self._new_keys = 0  # cumulative distinct keys, across flushes
-        self._probing = map_side_aggregation
+        self._probing = True
 
     def map(self, record):
         d = self._d

@@ -146,9 +146,6 @@ class MRCube:
                 _AnnotateReducer, d, alpha, capacity, holder
             ),
             num_reducers=1,
-            # The sample is O(m) w.h.p. (Prop 4.4) and is collected under a
-            # single key by design; the value-buffer flag does not apply.
-            value_buffer_fraction=None,
         )
         result = runner.run(job, relation.split(k), m)
         metrics.extras["sample_size"] = result.metrics.map_output_records

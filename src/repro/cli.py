@@ -91,6 +91,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _or_exit(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; an unreadable input file or an invalid
+    knob exits with one ``repro: error:`` line instead of a traceback."""
+    try:
+        return build(*args, **kwargs)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"repro: error: {error}") from None
+
+
 def _cluster_from_args(args, num_rows: int):
     """Build the run's cluster, honouring the fault-injection knobs."""
     from .analysis import paper_cluster
@@ -181,7 +190,7 @@ def cmd_cube(args) -> int:
     from . import io as repro_io
     from .aggregates import get_aggregate
 
-    relation = repro_io.read_relation(args.input)
+    relation = _or_exit(repro_io.read_relation, args.input)
     cluster = _cluster_from_args(args, len(relation))
     cluster.tracer = _tracer_from_args(args)
     engine_cls = load_engines([args.engine])[args.engine]
@@ -270,8 +279,10 @@ def cmd_sketch(args) -> int:
     from .core import SPCube, build_exact_sketch
     from .relation import format_cuboid, format_group
 
-    relation = repro_io.read_relation(args.input)
-    cluster = paper_cluster(len(relation), num_machines=args.machines)
+    relation = _or_exit(repro_io.read_relation, args.input)
+    cluster = _or_exit(
+        paper_cluster, len(relation), num_machines=args.machines
+    )
     m = cluster.derive_memory(len(relation))
     if args.exact:
         sketch = build_exact_sketch(relation, cluster.num_machines, m)
@@ -335,57 +346,9 @@ def cmd_metrics_export(args) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"exposition written to {args.output}", file=sys.stderr)
-    elif args.serve is None:
+    else:
         print(text, end="")
-    if args.serve is not None:
-        _serve_metrics(text, args.serve)
     return 0
-
-
-def build_metrics_server(text: str, port: int):
-    """A bound HTTP server exposing ``text`` at ``/metrics``.
-
-    Split out of :func:`_serve_metrics` so tests can bind port 0, issue
-    a request against ``server.server_port`` and shut the server down
-    without involving a terminal; the caller owns ``server_close()``.
-    """
-    from http.server import BaseHTTPRequestHandler, HTTPServer
-
-    payload = text.encode("utf-8")
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 - http.server API
-            if self.path not in ("/metrics", "/"):
-                self.send_error(404)
-                return
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def log_message(self, *_args):
-            pass
-
-    return HTTPServer(("127.0.0.1", port), Handler)
-
-
-def _serve_metrics(text: str, port: int) -> None:
-    """Serve the exposition at ``/metrics`` until interrupted."""
-    server = build_metrics_server(text, port)
-    print(
-        f"serving /metrics on http://127.0.0.1:{server.server_port} "
-        "(Ctrl-C to stop)",
-        file=sys.stderr,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
 
 
 def _explain_common(args, result) -> int:
@@ -706,11 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_export.add_argument(
         "-o", "--output", metavar="PATH",
         help="write the exposition to a file instead of stdout",
-    )
-    metrics_export.add_argument(
-        "--serve", type=int, default=None, metavar="PORT",
-        help="serve the exposition at /metrics on 127.0.0.1:PORT "
-             "(0 picks a free port) until interrupted",
     )
     metrics_export.set_defaults(fn=cmd_metrics_export)
 

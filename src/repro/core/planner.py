@@ -74,12 +74,6 @@ class TuplePlan:
     def num_emitted(self) -> int:
         return len(self.emissions)
 
-    def all_covered_masks(self) -> Tuple[int, ...]:
-        """Every mask handled via emission (used by coverage tests)."""
-        return tuple(
-            mask for _base, covered in self.emissions for mask in covered
-        )
-
 
 @lru_cache(maxsize=65536)
 def plan_for_skew_bits(skew_bits: int, num_dimensions: int) -> TuplePlan:

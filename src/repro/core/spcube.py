@@ -101,7 +101,6 @@ class SPCube:
         *,
         allow_holistic: bool = False,
         use_exact_sketch: bool = False,
-        alpha: Optional[float] = None,
         beta: Optional[float] = None,
         map_partial_aggregation: bool = True,
         ancestor_covering: bool = True,
@@ -113,7 +112,6 @@ class SPCube:
         self.aggregate = aggregate or Count()
         check_spcube_support(self.aggregate, allow_holistic)
         self.use_exact_sketch = use_exact_sketch
-        self.alpha = alpha
         self.beta = beta
         self.map_partial_aggregation = map_partial_aggregation
         self.ancestor_covering = ancestor_covering
@@ -224,11 +222,7 @@ class SPCube:
             metrics.extras["sketch_mode"] = "exact"
             return build_exact_sketch(relation, k, m)
 
-        alpha = (
-            self.alpha
-            if self.alpha is not None
-            else sampling_probability(n, k, m)
-        )
+        alpha = sampling_probability(n, k, m)
         beta = (
             self.beta
             if self.beta is not None
@@ -241,9 +235,6 @@ class SPCube:
             mapper_factory=TaskFactory(_SampleMapper, alpha, seed),
             reducer_factory=TaskFactory(_SketchReducer, d, k, beta),
             num_reducers=1,
-            # The sample is O(m) w.h.p. (Prop 4.4) and is collected under a
-            # single key by design; the value-buffer flag does not apply.
-            value_buffer_fraction=None,
         )
         result = runner.run(job, relation.split(k), m)
 

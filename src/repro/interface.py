@@ -14,11 +14,10 @@ paper's figures from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional
 
 from .cubing.result import CubeResult
 from .mapreduce.metrics import RunMetrics
-from .relation.relation import Relation
 
 
 @dataclass
@@ -29,14 +28,3 @@ class CubeRun:
     metrics: RunMetrics
     #: SP-Cube also returns the sketch it built (None for baselines).
     sketch: Optional[object] = field(default=None)
-
-
-@runtime_checkable
-class CubeAlgorithm(Protocol):
-    """Structural type of a cube engine."""
-
-    name: str
-
-    def compute(self, relation: Relation) -> CubeRun:
-        """Compute the full cube of ``relation``."""
-        ...

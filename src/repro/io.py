@@ -87,82 +87,6 @@ def write_cube(cube: CubeResult, path: str, delimiter: str = "\t") -> int:
     return len(rows)
 
 
-def _parse_cube_value(text: str):
-    """Default aggregate parser: numeric with int narrowing, like
-    :func:`read_relation`'s measure handling, so count/sum round-trip
-    exactly."""
-    value = float(text)
-    if value.is_integer():
-        return int(value)
-    return value
-
-
-def read_cube(
-    path: str,
-    schema: Schema,
-    delimiter: str = "\t",
-    dimension_parsers: Optional[Sequence[Callable[[str], object]]] = None,
-    value_parser: Callable[[str], object] = _parse_cube_value,
-) -> CubeResult:
-    """Read a cube written by :func:`write_cube` back into a
-    :class:`CubeResult`.
-
-    The star-notation export carries no schema or types, so the caller
-    supplies both: ``schema`` names the dimensions (and fixes the value
-    count per group), ``dimension_parsers`` converts each non-``*``
-    dimension value from text (default: keep strings), and
-    ``value_parser`` converts the aggregate column (default: numeric
-    with int narrowing).  A dimension value rendered exactly ``*`` is
-    indistinguishable from a projected-away one and round-trips as a
-    star — none of the repository's workloads produce such values.
-    """
-    parsers = dimension_parsers or [str] * schema.num_dimensions
-    if len(parsers) != schema.num_dimensions:
-        raise ValueError(
-            f"{len(parsers)} parsers for {schema.num_dimensions} dimensions"
-        )
-    cube = CubeResult(schema)
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            rendered, sep, value_text = line.partition(delimiter)
-            if not sep:
-                raise ValueError(
-                    f"{path}:{line_number}: no delimiter between group "
-                    "and value"
-                )
-            if not (rendered.startswith("(") and rendered.endswith(")")):
-                raise ValueError(
-                    f"{path}:{line_number}: group {rendered[:40]!r} is not "
-                    "in (v1, v2, ...) star notation"
-                )
-            parts = rendered[1:-1].split(", ") if len(rendered) > 2 else []
-            if len(parts) != schema.num_dimensions:
-                raise ValueError(
-                    f"{path}:{line_number}: group has {len(parts)} "
-                    f"positions, schema has {schema.num_dimensions} "
-                    "dimensions"
-                )
-            mask = 0
-            values = []
-            for i, part in enumerate(parts):
-                if part == "*":
-                    continue
-                mask |= 1 << i
-                values.append(parsers[i](part))
-            try:
-                value = value_parser(value_text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{line_number}: unparsable aggregate value "
-                    f"{value_text[:40]!r}"
-                ) from None
-            cube.add(mask, tuple(values), value)
-    return cube
-
-
 def sketch_to_json(sketch: SPSketch) -> str:
     """Serialize an SP-Sketch to JSON (what round 1 publishes on the DFS).
 

@@ -14,9 +14,6 @@ from .dfs import (
     ReplicaExhausted,
 )
 from .engine import (
-    DEFAULT_OOM_QUORUM_FRACTION,
-    DEFAULT_OVERSIZED_DOMINANCE,
-    DEFAULT_VALUE_BUFFER_FRACTION,
     FunctionMapper,
     FunctionReducer,
     JobResult,
@@ -72,9 +69,6 @@ __all__ = [
     "NO_FAULTS",
     "NODE_KILL",
     "PairFormatError",
-    "DEFAULT_OOM_QUORUM_FRACTION",
-    "DEFAULT_OVERSIZED_DOMINANCE",
-    "DEFAULT_VALUE_BUFFER_FRACTION",
     "FunctionMapper",
     "FunctionReducer",
     "JobResult",

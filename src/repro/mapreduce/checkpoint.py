@@ -144,20 +144,6 @@ class CheckpointManager:
             return None
         return {"manifest": manifest, "outputs": outputs}
 
-    def discard_round(self, index: int) -> None:
-        """Retire a checkpoint atomically: manifest first, then parts."""
-        self.dfs.delete(self.manifest_path(index))
-        self.dfs.delete_prefix(self.round_prefix(index))
-
-    def completed_rounds(self) -> List[int]:
-        """Indices of rounds with a committed (manifest-backed) checkpoint."""
-        prefix = f"{CHECKPOINT_ROOT}/{self.run_id}/round-"
-        rounds = []
-        for path in self.dfs.list_files(prefix):
-            if path.endswith("/MANIFEST"):
-                rounds.append(int(path[len(prefix):].split("/", 1)[0]))
-        return sorted(rounds)
-
 
 class RoundRunner:
     """Run an engine's rounds with checkpoint/resume recovery.

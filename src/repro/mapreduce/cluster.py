@@ -21,8 +21,10 @@ from .costmodel import CostModel
 from .executor import ParallelExecutor, SerialExecutor
 from .faults import FaultPlan, RetryPolicy
 
-#: Task-to-node placement policies understood by :class:`NodeTopology`.
-PLACEMENT_POLICIES = ("round-robin", "block")
+#: Multiplier on ``m`` for the *physical* memory bound used by spill
+#: accounting ("memory is O(m)"); the skew threshold itself always uses
+#: ``m`` exactly.
+MEMORY_SLACK = 2.0
 
 
 @dataclass(frozen=True)
@@ -34,36 +36,24 @@ class NodeTopology:
     node death takes every co-located task (and the node's DFS replicas)
     down together.  The topology is a pure function of its parameters —
     placement must be bit-identical between serial and parallel executors,
-    so nothing here may depend on execution order.
-
-    ``round-robin`` stripes machine ``i`` onto node ``i % num_nodes``
-    (Hadoop-style slot spreading); ``block`` packs contiguous machine
-    ranges per node, so one node death wipes a contiguous partition range.
+    so nothing here may depend on execution order.  Machine ``i`` lives
+    on node ``i % num_nodes`` (Hadoop-style round-robin slot spreading).
     """
 
     num_nodes: int
     num_machines: int
-    placement: str = "round-robin"
 
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
         if self.num_nodes > self.num_machines:
             raise ValueError("num_nodes must be <= num_machines")
-        if self.placement not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown placement {self.placement!r}; "
-                f"expected one of {PLACEMENT_POLICIES}"
-            )
 
     def node_of(self, machine: int) -> int:
         """The node that machine (task slot) ``machine`` lives on."""
         if not 0 <= machine < self.num_machines:
             raise ValueError(f"machine {machine} out of range")
-        if self.placement == "round-robin":
-            return machine % self.num_nodes
-        block = math.ceil(self.num_machines / self.num_nodes)
-        return machine // block
+        return machine % self.num_nodes
 
     def machines_on(self, node: int) -> Tuple[int, ...]:
         """All machine slots placed on ``node``."""
@@ -94,10 +84,6 @@ class ClusterConfig:
     memory_records:
         ``m`` — per-machine main-memory capacity, in records.  ``None``
         derives ``ceil(n / k)`` from the input size at job start.
-    memory_slack:
-        Multiplier on ``m`` for the *physical* memory bound used by spill
-        accounting ("memory is O(m)"); the skew threshold itself always
-        uses ``m`` exactly.
     cost_model:
         Coefficients that translate simulator counters into simulated
         seconds; see :class:`~repro.mapreduce.costmodel.CostModel`.
@@ -125,9 +111,6 @@ class ClusterConfig:
         Physical failure domains the ``k`` machine slots are packed onto.
         ``None`` gives every machine its own node — the pre-topology
         behaviour, where a node death is just one task slot dying.
-    placement:
-        Task-to-node placement policy (``"round-robin"`` or ``"block"``);
-        see :class:`NodeTopology`.
     checkpoint_enabled:
         Whether multi-round engines persist each completed round to the
         DFS and resume from the last checkpoint after a node loss,
@@ -137,7 +120,6 @@ class ClusterConfig:
 
     num_machines: int = 20
     memory_records: Optional[int] = None
-    memory_slack: float = 2.0
     cost_model: CostModel = field(default_factory=CostModel)
     seed: int = 0x5BC
     fault_plan: Optional[FaultPlan] = None
@@ -145,7 +127,6 @@ class ClusterConfig:
     parallelism: Optional[int] = None
     tracer: Optional[object] = None
     num_nodes: Optional[int] = None
-    placement: str = "round-robin"
     checkpoint_enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -153,8 +134,6 @@ class ClusterConfig:
             raise ValueError("num_machines must be positive")
         if self.memory_records is not None and self.memory_records <= 0:
             raise ValueError("memory_records must be positive when given")
-        if self.memory_slack < 1.0:
-            raise ValueError("memory_slack must be >= 1")
         if self.parallelism is not None and self.parallelism < 1:
             raise ValueError("parallelism must be >= 1 when given")
         # Validate topology parameters eagerly, at configuration time.
@@ -168,7 +147,6 @@ class ClusterConfig:
                 self.num_machines if self.num_nodes is None else self.num_nodes
             ),
             num_machines=self.num_machines,
-            placement=self.placement,
         )
 
     def task_executor(self):
@@ -185,7 +163,7 @@ class ClusterConfig:
 
     def physical_memory(self, memory_records: int) -> int:
         """Records a machine can actually hold before spilling."""
-        return max(1, int(memory_records * self.memory_slack))
+        return max(1, int(memory_records * MEMORY_SLACK))
 
     def with_memory(self, memory_records: int) -> "ClusterConfig":
         """A copy of this config with ``m`` pinned explicitly."""

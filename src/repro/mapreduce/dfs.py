@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set
 
 from .faults import FaultPlan
-from .sizes import Block, estimate_bytes
+from .sizes import Block
 
 #: HDFS's default replication factor.
 DEFAULT_REPLICATION = 3
@@ -247,11 +247,6 @@ class DistributedFileSystem:
         if prefix is None:
             return sorted(self._files)
         return sorted(p for p in self._files if p.startswith(prefix))
-
-    def size_bytes(self, path: str) -> int:
-        """Estimated serialized size of ``path`` — how sketch size is
-        reported in Figures 5c and 6c."""
-        return sum(estimate_bytes(record) for record in self.read(path))
 
     def __contains__(self, path: str) -> bool:
         return path in self._files

@@ -15,9 +15,9 @@ Execution is deterministic and faithful to the distributed data flow:
   shuffle representation: an optional combiner folds each run, the
   partitioner routes and sizes each run's key once, and reducers extend
   their groups run by run;
-* each reduce task processes its keys in deterministic sorted order and may
-  spill (with a time penalty) or be flagged OOM when its input exceeds the
-  machine's physical memory.
+* each reduce task processes its keys in deterministic sorted order and
+  spills (with a time penalty) when its input exceeds the machine's
+  physical memory.
 
 The engine returns the reduce output plus a :class:`JobMetrics` with all the
 counters the paper's figures are built from.
@@ -111,26 +111,6 @@ class PairFormatError(TypeError):
     unpack error keep working, but the message names the job, phase, task
     and the offending record.
     """
-
-#: Fraction of a machine's physical memory that one key-group's buffered
-#: values may occupy before the group counts as *oversized*.  Hadoop-era
-#: engines (Pig bags, Hive's generic UDAF evaluation) materialize each
-#: key's value list while aggregating it.
-DEFAULT_VALUE_BUFFER_FRACTION = 0.75
-
-#: A reduce task is flagged as failing when more than this fraction of its
-#: input records sit in oversized groups: the task then spends most of its
-#: heap churning giant value runs (the JVM GC death spiral), blows its task
-#: timeout, and is killed/retried.  One oversized run among plenty of
-#: normal work amortizes; domination does not.
-DEFAULT_OVERSIZED_DOMINANCE = 1.0 / 3.0
-
-#: A job is declared failed ("stuck", as the paper describes Hive for
-#: p >= 0.4 in Figure 6a) when at least this fraction of its reduce tasks
-#: are flagged (with an absolute floor of 2).  A single struggling reducer
-#: is survivable through spilling and speculative retries; widespread
-#: overload is not.
-DEFAULT_OOM_QUORUM_FRACTION = 0.25
 
 
 def stable_hash(obj) -> int:
@@ -299,18 +279,6 @@ class MapReduceJob:
     num_reducers: Optional[int] = None
     partitioner: Callable[[object, int], int] = hash_partitioner
     combiner: Optional[Callable[[object, List], Iterable[Pair]]] = None
-    #: Per-group value-buffer limit as a fraction of physical memory;
-    #: groups above it are *oversized*.  ``None`` (the default) disables
-    #: the failure check: real engines aggregate common functions in a
-    #: streaming fashion, so giant groups cost time (spills), not
-    #: correctness.  Engines that genuinely buffer per-group value lists
-    #: can opt in.
-    value_buffer_fraction: Optional[float] = None
-    #: A reducer is flagged when oversized groups hold more than this
-    #: fraction of its input records.
-    oversized_dominance: float = DEFAULT_OVERSIZED_DOMINANCE
-    #: Fraction of flagged reduce tasks at which the job counts as failed.
-    oom_quorum_fraction: float = DEFAULT_OOM_QUORUM_FRACTION
     #: Classifier mapping one *map emission key* to the cuboid (lattice
     #: mask) it belongs to, used by the debug-level ``flow`` trace events
     #: to break each shuffle edge down per cuboid.  Must be a pure
@@ -677,22 +645,8 @@ class _ReduceTask:
         task.records_in = self.records_in
         task.bytes_in = self.bytes_in
 
-        physical = self.physical_memory
         task.peak_group_records = max(map(len, grouped.values()), default=0)
-        task.spilled_records = max(0, task.records_in - physical)
-        oom_flagged = False
-        if job.value_buffer_fraction is not None:
-            buffer_limit = job.value_buffer_fraction * physical
-            oversized_volume = sum(
-                len(values)
-                for values in grouped.values()
-                if len(values) > buffer_limit
-            )
-            oom_flagged = (
-                oversized_volume
-                > job.oversized_dominance * task.records_in
-            )
-
+        task.spilled_records = max(0, task.records_in - self.physical_memory)
         emitted = list(reducer.reduce_runs(_ordered_keys(grouped), grouped))
         emitted.extend(reducer.close())
         reducer_output, task.records_out, task.bytes_out = _charged_output(
@@ -706,7 +660,7 @@ class _ReduceTask:
             task.cpu_ops, task.spilled_records, task.bytes_out
         )
         task.counters = context.counters
-        return task, (reducer_output, oom_flagged)
+        return task, reducer_output
 
 
 def _chain_exhausted(outcome: TaskOutcome) -> bool:
@@ -778,10 +732,7 @@ def _run_job(
     faults = cluster.fault_plan or NO_FAULTS
     retry = cluster.retry_policy or RetryPolicy()
     num_reducers = job.num_reducers or cluster.num_machines
-    metrics = JobMetrics(
-        name=job.name,
-        oom_quorum=max(2, int(job.oom_quorum_fraction * num_reducers)),
-    )
+    metrics = JobMetrics(name=job.name)
     executor = cluster.task_executor()
     metrics.executor = executor.name
 
@@ -943,16 +894,7 @@ def _run_job(
                     fields={"reason": metrics.abort_reason},
                 )
             break
-        reducer_output, oom_flagged = outcome.payload
         task = outcome.task
-        if oom_flagged:
-            metrics.oom_reducers.append(machine)
-            if trace_on:
-                tracer.event(
-                    "oom", at=reduce_start + task.seconds,
-                    job=job.name, phase="reduce", task=machine,
-                    fields={"records_in": task.records_in},
-                )
         if trace_debug and task.spilled_records:
             tracer.event(
                 "spill", at=reduce_start + task.seconds,
@@ -960,7 +902,7 @@ def _run_job(
                 fields={"records": task.spilled_records},
             )
         metrics.reduce_tasks.append(task)
-        merged_outputs[machine] = reducer_output
+        merged_outputs[machine] = outcome.payload
 
     metrics.reduce_phase_seconds = cost.round_startup_seconds + max(
         max((t.seconds for t in metrics.reduce_tasks), default=0.0),
@@ -1131,7 +1073,6 @@ def _finish_job_trace(
             "killed_tasks": metrics.killed_tasks,
             "speculative_wins": metrics.speculative_wins,
             "recovered": metrics.recovered,
-            "oom_reducers": len(metrics.oom_reducers),
             **job_shape,
         },
     )

@@ -9,39 +9,12 @@ extras (e.g. the SP-Sketch serialized size).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
 class MetricsInvariantError(AssertionError):
     """A metrics object violates the engine's accounting contract."""
-
-
-class UnknownMetricsFieldWarning(UserWarning):
-    """A serialized metrics record carried fields this version ignores."""
-
-
-def _known_fields(cls, data: Dict) -> Dict:
-    """``data`` restricted to ``cls``'s dataclass fields (forward compat).
-
-    Artifacts written by a *newer* version may carry fields this version
-    does not know; crashing on them would make every BENCH/trace archive
-    unreadable the moment a field lands.  Unknown keys are dropped with a
-    :class:`UnknownMetricsFieldWarning` naming them, so the skew is
-    visible but never fatal.
-    """
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        warnings.warn(
-            f"{cls.__name__}.from_dict: ignoring unknown fields {unknown} "
-            "(artifact written by a newer version?)",
-            UnknownMetricsFieldWarning,
-            stacklevel=3,
-        )
-        return {k: v for k, v in data.items() if k in known}
-    return data
 
 
 @dataclass
@@ -77,18 +50,15 @@ class TaskMetrics:
     #: attempt (e.g. SP-Cube's skewed-group hits).
     counters: Dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict:
-        """Plain-JSON form, for archiving and cross-PR diffing."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "TaskMetrics":
-        return cls(**_known_fields(cls, data))
-
 
 @dataclass
 class JobMetrics:
-    """Counters and derived times for one MapReduce round."""
+    """Counters and derived times for one MapReduce round.
+
+    The round :attr:`failed` when it aborted (a task exhausted its retry
+    budget, or a node loss) or an algorithm's own failure model set
+    :attr:`forced_failure`.
+    """
 
     name: str
     map_tasks: List[TaskMetrics] = field(default_factory=list)
@@ -102,14 +72,8 @@ class JobMetrics:
     shuffle_seconds: float = 0.0
     reduce_phase_seconds: float = 0.0
     total_seconds: float = 0.0
-    #: Reducers whose per-group value buffer overflowed (models Hive's
-    #: "stuck" reducers in Figure 6).
-    oom_reducers: List[int] = field(default_factory=list)
-    #: Flagged-reducer count at which the job counts as failed; a single
-    #: hot reducer survives through spills and task retries.
-    oom_quorum: int = 2
-    #: Set by an algorithm's own failure model (see HiveCube) when the job
-    #: is stuck regardless of per-reducer flags.
+    #: Set by an algorithm's own failure model when the job is stuck —
+    #: HiveCube's out-of-memory reducers at p >= 0.4 (Figure 6a).
     forced_failure: bool = False
     #: Fault-tolerance counters (see ``repro.mapreduce.faults``): total
     #: task attempts launched (first executions, retries, and speculative
@@ -173,16 +137,8 @@ class JobMetrics:
         return [t.records_in for t in self.reduce_tasks]
 
     @property
-    def reducer_output_bytes(self) -> List[int]:
-        return [t.bytes_out for t in self.reduce_tasks]
-
-    @property
     def failed(self) -> bool:
-        return (
-            self.aborted
-            or self.forced_failure
-            or len(self.oom_reducers) >= self.oom_quorum
-        )
+        return self.aborted or self.forced_failure
 
     @property
     def recovery_overhead_seconds(self) -> float:
@@ -266,25 +222,6 @@ class JobMetrics:
                 f"job {self.name!r}: " + "; ".join(problems)
             )
 
-    def to_dict(self) -> Dict:
-        """Plain-JSON form (nested task records included)."""
-        data = asdict(self)
-        data["map_tasks"] = [t.to_dict() for t in self.map_tasks]
-        data["reduce_tasks"] = [t.to_dict() for t in self.reduce_tasks]
-        data["killed_attempts"] = [
-            t.to_dict() for t in self.killed_attempts
-        ]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "JobMetrics":
-        data = dict(data)
-        for task_field in ("map_tasks", "reduce_tasks", "killed_attempts"):
-            data[task_field] = [
-                TaskMetrics.from_dict(t) for t in data.get(task_field, [])
-            ]
-        return cls(**_known_fields(cls, data))
-
 
 @dataclass
 class RunMetrics:
@@ -330,9 +267,9 @@ class RunMetrics:
 
     @property
     def failed(self) -> bool:
-        """True when the run got stuck: OOM-flagged reducers (Hive at
-        p>=0.4), an aborted round (retry budget exhausted), or a fatal
-        out-of-job error.  Superseded executions — rounds that failed to
+        """True when the run got stuck: an algorithm's own failure model
+        (Hive's out-of-memory reducers at p>=0.4), an aborted round (retry
+        budget exhausted), or a fatal out-of-job error.  Superseded executions — rounds that failed to
         a node loss but were re-executed from a checkpoint — do not fail
         the run: recovery worked."""
         return self.fatal_error is not None or any(
@@ -342,7 +279,7 @@ class RunMetrics:
     @property
     def aborted(self) -> bool:
         """True when a round aborted or the run died outside any job —
-        unlike an OOM flag, an aborted run has no trustworthy output.
+        unlike a forced failure, an aborted run has no trustworthy output.
         Superseded (checkpoint-recovered) executions are excluded."""
         return self.fatal_error is not None or any(
             job.aborted for job in self.jobs if not job.superseded
@@ -392,27 +329,6 @@ class RunMetrics:
         """Run every round's accounting checks (see ``JobMetrics``)."""
         for job in self.jobs:
             job.check_invariants()
-
-    def to_dict(self) -> Dict:
-        """Plain-JSON form, for archiving and cross-PR diffing."""
-        return {
-            "algorithm": self.algorithm,
-            "jobs": [job.to_dict() for job in self.jobs],
-            "extras": dict(self.extras),
-            "output_groups": self.output_groups,
-            "fatal_error": self.fatal_error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "RunMetrics":
-        data = _known_fields(cls, dict(data))
-        return cls(
-            algorithm=data["algorithm"],
-            jobs=[JobMetrics.from_dict(j) for j in data.get("jobs", [])],
-            extras=dict(data.get("extras", {})),
-            output_groups=data.get("output_groups", 0),
-            fatal_error=data.get("fatal_error"),
-        )
 
     @property
     def reducer_balance(self) -> float:

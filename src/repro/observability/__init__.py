@@ -54,7 +54,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "schema": [
         "ALERT_KINDS", "EVENT_KINDS", "SPAN_KINDS", "SPAN_STATUSES",
         "TraceSchemaError", "record_problems", "validate_record",
-        "validate_records",
     ],
     "telemetry": [
         "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",

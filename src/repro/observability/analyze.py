@@ -357,9 +357,7 @@ class TraceAnalysis:
         ``analyze-trace --format json`` and any downstream tooling that
         would otherwise scrape the text report.
         Keys are append-only: fields are never renamed or removed, only
-        added (readers must tolerate unknown keys, matching the
-        forward-compatibility contract of
-        :meth:`~repro.mapreduce.metrics.RunMetrics.from_dict`).
+        added, so readers must tolerate unknown keys.
         """
         runs = [
             {

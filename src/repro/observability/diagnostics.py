@@ -52,6 +52,7 @@ from ..theory.bounds import (
     expected_false_positives,
     false_negative_probability,
     false_positive_probability,
+    load_band,
     planned_traffic,
     worst_case_traffic,
 )
@@ -147,7 +148,7 @@ def audit_sketch(relation, sketch, memory_records: int) -> Dict:
     # Every tuple projects into every cuboid, so the element spacing of
     # Definition 4.1 promises at most n/k + m tuples per partition
     # (skewed tuples included in the spacing, one group straddling).
-    promised = n / k + memory_records
+    promised = load_band(n, k, memory_records)
 
     cuboids: Dict[str, Dict] = {}
     overall = [0, 0, 0]  # true positives, false positives, false negatives
@@ -294,8 +295,8 @@ def audit_problems(audit: Dict) -> List[str]:
             "flagged skewed where the Chernoff bound expects at most "
             f"{theory['expected_false_positives']:.2f}"
         )
-    promised = (
-        audit["num_rows"] / audit["num_partitions"] + audit["memory_records"]
+    promised = load_band(
+        audit["num_rows"], audit["num_partitions"], audit["memory_records"]
     )
     ceiling = BALANCE_TOLERANCE * promised
     for key in sorted(audit["cuboids"], key=int):

@@ -24,8 +24,8 @@ flat JSON-serializable dict of one of two shapes:
 
     {
         "type": "event",
-        "kind": "crash" | "straggle" | "speculation" | "spill" | "oom"
-              | "flow" | "shuffle" | "sketch" | "abort"
+        "kind": "crash" | "straggle" | "speculation" | "spill" | "flow"
+              | "shuffle" | "sketch" | "abort"
               | "node_lost" | "checkpoint_write" | "round_resume"
               | "skew_alert" | "misannotation_alert"
               | "straggler_alert",
@@ -49,7 +49,7 @@ malformed file.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 #: Span kinds, outermost first.
 SPAN_KINDS = ("run", "job", "phase", "attempt")
@@ -64,7 +64,6 @@ EVENT_KINDS = (
     "straggle",
     "speculation",
     "spill",
-    "oom",
     "flow",
     "shuffle",
     "sketch",
@@ -174,16 +173,3 @@ def validate_record(record) -> None:
         raise TraceSchemaError(
             f"invalid trace record {record!r}: " + "; ".join(problems)
         )
-
-
-def validate_records(records: Iterable[Dict]) -> int:
-    """Validate every record; returns the count, raises on the first bad one."""
-    count = 0
-    for index, record in enumerate(records):
-        problems = record_problems(record)
-        if problems:
-            raise TraceSchemaError(
-                f"record {index} invalid: " + "; ".join(problems)
-            )
-        count += 1
-    return count

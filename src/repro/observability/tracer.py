@@ -237,7 +237,7 @@ class ProgressSink:
                     f"{counters.get('tasks', 0)} tasks, {seconds:.1f}s"
                 )
             return None
-        if kind in ("crash", "straggle", "speculation", "abort", "oom"):
+        if kind in ("crash", "straggle", "speculation", "abort"):
             where = (
                 f"{record.get('job')}/{record.get('phase')}/"
                 f"{record.get('task')}"

@@ -52,6 +52,7 @@ from __future__ import annotations
 from statistics import median
 from typing import Dict, List, Optional
 
+from ..theory.bounds import load_band
 from .lineage import JobAssembler
 from .schema import ALERT_KINDS  # noqa: F401  (re-exported)
 
@@ -125,7 +126,7 @@ class Watchdog:
             return
         n_observed = sum(task["records_in"] for task in reduces)
         k_active = len(reduces)
-        bound = n_observed / k_active + job["memory_records"]
+        bound = load_band(n_observed, k_active, job["memory_records"])
         ceiling = SKEW_TOLERANCE * bound
         for task in reduces:
             observed = task["records_in"]

@@ -16,7 +16,6 @@ from .lattice import (
     mask_dimensions,
     mask_size,
     project,
-    strict_subsets,
     strict_supersets,
     tuple_lattice,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "mask_dimensions",
     "mask_size",
     "project",
-    "strict_subsets",
     "strict_supersets",
     "tuple_lattice",
 ]

@@ -96,25 +96,6 @@ def strict_supersets(mask: Mask, num_dimensions: int) -> Tuple[Mask, ...]:
 
 
 @lru_cache(maxsize=None)
-def strict_subsets(mask: Mask) -> Tuple[Mask, ...]:
-    """All masks strictly contained in ``mask`` (transitive descendants).
-
-    Enumerated with the standard subset-walk ``(s - 1) & mask`` so the cost
-    is linear in the number of subsets.
-    """
-    if mask == 0:
-        return ()
-    subsets = []
-    s = (mask - 1) & mask
-    while True:
-        subsets.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & mask
-    return tuple(subsets)
-
-
-@lru_cache(maxsize=None)
 def projector(mask: Mask, num_dimensions: int):
     """A compiled projection function ``row -> GroupValues`` for ``mask``.
 

@@ -10,10 +10,10 @@ sequential algorithms iterate it directly.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from . import lattice
-from .schema import Schema, SchemaError
+from .schema import Schema
 
 Row = Tuple
 
@@ -81,15 +81,6 @@ class Relation:
         """The c-group of ``row`` in cuboid ``mask``."""
         return lattice.project(row, mask, self.schema.num_dimensions)
 
-    def sorted_by_cuboid(self, mask: int) -> List[Row]:
-        """Rows ordered by the paper's ``<_C`` for cuboid ``mask``.
-
-        Ties (rows equal on the cuboid attributes) keep an arbitrary but
-        deterministic order, as allowed by Section 4.1.
-        """
-        d = self.schema.num_dimensions
-        return sorted(self.rows, key=lambda row: lattice.project(row, mask, d))
-
     def group_sizes(self, mask: int) -> dict:
         """``|set(g)|`` for every c-group ``g`` of cuboid ``mask``."""
         d = self.schema.num_dimensions
@@ -114,27 +105,6 @@ class Relation:
         rng = rng or random.Random()
         return [row for row in self.rows if rng.random() <= probability]
 
-    def random_subset(
-        self, size: int, rng: Optional[random.Random] = None
-    ) -> "Relation":
-        """Uniform random subset of ``size`` rows (used for data-size sweeps).
-
-        The paper evaluates each dataset on random subsamples of varying
-        sizes; this reproduces that protocol.
-        """
-        if size > len(self.rows):
-            raise ValueError(
-                f"cannot sample {size} rows from a relation of {len(self.rows)}"
-            )
-        rng = rng or random.Random()
-        picked = rng.sample(self.rows, size)
-        return Relation(
-            self.schema,
-            picked,
-            validate=False,
-            name=f"{self.name}[{size}]",
-        )
-
     def split(self, num_parts: int) -> List[List[Row]]:
         """Split rows into ``num_parts`` nearly-equal chunks (mapper inputs).
 
@@ -151,27 +121,3 @@ class Relation:
             chunks[i] = self.rows[start:end]
             start = end
         return chunks
-
-    @classmethod
-    def from_columns(
-        cls,
-        schema: Schema,
-        columns: Sequence[Sequence],
-        name: str = "R",
-    ) -> "Relation":
-        """Build a relation from parallel columns (dims then measure)."""
-        if len(columns) != schema.arity:
-            raise SchemaError(
-                f"{len(columns)} columns for schema of arity {schema.arity}"
-            )
-        rows = list(zip(*columns))
-        return cls(schema, rows, name=name)
-
-    def map_rows(self, fn: Callable[[Row], Row], name: Optional[str] = None):
-        """A new relation with ``fn`` applied to every row."""
-        return Relation(
-            self.schema,
-            [fn(row) for row in self.rows],
-            validate=True,
-            name=name or self.name,
-        )

@@ -1,10 +1,9 @@
 """The cube query server: bounded admission, deadlines, load shedding.
 
 ``python -m repro serve-cube cube.store`` runs an HTTP front end over a
-:class:`~repro.serving.view.StoredCubeView`.  The plumbing follows the
-``metrics-export --serve`` exporter (bind 127.0.0.1, port 0 picks a free
-port, the caller owns shutdown); every query runs on its connection's
-own handler thread:
+:class:`~repro.serving.view.StoredCubeView`.  It binds 127.0.0.1 (port 0
+picks a free port) and the caller owns shutdown; every query runs on its
+connection's own handler thread:
 
 * a query whose reply is already in the view's result LRU is answered
   with the **cached bytes**: no admission slot, no sort, no
@@ -207,8 +206,7 @@ class CubeServer:
     >>> server.serve_forever()                       # blocks; doctest: +SKIP
 
     Tests drive it with ``start()``/``close()`` around HTTP requests at
-    ``http://127.0.0.1:{server.port}``, exactly like the metrics
-    exporter's ``build_metrics_server``.
+    ``http://127.0.0.1:{server.port}``.
     """
 
     def __init__(

@@ -7,6 +7,7 @@ from .bounds import (
     false_negative_probability,
     false_positive_probability,
     independent_traffic_bound,
+    load_band,
     monotonic_traffic_bound,
     planned_traffic,
     prop56_skew_probability_bound,
@@ -26,6 +27,7 @@ __all__ = [
     "false_negative_probability",
     "false_positive_probability",
     "independent_traffic_bound",
+    "load_band",
     "monotonic_traffic_bound",
     "planned_traffic",
     "prop56_skew_probability_bound",

@@ -70,6 +70,18 @@ def planned_traffic(relation: Relation, sketch: SPSketch) -> TrafficPlan:
     )
 
 
+def load_band(
+    num_rows: int, num_partitions: int, memory_records: int
+) -> float:
+    """Prop 4.2(2)'s per-partition promise, ``n / k + m`` tuples.
+
+    Exact partition elements sit ``n / k`` positions apart in a sorted
+    cuboid, and one non-skewed group of up to ``m`` tuples may straddle
+    a boundary.
+    """
+    return num_rows / num_partitions + memory_records
+
+
 def skewed_traffic_bound(num_dimensions: int, num_rows: int) -> int:
     """Prop 5.2 bound on skew-handling traffic: ``O(d n)`` records."""
     return num_dimensions * num_rows

@@ -117,11 +117,6 @@ class TestHive:
         run = HiveCube(cluster).compute(rel)
         assert run.metrics.intermediate_records < 0.5 * 1000 * 8
 
-    def test_map_aggregation_can_be_forced_off(self, cluster):
-        rel = make_random_relation(500, cardinality=2, seed=30)
-        run = HiveCube(cluster, map_side_aggregation=False).compute(rel)
-        assert run.metrics.intermediate_records == 500 * 8
-
     def test_stuck_on_dominant_duplicate_rows(self):
         """The calibrated failure model: identical full-width rows holding
         more than a third of the input mark the run stuck."""

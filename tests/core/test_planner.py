@@ -51,9 +51,9 @@ class TestCoverageInvariants:
         for _ in range(50):
             bits = _random_monotone_skew_bits(rng, d)
             plan = plan_for_skew_bits(bits, d)
-            covered = list(plan.skewed_masks) + list(
-                plan.all_covered_masks()
-            )
+            covered = list(plan.skewed_masks) + [
+                mask for _base, masks in plan.emissions for mask in masks
+            ]
             assert sorted(covered) == list(all_cuboids(d))
 
     def test_bases_precede_covered_in_bfs(self):

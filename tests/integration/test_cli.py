@@ -108,6 +108,36 @@ class TestFaultKnobs:
         assert "stuck" in capsys.readouterr().out
 
 
+class TestInputErrors:
+    """A bad input file or knob is one ``repro: error:`` line, exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cube", "{data}", "--machines", "0"],
+        ["cube", "{data}", "--machines", "-1"],
+        ["compare", "zipf", "--rows", "50", "--machines", "0"],
+        ["sketch", "{data}", "--machines", "0"],
+        ["sketch", "{data}", "--machines", "-1"],
+        ["cube", "{missing}"],
+        ["sketch", "{missing}"],
+    ], ids=" ".join)
+    def test_one_error_line_and_no_traceback(self, tmp_path, argv):
+        import subprocess
+        import sys
+
+        data = str(tmp_path / "data.tsv")
+        main(["generate", "zipf", "--rows", "50", "-o", data])
+        missing = str(tmp_path / "missing.tsv")
+        argv = [arg.format(data=data, missing=missing) for arg in argv]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode != 0
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: error:"), lines
+
+
 class TestParallelism:
     def test_the_flag_is_gone(self, tmp_path, capsys):
         data = str(tmp_path / "data.tsv")
@@ -503,7 +533,7 @@ class TestDamagedArtifact:
     """One loader, one contract: every trace consumer answers a damaged
     file with a one-line ``PATH[:LINE]: reason`` and a non-zero exit."""
 
-    VALID = ('{"type": "event", "kind": "oom", "at": 0, "fields": {}, '
+    VALID = ('{"type": "event", "kind": "spill", "at": 0, "fields": {}, '
              '"seq": 0}\n')
     DAMAGE = {
         "empty": ("", r"bad\.jsonl: empty trace"),
@@ -550,73 +580,6 @@ class TestDamagedArtifact:
             assert "\n" not in message, damage
             assert capsys.readouterr().out == "", damage
             assert not (tmp_path / "bad.jsonl.md").exists(), damage
-
-
-class TestMetricsServe:
-    """The --serve HTTP endpoint, exercised against an ephemeral port."""
-
-    def test_bind_serve_one_get_and_shutdown(self, tmp_path):
-        import threading
-        import urllib.request
-
-        from repro.cli import build_metrics_server
-
-        text = (
-            "# HELP repro_jobs_total MapReduce jobs run\n"
-            "# TYPE repro_jobs_total counter\n"
-            "repro_jobs_total 2\n"
-        )
-        server = build_metrics_server(text, port=0)
-        try:
-            thread = threading.Thread(
-                target=server.serve_forever, daemon=True
-            )
-            thread.start()
-            url = f"http://127.0.0.1:{server.server_port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                assert response.status == 200
-                assert response.headers["Content-Type"].startswith(
-                    "text/plain"
-                )
-                body = response.read().decode("utf-8")
-            assert body == text
-            with pytest.raises(Exception):
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{server.server_port}/other",
-                    timeout=5,
-                )
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)
-            server.server_close()
-        assert not thread.is_alive()
-
-    def test_serves_real_timeline_exposition(self, tmp_path):
-        import threading
-        import urllib.request
-
-        from repro.cli import build_metrics_server
-        from repro.observability import Telemetry, load_trace, replay
-
-        data = str(tmp_path / "data.tsv")
-        trace = str(tmp_path / "run.trace.jsonl")
-        main(["generate", "binomial", "--rows", "300", "-o", data])
-        assert main(["cube", data, "--machines", "4", "--trace", trace]) == 0
-        text = replay(load_trace(trace), Telemetry()).prometheus_text()
-        server = build_metrics_server(text, port=0)
-        try:
-            thread = threading.Thread(
-                target=server.serve_forever, daemon=True
-            )
-            thread.start()
-            url = f"http://127.0.0.1:{server.server_port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                body = response.read().decode("utf-8")
-            assert body == text
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)
-            server.server_close()
 
 
 class TestServeCube:

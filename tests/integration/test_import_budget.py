@@ -6,12 +6,14 @@ every ``repro`` module is already in ``sys.modules``, which would mask
 exactly the imports being counted.
 """
 
+import ast
 import importlib
 import json
 import pickle
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +189,28 @@ class TestLazyPackageApi:
 def test_exports_pickle_by_their_defining_module():
     assert pickle.loads(pickle.dumps(repro.SPCube)) is repro.SPCube
     assert repro.SPCube.__module__ == "repro.core.spcube"
+
+
+def _imported_modules(path):
+    """Every module a source file imports, at any depth of its code."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+
+
+def test_serve_cube_is_the_one_http_server():
+    package = Path(repro.__file__).parent
+    importers = {"http.server": [], "socketserver": []}
+    for path in sorted(package.rglob("*.py")):
+        for module in _imported_modules(path):
+            if module in importers:
+                importers[module].append(
+                    path.relative_to(package).as_posix()
+                )
+    assert importers == {
+        "http.server": [],
+        "socketserver": ["serving/server.py"],
+    }

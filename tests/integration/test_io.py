@@ -12,6 +12,53 @@ from repro.relation import all_cuboids
 from ..conftest import make_random_relation
 
 
+#: The retail cube's whole export: cuboids in mask order, groups sorted.
+RETAIL_STAR_NOTATION = """\
+(*, *, *)\t10
+(keyboard, *, *)\t3
+(laptop, *, *)\t3
+(printer, *, *)\t2
+(television, *, *)\t2
+(*, Berlin, *)\t1
+(*, Paris, *)\t3
+(*, Rome, *)\t6
+(*, *, 2009)\t2
+(*, *, 2010)\t2
+(*, *, 2012)\t5
+(*, *, 2015)\t1
+(keyboard, Paris, *)\t1
+(keyboard, Rome, *)\t2
+(laptop, Paris, *)\t1
+(laptop, Rome, *)\t2
+(printer, Paris, *)\t1
+(printer, Rome, *)\t1
+(television, Berlin, *)\t1
+(television, Rome, *)\t1
+(keyboard, *, 2009)\t2
+(keyboard, *, 2010)\t1
+(laptop, *, 2012)\t2
+(laptop, *, 2015)\t1
+(printer, *, 2010)\t1
+(printer, *, 2012)\t1
+(television, *, 2012)\t2
+(*, Berlin, 2012)\t1
+(*, Paris, 2010)\t2
+(*, Paris, 2012)\t1
+(*, Rome, 2009)\t2
+(*, Rome, 2012)\t3
+(*, Rome, 2015)\t1
+(keyboard, Paris, 2010)\t1
+(keyboard, Rome, 2009)\t2
+(laptop, Paris, 2012)\t1
+(laptop, Rome, 2012)\t1
+(laptop, Rome, 2015)\t1
+(printer, Paris, 2010)\t1
+(printer, Rome, 2012)\t1
+(television, Berlin, 2012)\t1
+(television, Rome, 2012)\t1
+"""
+
+
 class TestRelationRoundtrip:
     def test_roundtrip_string_dimensions(self, retail_relation, tmp_path):
         path = str(tmp_path / "retail.tsv")
@@ -83,64 +130,7 @@ class TestCubeExport:
         path = tmp_path / "cube.tsv"
         lines = repro_io.write_cube(cube, str(path))
         assert lines == cube.num_groups
-        content = path.read_text()
-        assert "(laptop, *, *)\t3" in content
-        assert "(*, *, *)\t10" in content
-
-
-class TestCubeRoundtrip:
-    def test_roundtrip_retail(self, retail_relation, tmp_path):
-        cube = sequential_cube(retail_relation)
-        path = str(tmp_path / "cube.tsv")
-        repro_io.write_cube(cube, path)
-        loaded = repro_io.read_cube(
-            path,
-            retail_relation.schema,
-            dimension_parsers=[str, str, int],
-        )
-        assert loaded == cube
-
-    def test_roundtrip_engine_cube(self, tmp_path):
-        rel = gen_binomial(500, 0.4, seed=3)
-        run = SPCube(ClusterConfig(num_machines=4)).compute(rel)
-        path = str(tmp_path / "cube.tsv")
-        repro_io.write_cube(run.cube, path)
-        loaded = repro_io.read_cube(
-            path, rel.schema, dimension_parsers=[int] * 4
-        )
-        assert loaded == run.cube
-
-    def test_missing_delimiter_line_numbered(self, retail_schema, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("(*, *, *)\t10\n(laptop, *, *) 3\n")
-        with pytest.raises(ValueError, match=r"bad\.tsv:2: no delimiter"):
-            repro_io.read_cube(str(path), retail_schema)
-
-    def test_wrong_arity_group_rejected(self, retail_schema, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("(laptop, *)\t3\n")
-        with pytest.raises(ValueError, match="2 positions"):
-            repro_io.read_cube(str(path), retail_schema)
-
-    def test_unparsable_value_line_numbered(self, retail_schema, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("(*, *, *)\tnot-a-number\n")
-        with pytest.raises(ValueError, match=r"bad\.tsv:1: unparsable"):
-            repro_io.read_cube(str(path), retail_schema)
-
-    def test_not_star_notation_rejected(self, retail_schema, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("laptop,*,*\t3\n")
-        with pytest.raises(ValueError, match="star notation"):
-            repro_io.read_cube(str(path), retail_schema)
-
-    def test_wrong_parser_count(self, retail_schema, tmp_path):
-        path = tmp_path / "cube.tsv"
-        path.write_text("(*, *, *)\t10\n")
-        with pytest.raises(ValueError, match="parsers"):
-            repro_io.read_cube(
-                str(path), retail_schema, dimension_parsers=[str]
-            )
+        assert path.read_text() == RETAIL_STAR_NOTATION
 
 
 class TestSketchRoundtrip:

@@ -484,7 +484,7 @@ def assert_reduce_kernel_matches_reference(
         "sp-cube", None,
         TaskFactory(_CubeReducer, sketch.num_dimensions, aggregate, plan, min_size),
     )
-    task, (output, _oom) = _ReduceTask(
+    task, output = _ReduceTask(
         job, 0, [grouped], sum(map(len, grouped.values())), 0, 1 << 30, 4, 32,
         CostModel(), NO_FAULTS, RetryPolicy(),
     )._attempt()

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 import repro
-from repro.interface import CubeAlgorithm, CubeRun
+from repro.interface import CubeRun
 
 
 class TestExports:
@@ -41,8 +41,8 @@ class TestProtocolConformance:
     )
     def test_engines_satisfy_cube_algorithm(self, factory):
         engine = factory()
-        assert isinstance(engine, CubeAlgorithm)
         assert isinstance(engine.name, str) and engine.name
+        assert callable(engine.compute)
 
     def test_compute_returns_cube_run(self):
         rel = repro.gen_binomial(50, 0.2, seed=1)

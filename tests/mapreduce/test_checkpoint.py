@@ -73,19 +73,13 @@ class TestCheckpointManager:
         manager.save_round(0, "job-a", OUTPUTS)
         assert manager.load_round(0) is None
 
-    def test_discard_round_removes_manifest_first(self):
-        manager, dfs = make_manager()
-        manager.save_round(0, "job-a", OUTPUTS)
-        manager.discard_round(0)
-        assert manager.load_round(0) is None
-        assert dfs.list_files("ckpt/t/round-0/") == []
-
     def test_completed_rounds(self):
         manager, _dfs = make_manager()
         manager.save_round(0, "a", OUTPUTS)
         manager.save_round(2, "c", OUTPUTS)
         manager.save_part(1, 0, OUTPUTS[0])  # uncommitted: no manifest
-        assert manager.completed_rounds() == [0, 2]
+        loaded = [i for i in range(3) if manager.load_round(i) is not None]
+        assert loaded == [0, 2]
 
     def test_disabled_manager_writes_nothing(self):
         manager, dfs = make_manager(enabled=False)

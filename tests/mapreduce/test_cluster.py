@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mapreduce import ClusterConfig, FaultPlan, RetryPolicy
+from repro.mapreduce.cluster import MEMORY_SLACK
 
 
 class TestValidation:
@@ -18,10 +19,6 @@ class TestValidation:
     def test_invalid_memory(self):
         with pytest.raises(ValueError):
             ClusterConfig(memory_records=0)
-
-    def test_invalid_slack(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(memory_slack=0.5)
 
 
 class TestMemoryDerivation:
@@ -41,8 +38,8 @@ class TestMemoryDerivation:
         assert ClusterConfig(num_machines=8).derive_memory(0) == 1
 
     def test_physical_memory_applies_slack(self):
-        cluster = ClusterConfig(memory_slack=2.0)
-        assert cluster.physical_memory(100) == 200
+        assert MEMORY_SLACK == 2.0
+        assert ClusterConfig().physical_memory(100) == 200
 
     def test_with_memory_copies(self):
         base = ClusterConfig(num_machines=6, seed=99)

@@ -115,13 +115,3 @@ class TestReplication:
         dfs = DistributedFileSystem(fault_plan=plan)
         with pytest.raises(FileNotFound):
             dfs.read("nope")
-
-
-class TestSizing:
-    def test_size_bytes(self, dfs):
-        dfs.write("data", [(1, 2)])
-        assert dfs.size_bytes("data") == 4 + 16
-
-    def test_size_of_missing_raises(self, dfs):
-        with pytest.raises(FileNotFound):
-            dfs.size_bytes("nope")

@@ -207,36 +207,7 @@ class TestFailureFlagging:
     def test_no_flag_by_default(self, cluster):
         chunks = [["a " * 100]]
         result = run_job(self._job(), chunks, cluster, 4)
-        assert result.metrics.oom_reducers == []
         assert not result.metrics.failed
-
-    def test_oversized_dominant_group_flagged_when_opted_in(self, cluster):
-        chunks = [["a " * 100]]
-        job = self._job(value_buffer_fraction=0.5)
-        result = run_job(job, chunks, cluster, 4)
-        assert len(result.metrics.oom_reducers) == 1
-
-    def test_oversized_minority_not_flagged(self, cluster):
-        # Route everything to reducer 0: the big group is < 1/3 of input.
-        def to_zero(key, num_reducers):
-            return 0
-
-        chunks = [["a a a a a a " + " ".join(f"w{i}" for i in range(100))]]
-        job = word_count_job(
-            num_reducers=1,
-            partitioner=to_zero,
-            value_buffer_fraction=0.5,
-        )
-        result = run_job(job, chunks, cluster, 8)
-        assert result.metrics.oom_reducers == []
-
-    def test_quorum_gates_job_failure(self, cluster):
-        chunks = [["a " * 50 + "b " * 50]]
-        job = self._job(value_buffer_fraction=0.1)
-        result = run_job(job, chunks, cluster, 4)
-        # Both reducers flagged -> meets the floor quorum of 2.
-        assert len(result.metrics.oom_reducers) == 2
-        assert result.metrics.failed
 
     def test_forced_failure_flag(self, cluster):
         result = run_job(self._job(), [["a"]], cluster, 10)
@@ -331,27 +302,6 @@ class TestCloseThroughCombiner:
         # a single combined record per map task.
         assert result.metrics.map_output_records == 2
         assert result.output == [("k", 14)]
-
-
-class TestOOMQuorumFloor:
-    def test_quorum_has_absolute_floor_of_two(self, cluster):
-        # With 2 reducers and the default 25% fraction the proportional
-        # quorum would be zero; the floor keeps it at 2.
-        job = word_count_job(num_reducers=2)
-        result = run_job(job, [["a"]], cluster, 10)
-        assert result.metrics.oom_quorum == 2
-
-    def test_fraction_takes_over_on_wide_jobs(self, cluster):
-        job = word_count_job(num_reducers=12)
-        result = run_job(job, [["a"]], cluster, 10)
-        assert result.metrics.oom_quorum == 3
-
-    def test_single_flagged_reducer_below_floor_survives(self, cluster):
-        chunks = [["a " * 100]]
-        job = word_count_job(num_reducers=2, value_buffer_fraction=0.5)
-        result = run_job(job, chunks, cluster, 4)
-        assert len(result.metrics.oom_reducers) == 1
-        assert not result.metrics.failed
 
 
 class TestStableHash:

@@ -100,13 +100,6 @@ class TestNodeTopology:
         ]
         assert topo.machines_on(2) == (2, 5)
 
-    def test_block_placement(self):
-        topo = NodeTopology(num_nodes=3, num_machines=8, placement="block")
-        assert [topo.node_of(m) for m in range(8)] == [
-            0, 0, 0, 1, 1, 1, 2, 2,
-        ]
-        assert topo.machines_on(2) == (6, 7)
-
     def test_machine_out_of_range(self):
         topo = NodeTopology(num_nodes=2, num_machines=4)
         with pytest.raises(ValueError, match="out of range"):
@@ -117,8 +110,6 @@ class TestNodeTopology:
             NodeTopology(num_nodes=0, num_machines=4)
         with pytest.raises(ValueError, match="num_nodes"):
             NodeTopology(num_nodes=5, num_machines=4)
-        with pytest.raises(ValueError, match="placement"):
-            NodeTopology(num_nodes=2, num_machines=4, placement="random")
 
     def test_replica_nodes_stable_and_spread(self):
         topo = NodeTopology(num_nodes=5, num_machines=10)

@@ -127,7 +127,7 @@ class TestValidationAndIO:
     def test_load_trace_reports_bad_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
-            '{"type": "event", "kind": "oom", "at": 0, "fields": {}, '
+            '{"type": "event", "kind": "spill", "at": 0, "fields": {}, '
             '"seq": 0}\nnot json\n'
         )
         with pytest.raises(ValueError, match=":2: not valid JSON"):

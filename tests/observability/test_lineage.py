@@ -92,7 +92,7 @@ class TestCuboidClassifier:
 class TestLoadLineage:
     """``LineageIndex.from_file`` goes through the one trace loader."""
 
-    VALID = ('{"type": "event", "kind": "oom", "at": 0, "fields": {}, '
+    VALID = ('{"type": "event", "kind": "spill", "at": 0, "fields": {}, '
              '"seq": 0}\n')
 
     def write(self, tmp_path, text):

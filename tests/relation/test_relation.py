@@ -25,14 +25,6 @@ class TestConstruction:
         rel = Relation(schema, [("x", 1)], validate=False)
         assert len(rel) == 1
 
-    def test_from_columns(self, schema):
-        rel = Relation.from_columns(schema, [["x", "y"], ["u", "v"], [1, 2]])
-        assert rel.rows == [("x", "u", 1), ("y", "v", 2)]
-
-    def test_from_columns_wrong_count(self, schema):
-        with pytest.raises(SchemaError):
-            Relation.from_columns(schema, [["x"], [1]])
-
 
 class TestContainerProtocol:
     def test_len_iter_getitem(self, schema):
@@ -55,11 +47,6 @@ class TestCubeHelpers:
     def test_project_group(self, schema):
         rel = Relation(schema, [("x", "y", 1)])
         assert rel.project_group(("x", "y", 1), 0b01) == ("x",)
-
-    def test_sorted_by_cuboid(self, schema):
-        rel = Relation(schema, [("b", "z", 1), ("a", "q", 2), ("a", "a", 3)])
-        ordered = rel.sorted_by_cuboid(0b01)
-        assert [row[0] for row in ordered] == ["a", "a", "b"]
 
     def test_group_sizes(self, schema):
         rel = Relation(schema, [("x", "y", 1), ("x", "z", 2), ("u", "y", 3)])
@@ -104,22 +91,3 @@ class TestSampling:
         s1 = rel.sample(0.3, random.Random(7))
         s2 = rel.sample(0.3, random.Random(7))
         assert s1 == s2
-
-    def test_random_subset_size_and_membership(self, schema):
-        rel = Relation(schema, [("x", "y", i) for i in range(50)])
-        sub = rel.random_subset(10, random.Random(1))
-        assert len(sub) == 10
-        assert all(row in rel.rows for row in sub)
-
-    def test_random_subset_too_large(self, schema):
-        rel = Relation(schema, [("x", "y", 1)])
-        with pytest.raises(ValueError):
-            rel.random_subset(5)
-
-
-class TestMapRows:
-    def test_map_rows_applies_function(self, schema):
-        rel = Relation(schema, [("x", "y", 1)])
-        doubled = rel.map_rows(lambda row: row[:-1] + (row[-1] * 2,))
-        assert doubled.rows == [("x", "y", 2)]
-        assert rel.rows == [("x", "y", 1)]  # original untouched

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import io as repro_io
 from repro.cubing import sequential_cube
 from repro.relation import all_cuboids
 from repro.serving import CubeStore, StoreError, estimate_cube_bytes
@@ -31,19 +30,6 @@ class TestWriteOpen:
     def test_roundtrip_whole_cube(self, cube, store_path):
         with CubeStore.open(store_path) as store:
             assert store.to_cube() == cube
-
-    def test_roundtrip_matches_tsv_oracle(
-        self, cube, store_path, retail_relation, tmp_path
-    ):
-        # io.read_cube round-trips the same cube through the flat TSV
-        # export; the store must agree with that independent path.
-        tsv = str(tmp_path / "cube.tsv")
-        repro_io.write_cube(cube, tsv)
-        oracle = repro_io.read_cube(
-            tsv, retail_relation.schema, dimension_parsers=[str, str, int]
-        )
-        with CubeStore.open(store_path) as store:
-            assert store.to_cube() == oracle
 
     def test_write_returns_file_size(self, cube, tmp_path):
         path = tmp_path / "cube.store"
