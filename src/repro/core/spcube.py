@@ -293,17 +293,20 @@ class SPCube:
         if result.metrics.aborted:
             return CubeResult(relation.schema)
 
-        # The round's output is one block per (reducer, cuboid): the cube
-        # takes each as it is, and a cuboid's DFS file — one per cuboid,
-        # as Section 3.1 describes — is the blocks its reducers wrote.
-        cube = CubeResult(relation.schema)
-        files: Dict[int, List[Block]] = {}
+        # The round's output is one block per (reducer, cuboid).  Each
+        # cuboid's blocks are joined into one, which the cube keeps and
+        # which is the cuboid's DFS file — one per cuboid, as Section 3.1
+        # describes — so the two share a single pair of lists.
+        by_mask: Dict[int, List[Block]] = {}
         for block in result.output:
+            by_mask.setdefault(block.mask, []).append(block)
+        cube = CubeResult(relation.schema)
+        for mask, blocks in by_mask.items():
+            _, groups, values = zip(*blocks)
+            block = Block(mask, list(chain(*groups)), list(chain(*values)))
             cube.add_block(*block)
             if block.groups:
-                files.setdefault(block.mask, []).append(block)
-        for mask, blocks in files.items():
-            self.dfs.write(f"spcube/cube/cuboid-{mask}", blocks)
+                self.dfs.write(f"spcube/cube/cuboid-{mask}", [block])
         return cube
 
     def _plan_factory(self, sketch: SPSketch) -> "_PlanFunction":

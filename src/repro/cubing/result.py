@@ -7,8 +7,9 @@ straight equality check between two of them.
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+import sys
+from itertools import chain, repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..relation.lattice import (
     CGroup,
@@ -34,8 +35,11 @@ def matching_rows(
 
 
 class CubeResult:
-    """Mapping from c-group ``(mask, values)`` to its aggregate value,
-    held one ``{values: value}`` dict per cuboid.
+    """Mapping from c-group ``(mask, values)`` to its aggregate value.
+
+    A cuboid is held either as the ``(groups, values)`` lists of the one
+    block it was added as (:meth:`add_block`), or as a ``{values: value}``
+    dict — built from those lists on the first read that needs one.
 
     Parameters
     ----------
@@ -51,11 +55,23 @@ class CubeResult:
         groups: Optional[Dict[CGroup, object]] = None,
     ):
         self.schema = schema
-        #: ``{mask: {values: value}}``; a cuboid may be present and empty,
-        #: and readers must not race a writer.
-        self._cuboids: Dict[int, Dict[Tuple, object]] = {}
+        #: ``{mask: {values: value} or (groups, values)}``, maybe empty;
+        #: reads may race each other (a conversion is idempotent), not writes.
+        self._cuboids: Dict[int, Union[Dict[Tuple, object], Tuple]] = {}
         for (mask, values), value in (groups or {}).items():
             self._cuboids.setdefault(mask, {})[values] = value
+
+    def _dict(self, mask: int) -> Dict[Tuple, object]:
+        """Cuboid ``mask`` as its dict (a fresh empty one when absent); a
+        cuboid held as block lists is converted, and stays converted."""
+        cuboid = self._cuboids.get(mask, {})
+        if type(cuboid) is tuple:
+            cuboid = self._cuboids[mask] = dict(zip(*cuboid))
+        return cuboid
+
+    def _len(self, mask: int) -> int:
+        cuboid = self._cuboids.get(mask, {})
+        return len(cuboid[0] if type(cuboid) is tuple else cuboid)
 
     # -- construction --------------------------------------------------------
 
@@ -68,8 +84,12 @@ class CubeResult:
         # setdefault probes the cuboid once; the fast "new group" path does
         # no second lookup, and re-insertion with an equal value (legal,
         # e.g. merged partial outputs) is also a single probe.
-        cuboid = self._cuboids.setdefault(mask, {})
-        existing = cuboid.setdefault(values, aggregate_value)
+        try:
+            existing = self._cuboids.setdefault(mask, {}).setdefault(
+                values, aggregate_value
+            )
+        except AttributeError:  # held as block lists: a dict from now on
+            existing = self._dict(mask).setdefault(values, aggregate_value)
         if existing is not aggregate_value and existing != aggregate_value:
             raise ValueError(
                 f"conflicting values for c-group {(mask, values)}: "
@@ -80,20 +100,16 @@ class CubeResult:
         """Bulk-insert one cuboid's ``groups`` with their ``values`` —
         parallel columns, the shape SP-Cube's reduce output has.
 
-        The fast path is one C-speed ``dict.update``, valid because a
-        correct engine emits every c-group exactly once.  A group the
-        cuboid already holds, or one repeated inside the block, sends
-        the whole block through :meth:`add` instead, reproducing its
-        first-wins/raise semantics exactly.
+        Into an empty cuboid, a block that repeats no group (one
+        transient ``set`` checks) is kept as it is: the cube holds the
+        block's own lists, which the caller must not change afterwards.
+        Any other block goes through :meth:`add` group by group, with
+        its first-wins/raise semantics.
         """
-        cuboid = self._cuboids.setdefault(mask, {})
-        held = len(cuboid)
-        if not held or cuboid.keys().isdisjoint(groups):
-            cuboid.update(zip(groups, values))
-            if len(cuboid) == held + len(groups):
-                return
-            for group in groups:  # all new: take them back out, replay
-                cuboid.pop(group, None)
+        held = self._len(mask)
+        if not held and len(values) == len(groups) == len(set(groups)):
+            self._cuboids[mask] = (groups, values)
+            return
         for group, value in zip(groups, values):
             self.add(mask, group, value)
 
@@ -107,40 +123,50 @@ class CubeResult:
     def value(self, mask: int, values: Tuple):
         """Aggregate value of one c-group; KeyError when absent."""
         try:
-            return self._cuboids[mask][values]
+            return self._dict(mask)[values]
         except KeyError:
             raise KeyError((mask, values)) from None
 
     def get(self, mask: int, values: Tuple, default=None):
-        return (self._cuboids.get(mask) or {}).get(values, default)
+        return self._dict(mask).get(values, default)
 
     def cuboid(self, mask: int) -> Dict[Tuple, object]:
         """All groups of one cuboid: ``{values: aggregate_value}``, a
         fresh dict per call."""
-        return dict(self._cuboids.get(mask) or {})
+        return dict(self._dict(mask))
+
+    def columns(self, mask: int) -> Tuple[List[Tuple], List]:
+        """One cuboid as parallel ``(groups, values)`` lists, building no
+        dict: a block's own lists when the cuboid is held as one, which
+        the caller must not change."""
+        cuboid = self._cuboids.get(mask, {})
+        if type(cuboid) is tuple:
+            return cuboid
+        return list(cuboid), list(cuboid.values())
 
     def rows_matching(self, mask: int, fixed) -> List[Tuple[Tuple, object]]:
         """:func:`matching_rows` of one cuboid, in cuboid order — the
         selection seam :class:`CubeView` queries through."""
-        return matching_rows(self._cuboids.get(mask) or {}, fixed)
+        return matching_rows(self._dict(mask), fixed)
 
     def items(self) -> Iterator[Tuple[CGroup, object]]:
         """``((mask, values), value)`` of every c-group, cuboid by cuboid."""
-        for mask, cuboid in self._cuboids.items():
-            yield from zip(zip(repeat(mask), cuboid), cuboid.values())
+        for mask in self._cuboids:
+            groups, values = self.columns(mask)
+            yield from zip(zip(repeat(mask), groups), values)
 
     @property
     def num_groups(self) -> int:
         """Total c-groups across all cuboids (the paper quotes these counts
         per dataset, e.g. ~180M for Wikipedia)."""
-        return sum(map(len, self._cuboids.values()))
+        return sum(map(self._len, self._cuboids))
 
     def groups_per_cuboid(self) -> Dict[int, int]:
         """``{mask: group count}`` — the cube's shape."""
         counts: Dict[int, int] = {
             mask: 0 for mask in all_cuboids(self.schema.num_dimensions)
         }
-        counts.update(zip(self._cuboids, map(len, self._cuboids.values())))
+        counts.update(zip(self._cuboids, map(self._len, self._cuboids)))
         return counts
 
     def to_rows(self) -> List[Tuple[int, Tuple, object]]:
@@ -154,7 +180,7 @@ class CubeResult:
 
     def _materialized(self) -> Dict[int, Dict[Tuple, object]]:
         """The cuboids that hold a group: what equality compares."""
-        return {m: cuboid for m, cuboid in self._cuboids.items() if cuboid}
+        return {m: self._dict(m) for m in list(filter(self._len, self._cuboids))}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CubeResult):
@@ -171,7 +197,7 @@ class CubeResult:
 
     def __contains__(self, key: CGroup) -> bool:
         mask, values = key
-        return values in (self._cuboids.get(mask) or ())
+        return values in self._dict(mask)
 
     def diff(self, other: "CubeResult", limit: int = 10) -> List[str]:
         """Human-readable discrepancies against ``other`` (for test output)."""
@@ -200,8 +226,25 @@ class CubeResult:
         return format_group(mask, values, self.schema)
 
     def __repr__(self) -> str:
-        levels = max(map(mask_size, self._materialized()), default=0)
+        levels = max(map(mask_size, filter(self._len, self._cuboids)), default=0)
         return (
             f"CubeResult({self.num_groups} groups, "
             f"{levels}-level lattice)"
         )
+
+
+def estimate_cube_bytes(cube: CubeResult) -> int:
+    """Approximate resident bytes of what a cube holds, building no dict:
+    ``sys.getsizeof`` of each cuboid's dict or block lists, each values
+    tuple and its elements, and each aggregate value.  Shared objects
+    count once per reference — an upper-ish estimate, good enough for
+    the doctor's store-vs-memory ratio, not an allocator audit."""
+    total = 0
+    for cuboid in cube._cuboids.values():
+        if type(cuboid) is tuple:  # the block's two lists
+            held = groups, values = cuboid
+        else:
+            held, groups, values = (cuboid,), cuboid, cuboid.values()
+        every = chain(held, groups, chain.from_iterable(groups), values)
+        total += sum(map(sys.getsizeof, every))
+    return total

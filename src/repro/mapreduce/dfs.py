@@ -78,7 +78,7 @@ class DistributedFileSystem:
         self.failed_reads = 0
         #: Replicas re-created on surviving nodes after a node death.
         self.re_replications = 0
-        #: Write/append calls and records they stored (run-span counters).
+        #: Write calls and the records they stored (run-span counters).
         self.writes = 0
         self.records_written = 0
 
@@ -152,18 +152,6 @@ class DistributedFileSystem:
         self.records_written += _record_count(materialized)
         return len(materialized)
 
-    def append(self, path: str, records: Iterable) -> int:
-        """Append to ``path`` (creating it), as reducers writing a cuboid."""
-        materialized = list(records)
-        if path not in self._files:
-            self._files[path] = []
-            self._lost.discard(path)
-            self._place(path)
-        self._files[path].extend(materialized)
-        self.writes += 1
-        self.records_written += _record_count(materialized)
-        return len(materialized)
-
     def read(self, path: str, preferred_node: Optional[int] = None) -> List:
         """A copy of the records of ``path``.
 
@@ -230,17 +218,6 @@ class DistributedFileSystem:
         self._files.pop(path, None)
         self._placement.pop(path, None)
         self._lost.discard(path)
-
-    def delete_prefix(self, prefix: str) -> int:
-        """Remove every path starting with ``prefix``; returns the count.
-
-        Used by the checkpoint layer to retire a round's manifest and
-        parts as one operation.
-        """
-        doomed = [path for path in self._files if path.startswith(prefix)]
-        for path in doomed:
-            self.delete(path)
-        return len(doomed)
 
     def list_files(self, prefix: Optional[str] = None) -> List[str]:
         """Sorted paths, optionally restricted to a prefix."""

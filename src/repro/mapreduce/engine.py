@@ -572,7 +572,8 @@ class _ReduceTask:
 
     The bucket is the list of runs the map tasks routed here, in map-task
     order; it is shared by every attempt of the chain, so an attempt
-    groups copies and never hands a reducer one of its lists.
+    groups copies and never hands a reducer one of its lists.  The task
+    holds the only reference to it, and drops it when the chain ends.
     """
 
     def __init__(
@@ -606,7 +607,7 @@ class _ReduceTask:
         self.node_kill_at = node_kill_at
 
     def __call__(self) -> TaskOutcome:
-        return run_task_chain(
+        outcome = run_task_chain(
             self._attempt,
             job_name=self.job.name,
             phase="reduce",
@@ -617,6 +618,8 @@ class _ReduceTask:
             trace=self.trace,
             node_kill_at=self.node_kill_at,
         )
+        self.bucket = None  # the chain has ended: free its shuffle input
+        return outcome
 
     def _attempt(self) -> Tuple[TaskMetrics, Tuple]:
         job = self.job
@@ -868,6 +871,8 @@ def _run_job(
         )
         for machine in reduce_machines
     ]
+    # The tasks now hold the only references to the routed runs.
+    outcomes = outcome = reducer_buckets = None
     phase_started = time.perf_counter()
     outcomes = executor.run_tasks(reduce_tasks, stop_early=_chain_exhausted)
     metrics.reduce_phase_wall_seconds = time.perf_counter() - phase_started

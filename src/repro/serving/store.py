@@ -76,6 +76,7 @@ from typing import (
 from .._gc import paused_gc
 from ..aggregates import get_aggregate
 from ..cubing.result import CubeResult
+from ..cubing.result import estimate_cube_bytes  # noqa: F401  (re-exported)
 from ..relation.lattice import all_cuboids, group_sort_key, mask_dimensions
 from ..relation.schema import Schema
 
@@ -171,19 +172,21 @@ def _pack(values: Sequence) -> bytes:
     types = set(map(type, values))
     kind, itemsize = b"g", 0
     if types <= {int}:
-        low, high = min(values, default=0), max(values, default=0)
-        for size in (1, 2, 4, 8):
-            if -(1 << 8 * size - 1) <= low and high < 1 << 8 * size - 1:
-                kind, itemsize = b"i", size
-                break
+        for size in (1, 2, 4, 8):  # the narrowest array that takes them
+            try:
+                column = array(_TYPECODES[b"i", size], values)
+            except OverflowError:
+                continue
+            kind, itemsize = b"i", size
+            break
     elif types == {float}:
         if not all(map(math.isfinite, values)):
             raise _unstorable(values)
         kind, itemsize = b"f", 8
+        column = array("d", values)
     elif types == {str}:
         kind = b"s"
     if itemsize:
-        column = array(_TYPECODES[kind, itemsize], values)
         if sys.byteorder == "big":
             column.byteswap()
         payload = column.tobytes()
@@ -256,30 +259,46 @@ def _unpack(
 
 
 def _dimension_dictionary(
-    columns: List[Tuple],
+    distinct: set, by_repr: Dict[str, object]
 ) -> Tuple[List, Callable[[object], int]]:
     """Sorted distinct values of one dimension and its ``value -> code``.
 
-    ``columns`` are that dimension's value columns from every cuboid.
-    All-``int`` and all-``str`` dimensions dedupe by equality, which is
-    exact for them; anything else dedupes by ``repr`` so equal values of
-    different types (``1``/``1.0``/``True``, ``0.0``/``-0.0``) keep
-    separate codes, and sorts in ``repr`` order when the values do not
-    compare.
+    ``distinct`` holds values deduped by equality while the dimension
+    was all-``int`` or all-``str`` (exact for them), ``by_repr`` the rest
+    by ``repr``: look-alikes (``1``/``1.0``/``True``, ``0.0``/``-0.0``)
+    keep separate codes, in ``repr`` order when they do not compare.
     """
-    types = set()
-    for column in columns:
-        types.update(map(type, column))
-    if types <= {int} or types <= {str}:
-        values = sorted(set().union(*columns))
+    if not by_repr:
+        values = sorted(distinct)
         return values, {v: code for code, v in enumerate(values)}.__getitem__
-    by_repr = {repr(v): v for column in columns for v in column}
+    by_repr.update(zip(map(repr, distinct), distinct))
     try:
         items = sorted(by_repr.items(), key=lambda item: (item[1], item[0]))
     except TypeError:
         items = sorted(by_repr.items())
     codes = {text: code for code, (text, _) in enumerate(items)}
     return [v for _, v in items], lambda v: codes[repr(v)]
+
+
+def _dictionaries(
+    cube: CubeResult, masks: Sequence[int], num_dimensions: int
+) -> Tuple[Tuple[List, ...], Tuple[Callable[[object], int], ...]]:
+    """Each dimension's :func:`_dimension_dictionary` over its column in
+    every cuboid of ``masks``, transposing one cuboid at a time."""
+    types = [set() for _ in range(num_dimensions)]
+    distinct = [set() for _ in range(num_dimensions)]
+    by_repr: List[Dict[str, object]] = [{} for _ in range(num_dimensions)]
+    for mask in masks:
+        groups, _ = cube.columns(mask)
+        for dim, column in zip(
+            mask_dimensions(mask, num_dimensions), zip(*groups)
+        ):
+            types[dim].update(map(type, column))
+            if types[dim] <= {int} or types[dim] <= {str}:
+                distinct[dim].update(column)
+            else:
+                by_repr[dim].update(zip(map(repr, column), column))
+    return tuple(zip(*map(_dimension_dictionary, distinct, by_repr)))
 
 
 def _index_entries(entries: List[Dict], keys: Sequence[str], limit: int):
@@ -292,26 +311,6 @@ def _index_entries(entries: List[Dict], keys: Sequence[str], limit: int):
         ):
             raise ValueError(f"bad index entry {entry!r}")
     return entries
-
-
-def estimate_cube_bytes(cube: CubeResult) -> int:
-    """Approximate resident size of a cube's group mappings in bytes.
-
-    Sums ``sys.getsizeof`` over each cuboid's ``{values: aggregate}``
-    dict, each values tuple and its elements, and each aggregate value —
-    the layout :class:`CubeResult` holds (no ``(mask, values)`` key pair
-    per group).  Shared/interned objects are counted once per reference,
-    so this is an upper-ish estimate of exclusive footprint — good enough
-    for the doctor's store-vs-memory ratio, not an allocator audit.
-    """
-    total = 0
-    for mask in all_cuboids(cube.schema.num_dimensions):
-        groups = cube.cuboid(mask)
-        total += sys.getsizeof(groups)
-        total += sum(map(sys.getsizeof, groups))
-        total += sum(map(sys.getsizeof, chain.from_iterable(groups)))
-        total += sum(map(sys.getsizeof, groups.values()))
-    return total
 
 
 class _Segment(NamedTuple):
@@ -434,7 +433,7 @@ class CubeStore:
     # -- writing -------------------------------------------------------------
 
     @classmethod
-    @paused_gc()  # ~2 cycle-free objects per group, next to a live cube
+    @paused_gc()  # a cuboid at a time: ~2 cycle-free objects per group
     def write(
         cls,
         cube: CubeResult,
@@ -472,26 +471,8 @@ class CubeStore:
             aggregate_name = aggregate.name
             aggregate_kind = aggregate.kind.value
 
-        # Transpose each cuboid into per-dimension value columns, and
-        # build one dictionary per dimension from every column of that
-        # dimension.
         num_dimensions = schema.num_dimensions
-        by_dimension: List[List[Tuple]] = [[] for _ in range(num_dimensions)]
-        value_columns: Dict[int, List[Tuple]] = {}
-        aggregates: Dict[int, List] = {}
-        for mask in masks:
-            groups = cube.cuboid(mask)
-            value_columns[mask] = list(zip(*groups))
-            aggregates[mask] = list(groups.values())
-            for dim, column in zip(
-                mask_dimensions(mask, num_dimensions), value_columns[mask]
-            ):
-                by_dimension[dim].append(column)
-        dictionaries, encoders = [], []
-        for columns in by_dimension:
-            values, encoder = _dimension_dictionary(columns)
-            dictionaries.append(values)
-            encoders.append(encoder)
+        dictionaries, encoders = _dictionaries(cube, masks, num_dimensions)
 
         header = {
             "dimensions": list(schema.dimensions),
@@ -520,13 +501,14 @@ class CubeStore:
         entries = []
         for mask in sorted(masks, key=lambda m: group_sort_key(m, ())):
             dims = mask_dimensions(mask, num_dimensions)
+            groups, values = cube.columns(mask)
             # Codes are order-preserving, so sorting code rows sorts the
             # groups in <_C order without comparing dimension values.
             codes = [
                 map(encoders[dim], column)
-                for dim, column in zip(dims, value_columns[mask])
+                for dim, column in zip(dims, zip(*groups))
             ]
-            rows = sorted(zip(*codes, aggregates[mask]))
+            rows = sorted(zip(*codes, values))
             columns = list(zip(*rows)) or [()] * (len(dims) + 1)
             segment = b"".join(map(_pack, columns))
             entries.append(append(segment, mask=mask, groups=len(rows)))

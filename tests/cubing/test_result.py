@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.cubing import CubeResult
+from repro.analysis import paper_cluster
+from repro.core import SPCube
+from repro.cubing import CubeResult, sequential_cube
+from repro.datagen import gen_binomial
 from repro.relation import Schema
+from repro.serving import CubeStore
 
 
 @pytest.fixture
@@ -102,6 +106,63 @@ class TestAddBlock:
         assert cube == CubeResult(schema, {(0, ()): 4, (0b01, ("x",)): 1})
         with pytest.raises(ValueError, match="conflicting"):
             cube.add_pairs([((0b01, ("x",)), 2)])
+
+
+def dict_cuboids(cube):
+    """The masks a cube holds as ``{values: value}`` dicts."""
+    return [mask for mask, held in cube._cuboids.items() if type(held) is dict]
+
+
+class TestColumnarCuboids:
+    """A block added to an empty cuboid is kept as its two lists; a
+    cuboid's dict is built on the first read that needs it."""
+
+    def test_block_lists_are_kept_as_they_are(self, schema):
+        cube = CubeResult(schema)
+        groups, values = [("x",), ("y",)], [1, 2]
+        cube.add_block(0b01, groups, values)
+        assert cube.columns(0b01)[0] is groups
+        assert cube.columns(0b01)[1] is values
+        assert dict_cuboids(cube) == []
+        assert cube.num_groups == 2 and cube.groups_per_cuboid()[0b01] == 2
+        assert list(cube.items()) == [((0b01, ("x",)), 1), ((0b01, ("y",)), 2)]
+
+    def test_a_read_converts_only_its_cuboid(self, schema):
+        cube = CubeResult(schema)
+        cube.add_block(0b01, [("x",)], [1])
+        cube.add_block(0b10, [("y",)], [2])
+        assert cube.value(0b10, ("y",)) == 2
+        assert dict_cuboids(cube) == [0b10]
+        assert cube.columns(0b10) == ([("y",)], [2])
+
+    def test_an_add_converts_first(self, schema):
+        cube = CubeResult(schema)
+        groups = [("x",)]
+        cube.add_block(0b01, groups, [1])
+        cube.add(0b01, ("y",), 2)
+        assert cube.cuboid(0b01) == {("x",): 1, ("y",): 2}
+        assert groups == [("x",)]  # the block's own list is untouched
+
+    def test_sp_cube_builds_no_dict_to_compute_and_store(
+        self, monkeypatch, tmp_path
+    ):
+        relation = gen_binomial(300, 0.4, seed=5)
+
+        def refuse(self, mask):
+            raise AssertionError(f"cuboid {mask} built as a dict")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(CubeResult, "cuboid", refuse)
+            patched.setattr(CubeResult, "_dict", refuse)
+            cube = SPCube(paper_cluster(300, num_machines=4)).compute(
+                relation
+            ).cube
+            CubeStore.write(cube, str(tmp_path / "c.store"))
+        assert dict_cuboids(cube) == []
+        some = next(mask for mask in cube._cuboids if cube.columns(mask)[0])
+        cube.cuboid(some)
+        assert dict_cuboids(cube) == [some]
+        assert cube == sequential_cube(relation)
 
 
 class TestViews:

@@ -186,14 +186,6 @@ class TestDfsFailureDomains:
         dfs.write("x", [5])
         assert dfs.read("x") == [5]
 
-    def test_delete_prefix_counts(self):
-        dfs = DistributedFileSystem()
-        dfs.write("ckpt/r/round-0/part-0", [1])
-        dfs.write("ckpt/r/round-0/MANIFEST", [1])
-        dfs.write("ckpt/r/round-1/part-0", [1])
-        assert dfs.delete_prefix("ckpt/r/round-0/") == 2
-        assert dfs.list_files() == ["ckpt/r/round-1/part-0"]
-
     def test_preferred_node_read_is_content_identical(self):
         plan = FaultPlan(seed=1, read_drop_prob=0.3)
         dfs = DistributedFileSystem(topology=self.topo(), fault_plan=plan)

@@ -30,11 +30,6 @@ class TestReadWrite:
         dfs.write("x", [2])
         assert dfs.read("x") == [2]
 
-    def test_append(self, dfs):
-        dfs.append("log", [1])
-        dfs.append("log", [2, 3])
-        assert dfs.read("log") == [1, 2, 3]
-
     def test_missing_file(self, dfs):
         with pytest.raises(FileNotFound):
             dfs.read("nope")

@@ -1,16 +1,28 @@
 """The MapReduce engine: data flow, combiners, partitioners, metrics."""
 
+import weakref
+from dataclasses import asdict, replace
+
 import pytest
 
+from repro.analysis import paper_cluster
+from repro.core import SPCube
+from repro.cubing import sequential_cube
+from repro.datagen import gen_zipf
 from repro.mapreduce import (
     ClusterConfig,
+    FaultPlan,
+    FaultSpec,
     Mapper,
     MapReduceJob,
     Reducer,
+    TaskFactory,
     hash_partitioner,
     run_job,
     stable_hash,
 )
+from repro.mapreduce.dfs import DistributedFileSystem
+from repro.mapreduce.faults import NodeFaultSpec
 
 
 def word_count_job(**kwargs):
@@ -435,3 +447,105 @@ class TestMixedKeyOrdering:
         )
         result = run_job(job, [[1, "a", (2,)]], cluster, 10)
         assert len(result.output) == 3
+
+
+class _RunList(list):
+    """A run a weakref can watch (a plain ``list`` cannot be a referent)."""
+
+
+class _WatchedMapper(Mapper):
+    """Emits record ``n`` as the run ``[n]`` of key ``n`` and keeps a
+    weakref to every run, by the reducer ``n % 3`` it routes to."""
+
+    def __init__(self, watched):
+        self._watched = watched
+
+    def map_chunk(self, chunk):
+        runs = {n: _RunList([n]) for n in chunk}
+        for n, run in runs.items():
+            self._watched.setdefault(n % 3, []).append(weakref.ref(run))
+        return len(chunk), runs
+
+
+class _LiveRunsReducer(Reducer):
+    """Notes, as each attempt starts, how many watched runs of every
+    reducer are still alive; sums its runs."""
+
+    def __init__(self, watched, live):
+        self._watched, self._live = watched, live
+
+    def setup(self, context):
+        super().setup(context)
+        self._live[context.machine] = {
+            j: sum(ref() is not None for ref in refs)
+            for j, refs in self._watched.items()
+        }
+
+    def reduce(self, key, values):
+        yield key, sum(values)
+
+
+class TestBucketRelease:
+    """A reduce task's shuffle input is freed when its attempt chain
+    ends, not when the reduce phase does."""
+
+    CHUNKS = [[0, 1, 2, 3], [4, 5, 6], [7, 8]]
+
+    def run(self, cluster):
+        watched, live = {}, {}
+        job = MapReduceJob(
+            "watched",
+            mapper_factory=TaskFactory(_WatchedMapper, watched),
+            reducer_factory=TaskFactory(_LiveRunsReducer, watched, live),
+            num_reducers=3,
+            partitioner=lambda key, n: key % n,
+        )
+        return run_job(job, self.CHUNKS, cluster, 10), live
+
+    def test_bucket_is_freed_before_the_next_task_runs(self, cluster):
+        result, live = self.run(cluster)
+        assert sorted(result.output) == [(n, n) for n in range(9)]
+        for j in range(3):
+            # Earlier buckets are gone, this one and later ones are not.
+            assert live[j] == {k: 0 if k < j else 3 for k in range(3)}
+
+    def test_retried_attempt_still_reads_its_bucket(self):
+        plan = FaultPlan(
+            [FaultSpec("crash", phase="reduce", task=1, attempt=0)]
+        )
+        result, live = self.run(ClusterConfig(num_machines=3, fault_plan=plan))
+        assert result.metrics.killed_tasks == 1
+        assert live[1] == {0: 0, 1: 3, 2: 3}  # as the retry started
+        assert sorted(result.output) == [(n, n) for n in range(9)]
+
+    def test_parallel_matches_serial(self, cluster):
+        serial, _ = self.run(cluster)
+        parallel, _ = self.run(replace(cluster, parallelism=2))
+        assert parallel.output == serial.output
+        backend = ("executor", "map_phase_wall_seconds",
+                   "reduce_phase_wall_seconds")
+        metrics = [asdict(r.metrics) for r in (serial, parallel)]
+        for fields in metrics:
+            for name in backend:
+                fields.pop(name)
+        assert metrics[0] == metrics[1]
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan([FaultSpec("crash", job="sp-cube", phase="reduce",
+                             task=2, attempt=0)]),
+        FaultPlan(seed=5, node_specs=[
+            NodeFaultSpec(node=2, at_seconds=30.0, job="sp-cube"),
+        ]),
+    ], ids=["reduce-crash", "node-kill"])
+    def test_sp_cube_recovers_to_the_oracle(self, plan):
+        relation = gen_zipf(2000, seed=3)
+        cluster = replace(
+            paper_cluster(2000, num_machines=6, num_nodes=3), fault_plan=plan
+        )
+        dfs = DistributedFileSystem(
+            fault_plan=plan, topology=cluster.topology()
+        )
+        run = SPCube(cluster, dfs=dfs).compute(relation)
+        cube_round = run.metrics.jobs[-1]
+        assert cube_round.killed_tasks or run.metrics.jobs[-2].superseded
+        assert run.cube == sequential_cube(relation)

@@ -117,6 +117,37 @@ class TestRoundTrip:
         )
         assert_exact(roundtrip(cube), cube)
 
+    @settings(max_examples=60, deadline=None)
+    @given(cubes())
+    def test_columnar_cube_writes_the_bytes_of_its_dict_form(self, cube):
+        # The blocks are SP-Cube's shape; reading every cuboid converts
+        # the same cube to dicts, whose write is the reference.
+        columnar = CubeResult(SCHEMA)
+        for mask in range(4):
+            columnar.add_block(mask, *cube.columns(mask))
+        with tempfile.TemporaryDirectory() as directory:
+            paths = [str(Path(directory) / name) for name in "ab"]
+            CubeStore.write(columnar, paths[0], aggregate="count")
+            for mask in range(4):
+                columnar.cuboid(mask)
+            CubeStore.write(columnar, paths[1], aggregate="count")
+            assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
+
+    def test_columnar_lookalikes_write_the_bytes_of_their_dict_form(self):
+        # Look-alikes of one dimension sit in different cuboids.
+        columnar = CubeResult(SCHEMA)
+        columnar.add_block(1, [(1,), (2,)], [10, 11])
+        columnar.add_block(2, [(-0.0,), (5.0,)], [0.0, -0.0])
+        columnar.add_block(3, [(True, 0.0), (1.0, 5.0)], [20, 30])
+        dicts = CubeResult(SCHEMA, dict(columnar.items()))
+        with tempfile.TemporaryDirectory() as directory:
+            a, b = Path(directory) / "a", Path(directory) / "b"
+            CubeStore.write(columnar, str(a))
+            CubeStore.write(dicts, str(b))
+            assert a.read_bytes() == b.read_bytes()
+            with CubeStore.open(str(a)) as store:
+                assert_exact(store.to_cube(), dicts)
+
     def test_top_k_cube_uses_generic_kind(self, retail_relation):
         cube = sequential_cube(retail_relation, get_aggregate("top_k"))
         assert {type(v) for _, v in cube.items()} == {tuple}
