@@ -417,9 +417,7 @@ def cmd_serve_cube(args) -> int:
 
     try:
         view = StoredCubeView.open(
-            args.store,
-            segment_cache_size=args.segment_cache,
-            result_cache_size=args.result_cache,
+            args.store, segment_cache_size=args.segment_cache
         )
     except (OSError, StoreError) as error:
         raise SystemExit(f"repro: error: {error}") from None
@@ -430,6 +428,7 @@ def cmd_serve_cube(args) -> int:
             queue_depth=args.queue_depth,
             deadline=args.deadline,
             port=args.port,
+            result_cache=args.result_cache,
         )
     except ValueError as error:
         view.close()
@@ -760,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cube.add_argument(
         "--result-cache", type=int, default=128, metavar="N",
-        help="finished query results kept in the LRU cache",
+        help="encoded query replies kept in the server's LRU cache",
     )
     serve_cube.set_defaults(fn=cmd_serve_cube)
 

@@ -128,7 +128,7 @@ def hash_partitioner(key, num_reducers: int) -> int:
 
 
 class TaskContext:
-    """Per-task handle giving user code access to cluster facts and counters."""
+    """Per-task handle giving user code access to cluster facts."""
 
     def __init__(
         self, machine: int, num_machines: int, memory_records: int,
@@ -140,15 +140,10 @@ class TaskContext:
         #: "job 'name': map task 3" — how errors name this task.
         self.where = where
         self._extra_cpu = 0
-        self.counters: Dict[str, int] = {}
 
     def add_cpu(self, ops: int) -> None:
         """Charge additional CPU work (e.g. lattice-node visits) to the task."""
         self._extra_cpu += ops
-
-    def incr(self, counter: str, amount: int = 1) -> None:
-        """Bump a named user counter (exposed for tests and diagnostics)."""
-        self.counters[counter] = self.counters.get(counter, 0) + amount
 
     @property
     def extra_cpu(self) -> int:
@@ -563,7 +558,6 @@ class _MapTask:
         task.seconds = self.cost.map_task_seconds(
             task.cpu_ops, task.bytes_out
         )
-        task.counters = context.counters
         return task, routed
 
 
@@ -662,7 +656,6 @@ class _ReduceTask:
         task.seconds = self.cost.reduce_task_seconds(
             task.cpu_ops, task.spilled_records, task.bytes_out
         )
-        task.counters = context.counters
         return task, reducer_output
 
 

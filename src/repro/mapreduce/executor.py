@@ -121,46 +121,25 @@ def run_task_chain(
         outcome.attempts += 1
         nominal = task.seconds
 
-        if faults.crashes(job_name, phase, machine, attempt):
+        crashed = faults.crashes(job_name, phase, machine, attempt)
+        if crashed:
             # The attempt dies and its output is discarded; the chain pays
             # for the lost work, the heartbeat timeout, and the backoff.
-            task.killed = True
-            backoff = retry.backoff_seconds(attempt + 1)
-            if records is not None:
-                records.append(
-                    _attempt_span(
-                        job_name, phase, machine, attempt,
-                        chain_seconds, chain_seconds + nominal,
-                        "killed", task,
-                    )
-                )
-                records.append({
-                    "type": "event", "kind": "crash",
-                    "job": job_name, "phase": phase, "task": machine,
-                    "attempt": attempt, "at": chain_seconds + nominal,
-                    "fields": {
-                        "lost_seconds": nominal,
-                        "detection_seconds": cost.crash_detection_seconds,
-                        "backoff_seconds": backoff,
-                    },
-                })
-            chain_seconds += cost.retry_overhead_seconds(nominal, backoff)
-            outcome.killed_tasks += 1
-            outcome.killed_attempts.append(task)
-            continue
+            lost = nominal
+        else:
+            factor = faults.slowdown_factor(job_name, phase, machine, attempt)
+            seconds = nominal * factor
+            lost = None
+            if node_kill_at is not None and (
+                node_kill_at <= chain_seconds
+                or node_kill_at < chain_seconds + seconds
+            ):
+                # The node hosting this slot dies while the attempt runs
+                # (or was already dead when the attempt would have been
+                # placed): only the pre-kill work is lost.
+                lost = min(max(node_kill_at - chain_seconds, 0.0), seconds)
 
-        factor = faults.slowdown_factor(job_name, phase, machine, attempt)
-        seconds = nominal * factor
-
-        if node_kill_at is not None and (
-            node_kill_at <= chain_seconds
-            or node_kill_at < chain_seconds + seconds
-        ):
-            # The node hosting this slot dies while the attempt runs (or
-            # was already dead when the attempt would have been placed).
-            # Only the pre-kill work is lost; detection and backoff are
-            # still paid before the (doomed) retry.
-            lost = min(max(node_kill_at - chain_seconds, 0.0), seconds)
+        if lost is not None:
             task.killed = True
             task.seconds = lost
             backoff = retry.backoff_seconds(attempt + 1)
@@ -172,16 +151,18 @@ def run_task_chain(
                         "killed", task,
                     )
                 )
+                fields = {
+                    "lost_seconds": lost,
+                    "detection_seconds": cost.crash_detection_seconds,
+                    "backoff_seconds": backoff,
+                }
+                if not crashed:
+                    fields["cause"] = "node-kill"
                 records.append({
                     "type": "event", "kind": "crash",
                     "job": job_name, "phase": phase, "task": machine,
                     "attempt": attempt, "at": chain_seconds + lost,
-                    "fields": {
-                        "lost_seconds": lost,
-                        "detection_seconds": cost.crash_detection_seconds,
-                        "backoff_seconds": backoff,
-                        "cause": "node-kill",
-                    },
+                    "fields": fields,
                 })
             chain_seconds += cost.retry_overhead_seconds(lost, backoff)
             outcome.killed_tasks += 1

@@ -46,9 +46,6 @@ class TaskMetrics:
     #: summing over ``map_tasks``/``reduce_tasks`` counts every chain's
     #: recovery cost exactly once.
     overhead_seconds: float = 0.0
-    #: User counters bumped through ``TaskContext.incr`` during the
-    #: attempt (e.g. SP-Cube's skewed-group hits).
-    counters: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass

@@ -354,10 +354,9 @@ def attempt_counters(task) -> Dict[str, float]:
     """The standard counters of one task attempt, from its metrics.
 
     Shared by the chain-local buffer (executor) and any driver-side
-    emitter so attempt spans always carry the same counter set; user
-    counters (``TaskContext.incr``) are merged in.
+    emitter so attempt spans always carry the same counter set.
     """
-    counters = {
+    return {
         "records_in": task.records_in,
         "records_out": task.records_out,
         "bytes_in": task.bytes_in,
@@ -366,6 +365,3 @@ def attempt_counters(task) -> Dict[str, float]:
         "spilled_records": task.spilled_records,
         "peak_group_records": task.peak_group_records,
     }
-    if task.counters:
-        counters.update(task.counters)
-    return counters

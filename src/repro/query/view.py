@@ -120,7 +120,7 @@ class CubeView:
         except KeyError:
             raise QueryError("cube has no apex group") from None
 
-    def slice(self, **fixed) -> Dict[Tuple, object]:
+    def slice(self, /, **fixed) -> Dict[Tuple, object]:
         """Fix dimensions to values; remaining dimensions stay grouped.
 
         Returns ``{remaining-dimension values: aggregate}`` over the finest
@@ -142,7 +142,7 @@ class CubeView:
         }
 
     def dice(
-        self, **predicates: Callable[[object], bool]
+        self, /, **predicates: Callable[[object], bool]
     ) -> Dict[Tuple, object]:
         """Filter the finest cuboid by per-dimension predicates.
 

@@ -9,12 +9,12 @@ serving time, in three layers:
   once and read lazily so a query touches only the cuboids it needs;
 * :mod:`~repro.serving.view` — :class:`StoredCubeView`, the planner:
   the full :class:`~repro.query.view.CubeView` API over a store, with
-  ancestor-cuboid re-aggregation for non-materialized cuboids, an LRU
-  segment cache and a keyed query-result cache;
+  ancestor-cuboid re-aggregation for non-materialized cuboids; it
+  keeps no answers, only the store's LRU segment cache;
 * :mod:`~repro.serving.server` — :class:`CubeServer`, the front end:
-  a thread-per-connection HTTP query server with bounded admission,
-  per-query deadlines and typed retriable load-shedding errors
-  (``python -m repro serve-cube``).
+  a thread-per-connection HTTP query server with an LRU of encoded
+  replies, bounded admission, per-query deadlines and typed retriable
+  load-shedding errors (``python -m repro serve-cube``).
 """
 
 from .._lazy import lazy_exports

@@ -5,7 +5,7 @@
 picks a free port) and the caller owns shutdown; every query runs on its
 connection's own handler thread:
 
-* a query whose reply is already in the view's result LRU is answered
+* a query whose reply is already in the server's result LRU is answered
   with the **cached bytes**: no admission slot, no sort, no
   ``json.dumps``.  The LRU is keyed by the canonical spec
   (``json.dumps(spec, sort_keys=True)``) and holds the encoded reply;
@@ -51,6 +51,7 @@ import socket
 import socketserver
 import threading
 import time
+from collections import OrderedDict
 from http import HTTPStatus  # an enum; the http package imports no more
 from typing import Dict, List, Optional, Tuple
 
@@ -61,6 +62,8 @@ from .view import StoredCubeView
 DEFAULT_WORKERS = 4
 DEFAULT_QUEUE_DEPTH = 16
 DEFAULT_DEADLINE = 5.0
+#: Default number of encoded replies kept in the result LRU.
+DEFAULT_RESULT_CACHE = 128
 #: Accept-loop poll, seconds: how late a 504 may be, and close()'s wait.
 POLL_S = 0.05
 #: Largest request body read; a longer one is refused (413) unread.
@@ -216,6 +219,7 @@ class CubeServer:
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         deadline: float = DEFAULT_DEADLINE,
         port: int = 0,
+        result_cache: int = DEFAULT_RESULT_CACHE,
     ):
         if workers <= 0:
             raise ValueError("workers must be positive")
@@ -231,6 +235,11 @@ class CubeServer:
         self._slots = threading.Semaphore(workers + queue_depth)
         self._computing = threading.Semaphore(workers)
         self._lock = threading.Lock()
+        #: Encoded replies by canonical spec, least recently used first,
+        #: under their own lock: a hit never waits on the sweep's.
+        self._results: "OrderedDict[str, bytes]" = OrderedDict()
+        self._result_cache = max(1, result_cache)
+        self._results_lock = threading.Lock()
         self._connections: set = set()  # open client sockets, for close()
         #: Admitted misses, ``connection -> due time``: oldest first.
         self._due: Dict[socket.socket, float] = {}
@@ -244,13 +253,29 @@ class CubeServer:
 
     # -- request handling ----------------------------------------------------
 
+    def _probe(self, key: str) -> Optional[bytes]:
+        """The reply cached under ``key``, else None; counts the hit or
+        miss."""
+        with self._results_lock:
+            payload = self._results.get(key)
+            if payload is None:
+                self.counters.bump("serving.cache_miss")
+            else:
+                self.counters.bump("serving.cache_hit")
+                self._results.move_to_end(key)
+            return payload
+
     def _answer(self, key: str, spec: Dict) -> bytes:
         """A miss: compute, encode, cache — also when the sweep has
-        already answered 504, so the advertised retry is a hit."""
+        already answered 504, so the advertised retry is a hit.  Two
+        racing misses both compute: equal bytes, the later insert wins."""
         payload = _encode(
-            {"ok": True, "result": execute_query(self.view.uncached, spec)}
+            {"ok": True, "result": execute_query(self.view, spec)}
         )
-        self.view.insert(key, payload)
+        with self._results_lock:
+            self._results[key] = payload
+            if len(self._results) > self._result_cache:
+                self._results.popitem(last=False)
         return payload
 
     def _handle_query(self, spec, connection) -> Optional[Tuple[int, object]]:
@@ -259,7 +284,7 @@ class CubeServer:
         ``connection`` 504.  The result cache is probed first: a hit
         takes no admission slot."""
         key = json.dumps(spec, sort_keys=True)
-        payload = self.view.probe(key)
+        payload = self._probe(key)
         if payload is not None:
             self.counters.bump("serving.requests")
             return 200, payload
@@ -311,19 +336,25 @@ class CubeServer:
         ``serving.connections`` (accepted) and ``serving.requests``
         (queries answered from the cache or admitted; their ratio is
         queries per connection),
-        ``serving.shed`` (503), ``serving.deadline_exceeded`` (504),
-        ``serving.query_errors`` (400 from the query),
+        ``serving.cache_hit`` / ``serving.cache_miss`` (result-LRU
+        probes), ``serving.shed`` (503), ``serving.deadline_exceeded``
+        (504), ``serving.query_errors`` (400 from the query),
         ``serving.bad_requests`` (framing errors: 400/413, then closed)
         and ``serving.disconnects`` (client gone mid-request or -reply).
-        ``result_cache`` sizes the view's LRU: what the server holds in
+        ``result_cache`` sizes the server's reply LRU: what it holds in
         memory beyond the store's segment cache.
         """
+        with self._results_lock:
+            result_cache = {
+                "entries": len(self._results),
+                "payload_bytes": sum(map(len, self._results.values())),
+            }
         return {
             "counters": self.counters.to_dict(),
             "workers": self.workers,
             "queue_depth": self.queue_depth,
             "deadline": self.deadline,
-            "result_cache": self.view.cache_stats(),
+            "result_cache": result_cache,
             "store": {
                 "path": self.view.store.path,
                 "bytes": self.view.store.store_bytes,

@@ -98,12 +98,12 @@ class ServingCounters:
     One instance is threaded through a store, its view, and the server
     so a single ``/stats`` read shows the whole pipeline.  All methods
     are cheap enough to call unguarded; thread safety comes from the
-    caller's lock (the store and view serialize cache access anyway).
+    caller's lock (the store and the server serialize their cache access).
     """
 
     FIELDS = (
-        "serving.cache_hit",        # query-result cache hits (view)
-        "serving.cache_miss",       # query-result cache misses (view)
+        "serving.cache_hit",        # reply-cache hits (server)
+        "serving.cache_miss",       # reply-cache misses (server)
         "serving.segment_hit",      # decoded-segment LRU hits (store)
         "serving.segment_load",     # segments fetched from disk (store)
         "serving.bytes_read",       # raw segment + dictionary bytes read

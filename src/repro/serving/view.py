@@ -23,36 +23,22 @@ ancestor would undercount, so iceberg cubes are stored with every
 cuboid materialized (empty segments cost a footer entry, not wrong
 answers) and only deliberately partial stores take this path.
 
-On top sits a **keyed query-result cache**: repeated rollups, slices,
-pivots, drilldowns, tops and totals are answered from an LRU of final
-results without touching the segment layer.  ``dice`` takes callables
-and is never cached.  The same LRU holds both kinds of final result:
-the Python value of an in-process call, keyed by the operation and its
-arguments, and the encoded reply body of a wire query, keyed by the
-server with the canonical spec (:meth:`StoredCubeView.probe` /
-:meth:`StoredCubeView.insert`).  Either way one query is one lookup and
-one slot: a miss is computed through :attr:`StoredCubeView.uncached`,
-so ``top`` and ``pivot`` do not also cache the rollup beneath them.
-Hits and misses feed the shared ``serving.cache_hit`` /
-``serving.cache_miss`` counters next to the store's segment counters,
-so one ``/stats`` read shows both tiers.
+The view keeps no answers.  A repeated wire query is answered from the
+reply LRU of :class:`~repro.serving.server.CubeServer`, and a repeated
+in-process query recomputes over the store's segment cache, which keeps
+it off the disk.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..aggregates import get_aggregate
 from ..cubing.result import matching_rows
 from ..query.view import CubeView, QueryError
 from ..relation.lattice import all_cuboids, mask_dimensions, mask_size
-from .store import CubeStore, ServingCounters, StoreError
-
-#: Default number of finished query results kept hot per view.
-DEFAULT_RESULT_CACHE = 128
-_MISS = object()  # "not cached", for in-process results that may be None
+from .store import CubeStore
 
 
 class _StoredCube:
@@ -146,41 +132,25 @@ class _StoredCube:
 
 
 class StoredCubeView(CubeView):
-    """A :class:`CubeView` served from disk, with a query-result cache.
+    """A :class:`CubeView` served from disk.
 
     >>> view = StoredCubeView.open("cube.store")     # doctest: +SKIP
     >>> view.rollup("name", "year")                  # doctest: +SKIP
 
     Every operation inherited from :class:`CubeView` runs unchanged
-    against the :class:`_StoredCube` adapter; cacheable operations are
-    wrapped in a keyed LRU.  Cached results are copied on the way out
-    so a caller mutating its answer cannot poison later ones.
+    against the :class:`_StoredCube` adapter.
     """
 
-    def __init__(
-        self,
-        store: CubeStore,
-        result_cache_size: int = DEFAULT_RESULT_CACHE,
-    ):
+    def __init__(self, store: CubeStore):
         super().__init__(_StoredCube(store))
-        #: The same cube behind a plain view: what a cache miss computes.
-        self.uncached = CubeView(self.cube)
         self.store = store
         self.counters = store.counters
-        self._results: "OrderedDict[object, object]" = OrderedDict()
-        self._result_cache_size = max(1, result_cache_size)
-        self._lock = threading.RLock()
 
     @classmethod
     def open(cls, path: str, **kwargs) -> "StoredCubeView":
-        """Open a store file and wrap it; kwargs pass through to both
-        :meth:`CubeStore.open` (``segment_cache_size``, ``counters``)
-        and this view (``result_cache_size``)."""
-        result_cache_size = kwargs.pop(
-            "result_cache_size", DEFAULT_RESULT_CACHE
-        )
-        store = CubeStore.open(path, **kwargs)
-        return cls(store, result_cache_size=result_cache_size)
+        """Open a store file and wrap it; kwargs pass through to
+        :meth:`CubeStore.open` (``segment_cache_size``, ``counters``)."""
+        return cls(CubeStore.open(path, **kwargs))
 
     def close(self) -> None:
         self.store.close()
@@ -190,114 +160,6 @@ class StoredCubeView(CubeView):
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- result cache --------------------------------------------------------
-
-    def probe(self, key, default=None):
-        """The result cached under ``key`` (not a copy), else ``default``;
-        counts the hit or miss."""
-        with self._lock:
-            result = self._results.get(key, _MISS)
-            if result is _MISS:
-                self.counters.bump("serving.cache_miss")
-                return default
-            self.counters.bump("serving.cache_hit")
-            self._results.move_to_end(key)
-            return result
-
-    def insert(self, key, result) -> None:
-        """Cache ``result`` under ``key``, evicting the least recent."""
-        with self._lock:
-            self._results[key] = result
-            if len(self._results) > self._result_cache_size:
-                self._results.popitem(last=False)
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Entries held, and the bytes of the encoded replies among them."""
-        with self._lock:
-            return {
-                "entries": len(self._results),
-                "payload_bytes": sum(
-                    len(result)
-                    for result in self._results.values()
-                    if isinstance(result, bytes)
-                ),
-            }
-
-    def _cached(self, key: Tuple, compute):
-        """Probe and insert under the lock, ``compute`` outside it: a hit
-        never queues behind another thread's segment read.  Two racing
-        misses both compute — equal answers, the later insert wins."""
-        try:
-            hash(key)
-        except TypeError:  # an unhashable fixed value: CubeView names it
-            return compute()
-        result = self.probe(key, _MISS)
-        if result is _MISS:
-            result = compute()
-            self.insert(key, result)
-        return self._copy(result)
-
-    @staticmethod
-    def _copy(result):
-        if isinstance(result, dict):
-            return dict(result)
-        if isinstance(result, list):
-            return list(result)
-        return result
-
-    # -- cached operations ---------------------------------------------------
-
-    def rollup(self, *dimensions: str) -> Dict[Tuple, object]:
-        return self._cached(
-            ("rollup", tuple(dimensions)),
-            lambda: self.uncached.rollup(*dimensions),
-        )
-
-    def total(self):
-        return self._cached(("total",), self.uncached.total)
-
-    def slice(self, **fixed) -> Dict[Tuple, object]:
-        return self._cached(
-            ("slice", tuple(sorted(fixed.items()))),
-            lambda: self.uncached.slice(**fixed),
-        )
-
-    def drilldown(
-        self, group: Dict[str, object], into: str
-    ) -> Dict[object, object]:
-        return self._cached(
-            # key=repr: group names of any type order (CubeView rejects them).
-            ("drilldown", tuple(sorted(group.items(), key=repr)), into),
-            lambda: self.uncached.drilldown(group, into),
-        )
-
-    def top(
-        self,
-        dimensions,
-        k: int = 10,
-        key: Optional[object] = None,
-    ) -> List[Tuple[Tuple, object]]:
-        if key is not None:
-            # Custom magnitude extractors are not hashable cache keys.
-            return super().top(dimensions, k, key)
-        return self._cached(
-            ("top", tuple(dimensions), k),
-            lambda: self.uncached.top(dimensions, k),
-        )
-
-    def pivot(
-        self, row_dim: str, column_dim: str
-    ) -> Dict[object, Dict[object, object]]:
-        result = self._cached(
-            ("pivot", row_dim, column_dim),
-            lambda: self.uncached.pivot(row_dim, column_dim),
-        )
-        # Deep-ish copy: the outer dict is already fresh, the inner row
-        # dicts still alias the cached ones.
-        return {row: dict(columns) for row, columns in result.items()}
-
-    # dice() is inherited uncached: its predicates are callables.
 
     def stats(self) -> Dict[str, int]:
         """A snapshot of the shared ``serving.*`` counters."""

@@ -758,13 +758,3 @@ class TestEngineBackendIdentity:
             make_cluster(PLANS[plan_name], parallelism=3)
         ).compute(adversarial)
         assert_runs_identical(serial, parallel)
-
-    @pytest.mark.parametrize("parallelism", [None, 3])
-    def test_spcube_tasks_carry_no_counters(self, adversarial, parallelism):
-        """The kernels read plans from a memo the round's tasks share,
-        whose hit pattern depends on task order: nothing of it may surface."""
-        run = SPCube(make_cluster(parallelism=parallelism)).compute(adversarial)
-        assert run.cube.num_groups
-        for job in run.metrics.jobs:
-            for task in job.map_tasks + job.reduce_tasks:
-                assert task.counters == {}

@@ -264,19 +264,6 @@ class TestContext:
         run_job(MapReduceJob("probe", Probe, Null), [[1], [2]], cluster, 99)
         assert seen == {0: (3, 99), 1: (3, 99)}
 
-    def test_user_counters(self, cluster):
-        class Counting(Mapper):
-            def map(self, record):
-                self.context.incr("seen")
-                return ()
-
-        class Null(Reducer):
-            def reduce(self, key, values):
-                return ()
-
-        # Counters are per-task; just verify the API works.
-        run_job(MapReduceJob("cnt", Counting, Null), [[1, 2]], cluster, 10)
-
 
 class TestCloseThroughCombiner:
     def test_close_emitted_pairs_are_combined(self, cluster):

@@ -187,11 +187,12 @@ class TestProgressSinkFaultDomainLines:
 
 
 class TestAttemptCounters:
-    def test_merges_user_counters(self):
+    def test_carries_the_standard_counters_only(self):
         from repro.mapreduce import TaskMetrics
 
-        task = TaskMetrics(records_in=4, records_out=2, bytes_out=20,
-                           counters={"skew_hits": 7})
-        counters = attempt_counters(task)
-        assert counters["records_in"] == 4
-        assert counters["skew_hits"] == 7
+        task = TaskMetrics(records_in=4, records_out=2, bytes_out=20)
+        assert attempt_counters(task) == {
+            "records_in": 4, "records_out": 2, "bytes_in": 0,
+            "bytes_out": 20, "cpu_ops": 0, "spilled_records": 0,
+            "peak_group_records": 0,
+        }

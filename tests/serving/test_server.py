@@ -18,6 +18,7 @@ from repro import ClusterConfig, SPCube
 from repro.cubing import sequential_cube
 from repro.datagen import gen_binomial
 from repro.query import CubeView
+from repro.relation import Relation, Schema
 from repro.serving import CubeServer, CubeStore, StoredCubeView, execute_query
 from repro.serving import server as server_module
 
@@ -277,6 +278,29 @@ class TestServerOverRetailCube:
                     for values, value in body["result"]
                 )
                 assert groups[("keyboard", 2009)] == 2
+
+
+def test_a_dimension_named_self_slices_in_process_and_on_the_wire(tmp_path):
+    schema = Schema(["self", "k"], "m")
+    rows = [("x", 1, 1), ("x", 2, 1), ("y", 1, 1)]
+    oracle = CubeView(sequential_cube(Relation(schema, rows)))
+    path = str(tmp_path / "self.store")
+    CubeStore.write(oracle.cube, path, aggregate="count")
+    spec = {"op": "slice", "fixed": {"self": "x"}}
+    expected = json.dumps(
+        {"ok": True, "result": execute_query(oracle, spec)}, sort_keys=True
+    ).encode()
+    with StoredCubeView.open(path) as view:
+        assert view.slice(self="x") == oracle.slice(self="x") == {
+            (1,): 1, (2,): 1,
+        }
+        assert view.dice(self=lambda v: v == "y") == {("y", 1): 1}
+        with CubeServer(view, port=0).start() as srv:
+            conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=5)
+            try:
+                assert _ask(conn, json.dumps(spec).encode()) == (200, expected)
+            finally:
+                conn.close()
 
 
 # -- persistent connections ---------------------------------------------------
@@ -1056,7 +1080,7 @@ class TestAnswerBytesCache:
         return sorted(oracle.rollup("a1", "a2"))[0]
 
     def test_hit_equals_its_miss_and_the_oracle_for_every_wire_op(
-        self, server, view, conn, oracle, anchor
+        self, server, conn, oracle, anchor
     ):
         a1, a2 = anchor
         specs = [
@@ -1076,20 +1100,20 @@ class TestAnswerBytesCache:
             assert _ask(conn, body) == (200, expected)  # the hit
             # One wire query is one lookup and one slot: top and pivot do
             # not also probe for, or cache, the rollup beneath them.
-            assert len(view._results) == held
+            assert len(server._results) == held
             assert server.counters.value("serving.cache_miss") == held
             assert server.counters.value("serving.cache_hit") == held
         assert server.counters.value("serving.requests") == 2 * len(specs)
 
-    def test_key_order_shares_an_entry(self, server, view, conn):
+    def test_key_order_shares_an_entry(self, server, conn):
         first = _ask(conn, b'{"op": "top", "dimensions": ["a1"], "k": 2}')
         again = _ask(conn, b'{"k": 2, "dimensions": ["a1"], "op": "top"}')
         assert first == again and first[0] == 200
-        assert len(view._results) == 1
+        assert len(server._results) == 1
         assert server.counters.value("serving.cache_hit") == 1
 
     def test_k_into_and_fixed_values_do_not_share_one(
-        self, server, view, conn, oracle, anchor
+        self, server, conn, oracle, anchor
     ):
         a1, other = anchor[0], sorted(oracle.rollup("a1"))[-1][0]
         assert a1 != other
@@ -1103,16 +1127,16 @@ class TestAnswerBytesCache:
             assert _ask(conn, json.dumps(spec).encode()) == (
                 200, _oracle_body(oracle, spec),
             )
-        assert len(view._results) == 5
+        assert len(server._results) == 5
         assert server.counters.value("serving.cache_hit") == 0
 
-    def test_a_400_is_never_cached(self, server, view, conn):
+    def test_a_400_is_never_cached(self, server, conn):
         bad = b'{"op": "rollup", "dimensions": ["bogus"]}'
         first, again = _ask(conn, bad), _ask(conn, bad)
         assert first == again and first[0] == 400
         assert server.counters.value("serving.query_errors") == 2
         assert server.counters.value("serving.cache_hit") == 0
-        assert len(view._results) == 0
+        assert len(server._results) == 0
         assert server.stats()["result_cache"] == {
             "entries": 0, "payload_bytes": 0,
         }
@@ -1137,16 +1161,18 @@ class TestAnswerBytesCache:
                     body = pool[(offset + step) % len(pool)]
                     if _ask(connection, body) != (200, expected[body]):
                         wrong.append(body)
-                    if len(view._results) > 3:
-                        overfull.append(len(view._results))
+                    if len(srv._results) > 3:
+                        overfull.append(len(srv._results))
             finally:
                 connection.close()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with StoredCubeView.open(store_path, result_cache_size=3) as view:
-                with CubeServer(view, workers=2, port=0).start() as srv:
+            with StoredCubeView.open(store_path) as view:
+                with CubeServer(
+                    view, workers=2, port=0, result_cache=3
+                ).start() as srv:
                     threads = [
                         threading.Thread(target=client, args=(i,))
                         for i in range(clients)

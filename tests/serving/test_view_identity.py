@@ -3,9 +3,12 @@
 The acceptance bar for the serving layer: every query type answered
 from disk must equal the in-memory answer exactly — across all four
 engines, for iceberg-pruned cubes, and through the ancestor
-re-aggregation path of deliberately partial stores.
+re-aggregation path of deliberately partial stores.  ``TestResultCache``
+checks what repeated queries share: the server's reply LRU, and in
+process nothing.
 """
 
+import json
 import sys
 import tempfile
 import threading
@@ -27,7 +30,7 @@ from repro.cubing import CubeResult, sequential_cube
 from repro.datagen import gen_binomial
 from repro.engines import ENGINE_NAMES, load_engines
 from repro.relation import Relation, Schema, all_cuboids, mask_dimensions
-from repro.serving import CubeStore
+from repro.serving import CubeServer, CubeStore, execute_query
 
 ENGINES = list(load_engines(ENGINE_NAMES).values())
 
@@ -66,7 +69,7 @@ def assert_identical(stored, memory, relation):
     assert stored.pivot(dims[0], dims[3]) == memory.pivot(dims[0], dims[3])
 
 
-class TestFiveEngineIdentity:
+class TestEveryEngineIdentity:
     @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
     def test_count_cube(self, engine, relation, tmp_path):
         run = engine(ClusterConfig(num_machines=4)).compute(relation)
@@ -290,7 +293,7 @@ class TestGeneratedIdentity:
                     got = answer(stored, query)
                     assert got == answer(memory, query), query
                     assert repr(got) == repr(answer(scan, query)), query
-                    assert answer(stored, query) == got  # now from the cache
+                    assert answer(stored, query) == got  # segments warm
 
 
     def test_empty_selection_gets_the_apex_check(self, tmp_path):
@@ -321,37 +324,62 @@ class TestGeneratedIdentity:
                     view.slice(a1=1, a2=value)
                 with pytest.raises(QueryError, match="'a2'.*unhashable"):
                     view.drilldown({"a2": value}, into="a1")
-            assert stored.stats()["serving.cache_miss"] == 0
+
+
+def _ask(server, spec):
+    """One query through the server's cache and admission, no socket:
+    (status, body), a 200's body the encoded reply."""
+    return server._handle_query(spec, object())
+
+
+def _reply(view, spec):
+    """The bytes a 200 carries for ``spec`` answered by ``view``."""
+    return json.dumps(
+        {"ok": True, "result": execute_query(view, spec)}, sort_keys=True
+    ).encode()
 
 
 class TestResultCache:
+    """What repeats of a query share.  Over the wire: the server's LRU of
+    encoded replies, driven here without a socket.  In process: nothing,
+    so an answer is its caller's own and cannot reach the segment cache."""
+
+    ROLLUP_A1 = {"op": "rollup", "dimensions": ["a1"]}
+    ROLLUP_A2 = {"op": "rollup", "dimensions": ["a2"]}
+
     @pytest.fixture
     def stored(self, relation, tmp_path):
         run = SPCube(ClusterConfig(num_machines=4)).compute(relation)
         path = str(tmp_path / "cache.store")
-        from repro.serving import CubeStore
-
         CubeStore.write(run.cube, path, aggregate="count")
         with StoredCubeView.open(path) as view:
             yield view
 
-    def test_repeat_query_hits(self, stored):
-        first = stored.rollup("a1")
-        assert stored.stats()["serving.cache_hit"] == 0
-        assert stored.rollup("a1") == first
-        assert stored.stats()["serving.cache_hit"] == 1
+    @pytest.fixture
+    def server(self, stored):
+        with CubeServer(stored) as srv:
+            yield srv
 
-    def test_distinct_keys_do_not_collide(self, stored):
-        assert stored.rollup("a1", "a2") != stored.rollup("a2", "a1")
-        assert stored.stats()["serving.cache_hit"] == 0
+    def test_repeat_query_hits(self, server):
+        first = _ask(server, self.ROLLUP_A1)
+        assert first[0] == 200
+        assert server.counters.value("serving.cache_hit") == 0
+        assert _ask(server, self.ROLLUP_A1) == first
+        assert server.counters.value("serving.cache_hit") == 1
+
+    def test_distinct_keys_do_not_collide(self, server):
+        a1_a2 = _ask(server, {"op": "rollup", "dimensions": ["a1", "a2"]})
+        a2_a1 = _ask(server, {"op": "rollup", "dimensions": ["a2", "a1"]})
+        assert a1_a2 != a2_a1
+        assert server.counters.value("serving.cache_hit") == 0
 
     def test_caller_mutation_cannot_poison(self, stored):
         first = stored.rollup("a1")
         first.clear()
         assert stored.rollup("a1") != {}
 
-    def test_hit_does_not_wait_for_a_slow_miss(self, stored):
-        expected = stored.rollup("a1")
+    def test_hit_does_not_wait_for_a_slow_miss(self, server, stored):
+        expected = _ask(server, self.ROLLUP_A1)
         entered, release = threading.Event(), threading.Event()
         read = stored.cube.cuboid
 
@@ -361,12 +389,14 @@ class TestResultCache:
             return read(mask)
 
         stored.cube.cuboid = slow_read
-        miss = threading.Thread(target=stored.rollup, args=("a2",))
+        miss = threading.Thread(target=_ask, args=(server, self.ROLLUP_A2))
         miss.start()
         try:
             assert entered.wait(10)  # the miss is inside its segment read
             hits = []
-            hit = threading.Thread(target=lambda: hits.append(stored.rollup("a1")))
+            hit = threading.Thread(
+                target=lambda: hits.append(_ask(server, self.ROLLUP_A1))
+            )
             hit.start()
             hit.join(5)
             assert hits == [expected], "a hit queued behind another's miss"
@@ -374,10 +404,10 @@ class TestResultCache:
             release.set()
             miss.join(10)
         assert not miss.is_alive()
-        assert stored.stats()["serving.cache_hit"] == 1
-        assert stored.stats()["serving.cache_miss"] == 2
+        assert server.counters.value("serving.cache_hit") == 1
+        assert server.counters.value("serving.cache_miss") == 2
 
-    def test_racing_misses_both_compute_equal_answers(self, stored):
+    def test_racing_misses_both_compute_equal_answers(self, server, stored):
         both_inside = threading.Barrier(2)
         read = stored.cube.cuboid
 
@@ -388,7 +418,9 @@ class TestResultCache:
         stored.cube.cuboid = rendezvous
         answers = []
         threads = [
-            threading.Thread(target=lambda: answers.append(stored.rollup("a2")))
+            threading.Thread(
+                target=lambda: answers.append(_ask(server, self.ROLLUP_A2))
+            )
             for _ in range(2)
         ]
         for thread in threads:
@@ -397,9 +429,10 @@ class TestResultCache:
             thread.join(15)
         stored.cube.cuboid = read
         assert len(answers) == 2 and answers[0] == answers[1]
-        assert stored.rollup("a2") == answers[0]
-        assert stored.stats()["serving.cache_miss"] == 2
-        assert stored.stats()["serving.cache_hit"] == 1
+        assert answers[0] == (200, _reply(stored, self.ROLLUP_A2))
+        assert _ask(server, self.ROLLUP_A2) == answers[0]
+        assert server.counters.value("serving.cache_miss") == 2
+        assert server.counters.value("serving.cache_hit") == 1
 
     def test_stress_keeps_counters_and_cache_bound(self, relation, tmp_path):
         # More threads than cores, a short switch interval, a cache far
@@ -410,44 +443,52 @@ class TestResultCache:
         CubeStore.write(run.cube, path, aggregate="count")
         memory = CubeView(run.cube)
         anchors = sorted(memory.rollup("a1"))[:6]
-        expected = {
-            (anchor, into): memory.drilldown({"a1": anchor[0]}, into=into)
+        specs = {
+            (anchor, into): {
+                "op": "drilldown", "group": {"a1": anchor[0]}, "into": into,
+            }
             for anchor in anchors
             for into in ("a2", "a3")
         }
-        wrong, rounds, workers = [], 150, 8
+        expected = {
+            case: (200, _reply(memory, spec)) for case, spec in specs.items()
+        }
+        wrong, overfull, rounds, workers = [], [], 150, 8
 
         def client(offset):
             for step in range(rounds):
                 anchor = anchors[(offset + step) % len(anchors)]
                 into = ("a2", "a3")[step % 2]  # two segments, room for one
-                got = view.drilldown({"a1": anchor[0]}, into=into)
+                got = _ask(server, specs[anchor, into])
                 if got != expected[anchor, into]:
                     wrong.append((anchor, into, got))
+                if len(server._results) > 3:
+                    overfull.append(len(server._results))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with StoredCubeView.open(
-                path, result_cache_size=3, segment_cache_size=1
-            ) as view:
-                threads = [
-                    threading.Thread(target=client, args=(i,))
-                    for i in range(workers)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(60)
-                assert not any(thread.is_alive() for thread in threads)
-                stats = view.stats()
-                assert len(view._results) <= 3
+            with StoredCubeView.open(path, segment_cache_size=1) as view:
+                with CubeServer(view, workers=workers, result_cache=3) as server:
+                    threads = [
+                        threading.Thread(target=client, args=(i,))
+                        for i in range(workers)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(60)
+                    assert not any(thread.is_alive() for thread in threads)
+                    stats = server.stats()
         finally:
             sys.setswitchinterval(interval)
-        assert wrong == []
-        assert stats["serving.cache_hit"] + stats["serving.cache_miss"] == (
+        assert wrong == [] and overfull == []
+        assert stats["result_cache"]["entries"] <= 3
+        counters = stats["counters"]
+        assert counters["serving.cache_hit"] + counters["serving.cache_miss"] == (
             rounds * workers
         )
+        assert counters["serving.shed"] == 0
 
     def test_pivot_rows_are_copies(self, stored):
         stored.pivot("a1", "a2")
@@ -456,39 +497,19 @@ class TestResultCache:
             row.clear()
         assert any(stored.pivot("a1", "a2").values())
 
-    def test_lru_eviction(self, relation, tmp_path):
-        run = SPCube(ClusterConfig(num_machines=4)).compute(relation)
-        path = str(tmp_path / "tiny.store")
-        from repro.serving import CubeStore
+    def test_lru_eviction(self, stored):
+        with CubeServer(stored, result_cache=2) as server:
+            for dims in (["a1"], ["a2"], ["a3"], ["a1"]):  # a3 evicts a1
+                assert _ask(server, {"op": "rollup", "dimensions": dims})[0] == 200
+            assert server.counters.value("serving.cache_hit") == 0
+            assert server.counters.value("serving.cache_miss") == 4
 
-        CubeStore.write(run.cube, path, aggregate="count")
-        with StoredCubeView.open(path, result_cache_size=2) as view:
-            view.rollup("a1")
-            view.rollup("a2")
-            view.rollup("a3")  # evicts the a1 entry
-            view.rollup("a1")
-            assert view.stats()["serving.cache_hit"] == 0
-            assert view.stats()["serving.cache_miss"] == 4
-
-    def test_top_and_pivot_are_one_lookup_and_one_slot(self, stored):
+    def test_top_and_pivot_are_one_lookup_and_one_slot(self, server):
         # Neither probes for, nor caches, the rollup it is computed from.
-        stored.top(["a1"], k=2)
-        stored.pivot("a1", "a2")
-        assert stored.stats()["serving.cache_miss"] == 2
-        assert len(stored._results) == 2
-        stored.rollup("a1")
-        assert stored.stats()["serving.cache_miss"] == 3
-        assert stored.stats()["serving.cache_hit"] == 0
-
-    def test_custom_top_key_is_uncached(self, stored):
-        # The ranking itself is never cached (the key is a callable),
-        # but the rollup underneath still is: one miss, then hits.
-        stored.top(["a1"], k=2, key=lambda v: -v)
-        stored.top(["a1"], k=2, key=lambda v: -v)
-        assert stored.stats()["serving.cache_miss"] == 1
-        assert stored.stats()["serving.cache_hit"] == 1
-
-    def test_dice_is_uncached(self, stored):
-        stored.dice(a1=lambda v: True)
-        stored.dice(a1=lambda v: True)
-        assert stored.stats()["serving.cache_miss"] == 0
+        _ask(server, {"op": "top", "dimensions": ["a1"], "k": 2})
+        _ask(server, {"op": "pivot", "row": "a1", "column": "a2"})
+        assert server.counters.value("serving.cache_miss") == 2
+        assert len(server._results) == 2
+        _ask(server, self.ROLLUP_A1)
+        assert server.counters.value("serving.cache_miss") == 3
+        assert server.counters.value("serving.cache_hit") == 0
