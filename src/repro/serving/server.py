@@ -41,6 +41,8 @@ line, a missing, malformed, conflicting or too large length,
 ``Transfer-Encoding`` on a POST, a body on a GET: the bytes that follow
 cannot be trusted), when a request's head and body are not all in
 ``IDLE_TIMEOUT_S`` after its wait began, and on :meth:`CubeServer.close`.
+At most ``MAX_CONNECTIONS`` are live, one thread each: the accept thread
+answers one more with the 503 ``"overloaded"`` and closes it.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ MAX_BODY_BYTES = 1 << 20
 IDLE_TIMEOUT_S = 15.0
 #: Longest request or header line, and most header lines (414, 431).
 MAX_LINE_BYTES, MAX_HEADERS = 65536, 100
+#: Most live connections, hence handler threads; one more is answered
+#: 503 on the accept thread and closed.
+MAX_CONNECTIONS = 64
 
 #: Ops answerable over the wire.  ``dice`` is deliberately absent: its
 #: predicates are Python callables and deserializing code is not a
@@ -194,11 +199,6 @@ def execute_query(view: StoredCubeView, spec: Dict) -> object:
     except TypeError as exc:
         # Wrong-typed spec fields (e.g. dimensions: 3) surface here.
         raise QueryError(str(exc)) from None
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True  # a kept-alive connection never blocks exit
 
 
 class CubeServer:
@@ -390,13 +390,6 @@ class CubeServer:
                     socket.IPPROTO_TCP, socket.TCP_NODELAY, True
                 )
                 self._buf, self._pos = b"", 0  # received, not yet read
-                with server._lock:
-                    server._connections.add(self.connection)
-                    server.counters.bump("serving.connections")
-
-            def finish(self):
-                with server._lock:
-                    server._connections.discard(self.connection)
 
             def handle(self):
                 self.close_connection = False
@@ -552,7 +545,35 @@ class CubeServer:
                 else:
                     self._reply(*reply)
 
-        httpd = _TCPServer(("127.0.0.1", port), Handler)
+        class TCPServer(socketserver.ThreadingTCPServer):
+            allow_reuse_address = True
+            daemon_threads = True  # a kept-alive connection never blocks exit
+
+            def process_request(self, request, client_address):
+                """Start the connection's thread, or past
+                ``MAX_CONNECTIONS`` live ones, send the 503 in one
+                write that never blocks the accept loop and close."""
+                with server._lock:
+                    admitted = len(server._connections) < MAX_CONNECTIONS
+                    if admitted:
+                        server._connections.add(request)
+                    server.counters.bump(
+                        "serving.connections" if admitted else "serving.shed"
+                    )
+                if admitted:
+                    return super().process_request(request, client_address)
+                refusal = _refusal("overloaded", retriable=True)
+                with contextlib.suppress(OSError):  # would block, or gone
+                    request.setblocking(False)
+                    request.send(response(503, refusal, True))
+                self.shutdown_request(request)
+
+            def shutdown_request(self, request):
+                with server._lock:
+                    server._connections.discard(request)
+                super().shutdown_request(request)
+
+        httpd = TCPServer(("127.0.0.1", port), Handler)
         httpd.service_actions = self._sweep
         return httpd, response
 

@@ -3,7 +3,7 @@
 ``io.write_cube`` flattens a cube into one TSV stream — fine as an export,
 useless as a serving artifact: answering ``rollup("name")`` means scanning
 every c-group of every cuboid.  :class:`CubeStore` is the read-optimized
-counterpart.  A store file (format version 2) is laid out as
+counterpart.  A store file (format version 3) is laid out as
 
 * a **header line** — magic, format version, and a JSON blob carrying the
   schema, the aggregate's name/kind, and the iceberg threshold the cube
@@ -21,24 +21,30 @@ counterpart.  A store file (format version 2) is laid out as
   the index with one seek from the end.
 
 Every **column** — dictionary, codes or aggregates — is a 10-byte
-``kind, item size, payload length`` prefix plus a payload picked from
-the *exact* types of its values:
+``kind, item size, payload length`` prefix plus a payload in the
+narrowest *exact* encoding of its values' types:
 
-``i``  all ``int``: the narrowest of int8/16/32/64 that fits, little-endian;
+``u``  all ``int``, none negative: the narrowest of uint8/16/32/64 that
+       fits, little-endian; code columns are always ``u``;
+``i``  any other all-``int`` column: the narrowest of int8/16/32/64;
 ``f``  all ``float`` (finite): float64, little-endian;
-``s``  all ``str``: an ``i`` column of character lengths, then the
-       concatenated UTF-8 text (``surrogatepass``, so any ``str`` fits);
+``n``  all ``str``, each the canonical decimal numeral of an int that
+       fits int64 or uint64 (``str(int(v)) == v``): a ``u``/``i``
+       column of those ints, in the column's own order;
+``s``  any other all-``str`` column: a ``u`` column of character
+       lengths, then the concatenated UTF-8 text (``surrogatepass``);
 ``g``  anything else — ``None``, ``bool``, tuples such as ``top_k``,
-       ints beyond int64, mixed types: ``repr`` of the value list, read
+       ints beyond 64 bits, mixed types: ``repr`` of the value list, read
        back with one ``ast.literal_eval`` and verified equal at write.
 
 The typed kinds are type-exact by construction (``1`` never comes back
-as ``1.0`` or ``True``, ``-0.0`` keeps its sign); the generic kind exists
-so that everything the v1 ``repr`` codec could store still can be, with
-the same write-time :class:`StoreError` for values that do not survive
-``repr``/``literal_eval`` (``nan``, ``inf``, arbitrary objects).  A
-dimension whose values do not compare (``None`` next to ints) is stored
-in ``repr`` order instead of failing.
+as ``1.0``, ``True`` or ``"1"``, ``-0.0`` keeps its sign); the generic
+kind keeps a write-time :class:`StoreError` for values that do not
+survive ``repr``/``literal_eval`` (``nan``, ``inf``, arbitrary objects).
+A dimension whose values do not compare (``None`` next to ints) is stored
+in ``repr`` order instead of failing.  A file of another format version
+(v1 text, v2 signed-only columns) is refused with a one-line version
+error; re-create it with ``cube --store``.
 
 :meth:`CubeStore.open` reads only the header and footer; dictionaries
 and segment bytes are fetched (and CRC-checked) on first touch, so a
@@ -68,7 +74,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from itertools import accumulate, chain, compress, islice
-from operator import itemgetter, lt
+from operator import eq, itemgetter, lt
 from typing import (
     Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -82,7 +88,7 @@ from ..relation.schema import Schema
 
 #: First token of a store file; the format version follows it.
 MAGIC = "repro-cube-store"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Default number of decoded segments kept hot per store.
 DEFAULT_SEGMENT_CACHE = 16
@@ -110,7 +116,7 @@ class ServingCounters:
         "serving.reaggregations",   # cuboids rebuilt from an ancestor
         "serving.connections",      # connections accepted by the server
         "serving.requests",         # queries answered: cache hit or admitted
-        "serving.shed",             # queries refused at admission (503)
+        "serving.shed",             # queries or connections refused (503)
         "serving.deadline_exceeded",  # queries cut at the deadline (504)
         "serving.query_errors",     # queries rejected as unanswerable (400)
         "serving.bad_requests",     # framing errors answered 400/413, closed
@@ -135,20 +141,47 @@ _COLUMN = struct.Struct("<cBQ")
 #: ``(kind, item size)`` -> ``array`` typecode of the fixed-width kinds.
 _TYPECODES = {
     (b"i", 1): "b", (b"i", 2): "h", (b"i", 4): "i", (b"i", 8): "q",
+    (b"u", 1): "B", (b"u", 2): "H", (b"u", 4): "I", (b"u", 8): "Q",
     (b"f", 8): "d",
 }
 #: What decoding corrupt-but-CRC-clean column bytes can raise.
 _DECODE_ERRORS = (ValueError, SyntaxError, TypeError, RecursionError, MemoryError)
-#: The int8 codes ``0 .. 127``.  Deleting its first ``n`` bytes from a
-#: 1-byte column in one C call must leave nothing.
-_IN_RANGE = bytes(range(128))
+#: Every uint8 code.  Deleting its first ``n`` bytes from a 1-byte column
+#: in one C call must leave nothing.
+_IN_RANGE = bytes(range(256))
 
 
 def _codes_in_range(codes: array, n: int) -> bool:
-    """Every code in ``0 .. n - 1``; 1-byte columns are checked in C."""
+    """Every (unsigned) code below ``n``; 1-byte columns are checked in C."""
     if codes.itemsize == 1:
         return not codes.tobytes().translate(None, _IN_RANGE[:n])
-    return not codes or 0 <= min(codes) <= max(codes) < n
+    return not codes or max(codes) < n
+
+
+def _int_width(low: int, high: int) -> Optional[Tuple[bytes, int]]:
+    """``(kind, item size)`` of the narrowest exact array for ints in
+    ``low .. high``: ``u`` when none is negative, else ``i``; None past
+    64 bits."""
+    if low >= 0:
+        kind, bits = b"u", high.bit_length()
+    else:
+        kind, bits = b"i", max(high, ~low).bit_length() + 1
+    return next(((kind, s) for s in (1, 2, 4, 8) if bits <= 8 * s), None)
+
+
+def _numerals(values: Sequence[str]) -> Optional[array]:
+    """``values`` as a 64-bit int array when each is the canonical decimal
+    numeral of its int (``str(int(v)) == v``), else None.  The array is
+    the only copy: the check streams."""
+    for typecode in "qQ":
+        try:
+            ints = array(typecode, map(int, values))
+        except OverflowError:  # past int64, or negative for uint64
+            continue
+        except ValueError:  # not a numeral, or too long for int()
+            return None
+        return ints if all(map(eq, map(str, ints), values)) else None
+    return None
 
 
 def _unstorable(values: Sequence) -> StoreError:
@@ -168,28 +201,28 @@ def _unstorable(values: Sequence) -> StoreError:
 
 
 def _pack(values: Sequence) -> bytes:
-    """Encode one column; the kind comes from the values' exact types."""
+    """Encode one column in the narrowest exact kind of its values."""
     types = set(map(type, values))
     kind, itemsize = b"g", 0
     if types <= {int}:
-        for size in (1, 2, 4, 8):  # the narrowest array that takes them
-            try:
-                column = array(_TYPECODES[b"i", size], values)
-            except OverflowError:
-                continue
-            kind, itemsize = b"i", size
-            break
+        width = _int_width(min(values, default=0), max(values, default=0))
+        if width:
+            kind, itemsize = width
+            column = array(_TYPECODES[width], values)
     elif types == {float}:
         if not all(map(math.isfinite, values)):
             raise _unstorable(values)
         kind, itemsize = b"f", 8
         column = array("d", values)
     elif types == {str}:
-        kind = b"s"
+        ints = _numerals(values)
+        kind = b"s" if ints is None else b"n"
     if itemsize:
         if sys.byteorder == "big":
             column.byteswap()
         payload = column.tobytes()
+    elif kind == b"n":
+        payload = _pack(ints)
     elif kind == b"s":
         payload = _pack(list(map(len, values))) + "".join(values).encode(
             "utf-8", "surrogatepass"
@@ -208,7 +241,7 @@ def _pack(values: Sequence) -> bytes:
 
 
 def _unpack(
-    raw: bytes, pos: int, count: int, where: str, kinds: bytes = b"ifsg"
+    raw: bytes, pos: int, count: int, where: str, kinds: bytes = b"iufnsg"
 ) -> Tuple[Sequence, int]:
     """Decode the ``count``-value column at ``raw[pos:]``.
 
@@ -227,16 +260,21 @@ def _unpack(
         )
     payload = raw[start:end]
     try:
-        if kind in b"if":
+        if kind in b"iuf":
             values = array(_TYPECODES[kind, itemsize])
             values.frombytes(payload)
             if sys.byteorder == "big":
                 values.byteswap()
+        elif kind == b"n":
+            ints, ints_end = _unpack(payload, 0, count, where, b"iu")
+            if ints_end != len(payload):
+                raise ValueError("numeral column has trailing bytes")
+            values = list(map(str, ints))
         elif kind == b"s":
-            lengths, text_start = _unpack(payload, 0, count, where, b"i")
+            lengths, text_start = _unpack(payload, 0, count, where, b"u")
             text = payload[text_start:].decode("utf-8", "surrogatepass")
             ends = list(accumulate(lengths, initial=0))
-            if min(lengths, default=0) < 0 or ends[-1] != len(text):
+            if ends[-1] != len(text):
                 raise ValueError("string lengths disagree with the text")
             values = [text[a:b] for a, b in zip(ends, ends[1:])]
         else:
@@ -738,7 +776,7 @@ class CubeStore:
         columns = []
         for dim in mask_dimensions(mask, self.schema.num_dimensions):
             values, index = self._dictionary(dim)
-            codes, pos = _unpack(raw, pos, count, where, b"i")
+            codes, pos = _unpack(raw, pos, count, where, b"u")
             if not _codes_in_range(codes, len(values)):
                 raise StoreError(
                     f"{where}: code outside the {len(values)}-value "

@@ -716,6 +716,47 @@ class TestKeepAlive:
                 sock.close()
 
 
+class TestConnectionCap:
+    """Past ``MAX_CONNECTIONS`` live connections the accept thread answers
+    503 and closes: no handler thread starts for the refused one."""
+
+    CAP = 4  # the test opens at most CAP + 2 sockets
+
+    def test_the_connection_past_the_cap_is_503_then_closed(
+        self, view, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "MAX_CONNECTIONS", self.CAP)
+        with CubeServer(view, port=0).start() as srv:
+            before = threading.active_count()
+            idle = [_connect(srv.port) for _ in range(self.CAP)]
+            try:
+                refused = _connect(srv.port)
+                try:
+                    [(status, headers, body)] = _read_replies(refused, 1)
+                    assert _closed_within(refused, 2.0)
+                finally:
+                    refused.close()
+                assert (status, body) == (
+                    503, {"ok": False, "error": "overloaded", "retriable": True}
+                )
+                assert headers["connection"] == "close"
+                assert threading.active_count() - before <= self.CAP
+                assert srv.counters.value("serving.shed") == 1
+                assert srv.counters.value("serving.connections") == self.CAP
+                # One leaves; once its thread has ended, a newcomer is served.
+                idle.pop().close()
+                deadline = time.time() + 5
+                while len(srv._connections) == self.CAP and time.time() < deadline:
+                    time.sleep(0.01)
+                idle.append(_connect(srv.port))
+                idle[-1].sendall(_post(b"/query", TOTAL))
+                assert _read_replies(idle[-1], 1)[0][0] == 200
+                assert srv.counters.value("serving.shed") == 1
+            finally:
+                for sock in idle:
+                    sock.close()
+
+
 # -- the request head ---------------------------------------------------------
 
 _LONG = server_module.MAX_LINE_BYTES

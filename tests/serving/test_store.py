@@ -1,6 +1,7 @@
 """The on-disk cube store: format, laziness, corruption detection."""
 
 import hashlib
+import struct
 import zlib
 from pathlib import Path
 
@@ -40,7 +41,7 @@ class TestWriteOpen:
         # The writer's output for a fixed cube, byte for byte: a change
         # here is a format change and needs a new FORMAT_VERSION.
         digest = hashlib.sha256(Path(store_path).read_bytes()).hexdigest()
-        assert (FORMAT_VERSION, digest[:16]) == (2, "f8523f81c6ace4d8")
+        assert (FORMAT_VERSION, digest[:16]) == (3, "901ae24f423369d9")
 
     def test_metadata_survives(self, store_path, retail_schema):
         with CubeStore.open(store_path) as store:
@@ -221,6 +222,31 @@ class TestCorruption:
             CubeStore.open(str(path))
         message = str(caught.value)
         assert "unsupported store format version '1'" in message
+        assert "\n" not in message
+
+    def test_v2_file_refused(self, tmp_path):
+        # v2 wrote codes and counts as signed ints and numerals as text;
+        # there is no v2 reader: one line naming the version, and the
+        # store is re-creatable with ``cube --store``.
+        path = tmp_path / "v2.store"
+        column = struct.pack("<cBQ", b"i", 1, 1) + b"\x03"  # int8 [3]
+        header = b'repro-cube-store 2 {"dimensions": ["a"], "measure": "m"}\n'
+        dictionary, segment = len(header), len(header) + len(column)
+        footer = (
+            b'{"cuboids": [{"crc32": %d, "groups": 1, "length": %d, '
+            b'"mask": 0, "offset": %d}], "dictionaries": [{"count": 1, '
+            b'"crc32": %d, "length": %d, "offset": %d}]}\n'
+            % (zlib.crc32(column), len(column), segment,
+               zlib.crc32(column), len(column), dictionary)
+        )
+        path.write_bytes(
+            header + column + column + footer
+            + b"footer %d %d\n" % (segment + len(column), zlib.crc32(footer))
+        )
+        with pytest.raises(StoreError) as caught:
+            CubeStore.open(str(path))
+        message = str(caught.value)
+        assert "unsupported store format version '2'" in message
         assert "\n" not in message
 
     def test_truncated_footer(self, cube, tmp_path):

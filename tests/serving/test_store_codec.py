@@ -1,4 +1,4 @@
-"""The v2 column codec: type-exact round-trips and byte-level fuzzing."""
+"""The v3 column codec: type-exact round-trips and byte-level fuzzing."""
 
 import copy
 import json
@@ -18,9 +18,11 @@ from repro.cubing.result import matching_rows
 from repro.relation import Relation, Schema, mask_dimensions, mask_size
 from repro.serving import CubeStore, StoreError
 from repro.serving import store as store_module
-from repro.serving.store import _codes_in_range
+from repro.serving.store import _codes_in_range, _pack, _unpack
 
 SCHEMA = Schema(["a", "b"], "m")
+#: The documented column prefix: kind, item size, payload bytes.
+COLUMN_PREFIX = struct.Struct("<cBQ")
 
 # Values that are equal (and hash equal) yet must come back as themselves.
 LOOKALIKES = st.sampled_from(
@@ -177,11 +179,109 @@ class TestRoundTrip:
                 assert keys == sorted(keys)
 
 
+# -- one column at its width edges --------------------------------------------
+
+
+#: ``value -> (kind, item size)`` of the column ``[value]``, and of the
+#: column ``[-1, value]``, which must be signed.
+WIDTH_EDGES = {
+    -(2**63) - 1: ((b"g", 0), (b"g", 0)),
+    -(2**63): ((b"i", 8), (b"i", 8)),
+    -129: ((b"i", 2), (b"i", 2)),
+    -128: ((b"i", 1), (b"i", 1)),
+    -1: ((b"i", 1), (b"i", 1)),
+    0: ((b"u", 1), (b"i", 1)),
+    127: ((b"u", 1), (b"i", 1)),
+    128: ((b"u", 1), (b"i", 2)),
+    255: ((b"u", 1), (b"i", 2)),
+    256: ((b"u", 2), (b"i", 2)),
+    32767: ((b"u", 2), (b"i", 2)),
+    32768: ((b"u", 2), (b"i", 4)),
+    65535: ((b"u", 2), (b"i", 4)),
+    65536: ((b"u", 4), (b"i", 4)),
+    2**31: ((b"u", 4), (b"i", 8)),
+    2**32 - 1: ((b"u", 4), (b"i", 8)),
+    2**32: ((b"u", 8), (b"i", 8)),
+    2**63: ((b"u", 8), (b"g", 0)),
+    2**64 - 1: ((b"u", 8), (b"g", 0)),
+    2**64: ((b"g", 0), (b"g", 0)),
+}
+#: Strings ``int()`` reads that are not the canonical numeral of the
+#: result, or that ``int()`` refuses: all stay ``s``.
+NON_CANONICAL = ["+5", " 5", "5 ", "05", "-0", "1_0", "\u0661\u0662", "", "1" * 5000]
+
+
+def column_kind(raw):
+    """``(kind, item size)`` of the packed column ``raw``."""
+    return COLUMN_PREFIX.unpack_from(raw)[:2]
+
+
+def assert_column_roundtrip(values):
+    raw = _pack(values)
+    back, end = _unpack(raw, 0, len(values), "test")
+    assert end == len(raw)
+    assert list(map(type, back)) == list(map(type, values))
+    assert list(back) == list(values)
+    return raw
+
+
+@pytest.mark.parametrize("value", sorted(WIDTH_EDGES), ids=str)
+def test_int_column_is_exact_at_its_narrowest_width(value):
+    alone, signed = WIDTH_EDGES[value]
+    assert column_kind(assert_column_roundtrip([value])) == alone
+    assert column_kind(assert_column_roundtrip([-1, value])) == signed
+
+
+@pytest.mark.parametrize("value", sorted(WIDTH_EDGES), ids=str)
+def test_numeral_column_holds_its_ints_at_their_width(value):
+    raw = assert_column_roundtrip([str(value)])
+    if WIDTH_EDGES[value][0] == (b"g", 0):  # past 64 bits: plain text
+        assert column_kind(raw) == (b"s", 0)
+    else:
+        assert column_kind(raw) == (b"n", 0)
+        assert column_kind(raw[COLUMN_PREFIX.size:]) == WIDTH_EDGES[value][0]
+
+
+def test_numeral_column_keeps_its_string_order():
+    values = ["10", "2", "-3", "1"]  # sorted as strings, not as ints
+    raw = assert_column_roundtrip(values)
+    assert column_kind(raw) == (b"n", 0)
+    ints, _ = _unpack(raw[COLUMN_PREFIX.size:], 0, 4, "test")
+    assert list(ints) == [10, 2, -3, 1]
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL, ids=lambda text: repr(text)[:10])
+def test_non_canonical_numeral_stays_text(text):
+    for values in ([text], ["7", text], [text, "7"]):
+        assert column_kind(assert_column_roundtrip(values)) == (b"s", 0)
+
+
+def test_numerals_past_both_64_bit_ranges_stay_text():
+    # Each fits one of int64 and uint64, but no one array holds both.
+    values = ["-1", str(2**64 - 1)]
+    assert column_kind(assert_column_roundtrip(values)) == (b"s", 0)
+
+
+COLUMN_INTS = st.one_of(
+    st.integers(), st.sampled_from(sorted(WIDTH_EDGES)), st.integers(-300, 300)
+)
+COLUMN_STRS = st.one_of(
+    TEXTS, COLUMN_INTS.map(str), st.sampled_from(NON_CANONICAL[:-1])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(COLUMN_INTS), st.lists(COLUMN_STRS)))
+def test_pack_unpack_is_type_exact(values):
+    assert_column_roundtrip(values)
+
+
 # -- byte-level fuzz ----------------------------------------------------------
 
 
-#: Between them the two fuzzed stores hold every column kind: ``s``,
-#: ``i`` and generic dictionaries, ``i`` code columns, and ``f`` and
+#: Between them the three fuzzed stores hold every column kind: ``s``,
+#: ``n`` (over ``u``), ``u``, ``i`` and generic dictionaries, ``u`` code
+#: columns, and ``u`` (counts of 128-255, one byte each), ``f`` and
 #: generic aggregate columns.
 FUZZ_CUBES = {
     "typed": (
@@ -192,11 +292,11 @@ FUZZ_CUBES = {
         [("x", 1, 5), ("x", None, 7), ("\xe9\n", 2, 5), ("y", 300, 1)],
         "top_k",
     ),
+    "numeral": (
+        [("7", -1, 0)] * 130 + [("12", 300, 0), ("40000", 2, 0)],
+        "count",
+    ),
 }
-
-
-#: The documented column prefix: kind, item size, payload bytes.
-COLUMN_PREFIX = struct.Struct("<cBQ")
 
 
 def split_store(data):
@@ -313,7 +413,7 @@ class TestByteFuzz:
         segment, pos = bytearray(body[start:stop]), 0
         for _ in range(2):  # the two code columns lead the segment
             kind, size, length = COLUMN_PREFIX.unpack_from(segment, pos)
-            assert kind == b"i" and length == size * target["groups"]
+            assert kind == b"u" and length == size * target["groups"]
             pos += COLUMN_PREFIX.size
             first, second = slice(pos, pos + size), slice(pos + size, pos + 2 * size)
             if damage == "swapped":
@@ -406,15 +506,15 @@ class TestByteFuzz:
 
 @st.composite
 def code_columns(draw):
-    """``(codes, n)``: a code column of any width, biased to the edges."""
-    typecode = draw(st.sampled_from("bhiq"))
+    """``(codes, n)``: an unsigned code column of any width, biased to the
+    edges (the reader takes only ``u`` code columns)."""
+    typecode = draw(st.sampled_from("BHIQ"))
     n = draw(st.integers(0, 300))
-    bits = 8 * array(typecode).itemsize
-    low, high = -(1 << bits - 1), (1 << bits - 1) - 1
-    edges = [low, -1, 0, 1, n - 1, n, n + 1, 127, 128, 255, high]
+    high = (1 << 8 * array(typecode).itemsize) - 1
+    edges = [0, 1, n - 1, n, n + 1, 127, 128, 255, 256, high]
     codes = st.one_of(
-        st.sampled_from([v for v in edges if low <= v <= high]),
-        st.integers(low, high),
+        st.sampled_from([v for v in edges if 0 <= v <= high]),
+        st.integers(0, high),
         st.integers(0, min(max(n - 1, 0), high)),  # in range
     )
     return array(typecode, draw(st.lists(codes, max_size=12))), n
@@ -426,6 +526,23 @@ def test_codes_in_range_is_the_min_max_check(column):
     codes, n = column
     expected = not codes or 0 <= min(codes) <= max(codes) < n
     assert _codes_in_range(codes, n) is expected
+
+
+def test_signed_code_column_is_refused(tmp_path):
+    # Codes are never negative, so the reader takes only ``u`` columns:
+    # the same bytes relabelled ``i`` (CRC recomputed) are an error.
+    cube = CubeResult(SCHEMA, {(0b01, (1,)): 2, (0b01, (2,)): 3})
+    path = tmp_path / "cube.store"
+    CubeStore.write(cube, str(path), aggregate="count")
+    body, footer = split_store(path.read_bytes())
+    forged, target = forge(footer, len(footer["dictionaries"]) + 1)
+    assert target["mask"] == 0b01
+    at = target["offset"]
+    assert body[at : at + 1] == b"u"
+    mutated = body[:at] + b"i" + body[at + 1 :]
+    target["crc32"] = zlib.crc32(mutated[at : at + target["length"]])
+    with pytest.raises(StoreError, match="bad column at byte 0"):
+        read_back(path, join_store(mutated, forged))
 
 
 # -- the verified-bytes memo --------------------------------------------------
@@ -563,15 +680,14 @@ def test_lookalike_codes_are_all_found(tmp_path):
             ]
 
 
-def test_rows_matching_is_the_brute_force_filter(tmp_path):
-    # Both code widths: c has 200 values, so cuboids with c hold a
-    # two-byte column; a and b stay one byte.
+def assert_rows_matching_is_the_brute_force_filter(path, values_of_c):
+    # c has ``values_of_c`` values; a and b stay one byte per code.
     schema = Schema(["a", "b", "c"], "m")
-    rows = [(i % 3, i % 5 == 0, i % 200, 1) for i in range(400)]
+    rows = [(i % 3, i % 5 == 0, i % values_of_c, 1) for i in range(400)]
     cube = sequential_cube(Relation(schema, rows))
-    path = str(tmp_path / "cube.store")
     CubeStore.write(cube, path, aggregate="count")
     with CubeStore.open(path) as store:
+        width_of_c = store._segment(0b100).columns[0][0].itemsize
         for mask in store.masks:
             groups = store.cuboid(mask)
             width = mask_size(mask)
@@ -583,3 +699,16 @@ def test_rows_matching_is_the_brute_force_filter(tmp_path):
                     assert store.rows_matching(mask, fixed) == matching_rows(
                         groups, fixed
                     )
+    return width_of_c
+
+
+def test_rows_matching_is_the_brute_force_filter(tmp_path):
+    # 200 values: c's codes 128-199 are one unsigned byte each, so every
+    # non-leading fixed c takes the one-byte scan.
+    path = str(tmp_path / "cube.store")
+    assert assert_rows_matching_is_the_brute_force_filter(path, 200) == 1
+
+
+def test_rows_matching_is_the_brute_force_filter_on_two_byte_codes(tmp_path):
+    path = str(tmp_path / "cube.store")
+    assert assert_rows_matching_is_the_brute_force_filter(path, 300) == 2
