@@ -34,7 +34,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "Average", "Count", "CountDistinct", "Max", "Median", "Min", "Multi",
         "Sum", "TopKFrequent", "Variance", "get_aggregate",
     ],
-    "analysis": ["format_figure", "format_panel", "run_sweep"],
+    "analysis": ["run_sweep"],
     "baselines": ["HiveCube", "MRCube", "NaiveCube"],
     "core": ["SPCube", "SPSketch", "build_exact_sketch"],
     "cubing": ["CubeResult", "buc_cube", "sequential_cube"],

@@ -3,11 +3,9 @@
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    "charts": ["ascii_chart", "chart_figure"],
     "report": [
-        "available_metrics", "build_report", "format_figure",
-        "format_markdown_table", "format_panel", "format_recovery_tables",
-        "write_report",
+        "build_report", "fill_marked_tables", "format_markdown_table",
+        "format_recovery_tables", "golden_tables", "write_report",
     ],
     "runner": [
         "METRICS", "AlgorithmFactory", "PointResult", "SweepResult",

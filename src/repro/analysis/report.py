@@ -1,83 +1,22 @@
-"""Text rendering of sweep results, golden files and the run report.
+"""Markdown tables of the golden files, and the run report.
 
-Each figure panel in the paper is a set of curves over a shared x-axis;
-:func:`format_panel` prints the same content as an aligned text table
-(x column + one column per algorithm), and :func:`format_figure` stacks
-the three panels of a figure.  Failed runs (OOM-flagged, like Hive at
-``p >= 0.4``) render as ``FAIL`` — the paper shows these as missing data
-points ("it got stuck").
-
-:func:`format_recovery_tables` renders ``BENCH_recovery.json``, and
-:func:`build_report` (``python -m repro report``) stitches a run's
-artifacts into one markdown file whose every section is the text an
-existing renderer prints, so the report diffs cleanly in git.
+``benchmarks/golden.py`` writes ``BENCH_figures.json`` (Figures 4-8,
+the Section 5.2 theory runs, the ablations) and ``BENCH_recovery.json``
+(the two recovery sweeps); :func:`golden_tables` renders both into the
+tables EXPERIMENTS.md carries between ``<!-- BEGIN name -->`` and
+``<!-- END name -->`` markers, and :func:`fill_marked_tables` puts them
+there.  :func:`build_report` (``python -m repro report``) stitches a
+run's artifacts into one markdown file whose every section is the text
+an existing renderer prints, so the report diffs cleanly in git.  Every
+table goes through :func:`format_markdown_table`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import statistics
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from .runner import METRICS, SweepResult
-
-
-def format_panel(
-    sweep: SweepResult,
-    metric: str,
-    title: str,
-    unit: str = "",
-    precision: int = 2,
-) -> str:
-    """One figure panel as an aligned text table."""
-    curves = sweep.series(metric)
-    failures = sweep.series("failed")
-    x_values = [point.x for point in sweep.points]
-
-    header_cells = [sweep.x_label] + list(curves)
-    rows: List[List[str]] = []
-    for index, x in enumerate(x_values):
-        cells = [_format_x(x)]
-        for name in curves:
-            failed = failures[name][index][1] > 0 and metric in (
-                "total_seconds",
-                "avg_map_seconds",
-                "avg_reduce_seconds",
-            )
-            if failed:
-                cells.append("FAIL(OOM)")
-            else:
-                cells.append(f"{curves[name][index][1]:.{precision}f}")
-        rows.append(cells)
-
-    widths = [
-        max(len(header_cells[i]), *(len(row[i]) for row in rows))
-        for i in range(len(header_cells))
-    ]
-    lines = [f"{title}" + (f"  [{unit}]" if unit else "")]
-    lines.append(
-        "  ".join(cell.rjust(width) for cell, width in zip(header_cells, widths))
-    )
-    lines.append("  ".join("-" * width for width in widths))
-    for row in rows:
-        lines.append(
-            "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-        )
-    return "\n".join(lines)
-
-
-def format_figure(
-    sweep: SweepResult,
-    panels: Sequence[Tuple[str, str, str]],
-    heading: Optional[str] = None,
-) -> str:
-    """Stack several panels: each entry is ``(metric, title, unit)``."""
-    blocks = [heading or sweep.name]
-    blocks.append("=" * len(blocks[0]))
-    for metric, title, unit in panels:
-        blocks.append("")
-        blocks.append(format_panel(sweep, metric, title, unit))
-    return "\n".join(blocks)
 
 
 def format_markdown_table(
@@ -85,8 +24,7 @@ def format_markdown_table(
 ) -> str:
     """A GitHub-flavoured markdown table with aligned columns.
 
-    Used by the ``doctor`` report (and anything else emitting markdown):
-    cells are stringified and padded so the raw text is readable too.
+    Cells are stringified and padded so the raw text is readable too.
     """
     cells = [[str(cell) for cell in row] for row in rows]
     widths = [
@@ -105,18 +43,95 @@ def format_markdown_table(
     return "\n".join(out)
 
 
-def available_metrics() -> List[str]:
-    """Names accepted by :func:`format_panel` / ``SweepResult.series``."""
-    return sorted(METRICS)
+# -- the golden files ----------------------------------------------------------
+
+#: A figure point's metrics as panel columns: (label, divisor, decimals).
+#: A failed run's times print ``FAIL(OOM)``: the paper plots them as
+#: missing points ("it got stuck").
+_PANELS = {
+    "total_seconds": ("running time (s)", 1, 1),
+    "avg_map_seconds": ("avg map time (s)", 1, 1),
+    "avg_reduce_seconds": ("avg reduce time (s)", 1, 1),
+    "map_output_bytes": ("map output (MB)", 1e6, 2),
+    "sketch_bytes": ("SP-Sketch (KB)", 1e3, 1),
+}
 
 
-def _format_x(x: float) -> str:
-    if x == int(x):
-        return str(int(x))
-    return f"{x:g}"
+def golden_tables(figures: Dict, recovery: Dict) -> Dict[str, str]:
+    """Every EXPERIMENTS.md table, keyed by its marker name, rendered
+    from a parsed ``BENCH_figures.json`` and ``BENCH_recovery.json``."""
+    tables = {
+        f"figure {key}": _figure_table(key, figure)
+        for key, figure in figures["figures"].items()
+    }
+    tables["theory"] = _theory_table(figures["theory"])
+    ablations = figures["ablations"]
+    tables["ablation grid"] = format_markdown_table(
+        ["variant", "time (s)", "traffic (MB)", "records shipped",
+         "balance", "max reducer input"],
+        [[row["variant"], f"{row['total_seconds']:.1f}",
+          f"{row['intermediate_bytes'] / 1e6:.2f}",
+          row["intermediate_records"], f"{row['reducer_balance']:.2f}",
+          row["max_reducer_input_records"]]
+         for row in ablations["grid"]],
+    )
+    tables["ablation beta"] = format_markdown_table(
+        ["scale", "beta", "skew recall", "sketch (B)"],
+        [[f"{row['scale']:.2f}", f"{row['beta']:.2f}",
+          f"{row['recall']:.2f}", row["sketch_bytes"]]
+         for row in ablations["beta"]],
+    )
+    tables["ablation combiner"] = format_markdown_table(
+        ["engine", "records shipped"],
+        [[row["engine"], row["intermediate_records"]]
+         for row in ablations["combiner"]],
+    )
+    tables.update(
+        (f"recovery {key}", table)
+        for key, table in format_recovery_tables(recovery).items()
+    )
+    return tables
 
 
-# -- BENCH_recovery.json -------------------------------------------------------
+def _figure_table(key: str, figure: Dict) -> str:
+    """One row per (x, engine); one column per panel of the figure."""
+    metrics = [name for name in figure["points"][0] if name in _PANELS]
+    header = [figure["x_label"], "engine"] + [
+        f"{key}{letter} {_PANELS[name][0]}"
+        for letter, name in zip("abcdef", metrics)
+    ]
+    rows = []
+    for point in figure["points"]:
+        row = [f"{point['x']:g}", point["engine"]]
+        for name in metrics:
+            _label, divisor, decimals = _PANELS[name]
+            if point["failed"] and name.endswith("_seconds"):
+                row.append("FAIL(OOM)")
+            else:
+                row.append(f"{point[name] / divisor:.{decimals}f}")
+        rows.append(row)
+    return format_markdown_table(header, rows)
+
+
+#: The columns every Section 5.2 theory row has; a row's other fields
+#: print as its ``detail``.
+_THEORY_COLUMNS = ("claim", "input", "d", "n", "m", "emissions_per_tuple",
+                   "records", "record_bound")
+
+
+def _theory_table(rows: List[Dict]) -> str:
+    return format_markdown_table(
+        ["claim", "input", "d", "n", "m", "emissions / tuple",
+         "records shipped", "record bound", "detail"],
+        [[row["claim"], row["input"], row["d"], row["n"], row["m"],
+          "—" if row["emissions_per_tuple"] is None
+          else f"{row['emissions_per_tuple']:.2f}",
+          row["records"], row["record_bound"],
+          ", ".join(f"{name.replace('_', ' ')}: {value}"
+                    for name, value in row.items()
+                    if name not in _THEORY_COLUMNS)]
+         for row in rows],
+    )
 
 
 def format_recovery_tables(bench: Dict) -> Dict[str, str]:
@@ -124,44 +139,52 @@ def format_recovery_tables(bench: Dict) -> Dict[str, str]:
 
     ``"points"`` is the crash-pressure table and ``"node_points"`` the
     node-loss table, one line per row in file order; a sweep the file
-    lacks has no table.  The recovery bench's result files, the run
-    report and EXPERIMENTS.md all print these.
+    lacks has no table.  The run report and EXPERIMENTS.md print these.
     """
     tables = {}
     if "points" in bench:
-        tables["points"] = _text_table(
-            f"{'engine':10s}{'p':>6s}{'time(s)':>10s}{'overhead(s)':>13s}"
-            f"{'slowdown':>10s}{'attempts':>10s}{'killed':>8s}{'spec':>6s}"
-            f"{'recov':>7s}{'done':>6s}",
-            [
-                f"{row['engine']:10s}{row['pressure']:6.2f}"
-                f"{row['total_seconds']:10.1f}"
-                f"{row['recovery_overhead_seconds']:13.1f}"
-                f"{row['slowdown']:10.2f}{row['attempts']:10d}"
-                f"{row['killed_tasks']:8d}{row['speculative_wins']:6d}"
-                f"{row['recovered']:7d}{'no' if row['failed'] else 'yes':>6s}"
-                for row in bench["points"]
-            ],
+        tables["points"] = format_markdown_table(
+            ["engine", "p", "time(s)", "overhead(s)", "slowdown",
+             "attempts", "killed", "spec", "recov", "done"],
+            [[row["engine"], f"{row['pressure']:.2f}",
+              f"{row['total_seconds']:.1f}",
+              f"{row['recovery_overhead_seconds']:.1f}",
+              f"{row['slowdown']:.2f}", row["attempts"],
+              row["killed_tasks"], row["speculative_wins"],
+              row["recovered"], "no" if row["failed"] else "yes"]
+             for row in bench["points"]],
         )
     if "node_points" in bench:
-        tables["node_points"] = _text_table(
-            f"{'engine':10s}{'p':>6s}{'mode':>8s}{'time(s)':>10s}"
-            f"{'lost':>6s}{'resumed':>9s}{'overhead(s)':>13s}{'done':>6s}",
-            [
-                f"{row['engine']:10s}{row['node_pressure']:6.2f}"
-                f"{'ckpt' if row['checkpointed'] else 'abort':>8s}"
-                f"{row['total_seconds']:10.1f}{row['nodes_lost']:6d}"
-                f"{row['resumed_rounds']:9d}"
-                f"{row['recovery_overhead_seconds']:13.1f}"
-                f"{'yes' if row['completed'] else 'no':>6s}"
-                for row in bench["node_points"]
-            ],
+        tables["node_points"] = format_markdown_table(
+            ["engine", "p", "mode", "time(s)", "lost", "resumed",
+             "overhead(s)", "done"],
+            [[row["engine"], f"{row['node_pressure']:.2f}",
+              "ckpt" if row["checkpointed"] else "abort",
+              f"{row['total_seconds']:.1f}", row["nodes_lost"],
+              row["resumed_rounds"],
+              f"{row['recovery_overhead_seconds']:.1f}",
+              "yes" if row["completed"] else "no"]
+             for row in bench["node_points"]],
         )
     return tables
 
 
-def _text_table(header: str, lines: List[str]) -> str:
-    return "\n".join([header, "-" * len(header), *lines])
+def fill_marked_tables(text: str, tables: Dict[str, str]) -> str:
+    """``text`` with the body between each table's ``<!-- BEGIN name -->``
+    and ``<!-- END name -->`` lines replaced by the table; a table
+    whose markers ``text`` lacks raises ``ValueError``."""
+    for name, table in tables.items():
+        pattern = re.compile(
+            rf"(<!-- BEGIN {re.escape(name)} -->\n).*?(\n<!-- END "
+            rf"{re.escape(name)} -->)",
+            re.S,
+        )
+        text, found = pattern.subn(
+            lambda match: match.group(1) + table + match.group(2), text
+        )
+        if found != 1:
+            raise ValueError(f"{found} marker pairs for table {name!r}")
+    return text
 
 
 # -- the run report ------------------------------------------------------------
@@ -257,8 +280,7 @@ def _doctor_section(path) -> str:
 
 
 def _recovery_section(path) -> str:
-    tables = format_recovery_tables(_load_json(path))
-    return "\n\n".join(_fenced(table) for table in tables.values())
+    return "\n\n".join(format_recovery_tables(_load_json(path)).values())
 
 
 def _suite_runs(path) -> List[Dict]:

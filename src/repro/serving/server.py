@@ -42,7 +42,9 @@ line, a missing, malformed, conflicting or too large length,
 cannot be trusted), when a request's head and body are not all in
 ``IDLE_TIMEOUT_S`` after its wait began, and on :meth:`CubeServer.close`.
 At most ``MAX_CONNECTIONS`` are live, one thread each: the accept thread
-answers one more with the 503 ``"overloaded"`` and closes it.
+answers one more with the 503 ``"overloaded"`` and closes it.  The listen
+queue is as deep, so a burst is admitted or refused at once instead of
+waiting out SYN retransmits.
 """
 
 from __future__ import annotations
@@ -547,6 +549,7 @@ class CubeServer:
 
         class TCPServer(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
+            request_queue_size = MAX_CONNECTIONS
             daemon_threads = True  # a kept-alive connection never blocks exit
 
             def process_request(self, request, client_address):

@@ -5,13 +5,11 @@ import pytest
 from repro.analysis import (
     METRICS,
     VerificationError,
-    available_metrics,
-    format_figure,
-    format_panel,
     paper_cluster,
     run_algorithms,
     run_sweep,
 )
+from repro.analysis.report import _figure_table
 from repro.baselines import NaiveCube
 from repro.core import SPCube
 from repro.cubing import CubeResult
@@ -140,39 +138,46 @@ class TestMetricAccessors:
             value = accessor(run.metrics)
             assert isinstance(value, (int, float)), name
 
-    def test_available_metrics_sorted(self):
-        names = available_metrics()
-        assert names == sorted(names)
-        assert "total_seconds" in names
+
+def cells(line):
+    return [cell.strip() for cell in line.strip("|").split("|")]
 
 
 class TestReports:
+    """A figure of ``BENCH_figures.json`` as its EXPERIMENTS.md table."""
+
     @pytest.fixture
-    def sweep(self, cluster):
-        return run_sweep("Figure X", "n", tiny_workloads(), FACTORIES, cluster)
+    def figure(self):
+        def point(x, engine, seconds, mb, failed=False):
+            return {"x": x, "engine": engine, "total_seconds": seconds,
+                    "map_output_bytes": int(mb * 1e6), "failed": failed}
 
-    def test_panel_contains_curves_and_axis(self, sweep):
-        text = format_panel(sweep, "total_seconds", "running time", "sec")
-        assert "running time" in text
-        assert "SP-Cube" in text and "Naive" in text
-        assert "100" in text and "200" in text
+        return {"x_label": "n", "inputs": [], "points": [
+            point(100, "SP-Cube", 20.31, 1.5), point(100, "Naive", 30.0, 2.0),
+            point(200, "SP-Cube", 25.0, 2.25),
+            point(200, "Naive", 41.0, 3.0, failed=True),
+        ]}
 
-    def test_figure_stacks_panels(self, sweep):
-        text = format_figure(
-            sweep,
-            [
-                ("total_seconds", "time", "sec"),
-                ("map_output_mb", "traffic", "MB"),
-            ],
-        )
-        assert "Figure X" in text
-        assert "time" in text and "traffic" in text
+    def test_panel_contains_curves_and_axis(self, figure):
+        header, rule, *rows = _figure_table("9", figure).splitlines()
+        assert set(rule) <= {"|", "-", " "}
+        assert [cells(row)[:2] for row in rows] == [
+            ["100", "SP-Cube"], ["100", "Naive"],
+            ["200", "SP-Cube"], ["200", "Naive"],
+        ]
+        assert cells(rows[0]) == ["100", "SP-Cube", "20.3", "1.50"]
 
-    def test_failed_runs_render_as_fail(self, sweep):
-        # Force a failure flag and check rendering.
-        sweep.points[0].runs["Naive"].jobs[0].forced_failure = True
-        text = format_panel(sweep, "total_seconds", "t", "s")
-        assert "FAIL(OOM)" in text
+    def test_figure_stacks_panels(self, figure):
+        header = _figure_table("9", figure).splitlines()[0]
+        assert cells(header) == [
+            "n", "engine", "9a running time (s)", "9b map output (MB)",
+        ]
+
+    def test_failed_runs_render_as_fail(self, figure):
+        last = _figure_table("9", figure).splitlines()[-1]
+        # A stuck run has no time (the paper plots a missing point), but
+        # what it shipped before it stuck is still a number.
+        assert cells(last) == ["200", "Naive", "FAIL(OOM)", "3.00"]
 
 
 class TestHelpers:

@@ -24,7 +24,6 @@ DENY = (
     "multiprocessing",
     "concurrent.futures.process",
     "repro.baselines",
-    "repro.analysis.charts",
     "repro.observability.diagnostics",
     "repro.observability.analyze",
     "repro.observability.telemetry",

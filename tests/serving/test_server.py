@@ -4,6 +4,7 @@ import contextlib
 import http.client
 import json
 import re
+import select
 import socket
 import struct
 import sys
@@ -754,6 +755,45 @@ class TestConnectionCap:
                 assert srv.counters.value("serving.shed") == 1
             finally:
                 for sock in idle:
+                    sock.close()
+
+    def test_a_burst_past_the_cap_is_held_or_shed_at_once(self, view):
+        """The listen queue is ``MAX_CONNECTIONS`` deep: of a burst of
+        ``MAX_CONNECTIONS + 36`` clients, each sending half a request
+        head, the cap's worth are held and the rest get their 503 within
+        2 s.  A queue of 5 dropped most of the burst's SYNs, which came
+        back together after 1 s and overflowed it again."""
+        cap, extra = server_module.MAX_CONNECTIONS, 36
+        with CubeServer(view, port=0).start() as srv:
+            socks = []
+            try:
+                for _ in range(cap + extra):
+                    sock = socket.socket()
+                    sock.setblocking(False)
+                    sock.connect_ex(("127.0.0.1", srv.port))
+                    socks.append(sock)
+                unsent, replies = set(socks), {}
+                deadline = time.time() + 2.0
+                while time.time() < deadline and len(replies) < extra:
+                    readable, writable, _ = select.select(
+                        [s for s in socks if s not in replies], list(unsent),
+                        [], 0.05,
+                    )
+                    for sock in writable:
+                        with contextlib.suppress(OSError):
+                            sock.send(b"POST /query HTTP/1.1\r\nContent-")
+                        unsent.discard(sock)
+                    for sock in readable:
+                        with contextlib.suppress(OSError):
+                            replies[sock] = sock.recv(64)
+                shed = [r for r in replies.values() if r.startswith(
+                    b"HTTP/1.1 503 ")]
+                assert (len(shed), len(replies)) == (extra, extra)
+                assert not unsent
+                assert srv.counters.value("serving.connections") == cap
+                assert srv.counters.value("serving.shed") == extra
+            finally:
+                for sock in socks:
                     sock.close()
 
 
