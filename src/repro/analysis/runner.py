@@ -3,8 +3,8 @@
 Every figure in the paper is a sweep — data size, or the skewness knob
 ``p`` — with one curve per algorithm.  :func:`run_sweep` executes that
 pattern: for each x-value it builds fresh algorithm instances (factories
-keep per-run state isolated), computes the cube, optionally cross-checks
-all cubes for equality, and records each run's :class:`RunMetrics`.
+keep per-run state isolated), computes the cube, and records each
+run's :class:`RunMetrics`.
 
 Metric accessors are by name so benches and reports stay declarative; see
 :data:`METRICS` for the supported set (they cover every panel of Figures
@@ -14,7 +14,7 @@ Metric accessors are by name so benches and reports stay declarative; see
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..interface import CubeRun
@@ -89,17 +89,6 @@ class SweepResult:
     algorithms: List[str] = field(default_factory=list)
     points: List[PointResult] = field(default_factory=list)
 
-    def series(self, metric: str) -> Dict[str, List[Tuple[float, float]]]:
-        """``{algorithm: [(x, value), ...]}`` for a named metric."""
-        accessor = METRICS[metric]
-        curves: Dict[str, List[Tuple[float, float]]] = {
-            name: [] for name in self.algorithms
-        }
-        for point in self.points:
-            for name, run_metrics in point.runs.items():
-                curves[name].append((point.x, accessor(run_metrics)))
-        return curves
-
 
 def run_algorithms(
     relation: Relation,
@@ -135,12 +124,6 @@ def run_sweep(
     workloads: Iterable[Tuple[float, Relation]],
     factories: Dict[str, AlgorithmFactory],
     cluster: Optional[ClusterConfig] = None,
-    verify: bool = False,
-    fault_seed: Optional[int] = None,
-    crash_prob: float = 0.1,
-    straggle_prob: float = 0.1,
-    node_crash_prob: float = 0.0,
-    tracer=None,
 ) -> SweepResult:
     """Execute a full sweep: one point per workload, one run per factory.
 
@@ -155,47 +138,18 @@ def run_sweep(
         instance per point keeps runs independent.
     cluster:
         Shared cluster configuration (default 20 machines, as the paper).
-    verify:
-        Cross-check that all algorithms agree at every point (use on
-        small workloads; it compares full cubes).
-    fault_seed, crash_prob, straggle_prob, node_crash_prob:
-        When ``fault_seed`` is given, every run executes under a seeded
-        :class:`~repro.mapreduce.faults.FaultPlan` with these per-attempt
-        (and, for ``node_crash_prob``, per-node-per-job) probabilities —
-        the same knobs the CLI exposes — so a sweep can chart recovery
-        cost versus fault pressure.  Each run gets its own plan seeded by
-        :func:`derive_fault_seed` ``(fault_seed, algorithm, x)``, so
-        fault schedules are independent across points and curves rather
-        than replaying one pattern sweep-wide.
-    tracer:
-        A :class:`~repro.observability.Tracer` attached to every run's
-        cluster; the sweep's runs lay out consecutively on its simulated
-        timeline (callers own ``tracer.close()``).
     """
     cluster = cluster or ClusterConfig()
-    if tracer is not None:
-        cluster = replace(cluster, tracer=tracer)
     sweep = SweepResult(name=name, x_label=x_label)
     sweep.algorithms = list(factories)
 
     for x, relation in workloads:
         point = PointResult(x=x)
-        instances = {}
-        for algo_name, factory in factories.items():
-            run_cluster = cluster
-            if fault_seed is not None:
-                run_cluster = replace(
-                    cluster,
-                    fault_plan=FaultPlan(
-                        seed=derive_fault_seed(fault_seed, algo_name, x),
-                        crash_prob=crash_prob,
-                        straggle_prob=straggle_prob,
-                        node_crash_prob=node_crash_prob,
-                    ),
-                )
-            instances[algo_name] = factory(run_cluster)
-        runs = run_algorithms(relation, instances, verify=verify)
-        for algo_name, run in runs.items():
+        instances = {
+            algo_name: factory(cluster)
+            for algo_name, factory in factories.items()
+        }
+        for algo_name, run in run_algorithms(relation, instances).items():
             point.runs[algo_name] = run.metrics
         sweep.points.append(point)
     return sweep

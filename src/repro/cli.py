@@ -547,8 +547,9 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("fault injection")
     group.add_argument(
         "--fault-seed", type=int, default=None, metavar="SEED",
-        help="inject seeded task crashes/stragglers and DFS read drops; "
-             "the same seed reproduces the same faults",
+        help="inject seeded task crashes and stragglers, plus node losses "
+             "with --node-crash-prob; the same seed reproduces the same "
+             "faults",
     )
     group.add_argument(
         "--crash-prob", type=float, default=0.1, metavar="P",

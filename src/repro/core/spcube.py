@@ -49,7 +49,7 @@ from ..cubing.result import CubeResult
 from ..interface import CubeRun
 from ..mapreduce.checkpoint import RoundRunner
 from ..mapreduce.cluster import ClusterConfig
-from ..mapreduce.dfs import DistributedFileSystem, ReplicaExhausted
+from ..mapreduce.dfs import DistributedFileSystem
 from ..mapreduce.engine import (
     Mapper,
     MapReduceJob,
@@ -120,15 +120,10 @@ class SPCube:
             raise ValueError("min_group_size must be >= 1")
         self.min_group_size = min_group_size
         # Explicit None check: an empty DFS is falsy (it has __len__).
-        # A DFS created here shares the cluster's fault plan, so injected
-        # replica failures hit the sketch broadcast between rounds.
         self.dfs = (
             dfs
             if dfs is not None
-            else DistributedFileSystem(
-                fault_plan=self.cluster.fault_plan,
-                topology=self.cluster.topology(),
-            )
+            else DistributedFileSystem(topology=self.cluster.topology())
         )
 
     @property
@@ -159,7 +154,7 @@ class SPCube:
         # Rounds run through the checkpoint/recovery layer: a node loss
         # resumes from the last completed round instead of killing the
         # run.  The runner owns metrics.jobs appends and shares this
-        # engine's DFS so checkpoints feel injected replica faults.
+        # engine's DFS so checkpoints lose replicas with dead nodes.
         runner = RoundRunner(
             self.cluster, metrics, dfs=self.dfs, run_id="spcube"
         )
@@ -263,17 +258,6 @@ class SPCube:
     ) -> CubeResult:
         d = relation.schema.num_dimensions
         aggregate = self.aggregate
-
-        # Every round-2 machine caches the sketch from the DFS; the read
-        # transparently fails over across replicas, and a sketch with no
-        # live replica kills the run before the cube round starts.
-        try:
-            self.dfs.read(SKETCH_PATH)
-        except ReplicaExhausted as error:
-            metrics.fatal_error = f"sketch broadcast failed: {error}"
-            return CubeResult(relation.schema)
-        finally:
-            metrics.extras["dfs_read_retries"] = self.dfs.read_retries
 
         plan = self._plan_factory(sketch)
         partitioner = _CubePartitioner(sketch, k, self.range_partitioning)

@@ -21,19 +21,6 @@ from ..relation.lattice import (
 from ..relation.schema import Schema
 
 
-def matching_rows(
-    groups: Dict[Tuple, object], fixed: Iterable[Tuple[int, object]]
-) -> List[Tuple[Tuple, object]]:
-    """The items of ``groups`` whose key equals, at every ``(position,
-    value)`` of ``fixed``, the given value; in dict order."""
-    fixed = list(fixed)
-    return [
-        item
-        for item in groups.items()
-        if all(item[0][at] == value for at, value in fixed)
-    ]
-
-
 class CubeResult:
     """Mapping from c-group ``(mask, values)`` to its aggregate value.
 
@@ -144,10 +131,19 @@ class CubeResult:
             return cuboid
         return list(cuboid), list(cuboid.values())
 
-    def rows_matching(self, mask: int, fixed) -> List[Tuple[Tuple, object]]:
-        """:func:`matching_rows` of one cuboid, in cuboid order — the
-        selection seam :class:`CubeView` queries through."""
-        return matching_rows(self._dict(mask), fixed)
+    def rows_matching(
+        self, mask: int, fixed: Iterable[Tuple[int, object]]
+    ) -> List[Tuple[Tuple, object]]:
+        """The ``(values, aggregate)`` items of one cuboid whose values
+        equal, at every ``(position, value)`` of ``fixed``, the given
+        value; in cuboid order — the selection seam :class:`CubeView`
+        queries through."""
+        fixed = list(fixed)
+        return [
+            item
+            for item in self._dict(mask).items()
+            if all(item[0][at] == value for at, value in fixed)
+        ]
 
     def items(self) -> Iterator[Tuple[CGroup, object]]:
         """``((mask, values), value)`` of every c-group, cuboid by cuboid."""

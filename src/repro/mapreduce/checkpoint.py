@@ -168,9 +168,7 @@ class RoundRunner:
         self.cluster = cluster
         self.metrics = metrics
         if dfs is None:
-            dfs = DistributedFileSystem(
-                fault_plan=cluster.fault_plan, topology=cluster.topology()
-            )
+            dfs = DistributedFileSystem(topology=cluster.topology())
         self.dfs = dfs
         self.checkpoint = CheckpointManager(
             dfs, run_id=run_id, enabled=cluster.checkpoint_enabled

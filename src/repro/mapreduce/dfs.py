@@ -6,13 +6,9 @@ written.  This module provides exactly that contract: named files holding
 record lists, with byte accounting so broadcast artifacts like the sketch
 can be measured the way the paper measures them (Figure 5c, 6c).
 
-Like HDFS, every file is stored with ``replication`` copies.  When a
-:class:`~repro.mapreduce.faults.FaultPlan` is attached, a read may find a
-replica dead (a ``read-drop`` fault) and transparently retries against the
-next replica — the recovery every real DFS client performs.  Only when
-*every* replica fails does the read raise :class:`ReplicaExhausted`.
-``read`` always returns a fresh copy of the file's records, so callers can
-never mutate DFS state through an aliased return value.
+Like HDFS, every file is stored with ``replication`` copies.  ``read``
+always returns a fresh copy of the file's records, so callers can never
+mutate DFS state through an aliased return value.
 
 With a :class:`~repro.mapreduce.cluster.NodeTopology` attached the DFS is
 *placement-aware*: each path's replicas are pinned to nodes at write time
@@ -27,9 +23,8 @@ time, not data, unless replication is actually exhausted.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
-from .faults import FaultPlan
 from .sizes import Block
 
 #: HDFS's default replication factor.
@@ -41,7 +36,7 @@ class FileNotFound(KeyError):
 
 
 class ReplicaExhausted(IOError):
-    """Raised when every replica of a path failed to serve a read."""
+    """Raised when node deaths lost every replica of a path."""
 
 
 def _record_count(records: List) -> int:
@@ -56,14 +51,12 @@ class DistributedFileSystem:
     def __init__(
         self,
         replication: int = DEFAULT_REPLICATION,
-        fault_plan: Optional[FaultPlan] = None,
         topology=None,
     ) -> None:
         if replication < 1:
             raise ValueError("replication must be >= 1")
         self._files: Dict[str, List] = {}
         self.replication = replication
-        self.fault_plan = fault_plan
         #: Node placement of each path's replicas (replica index -> node).
         #: Only tracked when a topology is attached.
         self._placement: Dict[str, List[int]] = {}
@@ -72,10 +65,6 @@ class DistributedFileSystem:
         self.dead_nodes: Set[int] = set()
         #: Paths that lost every replica to node deaths.
         self._lost: Set[str] = set()
-        #: Dropped replica reads that were recovered by the next replica.
-        self.read_retries = 0
-        #: Reads that exhausted every replica.
-        self.failed_reads = 0
         #: Replicas re-created on surviving nodes after a node death.
         self.re_replications = 0
         #: Write calls and the records they stored (run-span counters).
@@ -152,63 +141,22 @@ class DistributedFileSystem:
         self.records_written += _record_count(materialized)
         return len(materialized)
 
-    def read(self, path: str, preferred_node: Optional[int] = None) -> List:
+    def read(self, path: str) -> List:
         """A copy of the records of ``path``.
 
-        ``preferred_node`` asks for node-local replica choice: replicas on
-        that node are tried first (rack-locality), then the rest in ring
-        order — the read result is identical either way, only the retry
-        accounting moves.
-
         Raises :class:`FileNotFound` if the path was never written and
-        :class:`ReplicaExhausted` when every replica is dead — either the
-        fault plan drops all ``replication`` read attempts, or node
-        deaths wiped every copy before re-replication could save one.
+        :class:`ReplicaExhausted` when node deaths wiped every copy
+        before re-replication could save one.
         """
         try:
             records = self._files[path]
         except KeyError:
             raise FileNotFound(path) from None
-
         if path in self._lost:
-            self.failed_reads += 1
             raise ReplicaExhausted(
                 f"{path}: all replicas lost to node failures"
             )
-
-        plan = self.fault_plan
-        if plan is not None and not plan.is_empty:
-            for skipped, replica in enumerate(
-                self._replica_order(path, preferred_node)
-            ):
-                if not plan.drops_read(path, replica):
-                    # ``skipped`` dead copies were tried to get here.
-                    self.read_retries += skipped
-                    break
-            else:
-                self.failed_reads += 1
-                raise ReplicaExhausted(
-                    f"{path}: all {self.replication} replicas failed"
-                )
         return list(records)
-
-    def _replica_order(
-        self, path: str, preferred_node: Optional[int]
-    ) -> List[int]:
-        """Replica indices in the order a read tries them."""
-        order = list(range(self.replication))
-        if preferred_node is None or self.topology is None:
-            return order
-        placement = self._placement.get(path)
-        if placement is None:
-            return order
-        return sorted(
-            order,
-            key=lambda r: (
-                0 if r < len(placement) and placement[r] == preferred_node else 1,
-                r,
-            ),
-        )
 
     def exists(self, path: str) -> bool:
         return path in self._files
@@ -218,12 +166,6 @@ class DistributedFileSystem:
         self._files.pop(path, None)
         self._placement.pop(path, None)
         self._lost.discard(path)
-
-    def list_files(self, prefix: Optional[str] = None) -> List[str]:
-        """Sorted paths, optionally restricted to a prefix."""
-        if prefix is None:
-            return sorted(self._files)
-        return sorted(p for p in self._files if p.startswith(prefix))
 
     def __contains__(self, path: str) -> bool:
         return path in self._files

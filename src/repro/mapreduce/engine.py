@@ -73,7 +73,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import (
     Callable,
     Dict,
@@ -659,10 +659,6 @@ class _ReduceTask:
         return task, reducer_output
 
 
-def _chain_exhausted(outcome: TaskOutcome) -> bool:
-    return outcome.task is None
-
-
 def _merge_outcome(metrics: JobMetrics, outcome: TaskOutcome) -> None:
     """Fold one task chain's fault counters into the job metrics."""
     metrics.attempts += outcome.attempts
@@ -772,7 +768,9 @@ def _run_job(
         for machine, chunk in enumerate(input_chunks)
     ]
     phase_started = time.perf_counter()
-    outcomes = executor.run_tasks(map_tasks, stop_early=_chain_exhausted)
+    outcomes = executor.run_tasks(
+        map_tasks, stop_early=attrgetter("exhausted")
+    )
     metrics.map_phase_wall_seconds = time.perf_counter() - phase_started
 
     map_start = job_base + cost.round_startup_seconds
@@ -784,7 +782,7 @@ def _run_job(
         _merge_outcome(metrics, outcome)
         if trace_tasks:
             _emit_chain_trace(tracer, outcome, map_start)
-        if outcome.task is None:
+        if outcome.exhausted:
             metrics.aborted = True
             metrics.abort_reason = (
                 f"map task {machine} exhausted "
@@ -867,7 +865,9 @@ def _run_job(
     # The tasks now hold the only references to the routed runs.
     outcomes = outcome = reducer_buckets = None
     phase_started = time.perf_counter()
-    outcomes = executor.run_tasks(reduce_tasks, stop_early=_chain_exhausted)
+    outcomes = executor.run_tasks(
+        reduce_tasks, stop_early=attrgetter("exhausted")
+    )
     metrics.reduce_phase_wall_seconds = time.perf_counter() - phase_started
 
     reduce_base = job_base + metrics.map_phase_seconds + metrics.shuffle_seconds
@@ -878,7 +878,7 @@ def _run_job(
         _merge_outcome(metrics, outcome)
         if trace_tasks:
             _emit_chain_trace(tracer, outcome, reduce_start)
-        if outcome.task is None:
+        if outcome.exhausted:
             metrics.aborted = True
             metrics.abort_reason = (
                 f"reduce task {machine} exhausted "

@@ -4,18 +4,19 @@ The paper's central experimental claim (Section 6, Figures 6a/7a) is about
 *survival*: SP-Cube keeps running where Hive's reducers get stuck.  A real
 MapReduce runtime survives individual task failures through three
 mechanisms — task re-execution, speculative backup tasks for stragglers,
-and DFS replication — and this module models all three so the simulator
-can distinguish "a task died and the framework recovered" from "the job is
+and DFS replication — and the simulator models all three so it can
+distinguish "a task died and the framework recovered" from "the job is
 stuck".
 
 Two pieces:
 
 * :class:`FaultPlan` — a seeded, deterministic description of *what goes
   wrong*: crash a map/reduce task on attempt ``i``, slow a task down by a
-  straggle factor, or drop a DFS replica read.  Faults can be pinned
-  explicitly (:class:`FaultSpec`, for tests) or drawn from seeded
-  per-``(job, phase, task, attempt)`` coin flips, so two runs with the
-  same plan inject byte-identical faults regardless of execution order.
+  straggle factor, or kill a whole node (its in-flight attempts and its
+  DFS replicas).  Faults can be pinned explicitly (:class:`FaultSpec`,
+  :class:`NodeFaultSpec`, for tests) or drawn from seeded coin flips, so
+  two runs with the same plan inject byte-identical faults regardless
+  of execution order.
 * :class:`RetryPolicy` — *how the framework responds*: how many attempts
   a task gets, the exponential backoff between attempts (charged to
   simulated time), and when a straggling attempt earns a speculative
@@ -34,15 +35,14 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-#: Fault kinds understood by the engine and the DFS.
+#: Task fault kinds understood by the engine.
 CRASH = "crash"
 STRAGGLE = "straggle"
-READ_DROP = "read-drop"
 #: Node-level failure domain: every in-flight attempt on the node dies
 #: and the node's DFS replicas are lost (see :class:`NodeFaultSpec`).
 NODE_KILL = "node-kill"
 
-_KINDS = (CRASH, STRAGGLE, READ_DROP)
+_KINDS = (CRASH, STRAGGLE)
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ class FaultSpec:
     attempt: Optional[int] = 0
     #: Straggle factor (>= 1) applied to the attempt's nominal runtime.
     slowdown: float = 4.0
-    #: DFS targeting for ``read-drop``; ``replica=None`` drops every
-    #: replica, which makes the read fail outright.
-    path: Optional[str] = None
-    replica: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -81,11 +77,6 @@ class FaultSpec:
             and (self.phase is None or self.phase == phase)
             and (self.task is None or self.task == task)
             and (self.attempt is None or self.attempt == attempt)
-        )
-
-    def matches_read(self, path: str, replica: int) -> bool:
-        return (self.path is None or self.path == path) and (
-            self.replica is None or self.replica == replica
         )
 
 
@@ -126,11 +117,11 @@ class FaultPlan:
 
     Explicit :class:`FaultSpec` entries fire exactly where they are
     pinned.  On top of those, seeded probabilities (``crash_prob``,
-    ``straggle_prob``, ``read_drop_prob``) draw independent coin flips per
-    ``(job, phase, task, attempt)`` / ``(path, replica)`` from a CRC32 of
-    the identifying tuple — pure functions of the seed and the identity,
-    never of execution order, so a plan injects the same faults no matter
-    which engine runs under it or how tasks interleave.
+    ``straggle_prob``) draw independent coin flips per ``(job, phase,
+    task, attempt)`` from a CRC32 of the identifying tuple — pure
+    functions of the seed and the identity, never of execution order,
+    so a plan injects the same faults no matter which engine runs under
+    it or how tasks interleave.
 
     Node-level failure domains ride the same machinery:
     :class:`NodeFaultSpec` entries pin node deaths explicitly, and
@@ -147,14 +138,12 @@ class FaultPlan:
         crash_prob: float = 0.0,
         straggle_prob: float = 0.0,
         straggle_slowdown: float = 4.0,
-        read_drop_prob: float = 0.0,
         node_specs: Sequence[NodeFaultSpec] = (),
         node_crash_prob: float = 0.0,
     ):
         for name, prob in (
             ("crash_prob", crash_prob),
             ("straggle_prob", straggle_prob),
-            ("read_drop_prob", read_drop_prob),
             ("node_crash_prob", node_crash_prob),
         ):
             if not 0.0 <= prob <= 1.0:
@@ -166,23 +155,8 @@ class FaultPlan:
         self.crash_prob = crash_prob
         self.straggle_prob = straggle_prob
         self.straggle_slowdown = straggle_slowdown
-        self.read_drop_prob = read_drop_prob
         self.node_specs: Tuple[NodeFaultSpec, ...] = tuple(node_specs)
         self.node_crash_prob = node_crash_prob
-
-    @property
-    def is_empty(self) -> bool:
-        """True when this plan can never inject anything."""
-        return (
-            not self.specs
-            and not self.node_specs
-            and not (
-                self.crash_prob
-                or self.straggle_prob
-                or self.read_drop_prob
-                or self.node_crash_prob
-            )
-        )
 
     @property
     def has_node_faults(self) -> bool:
@@ -274,24 +248,10 @@ class FaultPlan:
                     kills[node] = 0.0
         return kills
 
-    # -- queries asked by the DFS -------------------------------------------
-
-    def drops_read(self, path: str, replica: int) -> bool:
-        """Does the read of ``replica`` of ``path`` fail?"""
-        for spec in self.specs:
-            if spec.kind == READ_DROP and spec.matches_read(path, replica):
-                return True
-        if self.read_drop_prob:
-            return (
-                self._roll(READ_DROP, path, replica) < self.read_drop_prob
-            )
-        return False
-
     def __repr__(self) -> str:
         return (
             f"FaultPlan(specs={len(self.specs)}, seed={self.seed}, "
             f"crash={self.crash_prob}, straggle={self.straggle_prob}, "
-            f"read_drop={self.read_drop_prob}, "
             f"node_specs={len(self.node_specs)}, "
             f"node_crash={self.node_crash_prob})"
         )

@@ -232,9 +232,6 @@ class RunMetrics:
     jobs: List[JobMetrics] = field(default_factory=list)
     extras: Dict[str, float] = field(default_factory=dict)
     output_groups: int = 0
-    #: Set when the run died outside any job (e.g. a DFS broadcast read
-    #: exhausted every replica); counts as a failure.
-    fatal_error: Optional[str] = None
 
     @property
     def total_seconds(self) -> float:
@@ -265,22 +262,18 @@ class RunMetrics:
     @property
     def failed(self) -> bool:
         """True when the run got stuck: an algorithm's own failure model
-        (Hive's out-of-memory reducers at p>=0.4), an aborted round (retry
-        budget exhausted), or a fatal out-of-job error.  Superseded executions — rounds that failed to
-        a node loss but were re-executed from a checkpoint — do not fail
-        the run: recovery worked."""
-        return self.fatal_error is not None or any(
-            job.failed for job in self.jobs if not job.superseded
-        )
+        (Hive's out-of-memory reducers at p>=0.4) or an aborted round
+        (retry budget exhausted).  Superseded executions — rounds that
+        failed to a node loss but were re-executed from a checkpoint — do
+        not fail the run: recovery worked."""
+        return any(job.failed for job in self.jobs if not job.superseded)
 
     @property
     def aborted(self) -> bool:
-        """True when a round aborted or the run died outside any job —
-        unlike a forced failure, an aborted run has no trustworthy output.
+        """True when a round aborted — unlike a forced failure, an
+        aborted run has no trustworthy output.
         Superseded (checkpoint-recovered) executions are excluded."""
-        return self.fatal_error is not None or any(
-            job.aborted for job in self.jobs if not job.superseded
-        )
+        return any(job.aborted for job in self.jobs if not job.superseded)
 
     @property
     def nodes_lost(self) -> int:

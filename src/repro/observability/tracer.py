@@ -340,7 +340,6 @@ def emit_run_span(tracer, metrics, base: float, dfs=None) -> None:
         counters.update(
             dfs_writes=dfs.writes,
             dfs_records_written=dfs.records_written,
-            dfs_read_retries=dfs.read_retries,
             dfs_files=len(dfs),
         )
     tracer.span(

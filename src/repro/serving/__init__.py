@@ -7,10 +7,10 @@ serving time, in three layers:
 * :mod:`~repro.serving.store` — :class:`CubeStore`, the on-disk format:
   per-cuboid sorted segments behind a checksummed footer index, written
   once and read lazily so a query touches only the cuboids it needs;
-* :mod:`~repro.serving.view` — :class:`StoredCubeView`, the planner:
-  the full :class:`~repro.query.view.CubeView` API over a store, with
-  ancestor-cuboid re-aggregation for non-materialized cuboids; it
-  keeps no answers, only the store's LRU segment cache;
+* :mod:`~repro.serving.view` — :class:`StoredCubeView`: the full
+  :class:`~repro.query.view.CubeView` API over a store, which holds
+  every cuboid of the lattice; it keeps no answers, only the store's
+  LRU segment cache;
 * :mod:`~repro.serving.server` — :class:`CubeServer`, the front end:
   a thread-per-connection HTTP query server with an LRU of encoded
   replies, bounded admission, per-query deadlines and typed retriable

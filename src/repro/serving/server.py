@@ -19,8 +19,8 @@ connection's own handler thread:
   in one non-blocking write, or shuts a socket that would block.  The
   slot is freed only when the computation finishes, so shedding sees
   the true backlog;
-* malformed or unanswerable queries (unknown op, unknown dimension,
-  non-materializable cuboid) return HTTP 400 with ``"retriable": false``.
+* malformed or unanswerable queries (unknown op, unknown dimension)
+  return HTTP 400 with ``"retriable": false``.
 
 Wire protocol: ``POST /query`` with a JSON body (see
 :func:`execute_query` for the op shapes), ``GET /stats`` for the shared

@@ -11,7 +11,7 @@ counterpart.  A store file (format version 3) is laid out as
 * one **dictionary** per dimension — the sorted distinct values of that
   dimension across the whole store, written once as a single column, so
   a value's position is its dense, order-preserving *code*;
-* one **segment** per materialized cuboid, segments in bottom-up BFS
+* one **segment** per cuboid of the lattice, segments in bottom-up BFS
   order — one code column per dimension in the cuboid's mask plus one
   aggregate column, rows in ascending code order (the ``<_C`` order the
   engines shuffle in, because the dictionaries preserve order);
@@ -44,7 +44,9 @@ survive ``repr``/``literal_eval`` (``nan``, ``inf``, arbitrary objects).
 A dimension whose values do not compare (``None`` next to ints) is stored
 in ``repr`` order instead of failing.  A file of another format version
 (v1 text, v2 signed-only columns) is refused with a one-line version
-error; re-create it with ``cube --store``.
+error, and a footer that does not index exactly the schema's lattice
+(a partial store) with a one-line lattice error; re-create either with
+``cube --store``.
 
 :meth:`CubeStore.open` reads only the header and footer; dictionaries
 and segment bytes are fetched (and CRC-checked) on first touch, so a
@@ -83,7 +85,9 @@ from .._gc import paused_gc
 from ..aggregates import get_aggregate
 from ..cubing.result import CubeResult
 from ..cubing.result import estimate_cube_bytes  # noqa: F401  (re-exported)
-from ..relation.lattice import all_cuboids, group_sort_key, mask_dimensions
+from ..relation.lattice import (
+    all_cuboids, group_sort_key, mask_dimensions, mask_size,
+)
 from ..relation.schema import Schema
 
 #: First token of a store file; the format version follows it.
@@ -113,7 +117,10 @@ class ServingCounters:
         "serving.segment_hit",      # decoded-segment LRU hits (store)
         "serving.segment_load",     # segments fetched from disk (store)
         "serving.bytes_read",       # raw segment + dictionary bytes read
-        "serving.reaggregations",   # cuboids rebuilt from an ancestor
+        # Always 0: every store holds the whole lattice, so no cuboid is
+        # rebuilt from an ancestor.  Kept because the benchmark suite's
+        # serving probe reads it unguarded.
+        "serving.reaggregations",
         "serving.connections",      # connections accepted by the server
         "serving.requests",         # queries answered: cache hit or admitted
         "serving.shed",             # queries or connections refused (503)
@@ -428,7 +435,9 @@ class CubeStore:
         store.cuboid(0b101)        # {values: aggregate}, one seek + read
 
     ``open`` returns a handle that keeps the file open; use it as a
-    context manager or call :meth:`close`.
+    context manager or call :meth:`close`.  An open store has the read
+    surface of a ``CubeResult`` that :class:`~repro.query.view.CubeView`
+    queries through, so the view reads it directly.
     """
 
     def __init__(
@@ -477,31 +486,18 @@ class CubeStore:
         cube: CubeResult,
         path: str,
         aggregate: Optional[object] = None,
-        cuboids: Optional[Sequence[int]] = None,
         min_group_size: int = 1,
     ) -> int:
-        """Persist ``cube`` at ``path``; returns the bytes written.
+        """Persist every cuboid of ``cube``'s lattice at ``path``;
+        returns the bytes written.
 
+        Cuboids with no groups are written as empty segments.
         ``aggregate`` (an :class:`AggregateFunction` or registry name)
-        is recorded so the read side knows whether missing cuboids may
-        be rebuilt from an ancestor.  ``cuboids`` selects the masks to
-        materialize (default: the whole lattice — cuboids with no
-        groups are written as empty segments so "materialized empty"
-        and "not materialized" stay distinguishable).  ``min_group_size``
-        records the iceberg threshold the cube was computed with.
+        and ``min_group_size`` (the iceberg threshold the cube was
+        computed with) are recorded in the header.
         """
         schema = cube.schema
-        lattice = all_cuboids(schema.num_dimensions)
-        if cuboids is None:
-            masks = list(lattice)
-        else:
-            masks = sorted(set(cuboids))
-            bad = [m for m in masks if m not in lattice]
-            if bad:
-                raise StoreError(
-                    f"cuboid mask 0x{bad[0]:x} is outside the "
-                    f"{schema.num_dimensions}-dimension lattice"
-                )
+        masks = all_cuboids(schema.num_dimensions)
         aggregate_name = aggregate_kind = None
         if aggregate is not None:
             if isinstance(aggregate, str):
@@ -651,8 +647,6 @@ class CubeStore:
             index: "OrderedDict[int, Dict]" = OrderedDict(
                 (entry["mask"], entry) for entry in cuboids
             )
-            if any(mask >> schema.num_dimensions for mask in index):
-                raise ValueError("cuboid mask outside the lattice")
             if len(dictionaries) != schema.num_dimensions:
                 raise ValueError(f"{len(dictionaries)} dictionaries")
             store = cls(
@@ -669,31 +663,30 @@ class CubeStore:
                 counters=counters,
             )
             store.total_groups = int(header.get("total_groups", 0))
-            return store
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreError(f"{path}: invalid header/footer: {exc}") from None
+        lattice = all_cuboids(schema.num_dimensions)
+        if len(cuboids) != len(lattice) or set(index) != set(lattice):
+            raise StoreError(
+                f"{path}: footer indexes {len(cuboids)} cuboid(s), not the "
+                f"{len(lattice)} of the {schema.num_dimensions}-dimension "
+                "lattice; re-create it with 'repro cube --store'"
+            )
+        return store
 
     # -- reading -------------------------------------------------------------
 
     @property
     def masks(self) -> Tuple[int, ...]:
-        """Materialized cuboid masks, in on-disk (BFS) order."""
+        """Every cuboid mask of the lattice, in on-disk (BFS) order."""
         return tuple(self._index)
 
-    def has_cuboid(self, mask: int) -> bool:
-        return mask in self._index
-
-    def group_count(self, mask: int) -> int:
-        """Group count of a materialized cuboid, from the footer (no IO)."""
-        try:
-            return self._index[mask]["groups"]
-        except KeyError:
-            raise StoreError(
-                f"{self.path}: cuboid 0x{mask:x} is not materialized"
-            ) from None
+    @property
+    def num_groups(self) -> int:
+        return self.total_groups
 
     def groups_per_cuboid(self) -> Dict[int, int]:
-        """``{mask: group count}`` for every materialized cuboid."""
+        """``{mask: group count}`` for every cuboid, from the footer."""
         return {mask: entry["groups"] for mask, entry in self._index.items()}
 
     def cuboid(self, mask: int) -> Dict[Tuple, object]:
@@ -705,6 +698,13 @@ class CubeStore:
         """``CubeResult.rows_matching`` for one cuboid, in code space."""
         return self._segment(mask).rows_matching(fixed)
 
+    def value(self, mask: int, values: Tuple):
+        """A point lookup; ``KeyError`` when absent, as a dict would."""
+        if len(values) == mask_size(mask):
+            for _, value in self.rows_matching(mask, enumerate(values)):
+                return value
+        raise KeyError((mask, values))
+
     def _segment(self, mask: int) -> _Segment:
         with self._lock:
             cached = self._cache.get(mask)
@@ -712,12 +712,7 @@ class CubeStore:
                 self._cache.move_to_end(mask)
                 self.counters.bump("serving.segment_hit")
                 return cached
-            entry = self._index.get(mask)
-            if entry is None:
-                raise StoreError(
-                    f"{self.path}: cuboid 0x{mask:x} is not materialized"
-                )
-            segment = self._load_segment(mask, entry)
+            segment = self._load_segment(mask, self._index[mask])
             self._cache[mask] = segment
             if len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)

@@ -81,54 +81,6 @@ class TestRunSweep:
         assert sweep.algorithms == ["SP-Cube", "Naive"]
         assert [p.x for p in sweep.points] == [100.0, 200.0]
 
-    def test_series_extraction(self, cluster):
-        sweep = run_sweep("demo", "n", tiny_workloads(), FACTORIES, cluster)
-        curves = sweep.series("total_seconds")
-        assert set(curves) == {"SP-Cube", "Naive"}
-        for curve in curves.values():
-            assert [x for x, _y in curve] == [100.0, 200.0]
-            assert all(y > 0 for _x, y in curve)
-
-    def test_unknown_metric(self, cluster):
-        sweep = run_sweep("demo", "n", tiny_workloads(), FACTORIES, cluster)
-        with pytest.raises(KeyError):
-            sweep.series("bogus_metric")
-
-    def test_fault_seed_injects_faults_at_every_point(self, cluster):
-        """The ROADMAP's CLI-parity knobs: a fault_seed makes every run of
-        the sweep execute under a seeded FaultPlan, visible through the
-        recovery metrics, while cubes still verify."""
-        clean = run_sweep(
-            "demo", "n", tiny_workloads(), FACTORIES, cluster
-        )
-        faulted = run_sweep(
-            "demo",
-            "n",
-            tiny_workloads(),
-            FACTORIES,
-            cluster,
-            verify=True,
-            fault_seed=12,
-            crash_prob=0.15,
-            straggle_prob=0.1,
-        )
-        for metric in ("attempts", "recovered"):
-            clean_total = sum(
-                y for curve in clean.series(metric).values() for _x, y in curve
-            )
-            faulted_total = sum(
-                y
-                for curve in faulted.series(metric).values()
-                for _x, y in curve
-            )
-            assert faulted_total > clean_total, metric
-
-    def test_fault_knobs_do_not_mutate_the_shared_cluster(self, cluster):
-        run_sweep(
-            "demo", "n", tiny_workloads(), FACTORIES, cluster, fault_seed=5
-        )
-        assert cluster.fault_plan is None
-
 
 class TestMetricAccessors:
     def test_all_metrics_evaluate(self, cluster):
@@ -191,8 +143,8 @@ class TestHelpers:
 
 
 class TestPerPointFaultSeeds:
-    """Satellite of the observability PR: each (point, algorithm) run of a
-    faulted sweep draws its own FaultPlan seed via derive_fault_seed."""
+    """Each (point, algorithm) run of a faulted recovery sweep draws its
+    own FaultPlan seed via derive_fault_seed."""
 
     def test_derivation_is_pure_and_documented(self):
         import zlib
@@ -208,37 +160,3 @@ class TestPerPointFaultSeeds:
         assert derive_fault_seed(13, "SP-Cube", 100.0) != base
         assert derive_fault_seed(12, "Naive", 100.0) != base
         assert derive_fault_seed(12, "SP-Cube", 200.0) != base
-
-    def test_sweep_points_face_independent_schedules(self, cluster):
-        """With a shared seed the same task identities replay the same coin
-        flips at every point; per-point derivation must break that."""
-        sweep = run_sweep(
-            "demo", "n", tiny_workloads(), FACTORIES, cluster,
-            fault_seed=12, crash_prob=0.2, straggle_prob=0.2,
-        )
-        per_point = [
-            tuple(
-                (name, run.attempts, run.killed_tasks)
-                for name, run in point.runs.items()
-            )
-            for point in sweep.points
-        ]
-        # Two points over equally-shaped workloads: identical recovery
-        # fingerprints at both would mean the schedules were shared.
-        assert per_point[0] != per_point[1]
-
-    def test_tracer_covers_every_sweep_run(self, cluster):
-        from repro.observability import MemorySink, TraceAnalysis, Tracer
-
-        sink = MemorySink()
-        tracer = Tracer([sink], level="job")
-        run_sweep(
-            "demo", "n", tiny_workloads(), FACTORIES, cluster,
-            tracer=tracer,
-        )
-        analysis = TraceAnalysis(sink.records)
-        # 2 points x 2 algorithms = 4 run spans on one global timeline.
-        assert len(analysis.runs) == 4
-        starts = [span["t0"] for span in analysis.runs]
-        assert starts == sorted(starts)
-        assert starts[-1] > 0.0

@@ -2,8 +2,8 @@
 
 The headline invariant of the fault layer: a run under any fault plan
 that stays within the retry budget produces a cube *identical* to the
-fault-free run — retries, speculation and replica failover change only
-the simulated clock, never the data.  A plan that exhausts the budget
+fault-free run — retries and speculation change only the simulated
+clock, never the data.  A plan that exhausts the budget
 must surface as a failed run (``RunMetrics.failed``), not an exception,
 mirroring how Figure 6a reports engines that get stuck.
 """
@@ -13,7 +13,6 @@ import pytest
 from repro.analysis import paper_cluster, run_algorithms
 from repro.baselines import HiveCube, NaiveCube
 from repro.core import SPCube
-from repro.core.spcube import SKETCH_PATH
 from repro.datagen import gen_binomial
 from repro.engines import ENGINE_NAMES, load_engines
 from repro.mapreduce import ClusterConfig, CostModel, FaultPlan, FaultSpec, RetryPolicy
@@ -100,24 +99,6 @@ class TestRetryExhaustion:
         assert runs["spcube"].metrics.failed
         assert not runs["naive"].metrics.failed
         assert runs["naive"].cube == runs["hive"].cube
-
-
-class TestSketchBroadcastFailure:
-    def test_dead_sketch_replicas_fail_the_run_cleanly(self, relation):
-        plan = FaultPlan([FaultSpec("read-drop", path=SKETCH_PATH)])
-        run = SPCube(make_cluster(plan)).compute(relation)  # must not raise
-        assert run.metrics.failed
-        assert "sketch broadcast failed" in run.metrics.fatal_error
-        assert run.cube.num_groups == 0
-
-    def test_single_dead_replica_recovers(self, relation):
-        plan = FaultPlan(
-            [FaultSpec("read-drop", path=SKETCH_PATH, replica=0)]
-        )
-        clean = SPCube(make_cluster()).compute(relation)
-        faulted = SPCube(make_cluster(plan)).compute(relation)
-        assert faulted.cube == clean.cube
-        assert faulted.metrics.extras["dfs_read_retries"] >= 1
 
 
 class TestPaperCluster:

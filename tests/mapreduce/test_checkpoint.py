@@ -11,7 +11,7 @@ from repro.datagen import gen_zipf
 from repro.mapreduce.checkpoint import CheckpointManager
 from repro.mapreduce.cluster import NodeTopology
 from repro.mapreduce.dfs import DistributedFileSystem, ReplicaExhausted
-from repro.mapreduce.faults import FaultPlan, FaultSpec, NodeFaultSpec
+from repro.mapreduce.faults import FaultPlan, NodeFaultSpec
 from repro.mapreduce.sizes import Block
 
 
@@ -65,12 +65,13 @@ class TestCheckpointManager:
     def test_unreadable_part_is_ignored(self):
         # Node losses exhausted a part's replicas: the checkpoint is void.
         dfs = DistributedFileSystem(
-            fault_plan=FaultPlan(
-                specs=[FaultSpec("read-drop", path="ckpt/t/round-0/part-0")]
-            )
+            topology=NodeTopology(num_nodes=4, num_machines=4)
         )
         manager = CheckpointManager(dfs, run_id="t")
         manager.save_round(0, "job-a", OUTPUTS)
+        dfs.mark_nodes_dead(set(dfs._placement[manager.part_path(0, 0)]))
+        with pytest.raises(ReplicaExhausted):
+            dfs.read(manager.part_path(0, 0))
         assert manager.load_round(0) is None
 
     def test_completed_rounds(self):
@@ -107,9 +108,7 @@ class TestBlocksThroughTheCheckpoint:
         cluster = replace(
             paper_cluster(2000, num_machines=6, num_nodes=3), fault_plan=plan
         )
-        dfs = DistributedFileSystem(
-            fault_plan=plan, topology=cluster.topology()
-        )
+        dfs = DistributedFileSystem(topology=cluster.topology())
         run = SPCube(cluster, dfs=dfs).compute(relation)
         killed, rerun = run.metrics.jobs[-2:]
         assert killed.superseded and not rerun.aborted
@@ -153,7 +152,6 @@ class TestDfsFailureDomains:
         dfs.mark_nodes_dead(set(dfs._placement["x"]))
         with pytest.raises(ReplicaExhausted, match="node failures"):
             dfs.read("x")
-        assert dfs.failed_reads == 1
 
     def test_rewrite_after_loss_restores_the_path(self):
         dfs = DistributedFileSystem(topology=self.topo())
@@ -185,10 +183,3 @@ class TestDfsFailureDomains:
         assert "x" not in dfs._placement
         dfs.write("x", [5])
         assert dfs.read("x") == [5]
-
-    def test_preferred_node_read_is_content_identical(self):
-        plan = FaultPlan(seed=1, read_drop_prob=0.3)
-        dfs = DistributedFileSystem(topology=self.topo(), fault_plan=plan)
-        dfs.write("x", [1, 2, 3])
-        node = dfs._placement["x"][1]
-        assert dfs.read("x", preferred_node=node) == dfs.read("x")

@@ -5,10 +5,7 @@ import pytest
 from repro.mapreduce import (
     DEFAULT_REPLICATION,
     DistributedFileSystem,
-    FaultPlan,
-    FaultSpec,
     FileNotFound,
-    ReplicaExhausted,
 )
 
 
@@ -48,11 +45,6 @@ class TestNamespace:
         dfs.delete("p")
         assert not dfs.exists("p")
 
-    def test_list_files_sorted(self, dfs):
-        dfs.write("b", [])
-        dfs.write("a", [])
-        assert dfs.list_files() == ["a", "b"]
-
     def test_len(self, dfs):
         dfs.write("a", [])
         dfs.write("b", [])
@@ -80,33 +72,3 @@ class TestReplication:
     def test_replication_validated(self):
         with pytest.raises(ValueError):
             DistributedFileSystem(replication=0)
-
-    def test_failover_to_surviving_replica(self):
-        plan = FaultPlan([FaultSpec("read-drop", path="data", replica=0)])
-        dfs = DistributedFileSystem(fault_plan=plan)
-        dfs.write("data", [1, 2])
-        assert dfs.read("data") == [1, 2]  # replica 1 serves the read
-        assert dfs.read_retries == 1
-        assert dfs.failed_reads == 0
-
-    def test_all_replicas_dead_raises(self):
-        plan = FaultPlan([FaultSpec("read-drop", path="data")])
-        dfs = DistributedFileSystem(fault_plan=plan)
-        dfs.write("data", [1])
-        with pytest.raises(ReplicaExhausted):
-            dfs.read("data")
-        assert dfs.failed_reads == 1
-        assert dfs.read_retries == 0  # nothing was recovered
-
-    def test_unfaulted_paths_unaffected(self):
-        plan = FaultPlan([FaultSpec("read-drop", path="data")])
-        dfs = DistributedFileSystem(fault_plan=plan)
-        dfs.write("other", [7])
-        assert dfs.read("other") == [7]
-        assert dfs.read_retries == 0
-
-    def test_missing_path_beats_replica_faults(self):
-        plan = FaultPlan([FaultSpec("read-drop", path="nope")])
-        dfs = DistributedFileSystem(fault_plan=plan)
-        with pytest.raises(FileNotFound):
-            dfs.read("nope")

@@ -529,9 +529,7 @@ class TestBucketRelease:
         cluster = replace(
             paper_cluster(2000, num_machines=6, num_nodes=3), fault_plan=plan
         )
-        dfs = DistributedFileSystem(
-            fault_plan=plan, topology=cluster.topology()
-        )
+        dfs = DistributedFileSystem(topology=cluster.topology())
         run = SPCube(cluster, dfs=dfs).compute(relation)
         cube_round = run.metrics.jobs[-1]
         assert cube_round.killed_tasks or run.metrics.jobs[-2].superseded

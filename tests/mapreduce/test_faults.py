@@ -46,10 +46,9 @@ def baseline_run(**job_kwargs):
 class TestFaultPlan:
     def test_empty_plan_injects_nothing(self):
         plan = FaultPlan()
-        assert plan.is_empty
         assert not plan.crashes("j", "map", 0, 0)
         assert plan.slowdown_factor("j", "map", 0, 0) == 1.0
-        assert not plan.drops_read("p", 0)
+        assert not plan.has_node_faults
 
     def test_explicit_crash_spec_targets_one_attempt(self):
         plan = FaultPlan([FaultSpec("crash", phase="map", task=1, attempt=0)])

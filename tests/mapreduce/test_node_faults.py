@@ -28,11 +28,6 @@ class TestFaultPlanNodeFields:
         with pytest.raises(ValueError, match="node_crash_prob"):
             FaultPlan(node_crash_prob=1.5)
 
-    def test_is_empty_sees_node_faults(self):
-        assert FaultPlan().is_empty
-        assert not FaultPlan(node_specs=[NodeFaultSpec(node=0)]).is_empty
-        assert not FaultPlan(node_crash_prob=0.1).is_empty
-
     def test_has_node_faults(self):
         assert not FaultPlan(crash_prob=0.5).has_node_faults
         assert FaultPlan(node_specs=[NodeFaultSpec(node=0)]).has_node_faults

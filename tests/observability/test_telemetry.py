@@ -182,8 +182,7 @@ class TestEmitRunTelemetry:
         run = {"type": "span", "kind": "run", "name": "X", "t0": 0.0,
                "t1": 3.0, "status": "ok",
                "counters": {"output_groups": 42, "dfs_writes": 3,
-                            "dfs_records_written": 9, "dfs_read_retries": 0,
-                            "dfs_files": 2}}
+                            "dfs_records_written": 9, "dfs_files": 2}}
         telemetry = replay(
             [event("sketch", "sp-sketch", at=1.0, bytes=512), run],
             Telemetry(),

@@ -1,7 +1,10 @@
 """The on-disk cube store: format, laziness, corruption detection."""
 
 import hashlib
+import json
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -25,6 +28,19 @@ def store_path(cube, tmp_path):
     path = str(tmp_path / "retail.store")
     CubeStore.write(cube, path, aggregate="count")
     return path
+
+
+def rewrite_footer(path, change):
+    """Replace the footer's cuboid index of the store at ``path`` with
+    ``change(index)``, under a valid footer CRC and pointer."""
+    data = Path(path).read_bytes()
+    offset = int(data.rsplit(b"\n", 2)[1].split()[1])
+    footer = json.loads(data[offset:].split(b"\n", 1)[0])
+    footer["cuboids"] = change(footer["cuboids"])
+    raw = json.dumps(footer, sort_keys=True).encode() + b"\n"
+    Path(path).write_bytes(
+        data[:offset] + raw + b"footer %d %d\n" % (offset, zlib.crc32(raw))
+    )
 
 
 class TestWriteOpen:
@@ -62,19 +78,16 @@ class TestWriteOpen:
                 sorted(all_cuboids(3), key=lambda m: (bin(m).count("1"), m))
             )
 
-    def test_partial_write_keeps_selected_masks(self, cube, tmp_path):
-        path = str(tmp_path / "partial.store")
-        CubeStore.write(cube, path, aggregate="count", cuboids=[0, 0b111])
-        with CubeStore.open(path) as store:
-            assert store.masks == (0, 0b111)
-            assert store.cuboid(0b111) == cube.cuboid(0b111)
-            assert not store.has_cuboid(0b001)
-
-    def test_mask_outside_lattice_rejected(self, cube, tmp_path):
-        with pytest.raises(StoreError, match="outside"):
-            CubeStore.write(
-                cube, str(tmp_path / "x.store"), cuboids=[1 << 7]
-            )
+    def test_mask_outside_lattice_rejected(self, store_path):
+        # A footer naming a mask past the schema's lattice is refused at
+        # open, in one line.
+        rewrite_footer(
+            store_path,
+            lambda cuboids: [dict(cuboids[0], mask=1 << 7), *cuboids[1:]],
+        )
+        with pytest.raises(StoreError, match="not the 8 of the") as caught:
+            CubeStore.open(store_path)
+        assert "\n" not in str(caught.value)
 
     def test_unstorable_value_rejected(self, retail_schema, tmp_path):
         from repro.cubing import CubeResult
@@ -90,9 +103,9 @@ class TestWriteOpen:
         path = str(tmp_path / "empty.store")
         CubeStore.write(empty, path, aggregate="count")
         with CubeStore.open(path) as store:
-            # Materialized but empty: answers {} rather than erroring.
+            # Written but empty: answers {} rather than erroring.
             assert store.cuboid(0) == {}
-            assert store.group_count(0) == 0
+            assert store.groups_per_cuboid()[0] == 0
 
 
 class TestAtomicPublish:
@@ -136,10 +149,12 @@ class TestAtomicPublish:
         assert [p.name for p in tmp_path.iterdir()] == ["retail.store"]
         assert (tmp_path / "retail.store").read_bytes() == before
 
-    def test_rewrite_replaces_store(self, cube, store_path):
-        CubeStore.write(cube, store_path, aggregate="sum", cuboids=[0])
+    def test_rewrite_replaces_store(self, cube, store_path, retail_schema):
+        from repro.cubing import CubeResult
+
+        CubeStore.write(CubeResult(retail_schema), store_path, aggregate="sum")
         with CubeStore.open(store_path) as store:
-            assert store.masks == (0,)
+            assert store.total_groups == 0 < cube.num_groups
             assert store.aggregate_name == "sum"
 
 
@@ -179,12 +194,36 @@ class TestLaziness:
             store.cuboid(0b001)  # reloaded from disk
             assert store.counters.value("serving.segment_load") == 4
 
-    def test_missing_cuboid_one_line_error(self, cube, tmp_path):
-        path = str(tmp_path / "partial.store")
-        CubeStore.write(cube, path, aggregate="count", cuboids=[0])
-        with CubeStore.open(path) as store:
-            with pytest.raises(StoreError, match="0x7 is not materialized"):
-                store.cuboid(0b111)
+
+class TestPartialStoreRefused:
+    """A footer that indexes a strict subset of the lattice (a partial
+    store, which no writer makes any more) is refused at open."""
+
+    @pytest.fixture
+    def partial_path(self, store_path):
+        rewrite_footer(
+            store_path,
+            lambda cuboids: [c for c in cuboids if c["mask"] != 0b111],
+        )
+        return store_path
+
+    def test_open_is_one_line_store_error(self, partial_path):
+        with pytest.raises(StoreError) as caught:
+            CubeStore.open(partial_path)
+        message = str(caught.value)
+        assert "footer indexes 7 cuboid(s), not the 8" in message
+        assert "\n" not in message
+
+    def test_query_exits_with_one_error_line(self, partial_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "query", partial_path,
+             '{"op": "total"}'],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode != 0
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: error:"), lines
+        assert result.stdout == ""
 
 
 class TestCorruption:

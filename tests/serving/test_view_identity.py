@@ -2,8 +2,7 @@
 
 The acceptance bar for the serving layer: every query type answered
 from disk must equal the in-memory answer exactly — across all four
-engines, for iceberg-pruned cubes, and through the ancestor
-re-aggregation path of deliberately partial stores.  ``TestResultCache``
+engines and for iceberg-pruned cubes.  ``TestResultCache``
 checks what repeated queries share: the server's reply LRU, and in
 process nothing.
 """
@@ -25,7 +24,7 @@ from repro import (
     SPCube,
     StoredCubeView,
 )
-from repro.aggregates import Average, Sum, get_aggregate
+from repro.aggregates import Sum, get_aggregate
 from repro.cubing import CubeResult, sequential_cube
 from repro.datagen import gen_binomial
 from repro.engines import ENGINE_NAMES, load_engines
@@ -111,9 +110,8 @@ class TestIcebergIdentity:
     def test_iceberg_store_materializes_every_cuboid(
         self, relation, tmp_path
     ):
-        # Re-aggregating a pruned ancestor would undercount, so an
-        # iceberg store must carry every cuboid (possibly empty) and
-        # never take the re-aggregation path.
+        # Every store carries the whole lattice, an iceberg store's
+        # pruned cuboids included (possibly empty).
         run = SPCube(
             ClusterConfig(num_machines=4), min_group_size=5
         ).compute(relation)
@@ -125,73 +123,9 @@ class TestIcebergIdentity:
         )
         with StoredCubeView.open(path) as stored:
             assert len(stored.store.masks) == 16  # full 4-dim lattice
-            stored.rollup("a1", "a2", "a3")
-            assert stored.stats()["serving.reaggregations"] == 0
-
-
-class TestAncestorReaggregation:
-    def test_partial_store_answers_from_full_cuboid(
-        self, relation, tmp_path
-    ):
-        run = SPCube(ClusterConfig(num_machines=4)).compute(relation)
-        full = (1 << 4) - 1
-        path = str(tmp_path / "partial.store")
-        from repro.serving import CubeStore
-
-        CubeStore.write(run.cube, path, aggregate="count", cuboids=[full])
-        memory = CubeView(run.cube)
-        with StoredCubeView.open(path) as stored:
-            assert_identical(stored, memory, relation)
-            assert stored.stats()["serving.reaggregations"] > 0
-
-    def test_smallest_covering_ancestor_chosen(self, relation, tmp_path):
-        # With both a1a2a3 and the full cuboid on disk, a rollup on a1
-        # must plan from the (smaller) three-dimensional ancestor.
-        run = SPCube(ClusterConfig(num_machines=4)).compute(relation)
-        path = str(tmp_path / "two.store")
-        from repro.serving import CubeStore
-
-        CubeStore.write(
-            run.cube, path, aggregate="count", cuboids=[0b0111, 0b1111]
-        )
-        with StoredCubeView.open(path) as stored:
-            adapter = stored.cube
-            assert adapter._covering_ancestor(0b0001) == 0b0111
-            assert stored.rollup("a1") == CubeView(run.cube).rollup("a1")
-
-    def test_no_covering_ancestor_is_query_error(
-        self, relation, tmp_path
-    ):
-        run = SPCube(ClusterConfig(num_machines=4)).compute(relation)
-        path = str(tmp_path / "thin.store")
-        from repro.serving import CubeStore
-
-        CubeStore.write(run.cube, path, aggregate="count", cuboids=[0b0001])
-        with StoredCubeView.open(path) as stored:
-            with pytest.raises(QueryError, match="covers mask 0x2"):
-                stored.rollup("a2")
-
-    def test_algebraic_aggregate_refuses_reaggregation(
-        self, relation, tmp_path
-    ):
-        # avg's finalized values are not mergeable state: a partial
-        # store must error rather than serve a wrong mean.
-        run = SPCube(
-            ClusterConfig(num_machines=4), Average(), allow_holistic=True
-        ).compute(relation)
-        full = (1 << 4) - 1
-        path = str(tmp_path / "avg.store")
-        from repro.serving import CubeStore
-
-        CubeStore.write(
-            run.cube, path, aggregate=Average(), cuboids=[full]
-        )
-        with StoredCubeView.open(path) as stored:
-            assert stored.rollup("a1", "a2", "a3", "a4") == CubeView(
+            assert stored.rollup("a1", "a2", "a3") == CubeView(
                 run.cube
-            ).rollup("a1", "a2", "a3", "a4")
-            with pytest.raises(QueryError, match="cannot be re-aggregated"):
-                stored.rollup("a1")
+            ).rollup("a1", "a2", "a3")
 
 
 # -- generated-input identity -------------------------------------------------
@@ -212,9 +146,8 @@ ABSENT = "~absent~"
 @st.composite
 def scenarios(draw):
     """``(cube, write options, queries)``: a relation's cube under one of
-    three aggregates, written whole (some cuboids emptied, the apex too)
-    or partially (count only: re-aggregation must be exact), plus
-    queries whose fixed values are present, absent or look-alikes."""
+    three aggregates (some cuboids emptied, the apex too), plus queries
+    whose fixed values are present, absent or look-alikes."""
     d = draw(st.integers(1, 5))
     names = [f"d{i}" for i in range(d)]
     schema = Schema(names, "m")
@@ -222,12 +155,9 @@ def scenarios(draw):
     rows = draw(st.lists(st.tuples(*columns, st.integers(1, 3)), max_size=8))
     aggregate = draw(st.sampled_from(["count", "avg", "top_k"]))
     cube = sequential_cube(Relation(schema, rows), get_aggregate(aggregate))
-    masks, full = list(all_cuboids(d)), (1 << d) - 1
     options = {"aggregate": aggregate}
-    if aggregate == "count" and draw(st.booleans()):
-        options["cuboids"] = sorted(draw(st.sets(st.sampled_from(masks))) | {full})
-    elif draw(st.booleans()):
-        emptied = draw(st.sets(st.sampled_from(masks)))
+    if draw(st.booleans()):
+        emptied = draw(st.sets(st.sampled_from(all_cuboids(d))))
         kept = {k: v for k, v in cube.items() if k[0] not in emptied}
         cube = CubeResult(schema, kept)
 
