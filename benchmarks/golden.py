@@ -136,8 +136,7 @@ def figure(key, scale=1):
     x_label, panels, workloads = FIGURES[key]
     workloads = workloads(scale)
     cluster = paper_cluster(max(len(relation) for _x, relation in workloads))
-    sweep = run_sweep(f"Figure {key}", x_label, workloads, PAPER_ALGORITHMS,
-                      cluster)
+    sweep = run_sweep(workloads, PAPER_ALGORITHMS, cluster)
     points = []
     for point in sweep.points:
         for engine, metrics in point.runs.items():

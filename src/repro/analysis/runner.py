@@ -84,9 +84,6 @@ class PointResult:
 class SweepResult:
     """One full experiment: an x-axis and one curve per algorithm."""
 
-    name: str
-    x_label: str
-    algorithms: List[str] = field(default_factory=list)
     points: List[PointResult] = field(default_factory=list)
 
 
@@ -119,8 +116,6 @@ def run_algorithms(
 
 
 def run_sweep(
-    name: str,
-    x_label: str,
     workloads: Iterable[Tuple[float, Relation]],
     factories: Dict[str, AlgorithmFactory],
     cluster: Optional[ClusterConfig] = None,
@@ -129,8 +124,6 @@ def run_sweep(
 
     Parameters
     ----------
-    name, x_label:
-        Labels for reporting (e.g. "Figure 6", "skewness p").
     workloads:
         ``(x, relation)`` pairs, typically from a generator sweep.
     factories:
@@ -140,8 +133,7 @@ def run_sweep(
         Shared cluster configuration (default 20 machines, as the paper).
     """
     cluster = cluster or ClusterConfig()
-    sweep = SweepResult(name=name, x_label=x_label)
-    sweep.algorithms = list(factories)
+    sweep = SweepResult()
 
     for x, relation in workloads:
         point = PointResult(x=x)

@@ -8,7 +8,8 @@ straight equality check between two of them.
 from __future__ import annotations
 
 import sys
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import eq, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..relation.lattice import (
@@ -135,15 +136,17 @@ class CubeResult:
         self, mask: int, fixed: Iterable[Tuple[int, object]]
     ) -> List[Tuple[Tuple, object]]:
         """The ``(values, aggregate)`` items of one cuboid whose values
-        equal, at every ``(position, value)`` of ``fixed``, the given
-        value; in cuboid order — the selection seam :class:`CubeView`
-        queries through."""
-        fixed = list(fixed)
-        return [
-            item
-            for item in self._dict(mask).items()
-            if all(item[0][at] == value for at, value in fixed)
-        ]
+        equal (``==``), at every ``(position, value)`` of ``fixed``, the
+        given value; in cuboid order — the selection seam
+        :class:`CubeView` queries through.  Each position filters the
+        cuboid's :meth:`columns` in C (``map``/``compress``), building
+        no dict."""
+        groups, values = self.columns(mask)
+        for at, value in fixed:
+            keep = list(map(eq, map(itemgetter(at), groups), repeat(value)))
+            groups = list(compress(groups, keep))
+            values = list(compress(values, keep))
+        return list(zip(groups, values))
 
     def items(self) -> Iterator[Tuple[CGroup, object]]:
         """``((mask, values), value)`` of every c-group, cuboid by cuboid."""

@@ -18,10 +18,11 @@ All name-based: callers use schema dimension names, never masks.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cubing.result import CubeResult
-from ..relation.lattice import mask_dimensions
+from ..relation.lattice import mask_dimensions, project_rows
 from ..relation.schema import SchemaError
 
 
@@ -59,21 +60,26 @@ class CubeView:
 
     def _named_groups(self, mask: int) -> Dict[Tuple, object]:
         groups = self.cube.cuboid(mask)
-        if not groups and mask != 0:
-            # Distinguish "empty cuboid" from "never materialized": a full
-            # cube always has the apex, so an entirely absent cuboid on a
-            # non-empty cube means partial materialization.
-            if self.cube.num_groups and not self.cube.cuboid(0):
-                raise QueryError("cube has no apex; is it materialized?")
+        if not groups:
+            self._check_apex(mask)
         return groups
+
+    def _check_apex(self, mask: int) -> None:
+        """Distinguish "empty cuboid" from "never materialized": a full
+        cube always has the apex, so an empty non-apex cuboid of a
+        non-empty cube without one means partial materialization.  Reads
+        group counts only, never a cuboid's groups."""
+        counts = self.cube.groups_per_cuboid()
+        if mask and not counts[0] and not counts[mask] and self.cube.num_groups:
+            raise QueryError("cube has no apex; is it materialized?")
 
     def _rows_matching(
         self, mask: int, fixed: Dict[str, object]
     ) -> List[Tuple[Tuple, object]]:
         """The ``(values, aggregate)`` rows of cuboid ``mask`` whose named
         dimensions equal the ``fixed`` values.  Selection is the cube's
-        (``rows_matching``: a scan in memory, code space on a store); all
-        answer shaping stays in the operations."""
+        (``rows_matching``: a C-level column filter in memory, code space
+        on a store); all answer shaping stays in the operations."""
         ordered = mask_dimensions(mask, self.schema.num_dimensions)
         positions = []
         for name, value in fixed.items():
@@ -87,7 +93,7 @@ class CubeView:
             positions.append((ordered.index(self._dimension_index(name)), value))
         rows = self.cube.rows_matching(mask, positions)
         if not rows:
-            self._named_groups(mask)  # same apex check as a full read
+            self._check_apex(mask)  # same check as a full read
         return rows
 
     # -- operations ------------------------------------------------------------
@@ -130,16 +136,12 @@ class CubeView:
         >>> view.slice(city="Rome")          # doctest: +SKIP
         {("laptop", 2012): 2, ...}
         """
-        full = (1 << self.schema.num_dimensions) - 1
-        free = [
-            i
-            for i, name in enumerate(self.schema.dimensions)
-            if name not in fixed
-        ]
-        return {
-            tuple(values[i] for i in free): agg
-            for values, agg in self._rows_matching(full, fixed)
-        }
+        d = self.schema.num_dimensions
+        full = (1 << d) - 1
+        rows = self._rows_matching(full, fixed)
+        free = full ^ self._mask_for(fixed)  # the dimensions left grouped
+        keys = project_rows(list(map(itemgetter(0), rows)), free, d)
+        return dict(zip(keys, map(itemgetter(1), rows)))
 
     def dice(
         self, /, **predicates: Callable[[object], bool]
@@ -182,10 +184,9 @@ class CubeView:
         into_at = mask_dimensions(mask, self.schema.num_dimensions).index(
             self._dimension_index(into)
         )
-        return {
-            values[into_at]: agg
-            for values, agg in self._rows_matching(mask, group)
-        }
+        rows = self._rows_matching(mask, group)
+        keys = map(itemgetter(into_at), map(itemgetter(0), rows))
+        return dict(zip(keys, map(itemgetter(1), rows)))
 
     def top(
         self,

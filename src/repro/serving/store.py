@@ -447,8 +447,6 @@ class CubeStore:
         schema: Schema,
         index: "OrderedDict[int, Dict]",
         dictionary_index: List[Dict],
-        aggregate_name: Optional[str],
-        aggregate_kind: Optional[str],
         min_group_size: int,
         store_bytes: int,
         segment_cache_size: int = DEFAULT_SEGMENT_CACHE,
@@ -456,8 +454,6 @@ class CubeStore:
     ):
         self.path = path
         self.schema = schema
-        self.aggregate_name = aggregate_name
-        self.aggregate_kind = aggregate_kind
         self.min_group_size = min_group_size
         self.store_bytes = store_bytes
         self.counters = counters or ServingCounters()
@@ -655,8 +651,6 @@ class CubeStore:
                 schema,
                 index,
                 dictionaries,
-                header.get("aggregate"),
-                header.get("aggregate_kind"),
                 int(header.get("min_group_size", 1)),
                 size,
                 segment_cache_size=segment_cache_size,

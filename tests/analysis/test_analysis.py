@@ -75,11 +75,10 @@ class TestRunAlgorithms:
 
 class TestRunSweep:
     def test_sweep_structure(self, cluster):
-        sweep = run_sweep(
-            "demo", "n", tiny_workloads(), FACTORIES, cluster
-        )
-        assert sweep.algorithms == ["SP-Cube", "Naive"]
+        sweep = run_sweep(tiny_workloads(), FACTORIES, cluster)
         assert [p.x for p in sweep.points] == [100.0, 200.0]
+        for point in sweep.points:
+            assert list(point.runs) == ["SP-Cube", "Naive"]
 
 
 class TestMetricAccessors:

@@ -1,12 +1,14 @@
 """CubeResult container."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import paper_cluster
 from repro.core import SPCube
 from repro.cubing import CubeResult, sequential_cube
 from repro.datagen import gen_binomial
-from repro.relation import Schema
+from repro.relation import Relation, Schema, all_cuboids, mask_size
 from repro.serving import CubeStore
 
 
@@ -163,6 +165,73 @@ class TestColumnarCuboids:
         cube.cuboid(some)
         assert dict_cuboids(cube) == [some]
         assert cube == sequential_cube(relation)
+
+
+def scan_rows_matching(cube, mask, fixed):
+    """The selection as a per-group generator over the cuboid's dict:
+    the brute-force oracle of :meth:`CubeResult.rows_matching`."""
+    return [
+        item
+        for item in cube.cuboid(mask).items()
+        if all(item[0][at] == value for at, value in fixed)
+    ]
+
+
+#: Per dimension: plain ints, look-alikes that are ``==`` (``-0.0``
+#: included), and ``None`` among mixed str/int/tuple/float values.
+VALUE_FAMILIES = [
+    st.integers(0, 3),
+    st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True, 2]),
+    st.sampled_from([None, "a", "1", 1, (1,), 2.5]),
+]
+ABSENT = "~absent~"
+
+
+@st.composite
+def selections(draw):
+    """``(cube, mask, fixed)``: a relation's cube, one of its cuboids and
+    0..|mask| fixed positions, each fixed to a present value of that
+    position, a look-alike of one, or a value no group holds."""
+    d = draw(st.integers(1, 4))
+    families = [draw(st.sampled_from(VALUE_FAMILIES)) for _ in range(d)]
+    rows = draw(st.lists(st.tuples(*families, st.just(1)), max_size=12))
+    schema = Schema([f"d{i}" for i in range(d)], "m")
+    cube = sequential_cube(Relation(schema, rows))
+    mask = draw(st.sampled_from(all_cuboids(d)))
+    groups = list(cube.cuboid(mask))
+    positions = draw(
+        st.lists(st.integers(0, max(0, mask_size(mask) - 1)), unique=True)
+        if mask
+        else st.just([])
+    )
+    others = [0, 0.0, -0.0, False, 1, 1.0, True, None, "1", ABSENT]
+    fixed = [
+        (at, draw(st.sampled_from([g[at] for g in groups] + others)))
+        for at in positions
+    ]
+    return cube, mask, fixed
+
+
+def block_held(cube):
+    """A copy of ``cube`` holding every cuboid as block lists."""
+    copy = CubeResult(cube.schema)
+    for mask in all_cuboids(cube.schema.num_dimensions):
+        copy.add_block(mask, *cube.columns(mask))
+    return copy
+
+
+class TestRowsMatching:
+    """The column filter against the per-group scan it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(selections())
+    def test_equals_the_scan_in_order_and_by_repr(self, selection):
+        cube, mask, fixed = selection
+        expected = repr(scan_rows_matching(cube, mask, fixed))
+        assert repr(cube.rows_matching(mask, fixed)) == expected
+        blocks = block_held(cube)
+        assert repr(blocks.rows_matching(mask, iter(fixed))) == expected
+        assert dict_cuboids(blocks) == []
 
 
 class TestViews:

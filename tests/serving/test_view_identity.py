@@ -241,6 +241,35 @@ class TestGeneratedIdentity:
                     view.drilldown({"a": "x"}, into="b")
                 assert view.drilldown({}, into="a") == {"x": 2}
 
+    def test_absent_value_decodes_no_row_of_a_store(
+        self, relation, tmp_path, monkeypatch
+    ):
+        # The apex check of an empty selection reads group counts, so an
+        # absent-value drilldown decodes only the rows it selected: none.
+        from repro.serving.store import _Segment
+
+        path = str(tmp_path / "cube.store")
+        CubeStore.write(sequential_cube(relation), path, aggregate="count")
+        decoded = []
+        pairs = _Segment.pairs
+
+        def counting(segment, rows=None):
+            decoded.append(len(segment.aggregates if rows is None else rows))
+            return pairs(segment, rows)
+
+        monkeypatch.setattr(_Segment, "pairs", counting)
+        with StoredCubeView.open(path) as stored:
+            assert stored.drilldown({"a1": "~absent~"}, into="a2") == {}
+            assert stored.slice(a1="~absent~") == {}
+        assert decoded and not any(decoded)
+
+    def test_absent_value_keeps_a_block_held_cuboid(self, relation):
+        run = SPCube(ClusterConfig(num_machines=4)).compute(relation)
+        view = CubeView(run.cube)
+        assert view.drilldown({"a1": "~absent~"}, into="a2") == {}
+        assert view.slice(a1="~absent~") == {}
+        assert all(type(held) is tuple for held in run.cube._cuboids.values())
+
     @pytest.mark.parametrize("value", [[1], {"k": 1}], ids=["list", "object"])
     def test_unhashable_fixed_value_names_the_dimension(
         self, value, relation, tmp_path
