@@ -47,12 +47,14 @@ def main():
     print(header)
     print("-" * len(header))
 
+    metrics_of = {}  # label -> {engine: metrics}; the cubes are dropped
     for label, relation in datasets:
         runs = run_algorithms(
             relation,
             {name: make() for name, make in engines.items()},
             verify=True,  # all engines must agree on the cube
         )
+        metrics_of[label] = {name: run.metrics for name, run in runs.items()}
         cells = []
         for name in engines:
             metrics = runs[name].metrics
@@ -65,12 +67,9 @@ def main():
     print("\nintermediate data (MB)\n")
     print(header)
     print("-" * len(header))
-    for label, relation in datasets:
-        runs = run_algorithms(
-            relation, {name: make() for name, make in engines.items()}
-        )
+    for label, metrics in metrics_of.items():
         cells = "".join(
-            f"{runs[name].metrics.intermediate_bytes / 1e6:14.2f}"
+            f"{metrics[name].intermediate_bytes / 1e6:14.2f}"
             for name in engines
         )
         print(f"{label:16s}" + cells)

@@ -104,10 +104,6 @@ class AggregateFunction(ABC):
     def finalize(self, state: Any):
         """Extract the final aggregate value from a state."""
 
-    def state_size(self, state: Any) -> int:
-        """Approximate size of ``state`` in value-slots, for traffic metrics."""
-        return 1
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -242,9 +238,6 @@ class Average(AggregateFunction):
         total, count = state
         return None if count == 0 else total / count
 
-    def state_size(self, state) -> int:
-        return 2
-
 
 class Variance(AggregateFunction):
     """Population variance. Algebraic: state is ``(n, sum, sum_sq)``."""
@@ -280,9 +273,6 @@ class Variance(AggregateFunction):
             return None
         mean = total / n
         return max(total_sq / n - mean * mean, 0.0)
-
-    def state_size(self, state) -> int:
-        return 3
 
 
 class TopKFrequent(AggregateFunction):
@@ -331,9 +321,6 @@ class TopKFrequent(AggregateFunction):
         )
         return tuple(value for value, _count in top)
 
-    def state_size(self, state: Counter) -> int:
-        return max(len(state), 1)
-
     def __repr__(self) -> str:
         return f"TopKFrequent(k={self.k})"
 
@@ -363,9 +350,6 @@ class Median(AggregateFunction):
             return ordered[mid]
         return (ordered[mid - 1] + ordered[mid]) / 2
 
-    def state_size(self, state: List) -> int:
-        return max(len(state), 1)
-
 
 class CountDistinct(AggregateFunction):
     """Exact ``COUNT(DISTINCT B)`` — holistic; state is the value set."""
@@ -385,9 +369,6 @@ class CountDistinct(AggregateFunction):
 
     def finalize(self, state: frozenset) -> int:
         return len(state)
-
-    def state_size(self, state: frozenset) -> int:
-        return max(len(state), 1)
 
 
 class Multi(AggregateFunction):
@@ -441,11 +422,6 @@ class Multi(AggregateFunction):
     def finalize(self, state: Tuple) -> Tuple:
         return tuple(
             fn.finalize(s) for fn, s in zip(self.functions, state)
-        )
-
-    def state_size(self, state: Tuple) -> int:
-        return sum(
-            fn.state_size(s) for fn, s in zip(self.functions, state)
         )
 
     def __repr__(self) -> str:

@@ -25,6 +25,10 @@ from ..relation.relation import Relation
 
 AlgorithmFactory = Callable[[ClusterConfig], object]
 
+#: Records a JVM reducer holds per nominal record slot; see
+#: :func:`paper_cluster`.
+OBJECT_OVERHEAD = 4
+
 
 #: Named metric accessors over a RunMetrics.  Byte metrics are exact ints;
 #: the golden figure tables scale them to the paper's MB/KB axes.
@@ -150,7 +154,6 @@ def run_sweep(
 def paper_cluster(
     num_rows: int,
     num_machines: int = 20,
-    object_overhead: int = 4,
     fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     parallelism: Optional[int] = None,
@@ -163,7 +166,7 @@ def paper_cluster(
     input size" (``m = n/k``), but a JVM holds far fewer *records* than the
     raw byte count suggests — object headers and boxing inflate records by
     roughly 4-10x, which is what made reducers on the authors' 15 GB
-    machines choke on multi-million-row groups.  ``object_overhead``
+    machines choke on multi-million-row groups.  :data:`OBJECT_OVERHEAD`
     divides the nominal ``n/k`` record budget accordingly; 4 is
     conservative.  This calibration is what places Hive's observed failure
     at ``p >= 0.4`` on gen-binomial (Figure 6a): the 20 planted groups hold
@@ -172,7 +175,7 @@ def paper_cluster(
     """
     if num_machines < 1:
         raise ValueError("num_machines must be positive")
-    memory = max(16, num_rows // (object_overhead * num_machines))
+    memory = max(16, num_rows // (OBJECT_OVERHEAD * num_machines))
     return ClusterConfig(
         num_machines=num_machines,
         memory_records=memory,

@@ -447,14 +447,12 @@ class CubeStore:
         schema: Schema,
         index: "OrderedDict[int, Dict]",
         dictionary_index: List[Dict],
-        min_group_size: int,
         store_bytes: int,
         segment_cache_size: int = DEFAULT_SEGMENT_CACHE,
         counters: Optional[ServingCounters] = None,
     ):
         self.path = path
         self.schema = schema
-        self.min_group_size = min_group_size
         self.store_bytes = store_bytes
         self.counters = counters or ServingCounters()
         self._handle = handle
@@ -651,7 +649,6 @@ class CubeStore:
                 schema,
                 index,
                 dictionaries,
-                int(header.get("min_group_size", 1)),
                 size,
                 segment_cache_size=segment_cache_size,
                 counters=counters,

@@ -77,10 +77,6 @@ class TestAverage:
         right = fn.add(fn.add(fn.create(), 2), 3)
         assert fn.finalize(fn.merge(left, right)) == 5.0
 
-    def test_state_size(self):
-        fn = Average()
-        assert fn.state_size(fn.create()) == 2
-
     def test_kind(self):
         assert Average().kind is AggregateKind.ALGEBRAIC
 
@@ -121,11 +117,6 @@ class TestTopK:
         fn = TopKFrequent()
         assert fn.kind is AggregateKind.HOLISTIC
         assert not fn.compact_state
-
-    def test_state_size_grows(self):
-        fn = TopKFrequent()
-        state = fn.add(fn.add(fn.create(), 1), 2)
-        assert fn.state_size(state) == 2
 
     def test_add_does_not_mutate_input_state(self):
         fn = TopKFrequent()

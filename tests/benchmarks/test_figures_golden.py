@@ -141,6 +141,16 @@ def test_figure6_hive_stuck_from_p40_and_spcube_stable(figures):
     assert hive_failed == {0: False, 10: False, 25: False,
                            40: True, 60: True, 75: True}
     assert not any(curves(fig, "failed")["SP-Cube"])
+    point = {(p["engine"], p["x"]): p for p in fig["points"]}
+    for p, failed in hive_failed.items():
+        spcube = point["SP-Cube", p]
+        # SP-Cube ships least wherever Hive completes, and beats Hive's
+        # clock at p <= 25.
+        if not failed:
+            for engine in ("Pig", "Hive"):
+                assert spcube["map_output_bytes"] < point[engine, p]["map_output_bytes"]
+        if p <= 25:
+            assert spcube["total_seconds"] < point["Hive", p]["total_seconds"]
     times = curves(fig, "total_seconds")
     assert max(times["SP-Cube"]) < 1.5 * min(times["SP-Cube"])
     for pig, spcube in zip(times["Pig"], times["SP-Cube"]):

@@ -98,11 +98,6 @@ class TestMultiAggregate:
         with pytest.raises(ValueError):
             Multi(())
 
-    def test_state_size_sums_members(self):
-        fn = Multi((Count(), Average()))
-        state = fn.add(fn.create(), 5)
-        assert fn.state_size(state) == 1 + 2
-
     def test_works_with_iceberg(self, cluster, relation):
         fn = Multi((Count(), Sum()))
         run = SPCube(cluster, fn, min_group_size=5).compute(relation)

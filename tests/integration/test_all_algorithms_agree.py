@@ -1,67 +1,37 @@
 """Integration: every engine produces the identical cube on every input.
 
-This is the repository's master correctness property: the sequential
-oracle, BUC, SP-Cube (both sketch modes and all ablations), and all
-three distributed baselines must agree bit-for-bit.
+The repository's master correctness property, stated once by the
+differential harness (``tests/test_differential.py``); these ids name
+its cases, plus two generated-input properties.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregates import Average, Count, Sum
 from repro.baselines import HiveCube, MRCube, NaiveCube
 from repro.core import SPCube
-from repro.cubing import buc_cube, sequential_cube
-from repro.datagen import gen_binomial, gen_zipf, wikipedia_traffic
+from repro.cubing import sequential_cube
 from repro.mapreduce import ClusterConfig
 from repro.relation import Relation, Schema
 
-from ..conftest import make_random_relation
+from ..test_differential import ENGINES, Case, check_case
+
+#: Skew fraction of the ids -> the harness input with that much skew.
+SKEWED = {0.0: "zipf", 0.5: "heavy", 1.0: "all-equal"}
 
 
-def all_engines(cluster, fn):
-    return {
-        "spcube": SPCube(cluster, fn),
-        "spcube-exact": SPCube(cluster, fn, use_exact_sketch=True),
-        "naive": NaiveCube(cluster, fn),
-        "naive-combiner": NaiveCube(cluster, fn, use_combiner=True),
-        "mrcube": MRCube(cluster, fn),
-        "hive": HiveCube(cluster, fn),
-    }
-
-
-@pytest.mark.parametrize(
-    "fn", [Count(), Sum(), Average()], ids=lambda f: f.name
-)
-@pytest.mark.parametrize("skew", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("fn", ["count", "sum", "avg"])
+@pytest.mark.parametrize("skew", sorted(SKEWED))
 def test_engines_agree_on_random_data(fn, skew):
-    cluster = ClusterConfig(num_machines=4)
-    rel = make_random_relation(
-        600, num_dimensions=3, cardinality=25, seed=99, skew_fraction=skew
-    )
-    oracle = sequential_cube(rel, fn)
-    assert buc_cube(rel, fn) == oracle
-    for name, engine in all_engines(cluster, fn).items():
-        run = engine.compute(rel)
-        assert run.cube == oracle, (name, run.cube.diff(oracle, 3))
+    for engine in ENGINES:
+        check_case(Case(SKEWED[skew], fn, engine))
 
 
-@pytest.mark.parametrize(
-    "dataset",
-    [
-        gen_binomial(700, 0.4, seed=1),
-        gen_zipf(700, seed=1),
-        wikipedia_traffic(700, seed=1),
-    ],
-    ids=["binomial", "zipf", "wikipedia"],
-)
+@pytest.mark.parametrize("dataset", ["binomial", "zipf", "wikipedia"])
 def test_engines_agree_on_paper_workloads(dataset):
-    cluster = ClusterConfig(num_machines=5)
-    oracle = sequential_cube(dataset)
-    for name, engine in all_engines(cluster, Count()).items():
-        run = engine.compute(dataset)
-        assert run.cube == oracle, name
+    for engine in ENGINES:
+        check_case(Case(dataset, "count", engine))
 
 
 @given(

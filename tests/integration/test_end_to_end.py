@@ -1,77 +1,68 @@
 """End-to-end runs on the paper's workloads: metrics-level expectations.
 
-These assert the *shape* claims of Section 6 at miniature scale: SP-Cube
-wins on time and traffic, balances reducers, keeps its sketch tiny, and
-Hive fails exactly in the high-skew regime.
+These assert the *shape* claims of Section 6: SP-Cube wins on time and
+traffic, balances reducers, keeps its sketch tiny, and Hive fails
+exactly in the high-skew regime.  The Figure 6 claims read the committed
+sweep (``BENCH_figures.json``, 30k rows per point, rerun by CI's
+``golden`` job); its p = 25 point is the skew these ids first checked at
+miniature scale.  Cube agreement is the differential harness's.
 """
+
+import json
 
 import pytest
 
-from repro.baselines import HiveCube, MRCube
+from repro.analysis import paper_cluster
 from repro.core import SPCube
-from repro.analysis import paper_cluster, run_algorithms
 from repro.datagen import gen_binomial, gen_zipf, wikipedia_traffic
 
+from ..benchmarks.conftest import ROOT
+from ..test_differential import Case, check_case
 
-@pytest.fixture(scope="module")
-def binomial_runs():
-    n = 12_000
-    cluster = paper_cluster(n)
-    rel = gen_binomial(n, 0.25, seed=17)
-    return run_algorithms(
-        rel,
-        {
-            "pig": MRCube(cluster),
-            "hive": HiveCube(cluster),
-            "spcube": SPCube(cluster),
-        },
-    )
+#: ``(engine, p in percent) -> point`` of the committed Figure 6 sweep.
+FIGURE6 = {
+    (point["engine"], point["x"]): point
+    for point in json.loads((ROOT / "BENCH_figures.json").read_text())
+    ["figures"]["6"]["points"]
+}
 
 
 class TestComparativeShapes:
-    def test_spcube_fastest(self, binomial_runs):
-        spcube = binomial_runs["spcube"].metrics.total_seconds
-        assert spcube < binomial_runs["pig"].metrics.total_seconds
-        assert spcube < binomial_runs["hive"].metrics.total_seconds
+    def test_spcube_fastest(self):
+        spcube = FIGURE6["SP-Cube", 25]["total_seconds"]
+        assert spcube < FIGURE6["Pig", 25]["total_seconds"]
+        assert spcube < FIGURE6["Hive", 25]["total_seconds"]
 
-    def test_spcube_least_traffic(self, binomial_runs):
-        spcube = binomial_runs["spcube"].metrics.intermediate_bytes
-        assert spcube < binomial_runs["pig"].metrics.intermediate_bytes
-        assert spcube < binomial_runs["hive"].metrics.intermediate_bytes
+    def test_spcube_least_traffic(self):
+        spcube = FIGURE6["SP-Cube", 25]["map_output_bytes"]
+        assert spcube < FIGURE6["Pig", 25]["map_output_bytes"]
+        assert spcube < FIGURE6["Hive", 25]["map_output_bytes"]
 
-    def test_all_agree(self, binomial_runs):
-        cubes = [run.cube for run in binomial_runs.values()]
-        assert cubes[0] == cubes[1] == cubes[2]
+    def test_all_agree(self):
+        for engine in ("mrcube", "hive", "spcube"):
+            check_case(Case("binomial", "count", engine))
 
-    def test_sketch_orders_of_magnitude_below_input(self, binomial_runs):
-        from repro.mapreduce import relation_bytes
-
-        sketch_bytes = binomial_runs["spcube"].metrics.extras["sketch_bytes"]
-        # Input is ~12k rows * ~40B; sketch must be a tiny fraction.
-        assert sketch_bytes < 50_000
+    def test_sketch_orders_of_magnitude_below_input(self):
+        assert FIGURE6["SP-Cube", 25]["sketch_bytes"] < 50_000
 
 
 class TestHiveFailureBoundary:
     @pytest.mark.parametrize(
         "p,expect_failed",
-        # The analytic boundary is p > 0.375; at this miniature n the
-        # planted group sizes (Poisson around p*n/20) blur the crossing,
-        # so the test probes clearly on each side.  The Figure 6 bench
-        # demonstrates the exact p >= 0.4 boundary at full bench scale.
+        # The analytic boundary is p > 0.375; the committed sweep holds
+        # the paper's exact p >= 0.4.
         [(0.0, False), (0.25, False), (0.5, True), (0.75, True)],
     )
     def test_figure6_boundary(self, p, expect_failed):
-        n = 8_000
-        cluster = paper_cluster(n)
-        run = HiveCube(cluster).compute(gen_binomial(n, p, seed=23))
-        assert run.metrics.failed == expect_failed
+        """The sweep's Hive point at ``p``, or the last one below it."""
+        x = max(x for engine, x in FIGURE6 if engine == "Hive" and x <= 100 * p)
+        assert FIGURE6["Hive", x]["failed"] is expect_failed
 
     def test_spcube_never_fails(self):
-        n = 8_000
-        cluster = paper_cluster(n)
-        for p in (0.0, 0.4, 0.75):
-            run = SPCube(cluster).compute(gen_binomial(n, p, seed=23))
-            assert not run.metrics.failed
+        assert not any(
+            point["failed"] for (engine, _), point in FIGURE6.items()
+            if engine == "SP-Cube"
+        )
 
 
 class TestSPCubeResilience:

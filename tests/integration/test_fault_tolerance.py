@@ -3,9 +3,11 @@
 The headline invariant of the fault layer: a run under any fault plan
 that stays within the retry budget produces a cube *identical* to the
 fault-free run — retries and speculation change only the simulated
-clock, never the data.  A plan that exhausts the budget
-must surface as a failed run (``RunMetrics.failed``), not an exception,
-mirroring how Figure 6a reports engines that get stuck.
+clock, never the data.  A plan that exhausts the budget must surface as
+a failed run (``RunMetrics.failed``), not an exception, mirroring how
+Figure 6a reports engines that get stuck.  The differential harness
+(``tests/test_differential.py``) checks both under every plan; these ids
+name its cases.
 """
 
 import pytest
@@ -14,38 +16,27 @@ from repro.analysis import paper_cluster, run_algorithms
 from repro.baselines import HiveCube, NaiveCube
 from repro.core import SPCube
 from repro.datagen import gen_binomial
-from repro.engines import ENGINE_NAMES, load_engines
+from repro.engines import load_engines
 from repro.mapreduce import ClusterConfig, CostModel, FaultPlan, FaultSpec, RetryPolicy
 
-ENGINES = load_engines(ENGINE_NAMES)
-
-#: Three qualitatively different fault plans, per the acceptance criteria:
-#: a map-side crash, a reduce-side crash, and a heavy straggler that
-#: triggers speculative execution on every attempt of every job.
-PLANS = {
-    "map-crash": FaultPlan(
-        [FaultSpec("crash", phase="map", task=0, attempt=0)]
-    ),
-    "reduce-crash": FaultPlan(
-        [FaultSpec("crash", phase="reduce", task=0, attempt=0)]
-    ),
-    # Every map task straggles, so the phase-critical task is slowed too
-    # and the speculation launch delay must show up in the total time.
-    "straggler": FaultPlan(
-        [FaultSpec("straggle", phase="map", slowdown=100.0, attempt=None)]
-    ),
-}
+from ..test_differential import ENGINE_NAMES, Case, check_case, traced_run
+from ..test_differential import relation as harness_relation
 
 
-@pytest.fixture(scope="module")
-def relation():
-    return gen_binomial(500, 0.3, seed=4)
+@pytest.mark.parametrize("engine_name", ENGINE_NAMES)
+@pytest.mark.parametrize("plan_name", ["map-crash", "reduce-crash", "straggler"])
+def test_faults_change_time_but_not_the_cube(engine_name, plan_name):
+    check_case(Case("binomial", "count", engine_name, "serial", plan_name))
+    clean = traced_run("binomial", "count", engine_name).run.metrics
+    faulted = traced_run("binomial", "count", engine_name, "serial", plan_name).run.metrics
+    assert not faulted.failed
+    assert faulted.attempts > clean.attempts
+    assert faulted.recovered > 0
 
 
 def make_cluster(fault_plan=None):
     # A tiny speculation launch delay guarantees the backup copy beats a
-    # 100x straggler even on these tiny simulated tasks, so the straggler
-    # plan deterministically exercises first-finisher-wins.
+    # 100x straggler even on these tiny simulated tasks.
     return ClusterConfig(
         num_machines=4,
         memory_records=64,
@@ -55,38 +46,20 @@ def make_cluster(fault_plan=None):
     )
 
 
-@pytest.mark.parametrize("engine_name", sorted(ENGINES))
-@pytest.mark.parametrize("plan_name", sorted(PLANS))
-def test_faults_change_time_but_not_the_cube(
-    relation, engine_name, plan_name
-):
-    engine_cls = ENGINES[engine_name]
-    clean = engine_cls(make_cluster()).compute(relation)
-    faulted = engine_cls(make_cluster(PLANS[plan_name])).compute(relation)
-
-    assert faulted.cube == clean.cube  # bit-identical output
-    assert not faulted.metrics.failed
-    assert faulted.metrics.attempts > clean.metrics.attempts
-    assert faulted.metrics.recovered > 0
-    assert faulted.metrics.total_seconds > clean.metrics.total_seconds
-
-
 class TestRetryExhaustion:
     EXHAUSTING = FaultPlan(
         [FaultSpec("crash", phase="map", task=0, attempt=None)]
     )
 
-    @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-    def test_exhausted_budget_fails_without_raising(
-        self, relation, engine_name
-    ):
-        engine = ENGINES[engine_name](make_cluster(self.EXHAUSTING))
-        run = engine.compute(relation)  # must not raise
-        assert run.metrics.failed
-        assert run.metrics.aborted
-        assert run.cube.num_groups == 0
+    @pytest.mark.parametrize("engine_name", ENGINE_NAMES)
+    def test_exhausted_budget_fails_without_raising(self, engine_name):
+        check_case(Case("binomial", "count", engine_name, "serial", "exhausting"))
+        metrics = traced_run(
+            "binomial", "count", engine_name, "serial", "exhausting"
+        ).run.metrics
+        assert metrics.failed and metrics.aborted
 
-    def test_runner_reports_stuck_like_figure_6a(self, relation):
+    def test_runner_reports_stuck_like_figure_6a(self):
         """run_algorithms with verify must tolerate an aborted engine:
         it is excluded from the cross-check, like Figure 6a's missing
         Hive points, while the surviving engines still verify."""
@@ -95,7 +68,9 @@ class TestRetryExhaustion:
             "naive": NaiveCube(make_cluster()),
             "hive": HiveCube(make_cluster()),
         }
-        runs = run_algorithms(relation, algorithms, verify=True)
+        runs = run_algorithms(
+            harness_relation("binomial"), algorithms, verify=True
+        )
         assert runs["spcube"].metrics.failed
         assert not runs["naive"].metrics.failed
         assert runs["naive"].cube == runs["hive"].cube
@@ -118,7 +93,8 @@ class TestPaperCluster:
         relation = gen_binomial(400, 0.3, seed=9)
         plan = FaultPlan(seed=12, crash_prob=0.15, straggle_prob=0.1)
         algorithms = {
-            name: cls(make_cluster(plan)) for name, cls in ENGINES.items()
+            name: cls(make_cluster(plan))
+            for name, cls in load_engines(ENGINE_NAMES).items()
         }
         runs = run_algorithms(relation, algorithms, verify=True)
         completed = [r for r in runs.values() if not r.metrics.aborted]

@@ -1,9 +1,10 @@
 """Flow lineage and watchdog alerts are deterministic derivations.
 
-The spine suite (``tests/observability/test_trace_integration.py``)
-asserts trace byte identity once; these checks stay as the per-engine
-statement at the lineage level, over the same cached runs, plus the
-fault-free acceptance check that the watchdog agrees with the doctor.
+The differential harness (``tests/test_differential.py``) compares the
+lineage jobs and alerts and the watchdog's comparisons across task
+orders in every case; these ids name its cases, plus the per-engine
+lineage facts and the fault-free acceptance check that the watchdog
+agrees with the doctor.
 """
 
 from dataclasses import replace
@@ -24,39 +25,32 @@ from repro.observability import (
     explain_reducer,
 )
 
-from ..observability.spine import (
-    ENGINES,
+from ..test_differential import (
+    ENGINE_NAMES,
+    Case,
+    assert_tracing_changes_nothing,
+    check_case,
     cluster,
     relation,
-    simulation,
-    spine_run,
-    untraced_run,
+    traced_run,
 )
 
 
-def assert_same_lineage(engine_name, faults):
-    serial = spine_run(engine_name, faults).live
-    parallel = spine_run(engine_name, faults, parallelism=2).live
-    assert parallel.lineage.jobs == serial.lineage.jobs
-    assert parallel.lineage.alerts == serial.lineage.alerts
-    assert parallel.watchdog.comparisons == serial.watchdog.comparisons
-    return serial.lineage
-
-
-@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+@pytest.mark.parametrize("engine_name", ENGINE_NAMES)
 def test_serial_parallel_identity_clean(engine_name):
-    assert_same_lineage(engine_name, "clean")
+    check_case(Case("binomial", "count", engine_name, "parallel"))
 
 
-@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+@pytest.mark.parametrize("engine_name", ENGINE_NAMES)
 def test_serial_parallel_identity_under_task_faults(engine_name):
-    assert_same_lineage(engine_name, "task-faults")
+    check_case(Case("binomial", "count", engine_name, "parallel", "task-faults"))
 
 
 def test_serial_parallel_identity_under_node_faults():
     """A node loss re-executes the round; the aborted execution and the
     resume both appear in the index, identically for both backends."""
-    lineage = assert_same_lineage("mrcube", "node-loss")
+    check_case(Case("binomial", "count", "mrcube", "parallel", "node-loss"))
+    lineage = traced_run("binomial", "count", "mrcube", "serial", "node-loss").live.lineage
     executions = {
         execution: job for (name, execution), job in lineage.jobs.items()
         if name == "mrcube-materialize"
@@ -69,11 +63,11 @@ def test_serial_parallel_identity_under_node_faults():
     )["salvaged"]
 
 
-@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+@pytest.mark.parametrize("engine_name", ENGINE_NAMES)
 def test_recording_does_not_change_runs(engine_name):
-    traced = spine_run(engine_name, "task-faults")
-    plain = untraced_run(engine_name, "task-faults")
-    assert simulation(traced.run) == simulation(plain)
+    assert_tracing_changes_nothing(
+        Case("binomial", "count", engine_name, "serial", "task-faults")
+    )
 
 
 def test_lineage_off_by_default():
@@ -81,8 +75,8 @@ def test_lineage_off_by_default():
     records none, and the explain walk says how to get them."""
     lineage = LineageIndex()
     run = SPCube(
-        cluster(tracer=Tracer([lineage]))
-    ).compute(relation())
+        cluster("binomial", tracer=Tracer([lineage]))
+    ).compute(relation("binomial"))
     assert run.metrics.output_groups > 0
     assert lineage.jobs and not any(j["flows"] for j in lineage.jobs.values())
     with pytest.raises(ExplainError, match="--trace-level debug"):
@@ -92,8 +86,9 @@ def test_lineage_off_by_default():
 def test_every_engine_classifies_cuboids():
     """Every cube round's flows carry a per-cuboid breakdown; only the
     classifier-less sample rounds (key ``0``) record empty ones."""
-    for engine_name in sorted(ENGINES):
-        for (name, _), job in spine_run(engine_name).live.lineage.jobs.items():
+    for engine_name in ENGINE_NAMES:
+        live = traced_run("binomial", "count", engine_name).live
+        for (name, _), job in live.lineage.jobs.items():
             if name in ("sp-sketch", "mrcube-sample"):
                 continue
             assert any(flow["cuboids"] for flow in job["flows"]), (

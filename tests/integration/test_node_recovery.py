@@ -4,13 +4,13 @@ A seeded node kill during round 2 of a three-round MR-Cube run must:
 complete via checkpoint resume with the bit-identical cube of the
 fault-free run, re-execute only round-2 work (rounds 1 and 3 run once),
 skip the salvaged reduce partitions on the rerun, and leave merged
-metrics that satisfy every invariant.  Serial and parallel backends must
-agree byte-for-byte on cubes and traces under node faults.
+metrics that satisfy every invariant.  That every task order agrees
+byte-for-byte on cubes and traces under node faults is the differential
+harness's (``tests/test_differential.py``); ``TestBackendIdentity`` names
+its cases.
 """
 
-from dataclasses import asdict, replace
-
-import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,12 +21,12 @@ from repro.datagen import gen_binomial, gen_zipf
 from repro.mapreduce.faults import FaultPlan, NodeFaultSpec
 from repro.observability import MemorySink, Tracer, record_problems
 
+from ..test_differential import Case, check_case
+
 ROWS = 3000
 #: Job-relative instant inside the materialize round's reduce phase (the
 #: round spans ~67s; map+shuffle+startup end around t=35).
 KILL_AT = 45.0
-WALL_FIELDS = ("map_phase_wall_seconds", "reduce_phase_wall_seconds",
-               "executor")
 
 
 def relation():
@@ -254,30 +254,6 @@ class TestSPCubeResume:
 
 
 class TestBackendIdentity:
-    def run_once(self, parallelism):
-        sink = MemorySink()
-        tracer = Tracer([sink], level="debug")
-        plan = FaultPlan(
-            seed=11, crash_prob=0.05, straggle_prob=0.05,
-            node_crash_prob=0.02,
-            node_specs=[NodeFaultSpec(node=1, at_seconds=KILL_AT,
-                                      job="mrcube-materialize")],
-        )
-        run = MRCube(
-            cluster(fault_plan=plan, tracer=tracer, parallelism=parallelism)
-        ).compute(relation())
-        tracer.close()
-        jobs = []
-        for job in run.metrics.jobs:
-            data = asdict(job)
-            for field in WALL_FIELDS:
-                data.pop(field, None)
-            jobs.append(data)
-        return run.cube, jobs, json.dumps(sink.records, sort_keys=True)
-
     def test_serial_and_parallel_agree_under_node_faults(self):
-        serial = self.run_once(None)
-        parallel = self.run_once(3)
-        assert serial[0] == parallel[0]  # cubes
-        assert serial[1] == parallel[1]  # job metrics incl. dead_nodes
-        assert serial[2] == parallel[2]  # traces, byte-identical
+        for faults in ("node-loss", "random"):
+            check_case(Case("binomial", "count", "mrcube", "parallel", faults))

@@ -1,15 +1,15 @@
-"""End-to-end tracing: the one identity suite, asserted on the spine.
+"""End-to-end tracing over the differential harness's cached runs.
 
 A fault-injected gen-zipf run traced to a JSONL file must yield an
 analyzer whose attempt counts, speculative wins and per-reducer pair
-counts exactly match ``RunMetrics``; a traced run's metrics must be
-identical to an untraced run's; and for all four engines, fault-free,
-under task faults and across a node loss with checkpoint resume, the
-``debug``-level trace must be byte-identical between the serial and the
-parallel backend.  Telemetry, the watchdog and the explain index are
-pure functions of those records, so two more properties make that
-sufficient for them: the live sinks equal an offline replay of the
-JSONL, and every sink sees a job's alerts right behind that job's span.
+counts exactly match ``RunMetrics``, and a traced run's metrics must be
+identical to an untraced run's.  The harness
+(``tests/test_differential.py``) checks the ``debug``-level trace bytes
+identical across task orders in every case; telemetry, the watchdog and
+the explain index are pure functions of those records, so two more
+properties make that sufficient for them: the live sinks equal an
+offline replay of the JSONL, and every sink sees a job's alerts right
+behind that job's span.
 """
 
 import json
@@ -24,7 +24,6 @@ from repro.mapreduce import ClusterConfig
 from repro.mapreduce.faults import FaultPlan
 from repro.observability import (
     ALERT_KINDS,
-    JsonlSink,
     LineageIndex,
     MemorySink,
     Telemetry,
@@ -37,7 +36,16 @@ from repro.observability import (
     replay,
 )
 
-from .spine import ENGINES, FAULTS, simulation, spine_run, untraced_run
+from ..test_differential import ENGINE_NAMES, Case, check_case
+from ..test_differential import traced_run as harness_run
+
+#: The fault modes these ids name -> the harness's fault plans.
+FAULTS = {"clean": "none", "node-loss": "node-loss", "task-faults": "task-faults"}
+
+
+def binomial_run(engine, faults):
+    return harness_run("binomial", "count", engine, "serial", FAULTS[faults])
+
 
 ROWS = 2000
 WALL_FIELDS = ("map_phase_wall_seconds", "reduce_phase_wall_seconds")
@@ -47,11 +55,9 @@ def fault_plan():
     return FaultPlan(seed=7, crash_prob=0.08, straggle_prob=0.1)
 
 
-def run_spcube(tracer=None, parallelism=None):
+def run_spcube(tracer=None):
     relation = gen_zipf(ROWS, seed=3)
-    cluster = paper_cluster(
-        ROWS, fault_plan=fault_plan(), parallelism=parallelism
-    )
+    cluster = paper_cluster(ROWS, fault_plan=fault_plan())
     cluster.tracer = tracer
     return SPCube(cluster).compute(relation)
 
@@ -140,38 +146,25 @@ class TestAnalyzerMatchesMetrics:
 
 
 class TestBackendIdentity:
-    def test_trace_files_byte_identical_serial_vs_parallel(self, tmp_path):
-        contents = []
-        for parallelism in (1, 3):
-            path = tmp_path / f"p{parallelism}.jsonl"
-            tracer = Tracer([JsonlSink(path)], level="debug")
-            run_spcube(tracer, parallelism=parallelism)
-            tracer.close()
-            contents.append(path.read_bytes())
-        assert contents[0] == contents[1]
-        assert len(contents[0]) > 0
+    def test_trace_files_byte_identical_serial_vs_parallel(self):
+        check_case(Case("zipf", "count", "spcube", "parallel", "random"))
 
 
 @pytest.mark.parametrize("faults", sorted(FAULTS))
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
 class TestSpine:
     def test_trace_bytes_identical_serial_vs_parallel(self, engine, faults):
-        serial = spine_run(engine, faults)
-        parallel = spine_run(engine, faults, parallelism=2)
-        assert parallel.text == serial.text
-        assert serial.records
-        assert not [p for r in serial.records for p in record_problems(r)]
+        check_case(Case("binomial", "count", engine, "parallel", FAULTS[faults]))
+        serial = binomial_run(engine, faults)
         assert any(r["kind"] == "flow" for r in serial.records)
         # The faults fired, were survived, and changed nothing but time.
         metrics = serial.run.metrics
         assert not metrics.failed
         assert (metrics.killed_tasks > 0) == (faults != "clean")
         assert metrics.resumed_rounds == (faults == "node-loss")
-        assert serial.run.cube == untraced_run(engine).cube
-        assert simulation(parallel.run) == simulation(serial.run)
 
     def test_live_sinks_equal_offline_replay(self, engine, faults):
-        traced = spine_run(engine, faults)
+        traced = binomial_run(engine, faults)
         live = traced.live
         records = [json.loads(line) for line in traced.text.splitlines()]
         telemetry, watchdog, lineage = (
@@ -193,7 +186,7 @@ class TestSpine:
         )
 
     def test_alerts_follow_their_job_span_in_every_sink(self, engine, faults):
-        live = spine_run(engine, faults).live
+        live = binomial_run(engine, faults).live
         # One sink sits before the watchdog in the fan-out, one after.
         assert live.before.records == live.after.records
         alerts_behind_their_job_spans(live.before.records)
@@ -216,10 +209,10 @@ def alerts_behind_their_job_spans(records):
 
 
 def test_the_matrix_does_alert():
-    """The ordering property above is not vacuous: the spine raises a
-    straggler alert, and the observability smoke's hot input a skew
+    """The ordering property above is not vacuous: the harness's
+    task-faults run raises a straggler alert, and the observability smoke's hot input a skew
     alert, each right behind its job span."""
-    straggling = spine_run("spcube", "task-faults").live.before.records
+    straggling = binomial_run("spcube", "task-faults").live.before.records
     assert "straggler_alert" in alerts_behind_their_job_spans(straggling)
     sink = MemorySink()
     tracer = Tracer([Watchdog(), sink], level="debug")

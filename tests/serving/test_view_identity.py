@@ -1,10 +1,12 @@
 """StoredCubeView vs in-memory CubeView: bit-identity by construction.
 
 The acceptance bar for the serving layer: every query type answered
-from disk must equal the in-memory answer exactly — across all four
-engines and for iceberg-pruned cubes.  ``TestResultCache``
-checks what repeated queries share: the server's reply LRU, and in
-process nothing.
+from disk must equal the in-memory answer exactly.  The differential
+harness (``tests/test_differential.py``) checks every op on every input
+and engine from memory, from a store and in a server's reply; these ids
+name its cases, plus a generated-cube property and the selection
+corners.  ``TestResultCache`` checks what repeated queries share: the
+server's reply LRU, and in process nothing.
 """
 
 import json
@@ -24,108 +26,58 @@ from repro import (
     SPCube,
     StoredCubeView,
 )
-from repro.aggregates import Sum, get_aggregate
+from repro.aggregates import get_aggregate
 from repro.cubing import CubeResult, sequential_cube
-from repro.datagen import gen_binomial
-from repro.engines import ENGINE_NAMES, load_engines
 from repro.relation import Relation, Schema, all_cuboids, mask_dimensions
 from repro.serving import CubeServer, CubeStore, execute_query
 
-ENGINES = list(load_engines(ENGINE_NAMES).values())
+from ..test_differential import (
+    ENGINE_NAMES,
+    ENGINES,
+    ICEBERG,
+    Case,
+    check_case,
+    traced_run,
+)
+from ..test_differential import relation as harness_relation
+from .test_store import header
 
 
 @pytest.fixture(scope="module")
 def relation():
-    return gen_binomial(400, 0.4, seed=7)
-
-
-def assert_identical(stored, memory, relation):
-    """Every query type, disk vs memory, compared with ``==``."""
-    dims = relation.schema.dimensions
-    assert stored.total() == memory.total()
-    assert stored.cuboid_sizes() == memory.cuboid_sizes()
-    assert stored.rollup(dims[0]) == memory.rollup(dims[0])
-    assert stored.rollup(dims[1], dims[3]) == memory.rollup(
-        dims[1], dims[3]
-    )
-    # Out-of-schema-order rollup exercises the column permutation.
-    assert stored.rollup(dims[2], dims[0]) == memory.rollup(
-        dims[2], dims[0]
-    )
-    anchor = max(memory.rollup(dims[0]))[0]  # a real dimension value
-    assert stored.slice(**{dims[0]: anchor}) == memory.slice(
-        **{dims[0]: anchor}
-    )
-    assert stored.dice(**{dims[1]: lambda v: v % 2 == 0}) == memory.dice(
-        **{dims[1]: lambda v: v % 2 == 0}
-    )
-    assert stored.drilldown(
-        {dims[0]: anchor}, into=dims[2]
-    ) == memory.drilldown({dims[0]: anchor}, into=dims[2])
-    assert stored.top([dims[0], dims[1]], k=3) == memory.top(
-        [dims[0], dims[1]], k=3
-    )
-    assert stored.pivot(dims[0], dims[3]) == memory.pivot(dims[0], dims[3])
+    return harness_relation("binomial")
 
 
 class TestEveryEngineIdentity:
-    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
-    def test_count_cube(self, engine, relation, tmp_path):
-        run = engine(ClusterConfig(num_machines=4)).compute(relation)
-        path = str(tmp_path / "cube.store")
-        from repro.serving import CubeStore
+    @pytest.mark.parametrize(
+        "engine", ENGINE_NAMES, ids=lambda name: ENGINES[name].__name__
+    )
+    def test_count_cube(self, engine):
+        check_case(Case("binomial", "count", engine, surface="store"))
 
-        CubeStore.write(run.cube, path, aggregate="count")
-        memory = CubeView(run.cube)
-        with StoredCubeView.open(path) as stored:
-            assert_identical(stored, memory, relation)
-
-    def test_sum_cube(self, relation, tmp_path):
-        run = SPCube(ClusterConfig(num_machines=4), Sum()).compute(relation)
-        path = str(tmp_path / "sum.store")
-        from repro.serving import CubeStore
-
-        CubeStore.write(run.cube, path, aggregate=Sum())
-        memory = CubeView(run.cube)
-        with StoredCubeView.open(path) as stored:
-            assert_identical(stored, memory, relation)
+    def test_sum_cube(self):
+        check_case(Case("binomial", "sum", "spcube", surface="store"))
 
 
 class TestIcebergIdentity:
-    def test_iceberg_cube_served_exactly(self, relation, tmp_path):
-        run = SPCube(
-            ClusterConfig(num_machines=4), min_group_size=3
-        ).compute(relation)
+    def test_iceberg_cube_served_exactly(self, tmp_path):
+        check_case(Case("binomial", "count", "spcube-iceberg", surface="store"))
         path = str(tmp_path / "iceberg.store")
-        from repro.serving import CubeStore
+        cube = traced_run("binomial", "count", "spcube-iceberg").run.cube
+        CubeStore.write(cube, path, aggregate="count", min_group_size=ICEBERG)
+        assert header(path)["min_group_size"] == ICEBERG
 
-        CubeStore.write(
-            run.cube, path, aggregate="count", min_group_size=3
-        )
-        memory = CubeView(run.cube)
-        with StoredCubeView.open(path) as stored:
-            assert stored.store.min_group_size == 3
-            assert_identical(stored, memory, relation)
-
-    def test_iceberg_store_materializes_every_cuboid(
-        self, relation, tmp_path
-    ):
+    def test_iceberg_store_materializes_every_cuboid(self, tmp_path):
         # Every store carries the whole lattice, an iceberg store's
         # pruned cuboids included (possibly empty).
-        run = SPCube(
-            ClusterConfig(num_machines=4), min_group_size=5
-        ).compute(relation)
+        cube = traced_run("binomial", "count", "spcube-iceberg").run.cube
         path = str(tmp_path / "iceberg.store")
-        from repro.serving import CubeStore
-
-        CubeStore.write(
-            run.cube, path, aggregate="count", min_group_size=5
-        )
+        CubeStore.write(cube, path, aggregate="count", min_group_size=ICEBERG)
         with StoredCubeView.open(path) as stored:
             assert len(stored.store.masks) == 16  # full 4-dim lattice
-            assert stored.rollup("a1", "a2", "a3") == CubeView(
-                run.cube
-            ).rollup("a1", "a2", "a3")
+            assert stored.rollup("a1", "a2", "a3") == CubeView(cube).rollup(
+                "a1", "a2", "a3"
+            )
 
 
 # -- generated-input identity -------------------------------------------------
