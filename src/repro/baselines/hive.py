@@ -48,6 +48,7 @@ from ..mapreduce.engine import (
     MapReduceJob,
     Reducer,
     TaskFactory,
+    _ordered_keys,
     cuboid_of_mask_key,
 )
 from ..mapreduce.metrics import RunMetrics
@@ -105,7 +106,7 @@ class HiveCube:
             cuboid_of=cuboid_of_mask_key,
         )
         metrics = RunMetrics(algorithm=self.name)
-        runner = RoundRunner(self.cluster, metrics, run_id="hive")
+        runner = RoundRunner(self.cluster, metrics)
         result = runner.run(job, relation.split(k), m)
         # An aborted job (retry budget exhausted) already failed and has no
         # output; the stuck criterion only applies to completed runs.
@@ -197,12 +198,9 @@ class _HiveMapper(Mapper):
         yield from self._flush()
 
     def _flush(self):
-        entries = sorted(
-            self._hash.items(), key=lambda item: (item[0][0], item[0][1])
-        )
-        self._hash = {}
-        for key, state in entries:
-            yield key, state
+        table, self._hash = self._hash, {}
+        for key in _ordered_keys(table):
+            yield key, table[key]
 
 
 class _HiveReducer(Reducer):

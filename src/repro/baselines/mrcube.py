@@ -76,7 +76,7 @@ class MRCube:
         self._run_base = tracer.clock
         # All rounds run through the checkpoint/recovery layer; a node
         # loss resumes the round instead of aborting the run.
-        runner = RoundRunner(self.cluster, metrics, run_id="mrcube")
+        runner = RoundRunner(self.cluster, metrics)
 
         # ---- round 1: sample and annotate the lattice ----------------------
         alpha = sampling_probability(n, k, m)

@@ -77,7 +77,7 @@ class NaiveCube:
             cuboid_of=cuboid_of_mask_key,
         )
         metrics = RunMetrics(algorithm=self.name)
-        runner = RoundRunner(self.cluster, metrics, run_id="naive")
+        runner = RoundRunner(self.cluster, metrics)
         result = runner.run(job, relation.split(k), m)
 
         cube = CubeResult(relation.schema)

@@ -570,14 +570,14 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--node-crash-prob", type=float, default=0.0, metavar="P",
-        help="per-node per-job probability of losing a whole node (and "
-             "its DFS replicas) when --fault-seed is given",
+        help="per-node per-job probability of losing a whole node "
+             "when --fault-seed is given",
     )
     group.add_argument(
         "--checkpoint", action=argparse.BooleanOptionalAction, default=True,
-        help="checkpoint each completed round to the DFS and resume a "
-             "node-killed round from the last checkpoint instead of "
-             "aborting the run",
+        help="keep each completed round (and a node-killed round's "
+             "completed partitions) as a checkpoint and resume a "
+             "node-killed round from it instead of aborting the run",
     )
 
 

@@ -24,7 +24,7 @@ from .sketch import (
     build_exact_sketch,
     build_sketch_from_sample,
 )
-from .spcube import SKETCH_PATH, SPCube
+from .spcube import SPCube
 
 __all__ = [
     "find_partition",
@@ -43,6 +43,5 @@ __all__ = [
     "SPSketch",
     "build_exact_sketch",
     "build_sketch_from_sample",
-    "SKETCH_PATH",
     "SPCube",
 ]

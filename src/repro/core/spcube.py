@@ -2,8 +2,8 @@
 
 **Round 1** (Algorithm 2): every mapper Bernoulli-samples its input chunk
 with probability ``alpha = ln(nk)/m``; the single reducer builds the
-SP-Sketch from the sample and publishes it on the DFS, from where every
-machine of round 2 caches it in memory.
+SP-Sketch from the sample, and the driver broadcasts it to every machine
+of round 2, which caches it in memory.
 
 **Round 2** (Algorithm 3): mappers traverse each tuple's lattice bottom-up
 (BFS); skewed c-groups are partially aggregated in mapper memory and
@@ -49,7 +49,6 @@ from ..cubing.result import CubeResult
 from ..interface import CubeRun
 from ..mapreduce.checkpoint import RoundRunner
 from ..mapreduce.cluster import ClusterConfig
-from ..mapreduce.dfs import DistributedFileSystem
 from ..mapreduce.engine import (
     Mapper,
     MapReduceJob,
@@ -85,9 +84,6 @@ def _spcube_cuboid_of(key):
     both streams carry the mask second."""
     return key[1]
 
-#: DFS path under which round 1 publishes the sketch.
-SKETCH_PATH = "spcube/sketch"
-
 _MEASURE = itemgetter(-1)
 
 
@@ -106,7 +102,6 @@ class SPCube:
         ancestor_covering: bool = True,
         range_partitioning: bool = True,
         min_group_size: int = 1,
-        dfs: Optional[DistributedFileSystem] = None,
     ):
         self.cluster = cluster or ClusterConfig()
         self.aggregate = aggregate or Count()
@@ -119,12 +114,6 @@ class SPCube:
         if min_group_size < 1:
             raise ValueError("min_group_size must be >= 1")
         self.min_group_size = min_group_size
-        # Explicit None check: an empty DFS is falsy (it has __len__).
-        self.dfs = (
-            dfs
-            if dfs is not None
-            else DistributedFileSystem(topology=self.cluster.topology())
-        )
 
     @property
     def name(self) -> str:
@@ -137,7 +126,7 @@ class SPCube:
 
         Runs with cyclic GC paused end to end (see
         :func:`~repro._gc.paused_gc`): the rounds *and* the
-        driver-side assembly (cube building, DFS output) allocate
+        driver-side cube assembly allocate
         cycle-free data by the million, and re-enabling the collector
         between phases just buys repeated full scans of the live cube.
         """
@@ -153,22 +142,18 @@ class SPCube:
         run_base = tracer.clock
         # Rounds run through the checkpoint/recovery layer: a node loss
         # resumes from the last completed round instead of killing the
-        # run.  The runner owns metrics.jobs appends and shares this
-        # engine's DFS so checkpoints lose replicas with dead nodes.
-        runner = RoundRunner(
-            self.cluster, metrics, dfs=self.dfs, run_id="spcube"
-        )
+        # run.  The runner owns metrics.jobs appends.
+        runner = RoundRunner(self.cluster, metrics)
 
         sketch = self._round_one(relation, n, k, m, metrics, runner)
         if metrics.jobs and metrics.jobs[-1].aborted:
             # Round 1 exhausted a task's retry budget: the driver aborts
             # the run before the cube round, as a real JobTracker would.
-            emit_run_span(tracer, metrics, run_base, dfs=self.dfs)
+            emit_run_span(tracer, metrics, run_base)
             return CubeRun(
                 cube=CubeResult(relation.schema), metrics=metrics,
                 sketch=sketch,
             )
-        self.dfs.write(SKETCH_PATH, [sketch.to_payload()])
         summary = sketch.to_dict()
         metrics.extras["sketch_bytes"] = summary["serialized_bytes"]
         metrics.extras["num_skewed_groups"] = summary["num_skewed"]
@@ -198,7 +183,7 @@ class SPCube:
 
         cube = self._round_two(relation, sketch, k, m, metrics, runner)
         metrics.output_groups = cube.num_groups
-        emit_run_span(tracer, metrics, run_base, dfs=self.dfs)
+        emit_run_span(tracer, metrics, run_base)
         return CubeRun(cube=cube, metrics=metrics, sketch=sketch)
 
     # -- round 1: sketch ---------------------------------------------------------
@@ -278,19 +263,15 @@ class SPCube:
             return CubeResult(relation.schema)
 
         # The round's output is one block per (reducer, cuboid).  Each
-        # cuboid's blocks are joined into one, which the cube keeps and
-        # which is the cuboid's DFS file — one per cuboid, as Section 3.1
-        # describes — so the two share a single pair of lists.
+        # cuboid's blocks are joined into one, which the cube keeps — one
+        # per cuboid, as Section 3.1 describes its output files.
         by_mask: Dict[int, List[Block]] = {}
         for block in result.output:
             by_mask.setdefault(block.mask, []).append(block)
         cube = CubeResult(relation.schema)
         for mask, blocks in by_mask.items():
             _, groups, values = zip(*blocks)
-            block = Block(mask, list(chain(*groups)), list(chain(*values)))
-            cube.add_block(*block)
-            if block.groups:
-                self.dfs.write(f"spcube/cube/cuboid-{mask}", [block])
+            cube.add_block(mask, list(chain(*groups)), list(chain(*values)))
         return cube
 
     def _plan_factory(self, sketch: SPSketch) -> "_PlanFunction":

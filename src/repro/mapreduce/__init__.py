@@ -1,18 +1,8 @@
-"""Simulated MapReduce substrate: cluster, engine, metrics, cost model, DFS."""
+"""Simulated MapReduce substrate: cluster, engine, metrics, cost model."""
 
-from .checkpoint import (
-    CHECKPOINT_ROOT,
-    CheckpointManager,
-    RoundRunner,
-)
+from .checkpoint import RoundRunner
 from .cluster import ClusterConfig, NodeTopology
 from .costmodel import CostModel
-from .dfs import (
-    DEFAULT_REPLICATION,
-    DistributedFileSystem,
-    FileNotFound,
-    ReplicaExhausted,
-)
 from .engine import (
     FunctionMapper,
     FunctionReducer,
@@ -52,16 +42,10 @@ from .metrics import (
 from .sizes import Block, estimate_bytes, pair_bytes, relation_bytes
 
 __all__ = [
-    "CHECKPOINT_ROOT",
-    "CheckpointManager",
     "RoundRunner",
     "ClusterConfig",
     "NodeTopology",
     "CostModel",
-    "DEFAULT_REPLICATION",
-    "DistributedFileSystem",
-    "FileNotFound",
-    "ReplicaExhausted",
     "FaultPlan",
     "FaultSpec",
     "NodeFaultSpec",

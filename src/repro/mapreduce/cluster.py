@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -33,10 +32,10 @@ class NodeTopology:
 
     The paper's model schedules one map and one reduce task per *machine*;
     real clusters pack several such slots onto each physical *node*, and a
-    node death takes every co-located task (and the node's DFS replicas)
-    down together.  The topology is a pure function of its parameters —
-    placement must be bit-identical between serial and parallel executors,
-    so nothing here may depend on execution order.  Machine ``i`` lives
+    node death takes every co-located task down together.  The topology
+    is a pure function of its parameters — placement must be
+    bit-identical between serial and parallel executors, so nothing here
+    may depend on execution order.  Machine ``i`` lives
     on node ``i % num_nodes`` (Hadoop-style round-robin slot spreading).
     """
 
@@ -60,16 +59,6 @@ class NodeTopology:
         return tuple(
             m for m in range(self.num_machines) if self.node_of(m) == node
         )
-
-    def replica_node(self, path: str, replica: int) -> int:
-        """The node holding replica ``replica`` of a DFS path.
-
-        Replicas of one path land on distinct nodes (modulo wrap-around
-        when ``replication > num_nodes``), spread by a content hash of
-        the path so the replica ring is stable across runs.
-        """
-        base = zlib.crc32(repr(path).encode())
-        return (base + replica) % self.num_nodes
 
 
 @dataclass
@@ -112,9 +101,10 @@ class ClusterConfig:
         ``None`` gives every machine its own node — the pre-topology
         behaviour, where a node death is just one task slot dying.
     checkpoint_enabled:
-        Whether multi-round engines persist each completed round to the
-        DFS and resume from the last checkpoint after a node loss,
-        instead of aborting the whole run; see
+        Whether multi-round engines keep each completed round (and a
+        node-killed round's completed partitions) as a checkpoint and
+        resume from it after a node loss, instead of aborting the whole
+        run; see
         :class:`~repro.mapreduce.checkpoint.RoundRunner`.
     """
 

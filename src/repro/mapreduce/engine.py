@@ -113,13 +113,27 @@ class PairFormatError(TypeError):
     """
 
 
+def _canonical(obj):
+    """``obj`` with every bool and integral float, tuples recursed into,
+    as the int it equals: one form for ``1``, ``True`` and ``1.0``."""
+    kind = type(obj)
+    if kind is tuple:
+        return tuple(map(_canonical, obj))
+    if kind is bool or (kind is float and obj.is_integer()):
+        return int(obj)
+    return obj
+
+
 def stable_hash(obj) -> int:
     """Deterministic, process-independent hash (Python's ``hash`` is salted).
 
-    The engine's historical definition, pinned by regression tests so
-    partition assignments never shift.
+    Keys that compare equal hash alike, so look-alikes share a reducer: the
+    CRC of the :func:`_canonical` form's ``repr``.  A key holding no bool
+    and no integral float is its own canonical form, so its hash is the
+    engine's historical one, pinned by regression tests so partition
+    assignments never shift.
     """
-    return _crc32(repr(obj).encode())
+    return _crc32(repr(_canonical(obj)).encode())
 
 
 def hash_partitioner(key, num_reducers: int) -> int:

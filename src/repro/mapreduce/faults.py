@@ -2,21 +2,21 @@
 
 The paper's central experimental claim (Section 6, Figures 6a/7a) is about
 *survival*: SP-Cube keeps running where Hive's reducers get stuck.  A real
-MapReduce runtime survives individual task failures through three
-mechanisms — task re-execution, speculative backup tasks for stragglers,
-and DFS replication — and the simulator models all three so it can
-distinguish "a task died and the framework recovered" from "the job is
-stuck".
+MapReduce runtime survives failures through task re-execution,
+speculative backup tasks for stragglers and, for a lost node, resuming
+the round from its completed partitions; the simulator models all three
+so it can distinguish "a task died and the framework recovered" from
+"the job is stuck".
 
 Two pieces:
 
 * :class:`FaultPlan` — a seeded, deterministic description of *what goes
   wrong*: crash a map/reduce task on attempt ``i``, slow a task down by a
-  straggle factor, or kill a whole node (its in-flight attempts and its
-  DFS replicas).  Faults can be pinned explicitly (:class:`FaultSpec`,
-  :class:`NodeFaultSpec`, for tests) or drawn from seeded coin flips, so
-  two runs with the same plan inject byte-identical faults regardless
-  of execution order.
+  straggle factor, or kill a whole node (every attempt in flight on
+  it).  Faults can be pinned explicitly (:class:`FaultSpec`,
+  :class:`NodeFaultSpec`, for tests) or drawn from seeded coin flips,
+  so two runs with the same plan inject byte-identical faults
+  regardless of execution order.
 * :class:`RetryPolicy` — *how the framework responds*: how many attempts
   a task gets, the exponential backoff between attempts (charged to
   simulated time), and when a straggling attempt earns a speculative
@@ -39,7 +39,7 @@ from typing import Optional, Sequence, Tuple
 CRASH = "crash"
 STRAGGLE = "straggle"
 #: Node-level failure domain: every in-flight attempt on the node dies
-#: and the node's DFS replicas are lost (see :class:`NodeFaultSpec`).
+#: (see :class:`NodeFaultSpec`).
 NODE_KILL = "node-kill"
 
 _KINDS = (CRASH, STRAGGLE)
@@ -96,9 +96,7 @@ class NodeFaultSpec:
       to script "kill node 2 during round 2" in a test.
 
     Every attempt in flight on the node at the kill instant dies
-    atomically, later attempts cannot be placed there, and the node's
-    DFS replicas are marked dead (see
-    :meth:`~repro.mapreduce.dfs.DistributedFileSystem.mark_nodes_dead`).
+    atomically, and later attempts cannot be placed there.
     """
 
     node: int

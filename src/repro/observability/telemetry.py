@@ -372,7 +372,7 @@ class Telemetry:
 
     def _on_checkpoint_write(self, event: Dict) -> None:
         self.registry.counter(
-            "repro_checkpoint_writes_total", "Rounds checkpointed to the DFS"
+            "repro_checkpoint_writes_total", "Rounds checkpointed by the driver"
         ).inc()
         self.registry.counter(
             "repro_checkpoint_bytes_total",
@@ -396,7 +396,3 @@ class Telemetry:
                 "repro_sketch_bytes", "Serialized SP-Sketch size"
             ).set(self._sketch_bytes, labels=labels)
             self._sketch_bytes = None
-        if "dfs_files" in counters:
-            self.registry.gauge(
-                "repro_dfs_files", "Files in the simulated DFS"
-            ).set(counters["dfs_files"], labels=labels)

@@ -306,16 +306,14 @@ def replay(records: Iterable[Dict], sink):
     return sink
 
 
-def emit_run_span(tracer, metrics, base: float, dfs=None) -> None:
+def emit_run_span(tracer, metrics, base: float) -> None:
     """Emit one algorithm execution's ``run`` span.
 
     Called by every cube engine at the end of ``compute`` with the clock
     value it saw at the start; the span covers ``[base, tracer.clock]``
     (the jobs in between advanced the clock) and carries the run's
     headline counters so the analyzer can summarize without re-deriving
-    them from job spans.  An engine that owns a DFS passes it so the
-    span also carries the file system's (deterministic, driver-side)
-    write/read accounting.
+    them from job spans.  Every engine's span carries the same counters.
     """
     if not tracer.enabled:
         return
@@ -325,27 +323,20 @@ def emit_run_span(tracer, metrics, base: float, dfs=None) -> None:
         status = "failed"
     else:
         status = "ok"
-    counters = {
-        "jobs": len(metrics.jobs),
-        "output_groups": metrics.output_groups,
-        "intermediate_bytes": metrics.intermediate_bytes,
-        "intermediate_records": metrics.intermediate_records,
-        "attempts": metrics.attempts,
-        "killed_tasks": metrics.killed_tasks,
-        "speculative_wins": metrics.speculative_wins,
-        "recovered": metrics.recovered,
-        "recovery_overhead_seconds": metrics.recovery_overhead(),
-    }
-    if dfs is not None:
-        counters.update(
-            dfs_writes=dfs.writes,
-            dfs_records_written=dfs.records_written,
-            dfs_files=len(dfs),
-        )
     tracer.span(
         "run", name=metrics.algorithm,
         t0=base, t1=base + metrics.total_seconds, status=status,
-        counters=counters,
+        counters={
+            "jobs": len(metrics.jobs),
+            "output_groups": metrics.output_groups,
+            "intermediate_bytes": metrics.intermediate_bytes,
+            "intermediate_records": metrics.intermediate_records,
+            "attempts": metrics.attempts,
+            "killed_tasks": metrics.killed_tasks,
+            "speculative_wins": metrics.speculative_wins,
+            "recovered": metrics.recovered,
+            "recovery_overhead_seconds": metrics.recovery_overhead(),
+        },
     )
 
 

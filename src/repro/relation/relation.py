@@ -2,9 +2,9 @@
 
 A :class:`Relation` is a schema plus a list of rows.  Rows are plain tuples
 ``(a1, ..., ad, b)`` — dimension values followed by the numeric measure.
-The container is deliberately simple: the distributed algorithms read it
-through the simulated DFS (see :mod:`repro.mapreduce.dfs`), and the
-sequential algorithms iterate it directly.
+The container is deliberately simple: the distributed algorithms split it
+into one input chunk per simulated machine (:meth:`Relation.split`), and
+the sequential algorithms iterate it directly.
 """
 
 from __future__ import annotations

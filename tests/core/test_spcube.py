@@ -12,14 +12,9 @@ from repro.aggregates import (
     UnsupportedAggregateError,
     Variance,
 )
-from repro.core import SKETCH_PATH, SPCube, spcube
+from repro.core import SPCube, spcube
 from repro.cubing import sequential_cube
-from repro.mapreduce import (
-    Block,
-    ClusterConfig,
-    DistributedFileSystem,
-    pair_bytes,
-)
+from repro.mapreduce import Block, ClusterConfig, pair_bytes
 
 from ..conftest import iceberg_cube, make_random_relation
 
@@ -166,30 +161,6 @@ class TestRoundsAndMetrics:
         cube_round = run.metrics.jobs[-1]
         skew_task = cube_round.reduce_tasks[0]
         assert skew_task.peak_group_records <= cluster.num_machines
-
-
-class TestDFSIntegration:
-    def test_sketch_published(self, cluster, skewed_relation):
-        dfs = DistributedFileSystem()
-        SPCube(cluster, dfs=dfs).compute(skewed_relation)
-        assert dfs.exists(SKETCH_PATH)
-
-    def test_cube_written_per_cuboid(self, cluster, skewed_relation):
-        dfs = DistributedFileSystem()
-        run = SPCube(cluster, dfs=dfs).compute(skewed_relation)
-        cuboid_files = [
-            path for path in sorted(dfs._files) if path.startswith("spcube/cube/")
-        ]
-        assert len(cuboid_files) == 8
-        # A cuboid's file is the blocks its reducers wrote: columns, not
-        # one record per group.
-        for path in cuboid_files:
-            mask = int(path.rsplit("-", 1)[1])
-            written = {}
-            for block in dfs.read(path):
-                assert block.mask == mask
-                written.update(zip(block.groups, block.values))
-            assert written == run.cube.cuboid(mask)
 
 
 class TestBlockOutput:

@@ -198,8 +198,7 @@ class TestRoundAttemptBackstop:
         plan = FaultPlan(node_specs=[NodeFaultSpec(node=0, job="toy")])
         metrics = RunMetrics(algorithm="toy")
         runner = RoundRunner(
-            cluster(fault_plan=plan), metrics, run_id="toy",
-            max_round_attempts=1,
+            cluster(fault_plan=plan), metrics, max_round_attempts=1
         )
         result = runner.run(self.toy_job(), [[1, 2], [3, 4]], 16)
         assert result.metrics.aborted
@@ -213,16 +212,26 @@ class TestRoundAttemptBackstop:
 
         plan = FaultPlan(node_specs=[NodeFaultSpec(node=0, job="toy")])
         metrics = RunMetrics(algorithm="toy")
+        sink = MemorySink()
         runner = RoundRunner(
-            cluster(fault_plan=plan), metrics, run_id="toy",
+            cluster(fault_plan=plan, tracer=Tracer([sink])), metrics,
             max_round_attempts=2,
         )
         result = runner.run(self.toy_job(), [[1, 2], [3, 4]], 16)
         assert not result.metrics.aborted
         assert metrics.resumed_rounds == 1
         assert sorted(result.output) == [(0, 4), (1, 1), (2, 2), (3, 3)]
-        # The committed checkpoint for the round exists.
-        assert runner.checkpoint.load_round(0) is not None
+        # The kill lands in the map phase, so the resume salvages no
+        # partition: the rerun reduces every one, and the round commits
+        # once, after it.
+        kinds = [r["kind"] for r in sink.records if r["type"] == "event"]
+        assert kinds.count("round_resume") == kinds.count("checkpoint_write") == 1
+        (resume,) = [r for r in sink.records if r.get("kind") == "round_resume"]
+        assert resume["fields"] == {
+            "round": 0, "salvaged_partitions": [], "replaced_nodes": [0],
+        }
+        rerun = sorted(task.machine for task in result.metrics.reduce_tasks)
+        assert rerun == list(range(len(result.reducer_outputs)))
 
 
 class TestRunRelativeKills:
@@ -247,8 +256,8 @@ class TestSPCubeResume:
         faulted = SPCube(replace(base, fault_plan=plan)).compute(rel)
         assert not faulted.metrics.aborted
         assert faulted.metrics.resumed_rounds == 1
-        # Round 2's rerun re-reads the sketch off the DFS: node death must
-        # have cost time, not data (re-replication kept it readable).
+        # Round 2's rerun reuses the driver's sketch: node death must
+        # have cost time, not data.
         assert faulted.cube == clean.cube
         faulted.metrics.check_invariants()
 

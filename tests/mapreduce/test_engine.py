@@ -21,7 +21,6 @@ from repro.mapreduce import (
     run_job,
     stable_hash,
 )
-from repro.mapreduce.dfs import DistributedFileSystem
 from repro.mapreduce.faults import NodeFaultSpec
 
 
@@ -331,11 +330,13 @@ class TestStableHash:
 
     def test_known_values_pinned(self):
         # CRC32-of-repr is process- and run-independent; pin a couple of
-        # values so an accidental change to the scheme is caught.
+        # values so an accidental change to the scheme is caught.  A bool
+        # is hashed as the int it equals.
         import zlib
 
         for key in self.KEYS:
-            assert stable_hash(key) == zlib.crc32(repr(key).encode())
+            canonical = 1 if key is True else key
+            assert stable_hash(key) == zlib.crc32(repr(canonical).encode())
 
     def test_partitioner_in_range_for_all_key_types(self):
         for key in self.KEYS:
@@ -353,23 +354,26 @@ class TestStableHash:
         (3, ("a", "b")): 2300705876,
         ("k", 42): 2536021665,
         None: 3751981041,
-        True: 1573839795,
+        True: 2212294583,  # hashed as 1
     }
 
     def test_literal_pins(self):
         for key, expected in self.PINNED.items():
             assert stable_hash(key) == expected, key
 
-    def test_memo_distinguishes_equal_keys_of_different_type(self):
-        # 1 == 1.0 == True, but their reprs (and hashes) differ; a memo
-        # keyed on equality alone would conflate them.  Floats skip the
-        # fast paths entirely (-0.0 == 0.0 with different reprs).
+    def test_equal_keys_of_different_type_hash_alike(self):
+        # 1 == 1.0 == True and 0 == 0.0 == -0.0 == False: equal keys must
+        # reach one reducer, whatever their reprs.  Other floats keep the
+        # CRC of their own repr.
         import zlib
 
-        for key in [(1,), (1.0,), (True,), (-0.0,), (0.0,), (0,)]:
-            expected = zlib.crc32(repr(key).encode())
-            assert stable_hash(key) == expected, key
-            assert stable_hash(key) == expected, key  # memoized call too
+        one, zero = zlib.crc32(b"(1,)"), zlib.crc32(b"(0,)")
+        for key in [(1,), (1.0,), (True,)]:
+            assert stable_hash(key) == one, key
+        for key in [(0,), (0.0,), (-0.0,), (False,)]:
+            assert stable_hash(key) == zero, key
+        assert stable_hash((0.5,)) == zlib.crc32(b"(0.5,)")
+        assert stable_hash((2, (True, 3.0))) == stable_hash((2, (1, 3)))
 
     def test_fast_path_strings_match_repr_scheme(self):
         import zlib
@@ -529,8 +533,7 @@ class TestBucketRelease:
         cluster = replace(
             paper_cluster(2000, num_machines=6, num_nodes=3), fault_plan=plan
         )
-        dfs = DistributedFileSystem(topology=cluster.topology())
-        run = SPCube(cluster, dfs=dfs).compute(relation)
+        run = SPCube(cluster).compute(relation)
         cube_round = run.metrics.jobs[-1]
         assert cube_round.killed_tasks or run.metrics.jobs[-2].superseded
         assert run.cube == sequential_cube(relation)

@@ -106,15 +106,6 @@ class TestNodeTopology:
         with pytest.raises(ValueError, match="num_nodes"):
             NodeTopology(num_nodes=5, num_machines=4)
 
-    def test_replica_nodes_stable_and_spread(self):
-        topo = NodeTopology(num_nodes=5, num_machines=10)
-        nodes = [topo.replica_node("dfs/some/path", r) for r in range(3)]
-        assert nodes == [topo.replica_node("dfs/some/path", r)
-                         for r in range(3)]
-        # Consecutive replicas walk the ring: all distinct while
-        # replication <= num_nodes.
-        assert len(set(nodes)) == 3
-
 
 class TestClusterTopology:
     def test_default_is_one_node_per_machine(self):

@@ -181,21 +181,18 @@ class TestEmitRunTelemetry:
         what only exists at run end."""
         run = {"type": "span", "kind": "run", "name": "X", "t0": 0.0,
                "t1": 3.0, "status": "ok",
-               "counters": {"output_groups": 42, "dfs_writes": 3,
-                            "dfs_records_written": 9, "dfs_files": 2}}
+               "counters": {"output_groups": 42}}
         telemetry = replay(
             [event("sketch", "sp-sketch", at=1.0, bytes=512), run],
             Telemetry(),
         )
         registry, labels = telemetry.registry, {"run": "X"}
         assert registry.names() == [
-            "repro_cube_groups", "repro_dfs_files", "repro_runs_total",
-            "repro_sketch_bytes",
+            "repro_cube_groups", "repro_runs_total", "repro_sketch_bytes",
         ]
         assert registry.get("repro_runs_total").value(labels) == 1
         assert registry.get("repro_cube_groups").value(labels) == 42
         assert registry.get("repro_sketch_bytes").value(labels) == 512
-        assert registry.get("repro_dfs_files").value(labels) == 2
 
 
 class TestRegistryRebuild:
@@ -222,7 +219,7 @@ class TestExposition:
             '# HELP repro_checkpoint_bytes_total Reduce-output bytes persisted as checkpoints',
             '# TYPE repro_checkpoint_bytes_total counter',
             'repro_checkpoint_bytes_total 640',
-            '# HELP repro_checkpoint_writes_total Rounds checkpointed to the DFS',
+            '# HELP repro_checkpoint_writes_total Rounds checkpointed by the driver',
             '# TYPE repro_checkpoint_writes_total counter',
             'repro_checkpoint_writes_total 1',
             '# HELP repro_jobs_total MapReduce rounds executed',

@@ -222,6 +222,18 @@ def test_the_matrix_does_alert():
     assert "skew_alert" in alerts_behind_their_job_spans(sink.records)
 
 
+def test_every_engine_run_span_carries_one_counter_set():
+    """The ``run`` span's counters are the same keys whichever engine
+    ran, so the analyzer and telemetry read one shape."""
+    counters = {}
+    for engine in ENGINE_NAMES:
+        records = binomial_run(engine, "clean").records
+        (run_span,) = [r for r in records if r["kind"] == "run"]
+        counters[engine] = sorted(run_span["counters"])
+    assert len(counters) == 4
+    assert all(keys == counters["spcube"] for keys in counters.values()), counters
+
+
 class TestLevelGating:
     def test_job_level_omits_attempt_spans(self):
         sink = MemorySink()

@@ -25,7 +25,7 @@ asserts what the invariant implies for it:
 
 Runs are cached, so the cases, the named cases the older suites keep
 under their own ids, and the trace tests share them.  Tier-1 checks
-:data:`SAMPLE`, a deterministic set of cases in which every pair of axis
+:data:`SAMPLE`, a pinned set of cases in which every pair of axis
 values occurs, and one case per engine a :func:`known_defect` breaks;
 ``pytest -m exhaustive`` checks every case.  The Algorithm-3 walk and
 the reference reducer at the bottom are the per-kernel oracles of
@@ -234,18 +234,14 @@ SURFACES = ("memory", "store", "server")
 #: JobMetrics fields describing the backend, not the simulation.
 BACKEND_FIELDS = ("executor", "map_phase_wall_seconds", "reduce_phase_wall_seconds")
 
-#: Typed errors the invariant allows: range partitioning and Hive's sorted
-#: map-side flush need dimension values that sort, and ``None`` or ints
-#: next to strings do not.
+#: Typed errors the invariant allows: SP-Cube's sketch needs dimension
+#: values that sort, and ``None`` or ints next to strings do not.
 TYPED_ERRORS = {
     (input_name, engine): (TypeError, "not supported between instances")
     for input_name in ("none", "mixed-types")
-    for engine in ("spcube", "spcube-exact", "spcube-ablation", "spcube-iceberg",
-                   "hive")
+    for engine in ("spcube", "spcube-exact", "spcube-ablation", "spcube-iceberg")
 }
 
-#: Engines whose partitioner hashes a key's ``repr``.
-HASH_ROUTED = ("hive", "mrcube", "naive", "naive-combiner", "spcube-ablation")
 #: Engines that merge partial states of one c-group (map-side partial
 #: aggregation or a combiner), not left-fold its rows in input order.
 PARTIAL_MERGING = ("hive", "mrcube", "naive-combiner", "spcube", "spcube-exact",
@@ -257,10 +253,13 @@ def known_defect(case):
     is an expected failure: mending the defect fails it loudly."""
     if case.fault == "exhausting" or (case.input, case.engine) in TYPED_ERRORS:
         return None
-    if case.input in ("lookalikes", "mixed-types") and case.engine in HASH_ROUTED:
+    if (
+        case.input in ("lookalikes", "mixed-types") and case.engine == "naive"
+        and case.fault == "none"
+    ):
         return (
-            "stable_hash routes 1, True and 1.0 apart: one c-group is "
-            "reduced in pieces (conflicting values, or a silently short one)"
+            "_route_runs sizes a run's key once, as its first-seen look-alike, "
+            "and True is sized apart from 1: map_output_bytes is off"
         )
     if (
         case.input == "floats" and case.aggregate != "count"
@@ -539,52 +538,140 @@ AXES = (tuple(INPUTS), AGGREGATES, tuple(ENGINES), tuple(ORDERS), tuple(FAULTS),
         SURFACES)
 
 
-def pairwise(axes, allowed):
-    """Cases until every pair of axis values some allowed case holds
-    occurs in one: greedily, seeded by the first uncovered pair, each
-    further axis taking the value that covers most new pairs (a value no
-    allowed case takes next to the chosen ones, with the first value of
-    each axis still open, scores -1)."""
-    def pairs(values):
-        return set(combinations(enumerate(values), 2))
-
-    uncovered = set()
-    for values in product(*axes):
-        if allowed(Case(*values)):
-            uncovered |= pairs(values)
-    cases = []
-    while uncovered:
-        (a, x), (b, y) = min(uncovered)
-        chosen = {a: x, b: y}
-        for axis in range(len(axes)):
-            if axis in chosen:
-                continue
-            def gain(value):
-                trial = {**chosen, axis: value}
-                probe = Case(*(trial.get(i, axes[i][0]) for i in range(len(axes))))
-                if not allowed(probe):
-                    return -1
-                return sum(
-                    ((i, v), (axis, value)) in uncovered or
-                    ((axis, value), (i, v)) in uncovered
-                    for i, v in chosen.items()
-                )
-            chosen[axis] = max(axes[axis], key=gain)
-        case = Case(*(chosen[i] for i in range(len(axes))))
-        assert allowed(case), case
-        uncovered -= pairs(case)
-        cases.append(case)
-    return cases
-
-
 def sound(case):
     return valid(case) and known_defect(case) is None
 
 
-#: Every pair of axis values that some sound case holds, in ~100 cases.
-SAMPLE = pairwise(AXES, sound)
+#: Sound cases in which every pair of axis values that some sound case
+#: holds occurs (``test_sample_holds_every_pair``).  The list is pinned,
+#: not regenerated, so mending a defect keeps every case id; a pair it
+#: misses (a new axis value, say) fails that test, which names the pair,
+#: and a case holding it is appended.
+CASE_OF_ID = {"-".join(values): Case(*values) for values in product(*AXES)}
+SAMPLE = [CASE_OF_ID[case_id] for case_id in """
+adversarial-avg-hive-serial-none-memory
+adversarial-count-mrcube-parallel-map-crash-store
+adversarial-sum-naive-reversed-reduce-crash-server
+adversarial-count-buc-serial-none-server
+adversarial-count-naive-combiner-reversed-straggler-memory
+adversarial-count-spcube-serial-task-faults-store
+adversarial-count-spcube-ablation-serial-exhausting-memory
+adversarial-count-spcube-exact-serial-random-memory
+adversarial-count-spcube-iceberg-serial-node-loss-memory
+all-equal-avg-mrcube-reversed-task-faults-server
+all-equal-count-hive-parallel-reduce-crash-memory
+all-equal-sum-spcube-serial-map-crash-memory
+all-equal-sum-buc-serial-none-store
+all-equal-count-naive-serial-straggler-store
+all-equal-sum-naive-combiner-parallel-exhausting-server
+all-equal-sum-spcube-ablation-parallel-random-store
+all-equal-sum-spcube-exact-parallel-node-loss-store
+all-equal-sum-spcube-iceberg-parallel-straggler-server
+binomial-avg-naive-parallel-none-memory
+binomial-count-hive-reversed-map-crash-store
+binomial-sum-mrcube-serial-reduce-crash-memory
+binomial-avg-buc-serial-none-memory
+binomial-avg-naive-combiner-serial-random-store
+binomial-avg-spcube-parallel-straggler-server
+binomial-avg-spcube-ablation-reversed-node-loss-server
+binomial-avg-spcube-exact-reversed-exhausting-store
+binomial-avg-spcube-iceberg-reversed-none-store
+binomial-sum-hive-parallel-task-faults-memory
+empty-avg-hive-serial-map-crash-server
+empty-count-mrcube-parallel-none-memory
+empty-sum-naive-reversed-random-store
+empty-count-buc-serial-none-memory
+empty-count-naive-combiner-serial-reduce-crash-store
+empty-count-spcube-reversed-exhausting-memory
+empty-count-spcube-ablation-serial-straggler-memory
+empty-count-spcube-exact-serial-task-faults-server
+empty-count-spcube-iceberg-serial-map-crash-memory
+empty-count-hive-serial-node-loss-memory
+floats-avg-naive-serial-map-crash-memory
+floats-count-hive-parallel-straggler-store
+floats-sum-spcube-ablation-reversed-none-server
+floats-count-buc-serial-none-memory
+floats-count-mrcube-serial-exhausting-memory
+floats-count-naive-combiner-serial-task-faults-memory
+floats-count-spcube-serial-reduce-crash-memory
+floats-count-spcube-exact-serial-none-memory
+floats-count-spcube-iceberg-serial-random-server
+floats-count-mrcube-serial-node-loss-memory
+heavy-avg-hive-serial-reduce-crash-memory
+heavy-count-mrcube-parallel-straggler-store
+heavy-sum-naive-reversed-task-faults-server
+heavy-count-buc-serial-none-memory
+heavy-count-naive-combiner-serial-map-crash-memory
+heavy-count-spcube-serial-random-memory
+heavy-count-spcube-ablation-serial-map-crash-memory
+heavy-count-spcube-exact-serial-map-crash-memory
+heavy-count-spcube-iceberg-serial-exhausting-memory
+heavy-count-naive-serial-node-loss-memory
+lookalikes-avg-spcube-serial-none-memory
+lookalikes-count-spcube-exact-parallel-reduce-crash-store
+lookalikes-sum-spcube-iceberg-reversed-task-faults-server
+lookalikes-count-buc-serial-none-memory
+lookalikes-count-hive-serial-exhausting-memory
+lookalikes-count-mrcube-serial-exhausting-memory
+lookalikes-count-naive-serial-exhausting-memory
+lookalikes-count-naive-combiner-serial-exhausting-memory
+lookalikes-count-spcube-ablation-serial-exhausting-memory
+lookalikes-count-spcube-serial-map-crash-memory
+lookalikes-count-spcube-serial-node-loss-memory
+lookalikes-count-spcube-serial-random-memory
+lookalikes-count-spcube-exact-serial-straggler-memory
+mixed-types-avg-hive-serial-random-memory
+mixed-types-count-spcube-parallel-none-store
+mixed-types-sum-spcube-exact-reversed-map-crash-server
+mixed-types-count-buc-serial-none-memory
+mixed-types-count-mrcube-serial-exhausting-memory
+mixed-types-count-naive-serial-exhausting-memory
+mixed-types-count-naive-combiner-serial-exhausting-memory
+mixed-types-count-spcube-ablation-serial-reduce-crash-memory
+mixed-types-count-spcube-iceberg-serial-reduce-crash-memory
+mixed-types-count-hive-serial-node-loss-memory
+mixed-types-count-hive-serial-straggler-memory
+mixed-types-count-spcube-ablation-serial-task-faults-memory
+none-avg-hive-serial-none-memory
+none-count-mrcube-parallel-random-store
+none-sum-naive-reversed-map-crash-server
+none-count-buc-serial-none-memory
+none-count-naive-combiner-serial-node-loss-memory
+none-count-spcube-serial-reduce-crash-memory
+none-count-spcube-ablation-serial-straggler-memory
+none-count-spcube-exact-serial-task-faults-memory
+none-count-spcube-iceberg-serial-exhausting-memory
+one-row-avg-hive-serial-none-memory
+one-row-count-mrcube-parallel-map-crash-store
+one-row-sum-naive-reversed-reduce-crash-server
+one-row-count-buc-serial-none-memory
+one-row-count-naive-combiner-serial-none-memory
+one-row-count-spcube-serial-straggler-memory
+one-row-count-spcube-ablation-serial-task-faults-memory
+one-row-count-spcube-exact-serial-exhausting-memory
+one-row-count-spcube-iceberg-serial-random-memory
+one-row-count-hive-serial-node-loss-memory
+wikipedia-avg-hive-serial-none-memory
+wikipedia-count-mrcube-parallel-map-crash-store
+wikipedia-sum-naive-reversed-reduce-crash-server
+wikipedia-count-buc-serial-none-memory
+wikipedia-count-naive-combiner-serial-straggler-memory
+wikipedia-count-spcube-serial-task-faults-memory
+wikipedia-count-spcube-ablation-serial-exhausting-memory
+wikipedia-count-spcube-exact-serial-random-memory
+wikipedia-count-spcube-iceberg-serial-node-loss-memory
+zipf-avg-hive-serial-none-memory
+zipf-count-mrcube-parallel-map-crash-store
+zipf-sum-naive-reversed-reduce-crash-server
+zipf-count-buc-serial-none-memory
+zipf-count-naive-combiner-serial-straggler-memory
+zipf-count-spcube-serial-task-faults-memory
+zipf-count-spcube-ablation-serial-exhausting-memory
+zipf-count-spcube-exact-serial-random-memory
+zipf-count-spcube-iceberg-serial-node-loss-memory
+""".split()]
 #: One case per engine a known defect breaks, each a strict expected failure.
-DEFECTS = [Case("lookalikes", "count", engine) for engine in HASH_ROUTED] + [
+DEFECTS = [Case("lookalikes", "count", "naive")] + [
     Case("floats", "sum", engine) for engine in PARTIAL_MERGING
 ]
 
@@ -598,10 +685,13 @@ def expect(case):
 
 
 def test_sample_holds_every_pair():
+    assert all(sound(case) for case in SAMPLE)
     held = {pair for case in SAMPLE for pair in combinations(enumerate(case), 2)}
+    missing = set()
     for values in product(*AXES):
         if sound(Case(*values)):
-            assert set(combinations(enumerate(values), 2)) <= held, values
+            missing |= set(combinations(enumerate(values), 2)) - held
+    assert not missing, sorted(missing)
 
 
 @pytest.mark.parametrize("case", SAMPLE, ids="-".join)
