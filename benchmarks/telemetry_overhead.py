@@ -13,8 +13,9 @@ Observability has one performance contract, in two halves:
   :func:`null_guard_floor` times exactly that guard, so a refactor that
   makes the disabled path allocate shows up as a number, not a hunch.
 
-CI's ``observability-smoke`` job imports both and asserts its budgets
-inline: ``task`` < 1.05x, ``debug`` < 2.0x, guard < 1 µs.
+``tests/integration/test_smoke.py`` (``pytest -m smoke``) runs both in
+a child process and asserts the budgets: ``task`` < 1.05x, ``debug``
+< 2.0x, guard < 1 µs.
 """
 
 from __future__ import annotations

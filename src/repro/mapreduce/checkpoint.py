@@ -93,6 +93,7 @@ class RoundRunner:
         checkpoint_enabled = self.cluster.checkpoint_enabled
         tracer = self.cluster.tracer or NULL_TRACER
         completed: Dict[int, List[Pair]] = {}
+        salvaged_bytes = 0
         for round_attempt in range(self.max_round_attempts):
             result = run_job(
                 job,
@@ -114,12 +115,9 @@ class RoundRunner:
                             "round": index,
                             "num_parts": len(result.reducer_outputs),
                             "run_clock": self.clock,
-                            # The checkpointed reduce outputs are exactly
-                            # what the reduce tasks emitted, so their
-                            # already-accounted bytes_out is the
-                            # checkpoint volume — no re-estimation pass
-                            # over the (possibly huge) cube.
-                            "bytes": sum(
+                            # Every partition's bytes_out, counted in
+                            # the execution its reduce task finished in.
+                            "bytes": salvaged_bytes + sum(
                                 t.bytes_out for t in jm.reduce_tasks
                             ),
                         },
@@ -142,6 +140,7 @@ class RoundRunner:
             self.metrics.jobs.append(jm)
             self.clock += jm.total_seconds
             completed.update(result.partial_reducer_outputs)
+            salvaged_bytes += sum(t.bytes_out for t in jm.reduce_tasks)
             self.replaced.update(jm.dead_nodes)
             if tracer.enabled:
                 tracer.event(

@@ -1,16 +1,15 @@
 """End-to-end runs on the paper's workloads: metrics-level expectations.
 
 These assert the *shape* claims of Section 6: SP-Cube wins on time and
-traffic, balances reducers, keeps its sketch tiny, and Hive fails
-exactly in the high-skew regime.  The Figure 6 claims read the committed
-sweep (``BENCH_figures.json``, 30k rows per point, rerun by CI's
-``golden`` job); its p = 25 point is the skew these ids first checked at
-miniature scale.  Cube agreement is the differential harness's.
+traffic, balances reducers and keeps its sketch tiny.  The Figure 6
+claims read the committed sweep (``BENCH_figures.json``, 30k rows per
+point, rerun by CI's ``golden`` job); its p = 25 point is the skew these
+ids first checked at miniature scale.  Where Hive fails is
+``tests/benchmarks/test_figures_golden.py``'s.  Cube agreement is the
+differential harness's.
 """
 
 import json
-
-import pytest
 
 from repro.analysis import paper_cluster
 from repro.core import SPCube
@@ -44,25 +43,6 @@ class TestComparativeShapes:
 
     def test_sketch_orders_of_magnitude_below_input(self):
         assert FIGURE6["SP-Cube", 25]["sketch_bytes"] < 50_000
-
-
-class TestHiveFailureBoundary:
-    @pytest.mark.parametrize(
-        "p,expect_failed",
-        # The analytic boundary is p > 0.375; the committed sweep holds
-        # the paper's exact p >= 0.4.
-        [(0.0, False), (0.25, False), (0.5, True), (0.75, True)],
-    )
-    def test_figure6_boundary(self, p, expect_failed):
-        """The sweep's Hive point at ``p``, or the last one below it."""
-        x = max(x for engine, x in FIGURE6 if engine == "Hive" and x <= 100 * p)
-        assert FIGURE6["Hive", x]["failed"] is expect_failed
-
-    def test_spcube_never_fails(self):
-        assert not any(
-            point["failed"] for (engine, _), point in FIGURE6.items()
-            if engine == "SP-Cube"
-        )
 
 
 class TestSPCubeResilience:

@@ -4,8 +4,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 
@@ -40,7 +38,6 @@ class TestExamples:
         assert "SP-Sketch detection" in out
         assert "naive algorithm would ship" in out
 
-    @pytest.mark.slow
     def test_distribution_comparison(self):
         out = run_example("distribution_comparison.py", "3000")
         assert "SP-Cube" in out and "Hive" in out

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import main
 
 #: What no process may load unless its command uses it.
 DENY = (
@@ -59,6 +60,15 @@ def denied_after(code: str, also=()):
     ]
 
 
+@pytest.fixture(scope="module")
+def binomial_tsv(tmp_path_factory):
+    """The CLI smoke input: 5,000 binomial rows, seed 11."""
+    path = str(tmp_path_factory.mktemp("budget") / "serve-data.tsv")
+    assert main(["generate", "binomial", "--rows", "5000", "--seed", "11",
+                 "-o", path]) == 0
+    return path
+
+
 class TestImportBudget:
     @pytest.mark.parametrize(
         "code, also",
@@ -79,11 +89,19 @@ class TestImportBudget:
                 "    pass",
                 (),
             ),
+            # A build's one parallel backend is threads, and no process
+            # loads hashlib: the store takes BLAKE2b from _blake2.
+            (
+                "from repro.cli import main\n"
+                "assert main(['cube', {data!r}, '--machines', '4']) == 0",
+                ("hashlib", "_hashlib"),
+            ),
         ],
-        ids=["import-repro", "build-parser", "serving", "serve-cube-help"],
+        ids=["import-repro", "build-parser", "serving", "serve-cube-help",
+             "cube-machines-4"],
     )
-    def test_loads_nothing_on_the_deny_list(self, code, also):
-        assert denied_after(code, also) == []
+    def test_loads_nothing_on_the_deny_list(self, code, also, binomial_tsv):
+        assert denied_after(code.format(data=binomial_tsv), also) == []
 
     def test_suite_report_loads_no_chart_or_trace_reader(self, tmp_path):
         """The suite section renders with the markdown table helper

@@ -35,12 +35,14 @@ class TestBlocksThroughTheCheckpoint:
         plan = FaultPlan(seed=5, node_specs=[
             NodeFaultSpec(node=2, at_seconds=30.0, job="sp-cube"),
         ])
-        sink = MemorySink()
-        cluster = replace(
-            paper_cluster(2000, num_machines=6, num_nodes=3),
-            fault_plan=plan, tracer=Tracer([sink]),
+        sink, fault_free_sink = MemorySink(), MemorySink()
+        cluster = paper_cluster(2000, num_machines=6, num_nodes=3)
+        SPCube(replace(cluster, tracer=Tracer([fault_free_sink]))).compute(
+            relation
         )
-        run = SPCube(cluster).compute(relation)
+        run = SPCube(
+            replace(cluster, fault_plan=plan, tracer=Tracer([sink]))
+        ).compute(relation)
         killed, rerun = run.metrics.jobs[-2:]
         assert killed.superseded and not rerun.aborted
         (resume,) = events(sink, "round_resume")
@@ -51,12 +53,15 @@ class TestBlocksThroughTheCheckpoint:
         # they are every partition of the round, once.
         assert salvaged and rerun_parts
         assert sorted(salvaged + rerun_parts) == list(range(7))
-        # The round commits once, after the rerun, and its reduce output
-        # is blocks alike for salvaged and re-run partitions.
+        # The round commits once, after the rerun, with the bytes of every
+        # partition (salvaged and re-run) that the fault-free round
+        # commits, and its reduce output is blocks alike for both.
         commits = events(sink, "checkpoint_write")
         assert [c["fields"]["round"] for c in commits] == [0, 1]
         assert commits[1]["fields"]["num_parts"] == 7
-        assert commits[1]["fields"]["bytes"] == sum(
+        assert commits[1]["fields"]["bytes"] == events(
+            fault_free_sink, "checkpoint_write"
+        )[1]["fields"]["bytes"] > sum(
             task.bytes_out for task in rerun.reduce_tasks
         )
         result = results[-1]
