@@ -3,10 +3,10 @@
 Observability has one performance contract, in two halves:
 
 * **attached cost** — :func:`measure_trace_overhead` runs one relation on
-  two identically-configured clusters, tracer off then on at ``level``
+  two identically-configured clusters, tracer off and on at ``level``
   with the watchdog, telemetry and lineage derivations riding as sinks
   (the most expensive configuration of that level), and reports the
-  wall-clock ratio.  ``debug`` classifies every shuffled key to its
+  median wall-clock ratio of back-to-back pairs.  ``debug`` classifies every shuffled key to its
   cuboid, so its ratio is well above 1.0 by design.
 * **detached cost** — with no tracer attached every instrumentation point
   is ``if tracer.enabled:`` on the one null object;
@@ -21,6 +21,8 @@ a child process and asserts the budgets: ``task`` < 1.05x, ``debug``
 from __future__ import annotations
 
 import time
+from operator import truediv
+from statistics import median
 from typing import Dict
 
 from repro.analysis import paper_cluster
@@ -47,29 +49,35 @@ def measure_trace_overhead(
     level: str = "task", rows: int = 20_000, skew: float = 0.4,
     seed: int = 600, repeats: int = 1,
 ) -> Dict:
-    """Wall-clock twin: tracer off vs on at ``level``, best-of-``repeats``.
+    """Wall-clock twin: tracer off vs on at ``level``, ``repeats`` pairs.
 
-    Returns the two times, their ratio, and what the traced run recorded
-    (a ratio measured while recording nothing is recognizable as
-    meaningless).
+    Each pair runs the two sides back to back, and the sides take turns
+    going first, so neither the host's speed drifting between pairs nor
+    the place a run takes in its pair is booked to one side.  Returns the
+    median time per side, the median of the pairs' on/off ratios, and
+    what the traced run recorded (a ratio measured while recording
+    nothing is recognizable as meaningless).
     """
     relation = gen_binomial(rows, skew, seed=seed)
     off_times, on_times = [], []
-    for _ in range(repeats):
-        off_times.append(_timed_compute(paper_cluster(rows), relation))
-        sink, telemetry, lineage = MemorySink(), Telemetry(), LineageIndex()
-        on_cluster = paper_cluster(rows)
-        on_cluster.tracer = Tracer(
-            [sink, Watchdog(), telemetry, lineage], level=level
-        )
-        on_times.append(_timed_compute(on_cluster, relation))
-    off_wall, on_wall = min(off_times), min(on_times)
+    for repeat in range(repeats):
+        for traced in (repeat % 2 == 1, repeat % 2 == 0):
+            cluster = paper_cluster(rows)
+            if traced:
+                sink, telemetry, lineage = (
+                    MemorySink(), Telemetry(), LineageIndex()
+                )
+                cluster.tracer = Tracer(
+                    [sink, Watchdog(), telemetry, lineage], level=level
+                )
+            times = on_times if traced else off_times
+            times.append(_timed_compute(cluster, relation))
     return {
         "rows": rows,
         "level": level,
-        "trace_off_wall_seconds": round(off_wall, 4),
-        "trace_on_wall_seconds": round(on_wall, 4),
-        "overhead_ratio": round(on_wall / off_wall if off_wall else 0.0, 4),
+        "trace_off_wall_seconds": round(median(off_times), 4),
+        "trace_on_wall_seconds": round(median(on_times), 4),
+        "overhead_ratio": round(median(map(truediv, on_times, off_times)), 4),
         "records": len(sink),
         "metric_families": len(telemetry.registry.names()),
         "flows": sum(len(job["flows"]) for job in lineage.jobs.values()),

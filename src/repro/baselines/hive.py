@@ -48,12 +48,11 @@ from ..mapreduce.engine import (
     MapReduceJob,
     Reducer,
     TaskFactory,
-    _ordered_keys,
     cuboid_of_mask_key,
 )
 from ..mapreduce.metrics import RunMetrics
 from ..observability.tracer import NULL_TRACER, emit_run_span
-from ..relation.lattice import all_cuboids, full_mask, projector
+from ..relation.lattice import all_cuboids, full_mask, ordered, projector
 from ..relation.relation import Relation
 
 #: Pairs probed before deciding whether hash aggregation pays off
@@ -199,7 +198,7 @@ class _HiveMapper(Mapper):
 
     def _flush(self):
         table, self._hash = self._hash, {}
-        for key in _ordered_keys(table):
+        for key in ordered(table):
             yield key, table[key]
 
 

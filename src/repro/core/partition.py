@@ -9,18 +9,20 @@ balancing rests on:
 1. all tuples of a non-skewed c-group land in the same partition, and
 2. excluding skewed groups, every partition has ``O(m)`` tuples.
 
-Routing a group to its partition is a binary search over the elements:
-partition 0 holds groups ``<=`` the first element, partition ``i`` holds
-groups in ``(element_i, element_{i+1}]``, and the last partition holds the
-rest — exactly the paper's bucket definition.
+Routing a group to its partition is a ``bisect_left`` over the elements in
+the one value order (``lattice.bisect_ordered``): partition 0 holds groups
+``<=`` the first element, partition ``i`` holds groups in ``(element_i,
+element_{i+1}]``, and the last partition holds the rest — exactly the
+paper's bucket definition.  A group equal to an element goes to the
+partition *ending* at it, so a whole (non-skewed) c-group, whose members
+compare equal, stays together.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import AbstractSet, List, Sequence, Tuple
 
-from ..relation.lattice import GroupValues, project_rows
+from ..relation.lattice import GroupValues, bisect_ordered, project_rows
 
 
 def partition_elements_from_sorted(
@@ -40,26 +42,8 @@ def partition_elements_from_sorted(
     return elements
 
 
-def find_partition(
-    elements: Sequence[GroupValues], group: GroupValues
-) -> int:
-    """Partition index of ``group`` given the cuboid's partition elements.
-
-    ``bisect_left`` realizes the paper's bucket boundaries: groups equal to
-    an element go to the partition *ending* at that element, so an entire
-    (non-skewed) c-group — whose members compare equal — stays together.
-    ``elements`` is bisected in place (the sketch keeps it as a list).
-
-    >>> find_partition([("b",), ("d",)], ("a",))
-    0
-    >>> find_partition([("b",), ("d",)], ("b",))
-    0
-    >>> find_partition([("b",), ("d",)], ("c",))
-    1
-    >>> find_partition([("b",), ("d",)], ("z",))
-    2
-    """
-    return bisect.bisect_left(elements, group)
+#: Partition index of a group given its cuboid's partition elements.
+find_partition = bisect_ordered
 
 
 def partition_loads(
@@ -82,5 +66,5 @@ def partition_loads(
     for group in project_rows(rows, mask, num_dimensions):
         if group in exclude_groups:
             continue
-        sizes[bisect.bisect_left(element_list, group)] += 1
+        sizes[bisect_ordered(element_list, group)] += 1
     return sizes

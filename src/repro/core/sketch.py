@@ -37,11 +37,14 @@ from ..mapreduce.sizes import estimate_bytes
 from ..relation.lattice import (
     GroupValues,
     all_cuboids,
+    bisect_ordered,
+    ordered,
     project_rows,
     projector,
+    sort_token,
 )
 from ..relation.relation import Relation
-from .partition import find_partition, partition_elements_from_sorted
+from .partition import partition_elements_from_sorted
 
 
 class SketchError(RuntimeError):
@@ -81,7 +84,7 @@ class SPSketch:
 
     def partition_of(self, mask: int, values: GroupValues) -> int:
         """Partition (reducer range) of a non-skewed c-group."""
-        return find_partition(self.cuboids[mask].partition_elements, values)
+        return bisect_ordered(self.cuboids[mask].partition_elements, values)
 
     def skew_bits(self, row: Sequence) -> int:
         """Bitmap over all ``2^d`` cuboids: bit ``mask`` set iff the row's
@@ -133,9 +136,7 @@ class SPSketch:
     def skewed_groups(self) -> Iterator[Tuple[int, GroupValues, int]]:
         """All recorded skewed groups as ``(mask, values, count)``."""
         for mask in sorted(self.cuboids):
-            for values, count in sorted(
-                self.cuboids[mask].skewed.items(), key=lambda item: item[0]
-            ):
+            for values, count in ordered(self.cuboids[mask].skewed.items()):
                 yield mask, values, count
 
     @property
@@ -147,7 +148,7 @@ class SPSketch:
         return tuple(
             (
                 mask,
-                tuple(sorted(cuboid.skewed.items())),
+                tuple(ordered(cuboid.skewed.items())),
                 tuple(cuboid.partition_elements),
             )
             for mask, cuboid in sorted(self.cuboids.items())
@@ -258,29 +259,34 @@ def _sketch(
 ) -> SPSketch:
     """One sort per cuboid gives both halves of its sketch.
 
-    Each c-group is a run of the sorted projections.  A run longer than
-    ``threshold`` starts where ``ordered[i] == ordered[i + span]``, with
-    ``span = floor(threshold)`` (C-level ``map``/``compress``), and ends
-    where ``bisect`` says; a stable sort keys it by its first row's
+    Each c-group is a run of the projections in :func:`ordered` order.  A
+    run longer than ``threshold`` starts where ``groups[i] == groups[i +
+    span]``, with ``span = floor(threshold)`` (C-level ``map``/``compress``),
+    and ends where ``bisect`` says, over the groups' sort tokens if ``<``
+    cannot compare them; a stable sort keys it by its first row's
     projection.  The partition elements are the same list's quantiles.
     """
     span = max(0, math.floor(threshold))
     cuboids: Dict[int, CuboidSketch] = {}
     for mask in all_cuboids(d):
-        ordered = sorted(project_rows(rows, mask, d))
+        groups = keys = ordered(list(project_rows(rows, mask, d)))
         hits = list(compress(
-            range(len(ordered)), map(eq, ordered, islice(ordered, span, None))
+            range(len(groups)), map(eq, groups, islice(groups, span, None))
         ))
         skewed = {}
         i = 0
         while i < len(hits):
             # The first hit at or past the last run's end starts a run.
             start = hits[i]
-            end = bisect_right(ordered, ordered[start], start + span)
-            skewed[ordered[start]] = end - start
+            try:
+                end = bisect_right(keys, keys[start], start + span)
+            except TypeError:  # `<` cannot compare them: bisect their tokens
+                keys = list(map(sort_token, groups))
+                continue
+            skewed[groups[start]] = end - start
             i = bisect_left(hits, end, i)
         cuboids[mask] = CuboidSketch(
-            skewed, partition_elements_from_sorted(ordered, k)
+            skewed, partition_elements_from_sorted(groups, k)
         )
     return SPSketch(d, k, cuboids)
 

@@ -15,6 +15,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..aggregates.functions import AggregateFunction, Count
+from ..relation.lattice import ordered
 from ..relation.relation import Relation
 from .result import CubeResult
 
@@ -81,24 +82,15 @@ def _segment_folder(aggregate: AggregateFunction):
 def _runs_by(
     segment: List[Tuple], dim: int
 ) -> List[Tuple[object, List[Tuple]]]:
-    """``(value, rows)`` runs of ``segment`` by dimension ``dim``, in value
-    order, rows in incoming order, each keyed by its first-seen value
-    (``1``/``True`` are one run): a C-level stable sort + ``groupby``, or a
-    dict above ``_SORT_MAX_SEGMENT`` rows or for values that do not sort
-    (then in repr order)."""
+    """``(value, rows)`` runs of ``segment`` by dimension ``dim``, in
+    :func:`ordered` value order, rows in incoming order, each keyed by its
+    first-seen value (``1``/``True`` are one run): a C-level stable sort +
+    ``groupby``, or a dict above ``_SORT_MAX_SEGMENT`` rows."""
     getter = itemgetter(dim)
     if len(segment) <= _SORT_MAX_SEGMENT:
-        try:
-            ordered = sorted(segment, key=getter)
-        except TypeError:
-            pass
-        else:
-            return [(v, list(run)) for v, run in groupby(ordered, getter)]
+        runs = groupby(ordered(segment, key=getter), getter)
+        return [(value, list(run)) for value, run in runs]
     partitions: Dict[object, List[Tuple]] = {}
     for row in segment:
         partitions.setdefault(row[dim], []).append(row)
-    try:
-        keys = sorted(partitions)
-    except TypeError:
-        keys = sorted(partitions, key=repr)
-    return [(value, partitions[value]) for value in keys]
+    return [(value, partitions[value]) for value in ordered(partitions)]

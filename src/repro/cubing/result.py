@@ -18,6 +18,7 @@ from ..relation.lattice import (
     format_group,
     group_sort_key,
     mask_size,
+    ordered,
 )
 from ..relation.schema import Schema
 
@@ -170,8 +171,8 @@ class CubeResult:
 
     def to_rows(self) -> List[Tuple[int, Tuple, object]]:
         """Deterministically ordered ``(mask, values, value)`` rows."""
-        return sorted(
-            ((mask, values, agg) for (mask, values), agg in self.items()),
+        return ordered(
+            [(mask, values, agg) for (mask, values), agg in self.items()],
             key=lambda row: group_sort_key(row[0], row[1]),
         )
 

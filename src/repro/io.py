@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence
 from ._gc import paused_gc
 from .core.sketch import CuboidSketch, SPSketch
 from .cubing.result import CubeResult
-from .relation.lattice import format_group
+from .relation.lattice import format_group, ordered
 from .relation.relation import Relation
 from .relation.schema import Schema
 
@@ -91,7 +91,7 @@ def sketch_to_json(sketch: SPSketch) -> str:
     """Serialize an SP-Sketch to JSON (what round 1 publishes on the DFS).
 
     Dimension values must be JSON-representable (numbers, strings,
-    booleans) — true for every workload in this repository.
+    booleans, ``None``) — true for every workload in this repository.
     """
     payload = {
         "num_dimensions": sketch.num_dimensions,
@@ -101,7 +101,7 @@ def sketch_to_json(sketch: SPSketch) -> str:
                 "mask": mask,
                 "skewed": [
                     [list(values), count]
-                    for values, count in sorted(cuboid.skewed.items())
+                    for values, count in ordered(cuboid.skewed.items())
                 ],
                 "partition_elements": [
                     list(values) for values in cuboid.partition_elements

@@ -90,6 +90,7 @@ from ..observability.tracer import (
     LEVEL_TASK,
     NULL_TRACER,
 )
+from ..relation.lattice import ordered
 from .cluster import ClusterConfig
 from .costmodel import CostModel
 from .executor import TaskOutcome, run_task_chain
@@ -310,46 +311,6 @@ class MapReduceJob:
             reducer_factory=TaskFactory(FunctionReducer, reduce_fn),
             **kwargs,
         )
-
-
-#: Rank table for :func:`_sort_token`: every key type the engines emit
-#: maps into a totally-ordered band, so mixed-type reduce buckets sort
-#: identically in every process (``repr``-keyed sorting was only stable
-#: within one interpreter for types whose repr embeds object addresses).
-def _sort_token(key):
-    """A totally-ordered, process-independent sort token for a reduce key.
-
-    Bands: None < numbers (compared numerically, bools included) < str <
-    bytes < tuples (recursively tokenized) < everything else (by type
-    name, then repr).  Only used for buckets whose keys are not mutually
-    comparable; homogeneous buckets take the plain ``sorted`` path.
-    """
-    kind = type(key)
-    if kind is tuple:
-        return (4, "", tuple(_sort_token(item) for item in key))
-    if kind is str:
-        return (2, "", key)
-    if key is None:
-        return (0, "", 0)
-    if kind is bytes:
-        return (3, "", key)
-    if isinstance(key, (int, float)):  # bool included via int
-        return (1, "", key)
-    if isinstance(key, tuple):
-        return (4, "", tuple(_sort_token(item) for item in key))
-    if isinstance(key, str):
-        return (2, "", key)
-    if isinstance(key, bytes):
-        return (3, "", key)
-    return (5, f"{kind.__module__}.{kind.__qualname__}", repr(key))
-
-
-def _ordered_keys(keys) -> List:
-    """Keys in a deterministic order, tolerating non-comparable mixes."""
-    try:
-        return sorted(keys)
-    except TypeError:
-        return sorted(keys, key=_sort_token)
 
 
 @dataclass
@@ -658,7 +619,7 @@ class _ReduceTask:
 
         task.peak_group_records = max(map(len, grouped.values()), default=0)
         task.spilled_records = max(0, task.records_in - self.physical_memory)
-        emitted = list(reducer.reduce_runs(_ordered_keys(grouped), grouped))
+        emitted = list(reducer.reduce_runs(ordered(grouped), grouped))
         emitted.extend(reducer.close())
         reducer_output, task.records_out, task.bytes_out = _charged_output(
             emitted, where
@@ -1100,6 +1061,6 @@ def _apply_combiner(
     """Fold each of a map task's runs through the combiner, in key order."""
     context.add_cpu(sum(map(len, runs.values())))
     combined: Runs = {}
-    for key in _ordered_keys(runs):
+    for key in ordered(runs):
         _fold_pairs(combined, combiner(key, runs[key]), where)
     return combined

@@ -45,7 +45,7 @@ from ..analysis import format_markdown_table, paper_cluster
 from ..core.partition import partition_loads
 from ..datagen import gen_binomial, gen_zipf
 from ..engines import ENGINE_NAMES, load_engines
-from ..relation.lattice import all_cuboids
+from ..relation.lattice import all_cuboids, ordered
 from ..serving import CubeStore, estimate_cube_bytes
 from ..theory.bounds import (
     expected_false_negatives,
@@ -177,20 +177,20 @@ def audit_sketch(relation, sketch, memory_records: int) -> Dict:
             if values not in truly_skewed
         )
 
-        confident_fn = sorted(
+        confident_fn = ordered([
             values
             for values in missed
             if false_negative_probability(sizes[values], n, k, memory_records)
             < CONFIDENT_MISS_PROBABILITY
-        )
-        confident_fp = sorted(
+        ])
+        confident_fp = ordered([
             values
             for values in predicted - truly_skewed
             if false_positive_probability(
                 sizes.get(values, 0), n, k, memory_records
             )
             < CONFIDENT_MISS_PROBABILITY
-        )
+        ])
 
         loads = partition_loads(
             relation.rows,

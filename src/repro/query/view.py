@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cubing.result import CubeResult
-from ..relation.lattice import mask_dimensions, project_rows
+from ..relation.lattice import mask_dimensions, ordered, project_rows
 from ..relation.schema import SchemaError
 
 
@@ -210,10 +210,7 @@ class CubeView:
                 f"top({k}) asked of a cuboid with only "
                 f"{len(groups)} group(s)"
             )
-        try:
-            ranked = sorted(groups.items())
-        except TypeError:  # unorderable mixed-type group values
-            ranked = sorted(groups.items(), key=lambda item: repr(item[0]))
+        ranked = ordered(groups.items())
         ranked.sort(key=lambda item: key(item[1]), reverse=True)
         return ranked[:k]
 

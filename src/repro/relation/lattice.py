@@ -8,7 +8,7 @@ A *c-group* (cube group) is a pair ``(mask, values)`` where ``values`` is the
 tuple of the row's dimension values at the positions set in ``mask``, in
 dimension order.  Lexicographic comparison of two groups of the same cuboid
 is plain tuple comparison of their ``values`` — exactly the paper's ``<_C``
-order.
+order, made total over ``None`` and mixed types by :func:`sort_token`.
 
 Both lattices of the paper are views over this mask algebra:
 
@@ -27,9 +27,10 @@ and identical on every machine.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .schema import Schema
 
@@ -151,6 +152,54 @@ def tuple_lattice(row: Sequence, num_dimensions: int) -> List[CGroup]:
 def group_sort_key(mask: Mask, values: GroupValues) -> Tuple:
     """Total order over c-groups: by cuboid level, mask, then values."""
     return (mask_size(mask), mask, values)
+
+
+def sort_token(value) -> Tuple:
+    """The one total order over dimension values, as a sort key.
+
+    Bands: None < numbers (compared numerically, bools included) < str <
+    bytes < tuples (recursively tokenized) < everything else (by type
+    name, then repr).  It agrees with ``<`` on every pair ``<`` can
+    compare, so a plain sort or bisect that does not raise returns what
+    this order returns: :func:`ordered` and :func:`bisect_ordered` take
+    the token only when ``<`` raises, as on ``None`` next to a string.
+    """
+    if value is None:
+        return (0, "", 0)
+    if isinstance(value, (int, float)):  # bool included via int
+        return (1, "", value)
+    if isinstance(value, str):
+        return (2, "", value)
+    if isinstance(value, bytes):
+        return (3, "", value)
+    if isinstance(value, tuple):
+        return (4, "", tuple(map(sort_token, value)))
+    kind = type(value)
+    return (5, f"{kind.__module__}.{kind.__qualname__}", repr(value))
+
+
+def ordered(items: Iterable, key: Optional[Callable] = None) -> List:
+    """``sorted(items, key=key)`` in the :func:`sort_token` order.
+
+    ``items`` must be re-iterable (a list, dict or dict view): the plain
+    sort runs first, and only if ``<`` raises are the items sorted again
+    by their tokens.
+    """
+    try:
+        return sorted(items, key=key)
+    except TypeError:
+        if key is None:
+            return sorted(items, key=sort_token)
+        return sorted(items, key=lambda item: sort_token(key(item)))
+
+
+def bisect_ordered(elements: Sequence, value) -> int:
+    """``bisect_left(elements, value)`` over a list in the
+    :func:`sort_token` order."""
+    try:
+        return bisect_left(elements, value)
+    except TypeError:
+        return bisect_left(list(map(sort_token, elements)), sort_token(value))
 
 
 def format_group(mask: Mask, values: GroupValues, schema: Schema) -> str:

@@ -86,7 +86,8 @@ from ..aggregates import get_aggregate
 from ..cubing.result import CubeResult
 from ..cubing.result import estimate_cube_bytes  # noqa: F401  (re-exported)
 from ..relation.lattice import (
-    all_cuboids, group_sort_key, mask_dimensions, mask_size,
+    all_cuboids, group_sort_key, mask_dimensions, mask_size, ordered,
+    sort_token,
 )
 from ..relation.schema import Schema
 
@@ -306,21 +307,19 @@ def _unpack(
 def _dimension_dictionary(
     distinct: set, by_repr: Dict[str, object]
 ) -> Tuple[List, Callable[[object], int]]:
-    """Sorted distinct values of one dimension and its ``value -> code``.
+    """Distinct values of one dimension in the :func:`ordered` order, and
+    its ``value -> code``.
 
     ``distinct`` holds values deduped by equality while the dimension
     was all-``int`` or all-``str`` (exact for them), ``by_repr`` the rest
     by ``repr``: look-alikes (``1``/``1.0``/``True``, ``0.0``/``-0.0``)
-    keep separate codes, in ``repr`` order when they do not compare.
+    keep separate codes, ordered by :func:`sort_token`, then ``repr``.
     """
     if not by_repr:
-        values = sorted(distinct)
+        values = ordered(distinct)
         return values, {v: code for code, v in enumerate(values)}.__getitem__
     by_repr.update(zip(map(repr, distinct), distinct))
-    try:
-        items = sorted(by_repr.items(), key=lambda item: (item[1], item[0]))
-    except TypeError:
-        items = sorted(by_repr.items())
+    items = sorted(by_repr.items(), key=lambda kv: (sort_token(kv[1]), kv[0]))
     codes = {text: code for code, (text, _) in enumerate(items)}
     return [v for _, v in items], lambda v: codes[repr(v)]
 

@@ -15,6 +15,7 @@ from repro.aggregates import (
 from repro.core import SPCube, spcube
 from repro.cubing import sequential_cube
 from repro.mapreduce import Block, ClusterConfig, pair_bytes
+from repro.relation import Relation, Schema
 
 from ..conftest import iceberg_cube, make_random_relation
 
@@ -67,6 +68,15 @@ class TestCorrectness:
     def test_single_machine(self):
         rel = make_random_relation(200, seed=7, skew_fraction=0.2)
         run = SPCube(ClusterConfig(num_machines=1)).compute(rel)
+        assert run.cube == sequential_cube(rel)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    def test_none_next_to_strings(self, cluster, exact):
+        """``<`` cannot order None and a string: the sketch and the range
+        partitions take the sort-token order."""
+        rows = [(None, "a", 1), (None, None, 2.5), ("b", None, 3)] * 4
+        rel = Relation(Schema(["a", "b"], "m"), rows)
+        run = SPCube(cluster, use_exact_sketch=exact).compute(rel)
         assert run.cube == sequential_cube(rel)
 
 

@@ -7,7 +7,7 @@ from repro.core import SPCube, build_exact_sketch
 from repro.cubing import sequential_cube
 from repro.datagen import gen_binomial
 from repro.mapreduce import ClusterConfig
-from repro.relation import all_cuboids
+from repro.relation import Relation, Schema, all_cuboids
 
 from ..conftest import make_random_relation
 
@@ -124,6 +124,27 @@ class TestRelationRoundtrip:
         assert sequential_cube(loaded) == sequential_cube(retail_relation)
 
 
+#: A dimension holding ``None``, ints and strings, which ``<`` cannot
+#: order: groups follow the sort token, None < numbers < str.
+MIXED_STAR_NOTATION = """\
+(*, *)\t3
+(None, *)\t1
+(1, *)\t1
+(b, *)\t1
+(*, None)\t1
+(*, a)\t2
+(None, a)\t1
+(1, a)\t1
+(b, None)\t1
+"""
+
+
+def none_relation():
+    """The differential harness's ``none`` input."""
+    rows = [(None, "a", 1), (None, None, 2.5), ("b", None, 3)] * 4
+    return Relation(Schema(["a", "b"], "m"), rows)
+
+
 class TestCubeExport:
     def test_star_notation_lines(self, retail_relation, tmp_path):
         cube = sequential_cube(retail_relation)
@@ -131,6 +152,13 @@ class TestCubeExport:
         lines = repro_io.write_cube(cube, str(path))
         assert lines == cube.num_groups
         assert path.read_text() == RETAIL_STAR_NOTATION
+
+    def test_values_that_do_not_compare(self, tmp_path):
+        rows = [(None, "a", 1), ("b", None, 2), (1, "a", 3)]
+        cube = sequential_cube(Relation(Schema(["a", "b"], "m"), rows))
+        path = tmp_path / "cube.tsv"
+        assert repro_io.write_cube(cube, str(path)) == cube.num_groups
+        assert path.read_text() == MIXED_STAR_NOTATION
 
 
 class TestSketchRoundtrip:
@@ -148,6 +176,12 @@ class TestSketchRoundtrip:
                 restored.cuboids[mask].partition_elements
                 == sketch.cuboids[mask].partition_elements
             )
+
+    def test_json_roundtrip_of_none_next_to_strings(self):
+        sketch = build_exact_sketch(none_relation(), 3, 2)
+        assert sketch.num_skewed
+        restored = repro_io.sketch_from_json(repro_io.sketch_to_json(sketch))
+        assert restored.cuboids == sketch.cuboids
 
     def test_restored_sketch_answers_queries(self):
         rel = make_random_relation(400, seed=6, skew_fraction=0.5)

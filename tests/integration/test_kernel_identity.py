@@ -21,8 +21,8 @@ from repro.cubing.buc import buc_cube
 from repro.cubing.naive import sequential_cube
 from repro.datagen import gen_binomial, gen_zipf
 from repro.mapreduce import TaskContext
-from repro.mapreduce.engine import _ordered_keys
 from repro.observability import MemorySink, Tracer
+from repro.relation.lattice import ordered
 
 from ..conftest import iceberg_cube
 from ..test_differential import (
@@ -74,13 +74,9 @@ class TestBUCKernelIdentity:
     @pytest.mark.parametrize("dataset", sorted(DATASETS))
     def test_iceberg_groups_matches_legacy(self, dataset):
         """The sketch's skew table at ``m = 1`` is the iceberg of the
-        groups of two or more rows, with their counts.  Range partitions
-        need values that sort: ints next to strings fail loudly."""
+        groups of two or more rows, with their counts, ints next to
+        strings included."""
         counted = relation(DATASETS[dataset])
-        if dataset == "mixed-types":
-            with pytest.raises(TypeError):
-                build_exact_sketch(counted, 3, 1)
-            return
         sketch = build_exact_sketch(counted, 3, 1)
         found = {
             (mask, values): n
@@ -374,7 +370,7 @@ class TestSketchAskedOncePerDistinctTuple:
             reducer.setup(TaskContext(0, 4, 32))
             del asked[:]
             reducer.reduce_runs(
-                _ordered_keys(grouped),
+                ordered(grouped),
                 {key: list(rows) for key, rows in grouped.items()},
             )
             assert sum(asked) == want

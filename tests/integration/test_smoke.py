@@ -207,19 +207,22 @@ class TestObservability:
         )
 
     def test_trace_overhead_stays_in_budget(self, workdir):
-        """The tracer off vs on per level (best of 3 on 20,000 rows), and
-        the disabled path's guard.  The ratios are smoke budgets: debug
-        classifies every shuffled key to its cuboid, so its budget only
-        catches order-of-magnitude blowups; the guard floor asserts the
-        disabled path stays a bare attribute check."""
+        """The tracer off vs on per level (the median ratio of
+        alternated pairs on 20,000 rows), and the disabled path's guard.
+        One run's wall time varies by ~5 % on a shared 2-vCPU host, so
+        ``task`` takes 40 pairs to resolve its 5 % budget.  The ratios
+        are smoke budgets: debug classifies every shuffled key to its
+        cuboid, so its budget only catches order-of-magnitude blowups;
+        the guard floor asserts the disabled path stays a bare attribute
+        check."""
         twin = subprocess.run(
             [sys.executable, "-c",
              "import json\n"
              "from telemetry_overhead import (\n"
              "    measure_trace_overhead, null_guard_floor)\n"
              "report = {level: measure_trace_overhead(\n"
-             "              level, rows=20000, repeats=3)\n"
-             "          for level in ('task', 'debug')}\n"
+             "              level, rows=20000, repeats=repeats)\n"
+             "          for level, repeats in (('task', 40), ('debug', 3))}\n"
              "report['null_floor'] = null_guard_floor()\n"
              "print(json.dumps(report, indent=2))"],
             cwd=workdir, capture_output=True, text=True, timeout=600,

@@ -383,50 +383,8 @@ class TestStableHash:
             assert stable_hash(key) == zlib.crc32(repr(key).encode()), key
 
 
-class TestOrderedKeys:
-    """The typed fallback sort for mixed-type key spaces.
-
-    Reducers iterate keys in sorted order; when keys are not mutually
-    comparable the engine falls back to a typed sort token that must be
-    consistent across processes (a repr of a float or a dict is, an
-    ``object`` default repr with its memory address is not).
-    """
-
-    def test_numbers_sort_numerically_not_lexically(self):
-        from repro.mapreduce.engine import _ordered_keys
-
-        assert _ordered_keys({10: 0, 2: 0, -3: 0}) == [-3, 2, 10]
-
-    def test_mixed_types_sort_deterministically(self):
-        from repro.mapreduce.engine import _ordered_keys
-
-        keys = ["b", 2, None, (1, "x"), "a", 1.5, (1, "w"), b"raw"]
-        once = _ordered_keys(dict.fromkeys(keys, 0))
-        again = _ordered_keys(dict.fromkeys(reversed(keys), 0))
-        assert once == again
-        # Bands: None < numbers < str < bytes < tuple.
-        assert once[0] is None
-        assert once[1:3] == [1.5, 2]
-        assert once[3:5] == ["a", "b"]
-        assert once[5] == b"raw"
-        assert once[6:] == [(1, "w"), (1, "x")]
-
-    def test_tuples_compare_recursively(self):
-        from repro.mapreduce.engine import _ordered_keys
-
-        keys = [(1, None), (1, 0), (1, "a"), (0, "z")]
-        assert _ordered_keys(dict.fromkeys(keys, 0)) == [
-            (0, "z"), (1, None), (1, 0), (1, "a"),
-        ]
-
-    def test_comparable_keys_keep_native_order(self):
-        from repro.mapreduce.engine import _ordered_keys
-
-        assert _ordered_keys({"c": 0, "a": 0, "b": 0}) == ["a", "b", "c"]
-
-
 class TestMixedKeyOrdering:
-    def test_uncomparable_keys_fall_back_to_repr(self, cluster):
+    def test_uncomparable_keys_reduce_in_token_order(self, cluster):
         def map_fn(record):
             yield record, 1
 
@@ -436,8 +394,8 @@ class TestMixedKeyOrdering:
         job = MapReduceJob.from_functions(
             "mixed", map_fn, reduce_fn, num_reducers=1
         )
-        result = run_job(job, [[1, "a", (2,)]], cluster, 10)
-        assert len(result.output) == 3
+        result = run_job(job, [[(2,), "a", 1]], cluster, 10)
+        assert [key for key, _ in result.output] == [1, "a", (2,)]
 
 
 class _RunList(list):

@@ -1,11 +1,17 @@
 """Cube/tuple lattice algebra (paper Section 2.2)."""
 
+from bisect import bisect_left
+from operator import itemgetter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.relation import Schema, lattice
 from repro.relation.lattice import (
     all_cuboids,
     bfs_order,
+    bisect_ordered,
     cube_lattice_edges,
     descendants,
     format_cuboid,
@@ -14,8 +20,10 @@ from repro.relation.lattice import (
     group_sort_key,
     mask_dimensions,
     mask_size,
+    ordered,
     project,
     projector,
+    sort_token,
     strict_supersets,
     tuple_lattice,
 )
@@ -159,3 +167,88 @@ class TestGroupSortKey:
 
     def test_orders_within_cuboid_by_values(self):
         assert group_sort_key(0b1, (1,)) < group_sort_key(0b1, (2,))
+
+
+NUMBERS = st.booleans() | st.integers() | st.floats()
+SCALARS = st.none() | NUMBERS | st.text(max_size=3) | st.binary(max_size=3)
+VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6
+)
+#: Lists ``<`` can often sort (one family each) and lists it rarely can.
+VALUE_LISTS = st.one_of(
+    *(
+        st.lists(family, max_size=8)
+        for family in (
+            st.none(),
+            NUMBERS,
+            st.text(max_size=3),
+            st.binary(max_size=3),
+            st.tuples(NUMBERS, st.text(max_size=2) | st.none()),
+            VALUES,
+        )
+    )
+)
+
+
+class TestOrdered:
+    """The one total order over dimension values: ``<`` where it
+    compares, else :func:`sort_token`, the same in every process (a repr
+    embedding an object's address would not be)."""
+
+    def test_numbers_sort_numerically_not_lexically(self):
+        assert ordered({10: 0, 2: 0, -3: 0}) == [-3, 2, 10]
+
+    def test_mixed_types_sort_deterministically(self):
+        keys = ["b", 2, None, (1, "x"), "a", 1.5, (1, "w"), b"raw"]
+        once = ordered(dict.fromkeys(keys, 0))
+        again = ordered(dict.fromkeys(reversed(keys), 0))
+        assert once == again
+        # Bands: None < numbers < str < bytes < tuple.
+        assert once[0] is None
+        assert once[1:3] == [1.5, 2]
+        assert once[3:5] == ["a", "b"]
+        assert once[5] == b"raw"
+        assert once[6:] == [(1, "w"), (1, "x")]
+
+    def test_tuples_compare_recursively(self):
+        keys = [(1, None), (1, 0), (1, "a"), (0, "z")]
+        assert ordered(dict.fromkeys(keys, 0)) == [
+            (0, "z"), (1, None), (1, 0), (1, "a"),
+        ]
+
+    def test_comparable_keys_keep_native_order(self):
+        assert ordered({"c": 0, "a": 0, "b": 0}) == ["a", "b", "c"]
+
+    def test_key_orders_by_the_token_of_the_key(self):
+        rows = [("b", 1), (None, 2), ("a", 3)]
+        assert ordered(rows, key=itemgetter(0)) == [
+            (None, 2), ("a", 3), ("b", 1),
+        ]
+
+    def test_bisect_routes_none_next_to_strings(self):
+        elements = [(None,), ("b",)]
+        assert [
+            bisect_ordered(elements, group)
+            for group in [(None,), ("a",), ("b",), ("c",)]
+        ] == [0, 1, 1, 2]
+
+    @settings(deadline=None)
+    @given(VALUE_LISTS)
+    def test_a_plain_sort_that_succeeds_is_the_token_order(self, values):
+        try:
+            plain = sorted(values)
+        except TypeError:
+            return
+        # By identity: look-alikes (1, 1.0, True) compare equal.
+        by_token = sorted(values, key=sort_token)
+        assert list(map(id, plain)) == list(map(id, by_token))
+        assert list(map(id, ordered(values))) == list(map(id, by_token))
+
+    @settings(deadline=None)
+    @given(VALUE_LISTS, VALUES)
+    def test_bisect_ordered_is_bisect_over_the_tokens(self, values, value):
+        elements = sorted(values, key=sort_token)
+        tokens = list(map(sort_token, elements))
+        assert bisect_ordered(elements, value) == bisect_left(
+            tokens, sort_token(value)
+        )

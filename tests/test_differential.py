@@ -7,8 +7,7 @@ the cube the naive oracle returns, or a typed one-line error.*  A
 asserts what the invariant implies for it:
 
 * the cube equals ``sequential_cube`` (``iceberg_cube`` for the iceberg
-  variant), or the run raises the typed error :data:`TYPED_ERRORS`
-  documents; a plan that exhausts a retry budget aborts with an empty
+  variant); a plan that exhausts a retry budget aborts with an empty
   cube; the naive engine ships one pair per row and cuboid, each
   charged as one;
 * against the serial run of the same case: the metrics (minus
@@ -73,7 +72,7 @@ from repro.mapreduce import (
     estimate_bytes,
     pair_bytes,
 )
-from repro.mapreduce.engine import _ordered_keys, _ReduceTask
+from repro.mapreduce.engine import _ReduceTask
 from repro.mapreduce.faults import NodeFaultSpec
 from repro.observability import (
     LineageIndex,
@@ -86,7 +85,7 @@ from repro.observability import (
 from repro.observability.watchdog import SKEW_TOLERANCE
 from repro.query import CubeView, QueryError
 from repro.relation import Relation, Schema
-from repro.relation.lattice import project
+from repro.relation.lattice import ordered, project
 from repro.serving import CubeServer, CubeStore, StoredCubeView, execute_query
 from repro.serving.server import _encode, _refusal
 from repro.theory.bounds import load_band
@@ -129,8 +128,8 @@ INPUTS = {
         (True, "x", 1), (1, "x", 2), (1.0, "y", 3), (1, "y", 4),
         (0, "x", 5), (False, "x", 6), (1.0, "x", 7), (0.0, "y", 8),
     ] * 2), 2),
-    # Look-alikes next to strings: nothing sorts them, so BUC partitions
-    # by dict and range partitioning refuses the relation.
+    # Look-alikes next to strings: ``<`` cannot sort them, so every sort
+    # and range partition takes the sort-token order.
     "mixed-types": (lambda: _relation("mixed-types", ["a", "b"], [
         (1, "x", 2), (True, "x", 3), ("one", "y", 5), (1, "y", 7),
         ("one", "x", 11), (0, "y", 13), (False, "x", 17),
@@ -234,14 +233,6 @@ SURFACES = ("memory", "store", "server")
 #: JobMetrics fields describing the backend, not the simulation.
 BACKEND_FIELDS = ("executor", "map_phase_wall_seconds", "reduce_phase_wall_seconds")
 
-#: Typed errors the invariant allows: SP-Cube's sketch needs dimension
-#: values that sort, and ``None`` or ints next to strings do not.
-TYPED_ERRORS = {
-    (input_name, engine): (TypeError, "not supported between instances")
-    for input_name in ("none", "mixed-types")
-    for engine in ("spcube", "spcube-exact", "spcube-ablation", "spcube-iceberg")
-}
-
 #: Engines that merge partial states of one c-group (map-side partial
 #: aggregation or a combiner), not left-fold its rows in input order.
 PARTIAL_MERGING = ("hive", "mrcube", "naive-combiner", "spcube", "spcube-exact",
@@ -251,7 +242,7 @@ PARTIAL_MERGING = ("hive", "mrcube", "naive-combiner", "spcube", "spcube-exact",
 def known_defect(case):
     """Why ``case`` breaks the invariant today, or None.  Each such case
     is an expected failure: mending the defect fails it loudly."""
-    if case.fault == "exhausting" or (case.input, case.engine) in TYPED_ERRORS:
+    if case.fault == "exhausting":
         return None
     if (
         case.input in ("lookalikes", "mixed-types") and case.engine == "naive"
@@ -303,19 +294,15 @@ def cluster(input_name, order="serial", fault="none", tracer=None):
 def traced_run(input_name, aggregate="count", engine="spcube", order="serial",
                fault="none"):
     """One run traced at ``debug`` with every derivation attached live:
-    the run, its records, their JSONL text and the live sinks — or the
-    exception the run raised."""
+    the run, its records, their JSONL text and the live sinks."""
     live = SimpleNamespace(
         before=MemorySink(), watchdog=Watchdog(), telemetry=Telemetry(),
         lineage=LineageIndex(), after=MemorySink(),
     )
     tracer = Tracer(list(vars(live).values()), level="debug")
-    try:
-        run = ENGINES[engine](
-            cluster(input_name, order, fault, tracer), get_aggregate(aggregate)
-        ).compute(relation(input_name))
-    except Exception as error:  # the typed-error leg, judged by check_case
-        return error
+    run = ENGINES[engine](
+        cluster(input_name, order, fault, tracer), get_aggregate(aggregate)
+    ).compute(relation(input_name))
     records = live.after.records
     text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
     return Traced(run=run, records=records, text=text, live=live)
@@ -367,12 +354,6 @@ def check_case(case):
         assert cube == want, cube.diff(want)
         return check_surface(case, cube, want)
     outcome = traced_run(*case[:5])
-    if isinstance(outcome, Exception):
-        error, pattern = TYPED_ERRORS.get((case.input, case.engine), (None, None))
-        if error is None or not isinstance(outcome, error):
-            raise outcome
-        assert pattern in str(outcome) and "\n" not in str(outcome)
-        return
     run = outcome.run
     if run.metrics.aborted:
         assert case.fault == "exhausting" and run.metrics.failed
@@ -901,7 +882,7 @@ def assert_reduce_kernel_matches_reference(
     context = TaskContext(0, 4, 32)
     reducer.setup(context)
     blocks = reducer.reduce_runs(
-        _ordered_keys(grouped), {key: list(v) for key, v in grouped.items()}
+        ordered(grouped), {key: list(v) for key, v in grouped.items()}
     )
     assert len({block.mask for block in blocks}) == len(blocks)
     pairs = [pair for block in blocks for pair in block.pairs()]
