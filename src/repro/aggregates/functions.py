@@ -12,9 +12,9 @@ The paper (Section 7, following Gray et al.) divides aggregate functions into
 SP-Cube's map-side partial aggregation of skewed c-groups requires a
 mergeable state; it therefore supports all distributive and algebraic
 functions out of the box.  Holistic functions are still *expressible* here
-(their state is the full multiset, merged by concatenation) but carry
-``compact_state = False`` so the algorithms can refuse or warn — matching
-the paper's discussion that efficient holistic support is future work.
+(their state is the full multiset, merged by concatenation), and the
+algorithms refuse them by ``kind`` unless asked — matching the paper's
+discussion that efficient holistic support is future work.
 
 Every function is expressed through the same four-operation protocol::
 
@@ -26,20 +26,13 @@ Every function is expressed through the same four-operation protocol::
 ``merge`` must be associative and commutative with ``create()`` as the
 identity — the property tests in ``tests/aggregates`` check exactly this,
 because the correctness of every distributed algorithm in this repository
-rests on it.
+rests on it.  ``fold(state, values)`` is the bulk form of ``add`` and
+``fold_groups`` one ``finalize(fold(create(), group))`` per group; every
+kernel that aggregates a batch goes through them.
 
-A fifth method is the bulk form of ``add``, which every kernel that
-aggregates a batch goes through (SP-Cube's reducers and mappers, BUC)::
-
-    state = fn.fold(state, values)  # fold a sequence of values in, in order
-
-``fold`` is **exactly the left fold of** ``add`` — ``reduce(fn.add,
-values, state)`` — equal by ``==`` *and* ``repr``, floats to the last bit
-and ``Counter`` insertion order included, and like ``add`` it never
-mutates ``state``.  An override may only change *how* the fold runs (one
-C-level call instead of a Python call per value), never *what* it
-computes: no builtin ``sum`` (compensated for floats since Python 3.12),
-and ``min``/``max`` must see ``state`` first.  Same for ``fold_groups``.
+Sums are exact (:func:`_sum`), so the property holds for float measures
+too: every order and grouping of the additions gives one state, which
+finalises to the correctly rounded sum.
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ import operator
 from abc import ABC, abstractmethod
 from collections import Counter
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 
@@ -67,6 +60,55 @@ class UnsupportedAggregateError(RuntimeError):
     """Raised when an algorithm cannot honour an aggregate's requirements."""
 
 
+class _Fixed(int):
+    """An exact sum with a float term, in units of ``2 ** -1074``: every
+    finite double is a whole number of them."""
+
+    __slots__ = ()
+
+
+_SCALE = 1074
+
+
+def _sum(total, terms: Sequence):
+    """``total`` (a sum state) plus ``terms`` (measures or sum states),
+    exactly: one state for every order and grouping.  It stays an int
+    while every term is one, becomes a :class:`_Fixed` with a float term,
+    and is the IEEE sum of the non-finite terms once there is one."""
+    if type(total) is int:
+        result = sum(terms, total)
+        if type(result) is int:
+            return result
+    terms = [total, *terms]
+    try:
+        return _Fixed(sum(map(_units, terms)))
+    except (OverflowError, ValueError):  # an infinity or a NaN
+        return sum(t for t in terms if t != t or abs(t) == math.inf)
+
+
+def _units(term) -> int:
+    """An int, a finite float or a :class:`_Fixed` in units of 2**-1074."""
+    if type(term) is _Fixed:
+        return term
+    numerator, denominator = term.as_integer_ratio()
+    return numerator << _SCALE + 1 - denominator.bit_length()
+
+
+def _merge(left, right):
+    """Two sum states added, never as ``int + _Fixed`` (an ``int``)."""
+    return _sum(right, (left,)) if type(left) is int else _sum(left, (right,))
+
+
+def _divide(total, n: int):
+    """A sum state over ``n``, correctly rounded (±inf past the range)."""
+    if type(total) is not _Fixed:
+        return total / n
+    try:
+        return total / (n << _SCALE)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
 class AggregateFunction(ABC):
     """Protocol every aggregate implements; see module docstring."""
 
@@ -74,9 +116,6 @@ class AggregateFunction(ABC):
     name: str = "abstract"
     #: Taxonomy class (Section 7).
     kind: AggregateKind = AggregateKind.DISTRIBUTIVE
-    #: True when the partial state has (near-)constant size, making
-    #: map-side partial aggregation a genuine compression.
-    compact_state: bool = True
 
     @abstractmethod
     def create(self) -> Any:
@@ -87,8 +126,7 @@ class AggregateFunction(ABC):
         """Fold one measure value into ``state``; returns the new state."""
 
     def fold(self, state: Any, values: Sequence) -> Any:
-        """Fold ``values`` into ``state`` in order: the left fold of
-        :meth:`add` (see the module docstring for the override contract)."""
+        """Fold ``values`` into ``state`` in order: ``add`` for each."""
         return reduce(self.add, values, state)
 
     def fold_groups(self, groups: Iterable[Sequence]) -> List:
@@ -143,19 +181,18 @@ class Sum(AggregateFunction):
         return 0
 
     def add(self, state, value):
-        return state + value
+        if type(state) is int and type(value) is int:  # the oracle's hot path
+            return state + value
+        return _sum(state, (value,))
 
     def fold(self, state, values: Sequence):
-        return reduce(operator.add, values, state)
-
-    def fold_groups(self, groups: Iterable[Sequence]) -> List:
-        return list(map(reduce, repeat(operator.add), groups, repeat(0)))
+        return _sum(state, values)
 
     def merge(self, left, right):
-        return left + right
+        return _merge(left, right)
 
     def finalize(self, state):
-        return state
+        return _divide(state, 1) if type(state) is _Fixed else state
 
 
 class Min(AggregateFunction):
@@ -218,25 +255,20 @@ class Average(AggregateFunction):
 
     def add(self, state, value):
         total, count = state
-        return (total + value, count + 1)
+        if type(total) is int and type(value) is int:
+            return (total + value, count + 1)
+        return (_sum(total, (value,)), count + 1)
 
     def fold(self, state, values: Sequence):
         total, count = state
-        return (reduce(operator.add, values, total), count + len(values))
-
-    def fold_groups(self, groups: Iterable[Sequence]) -> List:
-        groups = list(groups)
-        if not all(groups):  # an empty group's average is None
-            return super().fold_groups(groups)
-        totals = map(reduce, repeat(operator.add), groups, repeat(0))
-        return list(map(operator.truediv, totals, map(len, groups)))
+        return (_sum(total, values), count + len(values))
 
     def merge(self, left, right):
-        return (left[0] + right[0], left[1] + right[1])
+        return (_merge(left[0], right[0]), left[1] + right[1])
 
     def finalize(self, state):
         total, count = state
-        return None if count == 0 else total / count
+        return None if count == 0 else _divide(total, count)
 
 
 class Variance(AggregateFunction):
@@ -245,34 +277,33 @@ class Variance(AggregateFunction):
     name = "variance"
     kind = AggregateKind.ALGEBRAIC
 
-    def create(self) -> Tuple[int, float, float]:
-        return (0, 0.0, 0.0)
+    def create(self) -> Tuple[int, int, int]:
+        return (0, 0, 0)
 
     def add(self, state, value):
         n, total, total_sq = state
-        return (n + 1, total + value, total_sq + value * value)
+        if type(total) is int and type(value) is int:
+            return (n + 1, total + value, total_sq + value * value)
+        return (n + 1, _sum(total, (value,)), _sum(total_sq, (value * value,)))
 
     def fold(self, state, values: Sequence):
         n, total, total_sq = state
-        return (
-            n + len(values),
-            reduce(operator.add, values, total),
-            reduce(operator.add, map(operator.mul, values, values), total_sq),
-        )
+        squares = list(map(operator.mul, values, values))
+        return (n + len(values), _sum(total, values), _sum(total_sq, squares))
 
     def merge(self, left, right):
         return (
             left[0] + right[0],
-            left[1] + right[1],
-            left[2] + right[2],
+            _merge(left[1], right[1]),
+            _merge(left[2], right[2]),
         )
 
     def finalize(self, state):
         n, total, total_sq = state
         if n == 0:
             return None
-        mean = total / n
-        return max(total_sq / n - mean * mean, 0.0)
+        mean = _divide(total, n)
+        return max(_divide(total_sq, n) - mean * mean, 0.0)
 
 
 class TopKFrequent(AggregateFunction):
@@ -286,7 +317,6 @@ class TopKFrequent(AggregateFunction):
 
     name = "top_k"
     kind = AggregateKind.HOLISTIC
-    compact_state = False
 
     def __init__(self, k: int = 3):
         if k <= 0:
@@ -330,7 +360,6 @@ class Median(AggregateFunction):
 
     name = "median"
     kind = AggregateKind.HOLISTIC
-    compact_state = False
 
     def create(self) -> List:
         return []
@@ -356,7 +385,6 @@ class CountDistinct(AggregateFunction):
 
     name = "count_distinct"
     kind = AggregateKind.HOLISTIC
-    compact_state = False
 
     def create(self) -> frozenset:
         return frozenset()
@@ -380,7 +408,7 @@ class Multi(AggregateFunction):
     being aggregate-independent (Section 4).
 
     The combined function is as strong as its weakest member: it is
-    holistic (and non-compact) as soon as any member is.
+    holistic as soon as any member is.
     """
 
     name = "multi"
@@ -397,7 +425,6 @@ class Multi(AggregateFunction):
             self.kind = AggregateKind.ALGEBRAIC
         else:
             self.kind = AggregateKind.DISTRIBUTIVE
-        self.compact_state = all(fn.compact_state for fn in members)
         self.name = "multi(" + ",".join(fn.name for fn in members) + ")"
 
     def create(self) -> Tuple:
@@ -453,6 +480,27 @@ def get_aggregate(name: str) -> AggregateFunction:
 def registered_aggregates() -> Dict[str, AggregateFunction]:
     """A copy of the registry (name -> instance)."""
     return dict(_REGISTRY)
+
+
+def check_spcube_support(
+    fn: AggregateFunction, allow_holistic: bool = False
+) -> None:
+    """Raise unless SP-Cube can run ``fn`` efficiently.
+
+    Paper Section 7: SP-Cube supports every distributive and algebraic
+    aggregate; arbitrary holistic ones are future work.
+    ``allow_holistic=True`` opts into correctness-preserving but
+    non-compressing holistic execution (states are full multisets); this is
+    useful for testing and small data, and mirrors the paper's note that the
+    algorithm stays *correct* — only the skew-compression guarantee is lost.
+    """
+    if fn.kind is not AggregateKind.HOLISTIC or allow_holistic:
+        return
+    raise UnsupportedAggregateError(
+        f"aggregate {fn.name!r} is {fn.kind.value}; SP-Cube's map-side "
+        "partial aggregation of skewed groups needs a compact mergeable "
+        "state (pass allow_holistic=True to run it anyway)"
+    )
 
 
 for _fn in (

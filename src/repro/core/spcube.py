@@ -43,8 +43,7 @@ from operator import is_, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .._gc import paused_gc
-from ..aggregates.classify import check_spcube_support
-from ..aggregates.functions import AggregateFunction, Count
+from ..aggregates import AggregateFunction, Count, check_spcube_support
 from ..cubing.result import CubeResult
 from ..interface import CubeRun
 from ..mapreduce.checkpoint import RoundRunner
@@ -504,10 +503,9 @@ class _CubeReducer(Reducer):
     aggregating base group by base group: a covered group's projection
     onto the base cuboid *is* its base group, so covered groups of
     different base groups are disjoint, and rows keep their arrival
-    order inside every group — the same left fold, floats included,
-    under the same first-seen key.  Rows of one-row base groups, the
-    bulk of a sparse cube, skip the grouping: each is its own group in
-    every cuboid it covers.
+    order inside every group — the same fold under the same first-seen
+    key.  Rows of one-row base groups, the bulk of a sparse cube, skip
+    the grouping: each is its own group in every cuboid it covers.
     """
 
     def __init__(

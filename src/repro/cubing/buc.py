@@ -67,7 +67,7 @@ def buc_cube(
 
 
 def _segment_folder(aggregate: AggregateFunction):
-    """A ``segment -> finalized value`` fold: one bulk, left-folding
+    """A ``segment -> finalized value`` fold: one bulk
     :meth:`~AggregateFunction.fold` of the measures (``len`` for exactly
     ``Count``)."""
     if type(aggregate) is Count:

@@ -11,10 +11,7 @@ This function runs once per shuffled run key and once per distinct value
 object (the engine's routing loop, ``_route_runs``, sizes a repeated key
 or value once), so the common shapes (scalars and shallow tuples of
 scalars) take an iteration-free fast path; only nested containers
-recurse.  There is deliberately no global memo here: a type-strict memo
-key costs more to build than the sizes it would save (``(1,)`` and
-``(True,)`` are equal yet 12 vs 5 bytes, so equality alone cannot key a
-cache).
+recurse.  Equal values size alike: a bool is the number it equals.
 """
 
 from __future__ import annotations
@@ -63,9 +60,9 @@ def estimate_bytes(obj) -> int:
 
 def _estimate_slow(obj) -> int:
     """Rarer shapes: bools, bytes, dicts/Counters, sets, None, fallbacks."""
-    if obj is None or isinstance(obj, bool):
+    if obj is None:
         return 1
-    if isinstance(obj, (int, float)):  # bool-excluded numeric subclasses
+    if isinstance(obj, (int, float)):  # bools and other numeric subclasses
         return _NUMBER_BYTES
     if isinstance(obj, (str, bytes)):
         return _CONTAINER_OVERHEAD + len(obj)
@@ -92,13 +89,13 @@ def pair_bytes(key, value) -> int:
 
 
 #: Cost per item by exact type; a string adds its length, a tuple its items.
-_WIDTHS = {int: _NUMBER_BYTES, float: _NUMBER_BYTES, bool: 1, type(None): 1,
+_WIDTHS = {int: _NUMBER_BYTES, float: _NUMBER_BYTES, type(None): 1,
            str: _CONTAINER_OVERHEAD, tuple: _CONTAINER_OVERHEAD}
 
 
 def column_bytes(column: Sequence) -> int:
     """``sum(map(estimate_bytes, column))``, by counting exact types: any
-    mix of ints, floats, strings, bools, ``None`` and tuples costs each
+    mix of ints, floats, strings, ``None`` and tuples costs each
     kind's width times its count, plus the strings' lengths and the
     tuples' items (flattened, one more column); only other items are
     sized one by one."""

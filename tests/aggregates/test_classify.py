@@ -6,30 +6,25 @@ from repro.aggregates import (
     Average,
     Count,
     Median,
+    Multi,
     Sum,
     TopKFrequent,
     UnsupportedAggregateError,
+    Variance,
     check_spcube_support,
-    supports_partial_aggregation,
 )
-
-
-class TestSupportsPartialAggregation:
-    def test_distributive_supported(self):
-        assert supports_partial_aggregation(Count())
-        assert supports_partial_aggregation(Sum())
-
-    def test_algebraic_supported(self):
-        assert supports_partial_aggregation(Average())
-
-    def test_holistic_not_supported(self):
-        assert not supports_partial_aggregation(TopKFrequent())
-        assert not supports_partial_aggregation(Median())
 
 
 class TestCheckSPCubeSupport:
     def test_passes_for_count(self):
         check_spcube_support(Count())
+
+    @pytest.mark.parametrize(
+        "fn", [Sum(), Average(), Variance(), Multi((Count(), Average()))],
+        ids=lambda fn: fn.name,
+    )
+    def test_passes_for_distributive_and_algebraic(self, fn):
+        check_spcube_support(fn)
 
     def test_raises_for_holistic(self):
         with pytest.raises(UnsupportedAggregateError, match="holistic"):

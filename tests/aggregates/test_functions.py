@@ -113,10 +113,8 @@ class TestTopK:
         with pytest.raises(ValueError):
             TopKFrequent(0)
 
-    def test_holistic_and_not_compact(self):
-        fn = TopKFrequent()
-        assert fn.kind is AggregateKind.HOLISTIC
-        assert not fn.compact_state
+    def test_is_holistic(self):
+        assert TopKFrequent().kind is AggregateKind.HOLISTIC
 
     def test_add_does_not_mutate_input_state(self):
         fn = TopKFrequent()

@@ -3,12 +3,14 @@
 The correctness of every distributed algorithm in this repository rests on
 ``merge`` being associative and commutative with ``create()`` as identity,
 and on "fold then merge" equaling "fold everything" — exactly what these
-hypothesis properties pin down, for every registered aggregate.  The
-bulk ``fold`` every kernel aggregates through is held to its contract
-here too: exactly the left fold of ``add``; so is ``fold_groups``,
+hypothesis properties pin down, for every registered aggregate, and for
+the sums on float measures too.  The bulk ``fold`` every kernel
+aggregates through equals ``add`` value by value; ``fold_groups`` is
 exactly one ``finalize(fold(create(), group))`` per group.
 """
 
+import math
+import random
 from collections import Counter
 from functools import reduce
 
@@ -16,7 +18,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.aggregates import TopKFrequent, registered_aggregates
+from repro.aggregates import (
+    Average,
+    Sum,
+    TopKFrequent,
+    Variance,
+    registered_aggregates,
+)
+
+from ..test_differential import FLOAT_MEASURES
 
 AGGREGATES = sorted(registered_aggregates().values(), key=lambda f: f.name)
 measures = st.lists(st.integers(min_value=-100, max_value=100), max_size=30)
@@ -100,8 +110,6 @@ fold_values = st.one_of(
 @pytest.mark.parametrize("fn", AGGREGATES, ids=lambda f: f.name)
 class TestFoldIsTheLeftFoldOfAdd:
     @given(before=fold_values, values=fold_values)
-    # Builtin ``sum`` rounds ten 0.1s to 1.0 on Python >= 3.12 (compensated
-    # summation); the left fold of ``add`` gives 0.9999999999999999.
     @example(before=[], values=[0.1] * 10)
     @settings(max_examples=60)
     def test_equal_by_value_and_repr(self, fn, before, values):
@@ -153,6 +161,44 @@ class TestFoldGroupsIsTheComprehension:
     def test_no_groups(self, fn):
         assert fn.fold_groups([]) == []
         assert fn.fold_groups(iter(())) == []
+
+
+@pytest.mark.parametrize(
+    "fn", [Sum(), Average(), Variance()], ids=lambda f: f.name
+)
+class TestExactSums:
+    @given(
+        values=st.one_of(
+            st.lists(FLOAT_MEASURES, max_size=30),
+            st.lists(st.integers(-10**6, 10**6), max_size=30),
+        ),
+        cuts=st.lists(st.integers(0, 30), max_size=5),
+        order=st.randoms(use_true_random=False),
+    )
+    @example(values=[0.1] * 10, cuts=[3, 7], order=random.Random(0))
+    @example(values=[1e16, 1, -1e16], cuts=[1, 2], order=random.Random(1))
+    @settings(max_examples=80)
+    def test_chunk_states_merge_to_the_one_fold_in_any_order(
+        self, fn, values, cuts, order
+    ):
+        """Chunks folded apart, then merged in any order and grouping,
+        give what folding every value at once gives: for ``sum`` the
+        correctly rounded sum, ``math.fsum``, and an int while every
+        value is one."""
+        cuts = sorted(min(cut, len(values)) for cut in cuts)
+        states = [
+            fn.fold(fn.create(), values[a:b])
+            for a, b in zip([0] + cuts, cuts + [len(values)])
+        ]
+        order.shuffle(states)
+        while len(states) > 1:
+            i = order.randrange(len(states) - 1)
+            states[i:i + 2] = [fn.merge(states[i], states[i + 1])]
+        want = fn.finalize(fn.fold(fn.create(), values))
+        assert repr(fn.finalize(states[0])) == repr(want)
+        if fn.name == "sum":
+            assert want == math.fsum(values)
+            assert (type(want) is int) == all(type(v) is int for v in values)
 
 
 class TestFoldRegressions:

@@ -81,10 +81,6 @@ class TestMultiAggregate:
         assert Multi((Count(), Average())).kind is AggregateKind.ALGEBRAIC
         assert Multi((Count(), Median())).kind is AggregateKind.HOLISTIC
 
-    def test_compact_state_follows_members(self):
-        assert Multi((Count(), Average())).compact_state
-        assert not Multi((Count(), Median())).compact_state
-
     def test_holistic_member_rejected_by_spcube(self, cluster):
         from repro.aggregates import UnsupportedAggregateError
 

@@ -20,7 +20,9 @@ class TestScalars:
         assert estimate_bytes(None) == 1
 
     def test_bool(self):
-        assert estimate_bytes(True) == 1
+        """A bool is sized as the number it equals."""
+        assert estimate_bytes(True) == estimate_bytes(1) == 8
+        assert estimate_bytes(False) == 8
 
     def test_string_length_prefixed(self):
         assert estimate_bytes("abc") == 4 + 3
@@ -126,14 +128,17 @@ class TestColumns:
         assert column_bytes(column) == want
         assert column_bytes(tuple(column)) == want
 
-    def test_lookalikes_are_sized_by_type_not_by_equality(self):
-        assert column_bytes([1, 1.0]) == 16
-        assert column_bytes([1, True]) == 8 + 1
-        assert column_bytes([(1,), (True,), (None,)]) == 12 + 5 + 5
+    def test_lookalikes_are_sized_alike(self):
+        """Equal values cost alike, so sizing a run's key once, as any
+        of its look-alikes, charges what each pair's own key would."""
+        assert column_bytes([1, 1.0]) == column_bytes([1, True]) == 16
+        assert column_bytes([(1,), (True,), (1.0,), (None,)]) == 3 * 12 + 5
+        for lookalikes in ((1, True, 1.0), (0, False, 0.0, -0.0)):
+            assert len({estimate_bytes((x, "k")) for x in lookalikes}) == 1
 
     def test_a_mixed_column_is_counted_by_kind(self):
         column = [1, "ab", None, True, 2.5, "", ("x", 1), Point(1, 2), b"z"]
-        assert column_bytes(column) == 8 + 6 + 1 + 1 + 8 + 4 + 17 + 20 + 5
+        assert column_bytes(column) == 8 + 6 + 1 + 8 + 8 + 4 + 17 + 20 + 5
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -192,11 +197,11 @@ class TestBlocks:
         # group (4-byte frame + items) and the value.
         blocks = [
             Block(0, [()], [7]),  # 12 + 4 + 8
-            Block(0b01, [(None,), (True,)], [1, 2.5]),  # 2 * (12 + 5 + 8)
+            Block(0b01, [(None,), (True,)], [1, 2.5]),  # 2 * (12 + 8) + 5 + 12
             Block(
                 0b11,
                 [("ab", 1), ((1, "x"), None)],
                 [(3,), "v"],
             ),  # (12 + 18 + 12) + (12 + (4 + 17 + 1) + 5)
         ]
-        assert blocks_bytes(blocks) == 24 + 50 + 42 + 39
+        assert blocks_bytes(blocks) == 24 + 57 + 42 + 39

@@ -25,10 +25,9 @@ asserts what the invariant implies for it:
 Runs are cached, so the cases, the named cases the older suites keep
 under their own ids, and the trace tests share them.  Tier-1 checks
 :data:`SAMPLE`, a pinned set of cases in which every pair of axis
-values occurs, and one case per engine a :func:`known_defect` breaks;
-``pytest -m exhaustive`` checks every case.  The Algorithm-3 walk and
-the reference reducer at the bottom are the per-kernel oracles of
-SP-Cube's round 2.
+values occurs; ``pytest -m exhaustive`` checks every case.  The
+Algorithm-3 walk and the reference reducer at the bottom are the
+per-kernel oracles of SP-Cube's round 2.
 """
 
 import json
@@ -134,8 +133,6 @@ INPUTS = {
         (1, "x", 2), (True, "x", 3), ("one", "y", 5), (1, "y", 7),
         ("one", "x", 11), (0, "y", 13), (False, "x", 17),
     ]), 2),
-    # Builtin ``sum`` is compensated on Python >= 3.12; every kernel must
-    # left-fold like ``add`` on every interpreter of the CI matrix.
     "floats": (lambda: _relation("floats", ["a", "b"], [("x", "p", 0.1)] * 10 + [
         ("y", "q", 1e16), ("y", "q", 1.0), ("y", "p", -1e16),
         ("x", "q", 0.3), ("y", "q", 0.7),
@@ -232,36 +229,6 @@ SURFACES = ("memory", "store", "server")
 
 #: JobMetrics fields describing the backend, not the simulation.
 BACKEND_FIELDS = ("executor", "map_phase_wall_seconds", "reduce_phase_wall_seconds")
-
-#: Engines that merge partial states of one c-group (map-side partial
-#: aggregation or a combiner), not left-fold its rows in input order.
-PARTIAL_MERGING = ("hive", "mrcube", "naive-combiner", "spcube", "spcube-exact",
-                   "spcube-iceberg")
-
-
-def known_defect(case):
-    """Why ``case`` breaks the invariant today, or None.  Each such case
-    is an expected failure: mending the defect fails it loudly."""
-    if case.fault == "exhausting":
-        return None
-    if (
-        case.input in ("lookalikes", "mixed-types") and case.engine == "naive"
-        and case.fault == "none"
-    ):
-        return (
-            "_route_runs sizes a run's key once, as its first-seen look-alike, "
-            "and True is sized apart from 1: map_output_bytes is off"
-        )
-    if (
-        case.input == "floats" and case.aggregate != "count"
-        and case.engine in PARTIAL_MERGING
-    ):
-        return (
-            "partial states merge in another order than the oracle's left "
-            "fold, and float addition does not associate (1e16 + 1.0 - 1e16)"
-        )
-    return None
-
 
 class Case(NamedTuple):
     input: str
@@ -519,15 +486,11 @@ AXES = (tuple(INPUTS), AGGREGATES, tuple(ENGINES), tuple(ORDERS), tuple(FAULTS),
         SURFACES)
 
 
-def sound(case):
-    return valid(case) and known_defect(case) is None
-
-
-#: Sound cases in which every pair of axis values that some sound case
+#: Valid cases in which every pair of axis values that some valid case
 #: holds occurs (``test_sample_holds_every_pair``).  The list is pinned,
-#: not regenerated, so mending a defect keeps every case id; a pair it
-#: misses (a new axis value, say) fails that test, which names the pair,
-#: and a case holding it is appended.
+#: not regenerated, so every case id stays; a pair it misses (a new axis
+#: value, say) fails that test, which names the pair, and a case holding
+#: it is appended.
 CASE_OF_ID = {"-".join(values): Case(*values) for values in product(*AXES)}
 SAMPLE = [CASE_OF_ID[case_id] for case_id in """
 adversarial-avg-hive-serial-none-memory
@@ -651,42 +614,20 @@ zipf-count-spcube-ablation-serial-exhausting-memory
 zipf-count-spcube-exact-serial-random-memory
 zipf-count-spcube-iceberg-serial-node-loss-memory
 """.split()]
-#: One case per engine a known defect breaks, each a strict expected failure.
-DEFECTS = [Case("lookalikes", "count", "naive")] + [
-    Case("floats", "sum", engine) for engine in PARTIAL_MERGING
-]
-
-
-def expect(case):
-    """:func:`check_case`, which a case with a known defect must fail."""
-    if known_defect(case) is None:
-        return check_case(case)
-    with pytest.raises((AssertionError, ValueError)):
-        check_case(case)
 
 
 def test_sample_holds_every_pair():
-    assert all(sound(case) for case in SAMPLE)
+    assert all(valid(case) for case in SAMPLE)
     held = {pair for case in SAMPLE for pair in combinations(enumerate(case), 2)}
     missing = set()
     for values in product(*AXES):
-        if sound(Case(*values)):
+        if valid(Case(*values)):
             missing |= set(combinations(enumerate(values), 2)) - held
     assert not missing, sorted(missing)
 
 
 @pytest.mark.parametrize("case", SAMPLE, ids="-".join)
 def test_sample(case):
-    check_case(case)
-
-
-@pytest.mark.parametrize("case", [
-    pytest.param(case, marks=pytest.mark.xfail(
-        strict=True, raises=(AssertionError, ValueError), reason=known_defect(case)
-    ))
-    for case in DEFECTS
-], ids="-".join)
-def test_known_defect(case):
     check_case(case)
 
 
@@ -698,9 +639,16 @@ def test_every_case(input_name, aggregate, engine):
     for rest in product(ORDERS, FAULTS, SURFACES):
         case = Case(input_name, aggregate, engine, *rest)
         if valid(case):
-            expect(case)
+            check_case(case)
     traced_run.cache_clear()  # bounded memory over the whole product
     check_case.cache_clear()
+
+
+@pytest.mark.parametrize("input_name", ["lookalikes", "mixed-types"])
+def test_naive_map_output_bytes_are_each_pairs_own(input_name):
+    """Look-alike keys (``1``, ``True``, ``1.0``) share a run and size
+    alike, so the run's one key charge is what each pair's key costs."""
+    check_case(Case(input_name, "count", "naive"))
 
 
 @pytest.mark.parametrize("aggregate", sorted(registered_aggregates()))
@@ -918,11 +866,7 @@ def check_kernels(input_name, kernel):
     :data:`KERNEL_AGGREGATES`: every skew threshold from all-skewed to
     none on a small input, the exact sketch at the input's own ``m`` and
     at a quarter of it on a large one, with and without the ablation
-    switches; the reducer under iceberg cuts of 1 to 3 rows.  Not for
-    ``floats``: the mapper rolls coarse partial states up from finer
-    ones, so inexact float partial sums are not left folds
-    (``test_kernel_identity`` checks float measures on the reducer
-    alone)."""
+    switches; the reducer under iceberg cuts of 1 to 3 rows."""
     rows = relation(input_name).rows
     d = relation(input_name).schema.num_dimensions
     third = max(1, len(rows) // 3)
