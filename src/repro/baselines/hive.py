@@ -51,7 +51,6 @@ from ..mapreduce.engine import (
     cuboid_of_mask_key,
 )
 from ..mapreduce.metrics import RunMetrics
-from ..observability.tracer import NULL_TRACER, emit_run_span
 from ..relation.lattice import all_cuboids, full_mask, ordered, projector
 from ..relation.relation import Relation
 
@@ -93,8 +92,6 @@ class HiveCube:
 
         # Hash capacity: the group-by operator gets a share of map memory.
         hash_capacity = max(64, m // 2)
-        tracer = self.cluster.tracer or NULL_TRACER
-        run_base = tracer.clock
 
         job = MapReduceJob(
             name="hive-cube",
@@ -114,11 +111,8 @@ class HiveCube:
 
         metrics.extras["hash_capacity"] = hash_capacity
         cube = CubeResult(relation.schema)
-        for (mask, values), value in result.output:
-            cube.add(mask, values, value)
-        metrics.output_groups = cube.num_groups
-        emit_run_span(tracer, metrics, run_base)
-        return CubeRun(cube=cube, metrics=metrics)
+        cube.add_pairs(result.output)
+        return CubeRun(cube=cube, metrics=runner.finish(cube))
 
     def _is_stuck(self, relation: Relation, memory_records: int) -> bool:
         """The calibrated failure criterion — see module docstring.

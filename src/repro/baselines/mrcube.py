@@ -41,7 +41,6 @@ from ..mapreduce.engine import (
     cuboid_of_mask_key,
 )
 from ..mapreduce.metrics import RunMetrics
-from ..observability.tracer import NULL_TRACER, emit_run_span
 from ..relation.lattice import all_cuboids, project, projector
 from ..relation.relation import Relation
 from ..core.sampling import _SampleMapper, sampling_probability
@@ -72,8 +71,7 @@ class MRCube:
         m = self.cluster.derive_memory(n)
         d = relation.schema.num_dimensions
         metrics = RunMetrics(algorithm=self.name)
-        tracer = self.cluster.tracer or NULL_TRACER
-        self._run_base = tracer.clock
+        cube = CubeResult(relation.schema)
         # All rounds run through the checkpoint/recovery layer; a node
         # loss resumes the round instead of aborting the run.
         runner = RoundRunner(self.cluster, metrics)
@@ -83,44 +81,26 @@ class MRCube:
         shard_plan = self._sampling_round(
             relation, alpha, k, m, d, metrics, runner
         )
-        if metrics.jobs[-1].aborted:
-            return self._aborted_run(relation, metrics)
-        metrics.extras["unfriendly_cuboids"] = len(shard_plan)
+        # A round that exhausts its retry budget stops the run, with no
+        # output.
+        if not metrics.aborted:
+            metrics.extras["unfriendly_cuboids"] = len(shard_plan)
 
-        # ---- round 2: materialize ------------------------------------------
-        final_pairs, shard_pairs = self._materialization_round(
-            relation, shard_plan, k, m, d, metrics, runner
-        )
-        if metrics.jobs[-1].aborted:
-            return self._aborted_run(relation, metrics)
-
-        # ---- round 3: post-aggregate value-partitioned cuboids -------------
-        if shard_pairs:
-            final_pairs.extend(
-                self._post_aggregation_round(
-                    shard_pairs, k, m, metrics, runner
-                )
+            # ---- round 2: materialize --------------------------------------
+            final_pairs, shard_pairs = self._materialization_round(
+                relation, shard_plan, k, m, d, metrics, runner
             )
-            if metrics.jobs[-1].aborted:
-                return self._aborted_run(relation, metrics)
 
-        cube = CubeResult(relation.schema)
-        for (mask, values), value in final_pairs:
-            cube.add(mask, values, value)
-        metrics.output_groups = cube.num_groups
-        emit_run_span(
-            self.cluster.tracer or NULL_TRACER, metrics, self._run_base
-        )
-        return CubeRun(cube=cube, metrics=metrics)
-
-    def _aborted_run(
-        self, relation: Relation, metrics: RunMetrics
-    ) -> CubeRun:
-        """A round exhausted its retry budget: stop, with no output."""
-        emit_run_span(
-            self.cluster.tracer or NULL_TRACER, metrics, self._run_base
-        )
-        return CubeRun(cube=CubeResult(relation.schema), metrics=metrics)
+            # ---- round 3: post-aggregate value-partitioned cuboids ---------
+            if shard_pairs and not metrics.aborted:
+                final_pairs.extend(
+                    self._post_aggregation_round(
+                        shard_pairs, k, m, metrics, runner
+                    )
+                )
+            if not metrics.aborted:
+                cube.add_pairs(final_pairs)
+        return CubeRun(cube=cube, metrics=runner.finish(cube))
 
     # -- round 1 ----------------------------------------------------------------
 

@@ -35,7 +35,6 @@ from ..mapreduce.engine import (
     cuboid_of_mask_key,
 )
 from ..mapreduce.metrics import RunMetrics
-from ..observability.tracer import NULL_TRACER, emit_run_span
 from ..relation.lattice import all_cuboids, projector
 from ..relation.relation import Relation
 
@@ -66,8 +65,6 @@ class NaiveCube:
         aggregate = self.aggregate
 
         combiner = _PartialCombiner(aggregate) if self.use_combiner else None
-        tracer = self.cluster.tracer or NULL_TRACER
-        run_base = tracer.clock
 
         job = MapReduceJob(
             name="naive-cube",
@@ -81,11 +78,8 @@ class NaiveCube:
         result = runner.run(job, relation.split(k), m)
 
         cube = CubeResult(relation.schema)
-        for (mask, values), value in result.output:
-            cube.add(mask, values, value)
-        metrics.output_groups = cube.num_groups
-        emit_run_span(tracer, metrics, run_base)
-        return CubeRun(cube=cube, metrics=metrics)
+        cube.add_pairs(result.output)
+        return CubeRun(cube=cube, metrics=runner.finish(cube))
 
 
 class _PartialCombiner:

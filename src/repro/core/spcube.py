@@ -57,7 +57,7 @@ from ..mapreduce.engine import (
 )
 from ..mapreduce.metrics import RunMetrics
 from ..mapreduce.sizes import Block
-from ..observability.tracer import LEVEL_DEBUG, NULL_TRACER, emit_run_span
+from ..observability.tracer import LEVEL_DEBUG, NULL_TRACER
 from ..relation.lattice import bfs_order, project_rows, projector
 from ..relation.relation import Relation
 from .planner import (
@@ -138,7 +138,6 @@ class SPCube:
         m = self.cluster.derive_memory(n)
         metrics = RunMetrics(algorithm=self.name)
         tracer = self.cluster.tracer or NULL_TRACER
-        run_base = tracer.clock
         # Rounds run through the checkpoint/recovery layer: a node loss
         # resumes from the last completed round instead of killing the
         # run.  The runner owns metrics.jobs appends.
@@ -148,10 +147,9 @@ class SPCube:
         if metrics.jobs and metrics.jobs[-1].aborted:
             # Round 1 exhausted a task's retry budget: the driver aborts
             # the run before the cube round, as a real JobTracker would.
-            emit_run_span(tracer, metrics, run_base)
+            cube = CubeResult(relation.schema)
             return CubeRun(
-                cube=CubeResult(relation.schema), metrics=metrics,
-                sketch=sketch,
+                cube=cube, metrics=runner.finish(cube), sketch=sketch
             )
         summary = sketch.to_dict()
         metrics.extras["sketch_bytes"] = summary["serialized_bytes"]
@@ -181,9 +179,7 @@ class SPCube:
             )
 
         cube = self._round_two(relation, sketch, k, m, metrics, runner)
-        metrics.output_groups = cube.num_groups
-        emit_run_span(tracer, metrics, run_base)
-        return CubeRun(cube=cube, metrics=metrics, sketch=sketch)
+        return CubeRun(cube=cube, metrics=runner.finish(cube), sketch=sketch)
 
     # -- round 1: sketch ---------------------------------------------------------
 

@@ -138,9 +138,3 @@ def write_sketch(sketch: SPSketch, path: str) -> int:
     with open(path, "w") as handle:
         handle.write(text)
     return len(text.encode())
-
-
-def read_sketch(path: str) -> SPSketch:
-    """Read a sketch written by :func:`write_sketch`."""
-    with open(path) as handle:
-        return sketch_from_json(handle.read())

@@ -23,6 +23,11 @@ entire simulated time is recovery cost), replaces the dead nodes, and
 re-executes the round with only the lost partitions
 (``completed_reducers``) — emitting a ``round_resume`` trace event.
 
+The runner is also every engine's run epilogue: ``finish(cube)`` counts
+the output groups and emits the ``run`` span, aborted or not.  The
+engine still wraps cube and metrics in its ``CubeRun`` itself, since
+``repro.interface`` imports back through this package.
+
 Determinism: the rerun reuses the same per-task fault coins (attempt
 identities are unchanged), which is safe because absent the node kill
 those chains completed; the kill itself is spent — pinned kills by the
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..observability.tracer import NULL_TRACER
+from ..observability.tracer import NULL_TRACER, emit_run_span
 from .cluster import ClusterConfig
 from .engine import JobResult, MapReduceJob, Pair, run_job
 from .metrics import RunMetrics
@@ -52,7 +57,9 @@ class RoundRunner:
     run-relative simulated clock (so run-relative node kills land in the
     right round's window), the set of replaced nodes, and the appending
     of each execution's :class:`JobMetrics` — engines must *not* append
-    job metrics themselves when running through it.
+    job metrics themselves when running through it — and the run's
+    epilogue: :meth:`finish` closes the run with its ``run`` span, which
+    covers the tracer clock from the runner's construction on.
     """
 
     def __init__(
@@ -66,6 +73,9 @@ class RoundRunner:
         self.cluster = cluster
         self.metrics = metrics
         self.max_round_attempts = max_round_attempts
+        self.tracer = cluster.tracer or NULL_TRACER
+        #: Tracer clock at the run's start: where its ``run`` span begins.
+        self.base = self.tracer.clock
         #: Run-relative simulated seconds elapsed (includes failed
         #: executions — their time really passed).
         self.clock = 0.0
@@ -91,7 +101,7 @@ class RoundRunner:
         index = self.round_index
         self.round_index += 1
         checkpoint_enabled = self.cluster.checkpoint_enabled
-        tracer = self.cluster.tracer or NULL_TRACER
+        tracer = self.tracer
         completed: Dict[int, List[Pair]] = {}
         salvaged_bytes = 0
         for round_attempt in range(self.max_round_attempts):
@@ -152,3 +162,11 @@ class RoundRunner:
                     },
                 )
         raise AssertionError("unreachable: loop always returns")
+
+    def finish(self, cube) -> RunMetrics:
+        """Close the run: count ``cube``'s groups into the metrics, emit
+        the ``run`` span, and return the metrics.  An aborted run passes
+        its empty cube."""
+        self.metrics.output_groups = cube.num_groups
+        emit_run_span(self.tracer, self.metrics, self.base)
+        return self.metrics

@@ -23,8 +23,9 @@ The engine returns the reduce output plus a :class:`JobMetrics` with all the
 counters the paper's figures are built from.
 
 **Execution backends.**  Each phase's tasks are self-contained
-:class:`_MapTask`/:class:`_ReduceTask` objects executed by the cluster's
-task executor (see :mod:`repro.mapreduce.executor`): the default
+:class:`_Task` objects (one class for both phases, reading what a round
+shares from one :class:`_Round`) executed by the cluster's task
+executor (see :mod:`repro.mapreduce.executor`): the default
 :class:`~repro.mapreduce.executor.SerialExecutor` runs them one by one,
 while a :class:`~repro.mapreduce.executor.ParallelExecutor` (enabled via
 ``ClusterConfig.parallelism``) interleaves them on threads.  Outcomes are
@@ -456,66 +457,73 @@ def _route_runs(
     return routed, sum(shard[2] for shard in routed)
 
 
-class _MapTask:
-    """One self-contained map task: chunk in, routed runs out.
+@dataclass
+class _Round:
+    """The facts every task of one round shares."""
 
-    Carries everything an attempt chain needs, so the task gives the
-    same result on whichever thread, and in whatever order, it runs.
+    job: MapReduceJob
+    num_reducers: int
+    num_machines: int
+    memory_records: int
+    physical_memory: int
+    cost: CostModel
+    faults: FaultPlan
+    retry: RetryPolicy
+    trace: bool = False
+
+
+class _Task:
+    """One self-contained task: its input in, its output out.
+
+    A map task's input is its chunk, and its output the routed runs; a
+    reduce task's input is its bucket, the runs the map tasks routed
+    here in map-task order, and its output the reduce output.  The input
+    is shared by every attempt of the chain, so a reduce attempt groups
+    copies and never hands a reducer one of its lists.  The task holds
+    the only reference to it, and drops it when the chain ends.  The
+    rest comes from the round, so the task gives the same result on
+    whichever thread, and in whatever order, it runs.
     """
 
     def __init__(
-        self,
-        job: MapReduceJob,
-        machine: int,
-        chunk: Sequence,
-        num_reducers: int,
-        num_machines: int,
-        memory_records: int,
-        cost: CostModel,
-        faults: FaultPlan,
-        retry: RetryPolicy,
-        trace: bool = False,
+        self, shared: _Round, phase: str, machine: int, data: Sequence,
+        records_in: int = 0, bytes_in: int = 0,
         node_kill_at: Optional[float] = None,
     ):
-        self.job = job
+        self.shared = shared
+        self.phase = phase
         self.machine = machine
-        self.chunk = chunk
-        self.num_reducers = num_reducers
-        self.num_machines = num_machines
-        self.memory_records = memory_records
-        self.cost = cost
-        self.faults = faults
-        self.retry = retry
-        self.trace = trace
+        self.data = data
+        self.records_in = records_in
+        self.bytes_in = bytes_in
         self.node_kill_at = node_kill_at
 
     def __call__(self) -> TaskOutcome:
-        return run_task_chain(
-            self._attempt,
-            job_name=self.job.name,
-            phase="map",
-            machine=self.machine,
-            faults=self.faults,
-            retry=self.retry,
-            cost=self.cost,
-            trace=self.trace,
-            node_kill_at=self.node_kill_at,
+        shared = self.shared
+        outcome = run_task_chain(
+            self._map_attempt if self.phase == "map" else self._reduce_attempt,
+            job_name=shared.job.name, phase=self.phase, machine=self.machine,
+            faults=shared.faults, retry=shared.retry, cost=shared.cost,
+            trace=shared.trace, node_kill_at=self.node_kill_at,
         )
+        self.data = None  # the chain has ended: free its input
+        return outcome
 
-    def _attempt(self) -> Tuple[TaskMetrics, List]:
+    def _map_attempt(self) -> Tuple[TaskMetrics, List]:
         """One full execution, buffered locally so a crashed attempt
         contributes nothing to the shuffle."""
-        job = self.job
+        shared = self.shared
+        job = shared.job
         machine = self.machine
         task = TaskMetrics(machine=machine)
         context = TaskContext(
-            machine, self.num_machines, self.memory_records,
+            machine, shared.num_machines, shared.memory_records,
             where=f"job {job.name!r}: map task {machine}",
         )
         mapper = job.mapper_factory()
         mapper.setup(context)
 
-        task.records_in, runs = mapper.map_chunk(self.chunk)
+        task.records_in, runs = mapper.map_chunk(self.data)
         _fold_pairs(runs, mapper.close(), context.where)
 
         if job.combiner is not None:
@@ -525,78 +533,24 @@ class _MapTask:
             )
 
         routed, task.bytes_out = _route_runs(
-            runs, job.partitioner, self.num_reducers
+            runs, job.partitioner, shared.num_reducers
         )
         task.records_out = sum(shard[3] for shard in routed)
 
         task.cpu_ops = task.records_in + task.records_out + context.extra_cpu
-        task.seconds = self.cost.map_task_seconds(
+        task.seconds = shared.cost.map_task_seconds(
             task.cpu_ops, task.bytes_out
         )
         return task, routed
 
-
-class _ReduceTask:
-    """One self-contained reduce task: bucket in, reduce output out.
-
-    The bucket is the list of runs the map tasks routed here, in map-task
-    order; it is shared by every attempt of the chain, so an attempt
-    groups copies and never hands a reducer one of its lists.  The task
-    holds the only reference to it, and drops it when the chain ends.
-    """
-
-    def __init__(
-        self,
-        job: MapReduceJob,
-        machine: int,
-        bucket: List[Runs],
-        records_in: int,
-        bytes_in: int,
-        physical_memory: int,
-        num_machines: int,
-        memory_records: int,
-        cost: CostModel,
-        faults: FaultPlan,
-        retry: RetryPolicy,
-        trace: bool = False,
-        node_kill_at: Optional[float] = None,
-    ):
-        self.job = job
-        self.machine = machine
-        self.bucket = bucket
-        self.records_in = records_in
-        self.bytes_in = bytes_in
-        self.physical_memory = physical_memory
-        self.num_machines = num_machines
-        self.memory_records = memory_records
-        self.cost = cost
-        self.faults = faults
-        self.retry = retry
-        self.trace = trace
-        self.node_kill_at = node_kill_at
-
-    def __call__(self) -> TaskOutcome:
-        outcome = run_task_chain(
-            self._attempt,
-            job_name=self.job.name,
-            phase="reduce",
-            machine=self.machine,
-            faults=self.faults,
-            retry=self.retry,
-            cost=self.cost,
-            trace=self.trace,
-            node_kill_at=self.node_kill_at,
-        )
-        self.bucket = None  # the chain has ended: free its shuffle input
-        return outcome
-
-    def _attempt(self) -> Tuple[TaskMetrics, Tuple]:
-        job = self.job
+    def _reduce_attempt(self) -> Tuple[TaskMetrics, List]:
+        shared = self.shared
+        job = shared.job
         machine = self.machine
         task = TaskMetrics(machine=machine)
         where = f"job {job.name!r}: reduce task {machine}"
         context = TaskContext(
-            machine, self.num_machines, self.memory_records, where=where
+            machine, shared.num_machines, shared.memory_records, where=where
         )
         reducer = job.reducer_factory()
         reducer.setup(context)
@@ -607,7 +561,7 @@ class _ReduceTask:
         # did to its values.
         grouped: Runs = {}
         grouped_get = grouped.get
-        for runs in self.bucket:
+        for runs in self.data:
             for key, values in runs.items():
                 seen = grouped_get(key)
                 if seen is None:
@@ -618,7 +572,7 @@ class _ReduceTask:
         task.bytes_in = self.bytes_in
 
         task.peak_group_records = max(map(len, grouped.values()), default=0)
-        task.spilled_records = max(0, task.records_in - self.physical_memory)
+        task.spilled_records = max(0, task.records_in - shared.physical_memory)
         emitted = list(reducer.reduce_runs(ordered(grouped), grouped))
         emitted.extend(reducer.close())
         reducer_output, task.records_out, task.bytes_out = _charged_output(
@@ -628,7 +582,7 @@ class _ReduceTask:
         task.cpu_ops = (
             task.records_in + task.records_out + context.extra_cpu
         )
-        task.seconds = self.cost.reduce_task_seconds(
+        task.seconds = shared.cost.reduce_task_seconds(
             task.cpu_ops, task.spilled_records, task.bytes_out
         )
         return task, reducer_output
@@ -707,6 +661,11 @@ def _run_job(
     trace_on = tracer.enabled
     trace_tasks = trace_on and tracer.level >= LEVEL_TASK
     trace_debug = trace_on and tracer.level >= LEVEL_DEBUG
+    shared = _Round(
+        job, num_reducers, cluster.num_machines, memory_records,
+        cluster.physical_memory(memory_records), cost, faults, retry,
+        trace_tasks,
+    )
     job_base = tracer.clock
     #: Shape counters the job span carries for the trace's derivations.
     job_shape = {
@@ -733,164 +692,137 @@ def _run_job(
         t = node_kills.get(topology.node_of(machine % cluster.num_machines))
         return None if t is None else t - phase_base
 
-    # ---- map phase --------------------------------------------------------
-    map_tasks = [
-        _MapTask(
-            job, machine, chunk, num_reducers, cluster.num_machines,
-            memory_records, cost, faults, retry, trace_tasks,
-            node_kill_at=_kill_at(machine, cost.round_startup_seconds),
+    def run_phase(phase: str, tasks: List[_Task], base: float, fold) -> None:
+        """Run one phase's tasks and fold their chains in task-index
+        order: ``fold(machine, task, payload, start)`` takes each
+        winner's output; the first exhausted chain aborts the job."""
+        started = time.perf_counter()
+        outcomes = executor.run_tasks(
+            tasks, stop_early=attrgetter("exhausted")
         )
-        for machine, chunk in enumerate(input_chunks)
-    ]
-    phase_started = time.perf_counter()
-    outcomes = executor.run_tasks(
-        map_tasks, stop_early=attrgetter("exhausted")
-    )
-    metrics.map_phase_wall_seconds = time.perf_counter() - phase_started
+        wall = time.perf_counter() - started
+        start = base + cost.round_startup_seconds
+        done = metrics.map_tasks if phase == "map" else metrics.reduce_tasks
+        dead_chain_seconds = 0.0
+        for task, outcome in zip(tasks, outcomes):
+            _merge_outcome(metrics, outcome)
+            if trace_tasks:
+                _emit_chain_trace(tracer, outcome, start)
+            if outcome.exhausted:
+                metrics.aborted = True
+                metrics.abort_reason = (
+                    f"{phase} task {task.machine} exhausted "
+                    f"{retry.max_attempts} attempts"
+                )
+                dead_chain_seconds = outcome.chain_seconds
+                if trace_on:
+                    tracer.event(
+                        "abort", at=start + outcome.chain_seconds,
+                        job=job.name, phase=phase, task=task.machine,
+                        fields={"reason": metrics.abort_reason},
+                    )
+                break
+            fold(task.machine, outcome.task, outcome.payload, start)
+            done.append(outcome.task)
+        setattr(metrics, f"{phase}_phase_wall_seconds", wall)
+        setattr(
+            metrics, f"{phase}_phase_seconds",
+            cost.round_startup_seconds + max(
+                max((t.seconds for t in done), default=0.0),
+                dead_chain_seconds,
+            ),
+        )
 
-    map_start = job_base + cost.round_startup_seconds
+    # ---- map phase --------------------------------------------------------
     reducer_buckets: List[List[Runs]] = [[] for _ in range(num_reducers)]
     reducer_bytes = [0] * num_reducers
     reducer_records = [0] * num_reducers
-    dead_chain_seconds = 0.0
-    for machine, outcome in enumerate(outcomes):
-        _merge_outcome(metrics, outcome)
-        if trace_tasks:
-            _emit_chain_trace(tracer, outcome, map_start)
-        if outcome.exhausted:
-            metrics.aborted = True
-            metrics.abort_reason = (
-                f"map task {machine} exhausted "
-                f"{retry.max_attempts} attempts"
-            )
-            dead_chain_seconds = outcome.chain_seconds
-            if trace_on:
-                tracer.event(
-                    "abort", at=map_start + outcome.chain_seconds,
-                    job=job.name, phase="map", task=machine,
-                    fields={"reason": metrics.abort_reason},
-                )
-            break
-        task = outcome.task
-        for target, runs, shard_bytes, shard_records in outcome.payload:
+
+    def fold_map(machine, task, payload, start):
+        for target, runs, shard_bytes, shard_records in payload:
             reducer_buckets[target].append(runs)
             reducer_bytes[target] += shard_bytes
             reducer_records[target] += shard_records
         if trace_debug:
             _emit_flow_events(
-                tracer, job, machine, outcome.payload, cuboid_cache,
-                map_start + task.seconds,
+                tracer, job, machine, payload, cuboid_cache,
+                start + task.seconds,
             )
-        metrics.map_tasks.append(task)
         metrics.map_output_bytes += task.bytes_out
         metrics.map_output_records += task.records_out
 
-    metrics.map_phase_seconds = cost.round_startup_seconds + max(
-        max((t.seconds for t in metrics.map_tasks), default=0.0),
-        dead_chain_seconds,
-    )
+    run_phase("map", [
+        _Task(
+            shared, "map", machine, chunk,
+            node_kill_at=_kill_at(machine, cost.round_startup_seconds),
+        )
+        for machine, chunk in enumerate(input_chunks)
+    ], job_base, fold_map)
     if trace_on:
         _emit_phase_span(tracer, job.name, "map", job_base, metrics)
 
-    if metrics.aborted:
-        metrics.total_seconds = metrics.map_phase_seconds
-        _record_node_losses(
-            tracer, trace_on, metrics, node_kills, topology,
-            job_base, job.name,
+    merged_outputs: Dict[int, List[Pair]] = {}
+    reduced = not metrics.aborted
+    if reduced:
+        # ---- shuffle ------------------------------------------------------
+        metrics.shuffle_seconds = cost.shuffle_seconds(
+            max(reducer_bytes, default=0)
         )
         if trace_on:
-            _finish_job_trace(tracer, job.name, metrics, job_base, job_shape)
-        return JobResult(output=[], metrics=metrics, reducer_outputs=[])
-
-    # ---- shuffle ----------------------------------------------------------
-    metrics.shuffle_seconds = cost.shuffle_seconds(
-        max(reducer_bytes, default=0)
-    )
-    if trace_on:
-        tracer.event(
-            "shuffle", at=job_base + metrics.map_phase_seconds,
-            job=job.name,
-            fields={
-                "seconds": metrics.shuffle_seconds,
-                "max_reducer_bytes": max(reducer_bytes, default=0),
-            },
-        )
-
-    # ---- reduce phase -----------------------------------------------------
-    physical = cluster.physical_memory(memory_records)
-    completed = completed_reducers or {}
-    reduce_rel = metrics.map_phase_seconds + metrics.shuffle_seconds
-    # Partitions already salvaged from a checkpoint are not re-executed;
-    # their outputs are merged back in partition order below.
-    reduce_machines = [
-        machine for machine in range(num_reducers) if machine not in completed
-    ]
-    reduce_tasks = [
-        _ReduceTask(
-            job, machine, reducer_buckets[machine],
-            reducer_records[machine], reducer_bytes[machine], physical,
-            cluster.num_machines, memory_records, cost, faults, retry,
-            trace_tasks,
-            node_kill_at=_kill_at(
-                machine, reduce_rel + cost.round_startup_seconds
-            ),
-        )
-        for machine in reduce_machines
-    ]
-    # The tasks now hold the only references to the routed runs.
-    outcomes = outcome = reducer_buckets = None
-    phase_started = time.perf_counter()
-    outcomes = executor.run_tasks(
-        reduce_tasks, stop_early=attrgetter("exhausted")
-    )
-    metrics.reduce_phase_wall_seconds = time.perf_counter() - phase_started
-
-    reduce_base = job_base + metrics.map_phase_seconds + metrics.shuffle_seconds
-    reduce_start = reduce_base + cost.round_startup_seconds
-    merged_outputs: Dict[int, List[Pair]] = dict(completed)
-    dead_chain_seconds = 0.0
-    for machine, outcome in zip(reduce_machines, outcomes):
-        _merge_outcome(metrics, outcome)
-        if trace_tasks:
-            _emit_chain_trace(tracer, outcome, reduce_start)
-        if outcome.exhausted:
-            metrics.aborted = True
-            metrics.abort_reason = (
-                f"reduce task {machine} exhausted "
-                f"{retry.max_attempts} attempts"
-            )
-            dead_chain_seconds = outcome.chain_seconds
-            if trace_on:
-                tracer.event(
-                    "abort", at=reduce_start + outcome.chain_seconds,
-                    job=job.name, phase="reduce", task=machine,
-                    fields={"reason": metrics.abort_reason},
-                )
-            break
-        task = outcome.task
-        if trace_debug and task.spilled_records:
             tracer.event(
-                "spill", at=reduce_start + task.seconds,
-                job=job.name, phase="reduce", task=machine,
-                fields={"records": task.spilled_records},
+                "shuffle", at=job_base + metrics.map_phase_seconds,
+                job=job.name,
+                fields={
+                    "seconds": metrics.shuffle_seconds,
+                    "max_reducer_bytes": max(reducer_bytes, default=0),
+                },
             )
-        metrics.reduce_tasks.append(task)
-        merged_outputs[machine] = outcome.payload
 
-    metrics.reduce_phase_seconds = cost.round_startup_seconds + max(
-        max((t.seconds for t in metrics.reduce_tasks), default=0.0),
-        dead_chain_seconds,
-    )
-    metrics.total_seconds = (
-        metrics.map_phase_seconds
-        + metrics.shuffle_seconds
-        + metrics.reduce_phase_seconds
-    )
+        # ---- reduce phase -------------------------------------------------
+        # Partitions already salvaged from a checkpoint are not
+        # re-executed; their outputs are merged back in partition order.
+        merged_outputs.update(completed_reducers or {})
+        reduce_rel = metrics.map_phase_seconds + metrics.shuffle_seconds
+        reduce_tasks = [
+            _Task(
+                shared, "reduce", machine, reducer_buckets[machine],
+                reducer_records[machine], reducer_bytes[machine],
+                node_kill_at=_kill_at(
+                    machine, reduce_rel + cost.round_startup_seconds
+                ),
+            )
+            for machine in range(num_reducers)
+            if machine not in merged_outputs
+        ]
+        # The tasks now hold the only references to the routed runs.
+        reducer_buckets = None
+
+        def fold_reduce(machine, task, payload, start):
+            if trace_debug and task.spilled_records:
+                tracer.event(
+                    "spill", at=start + task.seconds,
+                    job=job.name, phase="reduce", task=machine,
+                    fields={"records": task.spilled_records},
+                )
+            merged_outputs[machine] = payload
+
+        reduce_base = (
+            job_base + metrics.map_phase_seconds + metrics.shuffle_seconds
+        )
+        run_phase("reduce", reduce_tasks, reduce_base, fold_reduce)
+        metrics.total_seconds = (
+            metrics.map_phase_seconds
+            + metrics.shuffle_seconds
+            + metrics.reduce_phase_seconds
+        )
+    else:
+        metrics.total_seconds = metrics.map_phase_seconds
     _record_node_losses(
         tracer, trace_on, metrics, node_kills, topology, job_base, job.name,
     )
     if trace_on:
-        _emit_phase_span(tracer, job.name, "reduce", reduce_base, metrics)
+        if reduced:
+            _emit_phase_span(tracer, job.name, "reduce", reduce_base, metrics)
         _finish_job_trace(tracer, job.name, metrics, job_base, job_shape)
     if metrics.aborted:
         # Partitions merged before the dead chain (plus checkpointed
@@ -899,13 +831,11 @@ def _run_job(
             output=[], metrics=metrics, reducer_outputs=[],
             partial_reducer_outputs=merged_outputs,
         )
-    output: List[Pair] = []
-    for machine in range(num_reducers):
-        output.extend(merged_outputs[machine])
+    outputs = [merged_outputs[m] for m in range(num_reducers)]
     return JobResult(
-        output=output,
+        output=list(chain.from_iterable(outputs)),
         metrics=metrics,
-        reducer_outputs=[merged_outputs[m] for m in range(num_reducers)],
+        reducer_outputs=outputs,
     )
 
 

@@ -10,6 +10,7 @@ the sequential algorithms iterate it directly.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from . import lattice
@@ -77,18 +78,12 @@ class Relation:
         """Iterate over the measure column."""
         return (row[-1] for row in self.rows)
 
-    def project_group(self, row: Row, mask: int) -> lattice.GroupValues:
-        """The c-group of ``row`` in cuboid ``mask``."""
-        return lattice.project(row, mask, self.schema.num_dimensions)
-
     def group_sizes(self, mask: int) -> dict:
-        """``|set(g)|`` for every c-group ``g`` of cuboid ``mask``."""
-        d = self.schema.num_dimensions
-        sizes: dict = {}
-        for row in self.rows:
-            group = lattice.project(row, mask, d)
-            sizes[group] = sizes.get(group, 0) + 1
-        return sizes
+        """``|set(g)|`` for every c-group ``g`` of cuboid ``mask``, in
+        first-seen order."""
+        return Counter(
+            lattice.project_rows(self.rows, mask, self.schema.num_dimensions)
+        )
 
     def sample(
         self,

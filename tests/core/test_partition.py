@@ -10,6 +10,7 @@ from repro.core import (
     partition_elements_from_sorted,
     partition_loads,
 )
+from repro.relation.lattice import project
 
 from ..conftest import make_random_relation
 
@@ -86,7 +87,7 @@ class TestProposition42:
         elements = cuboid_elements(rel, mask, 5)
         routes = {}
         for row in rel:
-            group = rel.project_group(row, mask)
+            group = project(row, mask, 2)
             route = find_partition(elements, group)
             assert routes.setdefault(group, route) == route
 

@@ -16,7 +16,7 @@ from repro.core import (
 )
 from repro.core.sketch import CuboidSketch, SPSketch
 from repro.relation import Relation, Schema, all_cuboids
-from repro.relation.lattice import project_rows
+from repro.relation.lattice import project, project_rows
 
 from ..conftest import make_random_relation
 
@@ -116,7 +116,7 @@ class TestSketchQueries:
         for row in rel.rows[:50]:
             bits = sketch.skew_bits(row)
             for mask in all_cuboids(3):
-                projected = rel.project_group(row, mask)
+                projected = project(row, mask, 3)
                 assert bool(bits >> mask & 1) == sketch.is_skewed(
                     mask, projected
                 )

@@ -11,6 +11,7 @@ from repro.aggregates import Count, Sum
 from repro.core import build_exact_sketch
 from repro.cubing import buc_cube, sequential_cube
 from repro.relation import Relation, Schema
+from repro.relation.lattice import project
 
 from ..conftest import iceberg_cube
 from ..test_differential import Case, check_case
@@ -47,7 +48,7 @@ class TestOracleSemantics:
         cube = sequential_cube(retail_relation)
         for mask in (0b001, 0b010, 0b111):
             distinct = set(
-                retail_relation.project_group(row, mask)
+                project(row, mask, 3)
                 for row in retail_relation
             )
             assert len(cube.cuboid(mask)) == len(distinct)

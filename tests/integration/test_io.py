@@ -1,5 +1,7 @@
 """File interchange: relations, cubes, sketches."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import io as repro_io
@@ -8,6 +10,7 @@ from repro.cubing import sequential_cube
 from repro.datagen import gen_binomial
 from repro.mapreduce import ClusterConfig
 from repro.relation import Relation, Schema, all_cuboids
+from repro.relation.lattice import project
 
 from ..conftest import make_random_relation
 
@@ -190,7 +193,7 @@ class TestSketchRoundtrip:
         for row in rel.rows[:30]:
             assert restored.skew_bits(row) == sketch.skew_bits(row)
             for mask in all_cuboids(3):
-                group = rel.project_group(row, mask)
+                group = project(row, mask, 3)
                 assert restored.partition_of(
                     mask, group
                 ) == sketch.partition_of(mask, group)
@@ -201,5 +204,5 @@ class TestSketchRoundtrip:
         path = str(tmp_path / "sketch.json")
         size = repro_io.write_sketch(run.sketch, path)
         assert size > 0
-        restored = repro_io.read_sketch(path)
+        restored = repro_io.sketch_from_json(Path(path).read_text())
         assert restored.num_skewed == run.sketch.num_skewed

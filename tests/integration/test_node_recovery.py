@@ -7,7 +7,8 @@ skip the salvaged reduce partitions on the rerun, and leave merged
 metrics that satisfy every invariant.  That every task order agrees
 byte-for-byte on cubes and traces under node faults is the differential
 harness's (``tests/test_differential.py``); ``TestBackendIdentity`` names
-its cases.
+its cases.  A round that exhausts its retries instead stops the run in
+that round (``test_an_exhausted_round_closes_the_run``).
 """
 
 from dataclasses import replace
@@ -18,7 +19,7 @@ from repro.analysis import paper_cluster
 from repro.baselines import MRCube
 from repro.core import SPCube
 from repro.datagen import gen_binomial, gen_zipf
-from repro.mapreduce.faults import FaultPlan, NodeFaultSpec
+from repro.mapreduce.faults import FaultPlan, FaultSpec, NodeFaultSpec
 from repro.observability import MemorySink, Tracer, record_problems
 
 from ..test_differential import Case, check_case
@@ -266,3 +267,33 @@ class TestBackendIdentity:
     def test_serial_and_parallel_agree_under_node_faults(self):
         for faults in ("node-loss", "random"):
             check_case(Case("binomial", "count", "mrcube", "parallel", faults))
+
+
+def traced_run(engine, plan=None):
+    """``engine``'s run on :func:`relation` and its one ``run`` span."""
+    sink = MemorySink()
+    tracer = Tracer([sink], level="job")
+    run = engine(cluster(fault_plan=plan, tracer=tracer)).compute(relation())
+    (span,) = [r for r in sink.records if r["kind"] == "run"]
+    return run, span
+
+
+@pytest.mark.parametrize("job", [
+    "mrcube-sample", "mrcube-materialize", "mrcube-postagg",
+    "sp-sketch", "sp-cube",
+])
+def test_an_exhausted_round_closes_the_run(job):
+    """Whichever round exhausts its retries, the run stops there with an
+    empty cube and one ``aborted`` run span of the usual shape."""
+    engine = SPCube if job.startswith("sp-") else MRCube
+    plan = FaultPlan([
+        FaultSpec("crash", job=job, phase="map", task=0, attempt=None),
+    ])
+    run, span = traced_run(engine, plan)
+    assert run.metrics.aborted
+    assert run.cube.num_groups == 0
+    assert run.metrics.jobs[-1].name == job
+    assert span["status"] == "aborted"
+    assert span["counters"]["output_groups"] == 0
+    _clean, clean_span = traced_run(engine)
+    assert sorted(span["counters"]) == sorted(clean_span["counters"])

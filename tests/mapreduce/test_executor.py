@@ -96,7 +96,7 @@ class TestRunTaskChain:
 
 
 class _IndexTask:
-    """A task callable, as the engine's _MapTask/_ReduceTask are."""
+    """A task callable, as the engine's _Task is."""
 
     def __init__(self, index):
         self.index = index

@@ -71,7 +71,7 @@ from repro.mapreduce import (
     estimate_bytes,
     pair_bytes,
 )
-from repro.mapreduce.engine import _ReduceTask
+from repro.mapreduce.engine import _Round, _Task
 from repro.mapreduce.faults import NodeFaultSpec
 from repro.observability import (
     LineageIndex,
@@ -849,10 +849,12 @@ def assert_reduce_kernel_matches_reference(
         "sp-cube", None,
         TaskFactory(_CubeReducer, sketch.num_dimensions, aggregate, plan, min_size),
     )
-    task, output = _ReduceTask(
-        job, 0, [grouped], sum(map(len, grouped.values())), 0, 1 << 30, 4, 32,
-        CostModel(), NO_FAULTS, RetryPolicy(),
-    )._attempt()
+    shared = _Round(
+        job, 1, 4, 32, 1 << 30, CostModel(), NO_FAULTS, RetryPolicy()
+    )
+    task, output = _Task(
+        shared, "reduce", 0, [grouped], sum(map(len, grouped.values())), 0,
+    )._reduce_attempt()
     assert all(type(block) is Block for block in output)
     assert repr(sorted(output)) == repr(sorted(blocks))
     assert task.records_out == len(pairs)
