@@ -59,7 +59,8 @@ def estimate_bytes(obj) -> int:
 
 
 def _estimate_slow(obj) -> int:
-    """Rarer shapes: bools, bytes, dicts/Counters, sets, None, fallbacks."""
+    """Rarer shapes: bools, bytes, dicts/Counters, sets, None, objects
+    with a ``serialized_bytes()`` method, fallbacks."""
     if obj is None:
         return 1
     if isinstance(obj, (int, float)):  # bools and other numeric subclasses
@@ -79,6 +80,8 @@ def _estimate_slow(obj) -> int:
         return _CONTAINER_OVERHEAD + sum(
             estimate_bytes(item) for item in obj
         )
+    if hasattr(obj, "serialized_bytes"):  # an object sizing itself: a sketch
+        return obj.serialized_bytes()
     # Fallback: charge for the repr, which is at least deterministic.
     return _CONTAINER_OVERHEAD + len(repr(obj))
 

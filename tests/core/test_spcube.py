@@ -14,7 +14,7 @@ from repro.aggregates import (
 )
 from repro.core import SPCube, spcube
 from repro.cubing import sequential_cube
-from repro.mapreduce import Block, ClusterConfig, pair_bytes
+from repro.mapreduce import Block, ClusterConfig, estimate_bytes, pair_bytes
 from repro.relation import Relation, Schema
 
 from ..conftest import iceberg_cube, make_random_relation
@@ -165,6 +165,17 @@ class TestRoundsAndMetrics:
         _count, input_bytes = relation_bytes(rel.rows)
         assert run.metrics.extras["sketch_bytes"] < input_bytes / 20
 
+    def test_round_one_charges_the_sketch_it_ships(
+        self, cluster, skewed_relation
+    ):
+        run = SPCube(cluster).compute(skewed_relation)
+        task = run.metrics.jobs[0].reduce_tasks[0]
+        # One pair: the sample run's key 0, then the sketch at its own size.
+        assert task.records_out == 1
+        assert task.bytes_out == (
+            estimate_bytes(0) + run.sketch.serialized_bytes()
+        )
+
     def test_skew_reducer_never_overloaded(self, cluster, skewed_relation):
         """Reducer 0 receives only partial states: at most k per group."""
         run = SPCube(cluster).compute(skewed_relation)
@@ -206,6 +217,79 @@ class TestBlockOutput:
             assert task.records_out == len(pairs)
             assert task.bytes_out == sum(pair_bytes(*p) for p in pairs)
         assert run.cube == iceberg_cube(skewed_relation, fn, min_size)
+
+
+class TestRecordFormat:
+    """Round 2 ships ``(mask, values)`` keys, the baselines' shape, and a
+    skewed group's partial as its bare state; reducer 0 receives exactly
+    the groups the sketch flags."""
+
+    @staticmethod
+    def shuffled(monkeypatch, cluster, relation, fn=None, **knobs):
+        """The run, and the runs each round-2 reduce task received."""
+        received = {}
+
+        class Recording(spcube._CubeReducer):
+            def reduce_runs(self, keys, runs):
+                received[self.context.machine] = dict(runs)
+                return super().reduce_runs(keys, runs)
+
+        monkeypatch.setattr(spcube, "_CubeReducer", Recording)
+        run = SPCube(cluster, fn, **knobs).compute(relation)
+        return run, received
+
+    def test_every_key_is_mask_and_values(
+        self, monkeypatch, cluster, skewed_relation
+    ):
+        _run, received = self.shuffled(monkeypatch, cluster, skewed_relation)
+        keys = [key for runs in received.values() for key in runs]
+        assert keys
+        for mask, values in keys:
+            assert type(mask) is int and type(values) is tuple
+            assert len(values) == bin(mask).count("1")
+
+    def test_reducer_zero_receives_exactly_the_flagged_groups(
+        self, monkeypatch, cluster, skewed_relation
+    ):
+        run, received = self.shuffled(monkeypatch, cluster, skewed_relation)
+        flagged = {
+            (mask, values) for mask, values, _ in run.sketch.skewed_groups()
+        }
+        assert flagged and set(received[0]) == flagged
+        for reducer, runs in received.items():
+            assert reducer == 0 or not flagged & set(runs)
+        records = sum(map(len, received[0].values()))
+        assert run.metrics.jobs[-1].reduce_tasks[0].records_in == records
+
+    def test_partials_are_bare_states(
+        self, monkeypatch, cluster, skewed_relation
+    ):
+        _run, received = self.shuffled(
+            monkeypatch, cluster, skewed_relation, Sum()
+        )
+        states = [state for run in received[0].values() for state in run]
+        assert states and all(type(state) is int for state in states)
+
+    def test_an_iceberg_partial_carries_its_count(
+        self, monkeypatch, cluster, skewed_relation
+    ):
+        run, received = self.shuffled(
+            monkeypatch, cluster, skewed_relation, Sum(), min_group_size=2
+        )
+        entries = [entry for run in received[0].values() for entry in run]
+        assert entries
+        for count, state in entries:
+            assert type(count) is int and count >= 1 and type(state) is int
+        assert run.cube == iceberg_cube(skewed_relation, Sum(), 2)
+
+    def test_without_partial_aggregation_reducer_zero_gets_nothing(
+        self, cluster, skewed_relation
+    ):
+        run = SPCube(cluster, map_partial_aggregation=False).compute(
+            skewed_relation
+        )
+        assert run.sketch.num_skewed > 0
+        assert run.metrics.jobs[-1].reduce_tasks[0].records_in == 0
 
 
 class TestDeterminism:

@@ -76,6 +76,14 @@ class TestHelpers:
 
         assert estimate_bytes(Odd()) == 4 + 3
 
+    def test_an_object_that_sizes_itself_is_charged_its_size(self):
+        class Sized:
+            def serialized_bytes(self):
+                return 16340
+
+        assert estimate_bytes(Sized()) == 16340
+        assert pair_bytes(0, Sized()) == 8 + 16340
+
 
 Point = namedtuple("Point", "x y")
 

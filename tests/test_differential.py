@@ -672,12 +672,14 @@ def assert_tracing_changes_nothing(case):
 # -- per-kernel oracles --------------------------------------------------------
 
 
-def reference_walk(chunks, sketch, aggregate, covering=True, partial=True):
+def reference_walk(
+    chunks, sketch, aggregate, covering=True, partial=True, min_size=1
+):
     """Algorithm 3 one record at a time, no memo: the mapper's oracle.
 
-    Returns what a mapper hands the shuffle — ``{emission key: rows}`` and
-    ``{skew key: (count, state)}``, every key as first seen — and the CPU
-    it charges.
+    Returns what a mapper hands the shuffle — ``{(mask, values): rows}``
+    and ``{(mask, values): state}`` (``(count, state)`` under an iceberg
+    threshold), every key as first seen — and the CPU it charges.
     """
     d = sketch.num_dimensions
     planner = plan_for_skew_bits if covering else plan_without_covering
@@ -686,18 +688,24 @@ def reference_walk(chunks, sketch, aggregate, covering=True, partial=True):
         cpu += 1 << d
         plan = planner(sketch.skew_bits(row) if partial else 0, d)
         for mask in plan.skewed_masks:
-            key = ("S", mask, project(row, mask, d))
+            key = (mask, project(row, mask, d))
             count, state = partials.get(key, (0, aggregate.create()))
             partials[key] = (count + 1, aggregate.add(state, row[-1]))
         for base, _covered in plan.emissions:
-            runs.setdefault(("G", base, project(row, base, d)), []).append(row)
+            runs.setdefault((base, project(row, base, d)), []).append(row)
+    if min_size == 1:
+        partials = {key: state for key, (_count, state) in partials.items()}
     return runs, partials, cpu
 
 
-def kernel_walk(chunks, sketch, aggregate, covering=True, partial=True):
+def kernel_walk(
+    chunks, sketch, aggregate, covering=True, partial=True, min_size=1
+):
     """The same three observables from ``_CubeMapper.map_chunk`` + ``close``."""
     d = sketch.num_dimensions
-    mapper = _CubeMapper(d, aggregate, _PlanFunction(sketch, covering, partial))
+    mapper = _CubeMapper(
+        d, aggregate, _PlanFunction(sketch, covering, partial), min_size
+    )
     context = TaskContext(0, 4, 32)
     mapper.setup(context)
     runs, records = {}, 0
@@ -783,15 +791,18 @@ def reference_reduce(
     d = sketch.num_dimensions
     planner = plan_for_skew_bits if covering else plan_without_covering
     out, cpu = {}, 0
-    for (tag, base, values), entries in grouped.items():
+    for (base, values), entries in grouped.items():
         groups = {}
-        if tag == "S":
+        skewed = partial and sketch.is_skewed(base, values)
+        if skewed:
+            if min_size == 1:  # bare states, whose groups all pass
+                entries = [(1, state) for state in entries]
             groups[(base, values)] = (
                 sum(count for count, _state in entries),
                 reduce(aggregate.merge, (s for _c, s in entries),
                        aggregate.create()),
             )
-        for row in entries if tag == "G" else ():
+        for row in () if skewed else entries:
             plan = planner(sketch.skew_bits(row) if partial else 0, d)
             for mask in plan.covered_by[base]:
                 cpu += 1
@@ -813,7 +824,7 @@ def assert_reduce_kernel_matches_reference(
     grouped = {}
     for chunk in chunks:
         runs, partials, _cpu = reference_walk(
-            [chunk], sketch, aggregate, covering, partial
+            [chunk], sketch, aggregate, covering, partial, min_size
         )
         for key, rows in runs.items():
             grouped.setdefault(key, []).extend(rows)
